@@ -8,25 +8,21 @@
 // §4.1's small-scope argument: the verdicts stabilize by scope 3 while the
 // cost grows combinatorially — the reason the default scope suffices.
 //
-// The symbolic section compares the five discharge strategies — one-shot
-// session-per-VC, the per-method warm session, the shared per-pair session
-// (selector literals, one warm solver for all six methods of an op-pair),
-// the shared family session (one warm solver for the whole family,
-// per-pair scopes retired when done), and the shared catalog session
-// (selector-tree scopes, family subtrees retired in one pass, Tseitin
-// variables recycled) — and emits machine-readable BENCH_JSON lines that
-// bench/run_all.sh collects into BENCH_semcommute.json, including the
-// pair-over-method, family-over-pair, and catalog-over-family speedup
-// ratios, the clause-GC/eviction counters, and a peak-live-variables
-// series (peak live vs. cumulative variable demand, per bound) showing
-// what index recycling buys.
+// The symbolic section compares the two discharge strategies — the
+// one-shot session-per-VC oracle and the shared catalog session
+// (selector-tree scopes, pair and family subtrees retired when done,
+// Tseitin variables recycled) — and emits machine-readable BENCH_JSON
+// lines that bench/run_all.sh collects into BENCH_semcommute.json,
+// including the catalog-over-oneshot speedup, the eviction counters, and a
+// peak-live-variables series (peak live vs. cumulative variable demand,
+// per bound) showing what index recycling buys.
 //
 // A second sweep varies the clause-GC budget (the --gc-budget knob /
-// SatSolver::setClauseGcLimit) over the shared-family ArrayList suite so
+// SatSolver::setClauseGcLimit) over the catalog-session ArrayList suite so
 // the default threshold is picked from measured peak-retention/time data
 // instead of MiniSat folklore.
 //
-// A third run compares the shared-family ArrayList suite with the §5.2.1
+// A third run compares the catalog-session ArrayList suite with the §5.2.1
 // proof-hint scripts attached against a hints-off baseline, emitting the
 // conflict reduction (and the max single-VC conflict count, i.e. the
 // budget the suite actually needs) so the ArrayList conflict budget is a
@@ -64,10 +60,11 @@ struct SymbolicRun {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Per-method discharge (one engine call per testing method).
-SymbolicRun runSymbolicSuite(ExprFactory &F, const Catalog &C, int Bound,
-                             SolveMode Mode) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000, Mode);
+/// One-shot discharge: one engine call per testing method, a cold session
+/// per VC split.
+SymbolicRun runOneShotSuite(ExprFactory &F, const Catalog &C, int Bound) {
+  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
+                        SolveMode::OneShot);
   SymbolicRun Out;
   Stopwatch W;
   for (const TestingMethod &M :
@@ -75,7 +72,7 @@ SymbolicRun runSymbolicSuite(ExprFactory &F, const Catalog &C, int Bound,
     SymbolicResult R = Engine.verify(M);
     Out.Vcs += R.NumVcs;
     Out.Conflicts += R.SatConflicts;
-    Out.RetainedClauses += R.RetainedClauses;
+    Out.MaxVcConflicts = std::max(Out.MaxVcConflicts, R.MaxVcConflicts);
     Out.DbReductions += R.DbReductions;
     Out.ReclaimedClauses += R.ReclaimedClauses;
     Out.Failures += !R.Verified;
@@ -85,67 +82,17 @@ SymbolicRun runSymbolicSuite(ExprFactory &F, const Catalog &C, int Bound,
   return Out;
 }
 
-/// Pair-grouped discharge: all six methods of each pair share one session.
-SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
-                        SolveMode::SharedPair);
-  SymbolicRun Out;
-  Stopwatch W;
-  for (const ConditionEntry &E : C.entries(arrayListFamily())) {
-    PairOutcome O = Engine.verifyPair(E);
-    for (const SymbolicResult &R : O.Methods) {
-      Out.Vcs += R.NumVcs;
-      Out.Failures += !R.Verified;
-      ++Out.Methods;
-    }
-    Out.Conflicts += O.Conflicts;
-    Out.RetainedClauses += O.RetainedClauses;
-    Out.DbReductions += O.DbReductions;
-    Out.ReclaimedClauses += O.ReclaimedClauses;
-  }
-  Out.Seconds = W.seconds();
-  return Out;
-}
-
-/// Family-level discharge: every ArrayList pair through one FamilySession,
-/// each pair's scope retired when its six methods are done. With
-/// \p Hints, the §5.2.1 scripts attach as labeled split assumptions.
-SymbolicRun runSharedFamilySuite(ExprFactory &F, const Catalog &C, int Bound,
-                                 int64_t GcBudget,
-                                 FamilySessionStats *StatsOut = nullptr,
-                                 const std::vector<HintScript> *Hints =
-                                     nullptr) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
-                        SolveMode::SharedFamily);
+/// Catalog-level discharge of the ArrayList workload: one CatalogSession
+/// (selector-tree scopes, subtree retirement, variable recycling) serving
+/// the family as its only shard. With \p Hints, the §5.2.1 scripts attach
+/// as labeled split assumptions.
+SymbolicRun runCatalogSuite(ExprFactory &F, const Catalog &C, int Bound,
+                            int64_t GcBudget,
+                            CatalogSessionStats *StatsOut = nullptr,
+                            const std::vector<HintScript> *Hints = nullptr) {
+  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000);
   Engine.setClauseGcBudget(GcBudget);
   Engine.attachHints(Hints);
-  SymbolicRun Out;
-  Stopwatch W;
-  FamilyOutcome FO = Engine.verifyFamily(C, arrayListFamily());
-  for (const PairOutcome &O : FO.Pairs)
-    for (const SymbolicResult &R : O.Methods) {
-      Out.Vcs += R.NumVcs;
-      Out.MaxVcConflicts = std::max(Out.MaxVcConflicts, R.MaxVcConflicts);
-      Out.Failures += !R.Verified;
-      ++Out.Methods;
-    }
-  Out.Conflicts = FO.Conflicts;
-  Out.RetainedClauses = FO.Stats.PeakRetainedClauses;
-  Out.DbReductions = FO.DbReductions;
-  Out.ReclaimedClauses = FO.ReclaimedClauses;
-  Out.Seconds = W.seconds();
-  if (StatsOut)
-    *StatsOut = FO.Stats;
-  return Out;
-}
-
-/// Catalog-level discharge of the same ArrayList workload: one
-/// CatalogSession (selector-tree scopes, subtree retirement, variable
-/// recycling) serving the family as its only shard.
-SymbolicRun runSharedCatalogSuite(ExprFactory &F, const Catalog &C, int Bound,
-                                  CatalogSessionStats *StatsOut = nullptr) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
-                        SolveMode::SharedCatalog);
   SymbolicRun Out;
   Stopwatch W;
   CatalogOutcome CO = Engine.verifyCatalog(C, {&arrayListFamily()});
@@ -204,40 +151,22 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\nSymbolic engine, full ArrayList method suite by length "
-              "bound:\none-shot session-per-VC vs per-method warm session "
-              "vs shared per-pair vs shared family vs shared catalog "
-              "session:\n\n");
-  std::printf("%8s %10s %12s %12s %12s %12s %12s %12s %9s %9s %9s\n",
-              "bound", "methods", "VCs", "oneshot(s)", "method(s)",
-              "pair(s)", "family(s)", "catalog(s)", "pair-gain", "fam-gain",
-              "cat-gain");
+              "bound:\none-shot session-per-VC vs shared catalog session:"
+              "\n\n");
+  std::printf("%8s %10s %12s %12s %12s %9s\n", "bound", "methods", "VCs",
+              "oneshot(s)", "catalog(s)", "speedup");
   for (int Bound = 2; Bound <= MaxSymbolicBound; ++Bound) {
     // Untimed warm-up: intern this bound's expressions into the shared
     // factory so no timed leg pays first-time allocation.
-    runSharedPairSuite(F, C, Bound);
-    SymbolicRun OneShot = runSymbolicSuite(F, C, Bound, SolveMode::OneShot);
-    SymbolicRun Method = runSymbolicSuite(F, C, Bound, SolveMode::PerMethod);
-    SymbolicRun Pair = runSharedPairSuite(F, C, Bound);
-    FamilySessionStats FamStats;
-    SymbolicRun Fam = runSharedFamilySuite(F, C, Bound, /*GcBudget=*/0,
-                                           &FamStats);
+    runCatalogSuite(F, C, Bound, /*GcBudget=*/0);
+    SymbolicRun OneShot = runOneShotSuite(F, C, Bound);
     CatalogSessionStats CatStats;
-    SymbolicRun Cat = runSharedCatalogSuite(F, C, Bound, &CatStats);
-    // The acceptance metrics: each tier must at least hold the line
-    // against the one below it.
-    double PairGain = Pair.Seconds > 0 ? Method.Seconds / Pair.Seconds : 0;
-    double FamGain = Fam.Seconds > 0 ? Pair.Seconds / Fam.Seconds : 0;
-    double CatGain = Cat.Seconds > 0 ? Fam.Seconds / Cat.Seconds : 0;
-    double IncrGain = Method.Seconds > 0 ? OneShot.Seconds / Method.Seconds
-                                         : 0;
-    unsigned Failures = OneShot.Failures + Method.Failures + Pair.Failures +
-                        Fam.Failures + Cat.Failures;
-    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %12.3f %12.3f "
-                "%8.2fx %8.2fx %8.2fx%s\n",
-                Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                Cat.Seconds, PairGain, FamGain, CatGain,
-                Failures ? "  FAILURES!" : "");
+    SymbolicRun Cat = runCatalogSuite(F, C, Bound, /*GcBudget=*/0, &CatStats);
+    double Speedup = Cat.Seconds > 0 ? OneShot.Seconds / Cat.Seconds : 0;
+    unsigned Failures = OneShot.Failures + Cat.Failures;
+    std::printf("%8d %10u %12llu %12.3f %12.3f %8.2fx%s\n", Bound,
+                Cat.Methods, (unsigned long long)Cat.Vcs, OneShot.Seconds,
+                Cat.Seconds, Speedup, Failures ? "  FAILURES!" : "");
     // The peak-live-variables series: what recycling buys at this bound.
     std::printf("%8s catalog vars: peak %llu live of %llu requested, "
                 "%llu recycled, peak %llu live clauses\n", "",
@@ -249,92 +178,76 @@ int main(int argc, char **argv) {
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"symbolic_arraylist_suite\",\"bound\":%d,"
                 "\"methods\":%u,\"vcs\":%llu,\"oneshot_s\":%.4f,"
-                "\"per_method_s\":%.4f,\"shared_pair_s\":%.4f,"
-                "\"shared_family_s\":%.4f,\"shared_catalog_s\":%.4f,"
-                "\"speedup\":%.3f,\"pair_over_method_speedup\":%.3f,"
-                "\"family_over_pair_speedup\":%.3f,"
-                "\"catalog_over_family_speedup\":%.3f,"
-                "\"oneshot_conflicts\":%lld,\"per_method_conflicts\":%lld,"
-                "\"shared_pair_conflicts\":%lld,"
-                "\"shared_family_conflicts\":%lld,"
+                "\"shared_catalog_s\":%.4f,\"speedup\":%.3f,"
+                "\"oneshot_conflicts\":%lld,"
                 "\"shared_catalog_conflicts\":%lld,"
-                "\"shared_pair_retained_clauses\":%llu,"
-                "\"shared_pair_db_reductions\":%llu,"
-                "\"shared_pair_reclaimed_clauses\":%llu,"
-                "\"family_peak_retained_clauses\":%llu,"
-                "\"family_evictions\":%llu,"
-                "\"family_evicted_clauses\":%llu,"
-                "\"family_prefix_reuses\":%llu,"
+                "\"catalog_peak_retained_clauses\":%llu,"
+                "\"catalog_evictions\":%llu,"
+                "\"catalog_evicted_clauses\":%llu,"
+                "\"catalog_prefix_reuses\":%llu,"
                 "\"catalog_peak_live_vars\":%llu,"
                 "\"catalog_var_requests\":%llu,"
                 "\"catalog_recycled_vars\":%llu,"
                 "\"catalog_peak_live_clauses\":%llu,"
                 "\"failures\":%u}\n",
-                Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                Cat.Seconds, IncrGain, PairGain, FamGain, CatGain,
-                (long long)OneShot.Conflicts,
-                (long long)Method.Conflicts, (long long)Pair.Conflicts,
-                (long long)Fam.Conflicts, (long long)Cat.Conflicts,
-                (unsigned long long)Pair.RetainedClauses,
-                (unsigned long long)Pair.DbReductions,
-                (unsigned long long)Pair.ReclaimedClauses,
-                (unsigned long long)FamStats.PeakRetainedClauses,
-                (unsigned long long)FamStats.PairsRetired,
-                (unsigned long long)FamStats.EvictedClauses,
-                (unsigned long long)FamStats.PrefixReuses,
+                Bound, Cat.Methods, (unsigned long long)Cat.Vcs,
+                OneShot.Seconds, Cat.Seconds, Speedup,
+                (long long)OneShot.Conflicts, (long long)Cat.Conflicts,
+                (unsigned long long)CatStats.PeakRetainedClauses,
+                (unsigned long long)CatStats.PairsRetired,
+                (unsigned long long)CatStats.EvictedClauses,
+                (unsigned long long)CatStats.PrefixReuses,
                 (unsigned long long)CatStats.PeakLiveVars,
                 (unsigned long long)CatStats.VarRequests,
                 (unsigned long long)CatStats.RecycledVars,
                 (unsigned long long)CatStats.PeakLiveClauses, Failures);
   }
 
-  // Clause-GC budget sweep over the shared-family ArrayList suite: the
+  // Clause-GC budget sweep over the catalog-session ArrayList suite: the
   // default reduce threshold is whatever this data says, not folklore.
   // (A budget below the workload's live-lemma count trades re-derivation
   // conflicts for retention; a budget above it never fires.)
-  std::printf("\nClause-GC budget sweep, shared-family ArrayList suite "
+  std::printf("\nClause-GC budget sweep, catalog-session ArrayList suite "
               "(bound 3):\n\n");
   std::printf("%10s %10s %12s %14s %12s %12s\n", "budget", "time(s)",
               "conflicts", "peak-retained", "reductions", "reclaimed");
-  runSharedFamilySuite(F, C, 3, 0); // Warm-up.
+  runCatalogSuite(F, C, 3, 0); // Warm-up.
   std::vector<int64_t> GcBudgets =
       Quick ? std::vector<int64_t>{100, 500, 4000}
             : std::vector<int64_t>{100, 250, 500, 1000, 2000, 4000};
   for (int64_t Budget : GcBudgets) {
-    FamilySessionStats FamStats;
-    SymbolicRun Run = runSharedFamilySuite(F, C, 3, Budget, &FamStats);
+    SymbolicRun Run = runCatalogSuite(F, C, 3, Budget);
     std::printf("%10lld %10.3f %12lld %14llu %12llu %12llu%s\n",
                 (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)FamStats.PeakRetainedClauses,
+                (unsigned long long)Run.RetainedClauses,
                 (unsigned long long)Run.DbReductions,
                 (unsigned long long)Run.ReclaimedClauses,
                 Run.Failures ? "  FAILURES!" : "");
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"gc_budget_sweep\",\"bound\":3,"
-                "\"gc_budget\":%lld,\"shared_family_s\":%.4f,"
+                "\"gc_budget\":%lld,\"shared_catalog_s\":%.4f,"
                 "\"conflicts\":%lld,\"peak_retained_clauses\":%llu,"
                 "\"db_reductions\":%llu,\"reclaimed_clauses\":%llu,"
                 "\"failures\":%u}\n",
                 (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)FamStats.PeakRetainedClauses,
+                (unsigned long long)Run.RetainedClauses,
                 (unsigned long long)Run.DbReductions,
                 (unsigned long long)Run.ReclaimedClauses, Run.Failures);
   }
 
-  // Hint-guided budget measurement: the shared-family ArrayList suite with
+  // Hint-guided budget measurement: the catalog-session ArrayList suite with
   // the §5.2.1 proof-hint scripts attached vs. the hints-off baseline. The
   // max single-VC conflict count is the budget the suite actually needs —
   // whether --symbolic conflict budgets can drop is a data question, so
   // both numbers land in the committed baseline.
-  std::printf("\nHint-guided budget measurement, shared-family ArrayList "
+  std::printf("\nHint-guided budget measurement, catalog-session ArrayList "
               "suite (bound 3):\n\n");
   std::printf("%10s %10s %12s %16s\n", "hints", "time(s)", "conflicts",
               "max-vc-conflicts");
   std::vector<HintScript> Scripts = buildArrayListHintScripts(F);
-  SymbolicRun HintsOff = runSharedFamilySuite(F, C, 3, /*GcBudget=*/0);
-  SymbolicRun HintsOn = runSharedFamilySuite(F, C, 3, /*GcBudget=*/0,
-                                             /*StatsOut=*/nullptr, &Scripts);
+  SymbolicRun HintsOff = runCatalogSuite(F, C, 3, /*GcBudget=*/0);
+  SymbolicRun HintsOn = runCatalogSuite(F, C, 3, /*GcBudget=*/0,
+                                        /*StatsOut=*/nullptr, &Scripts);
   for (const auto &Leg : {std::make_pair("off", &HintsOff),
                           std::make_pair("on", &HintsOn)})
     std::printf("%10s %10.3f %12lld %16lld%s\n", Leg.first,

@@ -146,29 +146,6 @@ else
   failures=$((failures + 1))
 fi
 
-# Family-tier snapshot: the same catalog under --solve-mode shared-family,
-# whose per-family eviction / peak-retention / prefix-reuse counters join
-# the baseline so family-session regressions (unbounded retention, lost
-# prefix sharing) are caught like wall-time ones.
-FAMILY_JSON="$RESULTS_DIR/driver_family_stats.json"
-if [ -x "$DRIVER_BIN" ]; then
-  echo "== semcommute-verify (shared-family session snapshot)"
-  start=$(now)
-  if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-family --quiet \
-       --json "$FAMILY_JSON" > "$RESULTS_DIR/driver_family_stats.txt" 2>&1
-  then status=ok; else
-    status=failed
-    echo "FAILED  semcommute-verify shared-family (see $RESULTS_DIR/driver_family_stats.txt)"
-    failures=$((failures + 1))
-  fi
-  end=$(now)
-  record "driver_family_stats" \
-    "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
-else
-  record "driver_family_stats" 0 missing
-fi
-
 # Catalog-tier snapshot: one warm solver for the whole catalog
 # (--solve-mode shared-catalog at one thread), whose subtree-retirement /
 # variable-recycling / peak-liveness counters join the baseline so
@@ -250,8 +227,8 @@ else
 fi
 
 # Sharded-service snapshots: the same 3-pass full-catalog workload through
-# the sharded front-end (4 shards, prefix image shared, clause exchange
-# on) at 1/2/4/8 drain threads. Their aggregate request rates and warm-up
+# the sharded front-end (4 shards, prefix image shared) at 1/2/4/8 drain
+# threads. Their aggregate request rates and warm-up
 # decomposition (prefix import vs encode-from-scratch) join the baseline
 # as sharded_service_stats; serve_batched above is the single-session
 # baseline the scaling ratios are taken against.
@@ -327,9 +304,9 @@ for name in ran:
         google[name] = rows
 
 # Driver-level solver statistics: per-family conflict / retained-clause /
-# clause-GC counters plus the per-pair shared-session aggregates, so the
-# committed baseline catches solver-behavior regressions (conflict blowups,
-# unbounded clause retention), not just wall-time ones.
+# clause-GC counters plus the catalog-session aggregates, so the committed
+# baseline catches solver-behavior regressions (conflict blowups, unbounded
+# clause retention), not just wall-time ones.
 driver_stats = None
 driver_path = os.path.join(results_dir, "driver_solver_stats.json")
 if os.path.exists(driver_path):
@@ -343,45 +320,24 @@ if os.path.exists(driver_path):
                  ("family", "jobs", "vcs", "sat_conflicts",
                   "retained_clauses", "db_reductions", "reclaimed_clauses")}
                 for fam in report.get("families", [])]
-        pairs = report.get("pair_stats", [])
+        sessions = report.get("catalog_stats", [])
         driver_stats = {
             "engine": "symbolic",
             "families": fams,
-            "pair_sessions": {
-                "pairs": len(pairs),
-                "sessions": sum(p.get("sessions", 0) for p in pairs),
-                "checks": sum(p.get("checks", 0) for p in pairs),
-                "sat_conflicts": sum(p.get("sat_conflicts", 0)
-                                     for p in pairs),
-                "db_reductions": sum(p.get("db_reductions", 0)
-                                     for p in pairs),
-                "reclaimed_clauses": sum(p.get("reclaimed_clauses", 0)
-                                         for p in pairs),
+            "catalog_sessions": {
+                "sessions": len(sessions),
+                "pairs": sum(s.get("pairs", 0) for s in sessions),
+                "checks": sum(s.get("checks", 0) for s in sessions),
+                "sat_conflicts": sum(s.get("sat_conflicts", 0)
+                                     for s in sessions),
                 "peak_retained_clauses": max(
-                    (p.get("retained_clauses", 0) for p in pairs),
+                    (s.get("peak_retained_clauses", 0) for s in sessions),
                     default=0),
             },
         }
 
-# Family-session statistics from the shared-family snapshot run.
-family_stats = None
-family_path = os.path.join(results_dir, "driver_family_stats.json")
-if os.path.exists(family_path):
-    try:
-        with open(family_path) as f:
-            report = json.load(f)
-    except json.JSONDecodeError:
-        report = None
-    if report:
-        family_stats = {
-            "engine": "symbolic",
-            "mode": "shared-family",
-            "families": report.get("family_stats", []),
-        }
-
 # Catalog-session statistics from the shared-catalog snapshot run: the
-# single one-thread session's prefix/retirement/recycling counters plus
-# its per-family-tier slices.
+# single one-thread session's prefix/retirement/recycling counters.
 catalog_stats = None
 catalog_path = os.path.join(results_dir, "driver_catalog_stats.json")
 if os.path.exists(catalog_path):
@@ -395,7 +351,6 @@ if os.path.exists(catalog_path):
             "engine": "symbolic",
             "mode": "shared-catalog",
             "sessions": report.get("catalog_stats", []),
-            "families": report.get("family_stats", []),
         }
 
 # Certification statistics from the --certify snapshot: certificate and
@@ -522,7 +477,7 @@ if serve_batched:
 # warm-up decomposition (what a shard costs to encode the catalog prefix
 # from scratch vs to import shard 0's image), the aggregate request rate
 # at each thread count with its ratio over the single-session serve_batched
-# baseline, and the clause-exchange counters. The host CPU count is
+# baseline. The host CPU count is
 # recorded because the thread-scaling ratios are meaningless without it
 # (a 1-CPU container pins them at ~1x).
 sharded_service_stats = None
@@ -542,14 +497,12 @@ if sharded_runs:
             "req_per_sec": rps,
             "speedup_vs_single_x": (round(rps / base_rps, 3)
                                     if rps and base_rps else None),
-            "exchange": doc_t["sharded_service"].get("exchange"),
         })
     sharded_service_stats = {
         "shards": first.get("shards"),
         "route": first.get("route"),
         "cpus": first.get("cpus"),
         "share_prefix": first.get("share_prefix"),
-        "share_clauses": first.get("share_clauses"),
         "plan_millis": first.get("plan_millis"),
         "warmup_scratch_millis": first.get("warmup_scratch_millis"),
         "warmup_import_millis_avg": first.get("warmup_import_millis_avg"),
@@ -559,13 +512,12 @@ if sharded_runs:
     }
 
 doc = {
-    "schema": 9,
+    "schema": 10,
     "tool": "bench/run_all.sh",
     "benches": benches,
     "inline_metrics": inline_metrics,
     "google_benchmarks": google,
     "driver_solver_stats": driver_stats,
-    "driver_family_stats": family_stats,
     "driver_catalog_stats": catalog_stats,
     "driver_certify_stats": certify_stats,
     "index_stats": index_stats,

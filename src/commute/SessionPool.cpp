@@ -1,4 +1,4 @@
-//===- commute/SessionPool.cpp - Shared per-pair solver sessions ------------===//
+//===- commute/SessionPool.cpp - Catalog and one-shot solver sessions -------===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -16,19 +16,18 @@ using namespace semcomm;
 
 namespace {
 
-/// Discharges every split of \p Plan against a warm session under a fixed
-/// selector-assumption prefix — the shared tail of SharedSession::discharge
-/// and FamilySession::discharge, so the split loop, core-label recording,
-/// countermodel assembly, and the Unsupported-trump rule cannot drift
-/// between the pair and family tiers. \p SessionForSplit returns the
-/// session each split runs on (OneShot mode re-opens one per split);
-/// \p Sels/\p SelLabels are the selector assumptions prepended to every
-/// split; \p PeakRetained, when set, tracks the retained-clause high-water
-/// mark across checks.
+/// Discharges every split of \p Plan under a fixed selector-assumption
+/// prefix — the shared tail of the catalog and one-shot paths, so the
+/// split loop, core-label recording, countermodel assembly, and the
+/// Unsupported-trump rule cannot drift between the warm path and its
+/// oracle. \p SessionForSplit returns the session each split runs on
+/// (one-shot opens one per split); \p Sels/\p SelLabels are the selector
+/// assumptions prepended to every split; \p PeakRetained, when set, tracks
+/// the retained-clause high-water mark across checks.
 bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
                      const std::vector<ExprRef> &Sels,
                      const std::vector<std::string> &SelLabels,
-                     bool TrackRetained, uint64_t *PeakRetained,
+                     uint64_t *PeakRetained,
                      const std::function<SmtSession &()> &SessionForSplit,
                      SymbolicResult &R) {
   auto AddCoreLabel = [&R](const std::string &L) {
@@ -73,11 +72,11 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     R.SatConflicts += Session.conflicts();
     R.MaxVcConflicts = std::max(R.MaxVcConflicts, Session.conflicts());
     ++R.NumVcs;
-    if (TrackRetained)
+    if (PeakRetained) {
       R.RetainedClauses = Session.retainedClauses();
-    if (PeakRetained)
       *PeakRetained = std::max(
           *PeakRetained, static_cast<uint64_t>(Session.retainedClauses()));
+    }
 
     if (Out == SatResult::Unsat) {
       for (size_t I : Session.lastCoreAssumptionIndices())
@@ -94,7 +93,8 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     R.LastOutcome = Out;
     std::string Atoms;
     for (const std::string &A : Session.modelAtoms())
-      if (A.rfind("__sel_", 0) != 0 && A.rfind("__pair_", 0) != 0)
+      if (A.rfind("__sel_", 0) != 0 && A.rfind("__pair_", 0) != 0 &&
+          A.rfind("__fam_", 0) != 0)
         Atoms += A + "; "; // Selectors are plumbing, not state.
     R.Countermodel = Split.Label.empty() ? Atoms : Split.Label + ": " + Atoms;
     Ok = false;
@@ -112,315 +112,71 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
   return Ok;
 }
 
+/// Stamps a certifying session's verdict onto one method result.
+void stampCertification(const proof::CertifySummary &S, SymbolicResult &R) {
+  R.ProofClauses = S.PeakClauses;
+  R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
+}
+
 } // namespace
 
 const char *semcomm::solveModeName(SolveMode M) {
-  switch (M) {
-  case SolveMode::OneShot:
-    return "oneshot";
-  case SolveMode::PerMethod:
-    return "per-method";
-  case SolveMode::SharedPair:
-    return "shared-pair";
-  case SolveMode::SharedFamily:
-    return "shared-family";
-  case SolveMode::SharedCatalog:
-    return "shared-catalog";
-  }
-  return "shared-pair";
+  return M == SolveMode::OneShot ? "oneshot" : "shared-catalog";
 }
 
-std::vector<ExprRef> semcomm::planFingerprint(const MethodPlan &Plan) {
-  // The fingerprint is the plan's prefix content; hash-consing makes
-  // pointer equality structural equality, so two plans match iff their
-  // prefixes are the same formulas.
-  std::vector<ExprRef> Fingerprint = Plan.Common;
-  Fingerprint.push_back(nullptr); // Separator: Common vs Scoped.
-  for (const TaggedAssumption &S : Plan.Scoped)
-    Fingerprint.push_back(S.E);
-  return Fingerprint;
-}
-
-ExprRef semcomm::findPlanSelector(
-    const std::vector<PlanSelectorEntry> &Entries,
-    const std::vector<ExprRef> &Fingerprint) {
-  for (const PlanSelectorEntry &E : Entries)
-    if (E.Fingerprint == Fingerprint)
-      return E.Sel;
-  return nullptr;
-}
-
-void SharedSession::openSession() {
-  if (Session) {
-    ClosedChecks += Session->numChecks();
-    ClosedConflicts += Session->totalConflicts();
-    ClosedReductions += static_cast<uint64_t>(Session->dbReductions());
-    ClosedReclaimed += static_cast<uint64_t>(Session->reclaimedClauses());
-    // Check the closing session's trace now: the trace dies with the
-    // session, and the fold makes the rotated sessions (OneShot /
-    // PerMethod open one per plan or split) certify as one run.
-    if (Certify && !CertFolded)
-      Cert.fold(Session->finishCertification());
-  }
-  Session = std::make_unique<SmtSession>(F);
-  if (Certify)
-    Session->enableCertification();
-  CertFolded = false;
-  Session->solver().setClauseGc(GcEnabled);
-  if (GcLimit > 0)
-    Session->solver().setClauseGcLimit(GcLimit);
-  ++SessionsOpened;
-  // Selectors and common formulas belong to the discarded database.
-  AssertedCommon.clear();
-  Selectors.clear();
-  SelectorCount = 0;
-}
-
-void SharedSession::assertPrefix(const MethodPlan &Plan, ExprRef Sel) {
-  for (ExprRef C : Plan.Common)
-    if (AssertedCommon.insert(C).second)
-      Session->assertBase(C);
-  for (const TaggedAssumption &S : Plan.Scoped) {
-    if (Sel)
-      Session->assertScoped(Sel, S.E);
-    else
-      Session->assertBase(S.E);
-  }
-}
-
-bool SharedSession::discharge(const MethodPlan &Plan, SymbolicResult &R) {
-  ExprRef Sel = nullptr;
-  // A SharedSession given a family- or catalog-tier mode serves a single
-  // pair — the degenerate family — with the same selector discipline as
-  // SharedPair (FamilySession and CatalogSession own the real multi-pair
-  // nesting and eviction).
-  if (Mode == SolveMode::SharedPair || Mode == SolveMode::SharedFamily ||
-      Mode == SolveMode::SharedCatalog) {
+bool semcomm::dischargeOneShot(ExprFactory &F, const MethodPlan &Plan,
+                               int64_t Budget, int64_t GcBudget, bool Certify,
+                               SymbolicResult &R) {
+  std::unique_ptr<SmtSession> Session;
+  proof::CertifySummary Cert;
+  // Folds a finished split's session into the method's totals. Its trace
+  // dies with it, so the trace is checked here, split by split.
+  auto Close = [&] {
     if (!Session)
-      openSession();
-    std::vector<ExprRef> Fingerprint = planFingerprint(Plan);
-    std::vector<PlanSelectorEntry> &Entries = Selectors[Plan.Name];
-    Sel = findPlanSelector(Entries, Fingerprint);
-    if (!Sel) {
-      // A repeated name with a different prefix (e.g. a mutated entry
-      // whose methods share names with the original's) gets its own
-      // selector; "#N" keeps the literal distinct in the shared factory.
-      std::string SelName = "__sel_" + Plan.Name;
-      if (!Entries.empty())
-        SelName += "#" + std::to_string(Entries.size());
-      Sel = F.var(SelName, Sort::Bool);
-      Entries.push_back({std::move(Fingerprint), Sel});
-      ++SelectorCount;
-      assertPrefix(Plan, Sel);
-    }
-  } else if (Mode == SolveMode::PerMethod) {
-    openSession();
-    assertPrefix(Plan, nullptr);
-  }
-
-  uint64_t RedBefore = dbReductions();
-  uint64_t RecBefore = reclaimedClauses();
-
-  std::vector<ExprRef> Sels;
-  std::vector<std::string> SelLabels;
-  if (Sel) {
-    Sels.push_back(Sel);
-    SelLabels.push_back("sel:" + Plan.Name);
-  }
+      return;
+    R.DbReductions += static_cast<uint64_t>(Session->dbReductions());
+    R.ReclaimedClauses += static_cast<uint64_t>(Session->reclaimedClauses());
+    if (Certify)
+      Cert.fold(Session->finishCertification());
+  };
   bool Ok = dischargeSplits(
-      Plan, Budget, Sels, SelLabels,
-      /*TrackRetained=*/Mode != SolveMode::OneShot, /*PeakRetained=*/nullptr,
-      [this, &Plan]() -> SmtSession & {
-        if (Mode == SolveMode::OneShot) {
-          openSession();
-          assertPrefix(Plan, nullptr);
-        }
-        assert(Session && "split discharged without a session");
+      Plan, Budget, /*Sels=*/{}, /*SelLabels=*/{}, /*PeakRetained=*/nullptr,
+      [&]() -> SmtSession & {
+        Close();
+        Session = std::make_unique<SmtSession>(F);
+        if (Certify)
+          Session->enableCertification();
+        Session->solver().setClauseGc(true);
+        if (GcBudget > 0)
+          Session->solver().setClauseGcLimit(GcBudget);
+        for (ExprRef C : Plan.Common)
+          Session->assertBase(C);
+        for (const TaggedAssumption &S : Plan.Scoped)
+          Session->assertBase(S.E);
         return *Session;
       },
       R);
-
-  R.DbReductions += dbReductions() - RedBefore;
-  R.ReclaimedClauses += reclaimedClauses() - RecBefore;
-  return Ok;
-}
-
-const proof::CertifySummary &SharedSession::finishCertification() {
-  if (Session && Certify && !CertFolded) {
-    Cert.fold(Session->finishCertification());
-    CertFolded = true;
-  }
-  return Cert;
-}
-
-uint64_t SharedSession::checks() const {
-  return ClosedChecks + (Session ? Session->numChecks() : 0);
-}
-
-int64_t SharedSession::conflicts() const {
-  return ClosedConflicts + (Session ? Session->totalConflicts() : 0);
-}
-
-uint64_t SharedSession::dbReductions() const {
-  return ClosedReductions +
-         (Session ? static_cast<uint64_t>(Session->dbReductions()) : 0);
-}
-
-uint64_t SharedSession::reclaimedClauses() const {
-  return ClosedReclaimed +
-         (Session ? static_cast<uint64_t>(Session->reclaimedClauses()) : 0);
-}
-
-uint64_t SharedSession::retainedClauses() const {
-  return Session ? Session->retainedClauses() : 0;
-}
-
-//===----------------------------------------------------------------------===//
-// PairTier
-//===----------------------------------------------------------------------===//
-
-PairTier::PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
-                   SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
-                   std::vector<std::string> PathLabels,
-                   std::vector<const std::set<ExprRef> *> OuterBases,
-                   int64_t Budget, FamilySessionStats &Stats,
-                   unsigned &SelectorCount)
-    : F(F), Session(Session), Tag(std::move(Tag)), Parent(Parent),
-      PathSels(std::move(PathSels)), PathLabels(std::move(PathLabels)),
-      OuterBases(std::move(OuterBases)), Budget(Budget), Stats(Stats),
-      SelectorCount(SelectorCount) {}
-
-PairTier::PairScope &PairTier::ensurePair(const std::string &Key) {
-  auto It = LivePairs.find(Key);
-  if (It != LivePairs.end())
-    return It->second;
-  // A retired key re-opens under a fresh selector name: its old selector
-  // is permanently false, so reusing it would vacuously "verify"
-  // everything discharged under it.
-  unsigned Epoch = PairEpochs[Key]++;
-  std::string SelName = "__pair_" + Tag + ":" + Key;
-  if (Epoch > 0)
-    SelName += "#" + std::to_string(Epoch);
-  PairScope &PS = LivePairs[Key];
-  PS.Sel = F.var(SelName, Sort::Bool);
-  // The pair scope owns a Tseitin layer: its formulas' definition vars
-  // retire — and their indices recycle — with the scope.
-  PS.Scope = Session.openScope(PS.Sel, Parent, /*OwnLayer=*/true);
-  ++SelectorCount;
-  ++Stats.PairsOpened;
-  return PS;
-}
-
-bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
-                         SymbolicResult &R) {
-  PairScope &PS = ensurePair(PairKey);
-
-  // Pair-common prefix: formulas already in an outer base (session- or
-  // family-common) are reuses; the remainder is asserted once under the
-  // pair selector.
-  for (ExprRef C : MPlan.Common) {
-    bool InOuter = false;
-    for (const std::set<ExprRef> *B : OuterBases)
-      InOuter = InOuter || B->count(C) != 0;
-    if (InOuter) {
-      ++Stats.PrefixReuses;
-      continue;
-    }
-    if (PS.AssertedCommon.insert(C).second) {
-      Session.assertInScope(PS.Scope, C);
-      ++Stats.PrefixAsserts;
-    } else {
-      ++Stats.PrefixReuses;
-    }
-  }
-
-  // Method selector, nested under the pair's (same fingerprint discipline
-  // as SharedSession: a repeated name with a different prefix gets a fresh
-  // selector instead of inheriting the old prefix). Method scopes share
-  // the pair's Tseitin layer — they retire only with the pair.
-  std::vector<ExprRef> Fingerprint = planFingerprint(MPlan);
-  std::vector<PlanSelectorEntry> &Entries = PS.Methods[MPlan.Name];
-  ExprRef MSel = findPlanSelector(Entries, Fingerprint);
-  if (!MSel) {
-    std::string SelName = "__sel_" + MPlan.Name + "@" + Tag + ":" + PairKey;
-    unsigned Epoch = PairEpochs[PairKey] - 1;
-    if (Epoch > 0)
-      SelName += "#e" + std::to_string(Epoch);
-    if (!Entries.empty())
-      SelName += "#" + std::to_string(Entries.size());
-    MSel = F.var(SelName, Sort::Bool);
-    Entries.push_back({Fingerprint, MSel});
-    ++SelectorCount;
-    SmtSession::ScopeId MScope =
-        Session.openScope(MSel, PS.Scope, /*OwnLayer=*/false);
-    for (const TaggedAssumption &S : MPlan.Scoped)
-      Session.assertInScope(MScope, S.E);
-  }
-
-  std::vector<ExprRef> Sels = PathSels;
-  Sels.push_back(PS.Sel);
-  Sels.push_back(MSel);
-  std::vector<std::string> SelLabels = PathLabels;
-  SelLabels.push_back("pair:" + PairKey);
-  SelLabels.push_back("sel:" + MPlan.Name);
-
-  uint64_t RedBefore = static_cast<uint64_t>(Session.dbReductions());
-  uint64_t RecBefore = static_cast<uint64_t>(Session.reclaimedClauses());
-  bool Ok = dischargeSplits(
-      MPlan, Budget, Sels, SelLabels,
-      /*TrackRetained=*/true, &Stats.PeakRetainedClauses,
-      [this]() -> SmtSession & { return Session; }, R);
-  R.DbReductions += static_cast<uint64_t>(Session.dbReductions()) - RedBefore;
-  R.ReclaimedClauses +=
-      static_cast<uint64_t>(Session.reclaimedClauses()) - RecBefore;
-  return Ok;
-}
-
-size_t PairTier::retirePair(const std::string &PairKey) {
-  auto It = LivePairs.find(PairKey);
-  if (It == LivePairs.end())
-    return 0;
-  size_t Evicted = Session.retireScope(It->second.Scope);
-  LivePairs.erase(It);
-  ++Stats.PairsRetired;
-  Stats.EvictedClauses += Evicted;
-  return Evicted;
-}
-
-//===----------------------------------------------------------------------===//
-// FamilySession
-//===----------------------------------------------------------------------===//
-
-FamilySession::FamilySession(ExprFactory &F, const FamilyPlan &Plan,
-                             int64_t Budget, bool Certify)
-    : F(F), Plan(Plan), Session(F),
-      Pairs(F, Session, Plan.FamilyName, SmtSession::RootScope,
-            /*PathSels=*/{}, /*PathLabels=*/{}, {&FamilyBase}, Budget, Stats,
-            SelectorCount) {
-  // Certification must switch on before the first assertion reaches the
-  // solver — the proof's Input steps have to cover the whole database.
+  Close();
   if (Certify)
-    Session.enableCertification();
-  for (ExprRef C : Plan.FamilyCommon)
-    if (FamilyBase.insert(C).second) {
-      Session.assertBase(C);
-      ++Stats.PrefixAsserts;
-    }
+    stampCertification(Cert, R);
+  return Ok;
 }
 
-void FamilySession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
-  Session.solver().setClauseGc(Enabled);
-  if (FirstLimit > 0)
-    Session.solver().setClauseGcLimit(FirstLimit);
-}
-
-bool FamilySession::discharge(const std::string &PairKey,
-                              const MethodPlan &MPlan, SymbolicResult &R) {
-  return Pairs.discharge(PairKey, MPlan, R);
-}
-
-size_t FamilySession::retirePair(const std::string &PairKey) {
-  return Pairs.retirePair(PairKey);
+bool semcomm::dischargeAlone(ExprFactory &F, const MethodPlan &Plan,
+                             SolveMode Mode, const std::string &Family,
+                             const std::string &Pair, int64_t Budget,
+                             int64_t GcBudget, bool Certify,
+                             SymbolicResult &R) {
+  if (Mode == SolveMode::OneShot)
+    return dischargeOneShot(F, Plan, Budget, GcBudget, Certify, R);
+  CatalogPlan CP;
+  CP.Families.push_back({Family, {}});
+  CatalogSession Sess(F, CP, Budget, Certify);
+  Sess.configureClauseGc(true, GcBudget);
+  bool Ok = Sess.discharge(0, Pair, Plan, R);
+  if (Certify)
+    stampCertification(Sess.finishCertification(), R);
+  return Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -479,16 +235,15 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
   // its old pairs' selectors, which embed the epoch tag) are permanently
   // false.
   unsigned Epoch = FamilyEpochs[FamIdx]++;
-  std::string Tag = FP.FamilyName;
+  Tier.Tag = FP.FamilyName;
   if (Epoch > 0)
-    Tag += "@e" + std::to_string(Epoch);
-  Tier.Sel = F.var("__fam_" + Tag, Sort::Bool);
+    Tier.Tag += "@e" + std::to_string(Epoch);
+  Tier.Sel = F.var("__fam_" + Tier.Tag, Sort::Bool);
   Tier.Scope =
       Session.openScope(Tier.Sel, SmtSession::RootScope, /*OwnLayer=*/true);
   ++SelectorCount;
   ++CatStats.FamiliesOpened;
-  Tier.Stats = FamilySessionStats{};
-  Tier.FamilyBase.clear();
+  Tier.Stats = FamilyTierStats{};
   // Family-common prefix: formulas already catalog base are reuses; the
   // remainder is asserted once under the family selector.
   for (ExprRef C : FP.FamilyCommon) {
@@ -501,25 +256,112 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
       ++Tier.Stats.PrefixAsserts;
     }
   }
-  Tier.Pairs = std::make_unique<PairTier>(
-      F, Session, Tag, Tier.Scope, std::vector<ExprRef>{Tier.Sel},
-      std::vector<std::string>{"fam:" + FP.FamilyName},
-      std::vector<const std::set<ExprRef> *>{&CatalogBase, &Tier.FamilyBase},
-      Budget, Tier.Stats, SelectorCount);
   Tier.Alive = true;
   return Tier;
 }
 
+CatalogSession::PairScope &CatalogSession::ensurePair(FamilyTier &Tier,
+                                                      const std::string &Key) {
+  auto It = Tier.LivePairs.find(Key);
+  if (It != Tier.LivePairs.end())
+    return It->second;
+  // A retired key re-opens under a fresh selector name: its old selector
+  // is permanently false, so reusing it would vacuously "verify"
+  // everything discharged under it.
+  unsigned Epoch = Tier.PairEpochs[Key]++;
+  std::string SelName = "__pair_" + Tier.Tag + ":" + Key;
+  if (Epoch > 0)
+    SelName += "#" + std::to_string(Epoch);
+  PairScope &PS = Tier.LivePairs[Key];
+  PS.Sel = F.var(SelName, Sort::Bool);
+  // The pair scope owns a Tseitin layer: its formulas' definition vars
+  // retire — and their indices recycle — with the scope.
+  PS.Scope = Session.openScope(PS.Sel, Tier.Scope, /*OwnLayer=*/true);
+  ++SelectorCount;
+  ++Tier.Stats.PairsOpened;
+  return PS;
+}
+
 bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
                                const MethodPlan &MPlan, SymbolicResult &R) {
-  return ensureFamily(FamIdx).Pairs->discharge(PairKey, MPlan, R);
+  FamilyTier &Tier = ensureFamily(FamIdx);
+  PairScope &PS = ensurePair(Tier, PairKey);
+
+  // Pair-common prefix: formulas already in an outer base (catalog- or
+  // family-common) are reuses; the remainder is asserted once under the
+  // pair selector.
+  for (ExprRef C : MPlan.Common) {
+    if (CatalogBase.count(C) || Tier.FamilyBase.count(C)) {
+      ++Tier.Stats.PrefixReuses;
+      continue;
+    }
+    if (PS.AssertedCommon.insert(C).second) {
+      Session.assertInScope(PS.Scope, C);
+      ++Tier.Stats.PrefixAsserts;
+    } else {
+      ++Tier.Stats.PrefixReuses;
+    }
+  }
+
+  // Method selector, nested under the pair's. The fingerprint is the
+  // plan's prefix content: two *different* plans sharing a name (e.g. a
+  // mutated entry whose methods keep the original names) get distinct
+  // selectors instead of the second being proved against the first's
+  // prefix. Method scopes share the pair's Tseitin layer — they retire
+  // only with the pair.
+  std::vector<ExprRef> Fingerprint = MPlan.Common;
+  Fingerprint.push_back(nullptr); // Separator: Common vs Scoped.
+  for (const TaggedAssumption &S : MPlan.Scoped)
+    Fingerprint.push_back(S.E);
+  std::vector<MethodSelector> &Entries = PS.Methods[MPlan.Name];
+  ExprRef MSel = nullptr;
+  for (const MethodSelector &E : Entries)
+    if (E.Fingerprint == Fingerprint)
+      MSel = E.Sel;
+  if (!MSel) {
+    std::string SelName =
+        "__sel_" + MPlan.Name + "@" + Tier.Tag + ":" + PairKey;
+    unsigned Epoch = Tier.PairEpochs[PairKey] - 1;
+    if (Epoch > 0)
+      SelName += "#e" + std::to_string(Epoch);
+    if (!Entries.empty())
+      SelName += "#" + std::to_string(Entries.size());
+    MSel = F.var(SelName, Sort::Bool);
+    Entries.push_back({std::move(Fingerprint), MSel});
+    ++SelectorCount;
+    SmtSession::ScopeId MScope =
+        Session.openScope(MSel, PS.Scope, /*OwnLayer=*/false);
+    for (const TaggedAssumption &S : MPlan.Scoped)
+      Session.assertInScope(MScope, S.E);
+  }
+
+  std::vector<ExprRef> Sels = {Tier.Sel, PS.Sel, MSel};
+  std::vector<std::string> SelLabels = {
+      "fam:" + Plan.Families[FamIdx].FamilyName, "pair:" + PairKey,
+      "sel:" + MPlan.Name};
+
+  uint64_t RedBefore = dbReductions();
+  uint64_t RecBefore = reclaimedClauses();
+  bool Ok = dischargeSplits(
+      MPlan, Budget, Sels, SelLabels, &Tier.Stats.PeakRetainedClauses,
+      [this]() -> SmtSession & { return Session; }, R);
+  R.DbReductions += dbReductions() - RedBefore;
+  R.ReclaimedClauses += reclaimedClauses() - RecBefore;
+  return Ok;
 }
 
 size_t CatalogSession::retirePair(size_t FamIdx, const std::string &PairKey) {
   FamilyTier &Tier = Tiers[FamIdx];
   if (!Tier.Alive)
     return 0;
-  return Tier.Pairs->retirePair(PairKey);
+  auto It = Tier.LivePairs.find(PairKey);
+  if (It == Tier.LivePairs.end())
+    return 0;
+  size_t Evicted = Session.retireScope(It->second.Scope);
+  Tier.LivePairs.erase(It);
+  ++Tier.Stats.PairsRetired;
+  Tier.Stats.EvictedClauses += Evicted;
+  return Evicted;
 }
 
 size_t CatalogSession::retireFamily(size_t FamIdx) {
@@ -538,19 +380,20 @@ size_t CatalogSession::retireFamily(size_t FamIdx) {
       RetiredTierAccum.PeakRetainedClauses, Tier.Stats.PeakRetainedClauses);
   RetiredTierAccum.PrefixAsserts += Tier.Stats.PrefixAsserts;
   RetiredTierAccum.PrefixReuses += Tier.Stats.PrefixReuses;
-  Tier.Pairs.reset();
+  Tier.LivePairs.clear();
+  Tier.PairEpochs.clear();
   Tier.FamilyBase.clear();
   Tier.Alive = false;
   return Evicted;
 }
 
-const FamilySessionStats &CatalogSession::familyStats(size_t FamIdx) const {
+const FamilyTierStats &CatalogSession::familyStats(size_t FamIdx) const {
   return Tiers[FamIdx].Stats;
 }
 
 CatalogSessionStats CatalogSession::stats() const {
   CatalogSessionStats S = CatStats;
-  FamilySessionStats Agg = RetiredTierAccum;
+  FamilyTierStats Agg = RetiredTierAccum;
   for (const FamilyTier &Tier : Tiers) {
     if (!Tier.Alive)
       continue;

@@ -1,4 +1,4 @@
-//===- commute/SessionPool.h - Shared per-pair solver sessions --*- C++ -*-===//
+//===- commute/SessionPool.h - Catalog and one-shot solver sessions -*- C++ -*-===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -23,18 +23,16 @@
 ///  * Splits:  the VC instances (one per ArrayList case split), each a
 ///             set of labeled assumption formulas.
 ///
-/// SharedSession discharges plans in one of three modes:
+/// Plans are discharged in one of two ways (SolveMode):
 ///
-///  * SharedPair (default): one warm SmtSession serves every plan
-///    discharged through the session. Common formulas are asserted once,
-///    each method's Scoped prefix is asserted as `selector -> formula`,
-///    and every split is checked under (selector + split) assumptions.
-///    Tseitin definitions, theory bridges, and learned clauses are shared
-///    across all methods of the pair — soundness and completeness of one
-///    kind share literally their whole encoding.
-///  * PerMethod: one warm session per discharge() call (the pre-pair
-///    behavior, kept as the comparison baseline).
-///  * OneShot: a fresh session per split (the cold-start baseline).
+///  * SharedCatalog (default): one warm CatalogSession. Scopes form a
+///    selector tree — catalog-common prefix at the root, family scopes
+///    beneath, pair scopes beneath those, method scopes innermost — and
+///    finished pairs and families are retired as subtrees, so the clause
+///    database and the variable array stay bounded by the live pair while
+///    Tseitin definitions, bridges and learned clauses are shared.
+///  * OneShot: a fresh session per split, sharing nothing. Kept as the
+///    cold reference oracle the warm path is cross-checked against.
 ///
 /// After an Unsat check, the solver's assumption core is mapped back to the
 /// labels of the assumptions it names (selector / split / hint literals),
@@ -59,32 +57,11 @@ namespace semcomm {
 
 /// How the engine discharges the VCs of testing methods.
 enum class SolveMode : uint8_t {
-  /// A fresh solver session per VC (the historical behavior; cold start
-  /// every split). Kept as the baseline the perf benches compare against.
+  /// A fresh solver session per VC: cold start every split, nothing shared.
+  /// The reference oracle for the warm path.
   OneShot,
-  /// One warm session per testing method: the method's prefix is asserted
-  /// once and every case split is discharged under assumption literals.
-  /// The pre-shared-session incremental mode, kept for comparison.
-  PerMethod,
-  /// One warm session per (family, op-pair): all methods of the pair share
-  /// one solver under per-method selector literals. The default.
-  SharedPair,
-  /// One warm session per *family*: every op-pair's common prefix is
-  /// asserted under a per-pair selector, method prefixes under method
-  /// selectors nested inside it, and a finished pair's scope is *retired*
-  /// (selector falsified, its clauses evicted) so the clause database is
-  /// bounded by the live pair plus the family-common prefix instead of
-  /// growing with the whole family.
-  SharedFamily,
-  /// One warm session for the whole *catalog*: the catalog-common
-  /// well-formedness prefix is asserted once at the session root, each
-  /// family's remaining common prefix under a per-family selector, pairs
-  /// under pair selectors nested inside it, methods inside those. Pair
-  /// and family scopes are retired as subtrees when their VCs are done,
-  /// and their Tseitin definition variables are recycled, so both the
-  /// clause database and the variable array are bounded by the live pair
-  /// — while the atom table, bridge lattice, and root Tseitin skeleton
-  /// are derived once and shared by all four families.
+  /// One warm CatalogSession: selector-tree scopes with subtree retirement
+  /// and variable recycling (see CatalogSession). The default.
   SharedCatalog,
 };
 
@@ -99,10 +76,9 @@ struct SymbolicResult {
   uint64_t NumVcs = 0;        ///< VC instances discharged (ArrayList splits).
   int64_t SatConflicts = 0;   ///< Total CDCL conflicts.
   int64_t MaxVcConflicts = 0; ///< Largest single-split conflict count.
-  /// Clauses alive in the method's warm session after the last split
+  /// Clauses alive in the warm session after the method's last split
   /// (Tseitin definitions + bridges + learned); 0 in one-shot mode, where
-  /// nothing is carried over. In SharedPair mode this is the *pair*
-  /// session's clause count at the time the method finished.
+  /// nothing is carried over.
   uint64_t RetainedClauses = 0;
   /// Clause-database GC activity attributable to this method's discharge.
   uint64_t DbReductions = 0;
@@ -148,11 +124,11 @@ struct VcSplit {
 struct MethodPlan {
   /// Paper-style method name; also names the selector literal.
   std::string Name;
-  /// Pair-common prefix: asserted once per shared session (deduplicated
+  /// Pair-common prefix: asserted once per pair scope (deduplicated
   /// across the plans discharged through it).
   std::vector<ExprRef> Common;
-  /// Method-own prefix: asserted under the method's selector literal in
-  /// SharedPair mode, as plain base otherwise.
+  /// Method-own prefix: asserted under the method's selector literal in a
+  /// catalog session, as plain base in one-shot mode.
   std::vector<TaggedAssumption> Scoped;
   /// The VC instances, discharged in order; discharge stops at the first
   /// failure.
@@ -164,113 +140,41 @@ struct MethodPlan {
   std::string UnsupportedNote;
 };
 
-/// One registered method selector with the plan fingerprint it was
-/// allocated for (the plan's Common + Scoped formulas; hash-consing makes
-/// pointer equality structural equality). The fingerprint guards against
-/// two *different* plans sharing a name: a mismatch allocates a fresh
-/// selector instead of silently proving the new plan against the old
-/// plan's prefix. Shared by SharedSession and FamilySession so the
-/// reuse-or-allocate discipline cannot drift between the tiers.
-struct PlanSelectorEntry {
-  std::vector<ExprRef> Fingerprint;
-  ExprRef Sel = nullptr;
-};
+/// Discharges every split of \p Plan in a fresh session per split (the
+/// OneShot oracle), accumulating statistics into \p R. \p GcBudget is the
+/// clause-GC first limit (0 keeps the solver default). With \p Certify each
+/// split's session logs and checks its own proof, and R's ProofClauses /
+/// ProofChecked are filled in. Returns true when the method verifies.
+bool dischargeOneShot(ExprFactory &F, const MethodPlan &Plan, int64_t Budget,
+                      int64_t GcBudget, bool Certify, SymbolicResult &R);
 
-/// The fingerprint of \p Plan's prefix content, and the selector an entry
-/// list already holds for it (nullptr when none matches).
-std::vector<ExprRef> planFingerprint(const MethodPlan &Plan);
-ExprRef findPlanSelector(const std::vector<PlanSelectorEntry> &Entries,
-                         const std::vector<ExprRef> &Fingerprint);
-
-/// A warm solver session shared by the testing methods of one (family,
-/// op-pair). Not thread-safe: one SharedSession lives on one worker.
-class SharedSession {
-public:
-  SharedSession(ExprFactory &F, int64_t Budget, SolveMode Mode)
-      : F(F), Budget(Budget), Mode(Mode) {}
-  SharedSession(const SharedSession &) = delete;
-  SharedSession &operator=(const SharedSession &) = delete;
-
-  /// Discharges every split of \p Plan, accumulating statistics into \p R.
-  /// Returns true when all splits are refuted (the method verifies).
-  bool discharge(const MethodPlan &Plan, SymbolicResult &R);
-
-  /// Clause-GC configuration applied to every solver this session opens
-  /// (benches pin the no-GC baseline; tests force aggressive reduction).
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0) {
-    GcEnabled = Enabled;
-    GcLimit = FirstLimit;
-  }
-
-  /// Turns on proof logging + independent checking for every solver this
-  /// session opens (must be called before the first discharge). Rotated
-  /// sessions (OneShot / PerMethod) each certify individually; their
-  /// summaries fold.
-  void enableCertification() { Certify = true; }
-  bool certifying() const { return Certify; }
-  /// Checks the current session's trace (if any) and returns the folded
-  /// summary over every session this SharedSession ever opened.
-  const proof::CertifySummary &finishCertification();
-
-  /// Lifetime statistics (across re-opened sessions in the non-shared
-  /// modes).
-  uint64_t checks() const;
-  int64_t conflicts() const;
-  uint64_t dbReductions() const;
-  uint64_t reclaimedClauses() const;
-  /// Clauses alive in the current warm solver (0 when none is open).
-  uint64_t retainedClauses() const;
-  unsigned numSelectors() const { return SelectorCount; }
-  size_t sessionsOpened() const { return SessionsOpened; }
-
-private:
-  void openSession();
-  void assertPrefix(const MethodPlan &Plan, ExprRef Sel);
-
-  ExprFactory &F;
-  int64_t Budget;
-  SolveMode Mode;
-  bool GcEnabled = true;
-  int64_t GcLimit = 0; ///< 0 keeps the solver default.
-  bool Certify = false;
-  bool CertFolded = false; ///< Current session already folded into Cert.
-  proof::CertifySummary Cert; ///< Folded over closed sessions.
-
-  std::unique_ptr<SmtSession> Session;
-  std::set<ExprRef> AssertedCommon; ///< Dedup only; never iterated.
-
-  /// Registered selectors, keyed by plan name (see PlanSelectorEntry).
-  std::map<std::string, std::vector<PlanSelectorEntry>> Selectors;
-  unsigned SelectorCount = 0;
-  size_t SessionsOpened = 0;
-
-  // Totals of sessions already closed (OneShot / PerMethod modes).
-  uint64_t ClosedChecks = 0;
-  int64_t ClosedConflicts = 0;
-  uint64_t ClosedReductions = 0;
-  uint64_t ClosedReclaimed = 0;
-};
+/// Discharges \p Plan in a session of its own: one-shot in OneShot mode,
+/// otherwise a catalog session holding just this method (family scope
+/// \p Family, pair scope \p Pair). Certification fields of \p R are filled
+/// in when \p Certify. Returns true when the method verifies.
+bool dischargeAlone(ExprFactory &F, const MethodPlan &Plan, SolveMode Mode,
+                    const std::string &Family, const std::string &Pair,
+                    int64_t Budget, int64_t GcBudget, bool Certify,
+                    SymbolicResult &R);
 
 /// The discharge plans of one (family, op-pair): the six testing methods
 /// in (kind x role) enumeration order.
 struct PairPlan {
-  std::string Key; ///< "op1,op2" — scopes the pair inside a FamilySession.
+  std::string Key; ///< "op1,op2" — names the pair's scope in its family.
   std::vector<MethodPlan> Methods;
 };
 
-/// The whole-family discharge plan a FamilySession runs.
+/// One family of a catalog plan: its name and its family-common prefix —
+/// the well-formedness formulas present in every method plan's Common
+/// prefix across the family, asserted once under the family's selector.
+/// Pair plans are materialized lazily, just before their discharge.
 struct FamilyPlan {
   std::string FamilyName;
-  /// Well-formedness formulas present in *every* method plan's Common
-  /// prefix across the family: asserted once as unguarded session base
-  /// (they constrain only the family's shared argument/element vocabulary,
-  /// so they are sound for every pair).
   std::vector<ExprRef> FamilyCommon;
-  std::vector<PairPlan> Pairs;
 };
 
-/// Lifetime statistics of one family-level session.
-struct FamilySessionStats {
+/// Statistics of one family scope of a catalog session.
+struct FamilyTierStats {
   uint64_t PairsOpened = 0;    ///< Pair scopes allocated.
   uint64_t PairsRetired = 0;   ///< Pair scopes evicted (retirePair calls).
   uint64_t EvictedClauses = 0; ///< Clauses eviction removed from the DB.
@@ -279,143 +183,16 @@ struct FamilySessionStats {
   /// family; with it, with the live pair).
   uint64_t PeakRetainedClauses = 0;
   /// Common-prefix assertions actually issued vs. skipped because the
-  /// formula was already in the family base or the pair scope (the
-  /// amortization the family tier exists for).
+  /// formula was already in an outer base or the pair scope.
   uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
 };
 
-/// The pair tier of a scope-tree session: the map of live pair scopes
-/// under one parent scope, with epoch-named re-opening of retired keys,
-/// common-prefix dedup against the outer (session/family) bases, method
-/// selectors nested inside their pair's scope, and the split discharge.
-/// Pair scopes own a Tseitin cache layer (their formulas' definition
-/// variables retire and recycle with them); method scopes share their
-/// pair's layer, since they only ever retire together with it. Shared by
-/// FamilySession (parent = session root) and CatalogSession (parent = a
-/// family scope) so the reuse-or-retire discipline cannot drift between
-/// the tiers.
-class PairTier {
-public:
-  /// \p Tag names the tier's selectors ("<family>" or "<family>@e<N>" for
-  /// a re-opened family scope — selector names must be unique for the
-  /// session's lifetime, retired selectors included). \p PathSels /
-  /// \p PathLabels are the parent-scope selectors every check assumes
-  /// (empty for the family tier, the family selector for the catalog
-  /// tier). \p OuterBases are formula sets already asserted above the
-  /// pair scopes; prefix formulas found there are counted as reuses.
-  PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
-           SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
-           std::vector<std::string> PathLabels,
-           std::vector<const std::set<ExprRef> *> OuterBases, int64_t Budget,
-           FamilySessionStats &Stats, unsigned &SelectorCount);
-  PairTier(const PairTier &) = delete;
-  PairTier &operator=(const PairTier &) = delete;
-
-  bool discharge(const std::string &PairKey, const MethodPlan &Plan,
-                 SymbolicResult &R);
-  size_t retirePair(const std::string &PairKey);
-
-private:
-  /// The live scope of one pair.
-  struct PairScope {
-    SmtSession::ScopeId Scope = SmtSession::RootScope;
-    ExprRef Sel = nullptr;
-    std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
-    std::map<std::string, std::vector<PlanSelectorEntry>> Methods;
-  };
-
-  PairScope &ensurePair(const std::string &PairKey);
-
-  ExprFactory &F;
-  SmtSession &Session;
-  std::string Tag;
-  SmtSession::ScopeId Parent;
-  std::vector<ExprRef> PathSels;
-  std::vector<std::string> PathLabels;
-  std::vector<const std::set<ExprRef> *> OuterBases;
-  int64_t Budget;
-  FamilySessionStats &Stats;
-  unsigned &SelectorCount;
-  std::map<std::string, PairScope> LivePairs;
-  /// Fresh-name counters for re-opened (previously retired) pair scopes.
-  std::map<std::string, unsigned> PairEpochs;
-};
-
-/// A warm solver session shared by every op-pair of one family
-/// (SolveMode::SharedFamily). The family-common prefix is session base;
-/// each pair's remaining common prefix lives under a per-pair selector;
-/// each method's prefix under a method selector nested inside its pair's.
-/// retirePair() permanently deactivates a finished pair, evicts its
-/// clauses (selector-guarded, learned, and the pair layer's Tseitin
-/// definitions), and recycles its definition variable indices, so both
-/// the clause database and the variable array stay bounded by the live
-/// scope. Not thread-safe: one FamilySession lives on one worker.
-class FamilySession {
-public:
-  /// Asserts \p Plan's family-common prefix as session base. The plan must
-  /// outlive the session (only FamilyName and FamilyCommon are read, so
-  /// lazy callers may pass a plan whose Pairs are empty). \p Certify turns
-  /// on proof logging before any assertion reaches the solver.
-  FamilySession(ExprFactory &F, const FamilyPlan &Plan, int64_t Budget,
-                bool Certify = false);
-  FamilySession(const FamilySession &) = delete;
-  FamilySession &operator=(const FamilySession &) = delete;
-
-  /// Clause-GC configuration (see SharedSession::configureClauseGc);
-  /// \p FirstLimit is the --gc-budget knob.
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
-
-  /// Discharges every split of \p Plan under pair \p PairKey's scope,
-  /// accumulating statistics into \p R. A retired pair key transparently
-  /// gets a fresh scope (re-verification after eviction is legal, it just
-  /// re-asserts the pair's prefix). Returns true when the method verifies.
-  bool discharge(const std::string &PairKey, const MethodPlan &Plan,
-                 SymbolicResult &R);
-
-  /// Permanently retires \p PairKey's scope subtree (pair selector plus
-  /// the method selectors nested under it). Returns the number of clauses
-  /// evicted (0 when the key has no live scope).
-  size_t retirePair(const std::string &PairKey);
-
-  /// Lifetime statistics.
-  uint64_t checks() const { return Session.numChecks(); }
-  int64_t conflicts() const { return Session.totalConflicts(); }
-  uint64_t dbReductions() const {
-    return static_cast<uint64_t>(Session.dbReductions());
-  }
-  uint64_t reclaimedClauses() const {
-    return static_cast<uint64_t>(Session.reclaimedClauses());
-  }
-  uint64_t retainedClauses() const { return Session.retainedClauses(); }
-  unsigned numSelectors() const { return SelectorCount; }
-  const FamilySessionStats &stats() const { return Stats; }
-
-  /// The underlying session, exposed so tests can assert solver invariants
-  /// (reasonInvariantHolds) after evictions.
-  SmtSession &session() { return Session; }
-
-  bool certifying() const { return Session.certifying(); }
-  /// Runs the independent checker over the session's trace (idempotent).
-  const proof::CertifySummary &finishCertification() {
-    return Session.finishCertification();
-  }
-
-private:
-  ExprFactory &F;
-  const FamilyPlan &Plan;
-  SmtSession Session;
-  std::set<ExprRef> FamilyBase; ///< FamilyCommon membership (dedup only).
-  unsigned SelectorCount = 0;
-  FamilySessionStats Stats;
-  PairTier Pairs; ///< Constructed last: captures Session/Stats/counters.
-};
-
 /// The whole-catalog discharge plan a CatalogSession runs. Families carry
-/// their common prefix (and, for eager callers, their pair plans); the
-/// catalog-common prefix is the subset of well-formedness formulas every
-/// entry either asserts itself or provably cannot mention (its variables
-/// are outside the entry's vocabulary), hoisted to the session root.
+/// their common prefix; the catalog-common prefix is the subset of
+/// well-formedness formulas every entry either asserts itself or provably
+/// cannot mention (its variables are outside the entry's vocabulary),
+/// hoisted to the session root.
 struct CatalogPlan {
   std::vector<ExprRef> CatalogCommon;
   std::vector<FamilyPlan> Families;
@@ -467,13 +244,16 @@ struct CatalogSessionStats {
 /// the solver recycles the retired scopes' definition variables, so the
 /// session's memory is bounded by the live pair — not by catalog size —
 /// while the atom table and bridge lattice are derived once for all
-/// families. Not thread-safe: one CatalogSession lives on one worker.
+/// families. Pair scopes own a Tseitin cache layer (their formulas'
+/// definition variables retire and recycle with them); method scopes share
+/// their pair's layer, since they only ever retire together with it. Not
+/// thread-safe: one CatalogSession lives on one worker.
 class CatalogSession {
 public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
-  /// must outlive the session (family Pairs may be empty: lazy callers
-  /// materialize pair plans just before discharge). \p Certify turns on
-  /// proof logging before any assertion reaches the solver.
+  /// must outlive the session (pair plans are materialized by the caller
+  /// just before discharge). \p Certify turns on proof logging before any
+  /// assertion reaches the solver.
   /// \p CompactBridges turns on the session's bridge compactor (theory
   /// atoms are reference-counted by live scope; once every owner retires,
   /// the bridge clauses over them are compacted out and their variables
@@ -496,18 +276,25 @@ public:
   /// see SmtSession::exportPrefix).
   PrefixImage exportPrefix();
 
-  /// Clause-GC configuration (see SharedSession::configureClauseGc).
+  /// Clause-GC configuration applied to the session's solver (benches pin
+  /// the no-GC baseline; tests force aggressive reduction). \p FirstLimit
+  /// is the --gc-budget knob; 0 keeps the solver default.
   void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
 
   /// Discharges every split of \p Plan under family \p FamIdx (an index
   /// into the catalog plan's Families) and pair \p PairKey. Opens the
   /// family scope — asserting its remaining common prefix — on first use;
   /// a retired family or pair transparently re-opens under a fresh
-  /// epoch-named selector. Returns true when the method verifies.
+  /// epoch-named selector. Within a pair, a method's selector is keyed by
+  /// its name *and* its prefix: a repeated name with a different prefix
+  /// gets a fresh selector instead of being proved against the old one.
+  /// Returns true when the method verifies.
   bool discharge(size_t FamIdx, const std::string &PairKey,
                  const MethodPlan &Plan, SymbolicResult &R);
 
-  /// Retires one pair's scope subtree. Returns the clauses evicted.
+  /// Retires one pair's scope subtree (pair selector plus the method
+  /// selectors nested under it). Returns the clauses evicted (0 when the
+  /// key has no live scope).
   size_t retirePair(size_t FamIdx, const std::string &PairKey);
 
   /// Retires family \p FamIdx's whole scope subtree — the family
@@ -516,7 +303,7 @@ public:
   size_t retireFamily(size_t FamIdx);
 
   /// Per-family tier statistics (reset when a retired family re-opens).
-  const FamilySessionStats &familyStats(size_t FamIdx) const;
+  const FamilyTierStats &familyStats(size_t FamIdx) const;
   /// Catalog-level statistics snapshot (aggregates live + retired tiers
   /// and the solver's variable accounting).
   CatalogSessionStats stats() const;
@@ -550,17 +337,40 @@ public:
   }
 
 private:
+  /// One registered method selector with the plan fingerprint it was
+  /// allocated for (the plan's Common + Scoped formulas; hash-consing
+  /// makes pointer equality structural equality).
+  struct MethodSelector {
+    std::vector<ExprRef> Fingerprint;
+    ExprRef Sel = nullptr;
+  };
+
+  /// The live scope of one pair.
+  struct PairScope {
+    SmtSession::ScopeId Scope = SmtSession::RootScope;
+    ExprRef Sel = nullptr;
+    std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
+    std::map<std::string, std::vector<MethodSelector>> Methods;
+  };
+
   /// The live scope of one family.
   struct FamilyTier {
     bool Alive = false;
     SmtSession::ScopeId Scope = SmtSession::RootScope;
     ExprRef Sel = nullptr;
+    /// Names the tier's selectors: the family name, plus "@e<N>" for a
+    /// re-opened family (selector names must be unique for the session's
+    /// lifetime, retired selectors included).
+    std::string Tag;
     std::set<ExprRef> FamilyBase; ///< Formulas under the family selector.
-    std::unique_ptr<PairTier> Pairs;
-    FamilySessionStats Stats;
+    std::map<std::string, PairScope> LivePairs;
+    /// Fresh-name counters for re-opened (previously retired) pair scopes.
+    std::map<std::string, unsigned> PairEpochs;
+    FamilyTierStats Stats;
   };
 
   FamilyTier &ensureFamily(size_t FamIdx);
+  PairScope &ensurePair(FamilyTier &Tier, const std::string &PairKey);
 
   ExprFactory &F;
   const CatalogPlan &Plan;
@@ -570,8 +380,8 @@ private:
   std::vector<FamilyTier> Tiers; ///< Parallel to Plan.Families.
   std::vector<unsigned> FamilyEpochs;
   unsigned SelectorCount = 0;
-  CatalogSessionStats CatStats;        ///< Catalog-level counters.
-  FamilySessionStats RetiredTierAccum; ///< Folded stats of retired tiers.
+  CatalogSessionStats CatStats;     ///< Catalog-level counters.
+  FamilyTierStats RetiredTierAccum; ///< Folded stats of retired tiers.
 };
 
 } // namespace semcomm

@@ -730,8 +730,8 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
   // The shared symbolic-execution prefix of every case split: the argument
   // objects and all element variables any split can mention are non-null.
   // Asserting it once lets the warm session reuse its encoding across the
-  // whole (length x index x index) split lattice — and, in SharedPair
-  // mode, across every testing method of the pair.
+  // whole (length x index x index) split lattice — and, in a catalog
+  // session, across every testing method of the pair.
   Plan.Common = {F.ne(V1, F.nullConst()), F.ne(V2, F.nullConst())};
   for (int64_t P = 0; P < SeqLenBound; ++P)
     Plan.Common.push_back(
@@ -1072,15 +1072,6 @@ SymbolicEngine::planCommonOnly(const ConditionEntry &E) const {
   return plan(M).Common;
 }
 
-std::vector<ExprRef> SymbolicEngine::familyCommonOf(
-    const std::vector<const ConditionEntry *> &Entries) const {
-  bool First = true;
-  std::vector<ExprRef> Inter;
-  for (const ConditionEntry *E : Entries)
-    intersectCommon(First, Inter, planCommonOnly(*E));
-  return First ? std::vector<ExprRef>{} : Inter;
-}
-
 PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
   PairPlan PP;
   PP.Key = E.pairName();
@@ -1094,19 +1085,6 @@ PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
       PP.Methods.push_back(plan(M));
     }
   return PP;
-}
-
-FamilyPlan SymbolicEngine::planFamily(
-    const std::string &FamilyName,
-    const std::vector<const ConditionEntry *> &Entries) const {
-  FamilyPlan FP;
-  FP.FamilyName = FamilyName;
-  for (const ConditionEntry *E : Entries)
-    FP.Pairs.push_back(planPair(*E));
-  // Family-common prefix: the Common formulas present in every method plan
-  // of every pair, hoisted to session base.
-  FP.FamilyCommon = familyCommonOf(Entries);
-  return FP;
 }
 
 CatalogPlan SymbolicEngine::planCatalog(
@@ -1230,111 +1208,31 @@ void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
 } // namespace
 
 SymbolicResult SymbolicEngine::verify(const TestingMethod &M) {
-  SharedSession Sess(F, ConflictBudget, Mode);
-  if (Certify)
-    Sess.enableCertification();
-  Sess.configureClauseGc(true, GcBudget);
   SymbolicResult R;
-  R.Verified = Sess.discharge(plan(M), R);
-  if (Certify) {
-    const proof::CertifySummary &S = Sess.finishCertification();
-    R.ProofClauses = S.PeakClauses;
-    R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
-  }
+  R.Verified = dischargeAlone(F, plan(M), Mode, M.family().Name,
+                              M.Entry->pairName(), ConflictBudget, GcBudget,
+                              Certify, R);
   return R;
 }
 
-FamilyOutcome SymbolicEngine::verifyEntries(
-    const std::string &FamilyName,
-    const std::vector<const ConditionEntry *> &Entries) {
-  FamilyOutcome Out;
-  Out.Family = FamilyName;
-
-  // Lazy planning: the session only needs the family-common prefix up
-  // front (cheap — no splits materialize); each pair's full plan is built
-  // just before its discharge and dropped after its scope retires, so
-  // plan memory is bounded by one pair instead of the family.
-  FamilyPlan FP;
-  FP.FamilyName = FamilyName;
-  FP.FamilyCommon = familyCommonOf(Entries);
-
-  FamilySession Sess(F, FP, ConflictBudget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
-  for (size_t PI = 0; PI != Entries.size(); ++PI) {
-    PairPlan PP = planPair(*Entries[PI]);
-    uint64_t PairSplits = splitsOf(PP);
-    Out.TotalSplits += PairSplits;
-    Out.PeakMaterializedSplits =
-        std::max(Out.PeakMaterializedSplits, PairSplits);
-    PairOutcome PO;
-    uint64_t ChecksBefore = Sess.checks();
-    int64_t ConflictsBefore = Sess.conflicts();
-    uint64_t RedBefore = Sess.dbReductions();
-    uint64_t RecBefore = Sess.reclaimedClauses();
-    unsigned SelBefore = Sess.numSelectors();
-    for (const MethodPlan &MP : PP.Methods) {
-      Stopwatch Timer;
-      SymbolicResult R;
-      R.Verified = Sess.discharge(PP.Key, MP, R);
-      PO.MethodMillis.push_back(Timer.millis());
-      PO.Methods.push_back(std::move(R));
-    }
-    PO.Checks = Sess.checks() - ChecksBefore;
-    PO.Conflicts = Sess.conflicts() - ConflictsBefore;
-    PO.RetainedClauses = Sess.retainedClauses();
-    PO.DbReductions = Sess.dbReductions() - RedBefore;
-    PO.ReclaimedClauses = Sess.reclaimedClauses() - RecBefore;
-    PO.Selectors = Sess.numSelectors() - SelBefore;
-    PO.SessionsOpened = PI == 0 ? 1 : 0; // One warm solver per family.
-    // The pair's VCs are done: evict its scope so the clause database is
-    // bounded by the live pair, not the family (its plan dies with this
-    // iteration for the same reason).
-    Sess.retirePair(PP.Key);
-    Out.PairKeys.push_back(PP.Key);
-    Out.Pairs.push_back(std::move(PO));
-  }
-  Out.Stats = Sess.stats();
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
-  if (Certify) {
-    // One trace covers the whole family session; check it once and stamp
-    // every method with its own queries' verdicts.
-    const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    for (PairOutcome &PO : Out.Pairs) {
-      backfillCertification(S, PO.Methods);
-      stampOutcomeCertification(S, PO);
-    }
-  }
-  return Out;
-}
-
-CatalogOutcome
-SymbolicEngine::verifyCatalog(const Catalog &C,
-                              const std::vector<const Family *> &Fams) {
+CatalogOutcome SymbolicEngine::runCatalog(
+    const CatalogPlan &CP,
+    const std::vector<std::vector<const ConditionEntry *>> &Entries) {
   CatalogOutcome Out;
-  CatalogPlan CP = planCatalog(C, Fams);
-  CatalogSession Sess(F, CP, ConflictBudget, Certify, CompactBridges,
-                      /*CompactMinDead=*/64, Prefix);
+  CatalogSession Sess(F, CP, ConflictBudget, Certify);
   Sess.configureClauseGc(true, GcBudget);
 
-  for (size_t FI = 0; FI != Fams.size(); ++FI) {
-    const Family &Fam = *Fams[FI];
+  for (size_t FI = 0; FI != CP.Families.size(); ++FI) {
     FamilyOutcome FO;
-    FO.Family = Fam.Name;
+    FO.Family = CP.Families[FI].FamilyName;
     uint64_t FamChecksBefore = Sess.checks();
     int64_t FamConflictsBefore = Sess.conflicts();
     uint64_t FamRedBefore = Sess.dbReductions();
     uint64_t FamRecBefore = Sess.reclaimedClauses();
     unsigned FamSelBefore = Sess.numSelectors();
 
-    const std::vector<ConditionEntry> &Entries = C.entries(Fam);
-    for (size_t PI = 0; PI != Entries.size(); ++PI) {
-      PairPlan PP = planPair(Entries[PI]);
+    for (const ConditionEntry *E : Entries[FI]) {
+      PairPlan PP = planPair(*E);
       uint64_t PairSplits = splitsOf(PP);
       FO.TotalSplits += PairSplits;
       FO.PeakMaterializedSplits =
@@ -1358,7 +1256,9 @@ SymbolicEngine::verifyCatalog(const Catalog &C,
       PO.DbReductions = Sess.dbReductions() - RedBefore;
       PO.ReclaimedClauses = Sess.reclaimedClauses() - RecBefore;
       PO.Selectors = Sess.numSelectors() - SelBefore;
-      PO.SessionsOpened = FI == 0 && PI == 0 ? 1 : 0; // One for the run.
+      // The pair's VCs are done: evict its scope so the clause database
+      // is bounded by the live pair (its plan dies with this iteration for
+      // the same reason).
       Sess.retirePair(FI, PP.Key);
       FO.PairKeys.push_back(PP.Key);
       FO.Pairs.push_back(std::move(PO));
@@ -1403,50 +1303,23 @@ SymbolicEngine::verifyCatalog(const Catalog &C,
   return Out;
 }
 
-FamilyOutcome SymbolicEngine::verifyFamily(const Catalog &C,
-                                           const Family &Fam) {
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : C.entries(Fam))
-    Entries.push_back(&E);
-  return verifyEntries(Fam.Name, Entries);
+CatalogOutcome
+SymbolicEngine::verifyCatalog(const Catalog &C,
+                              const std::vector<const Family *> &Fams) {
+  std::vector<std::vector<const ConditionEntry *>> Entries;
+  for (const Family *Fam : Fams) {
+    Entries.emplace_back();
+    for (const ConditionEntry &E : C.entries(*Fam))
+      Entries.back().push_back(&E);
+  }
+  return runCatalog(planCatalog(C, Fams), Entries);
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
-  if (Mode == SolveMode::SharedFamily || Mode == SolveMode::SharedCatalog) {
-    // A single pair is the degenerate family: same nesting, same eviction.
-    FamilyOutcome FO = verifyEntries(E.Fam->Name, {&E});
-    return FO.Pairs.empty() ? PairOutcome() : std::move(FO.Pairs.front());
-  }
-  SharedSession Sess(F, ConflictBudget, Mode);
-  if (Certify)
-    Sess.enableCertification();
-  Sess.configureClauseGc(true, GcBudget);
-  PairOutcome Out;
-  for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
-                          ConditionKind::After})
-    for (MethodRole Role :
-         {MethodRole::Soundness, MethodRole::Completeness}) {
-      TestingMethod M;
-      M.Entry = &E;
-      M.Kind = K;
-      M.Role = Role;
-      Stopwatch Timer;
-      SymbolicResult R;
-      R.Verified = Sess.discharge(plan(M), R);
-      Out.MethodMillis.push_back(Timer.millis());
-      Out.Methods.push_back(std::move(R));
-    }
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
-  Out.SessionsOpened = Sess.sessionsOpened();
-  if (Certify) {
-    const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    backfillCertification(S, Out.Methods);
-  }
-  return Out;
+  // A single pair is the degenerate catalog: same nesting, same eviction,
+  // with the pair's own prefix as the family-common one.
+  CatalogPlan CP;
+  CP.Families.push_back({E.Fam->Name, planCommonOnly(E)});
+  CatalogOutcome CO = runCatalog(CP, {{&E}});
+  return std::move(CO.Families.front().Pairs.front());
 }

@@ -35,12 +35,10 @@
 ///
 /// Discharge strategy: each testing method is compiled to a MethodPlan
 /// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
-/// and handed to a SharedSession (see SessionPool.h). In the default
-/// SolveMode::SharedPair, verifyPair() runs all six testing methods of one
-/// (family, op-pair) against a single warm solver under per-method selector
-/// literals; PerMethod (the pre-pair incremental mode) and OneShot (cold
-/// start per split) remain as comparison baselines for
-/// bench/perf_engine_scaling.cpp.
+/// and discharged through a CatalogSession (see SessionPool.h) — one warm
+/// solver whose selector-tree scopes are retired as pairs and families
+/// finish. SolveMode::OneShot (a cold session per split) remains as the
+/// reference oracle the warm path is cross-checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,9 +55,9 @@
 
 namespace semcomm {
 
-/// Outcome of verifying all six testing methods of one pair through one
-/// SharedSession, plus the session-level reuse statistics the driver
-/// reports per pair.
+/// Outcome of verifying all six testing methods of one pair, plus the
+/// session-level reuse statistics (deltas over the shared session when the
+/// pair ran inside a catalog session).
 struct PairOutcome {
   /// Per-method results in enumeration order: before/between/after x
   /// soundness/completeness.
@@ -71,11 +69,10 @@ struct PairOutcome {
   uint64_t DbReductions = 0;        ///< Clause-GC runs.
   uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
   unsigned Selectors = 0;           ///< Selector literals registered.
-  size_t SessionsOpened = 0;        ///< 1 in SharedPair mode.
 
   /// Certification aggregates (zero unless the engine certifies): the
-  /// checker's verdict over the pair's session trace, its step/query
-  /// counts, and its database high-water mark.
+  /// checker's verdict over the session trace, its step/query counts, and
+  /// its database high-water mark.
   bool Certified = false;
   uint64_t ProofSteps = 0;
   uint64_t ProofQueries = 0;
@@ -89,31 +86,30 @@ struct PairOutcome {
   }
 };
 
-/// Outcome of verifying every op-pair of one family through a single
-/// FamilySession (SolveMode::SharedFamily), plus the session-level
-/// statistics the driver reports per family.
+/// Outcome of verifying every op-pair of one family inside a catalog
+/// session, plus the family tier's statistics.
 struct FamilyOutcome {
   std::string Family;
   std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
   std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys; per-pair
                                      ///< stats are deltas over the shared
                                      ///< session.
-  FamilySessionStats Stats;          ///< Eviction / prefix-reuse counters.
-  uint64_t Checks = 0;               ///< SMT checks the session served.
+  FamilyTierStats Stats;             ///< Eviction / prefix-reuse counters.
+  uint64_t Checks = 0;               ///< SMT checks the family served.
   int64_t Conflicts = 0;             ///< CDCL conflicts across the family.
   uint64_t RetainedClauses = 0;      ///< Clauses alive at the end.
   uint64_t DbReductions = 0;
   uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Pair + method selectors registered.
+  unsigned Selectors = 0; ///< Family + pair + method selectors registered.
   /// Lazy-planning accounting: VC splits materialized over the whole run
   /// vs. the largest number alive at once (one pair's worth — plans are
   /// built just before discharge and dropped after retirePair, so plan
-  /// memory no longer grows with family size).
+  /// memory does not grow with family size).
   uint64_t TotalSplits = 0;
   uint64_t PeakMaterializedSplits = 0;
 
-  /// Certification aggregates over the family session's trace (zero
-  /// unless the engine certifies).
+  /// Certification aggregates over the session's trace (zero unless the
+  /// engine certifies).
   bool Certified = false;
   uint64_t ProofSteps = 0;
   uint64_t ProofQueries = 0;
@@ -127,11 +123,10 @@ struct FamilyOutcome {
   }
 };
 
-/// Outcome of verifying several families through a single CatalogSession
-/// (SolveMode::SharedCatalog): per-family outcomes in the same shape
-/// verifyFamily produces (so reporting code is shared), plus the
-/// catalog-session statistics — prefix amortization, subtree
-/// retirements, variable recycling, and the peak-liveness bounds.
+/// Outcome of verifying several families through a single CatalogSession:
+/// per-family outcomes, plus the catalog-session statistics — prefix
+/// amortization, subtree retirements, variable recycling, and the
+/// peak-liveness bounds.
 struct CatalogOutcome {
   std::vector<FamilyOutcome> Families; ///< Requested-family order.
   CatalogSessionStats Stats;
@@ -165,7 +160,7 @@ public:
   /// \p SeqLenBound is the ArrayList case-split bound (lengths 0..bound).
   explicit SymbolicEngine(ExprFactory &F, int SeqLenBound = 3,
                           int64_t ConflictBudget = 200000,
-                          SolveMode Mode = SolveMode::SharedPair)
+                          SolveMode Mode = SolveMode::SharedCatalog)
       : F(F), SeqLenBound(SeqLenBound), ConflictBudget(ConflictBudget),
         Mode(Mode) {}
 
@@ -174,26 +169,21 @@ public:
   /// (thread-safe) ExprFactory.
   SymbolicResult verify(const TestingMethod &M);
 
-  /// Verifies all six testing methods of \p E through one SharedSession
-  /// (one warm solver for the whole pair in SharedPair mode; in
-  /// SharedFamily mode, through a degenerate one-pair FamilySession).
-  /// Method order is deterministic, so results and statistics are a
-  /// function of the options alone.
+  /// Verifies all six testing methods of \p E through one catalog session
+  /// holding just this pair (one warm solver for the six methods). Method
+  /// order is deterministic, so results and statistics are a function of
+  /// the options alone. Like verifyCatalog, this is the warm path whatever
+  /// the mode.
   PairOutcome verifyPair(const ConditionEntry &E);
-
-  /// Verifies every op-pair of \p Fam through one FamilySession: the
-  /// family-common prefix is asserted once, each pair's plan is
-  /// materialized lazily just before its discharge, and the pair's scope
-  /// is retired (evicted) — and its plan dropped — when its six methods
-  /// are done. Pair and method order are deterministic.
-  FamilyOutcome verifyFamily(const Catalog &C, const Family &Fam);
 
   /// Verifies every op-pair of every family in \p Fams through one
   /// CatalogSession: the catalog-common prefix is asserted once, each
-  /// family opens a selector scope beneath it, pairs are planned lazily,
-  /// discharged, and retired as in verifyFamily, and a finished family's
-  /// whole scope subtree is retired in one pass. Family, pair, and method
-  /// order are deterministic.
+  /// family opens a selector scope beneath it, each pair's plan is
+  /// materialized lazily just before its discharge, and the pair's scope
+  /// is retired (evicted) — and its plan dropped — when its six methods
+  /// are done; a finished family's whole scope subtree is retired in one
+  /// pass. Family, pair, and method order are deterministic. The mode is
+  /// not consulted: this is the warm path.
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
@@ -204,15 +194,6 @@ public:
   /// Compiles one entry's six testing methods to a pair plan, in
   /// (kind x role) enumeration order.
   PairPlan planPair(const ConditionEntry &E) const;
-
-  /// Compiles a set of catalog entries to a whole-family plan: six method
-  /// plans per pair, plus the family-common prefix (the Common formulas
-  /// present in every method plan, hoisted to session base). Eager —
-  /// every pair's splits are materialized; the verify* entry points use
-  /// the lazy per-pair path instead.
-  FamilyPlan planFamily(const std::string &FamilyName,
-                        const std::vector<const ConditionEntry *> &Entries)
-      const;
 
   /// Compiles the catalog-level plan for \p Fams: per-family common
   /// prefixes (pairs left unmaterialized — verifyCatalog plans them
@@ -236,23 +217,6 @@ public:
   void setCertify(bool C) { Certify = C; }
   bool certify() const { return Certify; }
 
-  /// Turns on bridge compaction for catalog sessions (the driver's
-  /// --compact-bridges knob): retired scopes release their theory-atom
-  /// references, and once every owner of an atom is dead its bridge
-  /// clauses are compacted out of the clause database and its variable
-  /// recycled. Only verifyCatalog sessions honor it — the other modes
-  /// retire nothing, so there is nothing to compact.
-  void setBridgeCompaction(bool B) { CompactBridges = B; }
-  bool bridgeCompaction() const { return CompactBridges; }
-
-  /// Attaches a pre-encoded catalog prefix image: verifyCatalog sessions
-  /// load it instead of re-encoding the catalog-common prefix (cross-
-  /// shard prefix sharing). The image must have been exported over the
-  /// same factory, the same catalog plan, and the same bridge-compaction
-  /// flag; it must outlive the engine. nullptr detaches.
-  void setPrefixImage(const PrefixImage *Img) { Prefix = Img; }
-  const PrefixImage *prefixImage() const { return Prefix; }
-
   /// Attaches proof-hint scripts: ArrayList method plans whose method
   /// matches a script gain the script's note/pickWitness lemmas as extra
   /// *labeled* split assumptions, so unsat cores can name the hint
@@ -265,17 +229,16 @@ public:
   SolveMode mode() const { return Mode; }
 
 private:
-  FamilyOutcome verifyEntries(const std::string &FamilyName,
-                              const std::vector<const ConditionEntry *> &E);
+  /// Runs \p Entries (one list per family of \p CP, in plan order)
+  /// through one catalog session — the body of verifyCatalog and of the
+  /// warm verifyPair.
+  CatalogOutcome
+  runCatalog(const CatalogPlan &CP,
+             const std::vector<std::vector<const ConditionEntry *>> &Entries);
   /// The Common prefix of \p E's method plans without materializing the
   /// ArrayList split lattice (the prefixes are a handful of
   /// well-formedness formulas, identical across an entry's six methods).
   std::vector<ExprRef> planCommonOnly(const ConditionEntry &E) const;
-  /// Intersection of planCommonOnly over \p Entries, in first-entry
-  /// order — the family-common prefix shared by planFamily, the lazy
-  /// verify paths, and planCatalog.
-  std::vector<ExprRef>
-  familyCommonOf(const std::vector<const ConditionEntry *> &Entries) const;
 
   ExprFactory &F;
   int SeqLenBound;
@@ -283,9 +246,7 @@ private:
   SolveMode Mode;
   int64_t GcBudget = 0;
   bool Certify = false;
-  bool CompactBridges = false;
   const std::vector<HintScript> *Hints = nullptr;
-  const PrefixImage *Prefix = nullptr; ///< Not owned; null = encode fresh.
 };
 
 } // namespace semcomm

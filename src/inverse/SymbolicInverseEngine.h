@@ -51,7 +51,7 @@ namespace semcomm {
 SymbolicResult verifyInverseSymbolic(ExprFactory &F, const InverseSpec &Spec,
                                      int SeqLenBound = 3,
                                      int64_t ConflictBudget = 200000,
-                                     SolveMode Mode = SolveMode::SharedPair,
+                                     SolveMode Mode = SolveMode::SharedCatalog,
                                      bool Certify = false);
 
 } // namespace semcomm

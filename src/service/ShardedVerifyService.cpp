@@ -35,16 +35,6 @@ ShardedVerifyService::ShardedVerifyService(
     : C(C), Fams(Fams), Cfg(Config) {
   if (Cfg.Shards == 0)
     Cfg.Shards = 1;
-  // A foreign learned clause has no local derivation, so it can never
-  // enter a proof-logged database: certifying shards run without the
-  // exchange (prefix sharing is unaffected — the replay is logged).
-  if (Cfg.Base.Certify)
-    Cfg.ShareClauses = false;
-  // Clause sharing rides on the shared prefix: PrefixVars is the
-  // ownership bound both sides validate against, so without an imported
-  // image there is nothing sound to trade.
-  if (!Cfg.SharePrefix || Cfg.Shards <= 1)
-    Cfg.ShareClauses = false;
 
   Stopwatch PlanTimer;
   {
@@ -71,11 +61,6 @@ ShardedVerifyService::ShardedVerifyService(
       Prefix = Shards[0]->exportPrefix();
   }
 
-  if (Cfg.ShareClauses && Cfg.Shards > 1)
-    Exchange = std::make_unique<ClauseExchange>(Cfg.Shards, Cfg.Exchange);
-  SeenKeys.resize(Cfg.Shards);
-  Published.assign(Cfg.Shards, 0);
-  Adopted.assign(Cfg.Shards, 0);
   if (Cfg.Threads > 1)
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
 }
@@ -99,27 +84,6 @@ size_t ShardedVerifyService::pending() const {
   return N;
 }
 
-void ShardedVerifyService::importForShard(size_t S) {
-  std::vector<PrefixClause> Fresh;
-  for (PrefixClause &P : Exchange->collectFor(S))
-    if (SeenKeys[S].insert(P.Lits).second)
-      Fresh.push_back(std::move(P));
-  if (!Fresh.empty())
-    Adopted[S] += Shards[S]->session().importLearnedPrefixClauses(Fresh);
-}
-
-void ShardedVerifyService::publishFromShard(size_t S) {
-  std::vector<PrefixClause> Fresh;
-  for (PrefixClause &P : Shards[S]->session().exportLearnedPrefixClauses(
-           Exchange->config().MaxSize, Exchange->config().MaxGlue))
-    if (SeenKeys[S].insert(P.Lits).second)
-      Fresh.push_back(std::move(P));
-  if (!Fresh.empty()) {
-    Published[S] += Fresh.size();
-    Exchange->publish(S, Fresh);
-  }
-}
-
 std::vector<ServiceVerdict> ShardedVerifyService::drain() {
   Stopwatch Timer;
   std::vector<ServiceVerdict> Combined;
@@ -127,28 +91,14 @@ std::vector<ServiceVerdict> ShardedVerifyService::drain() {
     return Combined;
   ++Drains;
 
-  // Deterministic import point: adopt the clauses every shard published
-  // by the end of the previous drain, sequentially in shard-id order,
-  // before any worker starts.
-  if (Exchange)
-    for (size_t S = 0; S != Shards.size(); ++S)
-      importForShard(S);
-
   std::vector<std::vector<ServiceVerdict>> PerShard(Shards.size());
-  auto RunShard = [&](size_t S) {
-    PerShard[S] = Shards[S]->drain();
-    // Publish from the worker: bucket-striped, own seen-set, and the
-    // drain barrier below sequences it before any future collect.
-    if (Exchange)
-      publishFromShard(S);
-  };
   if (Pool) {
     for (size_t S = 0; S != Shards.size(); ++S)
-      Pool->submit([&RunShard, S] { RunShard(S); });
+      Pool->submit([this, &PerShard, S] { PerShard[S] = Shards[S]->drain(); });
     Pool->wait();
   } else {
     for (size_t S = 0; S != Shards.size(); ++S)
-      RunShard(S);
+      PerShard[S] = Shards[S]->drain();
   }
 
   for (std::vector<ServiceVerdict> &Group : PerShard)
@@ -173,8 +123,6 @@ ShardedServiceStats ShardedVerifyService::stats() const {
     SS.Stats = Shards[I]->stats();
     SS.WarmupMillis = WarmupMillis[I];
     SS.PrefixImported = SS.Stats.Session.PrefixImageLoaded;
-    SS.ClausesPublished = Published[I];
-    SS.ClausesAdopted = Adopted[I];
     if (SS.PrefixImported)
       ImportSum += WarmupMillis[I];
     S.Shards.push_back(std::move(SS));
@@ -182,8 +130,6 @@ ShardedServiceStats ShardedVerifyService::stats() const {
   if (Shards.size() > 1 && Cfg.SharePrefix)
     S.WarmupImportMillisAvg =
         ImportSum / static_cast<double>(Shards.size() - 1);
-  if (Exchange)
-    S.Exchange = Exchange->stats();
   return S;
 }
 
@@ -219,7 +165,6 @@ json::Value ShardedVerifyService::snapshot() const {
   V.set("route", json::Value::string(Cfg.Route == RouteBy::Pair ? "pair"
                                                                 : "family"));
   V.set("share_prefix", json::Value::boolean(Cfg.SharePrefix));
-  V.set("share_clauses", json::Value::boolean(Cfg.ShareClauses));
   V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
   V.set("serve_millis", json::Value::number(ServeMillis));
 

@@ -22,18 +22,11 @@
 ///    bridge lattice from scratch and exports it as a PrefixImage; every
 ///    other shard *loads* the image (a propositional replay) instead of
 ///    re-encoding — the warm-up ratio the bench reports.
-///  * Learned-clause import. After its drain, each shard publishes its
-///    root-level learned clauses over prefix-owned variables (glue/size
-///    capped) into the lock-striped ClauseExchange; at the start of the
-///    next drain each shard adopts the other shards' publications. A
-///    shard validates variable ownership before adoption (indices within
-///    the shared prefix and live), and per-shard seen-sets stop ping-pong
-///    re-export. Disabled under Certify: a foreign clause has no local
-///    proof derivation.
 ///
-/// Determinism: routing, per-shard serve order, and the exchange protocol
-/// (publish at drain end, collect at next drain start, both sequenced in
-/// shard-id order around the drain barrier) are all functions of the
+/// Shards share no learned clauses: on the catalog every learned clause is
+/// pair-scoped, so there is nothing a sibling shard could reuse.
+///
+/// Determinism: routing and per-shard serve order are functions of the
 /// request stream alone — never of thread scheduling. drain() returns the
 /// per-shard verdict groups concatenated in shard-id order, so at a fixed
 /// shard count the combined verdict log is byte-identical across thread
@@ -45,13 +38,11 @@
 #ifndef SEMCOMM_SERVICE_SHARDEDVERIFYSERVICE_H
 #define SEMCOMM_SERVICE_SHARDEDVERIFYSERVICE_H
 
-#include "service/ClauseExchange.h"
 #include "service/VerifyService.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -77,10 +68,6 @@ struct ShardedServiceConfig {
   /// Load shard 0's exported PrefixImage into shards 1..N-1 (off = every
   /// shard re-encodes the prefix; the warm-up baseline).
   bool SharePrefix = true;
-  /// Trade learned clauses through the ClauseExchange (forced off under
-  /// Base.Certify).
-  bool ShareClauses = true;
-  ClauseExchangeConfig Exchange;
 };
 
 /// Per-shard accounting beyond the shard's own ServiceStats.
@@ -88,8 +75,6 @@ struct ShardStats {
   ServiceStats Stats;
   double WarmupMillis = 0;      ///< Shard construction wall time.
   bool PrefixImported = false;  ///< Loaded the image (vs encoded).
-  uint64_t ClausesPublished = 0;
-  uint64_t ClausesAdopted = 0;
 };
 
 struct ShardedServiceStats {
@@ -105,7 +90,6 @@ struct ShardedServiceStats {
   double PlanMillis = 0;
   double WarmupScratchMillis = 0; ///< Plan + shard 0 construction.
   double WarmupImportMillisAvg = 0;
-  ClauseExchangeStats Exchange;
 };
 
 /// The sharded front-end. Not thread-safe at the interface: one caller
@@ -120,10 +104,9 @@ public:
   /// rejection cases).
   bool submit(const ServiceRequest &R, std::string &Error);
 
-  /// Imports pending exchange clauses (shard-id order), drains every
-  /// shard (parallel when Threads > 1), publishes fresh learned clauses,
-  /// and returns the per-shard verdict groups concatenated in shard-id
-  /// order. The combined verdicts are also appended to log().
+  /// Drains every shard (parallel when Threads > 1) and returns the
+  /// per-shard verdict groups concatenated in shard-id order. The
+  /// combined verdicts are also appended to log().
   std::vector<ServiceVerdict> drain();
 
   size_t pending() const;
@@ -154,26 +137,13 @@ public:
   bool restore(const json::Value &V, std::string &Error);
 
 private:
-  /// Collect-and-adopt for one shard (start of drain, shard-id order).
-  void importForShard(size_t S);
-  /// Export-and-publish for one shard (end of the shard's drain; runs on
-  /// the drain worker, bucket-striped).
-  void publishFromShard(size_t S);
-
   const Catalog &C;
   std::vector<const Family *> Fams;
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
   PrefixImage Prefix;
   std::vector<std::unique_ptr<VerifyService>> Shards;
-  std::unique_ptr<ClauseExchange> Exchange; ///< Null unless sharing.
-  std::unique_ptr<ThreadPool> Pool;         ///< Null when Threads <= 1.
-
-  /// Clauses this shard has already published or adopted (ping-pong
-  /// stopper); only the shard's own import/publish steps touch it.
-  std::vector<std::set<std::vector<int>>> SeenKeys;
-  std::vector<uint64_t> Published;
-  std::vector<uint64_t> Adopted;
+  std::unique_ptr<ThreadPool> Pool; ///< Null when Threads <= 1.
   std::vector<double> WarmupMillis;
 
   std::vector<ServiceVerdict> VerdictLog;

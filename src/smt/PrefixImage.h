@@ -30,11 +30,6 @@
 ///    watermarks, so an importing session emits no duplicate bridges;
 ///  * the base-atom vocabulary for countermodel reporting.
 ///
-/// PrefixClause is the companion wire format for the cross-shard
-/// learned-clause exchange: a root-level learned clause over prefix-owned
-/// variables (indices <= PrefixImage::NumVars), literal-sorted so the
-/// exchange can dedup on the literal vector alone.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMCOMM_SMT_PREFIXIMAGE_H

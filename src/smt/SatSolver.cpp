@@ -714,7 +714,7 @@ bool SatSolver::reasonInvariantHolds() const {
   return true;
 }
 
-// --- Prefix image & cross-shard clause exchange ------------------------------
+// --- Prefix image ------------------------------------------------------------
 
 void SatSolver::exportRootState(std::vector<std::vector<int>> &ClausesOut,
                                 std::vector<int> &UnitsOut) const {
@@ -731,71 +731,4 @@ void SatSolver::exportRootState(std::vector<std::vector<int>> &ClausesOut,
   for (Lit L : Trail)
     if (Reason[L.var()] == -1)
       UnitsOut.push_back(L.Encoded);
-}
-
-std::vector<PrefixClause>
-SatSolver::exportLearnedClauses(int MaxVar, size_t MaxSize, int MaxGlue) const {
-  std::vector<PrefixClause> Out;
-  for (const Clause &C : Clauses) {
-    if (!C.Learned || C.Lits.size() > MaxSize || C.Glue > MaxGlue)
-      continue;
-    bool Shareable = true;
-    for (Lit L : C.Lits)
-      if (L.var() > MaxVar || IsFree[static_cast<size_t>(L.var())]) {
-        Shareable = false;
-        break;
-      }
-    if (!Shareable)
-      continue;
-    PrefixClause P;
-    P.Glue = C.Glue;
-    P.Lits.reserve(C.Lits.size());
-    for (Lit L : C.Lits)
-      P.Lits.push_back(L.Encoded);
-    std::sort(P.Lits.begin(), P.Lits.end());
-    Out.push_back(std::move(P));
-  }
-  return Out;
-}
-
-bool SatSolver::importLearnedClause(const PrefixClause &In) {
-  assert(currentLevel() == 0 && "clause import away from root level");
-  assert(!Proof && "clause import into a certifying solver");
-  if (Unsatisfiable)
-    return false;
-  std::vector<Lit> C;
-  for (int E : In.Lits) {
-    Lit L;
-    L.Encoded = E;
-    int V = L.var();
-    if (V < 1 || V > numVars() || IsFree[static_cast<size_t>(V)])
-      return false; // Ownership validation: unknown or retired variable.
-    if (valueOf(L) == 1)
-      return false; // Satisfied at root: nothing to adopt.
-    if (valueOf(L) == 0)
-      continue; // False at root; drop the literal.
-    if (std::find(C.begin(), C.end(), L) != C.end())
-      continue;
-    if (std::find(C.begin(), C.end(), L.negated()) != C.end())
-      return false; // Tautology.
-    C.push_back(L);
-  }
-  // A shared clause is implied by the common prefix, so it can never be
-  // empty under a satisfiable database; stay defensive against a caller
-  // racing its own retirements.
-  if (C.empty())
-    return false;
-  if (C.size() == 1) {
-    enqueue(C[0], -1);
-    if (propagate() != -1)
-      Unsatisfiable = true;
-    return true;
-  }
-  Clauses.push_back({std::move(C), true, In.Glue, 0.0});
-  ++LearnedClauses;
-  ++LearnedAlive;
-  if (Clauses.size() > PeakClauses)
-    PeakClauses = Clauses.size();
-  attach(static_cast<int>(Clauses.size()) - 1);
-  return true;
 }

@@ -70,16 +70,6 @@ struct Lit {
 /// ArrayList entry is dominated by such timeouts).
 enum class SatResult : uint8_t { Sat, Unsat, Unknown };
 
-/// Wire format of the cross-shard learned-clause exchange: encoded
-/// literals (+v / -v, sorted ascending, so the exchange can dedup on the
-/// vector alone) plus the LBD recorded at learning time. The variable
-/// indices are only meaningful between solvers that replayed the same
-/// prefix image (smt/PrefixImage.h).
-struct PrefixClause {
-  std::vector<int> Lits;
-  int Glue = 0;
-};
-
 /// Conflict-driven clause-learning SAT solver.
 class SatSolver {
 public:
@@ -248,7 +238,7 @@ public:
   /// the checker can cross-check its mirrored database.
   void logQueryProof(const std::vector<Lit> &Core);
 
-  /// --- Prefix image & cross-shard clause exchange ----------------------
+  /// --- Prefix image ----------------------------------------------------
   ///
   /// Snapshot of the root-level database for the prefix image (root level
   /// only, before any search): stored clauses in insertion order and the
@@ -260,20 +250,6 @@ public:
   /// shortened when re-added before the first unit.
   void exportRootState(std::vector<std::vector<int>> &ClausesOut,
                        std::vector<int> &UnitsOut) const;
-  /// Root-level learned clauses whose every variable is live and
-  /// <= \p MaxVar, with at most \p MaxSize literals and glue <= \p MaxGlue
-  /// — the shareable subset for the cross-shard exchange. Literals come
-  /// out sorted (the exchange's dedup key).
-  std::vector<PrefixClause> exportLearnedClauses(int MaxVar, size_t MaxSize,
-                                                 int MaxGlue) const;
-  /// Adopts a foreign learned clause between solves (root level only).
-  /// Every variable must be in range and live — the importing side's
-  /// ownership validation — and the clause is root-normalized like any
-  /// input; clauses already satisfied at root (or naming a retired
-  /// variable) are rejected. Returns true when the clause was adopted.
-  /// Never legal on a certifying solver: a foreign clause has no local
-  /// derivation, so it must not enter a logged database.
-  bool importLearnedClause(const PrefixClause &In);
 
 private:
   enum : uint8_t { Undef = 2 };

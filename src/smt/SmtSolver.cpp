@@ -427,8 +427,6 @@ PrefixImage SmtSession::exportPrefix() {
   Img.BaseAtoms.assign(BaseAtoms.begin(), BaseAtoms.end());
   std::sort(Img.BaseAtoms.begin(), Img.BaseAtoms.end(), printedBefore);
   Img.LiveBridges = LiveBridges;
-
-  PrefixVars = Img.NumVars;
   return Img;
 }
 
@@ -504,7 +502,7 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
     PeakLiveBridges = LiveBridges;
 
   // Every prefix entry is root-owned: permanent under compaction, so the
-  // imported variables can never be recycled out from under the exchange.
+  // imported variables are never recycled.
   if (BridgeCompactionEnabled) {
     for (ExprRef T : ObjTerms)
       EntryOwners[T].insert(RootScope);
@@ -513,36 +511,6 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
     for (const auto &[Atom, Info] : IntAtoms)
       EntryOwners[Atom].insert(RootScope);
   }
-
-  PrefixVars = Img.NumVars;
-}
-
-std::vector<PrefixClause>
-SmtSession::exportLearnedPrefixClauses(size_t MaxSize, int MaxGlue) const {
-  if (PrefixVars == 0)
-    return {};
-  return Sat.exportLearnedClauses(PrefixVars, MaxSize, MaxGlue);
-}
-
-size_t
-SmtSession::importLearnedPrefixClauses(const std::vector<PrefixClause> &In) {
-  assert(!certifying() && "clause import would bypass the proof trace");
-  if (PrefixVars == 0)
-    return 0;
-  size_t Adopted = 0;
-  for (const PrefixClause &P : In) {
-    bool Owned = true;
-    for (int E : P.Lits) {
-      int V = E > 0 ? E : -E;
-      if (V < 1 || V > PrefixVars) {
-        Owned = false;
-        break;
-      }
-    }
-    if (Owned && Sat.importLearnedClause(P))
-      ++Adopted;
-  }
-  return Adopted;
 }
 
 void SmtSession::assertBase(ExprRef E) {

@@ -243,36 +243,40 @@ TEST(DriverEngines, SymbolicMatchesExhaustiveOnFullCatalog) {
   EXPECT_EQ(SymbolicInverses, buildInverseSpecs().size());
   EXPECT_GT(TotalVcs, SymbolicJobs); // ArrayList case splits multiply VCs.
 
-  // Every symbolic (family, op-pair) shows up in the pair-session stats
-  // with its six methods and a live session.
-  EXPECT_FALSE(R.Pairs.empty());
-  size_t PairEntries = 0;
+  // Every symbolic (family, op-pair) is served by the catalog sessions
+  // (one per family at four threads) with its six methods.
+  ASSERT_EQ(R.CatalogSessions.size(), allFamilies().size());
+  size_t PairEntries = 0, SessionPairs = 0, SessionMethods = 0;
   for (const Family *Fam : allFamilies())
     PairEntries += Fx.C.entries(*Fam).size();
-  EXPECT_EQ(R.Pairs.size(), PairEntries);
-  bool AnyRetained = false;
-  for (const PairStats &P : R.Pairs) {
-    EXPECT_EQ(P.Methods, 6u) << P.Family << "/" << P.Op1 << "," << P.Op2;
-    EXPECT_EQ(P.Mode, "shared-pair");
-    EXPECT_EQ(P.SessionsOpened, 1u);
-    EXPECT_EQ(P.Selectors, 6u);
-    EXPECT_GT(P.Vcs, 0u);
-    // Trivial pairs (e.g. Accumulator read/read) may encode entirely to
-    // unit clauses, which live on the trail; substantial pairs must show
-    // retained clauses.
-    AnyRetained = AnyRetained || P.RetainedClauses > 0;
+  for (const CatalogStats &S : R.CatalogSessions) {
+    SessionPairs += S.Pairs;
+    SessionMethods += S.Methods;
   }
+  EXPECT_EQ(SessionPairs, PairEntries);
+  EXPECT_EQ(SessionMethods, 6 * PairEntries);
+  // Trivial pairs (e.g. Accumulator read/read) may encode entirely to unit
+  // clauses, which live on the trail; substantial pairs must show retained
+  // clauses.
+  bool AnyRetained = false;
+  for (const JobRecord &J : R.Results)
+    AnyRetained = AnyRetained || J.RetainedClauses > 0;
   EXPECT_TRUE(AnyRetained);
 }
 
 TEST(DriverEngines, SymbolicVerdictsAreThreadCountInvariant) {
+  // One-shot jobs share nothing, so not only the verdicts but every
+  // per-job solver statistic is a function of the job alone, whatever the
+  // thread count.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicSeqLenBound = 3;
+  Opts.SymbolicMode = SolveMode::OneShot;
+  Opts.SymbolicSeqLenBound = 2;
 
   Opts.Threads = 1;
   Report Serial = runFullCatalog(Fx.C, Opts);
+  EXPECT_TRUE(Serial.CatalogSessions.empty());
   for (unsigned Threads : {2u, 8u}) {
     Opts.Threads = Threads;
     Report Parallel = runFullCatalog(Fx.C, Opts);
@@ -281,9 +285,6 @@ TEST(DriverEngines, SymbolicVerdictsAreThreadCountInvariant) {
     EXPECT_TRUE(Parallel.sameVerdicts(Serial)) << Threads;
     EXPECT_EQ(Serial.failures(), 0u);
     EXPECT_EQ(Parallel.failures(), 0u);
-
-    // Solver statistics are a function of the job, not of scheduling:
-    // each pair runs its six methods in a fixed order on one worker.
     for (size_t I = 0; I != Serial.Results.size(); ++I) {
       EXPECT_EQ(Serial.Results[I].Vcs, Parallel.Results[I].Vcs)
           << Serial.Results[I].key();
@@ -291,156 +292,70 @@ TEST(DriverEngines, SymbolicVerdictsAreThreadCountInvariant) {
           << Serial.Results[I].key();
       EXPECT_EQ(Serial.Results[I].ProofCore, Parallel.Results[I].ProofCore)
           << Serial.Results[I].key();
-    }
-    ASSERT_EQ(Serial.Pairs.size(), Parallel.Pairs.size());
-    for (size_t I = 0; I != Serial.Pairs.size(); ++I) {
-      EXPECT_EQ(Serial.Pairs[I].Checks, Parallel.Pairs[I].Checks);
-      EXPECT_EQ(Serial.Pairs[I].Conflicts, Parallel.Pairs[I].Conflicts);
-      EXPECT_EQ(Serial.Pairs[I].RetainedClauses,
-                Parallel.Pairs[I].RetainedClauses);
+      EXPECT_EQ(Parallel.Results[I].RetainedClauses, 0u)
+          << Serial.Results[I].key();
     }
   }
 }
 
 TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
-  // The shared-family, per-method and one-shot comparison modes must reach
-  // the same verdicts as the shared-pair default (only the statistics may
-  // differ).
+  // The one-shot oracle and the shared-catalog default reach the same
+  // verdicts with the same VC counts (only the other statistics differ).
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
   Opts.Families = {"Set"};
   Opts.Threads = 4;
 
-  Opts.SymbolicMode = SolveMode::SharedPair;
-  Report Shared = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::PerMethod;
-  Report PerMethod = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Report FamilyRun = runFullCatalog(Fx.C, Opts);
+  Report Catalog = runFullCatalog(Fx.C, Opts);
+  Opts.SymbolicMode = SolveMode::OneShot;
+  Report OneShot = runFullCatalog(Fx.C, Opts);
 
-  EXPECT_EQ(Shared.failures(), 0u);
-  EXPECT_EQ(PerMethod.failures(), 0u);
-  EXPECT_EQ(FamilyRun.failures(), 0u);
-  EXPECT_TRUE(Shared.sameVerdicts(PerMethod));
-  EXPECT_TRUE(Shared.sameVerdicts(FamilyRun));
-  for (const PairStats &P : PerMethod.Pairs) {
-    EXPECT_EQ(P.Mode, "per-method");
-    EXPECT_EQ(P.SessionsOpened, 6u);
-    EXPECT_EQ(P.Selectors, 0u);
-  }
-
-  // The family run reports one warm session for the whole family, pair
-  // rows under shared-family mode, and a family_stats row whose eviction
-  // counters show every pair was retired.
-  EXPECT_TRUE(Shared.FamilySessions.empty());
-  ASSERT_EQ(FamilyRun.FamilySessions.size(), 1u);
-  const FamilyStats &FS = FamilyRun.FamilySessions[0];
-  EXPECT_EQ(FS.Family, "Set");
-  EXPECT_EQ(FS.Mode, "shared-family");
-  EXPECT_EQ(FS.Pairs, FamilyRun.Pairs.size());
-  EXPECT_EQ(FS.Evictions, FamilyRun.Pairs.size());
-  EXPECT_GT(FS.EvictedClauses, 0u);
-  EXPECT_GT(FS.PrefixReuses, 0u);
-  EXPECT_GT(FS.PeakRetainedClauses, 0u);
-  uint64_t Sessions = 0;
-  for (const PairStats &P : FamilyRun.Pairs) {
-    EXPECT_EQ(P.Mode, "shared-family");
-    EXPECT_EQ(P.Selectors, 7u); // Pair selector + six method selectors.
-    Sessions += P.SessionsOpened;
-  }
-  EXPECT_EQ(Sessions, 1u);
-}
-
-TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
-  // The acceptance bar of the family tier: on the full catalog,
-  // shared-family verdicts and solver statistics are identical at 1, 2
-  // and 8 threads (each family runs its pairs in catalog order on one
-  // worker), and every family row shows bounded retention via eviction.
-  DriverFixture Fx;
-  DriverOptions Opts;
-  Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Opts.SymbolicSeqLenBound = 2;
-
-  Opts.Threads = 1;
-  Report Serial = runFullCatalog(Fx.C, Opts);
-  EXPECT_EQ(Serial.failures(), 0u);
-  ASSERT_EQ(Serial.FamilySessions.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilySessions) {
-    EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
-    EXPECT_GT(FS.Checks, 0u) << FS.Family;
-  }
-
-  for (unsigned Threads : {2u, 8u}) {
-    Opts.Threads = Threads;
-    Report Parallel = runFullCatalog(Fx.C, Opts);
-    EXPECT_TRUE(Serial.sameVerdicts(Parallel)) << Threads;
-    EXPECT_EQ(Parallel.failures(), 0u);
-    for (size_t I = 0; I != Serial.Results.size(); ++I) {
-      EXPECT_EQ(Serial.Results[I].Vcs, Parallel.Results[I].Vcs)
-          << Serial.Results[I].key();
-      EXPECT_EQ(Serial.Results[I].Conflicts, Parallel.Results[I].Conflicts)
-          << Serial.Results[I].key();
-      EXPECT_EQ(Serial.Results[I].ProofCore, Parallel.Results[I].ProofCore)
-          << Serial.Results[I].key();
-    }
-    ASSERT_EQ(Serial.FamilySessions.size(), Parallel.FamilySessions.size());
-    for (size_t I = 0; I != Serial.FamilySessions.size(); ++I) {
-      EXPECT_EQ(Serial.FamilySessions[I].Checks,
-                Parallel.FamilySessions[I].Checks);
-      EXPECT_EQ(Serial.FamilySessions[I].Conflicts,
-                Parallel.FamilySessions[I].Conflicts);
-      EXPECT_EQ(Serial.FamilySessions[I].PeakRetainedClauses,
-                Parallel.FamilySessions[I].PeakRetainedClauses);
-      EXPECT_EQ(Serial.FamilySessions[I].EvictedClauses,
-                Parallel.FamilySessions[I].EvictedClauses);
-    }
-  }
+  EXPECT_EQ(Catalog.failures(), 0u);
+  EXPECT_EQ(OneShot.failures(), 0u);
+  EXPECT_TRUE(Catalog.sameVerdicts(OneShot));
+  ASSERT_EQ(Catalog.Results.size(), OneShot.Results.size());
+  for (size_t I = 0; I != Catalog.Results.size(); ++I)
+    EXPECT_EQ(Catalog.Results[I].Vcs, OneShot.Results[I].Vcs)
+        << Catalog.Results[I].key();
+  EXPECT_EQ(Catalog.CatalogSessions.size(), 1u);
+  EXPECT_TRUE(OneShot.CatalogSessions.empty());
 }
 
 TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
   // The catalog tier must be invisible in the verdicts: shared-catalog
-  // agrees with shared-family and shared-pair, and reports catalog_stats
-  // rows whose retirement/recycling counters show the tier actually ran.
+  // agrees with the one-shot oracle, and reports catalog_stats rows whose
+  // retirement/recycling counters show the tier actually ran.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
   Opts.Families = {"Set"};
   Opts.Threads = 4;
 
-  Opts.SymbolicMode = SolveMode::SharedPair;
-  Report Shared = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Report FamilyRun = runFullCatalog(Fx.C, Opts);
+  Opts.SymbolicMode = SolveMode::OneShot;
+  Report OneShot = runFullCatalog(Fx.C, Opts);
   Opts.SymbolicMode = SolveMode::SharedCatalog;
   Report CatalogRun = runFullCatalog(Fx.C, Opts);
 
   EXPECT_EQ(CatalogRun.failures(), 0u);
-  EXPECT_TRUE(Shared.sameVerdicts(CatalogRun));
-  EXPECT_TRUE(FamilyRun.sameVerdicts(CatalogRun));
-  EXPECT_TRUE(Shared.CatalogSessions.empty());
-  EXPECT_TRUE(FamilyRun.CatalogSessions.empty());
+  EXPECT_TRUE(OneShot.sameVerdicts(CatalogRun));
 
-  // One family at 4 threads: one family-sharded catalog session, which
-  // still reports family_stats and pair rows under shared-catalog mode.
+  // One family at 4 threads: one family-sharded catalog session.
+  size_t SetPairs = Fx.C.entries(setFamily()).size();
   ASSERT_EQ(CatalogRun.CatalogSessions.size(), 1u);
   const CatalogStats &CS = CatalogRun.CatalogSessions[0];
-  EXPECT_EQ(CS.Mode, "shared-catalog");
   EXPECT_EQ(CS.FamilyNames, "Set");
   EXPECT_EQ(CS.Families, 1u);
-  EXPECT_EQ(CS.Pairs, CatalogRun.Pairs.size());
+  EXPECT_EQ(CS.Pairs, SetPairs);
+  EXPECT_EQ(CS.Methods, 6 * SetPairs);
   EXPECT_EQ(CS.SubtreeRetirements, 1u);
-  EXPECT_EQ(CS.PairEvictions, CatalogRun.Pairs.size());
+  EXPECT_EQ(CS.PairEvictions, SetPairs);
+  EXPECT_GT(CS.EvictedClauses, 0u);
+  EXPECT_GT(CS.PrefixReuses, 0u);
+  EXPECT_GT(CS.PeakRetainedClauses, 0u);
   EXPECT_GT(CS.RecycledVars, 0u);
   EXPECT_GT(CS.PeakLiveVars, 0u);
   EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
-  ASSERT_EQ(CatalogRun.FamilySessions.size(), 1u);
-  EXPECT_EQ(CatalogRun.FamilySessions[0].Mode, "shared-catalog");
-  EXPECT_EQ(CatalogRun.FamilySessions[0].Evictions,
-            CatalogRun.Pairs.size());
-  for (const PairStats &P : CatalogRun.Pairs)
-    EXPECT_EQ(P.Mode, "shared-catalog");
 }
 
 TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
@@ -463,9 +378,8 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   EXPECT_EQ(Serial.CatalogSessions[0].Families, 4u);
   EXPECT_EQ(Serial.CatalogSessions[0].SubtreeRetirements, 4u);
   EXPECT_GT(Serial.CatalogSessions[0].RecycledVars, 0u);
-  ASSERT_EQ(Serial.FamilySessions.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilySessions)
-    EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
+  EXPECT_EQ(Serial.CatalogSessions[0].PairEvictions,
+            Serial.CatalogSessions[0].Pairs);
 
   Opts.Threads = 2;
   Report Two = runFullCatalog(Fx.C, Opts);
@@ -592,63 +506,10 @@ TEST(DriverReport, EngineAndSolverStatsRoundTrip) {
     EXPECT_EQ(Back->Families[I].ReclaimedClauses,
               R.Families[I].ReclaimedClauses);
   }
-  // The per-pair reuse stats round-trip field by field.
-  EXPECT_FALSE(R.Pairs.empty());
-  ASSERT_EQ(Back->Pairs.size(), R.Pairs.size());
-  for (size_t I = 0; I != R.Pairs.size(); ++I) {
-    EXPECT_EQ(Back->Pairs[I].Family, R.Pairs[I].Family);
-    EXPECT_EQ(Back->Pairs[I].Op1, R.Pairs[I].Op1);
-    EXPECT_EQ(Back->Pairs[I].Op2, R.Pairs[I].Op2);
-    EXPECT_EQ(Back->Pairs[I].Mode, R.Pairs[I].Mode);
-    EXPECT_EQ(Back->Pairs[I].Methods, R.Pairs[I].Methods);
-    EXPECT_EQ(Back->Pairs[I].Vcs, R.Pairs[I].Vcs);
-    EXPECT_EQ(Back->Pairs[I].Checks, R.Pairs[I].Checks);
-    EXPECT_EQ(Back->Pairs[I].Conflicts, R.Pairs[I].Conflicts);
-    EXPECT_EQ(Back->Pairs[I].RetainedClauses, R.Pairs[I].RetainedClauses);
-    EXPECT_EQ(Back->Pairs[I].DbReductions, R.Pairs[I].DbReductions);
-    EXPECT_EQ(Back->Pairs[I].ReclaimedClauses,
-              R.Pairs[I].ReclaimedClauses);
-    EXPECT_EQ(Back->Pairs[I].Selectors, R.Pairs[I].Selectors);
-    EXPECT_EQ(Back->Pairs[I].SessionsOpened, R.Pairs[I].SessionsOpened);
-    EXPECT_EQ(Back->Pairs[I].Millis, R.Pairs[I].Millis);
-  }
+  // The catalog-session stats round-trip too (CatalogStatsRoundTrip
+  // checks them field by field).
+  EXPECT_EQ(Back->CatalogSessions.size(), R.CatalogSessions.size());
   // The round-tripped report re-serializes byte-identically.
-  EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
-}
-
-TEST(DriverReport, FamilyStatsRoundTrip) {
-  DriverFixture Fx;
-  DriverOptions Opts;
-  Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Opts.Families = {"Accumulator", "Set"};
-  Opts.Threads = 2;
-
-  Report R = runFullCatalog(Fx.C, Opts);
-  ASSERT_EQ(R.FamilySessions.size(), 2u);
-  std::optional<Report> Back = Report::fromJson(R.toJson());
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->FamilySessions.size(), R.FamilySessions.size());
-  for (size_t I = 0; I != R.FamilySessions.size(); ++I) {
-    const FamilyStats &A = R.FamilySessions[I];
-    const FamilyStats &B = Back->FamilySessions[I];
-    EXPECT_EQ(B.Family, A.Family);
-    EXPECT_EQ(B.Mode, A.Mode);
-    EXPECT_EQ(B.Pairs, A.Pairs);
-    EXPECT_EQ(B.Methods, A.Methods);
-    EXPECT_EQ(B.Vcs, A.Vcs);
-    EXPECT_EQ(B.Checks, A.Checks);
-    EXPECT_EQ(B.Conflicts, A.Conflicts);
-    EXPECT_EQ(B.PrefixAsserts, A.PrefixAsserts);
-    EXPECT_EQ(B.PrefixReuses, A.PrefixReuses);
-    EXPECT_EQ(B.PeakRetainedClauses, A.PeakRetainedClauses);
-    EXPECT_EQ(B.Evictions, A.Evictions);
-    EXPECT_EQ(B.EvictedClauses, A.EvictedClauses);
-    EXPECT_EQ(B.DbReductions, A.DbReductions);
-    EXPECT_EQ(B.ReclaimedClauses, A.ReclaimedClauses);
-    EXPECT_EQ(B.Selectors, A.Selectors);
-    EXPECT_EQ(B.Millis, A.Millis);
-  }
   EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
 }
 
@@ -656,7 +517,6 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedCatalog;
   Opts.Families = {"Accumulator", "Set"};
   Opts.Threads = 1;
 
@@ -669,7 +529,6 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   for (size_t I = 0; I != R.CatalogSessions.size(); ++I) {
     const CatalogStats &A = R.CatalogSessions[I];
     const CatalogStats &B = Back->CatalogSessions[I];
-    EXPECT_EQ(B.Mode, A.Mode);
     EXPECT_EQ(B.FamilyNames, A.FamilyNames);
     EXPECT_EQ(B.Families, A.Families);
     EXPECT_EQ(B.Pairs, A.Pairs);

@@ -150,7 +150,7 @@ TEST(HintsTest, AttachedHintLabelsFlowIntoCoresAndShrunkenHintsVerify) {
   // scripts shrink to their case skeletons and everything still verifies.
   HintsFixture &Fx = fixture();
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedPair);
+                     SolveMode::SharedCatalog);
   Eng.attachHints(&Fx.Scripts);
 
   // A category-1 pair: soundness of add_at x indexOf needs real reasoning,
@@ -182,7 +182,7 @@ TEST(HintsTest, AttachedHintLabelsFlowIntoCoresAndShrunkenHintsVerify) {
   EXPECT_FALSE(Shrunk.empty());
 
   SymbolicEngine Rerun(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                       SolveMode::SharedPair);
+                       SolveMode::SharedCatalog);
   Rerun.attachHints(&Shrunk);
   PairOutcome WithShrunk = Rerun.verifyPair(E);
   ASSERT_EQ(WithShrunk.Methods.size(), WithHints.Methods.size());
@@ -193,7 +193,7 @@ TEST(HintsTest, AttachedHintLabelsFlowIntoCoresAndShrunkenHintsVerify) {
 
   // And hints never change a verdict: the no-hints engine agrees.
   SymbolicEngine Plain(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                       SolveMode::SharedPair);
+                       SolveMode::SharedCatalog);
   PairOutcome NoHints = Plain.verifyPair(E);
   for (size_t I = 0; I != WithHints.Methods.size(); ++I)
     EXPECT_EQ(NoHints.Methods[I].Verified, WithHints.Methods[I].Verified)

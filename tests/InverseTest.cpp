@@ -57,7 +57,7 @@ TEST_P(SymbolicInverseSweep, AgreesWithExhaustiveVerifier) {
 
   // Every solve mode reaches the same verdict.
   for (SolveMode Mode :
-       {SolveMode::OneShot, SolveMode::PerMethod, SolveMode::SharedPair}) {
+       {SolveMode::OneShot, SolveMode::SharedCatalog}) {
     SymbolicResult R = verifyInverseSymbolic(F, Spec, /*SeqLenBound=*/3,
                                              /*ConflictBudget=*/200000, Mode);
     EXPECT_TRUE(R.Verified)

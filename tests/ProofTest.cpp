@@ -397,7 +397,7 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
   const Family &Set = setFamily();
   const ConditionEntry &E = C.entry(Set, "add", "contains");
   SymbolicEngine Eng(F, /*SeqLenBound=*/3, /*ConflictBudget=*/200000,
-                     SolveMode::SharedPair);
+                     SolveMode::SharedCatalog);
   Eng.setCertify(true);
   PairOutcome O = Eng.verifyPair(E);
   EXPECT_TRUE(O.Certified);
@@ -472,7 +472,7 @@ TEST(CertifiedEngineTest, InversePathCertifies) {
   for (const InverseSpec &Spec : buildInverseSpecs()) {
     SymbolicResult R = verifyInverseSymbolic(F, Spec, /*SeqLenBound=*/2,
                                              /*ConflictBudget=*/200000,
-                                             SolveMode::SharedPair,
+                                             SolveMode::SharedCatalog,
                                              /*Certify=*/true);
     EXPECT_TRUE(R.Verified) << Spec.OpName;
     EXPECT_TRUE(R.ProofChecked) << Spec.OpName;

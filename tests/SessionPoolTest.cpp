@@ -1,4 +1,4 @@
-//===- tests/SessionPoolTest.cpp - Shared per-pair session tests ------------===//
+//===- tests/SessionPoolTest.cpp - Warm session and one-shot oracle tests ---===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -6,12 +6,13 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The shared per-pair session layer must be invisible in the verdicts:
-/// selector literals isolate each method's scoped prefix inside the shared
-/// clause database, and discharging any subset of a pair's methods in any
-/// order through one SharedSession agrees with independent per-method
-/// sessions. The fuzz sweep below drives exactly that comparison over
-/// random method subsets, including mutants whose proofs fail.
+/// The warm shared session (CatalogSession) must be invisible in the
+/// verdicts: selector literals isolate each method's scoped prefix inside
+/// the shared clause database, scope retirement evicts without changing
+/// any answer, and discharging any subset of a pair's methods in any order
+/// through one session agrees with independent per-method sessions. The
+/// fuzz sweeps below drive exactly those comparisons, including mutants
+/// whose proofs fail.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,15 @@ PoolFixture &fixture() {
   return Fx;
 }
 
+/// A catalog plan with one family and no common prefix: every plan's
+/// prefix lives in its pair scope.
+CatalogPlan oneFamilyPlan(const std::string &Name,
+                          std::vector<ExprRef> FamilyCommon = {}) {
+  CatalogPlan CP;
+  CP.Families.push_back({Name, std::move(FamilyCommon)});
+  return CP;
+}
+
 } // namespace
 
 TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
@@ -54,12 +64,13 @@ TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
   NegPlan.Scoped.push_back({Fx.F.lnot(X), "not-x"});
   NegPlan.Splits.push_back(VcSplit{{{X, "x"}}, ""});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = oneFamilyPlan("iso");
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge(PosPlan, R1));
-  EXPECT_TRUE(Sess.discharge(NegPlan, R2));
-  EXPECT_EQ(Sess.numSelectors(), 2u);
-  EXPECT_EQ(Sess.sessionsOpened(), 1u);
+  EXPECT_TRUE(Sess.discharge(0, "p", PosPlan, R1));
+  EXPECT_TRUE(Sess.discharge(0, "p", NegPlan, R2));
+  // Family + pair selector, plus one per method.
+  EXPECT_EQ(Sess.numSelectors(), 4u);
 
   // Had either scoped prefix leaked into the global base, the database
   // would now be contradictory and this satisfiable plan would "verify".
@@ -68,7 +79,7 @@ TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
   SatPlan.Splits.push_back(
       VcSplit{{{Fx.F.var("shared_y", Sort::Bool), "y"}}, ""});
   SymbolicResult R3;
-  EXPECT_FALSE(Sess.discharge(SatPlan, R3));
+  EXPECT_FALSE(Sess.discharge(0, "p", SatPlan, R3));
   EXPECT_EQ(R3.LastOutcome, SatResult::Sat);
 }
 
@@ -89,17 +100,18 @@ TEST(SharedSessionTest, SameNameDifferentPlansGetDistinctSelectors) {
   B.Scoped.clear();
   B.Scoped.push_back({Fx.F.lnot(X), "not-x"});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = oneFamilyPlan("dup");
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult RA, RB, RA2;
-  EXPECT_TRUE(Sess.discharge(A, RA));
+  EXPECT_TRUE(Sess.discharge(0, "p", A, RA));
   // Under B's own prefix (¬x) the split ¬x is satisfiable — had B reused
   // A's selector (prefix x), it would wrongly verify.
-  EXPECT_FALSE(Sess.discharge(B, RB));
+  EXPECT_FALSE(Sess.discharge(0, "p", B, RB));
   EXPECT_EQ(RB.LastOutcome, SatResult::Sat);
-  EXPECT_EQ(Sess.numSelectors(), 2u);
+  EXPECT_EQ(Sess.numSelectors(), 4u); // Family + pair + two methods.
   // Re-discharging A reuses its original selector.
-  EXPECT_TRUE(Sess.discharge(A, RA2));
-  EXPECT_EQ(Sess.numSelectors(), 2u);
+  EXPECT_TRUE(Sess.discharge(0, "p", A, RA2));
+  EXPECT_EQ(Sess.numSelectors(), 4u);
 }
 
 TEST(SharedSessionTest, UnsatCoreLabelsNameTheUsedAssumptions) {
@@ -117,9 +129,10 @@ TEST(SharedSessionTest, UnsatCoreLabelsNameTheUsedAssumptions) {
                {Fx.F.var("core_unused", Sort::Bool), "unused"}},
               ""});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = oneFamilyPlan("core");
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult R;
-  ASSERT_TRUE(Sess.discharge(Plan, R));
+  ASSERT_TRUE(Sess.discharge(0, "p", Plan, R));
   auto Has = [&R](const char *L) {
     return std::find(R.CoreLabels.begin(), R.CoreLabels.end(), L) !=
            R.CoreLabels.end();
@@ -139,25 +152,27 @@ TEST(SharedSessionTest, UnsupportedPlanReportsItsNote) {
   // Even a refutable final split must not count as a proof.
   Plan.Splits.push_back(VcSplit{{{Fx.F.falseExpr(), "false"}}, "n=0"});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
-  SymbolicResult R;
-  EXPECT_FALSE(Sess.discharge(Plan, R));
-  EXPECT_EQ(R.Countermodel, Plan.UnsupportedNote);
+  // Both the warm path and the one-shot oracle apply the rule.
+  for (SolveMode Mode : {SolveMode::SharedCatalog, SolveMode::OneShot}) {
+    SymbolicResult R;
+    EXPECT_FALSE(dischargeAlone(Fx.F, Plan, Mode, "unsupported", "p",
+                                /*Budget=*/-1, /*GcBudget=*/0,
+                                /*Certify=*/false, R))
+        << solveModeName(Mode);
+    EXPECT_EQ(R.Countermodel, Plan.UnsupportedNote) << solveModeName(Mode);
+  }
 }
 
 /// Fuzz: random subsets of a pair's six methods, in random order, through
-/// one shared session, against independent per-method sessions — verdicts
-/// and VC counts must be identical. Mutated entries mix failing proofs
-/// into the sequence.
+/// one catalog session, against independent per-method sessions (each
+/// method alone in a session of its own) — verdicts and VC counts must be
+/// identical. Mutated entries mix failing proofs into the sequence.
 class SharedPairFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
   PoolFixture &Fx = fixture();
   std::mt19937 Rng(GetParam());
-  SymbolicEngine Shared(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedPair);
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
+  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   // Pool of entries spanning all four families.
   std::vector<const ConditionEntry *> Entries;
@@ -187,7 +202,8 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
     std::shuffle(All.begin(), All.end(), Rng);
     size_t Take = 1 + Rng() % All.size();
 
-    SharedSession Sess(Fx.F, /*Budget=*/200000, SolveMode::SharedPair);
+    CatalogPlan CP = oneFamilyPlan(E.Fam->Name);
+    CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
     for (size_t I = 0; I != Take; ++I) {
       TestingMethod M;
       M.Entry = &E;
@@ -195,8 +211,8 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
       M.Role = All[I].second;
 
       SymbolicResult Got;
-      Got.Verified = Sess.discharge(Shared.plan(M), Got);
-      SymbolicResult Want = PerMethod.verify(M);
+      Got.Verified = Sess.discharge(0, E.pairName(), Engine.plan(M), Got);
+      SymbolicResult Want = Engine.verify(M);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
           << "seed=" << GetParam() << " trial=" << Trial << " "
@@ -204,8 +220,7 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
           << (Mutated ? " (mutant)" : "");
       ASSERT_EQ(Got.NumVcs, Want.NumVcs) << M.name();
     }
-    EXPECT_EQ(Sess.sessionsOpened(), 1u);
-    EXPECT_EQ(Sess.numSelectors(), Take);
+    EXPECT_EQ(Sess.numSelectors(), Take + 2); // + family and pair.
   }
 }
 
@@ -213,15 +228,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SharedPairFuzzTest,
                          ::testing::Values(17, 29, 71, 113));
 
 TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
-  // Two "pairs" with contradictory pair-common prefixes coexist under
-  // their pair selectors; retiring one evicts its clauses and leaves the
-  // other scope's proofs intact.
+  // Two "pairs" of one family with contradictory pair-common prefixes
+  // coexist under their pair selectors; retiring one evicts its clauses
+  // and leaves the other scope's proofs intact.
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("fam_x", Sort::Bool);
 
-  FamilyPlan FP;
-  FP.FamilyName = "demo";
-  FamilySession Sess(Fx.F, FP, /*Budget=*/-1);
+  CatalogPlan CP = oneFamilyPlan("demo");
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
 
   MethodPlan Pos;
   Pos.Name = "m";
@@ -233,11 +247,11 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   Neg.Splits.push_back(VcSplit{{{X, "x"}}, ""});
 
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge("p1", Pos, R1));
-  EXPECT_TRUE(Sess.discharge("p2", Neg, R2));
-  // Pair selector + method selector per pair.
-  EXPECT_EQ(Sess.numSelectors(), 4u);
-  EXPECT_EQ(Sess.stats().PairsOpened, 2u);
+  EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R1));
+  EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R2));
+  // The family selector, then pair selector + method selector per pair.
+  EXPECT_EQ(Sess.numSelectors(), 5u);
+  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 2u);
 
   // The core names the pair scope, the method selector, and the split.
   auto Has = [&R1](const char *L) {
@@ -248,105 +262,71 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   EXPECT_TRUE(Has("not-x"));
 
   uint64_t Retained = Sess.retainedClauses();
-  EXPECT_GT(Sess.retirePair("p1"), 0u);
+  EXPECT_GT(Sess.retirePair(0, "p1"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.stats().PairsRetired, 1u);
+  EXPECT_EQ(Sess.familyStats(0).PairsRetired, 1u);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
   // p2 still verifies after p1's eviction; p1 re-opens under a fresh
   // selector and verifies again.
   SymbolicResult R3, R4;
-  EXPECT_TRUE(Sess.discharge("p2", Neg, R3));
-  EXPECT_TRUE(Sess.discharge("p1", Pos, R4));
-  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
+  EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R3));
+  EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R4));
+  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 3u);
 }
 
 TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("famc_x", Sort::Bool);
 
-  FamilyPlan FP;
-  FP.FamilyName = "demo2";
-  FP.FamilyCommon = {X};
-  FamilySession Sess(Fx.F, FP, /*Budget=*/-1);
-  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
+  CatalogPlan CP = oneFamilyPlan("demo2", {X});
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
 
   MethodPlan M;
   M.Name = "m";
   M.Common = {X}; // Already family base: counted as a reuse, not asserted.
   M.Splits.push_back(VcSplit{{{Fx.F.lnot(X), "not-x"}}, ""});
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge("p1", M, R1));
-  EXPECT_TRUE(Sess.discharge("p2", M, R2));
-  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
-  EXPECT_EQ(Sess.stats().PrefixReuses, 2u);
-}
-
-TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
-  // The family tier is a pure performance refactor: every verdict equals
-  // the shared-pair tier's, pair by pair and method by method, and every
-  // finished pair is retired.
-  PoolFixture &Fx = fixture();
-  SymbolicEngine FamEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedFamily);
-  SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                      SolveMode::SharedPair);
-
-  for (const Family *Fam : allFamilies()) {
-    FamilyOutcome FO = FamEng.verifyFamily(Fx.C, *Fam);
-    const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
-    ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
-    EXPECT_EQ(FO.Stats.PairsRetired, Entries.size());
-    EXPECT_EQ(FO.Stats.PairsOpened, Entries.size());
-    for (size_t I = 0; I != Entries.size(); ++I) {
-      EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
-      PairOutcome Want = Pair.verifyPair(Entries[I]);
-      ASSERT_EQ(FO.Pairs[I].Methods.size(), Want.Methods.size());
-      for (size_t M = 0; M != Want.Methods.size(); ++M) {
-        EXPECT_EQ(FO.Pairs[I].Methods[M].Verified,
-                  Want.Methods[M].Verified)
-            << Fam->Name << " " << Entries[I].pairName() << " method " << M;
-        EXPECT_EQ(FO.Pairs[I].Methods[M].NumVcs, Want.Methods[M].NumVcs);
-      }
-    }
-  }
+  EXPECT_TRUE(Sess.discharge(0, "p1", M, R1));
+  EXPECT_EQ(Sess.familyStats(0).PrefixAsserts, 1u); // Opening the family.
+  EXPECT_TRUE(Sess.discharge(0, "p2", M, R2));
+  EXPECT_EQ(Sess.familyStats(0).PrefixAsserts, 1u);
+  EXPECT_EQ(Sess.familyStats(0).PrefixReuses, 2u);
 }
 
 TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
-  // The point of the family tier's eviction: the peak database stays near
-  // one live pair's footprint instead of accumulating every pair's. The
+  // The point of pair eviction: the peak database stays near one live
+  // pair's footprint instead of accumulating every pair's. The
   // no-eviction reference discharges the same plans through the same
-  // session without ever retiring a pair.
+  // kind of session without ever retiring a pair.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedFamily);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   const Family &Fam = mapFamily();
-  FamilyOutcome Evicting = Eng.verifyFamily(Fx.C, Fam);
+  FamilyOutcome Evicting = Eng.verifyCatalog(Fx.C, {&Fam}).Families.front();
 
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : Fx.C.entries(Fam))
-    Entries.push_back(&E);
-  FamilyPlan FP = Eng.planFamily(Fam.Name, Entries);
-  FamilySession NoEvict(Fx.F, FP, /*Budget=*/200000);
-  for (const PairPlan &PP : FP.Pairs)
+  CatalogPlan CP = Eng.planCatalog(Fx.C, {&Fam});
+  CatalogSession NoEvict(Fx.F, CP, /*Budget=*/200000);
+  for (const ConditionEntry &E : Fx.C.entries(Fam)) {
+    PairPlan PP = Eng.planPair(E);
     for (const MethodPlan &MP : PP.Methods) {
       SymbolicResult R;
-      NoEvict.discharge(PP.Key, MP, R);
+      NoEvict.discharge(0, PP.Key, MP, R);
     }
+  }
 
   EXPECT_GT(Evicting.Stats.EvictedClauses, 0u);
   EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.stats().PeakRetainedClauses);
+            NoEvict.familyStats(0).PeakRetainedClauses);
   // Not proportional to family size: the evicting peak stays well under
   // half of the accumulate-everything peak on the 49-pair Map family.
   EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.stats().PeakRetainedClauses / 2);
+            NoEvict.familyStats(0).PeakRetainedClauses / 2);
 }
 
 /// Eviction-soundness fuzz: random pair discharge / retire / re-verify
-/// orders through one FamilySession — including mutant catalogs whose
-/// proofs fail — against a no-eviction per-pair reference. Verdicts must
+/// orders inside one family scope of a catalog session — including mutant
+/// catalogs whose proofs fail — against the one-shot oracle. Verdicts must
 /// match everywhere and the solver's reason invariant must survive every
 /// eviction.
 class FamilyEvictionFuzzTest : public ::testing::TestWithParam<int> {};
@@ -354,40 +334,37 @@ class FamilyEvictionFuzzTest : public ::testing::TestWithParam<int> {};
 TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
   PoolFixture &Fx = fixture();
   std::mt19937 Rng(GetParam());
-  SymbolicEngine Planner(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                         SolveMode::SharedFamily);
+  SymbolicEngine Planner(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   for (int Trial = 0; Trial < 12; ++Trial) {
     const Family *Fam = allFamilies()[Rng() % allFamilies().size()];
     const std::vector<ConditionEntry> &All = Fx.C.entries(*Fam);
 
     // A handful of pairs, half of the trials mutated to "always commutes"
-    // (fails soundness for most pairs).
-    std::vector<ConditionEntry> Picked;
+    // (fails soundness for most pairs). Mutants keep their operations, so
+    // the family's planned prefixes still apply to them.
+    std::vector<PairPlan> Pairs;
     for (int I = 0; I < 4; ++I) {
       ConditionEntry E = All[Rng() % All.size()];
       if (Rng() & 1)
         E.Before = E.Between = E.After = Fx.F.trueExpr();
-      Picked.push_back(E);
+      Pairs.push_back(Planner.planPair(E));
     }
-    std::vector<const ConditionEntry *> Ptrs;
-    for (const ConditionEntry &E : Picked)
-      Ptrs.push_back(&E);
-    FamilyPlan FP = Planner.planFamily(Fam->Name, Ptrs);
-    FamilySession Sess(Fx.F, FP, /*Budget=*/200000);
+    CatalogPlan CP = Planner.planCatalog(Fx.C, {Fam});
+    CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
     Sess.configureClauseGc(true, /*FirstLimit=*/64);
 
     // Random operation sequence over the picked pairs: discharge a random
     // method of a random pair (re-verification after retirement included),
     // or retire a random pair.
     for (int Step = 0; Step < 24; ++Step) {
-      size_t PI = Rng() % FP.Pairs.size();
-      const PairPlan &PP = FP.Pairs[PI];
+      size_t PI = Rng() % Pairs.size();
+      const PairPlan &PP = Pairs[PI];
       // Keys may repeat across picked entries; index the key by position
       // so a mutant and its original stay distinguishable to the test.
       std::string Key = PP.Key + "#" + std::to_string(PI);
       if (Rng() % 4 == 0) {
-        Sess.retirePair(Key);
+        Sess.retirePair(0, Key);
         ASSERT_TRUE(Sess.session().solver().reasonInvariantHolds())
             << "seed=" << GetParam() << " trial=" << Trial
             << " step=" << Step;
@@ -395,11 +372,12 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       }
       const MethodPlan &MP = PP.Methods[Rng() % PP.Methods.size()];
       SymbolicResult Got;
-      Got.Verified = Sess.discharge(Key, MP, Got);
+      Got.Verified = Sess.discharge(0, Key, MP, Got);
 
-      SharedSession Ref(Fx.F, /*Budget=*/200000, SolveMode::PerMethod);
       SymbolicResult Want;
-      Want.Verified = Ref.discharge(MP, Want);
+      Want.Verified = dischargeOneShot(Fx.F, MP, /*Budget=*/200000,
+                                       /*GcBudget=*/0, /*Certify=*/false,
+                                       Want);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
           << "seed=" << GetParam() << " trial=" << Trial << " step=" << Step
@@ -407,8 +385,8 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       ASSERT_EQ(Got.NumVcs, Want.NumVcs) << MP.Name;
     }
     // Retire everything that is still live and confirm the solver state.
-    for (size_t PI = 0; PI != FP.Pairs.size(); ++PI)
-      Sess.retirePair(FP.Pairs[PI].Key + "#" + std::to_string(PI));
+    for (size_t PI = 0; PI != Pairs.size(); ++PI)
+      Sess.retirePair(0, Pairs[PI].Key + "#" + std::to_string(PI));
     ASSERT_TRUE(Sess.session().solver().reasonInvariantHolds());
   }
 }
@@ -477,15 +455,14 @@ TEST(CatalogSessionTest, FamilyScopesIsolateAndSubtreeRetire) {
 }
 
 TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
-  // The catalog tier is a pure performance refactor: every verdict equals
-  // the shared-pair tier's, family by family, pair by pair, method by
+  // Sharing one session across the catalog is a pure performance choice:
+  // every verdict equals the one a session shared by the pair alone
+  // reaches (verifyPair), family by family, pair by pair, method by
   // method; every pair and every family subtree is retired; and the
   // session recycles variables.
   PoolFixture &Fx = fixture();
-  SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedCatalog);
-  SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                      SolveMode::SharedPair);
+  SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
+  SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   CatalogOutcome CO = CatEng.verifyCatalog(Fx.C, allFamilies());
   ASSERT_EQ(CO.Families.size(), allFamilies().size());
@@ -518,8 +495,7 @@ TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
   // non-null constraints qualify (Set and ArrayList assert them; the
   // families that skip them never mention those variables).
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   CatalogPlan CP = Eng.planCatalog(Fx.C, allFamilies());
   ASSERT_EQ(CP.Families.size(), 4u);
   EXPECT_FALSE(CP.CatalogCommon.empty());
@@ -528,7 +504,7 @@ TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
   EXPECT_TRUE(std::find(CP.CatalogCommon.begin(), CP.CatalogCommon.end(),
                         V1NonNull) != CP.CatalogCommon.end());
   // Every hoisted formula really is in some family's common prefix and in
-  // no family's *negated* vocabulary: cross-check against shared-pair
+  // no family's *negated* vocabulary: cross-check against per-pair
   // verdicts is covered by VerifyCatalogMatchesSharedPairOnWholeCatalog.
 }
 
@@ -537,8 +513,7 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
   // peak live variable count stays measurably below the cumulative
   // allocation a no-recycling run needs for the same discharge sequence.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   CatalogPlan CP = Eng.planCatalog(Fx.C, allFamilies());
 
   auto RunAll = [&](CatalogSession &Sess) {
@@ -582,49 +557,26 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
 }
 
 TEST(SymbolicEngineTest, LazyPlanningBoundsMaterializedSplits) {
-  // verifyFamily/verifyCatalog materialize each pair's splits just
-  // before discharge and drop them after retirePair: the peak number of
-  // live splits is one pair's worth, far below the whole family's.
+  // verifyCatalog materializes each pair's splits just before discharge
+  // and drops them after retirePair: the peak number of live splits is
+  // one pair's worth, far below the whole family's.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedFamily);
-  FamilyOutcome FO = Eng.verifyFamily(Fx.C, arrayListFamily());
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
+  FamilyOutcome FO =
+      Eng.verifyCatalog(Fx.C, {&arrayListFamily()}).Families.front();
   EXPECT_GT(FO.PeakMaterializedSplits, 0u);
   EXPECT_GT(FO.TotalSplits, FO.PeakMaterializedSplits * 10);
 
   // The peak equals the largest single pair's split count — exactly what
-  // the eager planner would have materialized for that pair alone.
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : Fx.C.entries(arrayListFamily()))
-    Entries.push_back(&E);
-  FamilyPlan Eager = Eng.planFamily(arrayListFamily().Name, Entries);
+  // an eager planner would have materialized for that pair alone.
   uint64_t MaxPair = 0, Total = 0;
-  for (const PairPlan &PP : Eager.Pairs) {
+  for (const ConditionEntry &E : Fx.C.entries(arrayListFamily())) {
     uint64_t N = 0;
-    for (const MethodPlan &MP : PP.Methods)
+    for (const MethodPlan &MP : Eng.planPair(E).Methods)
       N += MP.Splits.size();
     MaxPair = std::max(MaxPair, N);
     Total += N;
   }
   EXPECT_EQ(FO.PeakMaterializedSplits, MaxPair);
   EXPECT_EQ(FO.TotalSplits, Total);
-}
-
-TEST(SharedSessionTest, PerMethodAndOneShotModesRecreateSessions) {
-  PoolFixture &Fx = fixture();
-  const ConditionEntry &E = Fx.C.entries(setFamily()).front();
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
-  SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                         SolveMode::OneShot);
-  PairOutcome PM = PerMethod.verifyPair(E);
-  PairOutcome OS = OneShot.verifyPair(E);
-  EXPECT_EQ(PM.failures(), 0u);
-  EXPECT_EQ(OS.failures(), 0u);
-  EXPECT_EQ(PM.SessionsOpened, 6u); // One session per method.
-  uint64_t Vcs = 0;
-  for (const SymbolicResult &R : OS.Methods)
-    Vcs += R.NumVcs;
-  EXPECT_EQ(OS.SessionsOpened, Vcs); // One session per VC split.
-  EXPECT_EQ(PM.Selectors, 0u);       // Selectors are SharedPair-only.
 }

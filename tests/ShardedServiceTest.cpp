@@ -6,11 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded serving front-end and its two sharing mechanisms: the
+// The sharded serving front-end and its sharing mechanism: the
 // pre-encoded catalog prefix image (byte-identical across independent
-// builds, verdict-identical to encode-from-scratch) and the cross-shard
-// learned-clause exchange (ownership-validated adoption, deterministic
-// at drain boundaries). The load-bearing property: verdicts and the
+// builds, verdict-identical to encode-from-scratch). The load-bearing
+// property: verdicts and the
 // combined verdict log are invariant across thread counts and equal to
 // the single-session VerifyService reference.
 //
@@ -113,9 +112,9 @@ TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
 
 // The sharded front-end at 1 worker thread and at 8 worker threads must
 // produce elementwise-identical verdict logs (the determinism contract),
-// identical exchange statistics, and verdict values equal to a
+// identical per-shard statistics, and verdict values equal to a
 // single-session VerifyService reference — over a randomized stream with
-// randomized drain points, with clause sharing on.
+// randomized drain points.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
@@ -177,79 +176,11 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ShardedServiceStats SA = A.stats(), SB = B.stats();
   EXPECT_EQ(SA.Requests, SB.Requests);
   EXPECT_EQ(SA.Drains, SB.Drains);
-  EXPECT_EQ(SA.Exchange.Published, SB.Exchange.Published);
-  EXPECT_EQ(SA.Exchange.Collected, SB.Exchange.Collected);
-  for (size_t S = 0; S != 4; ++S) {
+  for (size_t S = 0; S != 4; ++S)
     EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
-    EXPECT_EQ(SA.Shards[S].ClausesPublished, SB.Shards[S].ClausesPublished);
-    EXPECT_EQ(SA.Shards[S].ClausesAdopted, SB.Shards[S].ClausesAdopted);
-  }
   // Every shard's solver survives its compacting drains.
   for (size_t S = 0; S != 4; ++S)
     EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
-}
-
-// The exchange itself: bucket dedup, the per-shard cap, and per-consumer
-// cursors that hand each collect exactly the not-yet-seen publications.
-TEST(ShardedServiceTest, ClauseExchangeDedupCapAndCursors) {
-  ClauseExchangeConfig Cfg;
-  Cfg.MaxSize = 3;
-  Cfg.MaxGlue = 2;
-  Cfg.PerShardCap = 4;
-  ClauseExchange Ex(3, Cfg);
-
-  PrefixClause Ok1{{1, 2}, 1};
-  PrefixClause Ok2{{-3, 4, 5}, 2};
-  PrefixClause TooBig{{1, 2, 3, 4}, 1};
-  PrefixClause TooGlued{{6, 7}, 3};
-  Ex.publish(0, {Ok1, Ok2, TooBig, TooGlued, Ok1 /* duplicate */});
-  ClauseExchangeStats S = Ex.stats();
-  EXPECT_EQ(S.Published, 2u);
-  EXPECT_EQ(S.Dropped, 3u);
-
-  // Shard 1 collects both; a re-collect sees nothing new.
-  std::vector<PrefixClause> Got = Ex.collectFor(1);
-  ASSERT_EQ(Got.size(), 2u);
-  EXPECT_EQ(Got[0].Lits, Ok1.Lits);
-  EXPECT_EQ(Got[1].Lits, Ok2.Lits);
-  EXPECT_TRUE(Ex.collectFor(1).empty());
-  // Shard 2's cursor is independent.
-  EXPECT_EQ(Ex.collectFor(2).size(), 2u);
-  // A shard never collects its own bucket.
-  EXPECT_TRUE(Ex.collectFor(0).empty());
-
-  // The cap: two more fill the bucket, the next is dropped.
-  Ex.publish(0, {{{8}, 1}, {{9}, 1}, {{10}, 1}});
-  S = Ex.stats();
-  EXPECT_EQ(S.Published, 4u);
-  EXPECT_EQ(S.Dropped, 4u);
-  EXPECT_EQ(Ex.collectFor(1).size(), 2u);
-}
-
-// Adoption validates variable ownership: a clause mentioning a variable
-// outside the shared prefix (or malformed) is refused, never installed.
-TEST(ShardedServiceTest, LearnedImportValidatesOwnership) {
-  ExprFactory F;
-  Catalog C(F);
-  // Accumulator alone has an empty catalog-common prefix (nothing shared
-  // across its pairs); Set contributes the prefix whose variables the
-  // ownership filter guards.
-  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
-
-  ShardedServiceConfig Cfg;
-  Cfg.Shards = 2;
-  ShardedVerifyService Svc(C, Fams, Cfg);
-
-  SmtSession &S1 = Svc.shard(1).session();
-  int PV = S1.prefixVars();
-  ASSERT_GT(PV, 0);
-
-  // A variable past the prefix watermark is not prefix-owned.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{PV + 5, 1}, 1}}), 0u);
-  // Variable index 0 is invalid.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{0}, 1}}), 0u);
-  // A tautology over prefix variables is refused by the solver.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{1, -1}, 1}}), 0u);
 }
 
 // The sharded snapshot round-trips through its textual form, restores
@@ -304,8 +235,8 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_NE(Error.find("route"), std::string::npos) << Error;
 }
 
-// Certify mode still works shard-locally: clause sharing is forced off,
-// every shard logs its own DRAT trace, and the folded summary accepts.
+// Certify mode works shard-locally: every shard logs its own DRAT trace
+// (prefix-image replay included), and the folded summary accepts.
 TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   ExprFactory F;
   Catalog C(F);
@@ -332,8 +263,6 @@ TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   EXPECT_TRUE(Cert.Ok) << Cert.Error;
   EXPECT_GT(Cert.Queries, 0u);
   EXPECT_EQ(Cert.Queries, Cert.QueriesPassed);
-  // Sharing is disabled under certification: no foreign clauses entered.
-  EXPECT_EQ(Svc.stats().Exchange.Published, 0u);
 }
 
 } // namespace

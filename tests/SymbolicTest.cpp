@@ -119,25 +119,20 @@ TEST(SymbolicEngineTest, WarmSessionReportsReuseStats) {
 }
 
 TEST(SymbolicEngineTest, AllSolveModesAgree) {
-  // The session optimizations must be invisible in the verdicts: every
-  // mode verifies the full ArrayList suite (the split-heavy family) and
-  // rejects the same mutants.
+  // The warm session must be invisible in the verdicts: the catalog path
+  // and the one-shot oracle both verify the full ArrayList suite (the
+  // split-heavy family) and reject the same mutants.
   SymbolicFixture &Fx = fixture();
   SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                          SolveMode::OneShot);
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
-  SymbolicEngine SharedPair(Fx.F, /*SeqLenBound=*/2,
-                            /*ConflictBudget=*/200000,
-                            SolveMode::SharedPair);
+  SymbolicEngine Warm(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
+                      SolveMode::SharedCatalog);
   for (const TestingMethod &M :
        generateTestingMethods(Fx.C, arrayListFamily())) {
     SymbolicResult A = OneShot.verify(M);
-    SymbolicResult B = PerMethod.verify(M);
-    SymbolicResult S = SharedPair.verify(M);
-    EXPECT_EQ(A.Verified, B.Verified) << M.name();
+    SymbolicResult S = Warm.verify(M);
+    EXPECT_TRUE(A.Verified) << M.name();
     EXPECT_EQ(A.Verified, S.Verified) << M.name();
-    EXPECT_EQ(A.NumVcs, B.NumVcs) << M.name();
     EXPECT_EQ(A.NumVcs, S.NumVcs) << M.name();
     EXPECT_EQ(A.RetainedClauses, 0u) << M.name();
   }
@@ -152,22 +147,20 @@ TEST(SymbolicEngineTest, AllSolveModesAgree) {
   M.Kind = ConditionKind::Before;
   M.Role = MethodRole::Soundness;
   EXPECT_FALSE(OneShot.verify(M).Verified);
-  EXPECT_FALSE(PerMethod.verify(M).Verified);
-  EXPECT_FALSE(SharedPair.verify(M).Verified);
+  EXPECT_FALSE(Warm.verify(M).Verified);
 }
 
 TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
   SymbolicFixture &Fx = fixture();
-  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedPair);
+  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   const ConditionEntry &E =
       Fx.C.entry(arrayListFamily(), "add_at", "remove_at");
   PairOutcome O = Engine.verifyPair(E);
   ASSERT_EQ(O.Methods.size(), 6u);
   ASSERT_EQ(O.MethodMillis.size(), 6u);
   EXPECT_EQ(O.failures(), 0u);
-  EXPECT_EQ(O.SessionsOpened, 1u); // One warm solver for the whole pair.
-  EXPECT_EQ(O.Selectors, 6u);      // One selector literal per method.
+  // Family and pair scope, plus one selector literal per method.
+  EXPECT_EQ(O.Selectors, 8u);
   EXPECT_GT(O.RetainedClauses, 0u);
   uint64_t Vcs = 0;
   for (const SymbolicResult &R : O.Methods) {
@@ -175,20 +168,14 @@ TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
     Vcs += R.NumVcs;
   }
   EXPECT_EQ(O.Checks, Vcs); // Every VC went through the shared session.
-
-  // In per-method mode the same pair opens one session per method.
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
-  EXPECT_EQ(PerMethod.verifyPair(E).SessionsOpened, 6u);
 }
 
 TEST(SymbolicEngineTest, ProofCoresNameSelectorAndSplitLiterals) {
   // A verified method's unsat cores name the assumptions the refutations
-  // used; in SharedPair mode the method's selector shows up whenever its
-  // scoped prefix carried the proof.
+  // used; the method's selector shows up whenever its scoped prefix
+  // carried the proof.
   SymbolicFixture &Fx = fixture();
-  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedPair);
+  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   const ConditionEntry &E = Fx.C.entry(setFamily(), "add", "add");
   PairOutcome O = Engine.verifyPair(E);
   bool SawSelector = false, SawSplitLabel = false;

@@ -174,8 +174,19 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
     Out.Verified = R.Verified;
     Out.Scenarios = R.ScenariosChecked;
     Out.Note = R.FailureNote;
+  } else if (P.Symbolic) {
+    assert(Opts.SymbolicMode == SolveMode::OneShot &&
+           "warm symbolic commutativity jobs run as catalog groups");
+    SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
+                       Opts.SymbolicConflictBudget, SolveMode::OneShot);
+    Sym.setClauseGcBudget(Opts.GcBudget);
+    Sym.setCertify(Opts.Certify);
+    TestingMethod M;
+    M.Entry = P.Entry;
+    M.Kind = P.Kind;
+    M.Role = P.Role;
+    fillSymbolicRecord(Sym.verify(M), Out);
   } else {
-    assert(!P.Symbolic && "symbolic commutativity jobs run as pair groups");
     VerifyResult R =
         Engine.verifyCondition(*P.Fam, P.Entry->op1().Name,
                                P.Entry->op2().Name, P.Kind, P.Role,
@@ -188,164 +199,48 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
   Out.Millis = Timer.millis();
 }
 
-/// The unit of work for symbolic commutativity jobs: all six testing
-/// methods of one (family, op-pair), run on one worker so they share one
-/// warm session (SolveMode::SharedPair).
-struct PairGroup {
-  const ConditionEntry *Entry = nullptr;
-  std::vector<size_t> JobIdx; ///< Six jobs, in (kind x role) order.
-};
-
-/// Copies a pair outcome into its stats row (shared by the pair-group and
-/// family-group paths). Millis is the sum of the method times; the
-/// pair-group path overwrites it with its own wall clock.
-void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
-                   const char *ModeName, PairStats &Stats);
-
-void runPairGroup(const Catalog &C, const DriverOptions &Opts,
-                  const PairGroup &G, std::vector<JobRecord> &Jobs,
-                  PairStats &Stats) {
-  Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, Opts.SymbolicMode);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  PairOutcome O = Sym.verifyPair(*G.Entry);
-  assert(O.Methods.size() == G.JobIdx.size() &&
-         "pair group out of sync with enumeration");
-  for (size_t I = 0; I != G.JobIdx.size(); ++I) {
-    JobRecord &Out = Jobs[G.JobIdx[I]];
-    fillSymbolicRecord(O.Methods[I], Out);
-    Out.Millis = O.MethodMillis[I];
-  }
-  fillPairStats(O, *G.Entry, solveModeName(Opts.SymbolicMode), Stats);
-  Stats.Millis = Timer.millis();
-}
-
-/// The unit of work for symbolic commutativity jobs in SharedFamily mode:
-/// every pair of one family runs on one worker through one FamilySession
-/// (pair order = catalog entry order = enumeration order).
-struct FamilyGroup {
-  const Family *Fam = nullptr;
-  std::vector<PairGroup> Pairs;
-  /// PairStats row of each pair (same index space as the pair-group list),
-  /// so stats placement never relies on families being contiguous there.
-  std::vector<size_t> PairRows;
-};
-
-void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
-                   const char *ModeName, PairStats &Stats) {
-  Stats.Family = E.Fam->Name;
-  Stats.Op1 = E.op1().Name;
-  Stats.Op2 = E.op2().Name;
-  Stats.Mode = ModeName;
-  Stats.Methods = static_cast<unsigned>(O.Methods.size());
-  for (const SymbolicResult &R : O.Methods)
-    Stats.Vcs += R.NumVcs;
-  Stats.Checks = O.Checks;
-  Stats.Conflicts = O.Conflicts;
-  Stats.RetainedClauses = O.RetainedClauses;
-  Stats.DbReductions = O.DbReductions;
-  Stats.ReclaimedClauses = O.ReclaimedClauses;
-  Stats.Selectors = O.Selectors;
-  Stats.SessionsOpened = O.SessionsOpened;
-  for (double Ms : O.MethodMillis)
-    Stats.Millis += Ms;
-}
-
-/// Copies one family outcome into its job records, pair-stats rows, and
-/// family-stats row — shared by the family-group and catalog-group paths
-/// (the catalog path hands over each family tier's slice).
-void fillFamilyRecords(const FamilyOutcome &FO, const FamilyGroup &G,
-                       const char *ModeName, std::vector<JobRecord> &Jobs,
-                       std::vector<PairStats> &Pairs, FamilyStats &Stats) {
-  assert(FO.Pairs.size() == G.Pairs.size() &&
-         "family group out of sync with the catalog");
-  for (size_t PI = 0; PI != G.Pairs.size(); ++PI) {
-    const PairGroup &PG = G.Pairs[PI];
-    const PairOutcome &PO = FO.Pairs[PI];
-    assert(PO.Methods.size() == PG.JobIdx.size() &&
-           "pair group out of sync with enumeration");
-    for (size_t I = 0; I != PG.JobIdx.size(); ++I) {
-      JobRecord &Out = Jobs[PG.JobIdx[I]];
-      fillSymbolicRecord(PO.Methods[I], Out);
-      Out.Millis = PO.MethodMillis[I];
-    }
-    fillPairStats(PO, *PG.Entry, ModeName, Pairs[G.PairRows[PI]]);
-  }
-  Stats.Family = G.Fam->Name;
-  Stats.Mode = ModeName;
-  Stats.Pairs = static_cast<unsigned>(FO.Pairs.size());
-  for (const PairOutcome &PO : FO.Pairs) {
-    Stats.Methods += static_cast<unsigned>(PO.Methods.size());
-    for (const SymbolicResult &R : PO.Methods)
-      Stats.Vcs += R.NumVcs;
-  }
-  Stats.Checks = FO.Checks;
-  Stats.Conflicts = FO.Conflicts;
-  Stats.PrefixAsserts = FO.Stats.PrefixAsserts;
-  Stats.PrefixReuses = FO.Stats.PrefixReuses;
-  Stats.PeakRetainedClauses = FO.Stats.PeakRetainedClauses;
-  Stats.Evictions = FO.Stats.PairsRetired;
-  Stats.EvictedClauses = FO.Stats.EvictedClauses;
-  Stats.DbReductions = FO.DbReductions;
-  Stats.ReclaimedClauses = FO.ReclaimedClauses;
-  Stats.Selectors = FO.Selectors;
-}
-
-void runFamilyGroup(const Catalog &C, const DriverOptions &Opts,
-                    const FamilyGroup &G, std::vector<JobRecord> &Jobs,
-                    std::vector<PairStats> &Pairs, FamilyStats &Stats) {
-  Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, SolveMode::SharedFamily);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  FamilyOutcome FO = Sym.verifyFamily(C, *G.Fam);
-  fillFamilyRecords(FO, G, solveModeName(SolveMode::SharedFamily), Jobs,
-                    Pairs, Stats);
-  Stats.Millis = Timer.millis();
-}
-
-/// The unit of work in SharedCatalog mode: one CatalogSession serving a
-/// deterministic list of family groups — all of them at one thread, one
-/// per session (family shards) otherwise.
+/// The unit of work of the warm path: one CatalogSession serving a
+/// deterministic list of families — all of them at one thread, one per
+/// session (family shards) otherwise.
 struct CatalogGroup {
-  std::vector<size_t> FamGroupIdx; ///< Indices into the FamilyGroup list.
+  std::vector<const Family *> Fams;
+  /// Per family, per catalog entry: the entry's six job indices, in
+  /// (kind x role) order.
+  std::vector<std::vector<std::vector<size_t>>> JobIdx;
 };
 
 void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
-                     const std::vector<FamilyGroup> &FamGroups,
-                     const CatalogGroup &CG, std::vector<JobRecord> &Jobs,
-                     std::vector<PairStats> &Pairs,
-                     std::vector<FamilyStats> &FamSessions,
+                     const CatalogGroup &G, std::vector<JobRecord> &Jobs,
                      CatalogStats &Stats) {
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, SolveMode::SharedCatalog);
   Sym.setClauseGcBudget(Opts.GcBudget);
   Sym.setCertify(Opts.Certify);
-  Sym.setBridgeCompaction(Opts.CompactBridges);
-  std::vector<const Family *> Fams;
-  for (size_t GI : CG.FamGroupIdx)
-    Fams.push_back(FamGroups[GI].Fam);
-  CatalogOutcome CO = Sym.verifyCatalog(C, Fams);
-  assert(CO.Families.size() == CG.FamGroupIdx.size() &&
+  CatalogOutcome CO = Sym.verifyCatalog(C, G.Fams);
+  assert(CO.Families.size() == G.Fams.size() &&
          "catalog group out of sync with the plan");
 
-  const char *ModeName = solveModeName(SolveMode::SharedCatalog);
-  Stats.Mode = ModeName;
-  for (size_t I = 0; I != CG.FamGroupIdx.size(); ++I) {
-    const FamilyGroup &G = FamGroups[CG.FamGroupIdx[I]];
-    FamilyStats &FS = FamSessions[CG.FamGroupIdx[I]];
-    fillFamilyRecords(CO.Families[I], G, ModeName, Jobs, Pairs, FS);
-    FS.Millis = 0; // Shared wall clock: reported on the catalog row.
-    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + G.Fam->Name;
-    Stats.Pairs += FS.Pairs;
-    Stats.Methods += FS.Methods;
-    Stats.Vcs += FS.Vcs;
+  for (size_t FI = 0; FI != G.Fams.size(); ++FI) {
+    const FamilyOutcome &FO = CO.Families[FI];
+    assert(FO.Pairs.size() == G.JobIdx[FI].size() &&
+           "family out of sync with the catalog");
+    for (size_t PI = 0; PI != FO.Pairs.size(); ++PI) {
+      const PairOutcome &PO = FO.Pairs[PI];
+      const std::vector<size_t> &Idx = G.JobIdx[FI][PI];
+      assert(PO.Methods.size() == Idx.size() &&
+             "pair out of sync with enumeration");
+      for (size_t I = 0; I != Idx.size(); ++I) {
+        fillSymbolicRecord(PO.Methods[I], Jobs[Idx[I]]);
+        Jobs[Idx[I]].Millis = PO.MethodMillis[I];
+        Stats.Vcs += PO.Methods[I].NumVcs;
+      }
+      Stats.Methods += static_cast<unsigned>(PO.Methods.size());
+    }
+    Stats.Pairs += static_cast<unsigned>(FO.Pairs.size());
+    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + FO.Family;
   }
-  Stats.Families = static_cast<unsigned>(CG.FamGroupIdx.size());
+  Stats.Families = static_cast<unsigned>(G.Fams.size());
   Stats.Checks = CO.Checks;
   Stats.Conflicts = CO.Conflicts;
   Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
@@ -358,10 +253,6 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
   Stats.PeakLiveClauses = CO.Stats.PeakLiveClauses;
   Stats.VarRequests = CO.Stats.VarRequests;
   Stats.PeakRetainedClauses = CO.Stats.PeakRetainedClauses;
-  Stats.BridgeCompactions = CO.Stats.BridgeCompactions;
-  Stats.ReleasedAtomVars = CO.Stats.ReleasedAtomVars;
-  Stats.ReleasedSelectors = CO.Stats.ReleasedSelectors;
-  Stats.PeakLiveBridges = CO.Stats.PeakLiveBridges;
   Stats.Selectors = CO.Selectors;
   Stats.Millis = Timer.millis();
 }
@@ -409,93 +300,46 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
   }
 
-  // Group the symbolic commutativity jobs by (family, op-pair): the six
-  // testing methods of one pair run as one unit so they can share a warm
-  // session. Enumeration emits them contiguously in (kind x role) order.
-  std::vector<PairGroup> Groups;
-  std::map<const ConditionEntry *, size_t> GroupOf;
-  for (size_t I = 0; I != Jobs.size(); ++I) {
-    const PreparedJob &P = Prepared[I];
-    if (!P.Symbolic || P.Inverse)
-      continue;
-    auto [It, Fresh] = GroupOf.try_emplace(P.Entry, Groups.size());
-    if (Fresh) {
-      Groups.push_back({});
-      Groups.back().Entry = P.Entry;
-    }
-    Groups[It->second].JobIdx.push_back(I);
-  }
-  std::vector<PairStats> Pairs(Groups.size());
-
-  // In SharedFamily and SharedCatalog modes the unit of work grows to the
-  // whole family: one worker runs every pair of a family through one
-  // session (group order follows the first pair's position, i.e.
-  // enumeration order).
-  bool FamilyMode = Opts.SymbolicMode == SolveMode::SharedFamily;
-  bool CatalogMode = Opts.SymbolicMode == SolveMode::SharedCatalog;
-  std::vector<FamilyGroup> FamGroups;
-  if (FamilyMode || CatalogMode) {
-    std::map<const Family *, size_t> FamGroupOf;
-    for (size_t G = 0; G != Groups.size(); ++G) {
-      const Family *Fam = Groups[G].Entry->Fam;
-      auto [It, Fresh] = FamGroupOf.try_emplace(Fam, FamGroups.size());
-      if (Fresh) {
-        FamGroups.push_back({});
-        FamGroups.back().Fam = Fam;
-      }
-      FamGroups[It->second].Pairs.push_back(Groups[G]);
-      FamGroups[It->second].PairRows.push_back(G);
-    }
-  }
-  std::vector<FamilyStats> FamSessions(FamGroups.size());
-
-  // SharedCatalog scheduling: at one thread the whole catalog runs
-  // through a single CatalogSession; with more threads each family runs
-  // as its own catalog session (family shards), so the shard list — and
-  // with it every statistic — is a function of the options alone.
+  // Warm path: the symbolic commutativity jobs run through catalog
+  // sessions. At one thread the whole catalog runs through a single
+  // session; with more threads each family runs as its own session
+  // (family shards), so the group list — and with it every statistic — is
+  // a function of the options alone. Enumeration emits each entry's six
+  // jobs contiguously in (kind x role) order.
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
-  std::vector<CatalogGroup> CatGroups;
-  if (CatalogMode && !FamGroups.empty()) {
-    if (Threads == 1) {
-      CatGroups.push_back({});
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        CatGroups.back().FamGroupIdx.push_back(G);
-    } else {
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        CatGroups.push_back({{G}});
+  bool Warm = Opts.SymbolicMode == SolveMode::SharedCatalog;
+  std::map<const ConditionEntry *, std::vector<size_t>> JobsOf;
+  for (size_t I = 0; I != Jobs.size(); ++I)
+    if (Prepared[I].Symbolic && !Prepared[I].Inverse)
+      JobsOf[Prepared[I].Entry].push_back(I);
+  std::vector<CatalogGroup> Groups;
+  if (Warm && !JobsOf.empty())
+    for (const Family *Fam : Fams) {
+      if (Groups.empty() || Threads > 1)
+        Groups.emplace_back();
+      CatalogGroup &G = Groups.back();
+      G.Fams.push_back(Fam);
+      G.JobIdx.emplace_back();
+      for (const ConditionEntry &E : C.entries(*Fam))
+        G.JobIdx.back().push_back(JobsOf[&E]);
     }
-  }
-  std::vector<CatalogStats> CatSessions(CatGroups.size());
+  std::vector<CatalogStats> CatSessions(Groups.size());
 
   ExhaustiveEngine Engine(Opts.Bounds);
   Stopwatch Wall;
   {
     ThreadPool Pool(Threads);
     for (size_t I = 0; I != Jobs.size(); ++I) {
-      if (Prepared[I].Symbolic && !Prepared[I].Inverse)
-        continue; // Runs inside its pair, family, or catalog group.
+      if (Warm && Prepared[I].Symbolic && !Prepared[I].Inverse)
+        continue; // Runs inside its catalog group.
       Pool.submit([&Engine, &C, &Opts, &Prepared, &Jobs, I] {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
     }
-    if (CatalogMode) {
-      for (size_t G = 0; G != CatGroups.size(); ++G)
-        Pool.submit([&C, &Opts, &FamGroups, &CatGroups, &Jobs, &Pairs,
-                     &FamSessions, &CatSessions, G] {
-          runCatalogGroup(C, Opts, FamGroups, CatGroups[G], Jobs, Pairs,
-                          FamSessions, CatSessions[G]);
-        });
-    } else if (FamilyMode) {
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        Pool.submit([&C, &Opts, &FamGroups, &Jobs, &Pairs, &FamSessions, G] {
-          runFamilyGroup(C, Opts, FamGroups[G], Jobs, Pairs, FamSessions[G]);
-        });
-    } else {
-      for (size_t G = 0; G != Groups.size(); ++G)
-        Pool.submit([&C, &Opts, &Groups, &Jobs, &Pairs, G] {
-          runPairGroup(C, Opts, Groups[G], Jobs, Pairs[G]);
-        });
-    }
+    for (size_t G = 0; G != Groups.size(); ++G)
+      Pool.submit([&C, &Opts, &Groups, &Jobs, &CatSessions, G] {
+        runCatalogGroup(C, Opts, Groups[G], Jobs, CatSessions[G]);
+      });
     Pool.wait();
   }
 
@@ -505,8 +349,6 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   R.Certified = Opts.Certify;
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
-  R.Pairs = std::move(Pairs);
-  R.FamilySessions = std::move(FamSessions);
   R.CatalogSessions = std::move(CatSessions);
 
   for (const Family *Fam : Fams) {
@@ -599,71 +441,10 @@ json::Value Report::toJson() const {
   }
   Root.set("families", std::move(FamArr));
 
-  if (!Pairs.empty()) {
-    json::Value PairArr = json::Value::array();
-    for (const PairStats &P : Pairs) {
-      json::Value V = json::Value::object();
-      V.set("family", json::Value::string(P.Family));
-      V.set("op1", json::Value::string(P.Op1));
-      V.set("op2", json::Value::string(P.Op2));
-      V.set("mode", json::Value::string(P.Mode));
-      V.set("methods", json::Value::integer(P.Methods));
-      V.set("vcs", json::Value::integer(static_cast<int64_t>(P.Vcs)));
-      V.set("checks", json::Value::integer(static_cast<int64_t>(P.Checks)));
-      V.set("sat_conflicts", json::Value::integer(P.Conflicts));
-      V.set("retained_clauses",
-            json::Value::integer(static_cast<int64_t>(P.RetainedClauses)));
-      V.set("db_reductions",
-            json::Value::integer(static_cast<int64_t>(P.DbReductions)));
-      V.set("reclaimed_clauses",
-            json::Value::integer(static_cast<int64_t>(P.ReclaimedClauses)));
-      V.set("selectors", json::Value::integer(P.Selectors));
-      V.set("sessions", json::Value::integer(
-                            static_cast<int64_t>(P.SessionsOpened)));
-      V.set("ms", json::Value::number(P.Millis));
-      PairArr.push(std::move(V));
-    }
-    Root.set("pair_stats", std::move(PairArr));
-  }
-
-  if (!FamilySessions.empty()) {
-    json::Value FamSessArr = json::Value::array();
-    for (const FamilyStats &S : FamilySessions) {
-      json::Value V = json::Value::object();
-      V.set("family", json::Value::string(S.Family));
-      V.set("mode", json::Value::string(S.Mode));
-      V.set("pairs", json::Value::integer(S.Pairs));
-      V.set("methods", json::Value::integer(S.Methods));
-      V.set("vcs", json::Value::integer(static_cast<int64_t>(S.Vcs)));
-      V.set("checks", json::Value::integer(static_cast<int64_t>(S.Checks)));
-      V.set("sat_conflicts", json::Value::integer(S.Conflicts));
-      V.set("prefix_asserts",
-            json::Value::integer(static_cast<int64_t>(S.PrefixAsserts)));
-      V.set("prefix_reuses",
-            json::Value::integer(static_cast<int64_t>(S.PrefixReuses)));
-      V.set("peak_retained_clauses",
-            json::Value::integer(
-                static_cast<int64_t>(S.PeakRetainedClauses)));
-      V.set("evictions",
-            json::Value::integer(static_cast<int64_t>(S.Evictions)));
-      V.set("evicted_clauses",
-            json::Value::integer(static_cast<int64_t>(S.EvictedClauses)));
-      V.set("db_reductions",
-            json::Value::integer(static_cast<int64_t>(S.DbReductions)));
-      V.set("reclaimed_clauses",
-            json::Value::integer(static_cast<int64_t>(S.ReclaimedClauses)));
-      V.set("selectors", json::Value::integer(S.Selectors));
-      V.set("ms", json::Value::number(S.Millis));
-      FamSessArr.push(std::move(V));
-    }
-    Root.set("family_stats", std::move(FamSessArr));
-  }
-
   if (!CatalogSessions.empty()) {
     json::Value CatArr = json::Value::array();
     for (const CatalogStats &S : CatalogSessions) {
       json::Value V = json::Value::object();
-      V.set("mode", json::Value::string(S.Mode));
       V.set("family_names", json::Value::string(S.FamilyNames));
       V.set("families", json::Value::integer(S.Families));
       V.set("pairs", json::Value::integer(S.Pairs));
@@ -693,14 +474,6 @@ json::Value Report::toJson() const {
       V.set("peak_retained_clauses",
             json::Value::integer(
                 static_cast<int64_t>(S.PeakRetainedClauses)));
-      V.set("bridge_compactions",
-            json::Value::integer(static_cast<int64_t>(S.BridgeCompactions)));
-      V.set("released_atom_vars",
-            json::Value::integer(static_cast<int64_t>(S.ReleasedAtomVars)));
-      V.set("released_selectors",
-            json::Value::integer(static_cast<int64_t>(S.ReleasedSelectors)));
-      V.set("peak_live_bridges",
-            json::Value::integer(static_cast<int64_t>(S.PeakLiveBridges)));
       V.set("selectors", json::Value::integer(S.Selectors));
       V.set("ms", json::Value::number(S.Millis));
       CatArr.push(std::move(V));
@@ -804,68 +577,12 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
     R.Families.push_back(std::move(Sum));
   }
 
-  if (const json::Value *PairArr = V.find("pair_stats")) {
-    if (!PairArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != PairArr->size(); ++I) {
-      const json::Value &P = PairArr->at(I);
-      PairStats S;
-      S.Family = P["family"].asString();
-      S.Op1 = P["op1"].asString();
-      S.Op2 = P["op2"].asString();
-      S.Mode = P["mode"].asString();
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.RetainedClauses =
-          static_cast<uint64_t>(P["retained_clauses"].asInt());
-      S.DbReductions = static_cast<uint64_t>(P["db_reductions"].asInt());
-      S.ReclaimedClauses =
-          static_cast<uint64_t>(P["reclaimed_clauses"].asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
-      S.SessionsOpened = static_cast<uint64_t>(P["sessions"].asInt());
-      S.Millis = P["ms"].asDouble();
-      R.Pairs.push_back(std::move(S));
-    }
-  }
-
-  if (const json::Value *FamSessArr = V.find("family_stats")) {
-    if (!FamSessArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != FamSessArr->size(); ++I) {
-      const json::Value &P = FamSessArr->at(I);
-      FamilyStats S;
-      S.Family = P["family"].asString();
-      S.Mode = P["mode"].asString();
-      S.Pairs = static_cast<unsigned>(P["pairs"].asInt());
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.PrefixAsserts = static_cast<uint64_t>(P["prefix_asserts"].asInt());
-      S.PrefixReuses = static_cast<uint64_t>(P["prefix_reuses"].asInt());
-      S.PeakRetainedClauses =
-          static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      S.Evictions = static_cast<uint64_t>(P["evictions"].asInt());
-      S.EvictedClauses =
-          static_cast<uint64_t>(P["evicted_clauses"].asInt());
-      S.DbReductions = static_cast<uint64_t>(P["db_reductions"].asInt());
-      S.ReclaimedClauses =
-          static_cast<uint64_t>(P["reclaimed_clauses"].asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
-      S.Millis = P["ms"].asDouble();
-      R.FamilySessions.push_back(std::move(S));
-    }
-  }
-
   if (const json::Value *CatArr = V.find("catalog_stats")) {
     if (!CatArr->isArray())
       return std::nullopt;
     for (size_t I = 0; I != CatArr->size(); ++I) {
       const json::Value &P = CatArr->at(I);
       CatalogStats S;
-      S.Mode = P["mode"].asString();
       S.FamilyNames = P["family_names"].asString();
       S.Families = static_cast<unsigned>(P["families"].asInt());
       S.Pairs = static_cast<unsigned>(P["pairs"].asInt());
@@ -887,16 +604,6 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
       S.PeakRetainedClauses =
           static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      // Bridge-compaction counters arrived with --compact-bridges; older
-      // reports simply lack them.
-      if (const json::Value *BC = P.find("bridge_compactions"))
-        S.BridgeCompactions = static_cast<uint64_t>(BC->asInt());
-      if (const json::Value *RA = P.find("released_atom_vars"))
-        S.ReleasedAtomVars = static_cast<uint64_t>(RA->asInt());
-      if (const json::Value *RS = P.find("released_selectors"))
-        S.ReleasedSelectors = static_cast<uint64_t>(RS->asInt());
-      if (const json::Value *PB = P.find("peak_live_bridges"))
-        S.PeakLiveBridges = static_cast<uint64_t>(PB->asInt());
       S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
       S.Millis = P["ms"].asDouble();
       R.CatalogSessions.push_back(std::move(S));
@@ -998,41 +705,6 @@ std::string driver::renderSummary(const Report &R) {
                   static_cast<long long>(TotalConflicts),
                   static_cast<unsigned long long>(PeakRetained));
     Out += Buf;
-    if (!R.Pairs.empty()) {
-      uint64_t Sessions = 0, Checks = 0;
-      for (const PairStats &P : R.Pairs) {
-        Sessions += P.SessionsOpened;
-        Checks += P.Checks;
-      }
-      std::snprintf(Buf, sizeof(Buf),
-                    "pair sessions: %zu pairs, %llu sessions, %llu checks, "
-                    "%llu clause-GC runs reclaiming %llu clauses\n",
-                    R.Pairs.size(),
-                    static_cast<unsigned long long>(Sessions),
-                    static_cast<unsigned long long>(Checks),
-                    static_cast<unsigned long long>(TotalReductions),
-                    static_cast<unsigned long long>(TotalReclaimed));
-      Out += Buf;
-    }
-    if (!R.FamilySessions.empty()) {
-      uint64_t Evictions = 0, Evicted = 0, Peak = 0, Reuses = 0;
-      for (const FamilyStats &S : R.FamilySessions) {
-        Evictions += S.Evictions;
-        Evicted += S.EvictedClauses;
-        Peak = std::max(Peak, S.PeakRetainedClauses);
-        Reuses += S.PrefixReuses;
-      }
-      std::snprintf(Buf, sizeof(Buf),
-                    "family sessions: %zu families, %llu pair evictions "
-                    "dropping %llu clauses, peak %llu retained, %llu "
-                    "prefix-assert reuses\n",
-                    R.FamilySessions.size(),
-                    static_cast<unsigned long long>(Evictions),
-                    static_cast<unsigned long long>(Evicted),
-                    static_cast<unsigned long long>(Peak),
-                    static_cast<unsigned long long>(Reuses));
-      Out += Buf;
-    }
     if (!R.CatalogSessions.empty()) {
       uint64_t Subtrees = 0, Recycled = 0, PeakVars = 0, Demand = 0,
                PeakCls = 0;

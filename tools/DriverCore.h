@@ -13,10 +13,11 @@
 /// dispatches the independent verification jobs across a work-stealing
 /// ThreadPool, and aggregates per-family timings plus a JSON report.
 ///
-/// Symbolic commutativity jobs are planned *per pair*: the six testing
-/// methods of one (family, op-pair) run as one unit on one worker so they
-/// can share a warm solver session (SolveMode::SharedPair); the report
-/// gains per-pair reuse statistics. The job list and the result order are
+/// Symbolic commutativity jobs run through warm catalog sessions
+/// (SolveMode::SharedCatalog): one session for the whole catalog at one
+/// thread, one per family (family shards) otherwise; the report gains
+/// per-session statistics. SolveMode::OneShot runs every job as its own
+/// cold reference oracle instead. The job list and the result order are
 /// fully determined by the options — never by thread scheduling — so an
 /// N-thread run and a 1-thread run produce byte-identical verdict
 /// sequences (DriverTest pins this down).
@@ -63,13 +64,11 @@ struct DriverOptions {
   int SymbolicSeqLenBound = 3;
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
-  /// Session strategy for the symbolic engine: shared-pair (default),
-  /// shared-family (one warm solver per family, with scoped eviction),
-  /// shared-catalog (one warm solver for the whole catalog at one thread,
-  /// family-sharded catalog sessions at more threads; selector-tree
-  /// scopes with subtree retirement and variable recycling), or the
-  /// per-method / oneshot comparison baselines.
-  SolveMode SymbolicMode = SolveMode::SharedPair;
+  /// Session strategy for the symbolic engine: shared-catalog (default;
+  /// one warm solver for the whole catalog at one thread, family-sharded
+  /// catalog sessions at more threads; selector-tree scopes with subtree
+  /// retirement and variable recycling) or the oneshot reference oracle.
+  SolveMode SymbolicMode = SolveMode::SharedCatalog;
   /// Clause-GC budget: live learned clauses at which a warm session's
   /// first database reduction fires (--gc-budget; 0 keeps the solver
   /// default, which bench/perf_engine_scaling's sweep picked from data).
@@ -80,13 +79,6 @@ struct DriverOptions {
   /// proof_queries / proof_clauses / proof_checked. Symbolic engine only
   /// (the CLI rejects --certify with --engine exhaustive).
   bool Certify = false;
-  /// Bridge compaction (--compact-bridges): shared-catalog sessions
-  /// reference-count theory atoms by live scopes and compact bridge
-  /// clauses (and their Tseitin variables) out of the clause database
-  /// once every owning scope retires. Symbolic shared-catalog runs only
-  /// (the CLI rejects it elsewhere); the long-lived path is
-  /// semcommute-serve, where compaction defaults on.
-  bool CompactBridges = false;
 };
 
 /// One verification job and (after running) its outcome. Category is
@@ -151,56 +143,11 @@ struct FamilySummary {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Reuse statistics of one shared pair session (symbolic commutativity
-/// jobs only; one row per (family, op-pair) in job-list order).
-struct PairStats {
-  std::string Family;
-  std::string Op1, Op2;
-  std::string Mode; ///< solveModeName of the run.
-  unsigned Methods = 0;
-  uint64_t Vcs = 0;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  uint64_t RetainedClauses = 0;
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0;
-  uint64_t SessionsOpened = 0;
-  double Millis = 0;
-};
-
-/// Reuse and eviction statistics of one family-level session (symbolic
-/// commutativity jobs under SolveMode::SharedFamily; one row per family).
-struct FamilyStats {
-  std::string Family;
-  std::string Mode; ///< solveModeName of the run.
-  unsigned Pairs = 0;
-  unsigned Methods = 0;
-  uint64_t Vcs = 0;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  /// Common-prefix assertions issued vs. skipped because the formula was
-  /// already in the family base or the pair scope (the amortization the
-  /// family tier buys).
-  uint64_t PrefixAsserts = 0;
-  uint64_t PrefixReuses = 0;
-  /// High-water mark of retained clauses across the family's checks — the
-  /// number scoped eviction bounds.
-  uint64_t PeakRetainedClauses = 0;
-  uint64_t Evictions = 0; ///< Pair scopes retired.
-  uint64_t EvictedClauses = 0;
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Pair + method selectors registered.
-  double Millis = 0;
-};
-
 /// Reuse, retirement, and recycling statistics of one catalog-level
 /// session (symbolic commutativity jobs under SolveMode::SharedCatalog;
 /// one row per catalog session — a single row at one thread, one per
 /// family shard otherwise).
 struct CatalogStats {
-  std::string Mode;        ///< solveModeName of the run.
   std::string FamilyNames; ///< Comma-joined families this session served.
   unsigned Families = 0;
   unsigned Pairs = 0;
@@ -223,13 +170,6 @@ struct CatalogStats {
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
   uint64_t PeakRetainedClauses = 0;
-  /// Bridge compaction: compaction passes run, theory-atom and selector
-  /// variables released to the recycler, and the live-bridge high-water
-  /// mark (all zero unless --compact-bridges).
-  uint64_t BridgeCompactions = 0;
-  uint64_t ReleasedAtomVars = 0;
-  uint64_t ReleasedSelectors = 0;
-  uint64_t PeakLiveBridges = 0;
   unsigned Selectors = 0; ///< Family + pair + method selectors.
   double Millis = 0;
 };
@@ -242,14 +182,8 @@ struct Report {
   Scope Bounds;
   std::vector<FamilySummary> Families;
   std::vector<JobRecord> Results;
-  /// Per-pair shared-session reuse stats (empty for exhaustive-only runs
-  /// and for reports predating the field).
-  std::vector<PairStats> Pairs;
-  /// Per-family session stats (SolveMode::SharedFamily and SharedCatalog
-  /// runs; under shared-catalog each row is one family tier's slice of
-  /// its catalog session).
-  std::vector<FamilyStats> FamilySessions;
-  /// Per-catalog-session stats (SolveMode::SharedCatalog runs only).
+  /// Per-catalog-session stats (symbolic SolveMode::SharedCatalog runs
+  /// only).
   std::vector<CatalogStats> CatalogSessions;
   /// Non-empty when the run never started (e.g. unknown family name); a
   /// report with an Error has no results and counts as failed.

@@ -14,8 +14,7 @@
 //
 // With --threads N (or --shards N) the requests are served by the sharded
 // front-end instead: N warm sessions behind one submit/drain interface,
-// shards 1..N-1 loading shard 0's pre-encoded prefix image, learned
-// clauses traded through the cross-shard exchange at drain boundaries:
+// shards 1..N-1 loading shard 0's pre-encoded prefix image:
 //
 //   semcommute-serve --threads 4 --requests 10000 --check-verdicts
 //
@@ -66,10 +65,6 @@ void printUsage(const char *Argv0) {
       "  --budget N        per-VC CDCL conflict budget (default: 200000)\n"
       "  --no-batch        FIFO serving (no prefix batching)\n"
       "  --no-compact      disable bridge compaction\n"
-      "  --compact-min-dead N  dead theory entries at which compaction is\n"
-      "                    forced regardless of the dead/live ratio\n"
-      "                    (default: 64)\n"
-      "  --no-release      disable retired-selector release\n"
       "  --certify         DRAT proof logging + independent RUP checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
@@ -82,8 +77,6 @@ void printUsage(const char *Argv0) {
       "                    family+pair, family keeps a family on one shard\n"
       "  --no-share-prefix every shard re-encodes the catalog prefix\n"
       "                    instead of loading shard 0's image\n"
-      "  --no-share-clauses  disable the cross-shard learned-clause\n"
-      "                    exchange\n"
       "  --dump-prefix FILE  write the serialized prefix image to FILE and\n"
       "                    continue (byte-identical across runs; works in\n"
       "                    both modes)\n"
@@ -254,7 +247,7 @@ int main(int argc, char **argv) {
   long Threads = 1;
   long ShardCount = -1; // Default: one shard per worker thread.
   RouteBy Route = RouteBy::Pair;
-  bool SharePrefix = true, ShareClauses = true;
+  bool SharePrefix = true;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -286,11 +279,6 @@ int main(int argc, char **argv) {
       Cfg.Batch = false;
     } else if (Arg == "--no-compact") {
       Cfg.CompactBridges = false;
-    } else if (Arg == "--compact-min-dead") {
-      Cfg.CompactMinDead =
-          static_cast<size_t>(std::atol(needValue("--compact-min-dead")));
-    } else if (Arg == "--no-release") {
-      Cfg.ReleaseSelectors = false;
     } else if (Arg == "--certify") {
       Cfg.Certify = true;
     } else if (Arg == "--threads") {
@@ -309,8 +297,6 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--no-share-prefix") {
       SharePrefix = false;
-    } else if (Arg == "--no-share-clauses") {
-      ShareClauses = false;
     } else if (Arg == "--dump-prefix") {
       DumpPrefixPath = needValue("--dump-prefix");
     } else if (Arg == "--check-verdicts") {
@@ -367,7 +353,6 @@ int main(int argc, char **argv) {
     SCfg.Threads = static_cast<unsigned>(Threads);
     SCfg.Route = Route;
     SCfg.SharePrefix = SharePrefix;
-    SCfg.ShareClauses = ShareClauses;
     Svc.Sharded = std::make_unique<ShardedVerifyService>(C, Fams, SCfg);
     if (!Quiet)
       std::printf("sharded: %u shards, %ld threads, route=%s\n",
@@ -614,7 +599,7 @@ int main(int argc, char **argv) {
     if (Svc.Sharded) {
       // The headline sharded numbers: warm-up decomposition (what one
       // shard costs to re-encode vs to import the prefix image) and the
-      // per-shard serving + exchange accounting.
+      // per-shard serving accounting.
       ShardedServiceStats SS = Svc.Sharded->stats();
       json::Value Sh = json::Value::object();
       Sh.set("shards", json::Value::integer(
@@ -627,8 +612,6 @@ int main(int argc, char **argv) {
                               : "family"));
       Sh.set("share_prefix",
              json::Value::boolean(Svc.Sharded->config().SharePrefix));
-      Sh.set("share_clauses",
-             json::Value::boolean(Svc.Sharded->config().ShareClauses));
       // Hardware context for the thread-scaling numbers: on a 1-CPU
       // container the req/s ratio across thread counts is pinned at ~1x
       // no matter how well the drain parallelizes.
@@ -644,14 +627,6 @@ int main(int argc, char **argv) {
                                      ? SS.WarmupScratchMillis /
                                            SS.WarmupImportMillisAvg
                                      : 0));
-      json::Value Ex = json::Value::object();
-      Ex.set("published", json::Value::integer(
-                              static_cast<int64_t>(SS.Exchange.Published)));
-      Ex.set("dropped", json::Value::integer(
-                            static_cast<int64_t>(SS.Exchange.Dropped)));
-      Ex.set("collected", json::Value::integer(
-                              static_cast<int64_t>(SS.Exchange.Collected)));
-      Sh.set("exchange", std::move(Ex));
       json::Value ShardArr = json::Value::array();
       for (const ShardStats &St : SS.Shards) {
         json::Value Row = json::Value::object();
@@ -659,11 +634,6 @@ int main(int argc, char **argv) {
                                 static_cast<int64_t>(St.Stats.Requests)));
         Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
         Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
-        Row.set("clauses_published",
-                json::Value::integer(
-                    static_cast<int64_t>(St.ClausesPublished)));
-        Row.set("clauses_adopted", json::Value::integer(
-                                       static_cast<int64_t>(St.ClausesAdopted)));
         Row.set("peak_live_vars",
                 json::Value::integer(static_cast<int64_t>(
                     St.Stats.Session.PeakLiveVars)));
