@@ -118,7 +118,10 @@ const char *modeName(SchedulerMode M) {
 void reportRow(const Contention &C, const ExecutorConfig &Cfg,
                uint64_t TotalOps, size_t NumTxns, const RunResult &R) {
   const ExecutorStats &S = R.Stats;
-  double AbortRate = NumTxns ? double(S.aborts()) / NumTxns : 0.0;
+  // Aborts per attempt (perfbench's runtime.abort_per_attempt): every
+  // attempt ends in a commit or an abort, so the share stays within [0, 1].
+  uint64_t Attempts = S.Commits + S.aborts();
+  double AbortRate = Attempts ? double(S.aborts()) / Attempts : 0.0;
   double GkPassRate =
       S.GatekeeperChecks ? double(S.GatekeeperPasses) / S.GatekeeperChecks
                          : 1.0;

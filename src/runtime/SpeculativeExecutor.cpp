@@ -11,6 +11,7 @@
 #include "support/ThreadPool.h"
 #include "support/Unreachable.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -124,14 +125,34 @@ void applyInverseConcrete(ConcreteStructure &S, const Operation &Spec,
   semcomm_unreachable("no concrete inverse for this operation");
 }
 
+/// Hard input validation, in release builds too: silently wrapping a
+/// miswired shard id would route the operation to the wrong shard.
+void checkShard(const char *Who, const TxOp &Op, size_t Ti, size_t Shards) {
+  if (Op.Shard < Shards)
+    return;
+  std::fprintf(stderr,
+               "SpeculativeExecutor::%s: operation '%s' of txn %zu addresses "
+               "shard %u but there are %zu shards\n",
+               Who, Op.OpName.c_str(), Ti, Op.Shard, Shards);
+  std::abort();
+}
+
+/// Steps a worker takes before adding them to the shared failsafe budget:
+/// one contended read-modify-write per batch instead of per step.
+constexpr uint64_t StepBatch = 256;
+
 } // namespace
+
+// The log entries below point at the caller's TxOp::Args instead of
+// copying them: run()'s input outlives the run, and the logs are empty
+// (and the scripts dropped) by the time it returns.
 
 /// One operation of a resolved transaction script (names resolved to
 /// family operation indices once per run, off the hot path).
 struct ResolvedOp {
   uint32_t Op = 0;
   uint32_t Shard = 0;
-  ArgList Args;
+  const ArgList *Args = nullptr;
 };
 
 /// One uncommitted operation in a shard's log.
@@ -139,7 +160,7 @@ struct ShardLogEntry {
   uint32_t Txn = 0;
   uint32_t Seq = 0; ///< Per-transaction sequence, to match undo entries.
   uint32_t Op = 0;
-  ArgList Args;
+  const ArgList *Args = nullptr;
   Value Ret;
   /// Precondition-failure placeholder: the operation was skipped, not
   /// executed. It pins the skip decision in the serial order — the
@@ -147,6 +168,8 @@ struct ShardLogEntry {
   /// admitted later can be serialized before it (a later add could
   /// otherwise make the skipped index valid under replaySerial).
   bool PreFailed = false;
+  /// The shard's Executed count right after this operation ran.
+  uint64_t Stamp = 0;
 };
 
 struct SpeculativeExecutor::ShardState {
@@ -155,6 +178,7 @@ struct SpeculativeExecutor::ShardState {
   std::mutex M;
   std::unique_ptr<ConcreteStructure> Instance;
   std::vector<ShardLogEntry> Log;
+  uint64_t Executed = 0; ///< Operations executed on Instance so far.
 };
 
 /// Sentinel transaction id ("none").
@@ -167,7 +191,7 @@ struct SpeculativeExecutor::TxnCtx {
     uint32_t Seq = 0;
     uint32_t Op = 0;
     bool Mutates = false;
-    ArgList Args;
+    const ArgList *Args = nullptr;
     Value Ret;
   };
 
@@ -196,6 +220,7 @@ struct SpeculativeExecutor::WorkerCtx {
       : Checker(F, C, std::move(Idx)) {}
   IndexedChecker Checker;
   ExecutorStats Stats;
+  uint64_t UnflushedSteps = 0; ///< Not yet added to StepAttempts.
 };
 
 SpeculativeExecutor::SpeculativeExecutor(ExprFactory &F, const Catalog &C,
@@ -211,8 +236,10 @@ SpeculativeExecutor::SpeculativeExecutor(
     : F(F), Cat(C), Factory(Factory), Cfg(Cfg), Idx(std::move(Idx)),
       Fam(*Factory.Fam), NumShards(this->Cfg.Shards == 0 ? 1 : this->Cfg.Shards),
       NumOps(Fam.Ops.size()) {
-  for (PreKind K : buildPreKinds(Fam))
+  for (PreKind K : buildPreKinds(Fam)) {
     PreKindTable.push_back(static_cast<uint8_t>(K));
+    PositionalState |= K != PreKind::Total;
+  }
   Shards.reserve(NumShards);
   for (size_t S = 0; S != NumShards; ++S)
     Shards.push_back(std::make_unique<ShardState>(Factory.Make()));
@@ -236,7 +263,13 @@ SpeculativeExecutor::SpeculativeExecutor(
 SpeculativeExecutor::~SpeculativeExecutor() = default;
 
 const ConcreteStructure &SpeculativeExecutor::shard(unsigned S) const {
-  assert(S < Shards.size() && "shard index out of range");
+  if (S >= Shards.size()) {
+    std::fprintf(stderr,
+                 "SpeculativeExecutor::shard: index %u out of range (%zu "
+                 "shards)\n",
+                 S, Shards.size());
+    std::abort();
+  }
   return *Shards[S]->Instance;
 }
 
@@ -253,9 +286,14 @@ void SpeculativeExecutor::releaseWorker(WorkerCtx &W) {
   FreeWorkers.push_back(&W);
 }
 
-bool SpeculativeExecutor::attemptBudgetExhausted() {
-  if (StepAttempts.fetch_add(1, std::memory_order_relaxed) <
-      MaxStepAttempts)
+bool SpeculativeExecutor::attemptBudgetExhausted(WorkerCtx &W) {
+  // The bound overshoots by at most (workers x StepBatch) steps.
+  if (++W.UnflushedSteps < StepBatch)
+    return false;
+  uint64_t Before =
+      StepAttempts.fetch_add(W.UnflushedSteps, std::memory_order_relaxed);
+  W.UnflushedSteps = 0;
+  if (Before < MaxStepAttempts)
     return false;
   Bailed.store(true, std::memory_order_relaxed);
   return true;
@@ -266,8 +304,9 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
   if (T.Finished.load(std::memory_order_relaxed))
     return StepOutcome::Finished;
   if (T.DoomedBy.load(std::memory_order_relaxed) != NoTxn) {
+    bool HadWork = !T.Undo.empty();
     rollback(T, W, /*FromWound=*/true);
-    return StepOutcome::SelfAborted;
+    return HadWork ? StepOutcome::Wounded : StepOutcome::SelfAborted;
   }
   if (T.WaitFor != NoTxn) {
     if (!Txns[T.WaitFor]->Finished.load(std::memory_order_acquire)) {
@@ -315,15 +354,23 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
     // whole-shard restore cannot coexist with interleaved writers.
     bool WriterClash = Cfg.Policy == RollbackPolicy::Snapshot &&
                        Spec.Mutates && Fam.Ops[E.Op].Mutates;
+    // A catalog condition reads the state right after E ran, and the live
+    // shard is that state only until another operation executes. Keyed
+    // families (Set, Map) keep the answer for the keys involved; in a
+    // positional family (ArrayList) any later insert or removal — even
+    // E's owner's own — shifts the indices the condition compares, so
+    // only the most recent operation can be passed.
+    bool StateCurrent = !PositionalState || E.Stamp == S.Executed;
     bool Commutes = false;
-    if (!E.PreFailed && !WriterClash && Cfg.UseCommutativity) {
+    if (!E.PreFailed && !WriterClash && StateCurrent &&
+        Cfg.UseCommutativity) {
       if (Cfg.CheckerPath == IndexedChecker::Path::Indexed)
         Commutes =
             W.Checker.mayCommuteFast(PairTable[E.Op * NumOps + Op.Op],
-                                     *S.Instance, E.Args, E.Ret, Op.Args);
+                                     *S.Instance, *E.Args, E.Ret, *Op.Args);
       else
         Commutes = W.Checker.mayCommute(*S.Instance, Fam.Ops[E.Op].Name,
-                                        E.Args, E.Ret, Spec.Name, Op.Args);
+                                        *E.Args, E.Ret, Spec.Name, *Op.Args);
     }
     if (Commutes) {
       ++W.Stats.GatekeeperPasses;
@@ -343,7 +390,7 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
   // generators produce total operations; ArrayList index bounds are the
   // exception).
   if (!preHolds(static_cast<PreKind>(PreKindTable[Op.Op]), *S.Instance,
-                Op.Args)) {
+                *Op.Args)) {
     // While other transactions hold uncommitted effects in this shard the
     // failure may be an artifact of state that later aborts, so the skip
     // decision is deferred: resolve it like a conflict (wound-wait) and
@@ -380,8 +427,9 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
     ++W.Stats.SnapshotsTaken;
   }
 
-  Value Ret = S.Instance->invoke(Spec.CallName, Op.Args);
-  S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Ret});
+  Value Ret = S.Instance->invoke(Spec.CallName, *Op.Args);
+  S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Ret,
+                   /*PreFailed=*/false, ++S.Executed});
   L.unlock();
 
   T.Undo.push_back({Op.Shard, T.NextSeq, Op.Op, Spec.Mutates, Op.Args, Ret});
@@ -418,7 +466,7 @@ void SpeculativeExecutor::rollback(TxnCtx &T, WorkerCtx &W, bool FromWound) {
       ShardState &S = *Shards[It->Shard];
       std::lock_guard<std::mutex> L(S.M);
       if (It->Mutates) {
-        applyInverseConcrete(*S.Instance, Fam.Ops[It->Op], It->Args,
+        applyInverseConcrete(*S.Instance, Fam.Ops[It->Op], *It->Args,
                              It->Ret);
         ++W.Stats.OpsUndone;
       }
@@ -528,23 +576,17 @@ void SpeculativeExecutor::parallelWorkerLoop() {
     TxnCtx &T = *Txns[Ti];
     for (;;) {
       if (Bailed.load(std::memory_order_relaxed) ||
-          attemptBudgetExhausted()) {
+          attemptBudgetExhausted(W)) {
         releaseWorker(W);
         return;
       }
       StepOutcome O = step(T, W);
+      if (O == StepOutcome::Wounded) {
+        shrinkWindow();
+        continue;
+      }
       if (O == StepOutcome::Finished) {
-        // Bounded admission: this transaction's slot passes to the next
-        // unstarted one. Starting everything upfront lets the in-flight
-        // set — and with it every shard log and the conflict rate —
-        // snowball.
-        uint32_t Next = NextTxn.fetch_add(1, std::memory_order_relaxed);
-        if (Next < Txns.size()) {
-          std::lock_guard<std::mutex> L(ReadyMutex);
-          ReadyQueue.push_back(Next);
-        } else {
-          InFlight.fetch_sub(1, std::memory_order_acq_rel);
-        }
+        refillWindow();
         break;
       }
       if (O == StepOutcome::Waited) {
@@ -560,14 +602,51 @@ void SpeculativeExecutor::parallelWorkerLoop() {
   releaseWorker(W);
 }
 
+// Contention management: the in-flight window follows the measured wound
+// rate, multiplicative decrease and additive increase. Every wound of
+// executed work means the window admitted more overlap than the
+// workload's own conflicts allow; where every pair of transactions
+// conflicts the window settles near one and execution degrades to serial
+// throughput instead of an abort storm, while a workload whose
+// operations commute keeps the window at its ceiling. Growth waits for a
+// ceiling's worth of wound-free commits: each probe above the window the
+// conflicts allow costs about one wound, so probing after every commit
+// at window 1 would spend a wound on every other transaction.
+void SpeculativeExecutor::shrinkWindow() {
+  std::lock_guard<std::mutex> L(ReadyMutex);
+  Window = std::max<uint32_t>(Window / 2, 1);
+  CleanCommits = 0;
+}
+
+void SpeculativeExecutor::refillWindow() {
+  std::lock_guard<std::mutex> L(ReadyMutex);
+  if (++CleanCommits >= WindowCeiling) {
+    CleanCommits = 0;
+    Window = std::min(Window + 1, WindowCeiling);
+  }
+  // The finishing transaction's slot passes to the next unstarted one
+  // unless the others already fill the window; a grown window admits
+  // more. Since Window >= 1, the last slot is never given up while
+  // unstarted transactions remain — workers exit once InFlight drains.
+  uint32_t Live = InFlight.load(std::memory_order_relaxed) - 1;
+  for (; Live < Window && NextTxn < Txns.size(); ++Live)
+    ReadyQueue.push_back(NextTxn++);
+  InFlight.store(Live, std::memory_order_release);
+}
+
 void SpeculativeExecutor::runParallel() {
-  // Default window: 2 in-flight transactions per worker — enough overlap
-  // to keep every thread busy, bounded enough that shard logs stay short.
-  size_t Window =
-      Cfg.AdmitWindow != 0 ? Cfg.AdmitWindow : 2 * Workers.size();
+  // Ceiling: 2 in-flight transactions per worker by default — enough
+  // overlap to keep every thread busy, bounded enough that shard logs
+  // stay short. Starting everything upfront would let the in-flight set,
+  // and with it every shard log and the conflict rate, snowball.
+  WindowCeiling = Cfg.AdmitWindow != 0
+                      ? Cfg.AdmitWindow
+                      : static_cast<uint32_t>(2 * Workers.size());
+  Window = WindowCeiling;
+  CleanCommits = 0;
   uint32_t Initial =
       static_cast<uint32_t>(std::min<size_t>(Window, Txns.size()));
-  NextTxn.store(Initial, std::memory_order_relaxed);
+  NextTxn = Initial;
   InFlight.store(Initial, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> L(ReadyMutex);
@@ -594,7 +673,7 @@ void SpeculativeExecutor::runReplay() {
   size_t Window = Cfg.AdmitWindow != 0 ? Cfg.AdmitWindow : Txns.size();
   uint32_t Initial =
       static_cast<uint32_t>(std::min<size_t>(Window, Txns.size()));
-  NextTxn.store(Initial, std::memory_order_relaxed);
+  NextTxn = Initial;
   LiveTxns.clear();
   for (uint32_t Ti = 0; Ti != Initial; ++Ti)
     LiveTxns.push_back(Ti);
@@ -605,14 +684,13 @@ void SpeculativeExecutor::runReplay() {
       for (;;) {
         std::lock_guard<std::mutex> L(SchedMutex);
         if (LiveTxns.empty() || Bailed.load(std::memory_order_relaxed) ||
-            attemptBudgetExhausted())
+            attemptBudgetExhausted(W))
           break;
         size_t K = splitmix64(RngState) % LiveTxns.size();
         TxnCtx &T = *Txns[LiveTxns[K]];
         if (step(T, W) == StepOutcome::Finished) {
-          uint32_t Next = NextTxn.fetch_add(1, std::memory_order_relaxed);
-          if (Next < Txns.size()) {
-            LiveTxns[K] = Next;
+          if (NextTxn < Txns.size()) {
+            LiveTxns[K] = NextTxn++;
           } else {
             LiveTxns[K] = LiveTxns.back();
             LiveTxns.pop_back();
@@ -634,16 +712,8 @@ ExecutorStats SpeculativeExecutor::run(const std::vector<Transaction> &Input) {
     T->Id = static_cast<uint32_t>(Ti);
     T->Script.reserve(Input[Ti].size());
     for (const TxOp &Op : Input[Ti]) {
-      // Hard input validation, in release builds too: silently wrapping a
-      // miswired shard id would route the operation to the wrong shard.
-      if (Op.Shard >= NumShards) {
-        std::fprintf(stderr,
-                     "SpeculativeExecutor::run: operation '%s' of txn %zu "
-                     "addresses shard %u but the executor has %zu\n",
-                     Op.OpName.c_str(), Ti, Op.Shard, NumShards);
-        std::abort();
-      }
-      T->Script.push_back({Fam.opIndex(Op.OpName), Op.Shard, Op.Args});
+      checkShard("run", Op, Ti, NumShards);
+      T->Script.push_back({Fam.opIndex(Op.OpName), Op.Shard, &Op.Args});
     }
     T->Snapshots.resize(NumShards);
     T->Touched.assign(NumShards, 0);
@@ -662,6 +732,7 @@ ExecutorStats SpeculativeExecutor::run(const std::vector<Transaction> &Input) {
 
   for (auto &W : Workers) {
     W->Stats = ExecutorStats();
+    W->UnflushedSteps = 0;
     W->Checker.resetQueryStats();
     W->Checker.setPath(Cfg.CheckerPath);
     W->Checker.setStatsSampling(Cfg.StatsSamplePeriod);
@@ -692,6 +763,9 @@ ExecutorStats SpeculativeExecutor::run(const std::vector<Transaction> &Input) {
     }
   }
   CommitOrderVec.resize(CommitSeq.load(std::memory_order_relaxed));
+  // Every entry is committed or rolled back by now; dropping the scripts
+  // leaves no pointer into Input behind.
+  Txns.clear();
 
   ExecutorStats Agg;
   for (auto &W : Workers) {
@@ -733,8 +807,9 @@ SpeculativeExecutor::replaySerial(const StructureFactory &Factory,
     Out.push_back(Factory.Make());
   for (uint32_t Ti : Order) {
     for (const TxOp &Op : Txns[Ti]) {
+      checkShard("replaySerial", Op, Ti, Shards);
       unsigned OpIdx = Fam.opIndex(Op.OpName);
-      ConcreteStructure &S = *Out[Op.Shard % Shards];
+      ConcreteStructure &S = *Out[Op.Shard];
       if (!preHolds(Kinds[OpIdx], S, Op.Args))
         continue;
       S.invoke(Fam.Ops[OpIdx].CallName, Op.Args);

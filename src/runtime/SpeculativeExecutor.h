@@ -29,11 +29,19 @@
 /// genuine skip leaves a conservative placeholder in the shard log —
 /// commuting with nothing — so no operation admitted later can be
 /// serialized before the skip decision. Skips therefore match what
-/// replaySerial produces at the same point of the commit order.
+/// replaySerial produces at the same point of the commit order. In such a
+/// positional family the gatekeeper also passes only the shard's most
+/// recent operation: a catalog condition reads the state right after the
+/// logged operation, and every later insert or removal shifts the indices
+/// it compares.
 ///
 /// Two scheduler modes:
-///  * Parallel — real concurrency on a work-stealing pool; transactions
-///    that must wait yield their worker by resubmitting a continuation.
+///  * Parallel — real concurrency: one run-queue worker per thread, and an
+///    admission window that follows the measured wound rate (halved when a
+///    transaction loses executed work to a wound, grown by one after a
+///    ceiling's worth of wound-free commits), so a workload whose
+///    transactions all conflict degrades to serial execution instead of an
+///    abort storm.
 ///  * Replay — a seeded scheduler serializes every step under one mutex,
 ///    so the schedule (and therefore the final state, commit order, and
 ///    deterministic stats) is a pure function of the seed, invariant
@@ -89,11 +97,14 @@ struct ExecutorConfig {
   SchedulerMode Mode = SchedulerMode::Parallel;
   /// Seed of the Replay-mode scheduler (ignored in Parallel mode).
   uint64_t ReplaySeed = 1;
-  /// Bounded admission: at most this many transactions in flight at once
-  /// (0 = auto: 2 per worker in Parallel mode, everything at once in
-  /// Replay mode). A fixed window keeps shard logs — and with them the
-  /// gatekeeper load — at a controlled density, independent of thread
-  /// count, so Replay-mode runs stay thread-count invariant.
+  /// Bounded admission (0 = auto: 2 per worker in Parallel mode,
+  /// everything at once in Replay mode). In Replay mode it is a fixed
+  /// window: shard logs — and with them the gatekeeper load — stay at a
+  /// controlled density, independent of thread count, so runs stay
+  /// thread-count invariant. In Parallel mode it is the ceiling of the
+  /// adaptive window: the window starts here, halves (floor 1) whenever a
+  /// transaction that had executed work is wounded, and grows by one after
+  /// every ceiling's worth of commits without a wound.
   unsigned AdmitWindow = 0;
   /// When false every pair of concurrent same-shard operations conflicts
   /// (the no-commutativity baseline of bench/perf_speculation).
@@ -173,10 +184,12 @@ public:
 
   /// Runs \p Txns to completion and returns aggregated statistics. The
   /// shards retain the committed effects afterwards; commitOrder() names
-  /// the equivalent serial order.
+  /// the equivalent serial order. The logs point into \p Txns' argument
+  /// lists while run() executes; nothing refers to them after it returns.
   ExecutorStats run(const std::vector<Transaction> &Txns);
 
   /// Shard count and per-shard structure access (for result inspection).
+  /// shard() aborts on an out-of-range index, in release builds too.
   unsigned numShards() const { return static_cast<unsigned>(NumShards); }
   const ConcreteStructure &shard(unsigned S) const;
 
@@ -194,7 +207,7 @@ public:
   /// Executes \p Txns serially in \p Order on fresh instances from
   /// \p Factory (same shard routing and precondition-skip policy as the
   /// executor): the serializability reference for the last run's
-  /// committed state.
+  /// committed state. Like run(), aborts on an out-of-range shard id.
   static std::vector<std::unique_ptr<ConcreteStructure>>
   replaySerial(const StructureFactory &Factory, unsigned Shards,
                const std::vector<Transaction> &Txns,
@@ -214,6 +227,7 @@ private:
     PreSkipped,
     Waited,
     SelfAborted,
+    Wounded, ///< Rolled back executed work because an older txn wounded it.
     Finished,
   };
 
@@ -223,9 +237,11 @@ private:
   void runParallel();
   void runReplay();
   void parallelWorkerLoop();
+  void shrinkWindow();
+  void refillWindow();
   WorkerCtx &acquireWorker();
   void releaseWorker(WorkerCtx &W);
-  bool attemptBudgetExhausted();
+  bool attemptBudgetExhausted(WorkerCtx &W);
 
   ExprFactory &F;
   const Catalog &Cat;
@@ -238,6 +254,10 @@ private:
   /// Precomputed precondition shape per operation index (a cpp-local
   /// PreKind enum, stored raw so the header stays implementation-free).
   std::vector<uint8_t> PreKindTable;
+  /// The family has state-dependent preconditions (ArrayList): its state
+  /// is positional, so the gatekeeper passes only the shard's most recent
+  /// operation.
+  bool PositionalState = false;
 
   std::vector<std::unique_ptr<ShardState>> Shards;
   /// Pre-resolved (op1, op2) handles, row-major over the family's
@@ -250,17 +270,24 @@ private:
 
   std::vector<std::unique_ptr<TxnCtx>> Txns;
   std::vector<uint32_t> CommitOrderVec;
-  /// Next unstarted transaction (Parallel mode bounded admission).
-  std::atomic<uint32_t> NextTxn{0};
+  /// Next unstarted transaction (under ReadyMutex in Parallel mode, under
+  /// SchedMutex in Replay mode).
+  uint32_t NextTxn = 0;
   /// Admitted-but-unfinished count; Parallel workers exit when it drains.
+  /// Written under ReadyMutex, read lock-free by the worker loop.
   std::atomic<uint32_t> InFlight{0};
-  /// Runnable transactions (Parallel mode): workers pull from the front
-  /// and rotate waiters to the back.
+  // Parallel-mode scheduler state (all accessed under ReadyMutex): the
+  // runnable transactions — workers pull from the front and rotate
+  // waiters to the back — and the adaptive admission window.
   std::mutex ReadyMutex;
   std::deque<uint32_t> ReadyQueue;
+  uint32_t Window = 1;
+  uint32_t WindowCeiling = 1;
+  uint32_t CleanCommits = 0; ///< Commits since the last growth or wound.
   std::atomic<uint32_t> CommitSeq{0};
-  std::atomic<uint64_t> Admissions{0};   ///< Injection counter.
-  std::atomic<uint64_t> StepAttempts{0}; ///< Failsafe budget.
+  std::atomic<uint64_t> Admissions{0}; ///< Injection counter.
+  /// Failsafe budget: workers add their step counts in batches.
+  std::atomic<uint64_t> StepAttempts{0};
   uint64_t MaxStepAttempts = 0;
   std::atomic<bool> Bailed{false};
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 
 using namespace semcomm;
@@ -167,6 +169,61 @@ void expectShardsMatchSerialReplay(const SpeculativeExecutor &Ex,
   for (unsigned S = 0; S != Ex.numShards(); ++S)
     EXPECT_EQ(Ex.shard(S).abstraction(), Ref[S]->abstraction())
         << "shard " << S;
+}
+
+/// Transaction ids 0..N-1 in arrival order.
+std::vector<uint32_t> arrivalOrder(size_t N) {
+  std::vector<uint32_t> Ids(N);
+  std::iota(Ids.begin(), Ids.end(), 0u);
+  return Ids;
+}
+
+/// One compiled index shared by the executors built below, as one image
+/// serves a whole benchmark grid; the matrix builds hundreds of them.
+std::shared_ptr<const index::CommutativityIndex> sharedIndex() {
+  static std::shared_ptr<const index::CommutativityIndex> Idx =
+      std::make_shared<const index::CommutativityIndex>(
+          index::CommutativityIndex::compile(fixture().C));
+  return Idx;
+}
+
+/// An ArrayList workload over \p Shards lists. Indices are drawn from
+/// [-1, 7] against lists of a few elements, so some operations fail their
+/// index precondition: a PreFailed placeholder in the executor, a skip in
+/// replaySerial.
+std::vector<Transaction> arrayListWorkload(unsigned NumTxns,
+                                           unsigned OpsPerTxn,
+                                           unsigned Shards, uint32_t Seed) {
+  std::mt19937 Rng(Seed);
+  std::vector<Transaction> Txns;
+  for (unsigned T = 0; T != NumTxns; ++T) {
+    Transaction Txn;
+    for (unsigned I = 0; I != OpsPerTxn; ++I) {
+      unsigned Shard = Rng() % Shards;
+      Value Idx = Value::integer(static_cast<int64_t>(Rng() % 9) - 1);
+      Value Obj = Value::obj(1 + Rng() % 5);
+      switch (Rng() % 6) {
+      case 0:
+      case 1:
+        Txn.push_back({"add_at", {Idx, Obj}, Shard});
+        break;
+      case 2:
+        Txn.push_back({"get", {Idx}, Shard});
+        break;
+      case 3:
+        Txn.push_back({"set", {Idx, Obj}, Shard});
+        break;
+      case 4:
+        Txn.push_back({"remove_at", {Idx}, Shard});
+        break;
+      default:
+        Txn.push_back({"indexOf", {Obj}, Shard});
+        break;
+      }
+    }
+    Txns.push_back(std::move(Txn));
+  }
+  return Txns;
 }
 
 } // namespace
@@ -395,6 +452,180 @@ TEST(SpeculativeExecutorTest, ParallelModeCommitsEverythingSerializably) {
   EXPECT_EQ(S.Commits, 16u);
   EXPECT_EQ(Ex.commitOrder().size(), 16u);
   expectShardsMatchSerialReplay(Ex, factoryFor("HashTable"), Txns);
+}
+
+namespace {
+
+enum class MatrixLoad { MapHighContention, MapLowContention, ArrayListPreFail };
+
+struct MatrixCase {
+  MatrixLoad Load;
+  RollbackPolicy Policy;
+  unsigned AbortEvery;
+};
+
+std::vector<MatrixCase> matrixCases() {
+  std::vector<MatrixCase> Cases;
+  for (MatrixLoad Load :
+       {MatrixLoad::MapHighContention, MatrixLoad::MapLowContention,
+        MatrixLoad::ArrayListPreFail})
+    for (RollbackPolicy Policy :
+         {RollbackPolicy::Inverses, RollbackPolicy::Snapshot})
+      for (unsigned AbortEvery : {0u, 7u})
+        Cases.push_back({Load, Policy, AbortEvery});
+  return Cases;
+}
+
+std::string matrixCaseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
+  const MatrixCase &C = Info.param;
+  std::string Name = C.Load == MatrixLoad::MapHighContention ? "MapHigh"
+                     : C.Load == MatrixLoad::MapLowContention
+                         ? "MapLow"
+                         : "ArrayListPreFail";
+  Name += C.Policy == RollbackPolicy::Inverses ? "_Inverses" : "_Snapshot";
+  Name += "_AbortEvery" + std::to_string(C.AbortEvery);
+  return Name;
+}
+
+class SpeculativeExecutorParallelTest
+    : public ::testing::TestWithParam<MatrixCase> {};
+
+} // namespace
+
+TEST_P(SpeculativeExecutorParallelTest, CommitsEveryTxnOnceSerializably) {
+  // Parallel mode at 8 threads, repeated over fresh workloads: whatever the
+  // interleaving and however the admission window moves, every
+  // transaction commits exactly once (a released slot never strands
+  // unstarted transactions) and every shard equals the serial replay of
+  // the observed commit order. Each run is a few hundred microseconds to
+  // a few milliseconds, long enough for the pool's workers to overlap on
+  // most hosts.
+  const MatrixCase &Case = GetParam();
+  RuntimeFixture &Fx = fixture();
+  bool IsList = Case.Load == MatrixLoad::ArrayListPreFail;
+  StructureFactory Factory = factoryFor(IsList ? "ArrayList" : "HashTable");
+  unsigned Shards = Case.Load == MatrixLoad::MapHighContention ? 4
+                    : Case.Load == MatrixLoad::MapLowContention ? 32
+                                                                : 2;
+  uint64_t PreSkips = 0;
+  for (uint32_t Rep = 0; Rep != 20; ++Rep) {
+    SCOPED_TRACE("repetition " + std::to_string(Rep));
+    std::vector<Transaction> Txns =
+        IsList ? arrayListWorkload(/*NumTxns=*/48, /*OpsPerTxn=*/24, Shards,
+                                   /*Seed=*/100 + Rep)
+               : mixedMapWorkload(
+                     /*NumTxns=*/48, /*OpsPerTxn=*/32,
+                     Case.Load == MatrixLoad::MapHighContention ? 48 : 8192,
+                     Shards, /*Seed=*/100 + Rep);
+    ExecutorConfig Cfg;
+    Cfg.Threads = 8;
+    Cfg.Shards = Shards;
+    Cfg.Mode = SchedulerMode::Parallel;
+    Cfg.Policy = Case.Policy;
+    Cfg.AbortEvery = Case.AbortEvery;
+    SpeculativeExecutor Ex(Fx.F, Fx.C, Factory, Cfg, sharedIndex());
+    ExecutorStats S = Ex.run(Txns);
+    ASSERT_TRUE(S.Completed);
+    ASSERT_EQ(S.Commits, Txns.size());
+    std::vector<uint32_t> Order = Ex.commitOrder();
+    std::sort(Order.begin(), Order.end());
+    ASSERT_EQ(Order, arrivalOrder(Txns.size()));
+    expectShardsMatchSerialReplay(Ex, Factory, Txns);
+    PreSkips += S.PreSkips;
+  }
+  if (IsList) {
+    EXPECT_GT(PreSkips, 0u) << "no precondition failure was exercised";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, SpeculativeExecutorParallelTest,
+                         ::testing::ValuesIn(matrixCases()), matrixCaseName);
+
+TEST(SpeculativeExecutorTest, WindowCeilingOfOneRunsTxnsInArrivalOrder) {
+  // Every transaction overwrites the same two keys with its own value, so
+  // every pair conflicts. With the window's ceiling at one a transaction
+  // is admitted only after its predecessor committed: no conflict is ever
+  // met, at any thread count. (The run is long enough for the pool's
+  // workers to overlap: a short one is driven by whichever worker starts
+  // first, which never meets a conflict whatever the window.)
+  RuntimeFixture &Fx = fixture();
+  std::vector<Transaction> Txns;
+  for (int T = 0; T != 2048; ++T) {
+    Transaction Txn;
+    for (int I = 0; I != 32; ++I)
+      Txn.push_back({"put", {Value::obj(1 + I % 2), Value::obj(100 + T)}, 0});
+    Txns.push_back(std::move(Txn));
+  }
+  for (unsigned Threads : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ExecutorConfig Cfg;
+    Cfg.Threads = Threads;
+    Cfg.Mode = SchedulerMode::Parallel;
+    Cfg.AdmitWindow = 1;
+    SpeculativeExecutor Ex(Fx.F, Fx.C, factoryFor("HashTable"), Cfg,
+                           sharedIndex());
+    ExecutorStats S = Ex.run(Txns);
+    EXPECT_TRUE(S.Completed);
+    EXPECT_EQ(Ex.commitOrder(), arrivalOrder(Txns.size()));
+    EXPECT_EQ(S.Wounds, 0u);
+    EXPECT_EQ(S.Stalls, 0u);
+    EXPECT_EQ(S.WaitRounds, 0u);
+    EXPECT_EQ(Ex.shard(0).mapGet(Value::obj(1)), Value::obj(2147));
+  }
+}
+
+TEST(SpeculativeExecutorTest, ArrayListAdmissionReadsOnlyCurrentState) {
+  // A catalog condition reads the state right after the logged operation.
+  // Once txn 1 has inserted o1 and then o2 at index 0, txn 0's
+  // add_at(1, o1) commutes with the later insert — but not with the
+  // first, after which the list held one element. Checking the first
+  // insert against the live two-element list admitted the operation, and
+  // rolling txn 1 back then left an element that the serial order skips.
+  // Replay schedules are deterministic, so a sweep of seeds pins it.
+  auto At = [](int64_t I) { return Value::integer(I); };
+  std::vector<Transaction> Txns = {
+      {{"add_at", {At(1), Value::obj(1)}, 0},
+       {"set", {At(0), Value::obj(3)}, 0},
+       {"add_at", {At(2), Value::obj(3)}, 0},
+       {"add_at", {At(2), Value::obj(4)}, 0},
+       {"add_at", {At(7), Value::obj(5)}, 0},
+       {"remove_at", {At(5)}, 0}},
+      {{"add_at", {At(0), Value::obj(1)}, 0},
+       {"add_at", {At(0), Value::obj(2)}, 0},
+       {"indexOf", {Value::obj(2)}, 0},
+       {"add_at", {At(6), Value::obj(1)}, 0},
+       {"set", {At(4), Value::obj(1)}, 0},
+       {"add_at", {At(2), Value::obj(5)}, 0}}};
+  RuntimeFixture &Fx = fixture();
+  for (uint64_t Seed = 1; Seed != 40; ++Seed) {
+    SCOPED_TRACE("replay seed " + std::to_string(Seed));
+    SpeculativeExecutor Ex(Fx.F, Fx.C, factoryFor("ArrayList"),
+                           replayCfg(1, /*Shards=*/1, Seed), sharedIndex());
+    ExecutorStats S = Ex.run(Txns);
+    EXPECT_EQ(S.Commits, 2u);
+    expectShardsMatchSerialReplay(Ex, factoryFor("ArrayList"), Txns);
+  }
+}
+
+TEST(SpeculativeExecutorDeathTest, ReplaySerialRejectsOutOfRangeShard) {
+  // The serializability reference must reject what run() rejects, not
+  // wrap the shard id onto another shard.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<Transaction> Txns = {
+      {{"put", {Value::obj(1), Value::obj(2)}, /*Shard=*/4}}};
+  EXPECT_DEATH(SpeculativeExecutor::replaySerial(factoryFor("HashTable"),
+                                                 /*Shards=*/4, Txns, {0}),
+               "addresses shard 4 but there are 4 shards");
+}
+
+TEST(SpeculativeExecutorDeathTest, ShardAccessorRejectsOutOfRangeIndex) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RuntimeFixture &Fx = fixture();
+  ExecutorConfig Cfg;
+  Cfg.Shards = 2;
+  SpeculativeExecutor Ex(Fx.F, Fx.C, factoryFor("HashTable"), Cfg,
+                         sharedIndex());
+  EXPECT_DEATH(Ex.shard(2), "index 2 out of range");
 }
 
 // --- Lattice --------------------------------------------------------------------
