@@ -137,9 +137,13 @@ void checkShard(const char *Who, const TxOp &Op, size_t Ti, size_t Shards) {
   std::abort();
 }
 
-/// Steps a worker takes before adding them to the shared failsafe budget:
-/// one contended read-modify-write per batch instead of per step.
-constexpr uint64_t StepBatch = 256;
+/// Steps a Parallel worker takes before adding them to the shared failsafe
+/// budget: one contended read-modify-write per batch instead of per step
+/// (counting every step cost ~15% of perfbench txn_high throughput on a
+/// 4-vCPU VM). Replay counts every step: its steps already run under
+/// SchedMutex, and exact counting keeps the step at which the failsafe
+/// trips, like the rest of a Replay run, independent of the thread count.
+constexpr uint64_t ParallelStepBatch = 256;
 
 } // namespace
 
@@ -155,21 +159,18 @@ struct ResolvedOp {
   const ArgList *Args = nullptr;
 };
 
-/// One uncommitted operation in a shard's log.
+/// One uncommitted operation in a shard's log. A skipped operation (failed
+/// precondition) is logged too, with a null Ret: only positional families
+/// skip, and there every logged entry conflicts, so the placeholder pins
+/// the skip decision in the serial order — no operation of another
+/// transaction admitted later can be serialized before it (a later add
+/// could otherwise make the skipped index valid under replaySerial).
 struct ShardLogEntry {
   uint32_t Txn = 0;
   uint32_t Seq = 0; ///< Per-transaction sequence, to match undo entries.
   uint32_t Op = 0;
   const ArgList *Args = nullptr;
   Value Ret;
-  /// Precondition-failure placeholder: the operation was skipped, not
-  /// executed. It pins the skip decision in the serial order — the
-  /// gatekeeper treats it as commuting with nothing, so no operation
-  /// admitted later can be serialized before it (a later add could
-  /// otherwise make the skipped index valid under replaySerial).
-  bool PreFailed = false;
-  /// The shard's Executed count right after this operation ran.
-  uint64_t Stamp = 0;
 };
 
 struct SpeculativeExecutor::ShardState {
@@ -178,7 +179,6 @@ struct SpeculativeExecutor::ShardState {
   std::mutex M;
   std::unique_ptr<ConcreteStructure> Instance;
   std::vector<ShardLogEntry> Log;
-  uint64_t Executed = 0; ///< Operations executed on Instance so far.
 };
 
 /// Sentinel transaction id ("none").
@@ -286,9 +286,10 @@ void SpeculativeExecutor::releaseWorker(WorkerCtx &W) {
   FreeWorkers.push_back(&W);
 }
 
-bool SpeculativeExecutor::attemptBudgetExhausted(WorkerCtx &W) {
-  // The bound overshoots by at most (workers x StepBatch) steps.
-  if (++W.UnflushedSteps < StepBatch)
+bool SpeculativeExecutor::attemptBudgetExhausted(WorkerCtx &W,
+                                                 uint64_t Batch) {
+  // The bound overshoots by at most (workers x Batch) steps.
+  if (++W.UnflushedSteps < Batch)
     return false;
   uint64_t Before =
       StepAttempts.fetch_add(W.UnflushedSteps, std::memory_order_relaxed);
@@ -357,13 +358,11 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
     // A catalog condition reads the state right after E ran, and the live
     // shard is that state only until another operation executes. Keyed
     // families (Set, Map) keep the answer for the keys involved; in a
-    // positional family (ArrayList) any later insert or removal — even
-    // E's owner's own — shifts the indices the condition compares, so
-    // only the most recent operation can be passed.
-    bool StateCurrent = !PositionalState || E.Stamp == S.Executed;
+    // positional family (ArrayList) any later insert or removal shifts
+    // the indices the condition compares, so every foreign entry
+    // conflicts.
     bool Commutes = false;
-    if (!E.PreFailed && !WriterClash && StateCurrent &&
-        Cfg.UseCommutativity) {
+    if (!WriterClash && !PositionalState && Cfg.UseCommutativity) {
       if (Cfg.CheckerPath == IndexedChecker::Path::Indexed)
         Commutes =
             W.Checker.mayCommuteFast(PairTable[E.Op * NumOps + Op.Op],
@@ -386,31 +385,16 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
   }
   RecordGkTime();
 
-  // Defensive precondition check against the live shard (the workload
-  // generators produce total operations; ArrayList index bounds are the
-  // exception).
+  // Precondition check against the live shard (ArrayList index bounds;
+  // every other catalog operation is total). Only positional families
+  // have such preconditions, and there the scan above let no foreign
+  // entry pass: the shard holds committed state plus our own effects, so
+  // the skip is exactly what replaySerial decides at this point in the
+  // commit order — provided nothing admitted later serializes before it,
+  // which the placeholder entry enforces.
   if (!preHolds(static_cast<PreKind>(PreKindTable[Op.Op]), *S.Instance,
                 *Op.Args)) {
-    // While other transactions hold uncommitted effects in this shard the
-    // failure may be an artifact of state that later aborts, so the skip
-    // decision is deferred: resolve it like a conflict (wound-wait) and
-    // re-evaluate once the foreign effects have cleared.
-    for (const ShardLogEntry &E : S.Log) {
-      if (E.Txn == T.Id)
-        continue;
-      uint32_t Owner = E.Txn;
-      if (T.Id < Owner)
-        Txns[Owner]->DoomedBy.store(T.Id, std::memory_order_relaxed);
-      L.unlock();
-      ++W.Stats.WaitRounds;
-      return StepOutcome::Waited;
-    }
-    // Only committed state plus our own effects are visible, so the skip
-    // is exactly what replaySerial decides at this point in the commit
-    // order — provided nothing admitted later serializes before it. The
-    // placeholder entry (commutes with nothing) enforces that.
-    S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Value(),
-                     /*PreFailed=*/true});
+    S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Value()});
     L.unlock();
     T.Undo.push_back(
         {Op.Shard, T.NextSeq, Op.Op, /*Mutates=*/false, Op.Args, Value()});
@@ -428,8 +412,7 @@ SpeculativeExecutor::step(TxnCtx &T, WorkerCtx &W) {
   }
 
   Value Ret = S.Instance->invoke(Spec.CallName, *Op.Args);
-  S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Ret,
-                   /*PreFailed=*/false, ++S.Executed});
+  S.Log.push_back({T.Id, T.NextSeq, Op.Op, Op.Args, Ret});
   L.unlock();
 
   T.Undo.push_back({Op.Shard, T.NextSeq, Op.Op, Spec.Mutates, Op.Args, Ret});
@@ -576,7 +559,7 @@ void SpeculativeExecutor::parallelWorkerLoop() {
     TxnCtx &T = *Txns[Ti];
     for (;;) {
       if (Bailed.load(std::memory_order_relaxed) ||
-          attemptBudgetExhausted(W)) {
+          attemptBudgetExhausted(W, ParallelStepBatch)) {
         releaseWorker(W);
         return;
       }
@@ -606,12 +589,13 @@ void SpeculativeExecutor::parallelWorkerLoop() {
 // rate, multiplicative decrease and additive increase. Every wound of
 // executed work means the window admitted more overlap than the
 // workload's own conflicts allow; where every pair of transactions
-// conflicts the window settles near one and execution degrades to serial
-// throughput instead of an abort storm, while a workload whose
-// operations commute keeps the window at its ceiling. Growth waits for a
-// ceiling's worth of wound-free commits: each probe above the window the
-// conflicts allow costs about one wound, so probing after every commit
-// at window 1 would spend a wound on every other transaction.
+// conflicts the window settles near one, which ends the abort storm
+// (scheduling and logging still cost most of serial throughput there),
+// while a workload whose operations commute keeps the window at its
+// ceiling. Growth waits for a ceiling's worth of wound-free commits: each
+// probe above the window the conflicts allow costs about one wound, so
+// probing after every commit at window 1 would spend a wound on every
+// other transaction.
 void SpeculativeExecutor::shrinkWindow() {
   std::lock_guard<std::mutex> L(ReadyMutex);
   Window = std::max<uint32_t>(Window / 2, 1);
@@ -684,7 +668,7 @@ void SpeculativeExecutor::runReplay() {
       for (;;) {
         std::lock_guard<std::mutex> L(SchedMutex);
         if (LiveTxns.empty() || Bailed.load(std::memory_order_relaxed) ||
-            attemptBudgetExhausted(W))
+            attemptBudgetExhausted(W, /*Batch=*/1))
           break;
         size_t K = splitmix64(RngState) % LiveTxns.size();
         TxnCtx &T = *Txns[LiveTxns[K]];

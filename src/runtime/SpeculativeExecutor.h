@@ -21,27 +21,25 @@
 /// as the baseline, by restoring a per-shard snapshot under single-writer
 /// admission).
 ///
-/// State-dependent preconditions (the ArrayList index bounds; every other
-/// catalog operation is total) are never decided against speculative
-/// foreign state: a precondition failure observed while other
-/// transactions hold uncommitted effects in the shard is treated as a
-/// conflict (wound-wait) and re-evaluated once those effects clear, and a
-/// genuine skip leaves a conservative placeholder in the shard log —
-/// commuting with nothing — so no operation admitted later can be
+/// A family with state-dependent preconditions (the ArrayList index
+/// bounds; every other catalog operation is total) is positional: a
+/// catalog condition reads the state right after the logged operation,
+/// and every later insert or removal shifts the indices it compares. There
+/// the gatekeeper treats every uncommitted operation of another
+/// transaction in the shard as a conflict, so preconditions are never
+/// decided against speculative foreign state, and a skip leaves a
+/// placeholder in the shard log so no operation admitted later can be
 /// serialized before the skip decision. Skips therefore match what
-/// replaySerial produces at the same point of the commit order. In such a
-/// positional family the gatekeeper also passes only the shard's most
-/// recent operation: a catalog condition reads the state right after the
-/// logged operation, and every later insert or removal shifts the indices
-/// it compares.
+/// replaySerial produces at the same point of the commit order.
 ///
 /// Two scheduler modes:
 ///  * Parallel — real concurrency: one run-queue worker per thread, and an
 ///    admission window that follows the measured wound rate (halved when a
 ///    transaction loses executed work to a wound, grown by one after a
-///    ceiling's worth of wound-free commits), so a workload whose
-///    transactions all conflict degrades to serial execution instead of an
-///    abort storm.
+///    ceiling's worth of wound-free commits). Where every pair of
+///    transactions conflicts the window settles near one, which ends the
+///    abort storm; the executor still runs well below serial speed there
+///    (about a fifth of replaySerial on perfbench's txn_high).
 ///  * Replay — a seeded scheduler serializes every step under one mutex,
 ///    so the schedule (and therefore the final state, commit order, and
 ///    deterministic stats) is a pure function of the seed, invariant
@@ -241,7 +239,7 @@ private:
   void refillWindow();
   WorkerCtx &acquireWorker();
   void releaseWorker(WorkerCtx &W);
-  bool attemptBudgetExhausted(WorkerCtx &W);
+  bool attemptBudgetExhausted(WorkerCtx &W, uint64_t Batch);
 
   ExprFactory &F;
   const Catalog &Cat;
@@ -255,8 +253,7 @@ private:
   /// PreKind enum, stored raw so the header stays implementation-free).
   std::vector<uint8_t> PreKindTable;
   /// The family has state-dependent preconditions (ArrayList): its state
-  /// is positional, so the gatekeeper passes only the shard's most recent
-  /// operation.
+  /// is positional, so every foreign logged operation conflicts.
   bool PositionalState = false;
 
   std::vector<std::unique_ptr<ShardState>> Shards;
@@ -286,7 +283,8 @@ private:
   uint32_t CleanCommits = 0; ///< Commits since the last growth or wound.
   std::atomic<uint32_t> CommitSeq{0};
   std::atomic<uint64_t> Admissions{0}; ///< Injection counter.
-  /// Failsafe budget: workers add their step counts in batches.
+  /// Failsafe budget: Parallel workers add their step counts in batches,
+  /// Replay counts every step.
   std::atomic<uint64_t> StepAttempts{0};
   uint64_t MaxStepAttempts = 0;
   std::atomic<bool> Bailed{false};

@@ -189,8 +189,8 @@ std::shared_ptr<const index::CommutativityIndex> sharedIndex() {
 
 /// An ArrayList workload over \p Shards lists. Indices are drawn from
 /// [-1, 7] against lists of a few elements, so some operations fail their
-/// index precondition: a PreFailed placeholder in the executor, a skip in
-/// replaySerial.
+/// index precondition: a skip placeholder in the executor's shard log, a
+/// skip in replaySerial.
 std::vector<Transaction> arrayListWorkload(unsigned NumTxns,
                                            unsigned OpsPerTxn,
                                            unsigned Shards, uint32_t Seed) {
@@ -581,7 +581,9 @@ TEST(SpeculativeExecutorTest, ArrayListAdmissionReadsOnlyCurrentState) {
   // first, after which the list held one element. Checking the first
   // insert against the live two-element list admitted the operation, and
   // rolling txn 1 back then left an element that the serial order skips.
-  // Replay schedules are deterministic, so a sweep of seeds pins it.
+  // In a positional family every foreign logged operation conflicts, so
+  // the gatekeeper passes nothing. Replay schedules are deterministic, so
+  // a sweep of seeds pins it.
   auto At = [](int64_t I) { return Value::integer(I); };
   std::vector<Transaction> Txns = {
       {{"add_at", {At(1), Value::obj(1)}, 0},
@@ -603,6 +605,7 @@ TEST(SpeculativeExecutorTest, ArrayListAdmissionReadsOnlyCurrentState) {
                            replayCfg(1, /*Shards=*/1, Seed), sharedIndex());
     ExecutorStats S = Ex.run(Txns);
     EXPECT_EQ(S.Commits, 2u);
+    EXPECT_EQ(S.GatekeeperPasses, 0u);
     expectShardsMatchSerialReplay(Ex, factoryFor("ArrayList"), Txns);
   }
 }
