@@ -1306,13 +1306,24 @@ CatalogOutcome SymbolicEngine::runCatalog(
 CatalogOutcome
 SymbolicEngine::verifyCatalog(const Catalog &C,
                               const std::vector<const Family *> &Fams) {
+  return verifyStripe(C, Fams, planCatalog(C, Fams), 0, 1);
+}
+
+CatalogOutcome
+SymbolicEngine::verifyStripe(const Catalog &C,
+                             const std::vector<const Family *> &Fams,
+                             const CatalogPlan &CP, unsigned Stripe,
+                             unsigned NumStripes) {
+  assert(CP.Families.size() == Fams.size() && Stripe < NumStripes &&
+         "stripe out of range or plan out of sync with the families");
   std::vector<std::vector<const ConditionEntry *>> Entries;
   for (const Family *Fam : Fams) {
     Entries.emplace_back();
-    for (const ConditionEntry &E : C.entries(*Fam))
-      Entries.back().push_back(&E);
+    const std::vector<ConditionEntry> &All = C.entries(*Fam);
+    for (size_t I = Stripe; I < All.size(); I += NumStripes)
+      Entries.back().push_back(&All[I]);
   }
-  return runCatalog(planCatalog(C, Fams), Entries);
+  return runCatalog(CP, Entries);
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {

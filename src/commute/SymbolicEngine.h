@@ -187,6 +187,18 @@ public:
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
+  /// Verifies stripe \p Stripe of \p NumStripes: entries Stripe,
+  /// Stripe + NumStripes, Stripe + 2 * NumStripes, ... of every family in
+  /// \p Fams, in catalog order, through one CatalogSession over \p CP
+  /// (which must be planCatalog(C, Fams); the stripes of one run share
+  /// it). A family opens only when its first entry is discharged, so a
+  /// stripe holding none of its entries never opens it; its outcome then
+  /// has no pairs. Stripe 0 of 1 is verifyCatalog.
+  CatalogOutcome verifyStripe(const Catalog &C,
+                              const std::vector<const Family *> &Fams,
+                              const CatalogPlan &CP, unsigned Stripe,
+                              unsigned NumStripes);
+
   /// Compiles one testing method to its discharge plan (exposed so tests
   /// can replay plans against differently configured sessions).
   MethodPlan plan(const TestingMethod &M) const;
@@ -230,7 +242,7 @@ public:
 
 private:
   /// Runs \p Entries (one list per family of \p CP, in plan order)
-  /// through one catalog session — the body of verifyCatalog and of the
+  /// through one catalog session — the body of verifyStripe and of the
   /// warm verifyPair.
   CatalogOutcome
   runCatalog(const CatalogPlan &CP,

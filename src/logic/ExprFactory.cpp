@@ -77,41 +77,59 @@ ExprFactory::ExprFactory() {
   CachedFalse = make(ExprKind::ConstBool, Sort::Bool, 0, "", {});
 }
 
-void ExprFactory::growTable(Shard &Sh) {
-  size_t NewSize = Sh.Table.empty() ? 64 : Sh.Table.size() * 2;
-  std::vector<const Expr *> NewTable(NewSize, nullptr);
-  size_t Mask = NewSize - 1;
-  for (const Expr *N : Sh.Table) {
+ExprFactory::Table &ExprFactory::growTable(Shard &Sh) {
+  // Called under the shard lock, so the current table's slots are stable.
+  const Table *Old = Sh.Current.load(std::memory_order_relaxed);
+  auto New = std::make_unique<Table>(Old ? (Old->Mask + 1) * 2 : 64);
+  for (size_t I = 0; Old && I <= Old->Mask; ++I) {
+    const Expr *N = Old->Slots[I].load(std::memory_order_relaxed);
     if (!N)
       continue;
-    size_t Idx = (N->Hash / NumShards) & Mask;
-    while (NewTable[Idx])
-      Idx = (Idx + 1) & Mask;
-    NewTable[Idx] = N;
+    size_t Idx = (N->Hash / NumShards) & New->Mask;
+    while (New->Slots[Idx].load(std::memory_order_relaxed))
+      Idx = (Idx + 1) & New->Mask;
+    New->Slots[Idx].store(N, std::memory_order_relaxed);
   }
-  Sh.Table = std::move(NewTable);
+  // The replaced table stays in Tables: a lock-free reader may still be
+  // probing it.
+  Sh.Tables.push_back(std::move(New));
+  Sh.Current.store(Sh.Tables.back().get(), std::memory_order_release);
+  return *Sh.Tables.back();
 }
 
 ExprRef ExprFactory::make(ExprKind K, Sort S, int64_t Payload,
                           std::string Name, std::vector<const Expr *> Ops) {
   size_t H = hashKey(K, S, Payload, Name, Ops);
   Shard &Sh = Shards[H & (NumShards - 1)];
-  std::lock_guard<std::mutex> Lock(Sh.Mutex);
+  // Probes \p T from the key's home slot: returns the node, or null with
+  // \p Idx at the empty slot that ended the probe.
+  auto Probe = [&](const Table &T, size_t &Idx) -> const Expr * {
+    Idx = (H / NumShards) & T.Mask;
+    while (const Expr *N = T.Slots[Idx].load(std::memory_order_acquire)) {
+      if (N->Hash == H && keyEquals(N, K, S, Payload, Name, Ops))
+        return N;
+      Idx = (Idx + 1) & T.Mask;
+    }
+    return nullptr;
+  };
 
-  if (Sh.Count * 4 >= Sh.Table.size() * 3)
-    growTable(Sh);
-  size_t Mask = Sh.Table.size() - 1;
-  size_t Idx = (H / NumShards) & Mask;
-  while (const Expr *N = Sh.Table[Idx]) {
-    if (N->Hash == H && keyEquals(N, K, S, Payload, Name, Ops))
-      return N;
-    Idx = (Idx + 1) & Mask;
-  }
+  size_t Idx;
+  if (const Table *T = Sh.Current.load(std::memory_order_acquire))
+    if (const Expr *Hit = Probe(*T, Idx))
+      return Hit;
+
+  // Miss: the node may have been inserted since, or into a newer table.
+  std::lock_guard<std::mutex> Lock(Sh.Mutex);
+  Table *T = Sh.Current.load(std::memory_order_relaxed);
+  if (!T || Sh.Count * 4 >= (T->Mask + 1) * 3)
+    T = &growTable(Sh);
+  if (const Expr *Hit = Probe(*T, Idx))
+    return Hit;
 
   Sh.Arena.emplace_back(Expr(K, S, Payload, std::move(Name), std::move(Ops),
                              H));
   const Expr *Node = &Sh.Arena.back();
-  Sh.Table[Idx] = Node;
+  T->Slots[Idx].store(Node, std::memory_order_release);
   ++Sh.Count;
   return Node;
 }

@@ -14,9 +14,16 @@
 /// wrote.
 ///
 /// Interning is an open-addressing hash table over arena-allocated nodes,
-/// sharded by structural hash with one lock per shard so concurrent engines
-/// (the parallel symbolic driver path) can share a single factory: pointer
-/// equality stays structural equality across every thread.
+/// sharded by structural hash so concurrent engines (the parallel symbolic
+/// driver path) can share a single factory: pointer equality stays
+/// structural equality across every thread. Lookups are lock-free: a hit
+/// probes the shard's published table with acquire loads and returns
+/// without locking. Inserts are locked: a miss takes the shard's lock,
+/// probes again, and publishes the new node with a release store. Growth
+/// publishes a fresh table the same way and keeps the replaced ones alive
+/// until the factory dies, since a reader may still be probing one; a
+/// reader that misses in a stale table falls through to the locked path,
+/// so the worst case is a slow path, never a duplicate node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +32,10 @@
 
 #include "logic/Expr.h"
 
+#include <atomic>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -102,21 +111,37 @@ public:
   size_t numNodes() const;
 
 private:
-  /// One lock-striped slice of the intern table: an open-addressing
-  /// pointer table plus the arena (a deque never moves constructed nodes,
-  /// so ExprRefs stay valid as the shard grows).
-  struct Shard {
+  /// A power-of-two open-addressing table of node pointers. Slots only
+  /// ever go from null to a node, so a probe that meets null has seen
+  /// every node inserted into this table before it.
+  struct Table {
+    explicit Table(size_t Size)
+        : Mask(Size - 1), Slots(new std::atomic<const Expr *>[Size]) {
+      for (size_t I = 0; I != Size; ++I)
+        Slots[I].store(nullptr, std::memory_order_relaxed);
+    }
+    size_t Mask;
+    std::unique_ptr<std::atomic<const Expr *>[]> Slots;
+  };
+
+  /// One slice of the intern table, on its own cache line. Readers touch
+  /// only Current and the slots it points to; everything else is guarded
+  /// by Mutex. The arena is a deque, which never moves constructed nodes,
+  /// so ExprRefs stay valid as the shard grows.
+  struct alignas(64) Shard {
+    std::atomic<Table *> Current{nullptr};
     mutable std::mutex Mutex;
-    std::vector<const Expr *> Table; ///< Power-of-two open addressing.
     size_t Count = 0;
     std::deque<Expr> Arena;
+    /// Every table the shard has published, the current one last.
+    std::vector<std::unique_ptr<Table>> Tables;
   };
 
   static constexpr size_t NumShards = 16; ///< Power of two.
 
   ExprRef make(ExprKind K, Sort S, int64_t Payload, std::string Name,
                std::vector<const Expr *> Ops);
-  static void growTable(Shard &Sh);
+  static Table &growTable(Shard &Sh);
 
   using SubstMemo = std::unordered_map<ExprRef, ExprRef>;
   ExprRef substituteImpl(ExprRef E,

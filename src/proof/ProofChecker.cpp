@@ -8,10 +8,18 @@
 
 #include "proof/ProofChecker.h"
 
+#include <cstddef>
 #include <cstdlib>
 
 using namespace semcomm;
 using namespace semcomm::proof;
+
+size_t ProofChecker::KeyHash::operator()(const std::vector<int> &Key) const {
+  size_t H = Key.size();
+  for (int L : Key)
+    H = H * 1000003u ^ static_cast<unsigned>(L);
+  return H;
+}
 
 int8_t ProofChecker::valueOf(int L) const {
   int V = std::abs(L);
@@ -41,13 +49,17 @@ int ProofChecker::tryAssign(int L) {
 
 bool ProofChecker::propagateFrom(size_t From) {
   for (size_t Head = From; Head < RootTrail.size(); ++Head) {
-    int L = RootTrail[Head];
-    auto It = Occ.find(-L);
-    if (It == Occ.end())
+    size_t Idx = litIndex(-RootTrail[Head]);
+    if (Idx >= Occ.size())
       continue;
-    for (size_t CI : It->second) {
+    // Only addClause grows Occ, so this reference survives tryAssign.
+    std::vector<size_t> &List = Occ[Idx];
+    size_t Keep = 0;
+    for (size_t I = 0; I != List.size(); ++I) {
+      size_t CI = List[I];
       if (!DB[CI].Alive)
-        continue;
+        continue; // Pruned: a deleted clause never comes back.
+      List[Keep++] = CI;
       int Unassigned = 0, UnitLit = 0;
       bool Satisfied = false;
       for (int CL : DB[CI].Lits) {
@@ -64,11 +76,13 @@ bool ProofChecker::propagateFrom(size_t From) {
       }
       if (Satisfied || Unassigned > 1)
         continue;
-      if (Unassigned == 0)
+      if (Unassigned == 0 || tryAssign(UnitLit) < 0) {
+        List.erase(List.begin() + static_cast<std::ptrdiff_t>(Keep),
+                   List.begin() + static_cast<std::ptrdiff_t>(I + 1));
         return true;
-      if (tryAssign(UnitLit) < 0)
-        return true;
+      }
     }
+    List.resize(Keep);
   }
   return false;
 }
@@ -133,8 +147,11 @@ void ProofChecker::addClause(const std::vector<int> &Lits) {
   size_t CI = DB.size();
   DB.push_back({Lits, true});
   ++AliveClauses;
-  for (int L : Lits)
-    Occ[L].push_back(CI);
+  for (int L : Lits) {
+    if (litIndex(L) >= Occ.size())
+      Occ.resize(litIndex(L) + 2);
+    Occ[litIndex(L)].push_back(CI);
+  }
   std::vector<int> Key = Lits;
   std::sort(Key.begin(), Key.end());
   ByKey[std::move(Key)].push_back(CI);
@@ -178,6 +195,7 @@ std::string ProofChecker::removeClause(const std::vector<int> &Lits) {
     ByKey.erase(It);
   DB[CI].Alive = false;
   --AliveClauses;
+  std::vector<int>().swap(DB[CI].Lits); // Only ever read while alive.
   // The persistent fixpoint only shrinks if this clause could have forced
   // an assignment: under the current (clean) root state that requires all
   // but at most one of its literals false. With the state already dirty or
@@ -197,10 +215,9 @@ std::string ProofChecker::removeClause(const std::vector<int> &Lits) {
 
 bool ProofChecker::varOccursAlive(int Var) {
   for (int L : {Var, -Var}) {
-    auto It = Occ.find(L);
-    if (It == Occ.end())
+    if (litIndex(L) >= Occ.size())
       continue;
-    auto &List = It->second;
+    std::vector<size_t> &List = Occ[litIndex(L)];
     size_t Keep = 0;
     bool Found = false;
     for (size_t CI : List) {

@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
@@ -86,12 +87,18 @@ private:
     bool Alive = true;
   };
 
+  struct KeyHash {
+    size_t operator()(const std::vector<int> &Key) const;
+  };
+
   // -- database ----------------------------------------------------------
   std::vector<CClause> DB;
-  /// Literal -> indices of clauses containing it (lazily cleaned).
-  std::map<int, std::vector<size_t>> Occ;
+  /// Literal (by litIndex) -> indices of clauses containing it. Dead
+  /// clauses are pruned as propagation walks past them, so a long trace's
+  /// retired history does not slow its later steps.
+  std::vector<std::vector<size_t>> Occ;
   /// Sorted-literal key -> alive clause indices (Delete matching).
-  std::map<std::vector<int>, std::vector<size_t>> ByKey;
+  std::unordered_map<std::vector<int>, std::vector<size_t>, KeyHash> ByKey;
   /// Explicit unit records per literal (input units, derived units, the
   /// pre-retirement trail dump). Deleting a unit decrements; at zero the
   /// literal loses its axiomatic support.
@@ -107,6 +114,9 @@ private:
   bool RootDirty = false;      ///< A deletion may have shrunk the fixpoint.
   bool HasEmptyInput = false;  ///< An empty Input clause was logged.
 
+  static size_t litIndex(int Lit) {
+    return 2 * static_cast<size_t>(Lit > 0 ? Lit : -Lit) + (Lit < 0);
+  }
   int8_t valueOf(int Lit) const;
   void ensureVar(int Var);
   /// Assigns \p L onto RootTrail: 0 = newly assigned, 1 = already true,

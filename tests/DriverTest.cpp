@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 
@@ -167,6 +168,35 @@ TEST(DriverParallel, SubsetRunMatchesItsSlice) {
             Fx.C.entries(accumulatorFamily()).size() * 6 + 1);
 }
 
+TEST(DriverParallel, CertifiedStripesCheckEveryProof) {
+  // Four certifying stripes intern through one factory at once; every
+  // symbolic job must still carry checked proofs, and the certificate
+  // count and verdicts must match the single certified session.
+  DriverFixture Fx;
+  DriverOptions Opts;
+  Opts.Engine = EngineKind::Symbolic;
+  Opts.SymbolicSeqLenBound = 2;
+  Opts.Certify = true;
+
+  Opts.Threads = 1;
+  Report Serial = runFullCatalog(Fx.C, Opts);
+  Opts.Threads = 4;
+  Report Striped = runFullCatalog(Fx.C, Opts);
+
+  EXPECT_EQ(Striped.CatalogSessions.size(), 4u);
+  EXPECT_EQ(Striped.failures(), 0u);
+  EXPECT_TRUE(Serial.sameVerdicts(Striped));
+  uint64_t SerialQueries = 0, StripedQueries = 0;
+  for (const JobRecord &J : Serial.Results)
+    SerialQueries += J.ProofQueries;
+  for (const JobRecord &J : Striped.Results) {
+    EXPECT_TRUE(J.ProofChecked) << J.key();
+    StripedQueries += J.ProofQueries;
+  }
+  EXPECT_GT(SerialQueries, 0u);
+  EXPECT_EQ(StripedQueries, SerialQueries);
+}
+
 //===----------------------------------------------------------------------===//
 // Engine selection: the symbolic path must match the exhaustive one
 //===----------------------------------------------------------------------===//
@@ -243,9 +273,9 @@ TEST(DriverEngines, SymbolicMatchesExhaustiveOnFullCatalog) {
   EXPECT_EQ(SymbolicInverses, buildInverseSpecs().size());
   EXPECT_GT(TotalVcs, SymbolicJobs); // ArrayList case splits multiply VCs.
 
-  // Every symbolic (family, op-pair) is served by the catalog sessions
-  // (one per family at four threads) with its six methods.
-  ASSERT_EQ(R.CatalogSessions.size(), allFamilies().size());
+  // Every symbolic (family, op-pair) is served by the catalog stripes
+  // (one per thread) with its six methods.
+  ASSERT_EQ(R.CatalogSessions.size(), 4u);
   size_t PairEntries = 0, SessionPairs = 0, SessionMethods = 0;
   for (const Family *Fam : allFamilies())
     PairEntries += Fx.C.entries(*Fam).size();
@@ -318,7 +348,9 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
   for (size_t I = 0; I != Catalog.Results.size(); ++I)
     EXPECT_EQ(Catalog.Results[I].Vcs, OneShot.Results[I].Vcs)
         << Catalog.Results[I].key();
-  EXPECT_EQ(Catalog.CatalogSessions.size(), 1u);
+  // One catalog stripe per thread, never more than the family's pairs.
+  EXPECT_EQ(Catalog.CatalogSessions.size(),
+            std::min<size_t>(Opts.Threads, Fx.C.entries(setFamily()).size()));
   EXPECT_TRUE(OneShot.CatalogSessions.empty());
 }
 
@@ -340,36 +372,67 @@ TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
   EXPECT_EQ(CatalogRun.failures(), 0u);
   EXPECT_TRUE(OneShot.sameVerdicts(CatalogRun));
 
-  // One family at 4 threads: one family-sharded catalog session.
+  // One family at 4 threads: four stripes of it. Each retires the one
+  // family it served, evicts every pair it opened, and recycles variables;
+  // together they serve every pair exactly once.
   size_t SetPairs = Fx.C.entries(setFamily()).size();
-  ASSERT_EQ(CatalogRun.CatalogSessions.size(), 1u);
-  const CatalogStats &CS = CatalogRun.CatalogSessions[0];
-  EXPECT_EQ(CS.FamilyNames, "Set");
-  EXPECT_EQ(CS.Families, 1u);
-  EXPECT_EQ(CS.Pairs, SetPairs);
-  EXPECT_EQ(CS.Methods, 6 * SetPairs);
-  EXPECT_EQ(CS.SubtreeRetirements, 1u);
-  EXPECT_EQ(CS.PairEvictions, SetPairs);
-  EXPECT_GT(CS.EvictedClauses, 0u);
-  EXPECT_GT(CS.PrefixReuses, 0u);
-  EXPECT_GT(CS.PeakRetainedClauses, 0u);
-  EXPECT_GT(CS.RecycledVars, 0u);
-  EXPECT_GT(CS.PeakLiveVars, 0u);
-  EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
+  ASSERT_EQ(CatalogRun.CatalogSessions.size(), 4u);
+  size_t Pairs = 0, Methods = 0;
+  for (const CatalogStats &CS : CatalogRun.CatalogSessions) {
+    EXPECT_EQ(CS.FamilyNames, "Set");
+    EXPECT_EQ(CS.Families, 1u);
+    EXPECT_EQ(CS.Methods, 6 * CS.Pairs);
+    EXPECT_EQ(CS.SubtreeRetirements, 1u);
+    EXPECT_EQ(CS.PairEvictions, CS.Pairs);
+    EXPECT_GT(CS.EvictedClauses, 0u);
+    EXPECT_GT(CS.PrefixReuses, 0u);
+    EXPECT_GT(CS.PeakRetainedClauses, 0u);
+    EXPECT_GT(CS.RecycledVars, 0u);
+    EXPECT_GT(CS.PeakLiveVars, 0u);
+    EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
+    Pairs += CS.Pairs;
+    Methods += CS.Methods;
+  }
+  EXPECT_EQ(Pairs, SetPairs);
+  EXPECT_EQ(Methods, 6 * SetPairs);
+}
+
+/// Every field of a catalog_stats row except its wall time.
+void expectSameCatalogStats(const CatalogStats &A, const CatalogStats &B) {
+  EXPECT_EQ(A.FamilyNames, B.FamilyNames);
+  EXPECT_EQ(A.Families, B.Families);
+  EXPECT_EQ(A.Pairs, B.Pairs);
+  EXPECT_EQ(A.Methods, B.Methods);
+  EXPECT_EQ(A.Vcs, B.Vcs);
+  EXPECT_EQ(A.Checks, B.Checks);
+  EXPECT_EQ(A.Conflicts, B.Conflicts);
+  EXPECT_EQ(A.PrefixAsserts, B.PrefixAsserts);
+  EXPECT_EQ(A.PrefixReuses, B.PrefixReuses);
+  EXPECT_EQ(A.SubtreeRetirements, B.SubtreeRetirements);
+  EXPECT_EQ(A.PairEvictions, B.PairEvictions);
+  EXPECT_EQ(A.EvictedClauses, B.EvictedClauses);
+  EXPECT_EQ(A.RecycledVars, B.RecycledVars);
+  EXPECT_EQ(A.PeakLiveVars, B.PeakLiveVars);
+  EXPECT_EQ(A.PeakLiveClauses, B.PeakLiveClauses);
+  EXPECT_EQ(A.VarRequests, B.VarRequests);
+  EXPECT_EQ(A.PeakRetainedClauses, B.PeakRetainedClauses);
+  EXPECT_EQ(A.Selectors, B.Selectors);
 }
 
 TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   // The acceptance bar of the catalog tier: on the full catalog,
-  // shared-catalog verdicts are identical at 1, 2, and 8 threads. At one
-  // thread the whole catalog runs through a single session; at more,
-  // deterministic family shards — so statistics agree between the
-  // sharded runs, and only verdicts are compared against the 1-thread
-  // single-session run.
+  // shared-catalog verdicts and per-job VC counts are identical at 1, 2,
+  // and 8 threads. At T threads min(T, pairs) stripes split every
+  // family's entries round-robin, so the other statistics depend on the
+  // thread count — but at a fixed thread count they repeat exactly.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
   Opts.SymbolicMode = SolveMode::SharedCatalog;
   Opts.SymbolicSeqLenBound = 2;
+  size_t Entries = 0;
+  for (const Family *Fam : allFamilies())
+    Entries += Fx.C.entries(*Fam).size();
 
   Opts.Threads = 1;
   Report Serial = runFullCatalog(Fx.C, Opts);
@@ -381,38 +444,67 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   EXPECT_EQ(Serial.CatalogSessions[0].PairEvictions,
             Serial.CatalogSessions[0].Pairs);
 
-  Opts.Threads = 2;
-  Report Two = runFullCatalog(Fx.C, Opts);
-  Opts.Threads = 8;
-  Report Eight = runFullCatalog(Fx.C, Opts);
-  EXPECT_TRUE(Serial.sameVerdicts(Two));
-  EXPECT_TRUE(Serial.sameVerdicts(Eight));
-  EXPECT_EQ(Two.failures(), 0u);
-  EXPECT_EQ(Eight.failures(), 0u);
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    Opts.Threads = Threads;
+    Report Run = runFullCatalog(Fx.C, Opts);
+    EXPECT_EQ(Run.failures(), 0u) << Threads;
+    EXPECT_TRUE(Serial.sameVerdicts(Run)) << Threads;
+    ASSERT_EQ(Run.Results.size(), Serial.Results.size());
+    for (size_t I = 0; I != Run.Results.size(); ++I)
+      EXPECT_EQ(Run.Results[I].Vcs, Serial.Results[I].Vcs)
+          << Threads << " " << Run.Results[I].key();
 
-  // Sharded runs are deterministic: 2 and 8 threads use the same
-  // one-session-per-family shards, so stats agree exactly.
-  ASSERT_EQ(Two.CatalogSessions.size(), 4u);
-  ASSERT_EQ(Eight.CatalogSessions.size(), 4u);
-  for (size_t I = 0; I != Two.CatalogSessions.size(); ++I) {
-    EXPECT_EQ(Two.CatalogSessions[I].FamilyNames,
-              Eight.CatalogSessions[I].FamilyNames);
-    EXPECT_EQ(Two.CatalogSessions[I].Checks,
-              Eight.CatalogSessions[I].Checks);
-    EXPECT_EQ(Two.CatalogSessions[I].Conflicts,
-              Eight.CatalogSessions[I].Conflicts);
-    EXPECT_EQ(Two.CatalogSessions[I].RecycledVars,
-              Eight.CatalogSessions[I].RecycledVars);
-    EXPECT_EQ(Two.CatalogSessions[I].PeakLiveVars,
-              Eight.CatalogSessions[I].PeakLiveVars);
+    // min(threads, pairs) stripes serve every catalog entry exactly once,
+    // and each retires exactly the families it served.
+    ASSERT_EQ(Run.CatalogSessions.size(),
+              std::min<size_t>(Threads, Entries));
+    size_t Pairs = 0, Methods = 0;
+    for (const CatalogStats &S : Run.CatalogSessions) {
+      EXPECT_GT(S.Pairs, 0u) << Threads;
+      EXPECT_EQ(S.SubtreeRetirements, S.Families) << Threads;
+      EXPECT_EQ(S.PairEvictions, S.Pairs) << Threads;
+      Pairs += S.Pairs;
+      Methods += S.Methods;
+    }
+    EXPECT_EQ(Pairs, Entries) << Threads;
+    EXPECT_EQ(Methods, 6 * Entries) << Threads;
+
+    // A second run at the same thread count repeats every statistic.
+    Report Again = runFullCatalog(Fx.C, Opts);
+    ASSERT_EQ(Again.CatalogSessions.size(), Run.CatalogSessions.size());
+    for (size_t I = 0; I != Run.CatalogSessions.size(); ++I)
+      expectSameCatalogStats(Run.CatalogSessions[I],
+                             Again.CatalogSessions[I]);
+    for (size_t I = 0; I != Run.Results.size(); ++I) {
+      EXPECT_EQ(Run.Results[I].Vcs, Again.Results[I].Vcs)
+          << Run.Results[I].key();
+      EXPECT_EQ(Run.Results[I].Conflicts, Again.Results[I].Conflicts)
+          << Run.Results[I].key();
+      EXPECT_EQ(Run.Results[I].ProofCore, Again.Results[I].ProofCore)
+          << Run.Results[I].key();
+    }
   }
-  for (size_t I = 0; I != Two.Results.size(); ++I) {
-    EXPECT_EQ(Two.Results[I].Vcs, Eight.Results[I].Vcs)
-        << Two.Results[I].key();
-    EXPECT_EQ(Two.Results[I].Conflicts, Eight.Results[I].Conflicts)
-        << Two.Results[I].key();
-    EXPECT_EQ(Two.Results[I].ProofCore, Eight.Results[I].ProofCore)
-        << Two.Results[I].key();
+}
+
+TEST(DriverEngines, StripesNeverOutnumberThePairs) {
+  // Accumulator has four pairs: eight threads open four stripes of one
+  // pair each, none of them empty.
+  DriverFixture Fx;
+  DriverOptions Opts;
+  Opts.Engine = EngineKind::Symbolic;
+  Opts.Families = {"Accumulator"};
+  Opts.Threads = 8;
+
+  Report R = runFullCatalog(Fx.C, Opts);
+  EXPECT_EQ(R.failures(), 0u);
+  size_t Pairs = Fx.C.entries(accumulatorFamily()).size();
+  ASSERT_EQ(Pairs, 4u);
+  ASSERT_EQ(R.CatalogSessions.size(), Pairs);
+  for (const CatalogStats &S : R.CatalogSessions) {
+    EXPECT_EQ(S.FamilyNames, "Accumulator");
+    EXPECT_EQ(S.Pairs, 1u);
+    EXPECT_EQ(S.Methods, 6u);
+    EXPECT_EQ(S.SubtreeRetirements, 1u);
   }
 }
 
@@ -527,27 +619,8 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   ASSERT_TRUE(Back.has_value());
   ASSERT_EQ(Back->CatalogSessions.size(), R.CatalogSessions.size());
   for (size_t I = 0; I != R.CatalogSessions.size(); ++I) {
-    const CatalogStats &A = R.CatalogSessions[I];
-    const CatalogStats &B = Back->CatalogSessions[I];
-    EXPECT_EQ(B.FamilyNames, A.FamilyNames);
-    EXPECT_EQ(B.Families, A.Families);
-    EXPECT_EQ(B.Pairs, A.Pairs);
-    EXPECT_EQ(B.Methods, A.Methods);
-    EXPECT_EQ(B.Vcs, A.Vcs);
-    EXPECT_EQ(B.Checks, A.Checks);
-    EXPECT_EQ(B.Conflicts, A.Conflicts);
-    EXPECT_EQ(B.PrefixAsserts, A.PrefixAsserts);
-    EXPECT_EQ(B.PrefixReuses, A.PrefixReuses);
-    EXPECT_EQ(B.SubtreeRetirements, A.SubtreeRetirements);
-    EXPECT_EQ(B.PairEvictions, A.PairEvictions);
-    EXPECT_EQ(B.EvictedClauses, A.EvictedClauses);
-    EXPECT_EQ(B.RecycledVars, A.RecycledVars);
-    EXPECT_EQ(B.PeakLiveVars, A.PeakLiveVars);
-    EXPECT_EQ(B.PeakLiveClauses, A.PeakLiveClauses);
-    EXPECT_EQ(B.VarRequests, A.VarRequests);
-    EXPECT_EQ(B.PeakRetainedClauses, A.PeakRetainedClauses);
-    EXPECT_EQ(B.Selectors, A.Selectors);
-    EXPECT_EQ(B.Millis, A.Millis);
+    expectSameCatalogStats(R.CatalogSessions[I], Back->CatalogSessions[I]);
+    EXPECT_EQ(Back->CatalogSessions[I].Millis, R.CatalogSessions[I].Millis);
   }
   EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
 }

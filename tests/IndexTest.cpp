@@ -139,17 +139,35 @@ TEST(IndexFuzzTest, SharedIndexServesConcurrentVMs) {
   const FamilyIndex *FI = Fx.Idx.familyIndex(setFamily());
   ASSERT_NE(FI, nullptr);
   const IndexProgram *Prog = nullptr;
+  unsigned Op1 = 0, Op2 = 0;
   for (unsigned I = 0; I != FI->numOps() && !Prog; ++I)
     for (unsigned J = 0; J != FI->numOps() && !Prog; ++J)
-      Prog = FI->program(I, J, SlotBetweenConservative);
+      if ((Prog = FI->program(I, J, SlotBetweenConservative))) {
+        Op1 = I;
+        Op2 = J;
+      }
   ASSERT_NE(Prog, nullptr);
 
   AbstractState Live = AbstractState::makeSet();
   Live.setInsert(Value::obj(1));
   const StateView *Views[NumStateSlots] = {nullptr, &Live, nullptr};
+  // The argument slots hold op1's arguments, then op2's, then the two
+  // return values (the layout crossCheck binds); each slot gets a value of
+  // the sort the program reads from it.
+  const Family &Fam = setFamily();
+  std::vector<Sort> Sorts = Fam.Ops[Op1].ArgSorts;
+  Sorts.insert(Sorts.end(), Fam.Ops[Op2].ArgSorts.begin(),
+               Fam.Ops[Op2].ArgSorts.end());
+  Sorts.push_back(Fam.Ops[Op1].ReturnSort);
+  Sorts.push_back(Fam.Ops[Op2].ReturnSort);
+  ASSERT_LE(Sorts.size(), MaxArgSlots);
   Value Args[MaxArgSlots];
-  for (unsigned I = 0; I != MaxArgSlots; ++I)
-    Args[I] = Value::obj(static_cast<int64_t>(I % 3));
+  for (unsigned I = 0; I != Sorts.size(); ++I) {
+    int64_t N = static_cast<int64_t>(I % 3);
+    Args[I] = Sorts[I] == Sort::Bool  ? Value::boolean(N == 0)
+              : Sorts[I] == Sort::Int ? Value::integer(N)
+                                      : Value::obj(N);
+  }
 
   IndexVM Reference(Fx.Idx.stats().MaxRegs);
   bool Expected = Reference.runBool(*Prog, Args, Views);

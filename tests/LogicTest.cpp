@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
 
 using namespace semcomm;
@@ -138,6 +140,39 @@ TEST(FactoryTest, ConcurrentInterningGivesOneIdentityPerStructure) {
     F.disj({E, F.lnot(E)});
   }
   EXPECT_EQ(F.numNodes(), Nodes);
+
+  // Racing inserts while the tables grow: every thread interns the same
+  // fresh structures, each starting at a different offset, so identical
+  // nodes are created concurrently while each shard's table is replaced
+  // several times (3 * NumFresh new nodes over 16 shards that start at 64
+  // slots). Lock-free lookups may probe a replaced table; they must still
+  // converge on one node per structure.
+  constexpr int NumFresh = 6000;
+  std::vector<std::vector<ExprRef>> Fresh(
+      NumThreads, std::vector<ExprRef>(NumFresh, nullptr));
+  std::atomic<int> Ready{0};
+  {
+    std::vector<std::thread> Threads;
+    for (int T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&F, &Fresh, &Ready, T] {
+        Ready.fetch_add(1);
+        while (Ready.load() != NumThreads)
+          std::this_thread::yield();
+        for (int K = 0; K < NumFresh; ++K) {
+          int I = (K + T * NumFresh / NumThreads) % NumFresh;
+          ExprRef V = F.var("fresh" + std::to_string(I), Sort::Int);
+          Fresh[T][I] = F.lt(V, F.intConst(1000 + I));
+        }
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  for (int T = 1; T < NumThreads; ++T)
+    for (int I = 0; I < NumFresh; ++I)
+      ASSERT_EQ(Fresh[0][I], Fresh[T][I]) << "thread " << T << " fresh "
+                                          << I;
+  // One variable, one constant and one atom per index, nothing twice.
+  EXPECT_EQ(F.numNodes(), Nodes + 3 * NumFresh);
 }
 
 TEST(FactoryTest, SubstituteIsLinearOnSharedDags) {

@@ -138,6 +138,36 @@ TEST(ProofCheckerTest, DeletionShrinksStateBeforeLaterSteps) {
   EXPECT_FALSE(R.Error.empty());
 }
 
+TEST(ProofCheckerTest, PruningDeletedClausesKeepsLiveOccurrences) {
+  // Literal 1's occurrence list starts with two deleted clauses, which
+  // propagation prunes. The first query conflicts in the middle of the
+  // list, on {1, 4}. The second needs the clause after that point: only
+  // literal 1's list can reach {1, 5}, which forces 5, and 5 forces both
+  // 6 and -6. A core that conflicts with nothing must still fail.
+  ProofTrace T;
+  T.addInput({1, 2});
+  T.addInput({1, 3});
+  T.addInput({1, 4});
+  T.addInput({1, 5});
+  T.addInput({-5, 6});
+  T.addInput({-5, -6});
+  T.addDelete({1, 2});
+  T.addDelete({1, 3});
+  T.setTag("mid");
+  T.addQuery({-1, -4}, 4);
+  T.setTag("tail");
+  T.addQuery({-1}, 4);
+  T.setTag("none");
+  T.addQuery({-5}, 4);
+  ProofChecker C;
+  CheckResult R = C.check(T);
+  EXPECT_TRUE(R.Error.empty()) << R.Error;
+  ASSERT_EQ(R.Queries.size(), 3u);
+  EXPECT_TRUE(R.Queries[0].Passed) << R.Queries[0].Error;
+  EXPECT_TRUE(R.Queries[1].Passed) << R.Queries[1].Error;
+  EXPECT_FALSE(R.Queries[2].Passed);
+}
+
 //===----------------------------------------------------------------------===//
 // ProofChecker rejection
 //===----------------------------------------------------------------------===//

@@ -124,7 +124,7 @@ std::vector<JobRecord> driver::enumerateJobs(const Catalog &C,
 namespace {
 
 /// Everything a worker needs to execute one job without touching shared
-/// mutable state (exhaustive) or through anything but the lock-striped
+/// mutable state (exhaustive) or through anything but the thread-safe
 /// factory (symbolic). Conditions and inverse specs are resolved up front,
 /// on the main thread, so workers only evaluate.
 struct PreparedJob {
@@ -176,7 +176,7 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
     Out.Note = R.FailureNote;
   } else if (P.Symbolic) {
     assert(Opts.SymbolicMode == SolveMode::OneShot &&
-           "warm symbolic commutativity jobs run as catalog groups");
+           "warm symbolic commutativity jobs run in catalog stripes");
     SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                        Opts.SymbolicConflictBudget, SolveMode::OneShot);
     Sym.setClauseGcBudget(Opts.GcBudget);
@@ -199,35 +199,39 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
   Out.Millis = Timer.millis();
 }
 
-/// The unit of work of the warm path: one CatalogSession serving a
-/// deterministic list of families — all of them at one thread, one per
-/// session (family shards) otherwise.
-struct CatalogGroup {
+/// The warm path's shared, read-only input: the selected families, their
+/// one catalog plan, and per family and catalog entry the entry's six job
+/// indices, in (kind x role) order.
+struct StripeInput {
   std::vector<const Family *> Fams;
-  /// Per family, per catalog entry: the entry's six job indices, in
-  /// (kind x role) order.
+  CatalogPlan Plan;
   std::vector<std::vector<std::vector<size_t>>> JobIdx;
+  unsigned NumStripes = 0; ///< 0 when no job runs on the warm path.
 };
 
-void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
-                     const CatalogGroup &G, std::vector<JobRecord> &Jobs,
-                     CatalogStats &Stats) {
+/// The unit of work of the warm path: one CatalogSession serving stripe
+/// \p Stripe — entries Stripe, Stripe + NumStripes, ... of every family.
+void runStripe(const Catalog &C, const DriverOptions &Opts,
+               const StripeInput &In, unsigned Stripe,
+               std::vector<JobRecord> &Jobs, CatalogStats &Stats) {
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, SolveMode::SharedCatalog);
   Sym.setClauseGcBudget(Opts.GcBudget);
   Sym.setCertify(Opts.Certify);
-  CatalogOutcome CO = Sym.verifyCatalog(C, G.Fams);
-  assert(CO.Families.size() == G.Fams.size() &&
-         "catalog group out of sync with the plan");
+  CatalogOutcome CO =
+      Sym.verifyStripe(C, In.Fams, In.Plan, Stripe, In.NumStripes);
+  assert(CO.Families.size() == In.Fams.size() &&
+         "stripe out of sync with the plan");
 
-  for (size_t FI = 0; FI != G.Fams.size(); ++FI) {
+  for (size_t FI = 0; FI != In.Fams.size(); ++FI) {
     const FamilyOutcome &FO = CO.Families[FI];
-    assert(FO.Pairs.size() == G.JobIdx[FI].size() &&
-           "family out of sync with the catalog");
+    if (FO.Pairs.empty())
+      continue; // The stripe holds none of this family's entries.
     for (size_t PI = 0; PI != FO.Pairs.size(); ++PI) {
       const PairOutcome &PO = FO.Pairs[PI];
-      const std::vector<size_t> &Idx = G.JobIdx[FI][PI];
+      const std::vector<size_t> &Idx =
+          In.JobIdx[FI][Stripe + PI * In.NumStripes];
       assert(PO.Methods.size() == Idx.size() &&
              "pair out of sync with enumeration");
       for (size_t I = 0; I != Idx.size(); ++I) {
@@ -239,8 +243,8 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
     }
     Stats.Pairs += static_cast<unsigned>(FO.Pairs.size());
     Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + FO.Family;
+    ++Stats.Families;
   }
-  Stats.Families = static_cast<unsigned>(G.Fams.size());
   Stats.Checks = CO.Checks;
   Stats.Conflicts = CO.Conflicts;
   Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
@@ -300,30 +304,33 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
   }
 
-  // Warm path: the symbolic commutativity jobs run through catalog
-  // sessions. At one thread the whole catalog runs through a single
-  // session; with more threads each family runs as its own session
-  // (family shards), so the group list — and with it every statistic — is
-  // a function of the options alone. Enumeration emits each entry's six
-  // jobs contiguously in (kind x role) order.
+  // Warm path: the symbolic commutativity jobs run through K = min(threads,
+  // selected pairs) catalog sessions over one shared catalog plan. Stripe
+  // k serves entries k, k + K, k + 2K, ... of every family, so the stripe
+  // layout — and with it every statistic — is a function of the options
+  // alone; at one thread it is the single whole-catalog session.
+  // Enumeration emits each entry's six jobs contiguously in (kind x role)
+  // order.
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
   bool Warm = Opts.SymbolicMode == SolveMode::SharedCatalog;
   std::map<const ConditionEntry *, std::vector<size_t>> JobsOf;
   for (size_t I = 0; I != Jobs.size(); ++I)
     if (Prepared[I].Symbolic && !Prepared[I].Inverse)
       JobsOf[Prepared[I].Entry].push_back(I);
-  std::vector<CatalogGroup> Groups;
-  if (Warm && !JobsOf.empty())
+  StripeInput Stripes;
+  if (Warm && !JobsOf.empty()) {
+    Stripes.Fams = Fams;
+    size_t Pairs = 0;
     for (const Family *Fam : Fams) {
-      if (Groups.empty() || Threads > 1)
-        Groups.emplace_back();
-      CatalogGroup &G = Groups.back();
-      G.Fams.push_back(Fam);
-      G.JobIdx.emplace_back();
+      Stripes.JobIdx.emplace_back();
       for (const ConditionEntry &E : C.entries(*Fam))
-        G.JobIdx.back().push_back(JobsOf[&E]);
+        Stripes.JobIdx.back().push_back(JobsOf[&E]);
+      Pairs += C.entries(*Fam).size();
     }
-  std::vector<CatalogStats> CatSessions(Groups.size());
+    Stripes.NumStripes =
+        static_cast<unsigned>(std::min<size_t>(Threads, Pairs));
+  }
+  std::vector<CatalogStats> CatSessions(Stripes.NumStripes);
 
   ExhaustiveEngine Engine(Opts.Bounds);
   Stopwatch Wall;
@@ -331,14 +338,19 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     ThreadPool Pool(Threads);
     for (size_t I = 0; I != Jobs.size(); ++I) {
       if (Warm && Prepared[I].Symbolic && !Prepared[I].Inverse)
-        continue; // Runs inside its catalog group.
+        continue; // Runs inside its stripe.
       Pool.submit([&Engine, &C, &Opts, &Prepared, &Jobs, I] {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
     }
-    for (size_t G = 0; G != Groups.size(); ++G)
-      Pool.submit([&C, &Opts, &Groups, &Jobs, &CatSessions, G] {
-        runCatalogGroup(C, Opts, Groups[G], Jobs, CatSessions[G]);
+    // The stripes share one plan; build it while the pool starts on the
+    // jobs above.
+    if (!CatSessions.empty())
+      Stripes.Plan = SymbolicEngine(C.factory(), Opts.SymbolicSeqLenBound)
+                         .planCatalog(C, Fams);
+    for (unsigned S = 0; S != CatSessions.size(); ++S)
+      Pool.submit([&C, &Opts, &Stripes, &Jobs, &CatSessions, S] {
+        runStripe(C, Opts, Stripes, S, Jobs, CatSessions[S]);
       });
     Pool.wait();
   }

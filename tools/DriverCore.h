@@ -14,13 +14,16 @@
 /// ThreadPool, and aggregates per-family timings plus a JSON report.
 ///
 /// Symbolic commutativity jobs run through warm catalog sessions
-/// (SolveMode::SharedCatalog): one session for the whole catalog at one
-/// thread, one per family (family shards) otherwise; the report gains
-/// per-session statistics. SolveMode::OneShot runs every job as its own
-/// cold reference oracle instead. The job list and the result order are
-/// fully determined by the options — never by thread scheduling — so an
-/// N-thread run and a 1-thread run produce byte-identical verdict
-/// sequences (DriverTest pins this down).
+/// (SolveMode::SharedCatalog) over one shared catalog plan: at T threads,
+/// K = min(T, selected pairs) pair stripes, where stripe k serves entries
+/// k, k + K, k + 2K, ... of every family in catalog order — a single
+/// whole-catalog session at one thread. The report gains per-session
+/// statistics. SolveMode::OneShot runs every job as its own cold reference
+/// oracle instead. The job list, the result order and the stripe layout
+/// are fully determined by the options — never by thread scheduling — so
+/// verdicts and per-job VC counts are identical at every thread count, and
+/// every other statistic repeats exactly at a fixed thread count
+/// (DriverTest pins both down).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +68,9 @@ struct DriverOptions {
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
   /// Session strategy for the symbolic engine: shared-catalog (default;
-  /// one warm solver for the whole catalog at one thread, family-sharded
-  /// catalog sessions at more threads; selector-tree scopes with subtree
-  /// retirement and variable recycling) or the oneshot reference oracle.
+  /// one warm solver for the whole catalog at one thread, one per pair
+  /// stripe at more threads; selector-tree scopes with subtree retirement
+  /// and variable recycling) or the oneshot reference oracle.
   SolveMode SymbolicMode = SolveMode::SharedCatalog;
   /// Clause-GC budget: live learned clauses at which a warm session's
   /// first database reduction fires (--gc-budget; 0 keeps the solver
@@ -145,10 +148,12 @@ struct FamilySummary {
 
 /// Reuse, retirement, and recycling statistics of one catalog-level
 /// session (symbolic commutativity jobs under SolveMode::SharedCatalog;
-/// one row per catalog session — a single row at one thread, one per
-/// family shard otherwise).
+/// one row per catalog session — a single row at one thread, one per pair
+/// stripe otherwise).
 struct CatalogStats {
-  std::string FamilyNames; ///< Comma-joined families this session served.
+  /// Comma-joined families this session served (those of which its stripe
+  /// holds at least one entry).
+  std::string FamilyNames;
   unsigned Families = 0;
   unsigned Pairs = 0;
   unsigned Methods = 0;
@@ -214,7 +219,8 @@ std::vector<JobRecord> enumerateJobs(const Catalog &C,
 /// aggregates the report. The catalog (and the families) must already be
 /// fully built. Exhaustive jobs never touch the ExprFactory; symbolic jobs
 /// intern new expressions concurrently through the catalog's factory, which
-/// is safe because ExprFactory interning is lock-striped.
+/// is safe because ExprFactory interning is thread-safe (lock-free lookups,
+/// locked inserts).
 Report runFullCatalog(const Catalog &C, const DriverOptions &Opts);
 
 /// Human-readable per-family timing table plus the overall verdict line.

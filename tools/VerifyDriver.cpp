@@ -45,10 +45,12 @@ void printUsage(const char *Argv0) {
       "                    symbolic or both\n"
       "  --solve-mode M    symbolic session strategy: shared-catalog\n"
       "                    (default; one warm solver for the whole catalog\n"
-      "                    at --threads 1, one per family shard otherwise;\n"
-      "                    subtree retirement + variable recycling) or\n"
-      "                    oneshot (a cold session per VC, the reference\n"
-      "                    oracle); requires --engine symbolic or both\n"
+      "                    at --threads 1; at --threads N, K = min(N, pairs)\n"
+      "                    pair stripes, stripe k verifying entries k, k+K,\n"
+      "                    k+2K, ... of every family; subtree retirement +\n"
+      "                    variable recycling) or oneshot (a cold session\n"
+      "                    per VC, the reference oracle); requires --engine\n"
+      "                    symbolic or both\n"
       "  --gc-budget N     live learned clauses at which a warm session's\n"
       "                    first clause-DB reduction fires (default: the\n"
       "                    data-picked solver default); requires --engine\n"
