@@ -169,16 +169,8 @@ json::Value ShardedVerifyService::snapshot() const {
   V.set("serve_millis", json::Value::number(ServeMillis));
 
   json::Value Log = json::Value::array();
-  for (const ServiceVerdict &SV : VerdictLog) {
-    json::Value Row = json::Value::object();
-    Row.set("family", json::Value::string(SV.Req.Family));
-    Row.set("op1", json::Value::string(SV.Req.Op1));
-    Row.set("op2", json::Value::string(SV.Req.Op2));
-    Row.set("kind", json::Value::string(serviceKindName(SV.Req.Kind)));
-    Row.set("sound", json::Value::boolean(SV.Sound));
-    Row.set("complete", json::Value::boolean(SV.Complete));
-    Log.push(std::move(Row));
-  }
+  for (const ServiceVerdict &SV : VerdictLog)
+    Log.push(snapshotLogRow(SV));
   V.set("log", std::move(Log));
 
   json::Value ShardSnaps = json::Value::array();
@@ -219,6 +211,27 @@ bool ShardedVerifyService::restore(const json::Value &V,
     return false;
   }
 
+  uint64_t RDrains;
+  double RServeMillis;
+  if (!readSnapshotCounter(V, "drains", RDrains, Error) ||
+      !readSnapshotMillis(V, RServeMillis, Error))
+    return false;
+
+  std::vector<ServiceVerdict> Restored;
+  const json::Value *Log = V.find("log");
+  if (!Log || !Log->isArray()) {
+    Error = "snapshot has no verdict log";
+    return false;
+  }
+  // Every shard serves the same families over the same catalog, so
+  // shard 0 can check any row.
+  for (size_t I = 0; I != Log->size(); ++I) {
+    ServiceVerdict SV;
+    if (!Shards.front()->readLogRow(Log->at(I), I, SV, Error))
+      return false;
+    Restored.push_back(std::move(SV));
+  }
+
   const json::Value *ShardSnaps = V.find("shard_snapshots");
   if (!ShardSnaps || !ShardSnaps->isArray() ||
       ShardSnaps->size() != Shards.size()) {
@@ -230,30 +243,9 @@ bool ShardedVerifyService::restore(const json::Value &V,
       Error = "shard " + std::to_string(S) + ": " + Error;
       return false;
     }
-
-  std::vector<ServiceVerdict> Restored;
-  const json::Value *Log = V.find("log");
-  if (!Log || !Log->isArray()) {
-    Error = "snapshot has no verdict log";
-    return false;
-  }
-  for (size_t I = 0; I != Log->size(); ++I) {
-    const json::Value &Row = Log->at(I);
-    ServiceVerdict SV;
-    SV.Req.Family = Row["family"].asString();
-    SV.Req.Op1 = Row["op1"].asString();
-    SV.Req.Op2 = Row["op2"].asString();
-    if (!parseServiceKind(Row["kind"].asString(), SV.Req.Kind)) {
-      Error = "snapshot log row " + std::to_string(I) + " has a bad kind";
-      return false;
-    }
-    SV.Sound = Row["sound"].asBool();
-    SV.Complete = Row["complete"].asBool();
-    Restored.push_back(std::move(SV));
-  }
   VerdictLog = std::move(Restored);
-  Drains = static_cast<uint64_t>(V["drains"].asInt());
-  ServeMillis = V["serve_millis"].asDouble();
+  Drains = RDrains;
+  ServeMillis = RServeMillis;
   Error.clear();
   return true;
 }

@@ -41,6 +41,42 @@ bool semcomm::service::parseServiceKind(const std::string &Name,
   return true;
 }
 
+json::Value semcomm::service::snapshotLogRow(const ServiceVerdict &V) {
+  json::Value Row = json::Value::object();
+  Row.set("family", json::Value::string(V.Req.Family));
+  Row.set("op1", json::Value::string(V.Req.Op1));
+  Row.set("op2", json::Value::string(V.Req.Op2));
+  Row.set("kind", json::Value::string(serviceKindName(V.Req.Kind)));
+  Row.set("sound", json::Value::boolean(V.Sound));
+  Row.set("complete", json::Value::boolean(V.Complete));
+  return Row;
+}
+
+bool semcomm::service::readSnapshotCounter(const json::Value &V,
+                                           const char *Key, uint64_t &Out,
+                                           std::string &Error) {
+  const json::Value *Field = V.find(Key);
+  if (!Field || !Field->isInt() || Field->asInt() < 0) {
+    Error = std::string("snapshot field '") + Key + "' is " +
+            (Field ? "not a non-negative integer" : "missing");
+    return false;
+  }
+  Out = static_cast<uint64_t>(Field->asInt());
+  return true;
+}
+
+bool semcomm::service::readSnapshotMillis(const json::Value &V, double &Out,
+                                          std::string &Error) {
+  const json::Value *Field = V.find("serve_millis");
+  if (!Field || !Field->isNumber() || Field->asDouble() < 0) {
+    Error = std::string("snapshot field 'serve_millis' is ") +
+            (Field ? "not a non-negative number" : "missing");
+    return false;
+  }
+  Out = Field->asDouble();
+  return true;
+}
+
 VerifyService::VerifyService(const Catalog &C,
                              const std::vector<const Family *> &Fams,
                              const ServiceConfig &Cfg,
@@ -65,26 +101,39 @@ VerifyService::VerifyService(const Catalog &C,
   Sess->session().setSelectorRelease(Cfg.ReleaseSelectors);
 }
 
-bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
+bool VerifyService::resolve(const ServiceRequest &R, ResolvedRequest &Out,
+                            std::string &Error) const {
   auto FI = FamIdxByName.find(R.Family);
   if (FI == FamIdxByName.end()) {
     Error = "family '" + R.Family + "' is not served by this service";
     return false;
   }
-  const ConditionEntry *Entry = nullptr;
   for (const ConditionEntry &E : C.entries(*Fams[FI->second]))
     if (E.op1().Name == R.Op1 && E.op2().Name == R.Op2) {
-      Entry = &E;
-      break;
+      Out = {R, FI->second, &E};
+      return true;
     }
-  if (!Entry) {
-    Error = "no catalog entry for pair (" + R.Op1 + ", " + R.Op2 +
-            ") in family " + R.Family;
+  Error = "no catalog entry for pair (" + R.Op1 + ", " + R.Op2 +
+          ") in family " + R.Family;
+  return false;
+}
+
+bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
+  ResolvedRequest RR;
+  if (!resolve(R, RR, Error))
     return false;
-  }
-  Pending.push_back({R, FI->second, Entry});
+  Pending.push_back(std::move(RR));
   Error.clear();
   return true;
+}
+
+const PairPlan &VerifyService::planOf(const ConditionEntry *Entry) {
+  auto It = Plans.find(Entry);
+  if (It == Plans.end()) {
+    It = Plans.emplace(Entry, Eng.planPair(*Entry)).first;
+    ++PlansBuilt;
+  }
+  return It->second;
 }
 
 void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
@@ -113,8 +162,8 @@ std::vector<ServiceVerdict> VerifyService::drain() {
   if (Cfg.Batch) {
     // Group pending requests by family, then by pair, both in
     // first-appearance order: every request of a (family, pair) group is
-    // served against one warm pair scope under one freshly built plan,
-    // and the scope retires when its group completes.
+    // served against one warm pair scope, and the scope retires when its
+    // group completes.
     struct Group {
       const ConditionEntry *Entry;
       std::vector<const ResolvedRequest *> Reqs;
@@ -139,7 +188,7 @@ std::vector<ServiceVerdict> VerifyService::drain() {
     }
     for (size_t FamIdx : FamOrder)
       for (const Group &G : Groups[FamIdx]) {
-        PairPlan PP = Eng.planPair(*G.Entry);
+        const PairPlan &PP = planOf(G.Entry);
         ++PairGroups;
         BatchedReuses += G.Reqs.size() - 1;
         for (const ResolvedRequest *RR : G.Reqs)
@@ -147,11 +196,10 @@ std::vector<ServiceVerdict> VerifyService::drain() {
         Sess->retirePair(FamIdx, PP.Key);
       }
   } else {
-    // FIFO baseline: arrival order, one plan + one pair scope per
-    // request, retired immediately — every request pays the full
-    // planning and prefix-assertion cost.
+    // FIFO baseline: arrival order, one pair scope per request, retired
+    // immediately — every request pays the full prefix-assertion cost.
     for (const ResolvedRequest &RR : Pending) {
-      PairPlan PP = Eng.planPair(*RR.Entry);
+      const PairPlan &PP = planOf(RR.Entry);
       ++PairGroups;
       serveOne(RR, PP, Out);
       Sess->retirePair(RR.FamIdx, PP.Key);
@@ -170,6 +218,7 @@ ServiceStats VerifyService::stats() const {
   S.PairGroups = PairGroups;
   S.BatchedReuses = BatchedReuses;
   S.MethodsDischarged = MethodsDischarged;
+  S.PlansBuilt = PlansBuilt;
   S.ServeMillis = ServeMillis;
   S.Session = Sess->stats();
   return S;
@@ -192,16 +241,8 @@ json::Value VerifyService::snapshot() const {
     Families.push(json::Value::string(F->Name));
 
   json::Value Log = json::Value::array();
-  for (const ServiceVerdict &V : VerdictLog) {
-    json::Value Row = json::Value::object();
-    Row.set("family", json::Value::string(V.Req.Family));
-    Row.set("op1", json::Value::string(V.Req.Op1));
-    Row.set("op2", json::Value::string(V.Req.Op2));
-    Row.set("kind", json::Value::string(serviceKindName(V.Req.Kind)));
-    Row.set("sound", json::Value::boolean(V.Sound));
-    Row.set("complete", json::Value::boolean(V.Complete));
-    Log.push(std::move(Row));
-  }
+  for (const ServiceVerdict &V : VerdictLog)
+    Log.push(snapshotLogRow(V));
 
   json::Value V = json::Value::object();
   V.set("schema", json::Value::integer(1));
@@ -217,6 +258,51 @@ json::Value VerifyService::snapshot() const {
   V.set("serve_millis", json::Value::number(ServeMillis));
   V.set("log", std::move(Log));
   return V;
+}
+
+bool VerifyService::readLogRow(const json::Value &Row, size_t Index,
+                               ServiceVerdict &Out,
+                               std::string &Error) const {
+  std::string Where = "snapshot log row " + std::to_string(Index);
+  if (!Row.isObject()) {
+    Error = Where + " is not an object";
+    return false;
+  }
+  auto Bad = [&](const char *Key, bool (json::Value::*Is)() const,
+                 const char *Type) {
+    const json::Value *F = Row.find(Key);
+    if (F && (F->*Is)())
+      return false;
+    Error = Where + ": field '" + Key + "' is " +
+            (F ? std::string("not a ") + Type : std::string("missing"));
+    return true;
+  };
+  if (Bad("family", &json::Value::isString, "string") ||
+      Bad("op1", &json::Value::isString, "string") ||
+      Bad("op2", &json::Value::isString, "string") ||
+      Bad("kind", &json::Value::isString, "string") ||
+      Bad("sound", &json::Value::isBool, "boolean") ||
+      Bad("complete", &json::Value::isBool, "boolean"))
+    return false;
+  Out.Req.Family = Row["family"].asString();
+  Out.Req.Op1 = Row["op1"].asString();
+  Out.Req.Op2 = Row["op2"].asString();
+  if (!parseServiceKind(Row["kind"].asString(), Out.Req.Kind)) {
+    Error = Where + ": field 'kind' is '" + Row["kind"].asString() +
+            "', not before, between or after";
+    return false;
+  }
+  Out.Sound = Row["sound"].asBool();
+  Out.Complete = Row["complete"].asBool();
+  ResolvedRequest RR;
+  if (!resolve(Out.Req, RR, Error)) {
+    Error = Where +
+            (FamIdxByName.count(Out.Req.Family) ? ": fields 'op1', 'op2': "
+                                                : ": field 'family': ") +
+            Error;
+    return false;
+  }
+  return true;
 }
 
 bool VerifyService::restore(const json::Value &V, std::string &Error) {
@@ -254,6 +340,16 @@ bool VerifyService::restore(const json::Value &V, std::string &Error) {
       return false;
     }
 
+  uint64_t RDrains, RPairGroups, RBatchedReuses, RMethodsDischarged;
+  double RServeMillis;
+  if (!readSnapshotCounter(V, "drains", RDrains, Error) ||
+      !readSnapshotCounter(V, "pair_groups", RPairGroups, Error) ||
+      !readSnapshotCounter(V, "batched_reuses", RBatchedReuses, Error) ||
+      !readSnapshotCounter(V, "methods_discharged", RMethodsDischarged,
+                           Error) ||
+      !readSnapshotMillis(V, RServeMillis, Error))
+    return false;
+
   std::vector<ServiceVerdict> Restored;
   const json::Value *Log = V.find("log");
   if (!Log || !Log->isArray()) {
@@ -261,27 +357,18 @@ bool VerifyService::restore(const json::Value &V, std::string &Error) {
     return false;
   }
   for (size_t I = 0; I != Log->size(); ++I) {
-    const json::Value &Row = Log->at(I);
     ServiceVerdict SV;
-    SV.Req.Family = Row["family"].asString();
-    SV.Req.Op1 = Row["op1"].asString();
-    SV.Req.Op2 = Row["op2"].asString();
-    if (!parseServiceKind(Row["kind"].asString(), SV.Req.Kind)) {
-      Error = "snapshot log row " + std::to_string(I) + " has a bad kind";
+    if (!readLogRow(Log->at(I), I, SV, Error))
       return false;
-    }
-    SV.Sound = Row["sound"].asBool();
-    SV.Complete = Row["complete"].asBool();
     Restored.push_back(std::move(SV));
   }
 
   VerdictLog = std::move(Restored);
-  Drains = static_cast<uint64_t>(V["drains"].asInt());
-  PairGroups = static_cast<uint64_t>(V["pair_groups"].asInt());
-  BatchedReuses = static_cast<uint64_t>(V["batched_reuses"].asInt());
-  MethodsDischarged =
-      static_cast<uint64_t>(V["methods_discharged"].asInt());
-  ServeMillis = V["serve_millis"].asDouble();
+  Drains = RDrains;
+  PairGroups = RPairGroups;
+  BatchedReuses = RBatchedReuses;
+  MethodsDischarged = RMethodsDischarged;
+  ServeMillis = RServeMillis;
   Error.clear();
   return true;
 }

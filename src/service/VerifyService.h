@@ -14,15 +14,21 @@
 ///
 /// Serving discipline:
 ///
+///  * Plan store: a pair's six-method discharge plan is a pure function of
+///    the catalog, so the service builds it on the pair's first request
+///    and keeps it for its lifetime (planOf). Both disciplines below serve
+///    from the store; the store is bounded by the served pairs of the
+///    catalog (PlansBuilt in the stats).
+///
 ///  * Prefix batching (the default): pending requests are grouped by
-///    family, then by op-pair, in first-appearance order. A pair's plan is
-///    built once per group, its scope opened once, every request of the
-///    group discharged against the warm pair scope, and the scope retired
-///    when the group completes — so N same-pair requests pay one planning
-///    + prefix-assertion cost instead of N. The FIFO baseline (Batch =
-///    false) serves arrival order, re-planning and re-opening the pair
-///    scope per request; the requests/sec delta between the two is the
-///    number the bench harness reports.
+///    family, then by op-pair, in first-appearance order. A pair's scope
+///    is opened once per group, every request of the group discharged
+///    against the warm pair scope, and the scope retired when the group
+///    completes — so N same-pair requests pay one prefix-assertion and
+///    one retirement instead of N. The FIFO baseline (Batch = false)
+///    serves arrival order, opening and retiring the pair scope per
+///    request; the requests/sec delta between the two is the number the
+///    bench harness reports.
 ///
 ///  * Long-horizon compaction: with CompactBridges (the default) the
 ///    session reference-counts theory atoms by the scopes that mention
@@ -36,9 +42,10 @@
 ///  * Snapshot / reload: snapshot() serializes the service image (config,
 ///    cumulative statistics, the verdict log) to JSON; restore() loads it
 ///    into a freshly constructed service. The warm solver state itself is
-///    deliberately not serialized — it is a deterministic function of the
-///    catalog, so a reloaded service re-warms lazily as requests arrive
-///    while its counters and log continue from the snapshot.
+///    deliberately not serialized (nor is the plan store) — both are
+///    deterministic functions of the catalog, so a reloaded service
+///    re-warms lazily as requests arrive while its counters and log
+///    continue from the snapshot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +105,9 @@ struct ServiceStats {
   /// drain already opened (zero under FIFO).
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
+  /// Pair plans built over the service lifetime: one per distinct pair
+  /// served, however many drains repeat it (not carried by snapshots).
+  uint64_t PlansBuilt = 0;
   double ServeMillis = 0; ///< Wall time spent inside drain().
   CatalogSessionStats Session;
 };
@@ -165,6 +175,12 @@ public:
   /// snapshot's config and family set must match this service's. Pending
   /// requests are unaffected; the warm solver re-warms lazily.
   bool restore(const json::Value &V, std::string &Error);
+  /// Reads snapshot log row \p Index into \p Out. The row must be an
+  /// object with string family/op1/op2/kind and boolean sound/complete,
+  /// naming a family this service serves and a pair its catalog has;
+  /// otherwise returns false with \p Error naming the row and the field.
+  bool readLogRow(const json::Value &Row, size_t Index, ServiceVerdict &Out,
+                  std::string &Error) const;
 
 private:
   struct ResolvedRequest {
@@ -173,6 +189,11 @@ private:
     const ConditionEntry *Entry = nullptr;
   };
 
+  /// Looks up \p R's family and catalog entry (the submit() checks).
+  bool resolve(const ServiceRequest &R, ResolvedRequest &Out,
+               std::string &Error) const;
+  /// The stored plan of \p Entry's pair, built on its first request.
+  const PairPlan &planOf(const ConditionEntry *Entry);
   /// Discharges \p RR's two testing methods out of \p PP against the warm
   /// pair scope and appends the verdict.
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
@@ -188,6 +209,9 @@ private:
   const CatalogPlan *Plan; ///< Pairs unmaterialized; must outlive Sess.
   std::unique_ptr<CatalogSession> Sess;
   std::map<std::string, size_t> FamIdxByName;
+  /// Every pair plan built so far; entries are never evicted (references
+  /// handed out by planOf stay valid).
+  std::map<const ConditionEntry *, PairPlan> Plans;
 
   std::vector<ResolvedRequest> Pending;
   std::vector<ServiceVerdict> VerdictLog;
@@ -195,6 +219,7 @@ private:
   uint64_t PairGroups = 0;
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
+  uint64_t PlansBuilt = 0;
   double ServeMillis = 0;
 };
 
@@ -202,6 +227,16 @@ private:
 /// ("before" / "between" / "after"; parse returns false on anything else).
 const char *serviceKindName(ConditionKind K);
 bool parseServiceKind(const std::string &Name, ConditionKind &K);
+
+/// Snapshot helpers shared by both services: one verdict-log row, and the
+/// checked readers of a snapshot's counters (non-negative integers) and
+/// of its serve_millis (a non-negative number). The readers return false
+/// with \p Error naming the field.
+json::Value snapshotLogRow(const ServiceVerdict &V);
+bool readSnapshotCounter(const json::Value &V, const char *Key,
+                         uint64_t &Out, std::string &Error);
+bool readSnapshotMillis(const json::Value &V, double &Out,
+                        std::string &Error);
 
 } // namespace service
 } // namespace semcomm

@@ -148,34 +148,61 @@ ExprRef SmtSession::normalizeAtom(ExprRef E) {
   case ExprKind::Le:
     return canonicalIntAtom(ExprKind::Le, E->operand(0), E->operand(1));
   default:
-    // Boolean variables and state-query atoms stay as they are.
-    return E;
+    semcomm_unreachable("normalizeAtom on a non-atom");
   }
 }
 
 ExprRef SmtSession::normalize(ExprRef E) {
   switch (E->kind()) {
   case ExprKind::Not:
-    return F.lnot(normalize(E->operand(0)));
+  case ExprKind::And:
+  case ExprKind::Or:
+  case ExprKind::Implies:
+  case ExprKind::Iff:
+  case ExprKind::Ite:
+  case ExprKind::Eq:
+  case ExprKind::Lt:
+  case ExprKind::Le:
+    break;
+  default:
+    // Boolean variables and state-query atoms stay as they are.
+    return E;
+  }
+  auto Hit = NormalizeMemo.find(E);
+  if (Hit != NormalizeMemo.end())
+    return Hit->second;
+
+  ExprRef N = nullptr;
+  switch (E->kind()) {
+  case ExprKind::Not:
+    N = F.lnot(normalize(E->operand(0)));
+    break;
   case ExprKind::And:
   case ExprKind::Or: {
     std::vector<ExprRef> Ops;
     for (ExprRef Op : E->operands())
       Ops.push_back(normalize(Op));
-    return E->kind() == ExprKind::And ? F.conj(std::move(Ops))
-                                      : F.disj(std::move(Ops));
+    N = E->kind() == ExprKind::And ? F.conj(std::move(Ops))
+                                   : F.disj(std::move(Ops));
+    break;
   }
   case ExprKind::Implies:
-    return F.implies(normalize(E->operand(0)), normalize(E->operand(1)));
+    N = F.implies(normalize(E->operand(0)), normalize(E->operand(1)));
+    break;
   case ExprKind::Iff:
-    return F.iff(normalize(E->operand(0)), normalize(E->operand(1)));
+    N = F.iff(normalize(E->operand(0)), normalize(E->operand(1)));
+    break;
   case ExprKind::Ite:
     assert(E->sort() == Sort::Bool && "non-boolean ITE outside an atom");
-    return F.ite(normalize(E->operand(0)), normalize(E->operand(1)),
-                 normalize(E->operand(2)));
+    N = F.ite(normalize(E->operand(0)), normalize(E->operand(1)),
+              normalize(E->operand(2)));
+    break;
   default:
-    return normalizeAtom(E);
+    N = normalizeAtom(E);
+    break;
   }
+  NormalizeMemo.emplace(E, N);
+  return N;
 }
 
 // --- Incremental bridge generation -------------------------------------------
@@ -562,16 +589,17 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   }
   if (Audit)
     Audit->assertInScope(printAbstract(Scopes[Scope].Selector));
-  // Wrap Body in the selector path, innermost first.
-  ExprRef Formula = Body;
+  // Wrap the normalized Body in the selector path, innermost first (the
+  // same formula as normalizing the wrapped Body, but the epoch-named
+  // wrappers stay out of the normalize memo).
+  ExprRef NBody = normalize(Body);
+  ExprRef N = NBody;
   for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
-    Formula = F.implies(Scopes[S].Selector, Formula);
-  ExprRef N = normalize(Formula);
+    N = F.implies(normalize(Scopes[S].Selector), N);
   AttrScope = Scope;
   ingest(N);
   std::set<ExprRef> Visited;
-  collectBoolAtoms(normalize(Body), ScopedAtoms[Scopes[Scope].Selector],
-                   Visited);
+  collectBoolAtoms(NBody, ScopedAtoms[Scopes[Scope].Selector], Visited);
   Tseitin::LayerId Saved = Encoder.activeLayer();
   Encoder.setActiveLayer(Scopes[Scope].Layer);
   Encoder.assertTrue(N);
@@ -788,6 +816,9 @@ size_t SmtSession::compactBridges() {
   IntAtomSeen.clear();
   for (const auto &P : IntAtoms)
     IntAtomSeen.insert(P.first);
+  // A memoized result may name a dead int atom; a hit would then skip the
+  // re-registration (and the bridges) a fresh normalization performs.
+  NormalizeMemo.clear();
   for (ExprRef E : DeadEntries)
     EntryOwners.erase(E);
   DeadEntries.clear();

@@ -66,6 +66,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
@@ -326,6 +327,18 @@ private:
     bool Alive = true;
   };
 
+  /// Rewrites \p E into the encoder's input language: object equalities
+  /// in canonical operand order with object ITEs lowered, integer atoms
+  /// canonicalized to `sum <=/= c`, connectives rebuilt over normalized
+  /// operands. Results of composite formulas (the connectives and the
+  /// Eq/Lt/Le atoms) are memoized in NormalizeMemo; leaves return
+  /// themselves unrecorded. The memo is sound only while every canonical
+  /// int atom inside a recorded result is still in the int-atom registry:
+  /// canonicalIntAtom registers an atom on its first normalization, and a
+  /// memo hit skips that call. compactBridges() filters the registry, so
+  /// it clears the memo too. assertInScope() wraps the normalized body in
+  /// the selector path after normalization, so epoch-named selector
+  /// wrappers never enter the memo.
   ExprRef normalize(ExprRef E);
   ExprRef normalizeAtom(ExprRef E);
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
@@ -372,6 +385,12 @@ private:
   std::set<ExprRef> MemAtomSet;
   std::vector<std::pair<ExprRef, detail::IntAtomInfo>> IntAtoms;
   std::set<ExprRef> IntAtomSeen;
+
+  /// normalize() results of composite formulas, keyed by the hash-consed
+  /// input; cleared whenever compaction filters IntAtoms (see normalize).
+  /// Only looked up, never iterated, so pointer keys cannot leak into
+  /// any order the session exposes.
+  std::unordered_map<ExprRef, ExprRef> NormalizeMemo;
 
   /// Atoms of the base formulas: a failing check's countermodel is
   /// reported over base + active-scope + current-query atoms only, not

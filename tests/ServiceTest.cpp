@@ -17,10 +17,13 @@
 #include "service/VerifyService.h"
 
 #include "DriverCore.h"
+#include "service/ShardedVerifyService.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <set>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -100,6 +103,49 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
   EXPECT_EQ(S.BatchedReuses, 3u);
   EXPECT_EQ(S.MethodsDischarged, 10u);
   EXPECT_TRUE(Svc.session().solver().reasonInvariantHolds());
+}
+
+// A pair's plan is a pure function of the catalog: the service builds it
+// on the pair's first request and serves every later drain from the
+// store, under both disciplines. Repeated drains plan nothing new and
+// repeat the first drain's verdicts exactly.
+TEST(ServiceTest, PlansPersistAcrossDrains) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::set<std::string> Pairs;
+  for (const ServiceRequest &R : Pass)
+    Pairs.insert(R.Family + "|" + R.Op1 + "," + R.Op2);
+
+  for (bool Batch : {true, false}) {
+    ServiceConfig Cfg;
+    Cfg.Batch = Batch;
+    Cfg.CompactMinDead = 8; // Compactions between drains, too.
+    VerifyService Svc(C, Fams, Cfg);
+    std::string Error;
+    std::vector<ServiceVerdict> First;
+    for (int D = 0; D != 3; ++D) {
+      for (const ServiceRequest &R : Pass)
+        ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+      std::vector<ServiceVerdict> Got = Svc.drain();
+      EXPECT_EQ(Svc.stats().PlansBuilt, Pairs.size())
+          << "batch=" << Batch << " drain " << D;
+      if (D == 0) {
+        First = Got;
+        continue;
+      }
+      ASSERT_EQ(Got.size(), First.size());
+      for (size_t I = 0; I != Got.size(); ++I) {
+        EXPECT_EQ(keyOf(Got[I].Req), keyOf(First[I].Req));
+        EXPECT_EQ(Got[I].Sound, First[I].Sound) << keyOf(Got[I].Req);
+        EXPECT_EQ(Got[I].Complete, First[I].Complete) << keyOf(Got[I].Req);
+      }
+    }
+    ServiceStats S = Svc.stats();
+    EXPECT_EQ(S.PairGroups, (Batch ? 3 * Pairs.size() : 3 * Pass.size()));
+    EXPECT_GT(S.Session.BridgeCompactions, 0u);
+  }
 }
 
 // The tentpole property: a compacting, selector-releasing, batched
@@ -302,6 +348,82 @@ TEST(ServiceTest, RestoreRejectsBatchMismatch) {
   VerifyService Other(C, Fams, Fifo);
   EXPECT_FALSE(Other.restore(Image, Error));
   EXPECT_NE(Error.find("batch"), std::string::npos) << Error;
+}
+
+// Snapshot restore is an input boundary: a malformed log row or counter
+// is rejected with an error naming the row and the field, by the single
+// session and the sharded front-end alike. Each mutant rewrites the first
+// match of a pattern in the compact snapshot text; that match lies in log
+// row 0, or for counters in the top-level fields.
+TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator"});
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+
+  ServiceConfig Cfg;
+  VerifyService Single(C, Fams, Cfg);
+  ShardedServiceConfig SCfg;
+  SCfg.Shards = 2;
+  ShardedVerifyService Sharded(C, Fams, SCfg);
+  for (const ServiceRequest &R : Pass) {
+    ASSERT_TRUE(Single.submit(R, Error)) << Error;
+    ASSERT_TRUE(Sharded.submit(R, Error)) << Error;
+  }
+  Single.drain();
+  Sharded.drain();
+
+  struct Target {
+    const char *Name;
+    std::string Snapshot;
+    std::function<bool(const json::Value &, std::string &)> RestoreFresh;
+  };
+  const Target Targets[] = {
+      {"single", Single.snapshot().dump(),
+       [&](const json::Value &V, std::string &E) {
+         return VerifyService(C, Fams, Cfg).restore(V, E);
+       }},
+      {"sharded", Sharded.snapshot().dump(),
+       [&](const json::Value &V, std::string &E) {
+         return ShardedVerifyService(C, Fams, SCfg).restore(V, E);
+       }},
+  };
+
+  struct Mutant {
+    const char *From, *To, *WantError;
+  };
+  const Mutant Mutants[] = {
+      {"\"family\":\"Accumulator\",", "",
+       "snapshot log row 0: field 'family' is missing"},
+      {"\"sound\":true", "\"sound\":\"yes\"",
+       "snapshot log row 0: field 'sound' is not a boolean"},
+      {"\"family\":\"Accumulator\"", "\"family\":\"Set\"",
+       "snapshot log row 0: field 'family': family 'Set' is not served"},
+      {"\"op1\":\"", "\"op1\":\"no_",
+       "snapshot log row 0: fields 'op1', 'op2': no catalog entry"},
+      {"{\"family\"", "7,{\"family\"", "snapshot log row 0 is not an object"},
+      {"\"drains\":1", "\"drains\":-1",
+       "snapshot field 'drains' is not a non-negative integer"},
+  };
+
+  for (const Target &T : Targets) {
+    std::optional<json::Value> Intact = json::Value::parse(T.Snapshot);
+    ASSERT_TRUE(Intact.has_value());
+    ASSERT_TRUE(T.RestoreFresh(*Intact, Error)) << T.Name << ": " << Error;
+    for (const Mutant &M : Mutants) {
+      std::string Text = T.Snapshot;
+      size_t At = Text.find(M.From);
+      ASSERT_NE(At, std::string::npos) << T.Name << ": " << M.From;
+      Text.replace(At, std::string(M.From).size(), M.To);
+      std::optional<json::Value> Mutated = json::Value::parse(Text);
+      ASSERT_TRUE(Mutated.has_value()) << T.Name << ": " << M.From;
+      EXPECT_FALSE(T.RestoreFresh(*Mutated, Error))
+          << T.Name << " accepted the mutant " << M.From << " -> " << M.To;
+      EXPECT_NE(Error.find(M.WantError), std::string::npos)
+          << T.Name << ": " << Error;
+    }
+  }
 }
 
 } // namespace

@@ -776,6 +776,31 @@ TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
   EXPECT_EQ(S.check({PairSel2, F.lnot(Y)}, -1, PairSel2), SatResult::Unsat);
 }
 
+TEST(SmtSessionTest, CompactedIntAtomsReRegisterOnReuse) {
+  // Each round's scope is the only owner of the atoms x=1 and x=2, so its
+  // retirement compacts both out of the int-atom registry. The next round
+  // normalizes the same formulas again: they must re-register their atoms,
+  // or the exclusivity bridge between x=1 and x=2 is never re-emitted and
+  // the check turns Sat. A normalize memo that outlived the compaction
+  // would skip exactly that re-registration.
+  ExprFactory F;
+  SmtSession S(F);
+  S.enableBridgeCompaction(1);
+  ExprRef X = F.var("reuse_x", Sort::Int);
+  for (int Round = 0; Round != 3; ++Round) {
+    ExprRef Sel = F.var("reuse_sel" + std::to_string(Round), Sort::Bool);
+    SmtSession::ScopeId Scope =
+        S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+    S.assertInScope(Scope, F.eq(X, F.intConst(1)));
+    EXPECT_EQ(S.check({Sel, F.eq(X, F.intConst(2))}, -1, Sel),
+              SatResult::Unsat)
+        << "round " << Round;
+    S.retireScope(Scope);
+    EXPECT_EQ(S.bridgeCompactions(), Round + 1) << "round " << Round;
+    EXPECT_TRUE(S.solver().reasonInvariantHolds());
+  }
+}
+
 // --- Core-minimizing restarts -------------------------------------------------
 
 TEST(SatSolverCoreMinimization, SolveOfCoreReachesSmallerFixpoint) {

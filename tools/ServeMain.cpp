@@ -26,6 +26,8 @@
 #include "service/VerifyService.h"
 #include "support/Timing.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +99,24 @@ void printUsage(const char *Argv0) {
       "exit status: 0 on success; 1 on verification failure or a failed\n"
       "check; 2 on usage errors.\n",
       Argv0);
+}
+
+/// Parses \p Val, the value of \p Flag, as a whole-string decimal integer
+/// in [\p Min, \p Max] (semcommute-verify's rule; \p Max guards the
+/// narrower type the value is stored in). Anything else is a usage error
+/// naming the flag and the value (exit status 2).
+long parseIntFlag(const char *Flag, const char *Val, long Min,
+                  long Max = LONG_MAX) {
+  char *End = nullptr;
+  errno = 0;
+  long N = std::strtol(Val, &End, 10);
+  if (End != Val && *End == '\0' && errno != ERANGE && N >= Min && N <= Max)
+    return N;
+  std::string Want = Min > 0 ? "a positive integer" : "an integer";
+  if (Max != LONG_MAX)
+    Want += " no larger than " + std::to_string(Max);
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", Flag, Want.c_str(), Val);
+  std::exit(2);
 }
 
 std::vector<std::string> splitCommas(const std::string &S) {
@@ -209,6 +229,7 @@ struct AnyService {
       Agg.PairGroups += Sh.Stats.PairGroups;
       Agg.BatchedReuses += Sh.Stats.BatchedReuses;
       Agg.MethodsDischarged += Sh.Stats.MethodsDischarged;
+      Agg.PlansBuilt += Sh.Stats.PlansBuilt;
       const CatalogSessionStats &In = Sh.Stats.Session;
       CatalogSessionStats &Out = Agg.Session;
       Out.FamiliesOpened += In.FamiliesOpened;
@@ -264,17 +285,23 @@ int main(int argc, char **argv) {
     } else if (Arg == "--families") {
       FamilyNames = splitCommas(needValue("--families"));
     } else if (Arg == "--passes") {
-      Passes = std::atol(needValue("--passes"));
+      Passes = parseIntFlag("--passes", needValue("--passes"), 1);
     } else if (Arg == "--requests") {
-      RandomRequests = std::atol(needValue("--requests"));
+      RandomRequests = parseIntFlag("--requests", needValue("--requests"), 1);
     } else if (Arg == "--seed") {
-      Seed = static_cast<unsigned>(std::atol(needValue("--seed")));
+      Seed = static_cast<unsigned>(
+          parseIntFlag("--seed", needValue("--seed"), LONG_MIN));
     } else if (Arg == "--drain-every") {
-      DrainEvery = std::atol(needValue("--drain-every"));
+      DrainEvery =
+          parseIntFlag("--drain-every", needValue("--drain-every"), 1);
     } else if (Arg == "--seq-bound") {
-      Cfg.SeqLenBound = std::atoi(needValue("--seq-bound"));
+      // A bound below 1 would make every ArrayList split vacuous and
+      // "verify" the family with zero VCs.
+      Cfg.SeqLenBound = static_cast<int>(
+          parseIntFlag("--seq-bound", needValue("--seq-bound"), 1, INT_MAX));
     } else if (Arg == "--budget") {
-      Cfg.ConflictBudget = std::atoll(needValue("--budget"));
+      Cfg.ConflictBudget =
+          parseIntFlag("--budget", needValue("--budget"), LONG_MIN);
     } else if (Arg == "--no-batch") {
       Cfg.Batch = false;
     } else if (Arg == "--no-compact") {
@@ -282,9 +309,11 @@ int main(int argc, char **argv) {
     } else if (Arg == "--certify") {
       Cfg.Certify = true;
     } else if (Arg == "--threads") {
-      Threads = std::atol(needValue("--threads"));
+      Threads =
+          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX);
     } else if (Arg == "--shards") {
-      ShardCount = std::atol(needValue("--shards"));
+      ShardCount =
+          parseIntFlag("--shards", needValue("--shards"), 1, UINT_MAX);
     } else if (Arg == "--route") {
       std::string Mode = needValue("--route");
       if (Mode == "pair") {
@@ -316,20 +345,8 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (Passes < 1 && RandomRequests < 0) {
-    std::fprintf(stderr, "--passes must be positive\n");
-    return 2;
-  }
-  if (DrainEvery < 1) {
-    std::fprintf(stderr, "--drain-every must be positive\n");
-    return 2;
-  }
   if (AssertPlateau && (RandomRequests >= 0 || Passes < 3)) {
     std::fprintf(stderr, "--assert-plateau requires --passes >= 3\n");
-    return 2;
-  }
-  if (Threads < 1 || ShardCount == 0) {
-    std::fprintf(stderr, "--threads and --shards must be positive\n");
     return 2;
   }
 
@@ -566,6 +583,7 @@ int main(int argc, char **argv) {
     auto SetU = [&Sess](const char *K, uint64_t V) {
       Sess.set(K, json::Value::integer(static_cast<int64_t>(V)));
     };
+    SetU("plans_built", S.PlansBuilt);
     SetU("pairs_opened", S.Session.PairsOpened);
     SetU("pairs_retired", S.Session.PairsRetired);
     SetU("prefix_asserts", S.Session.PrefixAsserts);
@@ -634,6 +652,8 @@ int main(int argc, char **argv) {
                                 static_cast<int64_t>(St.Stats.Requests)));
         Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
         Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
+        Row.set("plans_built", json::Value::integer(
+                                   static_cast<int64_t>(St.Stats.PlansBuilt)));
         Row.set("peak_live_vars",
                 json::Value::integer(static_cast<int64_t>(
                     St.Stats.Session.PeakLiveVars)));
