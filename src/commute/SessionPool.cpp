@@ -194,16 +194,13 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   if (Certify)
     Session.enableCertification();
   // Bridge compaction likewise: owner attribution has to see every
-  // assertion from the first one, and the dedicated bridge Tseitin layer
-  // must exist before any bridge clause is encoded.
+  // assertion from the first one.
   if (CompactBridges)
     Session.enableBridgeCompaction(CompactMinDead);
   if (Prefix && !Prefix->empty()) {
     // Cross-shard prefix sharing: load the pre-encoded image (exported by
     // a sibling session over the *same* plan and factory) instead of
     // re-encoding the catalog-common prefix and its bridge lattice.
-    assert(Prefix->HasBridgeLayer == CompactBridges &&
-           "prefix image and session disagree on bridge compaction");
     Session.importPrefix(*Prefix);
     for (ExprRef C : Plan.CatalogCommon)
       CatalogBase.insert(C);

@@ -223,7 +223,7 @@ struct CatalogSessionStats {
   /// with CompactBridges): compaction passes run, theory-atom variables
   /// released back to the recycler, retired-scope selector variables
   /// released (epoch-interned selectors fold instead of pinning the trail
-  /// forever), and the live/peak bridge-clause counts the compactor
+  /// forever), and the live/peak bridge-instance counts the compactor
   /// bounds.
   uint64_t BridgeCompactions = 0;
   uint64_t ReleasedAtomVars = 0;

@@ -238,11 +238,37 @@ bool ShardedVerifyService::restore(const json::Value &V,
     Error = "snapshot has no per-shard snapshots";
     return false;
   }
+  // Check every shard's image before installing any.
+  std::vector<VerifyService::SnapshotImage> Images(Shards.size());
   for (size_t S = 0; S != Shards.size(); ++S)
-    if (!Shards[S]->restore(ShardSnaps->at(S), Error)) {
+    if (!Shards[S]->readSnapshot(ShardSnaps->at(S), Images[S], Error)) {
       Error = "shard " + std::to_string(S) + ": " + Error;
       return false;
     }
+  // The combined log interleaves the shard logs: each row must equal the
+  // next unused row of the shard it routes to, and no shard row may be
+  // left over.
+  std::vector<size_t> Next(Shards.size(), 0);
+  for (size_t I = 0; I != Restored.size(); ++I) {
+    size_t S = shardOf(Restored[I].Req);
+    const std::vector<ServiceVerdict> &ShardLog = Images[S].Log;
+    if (Next[S] == ShardLog.size() ||
+        snapshotLogRow(ShardLog[Next[S]]) != snapshotLogRow(Restored[I])) {
+      Error = "snapshot log row " + std::to_string(I) +
+              " does not match the next row of shard " + std::to_string(S) +
+              "'s log";
+      return false;
+    }
+    ++Next[S];
+  }
+  for (size_t S = 0; S != Shards.size(); ++S)
+    if (Next[S] != Images[S].Log.size()) {
+      Error = "shard " + std::to_string(S) + ": snapshot log row " +
+              std::to_string(Next[S]) + " is not in the combined log";
+      return false;
+    }
+  for (size_t S = 0; S != Shards.size(); ++S)
+    Shards[S]->install(std::move(Images[S]));
   VerdictLog = std::move(Restored);
   Drains = RDrains;
   ServeMillis = RServeMillis;

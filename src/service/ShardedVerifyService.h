@@ -133,7 +133,9 @@ public:
   /// verdict log, and every shard's own snapshot.
   json::Value snapshot() const;
   /// Restores a snapshot() into a freshly constructed front-end. The
-  /// shard count, routing, and every per-shard config must match.
+  /// shard count, routing, and every per-shard config must match, and the
+  /// combined log must be exactly the shard logs interleaved in routing
+  /// order. Nothing is installed unless every check passes.
   bool restore(const json::Value &V, std::string &Error);
 
 private:

@@ -224,7 +224,7 @@ ServiceStats VerifyService::stats() const {
   return S;
 }
 
-json::Value VerifyService::snapshot() const {
+json::Value VerifyService::configJson() const {
   json::Value Config = json::Value::object();
   Config.set("batch", json::Value::boolean(Cfg.Batch));
   Config.set("compact_bridges", json::Value::boolean(Cfg.CompactBridges));
@@ -235,7 +235,10 @@ json::Value VerifyService::snapshot() const {
   Config.set("conflict_budget", json::Value::integer(Cfg.ConflictBudget));
   Config.set("compact_min_dead",
              json::Value::integer(static_cast<int64_t>(Cfg.CompactMinDead)));
+  return Config;
+}
 
+json::Value VerifyService::snapshot() const {
   json::Value Families = json::Value::array();
   for (const Family *F : Fams)
     Families.push(json::Value::string(F->Name));
@@ -246,7 +249,7 @@ json::Value VerifyService::snapshot() const {
 
   json::Value V = json::Value::object();
   V.set("schema", json::Value::integer(1));
-  V.set("config", std::move(Config));
+  V.set("config", configJson());
   V.set("families", std::move(Families));
   V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
   V.set("pair_groups",
@@ -305,29 +308,47 @@ bool VerifyService::readLogRow(const json::Value &Row, size_t Index,
   return true;
 }
 
-bool VerifyService::restore(const json::Value &V, std::string &Error) {
-  if (!VerdictLog.empty() || !Pending.empty()) {
-    Error = "restore requires a fresh service (no served or pending "
-            "requests)";
+bool VerifyService::checkSnapshotConfig(const json::Value &V,
+                                        std::string &Error) const {
+  const json::Value *Config = V.find("config");
+  if (!Config || !Config->isObject()) {
+    Error = std::string("snapshot field 'config' is ") +
+            (Config ? "not an object" : "missing");
     return false;
   }
+  // Every key this service's snapshot() writes, with the kind it writes.
+  // Batching shapes the restored counters, and the sequence bound and the
+  // conflict budget shape the verdicts, so those three must also match.
+  const json::Value LiveConfig = configJson();
+  for (const auto &[Key, Live] : LiveConfig.members()) {
+    const json::Value *Got = Config->find(Key);
+    std::string Where = "snapshot config field '" + Key + "' is ";
+    if (!Got || Got->kind() != Live.kind()) {
+      Error = Where + (!Got            ? "missing"
+                       : Live.isBool() ? "not a boolean"
+                                       : "not an integer");
+      return false;
+    }
+    if ((Key == "batch" || Key == "seq_len_bound" ||
+         Key == "conflict_budget") &&
+        *Got != Live) {
+      Error = Where + Got->dump() + " but the live service was built with " +
+              Key + "=" + Live.dump();
+      return false;
+    }
+  }
+  return true;
+}
+
+bool VerifyService::readSnapshot(const json::Value &V, SnapshotImage &Out,
+                                 std::string &Error) const {
   const json::Value *Schema = V.find("schema");
   if (!Schema || !Schema->isInt() || Schema->asInt() != 1) {
     Error = "unsupported snapshot schema";
     return false;
   }
-  // A snapshot from a differently batched service carries counters
-  // (PairGroups, BatchedReuses) this service's drains could never have
-  // produced — reject instead of silently mixing disciplines.
-  const json::Value *Config = V.find("config");
-  const json::Value *Batch = Config ? Config->find("batch") : nullptr;
-  if (Batch && Batch->isBool() && Batch->asBool() != Cfg.Batch) {
-    Error = std::string("snapshot config field 'batch' is ") +
-            (Batch->asBool() ? "true" : "false") +
-            " but the live service was built with batch=" +
-            (Cfg.Batch ? "true" : "false");
+  if (!checkSnapshotConfig(V, Error))
     return false;
-  }
   const json::Value *Families = V.find("families");
   if (!Families || !Families->isArray() || Families->size() != Fams.size()) {
     Error = "snapshot family set does not match the service's";
@@ -340,35 +361,50 @@ bool VerifyService::restore(const json::Value &V, std::string &Error) {
       return false;
     }
 
-  uint64_t RDrains, RPairGroups, RBatchedReuses, RMethodsDischarged;
-  double RServeMillis;
-  if (!readSnapshotCounter(V, "drains", RDrains, Error) ||
-      !readSnapshotCounter(V, "pair_groups", RPairGroups, Error) ||
-      !readSnapshotCounter(V, "batched_reuses", RBatchedReuses, Error) ||
-      !readSnapshotCounter(V, "methods_discharged", RMethodsDischarged,
+  if (!readSnapshotCounter(V, "drains", Out.Drains, Error) ||
+      !readSnapshotCounter(V, "pair_groups", Out.PairGroups, Error) ||
+      !readSnapshotCounter(V, "batched_reuses", Out.BatchedReuses, Error) ||
+      !readSnapshotCounter(V, "methods_discharged", Out.MethodsDischarged,
                            Error) ||
-      !readSnapshotMillis(V, RServeMillis, Error))
+      !readSnapshotMillis(V, Out.ServeMillis, Error))
     return false;
 
-  std::vector<ServiceVerdict> Restored;
   const json::Value *Log = V.find("log");
   if (!Log || !Log->isArray()) {
     Error = "snapshot has no verdict log";
     return false;
   }
+  Out.Log.clear();
   for (size_t I = 0; I != Log->size(); ++I) {
     ServiceVerdict SV;
     if (!readLogRow(Log->at(I), I, SV, Error))
       return false;
-    Restored.push_back(std::move(SV));
+    Out.Log.push_back(std::move(SV));
   }
-
-  VerdictLog = std::move(Restored);
-  Drains = RDrains;
-  PairGroups = RPairGroups;
-  BatchedReuses = RBatchedReuses;
-  MethodsDischarged = RMethodsDischarged;
-  ServeMillis = RServeMillis;
   Error.clear();
+  return true;
+}
+
+void VerifyService::install(SnapshotImage Img) {
+  assert(VerdictLog.empty() && Pending.empty() &&
+         "installing a snapshot into a service that has served");
+  VerdictLog = std::move(Img.Log);
+  Drains = Img.Drains;
+  PairGroups = Img.PairGroups;
+  BatchedReuses = Img.BatchedReuses;
+  MethodsDischarged = Img.MethodsDischarged;
+  ServeMillis = Img.ServeMillis;
+}
+
+bool VerifyService::restore(const json::Value &V, std::string &Error) {
+  if (!VerdictLog.empty() || !Pending.empty()) {
+    Error = "restore requires a fresh service (no served or pending "
+            "requests)";
+    return false;
+  }
+  SnapshotImage Img;
+  if (!readSnapshot(V, Img, Error))
+    return false;
+  install(std::move(Img));
   return true;
 }

@@ -171,10 +171,29 @@ public:
   /// Serializes the service image: config, cumulative statistics, and the
   /// verdict log.
   json::Value snapshot() const;
-  /// Restores counters and the verdict log from a snapshot(). The
-  /// snapshot's config and family set must match this service's. Pending
-  /// requests are unaffected; the warm solver re-warms lazily.
+  /// Restores counters and the verdict log from a snapshot() into a fresh
+  /// service: readSnapshot(), then install(). The warm solver re-warms
+  /// lazily.
   bool restore(const json::Value &V, std::string &Error);
+  /// A snapshot() image readSnapshot() accepted: what restore() installs.
+  struct SnapshotImage {
+    std::vector<ServiceVerdict> Log;
+    uint64_t Drains = 0;
+    uint64_t PairGroups = 0;
+    uint64_t BatchedReuses = 0;
+    uint64_t MethodsDischarged = 0;
+    double ServeMillis = 0;
+  };
+  /// Parses and checks \p V against this service without changing it.
+  /// The config block must hold every key snapshot() writes, each of the
+  /// type it writes, and its batch, seq_len_bound and conflict_budget must
+  /// equal this service's (batching shapes the counters, the other two
+  /// the verdicts). The family set must match, and every counter and log
+  /// row must be well formed. Errors name the field, and the row.
+  bool readSnapshot(const json::Value &V, SnapshotImage &Out,
+                    std::string &Error) const;
+  /// Installs an accepted image; the service must not have served yet.
+  void install(SnapshotImage Img);
   /// Reads snapshot log row \p Index into \p Out. The row must be an
   /// object with string family/op1/op2/kind and boolean sound/complete,
   /// naming a family this service serves and a pair its catalog has;
@@ -189,6 +208,10 @@ private:
     const ConditionEntry *Entry = nullptr;
   };
 
+  /// The config block snapshot() writes, and readSnapshot()'s check of a
+  /// snapshot's block against it.
+  json::Value configJson() const;
+  bool checkSnapshotConfig(const json::Value &V, std::string &Error) const;
   /// Looks up \p R's family and catalog entry (the submit() checks).
   bool resolve(const ServiceRequest &R, ResolvedRequest &Out,
                std::string &Error) const;

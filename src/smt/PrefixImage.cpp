@@ -71,9 +71,6 @@ std::string PrefixImage::serialize() const {
   appendExprInts(Out, "atoms", 'a', Atoms);
   appendExprInts(Out, "rootdefs", 'd', RootDefs);
   appendInts(Out, "rootowned", RootOwned);
-  Out += "bridgelayer " + std::to_string(HasBridgeLayer ? 1 : 0) + "\n";
-  appendExprInts(Out, "bridgedefs", 'd', BridgeDefs);
-  appendInts(Out, "bridgeowned", BridgeOwned);
   appendExprs(Out, "objterms", 't', ObjTerms);
   appendExprs(Out, "mematoms", 'm', MemAtoms);
   Out += "intatoms " + std::to_string(IntAtoms.size()) + "\n";

@@ -22,9 +22,9 @@
 ///    replay through addVar()/addClause() reconstructs the identical
 ///    root-propagated fixpoint (clauses are already root-normalized at
 ///    export, and the replay adds every clause before the first unit);
-///  * the Tseitin state: the global atom map plus the root layer's (and,
-///    under bridge compaction, the bridge layer's) definition cache and
-///    owned-variable list;
+///  * the Tseitin state: the global atom map plus the root layer's
+///    definition cache and owned-variable list (bridges are plain clauses
+///    over atom variables, so they add no definitions);
 ///  * the theory registries (object terms, membership atoms, canonical
 ///    integer atoms with their linear-form metadata) and the bridge
 ///    watermarks, so an importing session emits no duplicate bridges;
@@ -58,9 +58,6 @@ struct PrefixImage {
   std::vector<std::pair<ExprRef, int>> Atoms;    ///< Atom -> variable.
   std::vector<std::pair<ExprRef, int>> RootDefs; ///< Expr -> encoded lit.
   std::vector<int> RootOwned;
-  bool HasBridgeLayer = false; ///< Exporter had bridge compaction on.
-  std::vector<std::pair<ExprRef, int>> BridgeDefs;
-  std::vector<int> BridgeOwned;
 
   // Theory registries, discovery order (map lookups are recovered from
   // ObjTerms by kind, preserving order).

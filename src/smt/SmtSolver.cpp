@@ -247,7 +247,14 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
 }
 
 void SmtSession::emitNewBridges() {
-  std::vector<ExprRef> Bridges;
+  if (BridgedObjTerms == ObjTerms.size() &&
+      BridgedMapLookups == MapLookups.size() &&
+      BridgedMemAtoms == MemAtoms.size() && BridgedIntAtoms == IntAtoms.size())
+    return;
+  // Every instance is one to three clauses over its operands' global atom
+  // variables: no formula is built, so no Tseitin definition is either.
+  // The registries hold ITE-lowered terms, so every operand — each eqObj
+  // result included — is an atom (atomLit asserts it).
 
   // Equality transitivity over every term triple that mentions a new term.
   // New terms have the highest indices, so iterating the triple's maximum
@@ -257,56 +264,48 @@ void SmtSession::emitNewBridges() {
   for (size_t K = BridgedObjTerms; K < ObjTerms.size(); ++K)
     for (size_t J = 0; J != K; ++J)
       for (size_t I = 0; I != J; ++I) {
-        ExprRef AB = eqObj(ObjTerms[I], ObjTerms[J]);
-        ExprRef BC = eqObj(ObjTerms[J], ObjTerms[K]);
-        ExprRef AC = eqObj(ObjTerms[I], ObjTerms[K]);
-        Bridges.push_back(F.implies(F.conj({AB, BC}), AC));
-        Bridges.push_back(F.implies(F.conj({AB, AC}), BC));
-        Bridges.push_back(F.implies(F.conj({BC, AC}), AB));
+        Lit AB = Encoder.atomLit(eqObj(ObjTerms[I], ObjTerms[J]));
+        Lit BC = Encoder.atomLit(eqObj(ObjTerms[J], ObjTerms[K]));
+        Lit AC = Encoder.atomLit(eqObj(ObjTerms[I], ObjTerms[K]));
+        Sat.addClause({AB.negated(), BC.negated(), AC});
+        Sat.addClause({AB.negated(), AC.negated(), BC});
+        Sat.addClause({BC.negated(), AC.negated(), AB});
       }
 
   // Congruence for map lookups: equal keys read equal values.
   for (size_t J = BridgedMapLookups; J < MapLookups.size(); ++J)
-    for (size_t I = 0; I != J; ++I) {
-      if (MapLookups[I]->operand(0) != MapLookups[J]->operand(0))
-        continue;
-      ExprRef KeysEq =
-          eqObj(MapLookups[I]->operand(1), MapLookups[J]->operand(1));
-      Bridges.push_back(
-          F.implies(KeysEq, eqObj(MapLookups[I], MapLookups[J])));
-    }
+    for (size_t I = 0; I != J; ++I)
+      if (MapLookups[I]->operand(0) == MapLookups[J]->operand(0))
+        emitCongruence(MapLookups[I], MapLookups[J]);
 
   // Congruence for set membership: equal elements agree on membership.
   for (size_t J = BridgedMemAtoms; J < MemAtoms.size(); ++J)
-    for (size_t I = 0; I != J; ++I) {
-      if (MemAtoms[I]->operand(0) != MemAtoms[J]->operand(0))
-        continue;
-      ExprRef ElemsEq = eqObj(MemAtoms[I]->operand(1),
-                              MemAtoms[J]->operand(1));
-      Bridges.push_back(
-          F.implies(ElemsEq, F.iff(MemAtoms[I], MemAtoms[J])));
-    }
+    for (size_t I = 0; I != J; ++I)
+      if (MemAtoms[I]->operand(0) == MemAtoms[J]->operand(0))
+        emitCongruence(MemAtoms[I], MemAtoms[J]);
 
   // Linear integer atom lattice: within one symbol signature, equalities
   // with different constants exclude each other, equalities decide bounds,
-  // and the weaker bound follows from the stronger.
+  // and the weaker bound follows from the stronger. Distinct atoms of one
+  // signature always differ in kind or constant, so every such pair is
+  // exactly one binary clause.
   for (size_t J = BridgedIntAtoms; J < IntAtoms.size(); ++J)
     for (size_t I = 0; I != J; ++I) {
       const auto &[AtomA, A] = IntAtoms[I];
       const auto &[AtomB, B] = IntAtoms[J];
       if (A.Signature != B.Signature)
         continue;
-      if (A.IsEq && B.IsEq && A.C != B.C)
-        Bridges.push_back(F.disj({F.lnot(AtomA), F.lnot(AtomB)}));
-      if (A.IsEq && !B.IsEq)
-        Bridges.push_back(A.C <= B.C ? F.implies(AtomA, AtomB)
-                                     : F.implies(AtomA, F.lnot(AtomB)));
-      if (B.IsEq && !A.IsEq)
-        Bridges.push_back(B.C <= A.C ? F.implies(AtomB, AtomA)
-                                     : F.implies(AtomB, F.lnot(AtomA)));
-      if (!A.IsEq && !B.IsEq)
-        Bridges.push_back(A.C <= B.C ? F.implies(AtomA, AtomB)
-                                     : F.implies(AtomB, AtomA));
+      Lit LA = Encoder.atomLit(AtomA), LB = Encoder.atomLit(AtomB);
+      if (A.IsEq && B.IsEq)
+        Sat.addClause({LA.negated(), LB.negated()});
+      else if (A.IsEq)
+        Sat.addClause({LA.negated(), A.C <= B.C ? LB : LB.negated()});
+      else if (B.IsEq)
+        Sat.addClause({LB.negated(), B.C <= A.C ? LA : LA.negated()});
+      else if (A.C <= B.C)
+        Sat.addClause({LA.negated(), LB});
+      else
+        Sat.addClause({LB.negated(), LA});
     }
 
   BridgedObjTerms = ObjTerms.size();
@@ -314,26 +313,45 @@ void SmtSession::emitNewBridges() {
   BridgedMemAtoms = MemAtoms.size();
   BridgedIntAtoms = IntAtoms.size();
 
-  LiveBridges += static_cast<int64_t>(Bridges.size());
+  LiveBridges = countBridges();
   if (LiveBridges > PeakLiveBridges)
     PeakLiveBridges = LiveBridges;
+}
 
-  for (ExprRef B : Bridges)
-    Encoder.assertTrue(normalize(B));
+void SmtSession::emitCongruence(ExprRef P, ExprRef Q) {
+  // P and Q are two lookups into one map or two membership atoms over one
+  // set; operand 1 is the key or the element.
+  Lit ArgsEq = Encoder.atomLit(eqObj(P->operand(1), Q->operand(1)));
+  if (P->kind() == ExprKind::MapGet) {
+    Sat.addClause({ArgsEq.negated(), Encoder.atomLit(eqObj(P, Q))});
+    return;
+  }
+  Lit MemP = Encoder.atomLit(P), MemQ = Encoder.atomLit(Q);
+  Sat.addClause({ArgsEq.negated(), MemP.negated(), MemQ});
+  Sat.addClause({ArgsEq.negated(), MemP, MemQ.negated()});
+}
+
+int64_t SmtSession::countBridges() const {
+  // Three transitivity bridges per term triple, plus one bridge per lookup
+  // pair over one map, per membership pair over one set, and per integer-
+  // atom pair sharing a signature. Each entry pairs with the entries of
+  // its group seen before it, hence `Count += Group[Key]++`.
+  auto N = static_cast<int64_t>(ObjTerms.size());
+  int64_t Count = N * (N - 1) * (N - 2) / 2;
+  std::map<ExprRef, int64_t> Maps, Sets;
+  for (ExprRef L : MapLookups)
+    Count += Maps[L->operand(0)]++;
+  for (ExprRef M : MemAtoms)
+    Count += Sets[M->operand(0)]++;
+  std::map<std::string, int64_t> Signatures;
+  for (const auto &P : IntAtoms)
+    Count += Signatures[P.second.Signature]++;
+  return Count;
 }
 
 void SmtSession::ingest(ExprRef Normalized) {
   collectTheoryAtoms(Normalized);
-  // Bridges constrain global atoms and outlive every scope, so their
-  // encodings must never land in a retirable scope layer. Under bridge
-  // compaction they go to the dedicated bridge layer instead of the root:
-  // a root child no lookup chain but its own can reach, so a compaction
-  // may drop the whole layer and rebuild it without dangling references.
-  Tseitin::LayerId Saved = Encoder.activeLayer();
-  Encoder.setActiveLayer(BridgeCompactionEnabled ? BridgeLayer
-                                                 : Tseitin::RootLayer);
   emitNewBridges();
-  Encoder.setActiveLayer(Saved);
 }
 
 void SmtSession::collectBoolAtoms(ExprRef E, std::set<ExprRef> &Out,
@@ -394,7 +412,6 @@ void SmtSession::enableBridgeCompaction(size_t MinDead) {
   assert(!BridgeCompactionEnabled && "bridge compaction enabled twice");
   BridgeCompactionEnabled = true;
   BridgeMinDead = MinDead;
-  BridgeLayer = Encoder.pushLayer(Tseitin::RootLayer);
 }
 
 // --- Cross-shard prefix sharing ----------------------------------------------
@@ -441,11 +458,6 @@ PrefixImage SmtSession::exportPrefix() {
   Img.Atoms = sortedByPrint(Encoder.atoms());
   Img.RootDefs = sortedByPrint(Encoder.layerCache(Tseitin::RootLayer));
   Img.RootOwned = Encoder.ownedVars(Tseitin::RootLayer);
-  Img.HasBridgeLayer = BridgeCompactionEnabled;
-  if (BridgeCompactionEnabled) {
-    Img.BridgeDefs = sortedByPrint(Encoder.layerCache(BridgeLayer));
-    Img.BridgeOwned = Encoder.ownedVars(BridgeLayer);
-  }
 
   Img.ObjTerms = ObjTerms;
   Img.MemAtoms = MemAtoms;
@@ -461,8 +473,6 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
   assert(Checks == 0 && Sat.numVars() == 0 &&
          "prefix import must be the session's first operation");
   assert(Scopes.size() == 1 && "prefix import after scopes were opened");
-  assert(BridgeCompactionEnabled == Img.HasBridgeLayer &&
-         "bridge-compaction flag must match the exporting session");
 
   // Replay the propositional database through the public entry points, so
   // a certifying importer's trace covers every stored clause. All clauses
@@ -496,15 +506,6 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
   }
   for (int V : Img.RootOwned)
     Encoder.importOwnedVar(Tseitin::RootLayer, V);
-  if (Img.HasBridgeLayer) {
-    for (const auto &[E, Def] : Img.BridgeDefs) {
-      Lit L;
-      L.Encoded = Def;
-      Encoder.importDefinition(BridgeLayer, E, L);
-    }
-    for (int V : Img.BridgeOwned)
-      Encoder.importOwnedVar(BridgeLayer, V);
-  }
 
   ObjTerms = Img.ObjTerms;
   for (ExprRef T : ObjTerms) {
@@ -730,11 +731,11 @@ size_t SmtSession::retireScope(ScopeId Scope) {
                  Siblings.end());
 
   // Compact once enough of the theory universe died. The ratio term
-  // (dead at least comparable to what survives) amortizes the O(live³)
-  // bridge re-emission against the reclaimed universe; the absolute
-  // BridgeMinDead term is a backstop for large universes where the ratio
-  // alone would let bridge clauses over dead atoms pile up for a long
-  // time before half the universe retires.
+  // (dead at least comparable to what survives) amortizes the compaction's
+  // whole-database retirement pass against the reclaimed universe; the
+  // absolute BridgeMinDead term is a backstop for large universes where
+  // the ratio alone would let bridge clauses over dead atoms pile up for
+  // a long time before half the universe retires.
   if (BridgeCompactionEnabled && !DeadEntries.empty()) {
     size_t Total = ObjTerms.size() + MemAtoms.size() + IntAtoms.size();
     size_t Live = Total - DeadEntries.size();
@@ -758,29 +759,29 @@ size_t SmtSession::compactBridges() {
   if (!BridgeCompactionEnabled || DeadEntries.empty())
     return 0;
 
-  // Candidate variables: every bridge-encoding definition var, plus the
-  // atom vars of dead boolean entries — membership atoms, canonical
-  // integer atoms, and equality atoms one of whose operand terms died (a
-  // live scope mentioning eq(a,b) registers *both* operands, so a
-  // one-sided death proves only bridge clauses still name the atom; any
-  // straggler is caught by retireScopes' occurrence check below).
-  std::vector<int> Vars = Encoder.ownedVars(BridgeLayer);
+  // Candidate variables: the atom vars of dead boolean entries — membership
+  // atoms, canonical integer atoms, and equality atoms one of whose operand
+  // terms died (a live scope mentioning eq(a,b) registers *both* operands,
+  // so a one-sided death proves only bridge clauses still name the atom;
+  // any straggler is caught by retireScopes' occurrence check below).
+  auto Dead = [this](ExprRef E) { return DeadEntries.count(E) != 0; };
+  auto EqOverDead = [&](ExprRef Atom) {
+    return Atom->kind() == ExprKind::Eq &&
+           Atom->operand(0)->sort() == Sort::Obj &&
+           (Dead(Atom->operand(0)) || Dead(Atom->operand(1)));
+  };
+  std::vector<int> Vars;
   std::vector<std::pair<ExprRef, int>> DeadAtoms;
-  for (const auto &[Atom, V] : Encoder.atoms()) {
-    bool Dead = DeadEntries.count(Atom) != 0;
-    if (!Dead && Atom->kind() == ExprKind::Eq &&
-        Atom->operand(0)->sort() == Sort::Obj)
-      Dead = DeadEntries.count(Atom->operand(0)) != 0 ||
-             DeadEntries.count(Atom->operand(1)) != 0;
-    if (Dead) {
+  for (const auto &[Atom, V] : Encoder.atoms())
+    if (Dead(Atom) || EqOverDead(Atom)) {
       DeadAtoms.push_back({Atom, V});
       Vars.push_back(V);
     }
-  }
 
-  // One retirement pass evicts every clause mentioning a candidate and
+  // One retirement pass evicts every clause naming a candidate and
   // recycles the dead indices — pinned derived units are compacted off
   // the trail with Delete/Recycle proof steps, so --certify still checks.
+  // Every other bridge clause stays in place.
   size_t Evicted = Sat.retireScopes({}, Vars, {});
   for (const auto &[Atom, V] : DeadAtoms)
     if (Sat.varIsFree(V)) {
@@ -788,17 +789,7 @@ size_t SmtSession::compactBridges() {
       ++ReleasedAtomVars;
     }
 
-  // Replace the bridge layer wholesale: the old cache names released
-  // variables.
-  Encoder.setActiveLayer(Tseitin::RootLayer);
-  Encoder.dropLayer(BridgeLayer);
-  BridgeLayer = Encoder.pushLayer(Tseitin::RootLayer);
-
-  // Filter the registries to the survivors (discovery order preserved)
-  // and restart the bridge watermarks: the re-emission below asserts
-  // exactly the bridge lattice a fresh session would build over the live
-  // universe — sound and complete by fresh-session equivalence.
-  auto Dead = [this](ExprRef E) { return DeadEntries.count(E) != 0; };
+  // Filter the registries to the survivors (discovery order preserved).
   ObjTerms.erase(std::remove_if(ObjTerms.begin(), ObjTerms.end(), Dead),
                  ObjTerms.end());
   MapLookups.erase(std::remove_if(MapLookups.begin(), MapLookups.end(), Dead),
@@ -816,21 +807,34 @@ size_t SmtSession::compactBridges() {
   IntAtomSeen.clear();
   for (const auto &P : IntAtoms)
     IntAtomSeen.insert(P.first);
+
+  // The surviving lattice is what a fresh session would build over the
+  // live universe: a surviving instance was emitted when its newest entry
+  // arrived and names no dead atom, and every instance over a dead entry
+  // names a dead atom. The one exception is a congruence instance whose
+  // two lookups (membership atoms) live on while a key (element) term
+  // died: its side-condition equality was a candidate, so its clauses
+  // left with it. Re-emit exactly those, over a fresh equality atom.
+  for (const std::vector<ExprRef> *Reg : {&MapLookups, &MemAtoms})
+    for (size_t J = 0; J < Reg->size(); ++J)
+      for (size_t I = 0; I != J; ++I) {
+        ExprRef P = (*Reg)[I], Q = (*Reg)[J];
+        if (P->operand(0) == Q->operand(0) &&
+            (Dead(P->operand(1)) || Dead(Q->operand(1))))
+          emitCongruence(P, Q);
+      }
+
   // A memoized result may name a dead int atom; a hit would then skip the
   // re-registration (and the bridges) a fresh normalization performs.
   NormalizeMemo.clear();
   for (ExprRef E : DeadEntries)
     EntryOwners.erase(E);
   DeadEntries.clear();
-  BridgedObjTerms = 0;
-  BridgedMapLookups = 0;
-  BridgedMemAtoms = 0;
-  BridgedIntAtoms = 0;
-
-  LiveBridges = 0;
-  Encoder.setActiveLayer(BridgeLayer);
-  emitNewBridges();
-  Encoder.setActiveLayer(Tseitin::RootLayer);
+  BridgedObjTerms = ObjTerms.size();
+  BridgedMapLookups = MapLookups.size();
+  BridgedMemAtoms = MemAtoms.size();
+  BridgedIntAtoms = IntAtoms.size();
+  LiveBridges = countBridges();
 
   ++BridgeCompactions;
   assert(Sat.reasonInvariantHolds() && "compaction broke a reason reference");

@@ -19,6 +19,10 @@
 ///  * Linear integer atoms are canonicalized to `sum-of-symbols <=/= c`
 ///    form; atoms sharing a symbol part get ordering/exclusivity bridges.
 ///
+/// A bridge instance is one to three plain clauses over the global
+/// variables of its atoms, added straight to the SatSolver: no formula is
+/// built for it and no Tseitin definition is allocated.
+///
 /// SmtSession is the *incremental* interface: base formulas are asserted
 /// (and Tseitin-encoded, with their bridge clauses) exactly once, and each
 /// query is discharged under assumption literals on a warm SatSolver, so
@@ -166,25 +170,26 @@ public:
 
   /// --- Bridge compaction (the warm-service unbounded-loop fix) ---------
   ///
-  /// Routes subsequent bridge encodings into a dedicated root-child
-  /// Tseitin layer and reference-counts every theory-registry entry by
-  /// the scopes whose assertions or checks mention it (root-attributed
-  /// entries are permanent). retireScope() then drops the dead subtree's
-  /// ownership; entries attributed to a scope whose cache layer survives
-  /// the subtree transfer to the layer's owning scope instead, so an atom
-  /// is only ever released once no live cache layer can name its
-  /// variable. Once at least max(MinDead, live/2) entries are dead,
-  /// compactBridges() runs automatically. Must be called before the first
-  /// assertion (the bridge layer has to see every bridge encoding).
+  /// Reference-counts every theory-registry entry by the scopes whose
+  /// assertions or checks mention it (root-attributed entries are
+  /// permanent). retireScope() then drops the dead subtree's ownership;
+  /// entries attributed to a scope whose cache layer survives the subtree
+  /// transfer to the layer's owning scope instead, so an atom is only
+  /// ever released once no live cache layer can name its variable. Once
+  /// at least max(MinDead, live/2) entries are dead, compactBridges() runs
+  /// automatically. Must be called before the first assertion (owner
+  /// attribution has to see every assertion).
   void enableBridgeCompaction(size_t MinDead = 64);
   bool bridgeCompactionEnabled() const { return BridgeCompactionEnabled; }
   /// Compacts the bridge lattice now (no-op unless enabled and entries
-  /// have died): one retireScopes() pass evicts every bridge clause and
-  /// every dead atom's clauses, recycles the dead variables (Delete/
-  /// Recycle proof steps included, so --certify still checks), filters
-  /// the registries to the survivors, and re-emits exactly the bridge
-  /// set a fresh session would build over the live universe — sound and
-  /// complete by fresh-session equivalence. Returns clauses evicted.
+  /// have died): one retireScopes() pass evicts every clause naming a
+  /// dead atom and recycles the dead variables (Delete/Recycle proof
+  /// steps included, so --certify still checks), and the registries are
+  /// filtered to the survivors. Every surviving bridge clause stays in
+  /// place, so the lattice left is the one a fresh session would build
+  /// over the live universe; only congruence instances whose key or
+  /// element term died while both lookups survived are re-emitted.
+  /// Returns clauses evicted.
   size_t compactBridges();
   /// Disables the release of retired subtree selectors (reference runs
   /// for the compaction fuzz; eviction itself is unaffected). Selector
@@ -197,7 +202,8 @@ public:
   bool selectorReleaseEnabled() const { return SelectorRelease; }
   /// Compaction statistics: compactions run, atom variables released to
   /// the recycler, retired selector variables released off the trail,
-  /// bridge formulas currently asserted, and their high-water mark.
+  /// bridge instances over the live registries (a transitivity triple
+  /// counts three, every other instance one), and their high-water mark.
   int64_t bridgeCompactions() const { return BridgeCompactions; }
   int64_t releasedAtomVars() const { return ReleasedAtomVars; }
   int64_t releasedSelectors() const { return Sat.numReleasedSelectors(); }
@@ -227,10 +233,9 @@ public:
   /// importer's trace still covers every stored clause), installs the
   /// Tseitin caches and theory registries, and sets the bridge watermarks
   /// so no duplicate bridge is ever emitted. Must be the fresh session's
-  /// first operation, after enableCertification()/enableBridgeCompaction()
-  /// — and the compaction flag must match the exporting session's. Under
-  /// compaction every imported registry entry is root-owned: prefix atoms
-  /// are permanent, so their variables are never recycled.
+  /// first operation, after enableCertification()/enableBridgeCompaction().
+  /// Under compaction every imported registry entry is root-owned: prefix
+  /// atoms are permanent, so their variables are never recycled.
   void importPrefix(const PrefixImage &Img);
 
   /// --- Certification (proof logging + independent checking) -----------
@@ -352,12 +357,16 @@ private:
   ScopeId innermostScope(const std::vector<ExprRef> &ActiveScopes) const;
 
   /// Registers the theory atoms of a normalized formula and asserts the
-  /// bridge instances that mention at least one newly seen atom. Bridges
-  /// always encode into the root layer: they constrain global atoms and
-  /// outlive every scope.
+  /// bridge instances that mention at least one newly seen atom.
   void ingest(ExprRef Normalized);
   void collectTheoryAtoms(ExprRef E);
   void emitNewBridges();
+  /// Asserts the congruence bridge of two lookups into one map, or of two
+  /// membership atoms over one set.
+  void emitCongruence(ExprRef P, ExprRef Q);
+  /// Bridge instances over the current registries: the LiveBridges value,
+  /// recomputed whenever the registries grow or are compacted.
+  int64_t countBridges() const;
   /// Attributes registry entry \p E to the current AttrScope (bridge
   /// compaction only; every mention re-attributes, so a dead entry a new
   /// scope mentions is revived before compaction can touch it).
@@ -414,9 +423,6 @@ private:
   bool BridgeCompactionEnabled = false;
   bool SelectorRelease = true;
   size_t BridgeMinDead = 64;
-  /// Dedicated root-child layer hosting every bridge encoding while
-  /// compaction is enabled; replaced wholesale at each compaction.
-  Tseitin::LayerId BridgeLayer = Tseitin::RootLayer;
   /// Scope the current assert/check attributes theory atoms to.
   ScopeId AttrScope = RootScope;
   std::map<ExprRef, std::set<ScopeId>> EntryOwners;

@@ -48,7 +48,23 @@ Lit Tseitin::freshDefinition() {
   return Lit(V, true);
 }
 
+bool Tseitin::isAtom(ExprRef E) {
+  switch (E->kind()) {
+  case ExprKind::ConstBool:
+  case ExprKind::Not:
+  case ExprKind::And:
+  case ExprKind::Or:
+  case ExprKind::Implies:
+  case ExprKind::Iff:
+  case ExprKind::Ite:
+    return false;
+  default:
+    return E->sort() == Sort::Bool;
+  }
+}
+
 Lit Tseitin::atomLit(ExprRef Atom) {
+  assert(isAtom(Atom) && "atomLit on a non-atom");
   auto It = Atoms.find(Atom);
   if (It != Atoms.end())
     return Lit(It->second, true);
@@ -153,7 +169,6 @@ Lit Tseitin::encode(ExprRef E) {
     break;
   }
   default:
-    assert(E->sort() == Sort::Bool && "encoding a non-boolean expression");
     Result = atomLit(E);
     break;
   }

@@ -10,8 +10,8 @@
 /// Tseitin transformation from the logic's boolean structure into CNF over
 /// atom variables. Non-propositional boolean expressions (equalities,
 /// comparisons, state-query atoms, boolean variables) become SAT variables;
-/// the caller (SmtSolver) is responsible for adding theory-consistency
-/// bridge clauses over those atoms.
+/// the caller (SmtSolver) adds the theory-consistency bridge clauses over
+/// those atoms directly, as plain clauses over atomLit() literals.
 ///
 /// The definition cache is *scope-layered* to support the session scope
 /// trees: every layer has a parent, lookups walk the active layer's
@@ -75,6 +75,12 @@ public:
   /// Asserts \p E at the top level.
   void assertTrue(ExprRef E) { Solver.addClause({encode(E)}); }
 
+  /// The global variable of theory atom \p Atom (a boolean leaf: no
+  /// connective, no constant), allocated on first use. Touches no layer
+  /// cache, so the SMT layer's bridge clauses can name atoms without
+  /// planting definitions in any scope's layer.
+  Lit atomLit(ExprRef Atom);
+
   /// The atom map: every non-propositional boolean leaf and its variable.
   const std::map<ExprRef, int> &atoms() const { return Atoms; }
 
@@ -120,8 +126,8 @@ private:
   };
 
   Lit freshDefinition();
-  Lit atomLit(ExprRef Atom);
   const Lit *lookup(ExprRef E) const;
+  static bool isAtom(ExprRef E);
 
   SatSolver &Solver;
   std::vector<Layer> Layers;

@@ -155,7 +155,8 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
 TEST(ServiceTest, FuzzCompactionMatchesReference) {
   ExprFactory F;
   Catalog C(F);
-  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
+  std::vector<const Family *> Fams =
+      families({"Accumulator", "Set", "Map", "ArrayList"});
 
   ServiceConfig Compacting;
   Compacting.CompactMinDead = 8; // Force frequent compaction passes.
@@ -354,7 +355,8 @@ TEST(ServiceTest, RestoreRejectsBatchMismatch) {
 // is rejected with an error naming the row and the field, by the single
 // session and the sharded front-end alike. Each mutant rewrites the first
 // match of a pattern in the compact snapshot text; that match lies in log
-// row 0, or for counters in the top-level fields.
+// row 0 (the combined log's, for the sharded front-end), in the top-level
+// counters, or in the config block (shard 0's, for the sharded front-end).
 TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
   ExprFactory F;
   Catalog C(F);
@@ -374,6 +376,21 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
   Single.drain();
   Sharded.drain();
 
+  // The sharded log mutants: a flipped verdict in the combined log that
+  // no shard served, and a combined log missing the last row its shard
+  // served (the row text also ends that shard's log, but the combined
+  // log comes first).
+  const json::Value ShardedSnap = Sharded.snapshot();
+  const std::string LastRow = snapshotLogRow(Sharded.log().back()).dump();
+  std::string LeftOver;
+  for (size_t S = 0; S != ShardedSnap["shard_snapshots"].size(); ++S) {
+    const json::Value &Log = ShardedSnap["shard_snapshots"].at(S)["log"];
+    if (Log.size() != 0 && Log.at(Log.size() - 1).dump() == LastRow)
+      LeftOver = "shard " + std::to_string(S) + ": snapshot log row " +
+                 std::to_string(Log.size() - 1) + " is not in the combined log";
+  }
+  ASSERT_FALSE(LeftOver.empty());
+
   struct Target {
     const char *Name;
     std::string Snapshot;
@@ -384,14 +401,15 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
        [&](const json::Value &V, std::string &E) {
          return VerifyService(C, Fams, Cfg).restore(V, E);
        }},
-      {"sharded", Sharded.snapshot().dump(),
+      {"sharded", ShardedSnap.dump(),
        [&](const json::Value &V, std::string &E) {
          return ShardedVerifyService(C, Fams, SCfg).restore(V, E);
        }},
   };
 
   struct Mutant {
-    const char *From, *To, *WantError;
+    std::string From, To, WantError;
+    bool ShardedOnly = false;
   };
   const Mutant Mutants[] = {
       {"\"family\":\"Accumulator\",", "",
@@ -405,6 +423,24 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
       {"{\"family\"", "7,{\"family\"", "snapshot log row 0 is not an object"},
       {"\"drains\":1", "\"drains\":-1",
        "snapshot field 'drains' is not a non-negative integer"},
+      {"\"config\":{", "\"settings\":{", "snapshot field 'config' is missing"},
+      {"\"config\":{", "\"config\":7,\"settings\":{",
+       "snapshot field 'config' is not an object"},
+      {"\"certify\":false,", "",
+       "snapshot config field 'certify' is missing"},
+      {"\"batch\":true", "\"batch\":\"no\"",
+       "snapshot config field 'batch' is not a boolean"},
+      {"\"compact_min_dead\":64", "\"compact_min_dead\":6.4",
+       "snapshot config field 'compact_min_dead' is not an integer"},
+      {"\"conflict_budget\":200000", "\"conflict_budget\":1",
+       "snapshot config field 'conflict_budget' is 1 but the live service "
+       "was built with conflict_budget=200000"},
+      {"\"seq_len_bound\":3", "\"seq_len_bound\":4",
+       "snapshot config field 'seq_len_bound' is 4 but the live service was "
+       "built with seq_len_bound=3"},
+      {"\"sound\":true", "\"sound\":false",
+       "snapshot log row 0 does not match the next row of shard", true},
+      {"," + LastRow + "]", "]", LeftOver, true},
   };
 
   for (const Target &T : Targets) {
@@ -412,10 +448,12 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
     ASSERT_TRUE(Intact.has_value());
     ASSERT_TRUE(T.RestoreFresh(*Intact, Error)) << T.Name << ": " << Error;
     for (const Mutant &M : Mutants) {
+      if (M.ShardedOnly && std::string(T.Name) != "sharded")
+        continue;
       std::string Text = T.Snapshot;
       size_t At = Text.find(M.From);
       ASSERT_NE(At, std::string::npos) << T.Name << ": " << M.From;
-      Text.replace(At, std::string(M.From).size(), M.To);
+      Text.replace(At, M.From.size(), M.To);
       std::optional<json::Value> Mutated = json::Value::parse(Text);
       ASSERT_TRUE(Mutated.has_value()) << T.Name << ": " << M.From;
       EXPECT_FALSE(T.RestoreFresh(*Mutated, Error))

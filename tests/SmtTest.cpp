@@ -801,6 +801,90 @@ TEST(SmtSessionTest, CompactedIntAtomsReRegisterOnReuse) {
   }
 }
 
+TEST(SmtSessionTest, BridgesAreAtomClauses) {
+  // Four object terms make four transitivity triples of three clauses
+  // each, over the six equality atoms alone: the only other variable is
+  // the disjunction's definition, the only other clauses its three
+  // definition clauses.
+  ExprFactory F;
+  ExprRef A = F.var("ac_a", Sort::Obj), B = F.var("ac_b", Sort::Obj),
+          C = F.var("ac_c", Sort::Obj), D = F.var("ac_d", Sort::Obj);
+  SmtSession S(F);
+  S.assertBase(F.disj({F.eq(A, B), F.eq(C, D)}));
+  EXPECT_EQ(S.numAtoms(), 6);
+  EXPECT_EQ(S.solver().numVars(), S.numAtoms() + 1);
+  EXPECT_EQ(S.retainedClauses(), 15u);
+  EXPECT_EQ(S.liveBridges(), 12);
+  EXPECT_EQ(S.check({F.eq(A, C), F.eq(B, C), F.ne(A, B)}), SatResult::Unsat);
+}
+
+TEST(SmtSessionTest, CompactionLeavesTheFreshSessionLattice) {
+  // Compaction evicts only the bridges over dead atoms and keeps every
+  // other bridge in place: what survives a retired scope is exactly what
+  // a fresh session asserting the surviving scope alone builds.
+  ExprFactory F;
+  ExprRef A = F.var("cl_a", Sort::Obj), B = F.var("cl_b", Sort::Obj),
+          C = F.var("cl_c", Sort::Obj), D = F.var("cl_d", Sort::Obj),
+          E = F.var("cl_e", Sort::Obj), X = F.var("cl_x", Sort::Int);
+  ExprRef Sel1 = F.var("cl_sel1", Sort::Bool);
+  ExprRef Sel2 = F.var("cl_sel2", Sort::Bool);
+  auto AssertSecond = [&](SmtSession &S) {
+    SmtSession::ScopeId Second =
+        S.openScope(Sel2, SmtSession::RootScope, /*OwnLayer=*/true);
+    S.assertInScope(Second, F.disj({F.eq(C, D), F.eq(D, E)}));
+    S.assertInScope(Second, F.eq(X, F.intConst(1)));
+  };
+
+  SmtSession Compacted(F);
+  Compacted.enableBridgeCompaction(1);
+  SmtSession::ScopeId First =
+      Compacted.openScope(Sel1, SmtSession::RootScope, /*OwnLayer=*/true);
+  Compacted.assertInScope(First, F.disj({F.eq(A, B), F.eq(C, D)}));
+  Compacted.assertInScope(First, F.lt(X, F.intConst(3)));
+  AssertSecond(Compacted);
+  Compacted.retireScope(First);
+  ASSERT_EQ(Compacted.bridgeCompactions(), 1);
+  EXPECT_TRUE(Compacted.solver().reasonInvariantHolds());
+
+  SmtSession Fresh(F);
+  AssertSecond(Fresh);
+  EXPECT_EQ(Compacted.liveBridges(), Fresh.liveBridges());
+  EXPECT_EQ(Compacted.liveVars(), Fresh.liveVars());
+  EXPECT_EQ(Compacted.liveBridges(), 3);
+
+  // The surviving triple (c, d, e) still carries transitivity.
+  EXPECT_EQ(Compacted.check({Sel2, F.eq(C, D), F.eq(C, E), F.ne(D, E)}, -1,
+                            Sel2),
+            SatResult::Unsat);
+}
+
+TEST(SmtSessionTest, CompactionKeepsCongruenceOverDeadKeys) {
+  // The key terms k1, k2 die with the first scope while both lookups live
+  // on in the second. The congruence bridge m[k1], m[k2] names the dead
+  // equality k1 = k2, so compaction evicts it — and must re-emit it, or
+  // the second scope could no longer refute k1 = k2 ∧ a ≠ b.
+  ExprFactory F;
+  Vocab Dl(F);
+  ExprRef A = F.var("ck_a", Sort::Obj), B = F.var("ck_b", Sort::Obj);
+  ExprRef Sel1 = F.var("ck_sel1", Sort::Bool);
+  ExprRef Sel2 = F.var("ck_sel2", Sort::Bool);
+  SmtSession S(F);
+  S.enableBridgeCompaction(1);
+  SmtSession::ScopeId First =
+      S.openScope(Sel1, SmtSession::RootScope, /*OwnLayer=*/true);
+  S.assertInScope(First, F.eq(Dl.K1, Dl.K2));
+  SmtSession::ScopeId Second =
+      S.openScope(Sel2, SmtSession::RootScope, /*OwnLayer=*/true);
+  S.assertInScope(Second, F.conj({F.eq(F.mapGet(Dl.S1, Dl.K1), A),
+                                  F.eq(F.mapGet(Dl.S1, Dl.K2), B)}));
+  S.retireScope(First);
+  ASSERT_EQ(S.bridgeCompactions(), 1);
+  EXPECT_GT(S.releasedAtomVars(), 0);
+
+  EXPECT_EQ(S.check({Sel2, F.eq(Dl.K1, Dl.K2), F.ne(A, B)}, -1, Sel2),
+            SatResult::Unsat);
+}
+
 // --- Core-minimizing restarts -------------------------------------------------
 
 TEST(SatSolverCoreMinimization, SolveOfCoreReachesSmallerFixpoint) {
