@@ -227,11 +227,12 @@ else
 fi
 
 # Sharded-service snapshots: the same 3-pass full-catalog workload through
-# the sharded front-end (4 shards, prefix image shared) at 1/2/4/8 drain
-# threads. Their aggregate request rates and warm-up
-# decomposition (prefix import vs encode-from-scratch) join the baseline
-# as sharded_service_stats; serve_batched above is the single-session
-# baseline the scaling ratios are taken against.
+# the sharded front-end (4 shards over one shared plan, each encoding the
+# catalog prefix itself) at 1/2/4/8 drain threads. Their aggregate request
+# rates and warm-up decomposition (the shared plan, plan + shard 0, and the
+# average later shard) join the baseline as sharded_service_stats;
+# serve_batched above is the single-session baseline the scaling ratios
+# are taken against.
 if [ -x "$SERVE_BIN" ]; then
   for threads in 1 2 4 8; do
     name="serve_sharded_t$threads"
@@ -474,8 +475,8 @@ if serve_batched:
     }
 
 # Sharded-service statistics from the serve_sharded_t{1,2,4,8} runs: the
-# warm-up decomposition (what a shard costs to encode the catalog prefix
-# from scratch vs to import shard 0's image), the aggregate request rate
+# warm-up decomposition (the shared plan, plan + shard 0, and the average
+# construction of shards 1..3 over that plan), the aggregate request rate
 # at each thread count with its ratio over the single-session serve_batched
 # baseline. The host CPU count is
 # recorded because the thread-scaling ratios are meaningless without it
@@ -502,11 +503,9 @@ if sharded_runs:
         "shards": first.get("shards"),
         "route": first.get("route"),
         "cpus": first.get("cpus"),
-        "share_prefix": first.get("share_prefix"),
         "plan_millis": first.get("plan_millis"),
         "warmup_scratch_millis": first.get("warmup_scratch_millis"),
         "warmup_import_millis_avg": first.get("warmup_import_millis_avg"),
-        "warmup_speedup_x": first.get("warmup_speedup_x"),
         "req_per_sec_single_session": base_rps,
         "per_thread": per_thread,
     }

@@ -185,8 +185,7 @@ bool semcomm::dischargeAlone(ExprFactory &F, const MethodPlan &Plan,
 
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
                                int64_t Budget, bool Certify,
-                               bool CompactBridges, size_t CompactMinDead,
-                               const PrefixImage *Prefix)
+                               bool CompactBridges, size_t CompactMinDead)
     : F(F), Plan(Plan), Budget(Budget), Session(F),
       Tiers(Plan.Families.size()), FamilyEpochs(Plan.Families.size(), 0) {
   // Certification must switch on before the first assertion reaches the
@@ -197,24 +196,12 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   // assertion from the first one.
   if (CompactBridges)
     Session.enableBridgeCompaction(CompactMinDead);
-  if (Prefix && !Prefix->empty()) {
-    // Cross-shard prefix sharing: load the pre-encoded image (exported by
-    // a sibling session over the *same* plan and factory) instead of
-    // re-encoding the catalog-common prefix and its bridge lattice.
-    Session.importPrefix(*Prefix);
-    for (ExprRef C : Plan.CatalogCommon)
-      CatalogBase.insert(C);
-    CatStats.PrefixImageLoaded = true;
-    return;
-  }
   for (ExprRef C : Plan.CatalogCommon)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);
       ++CatStats.PrefixAsserts;
     }
 }
-
-PrefixImage CatalogSession::exportPrefix() { return Session.exportPrefix(); }
 
 void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
   Session.solver().setClauseGc(Enabled);

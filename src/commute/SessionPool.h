@@ -230,10 +230,6 @@ struct CatalogSessionStats {
   uint64_t ReleasedSelectors = 0;
   uint64_t LiveBridges = 0;
   uint64_t PeakLiveBridges = 0;
-  /// True when the session loaded a pre-encoded PrefixImage instead of
-  /// asserting the catalog-common prefix itself (PrefixAsserts then counts
-  /// only the family/pair-level prefixes asserted later).
-  bool PrefixImageLoaded = false;
 };
 
 /// A warm solver session shared by every family of the catalog
@@ -259,22 +255,15 @@ public:
   /// the bridge clauses over them are compacted out and their variables
   /// recycled) — the long-horizon mode the verification service runs in.
   /// \p CompactMinDead is the dead-entry threshold below which a
-  /// retirement never triggers a compaction pass. A non-null \p Prefix is
-  /// a pre-encoded image of the catalog-common prefix (exported by a
-  /// sibling session over the same plan and factory, with the same
-  /// CompactBridges flag): the session *loads* it instead of re-encoding,
-  /// making shard warm-up a replay instead of a plan-and-encode pass.
+  /// retirement never triggers a compaction pass. Sessions sharing one
+  /// plan (the sharded service's shards) each assert the catalog-common
+  /// prefix themselves: on the full catalog that is seven formulas, a
+  /// small fraction of the planCatalog pass the plan comes from.
   CatalogSession(ExprFactory &F, const CatalogPlan &Plan, int64_t Budget,
                  bool Certify = false, bool CompactBridges = false,
-                 size_t CompactMinDead = 64,
-                 const PrefixImage *Prefix = nullptr);
+                 size_t CompactMinDead = 64);
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
-
-  /// Captures the just-asserted catalog-common prefix as a read-only
-  /// image for sibling shards (legal only before the first discharge;
-  /// see SmtSession::exportPrefix).
-  PrefixImage exportPrefix();
 
   /// Clause-GC configuration applied to the session's solver (benches pin
   /// the no-GC baseline; tests force aggressive reduction). \p FirstLimit

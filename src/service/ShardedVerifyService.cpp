@@ -48,17 +48,10 @@ ShardedVerifyService::ShardedVerifyService(
   Shards.reserve(Cfg.Shards);
   WarmupMillis.resize(Cfg.Shards, 0);
   for (unsigned S = 0; S != Cfg.Shards; ++S) {
-    const PrefixImage *Img =
-        (S > 0 && Cfg.SharePrefix && !Prefix.empty()) ? &Prefix : nullptr;
     Stopwatch WarmTimer;
-    Shards.push_back(std::make_unique<VerifyService>(C, Fams, Cfg.Base,
-                                                     &Plan, Img));
+    Shards.push_back(
+        std::make_unique<VerifyService>(C, Fams, Cfg.Base, &Plan));
     WarmupMillis[S] = WarmTimer.millis();
-    // Shard 0 encoded the prefix from scratch; capture it once for every
-    // later shard (the export itself is outside the shard warm-up time —
-    // it is the front-end's one-time cost, like the plan).
-    if (S == 0 && Cfg.SharePrefix && Cfg.Shards > 1)
-      Prefix = Shards[0]->exportPrefix();
   }
 
   if (Cfg.Threads > 1)
@@ -117,19 +110,15 @@ ShardedServiceStats ShardedVerifyService::stats() const {
   S.ServeMillis = ServeMillis;
   S.PlanMillis = PlanMillis;
   S.WarmupScratchMillis = PlanMillis + WarmupMillis[0];
-  double ImportSum = 0;
+  double LaterSum = 0;
   for (size_t I = 0; I != Shards.size(); ++I) {
-    ShardStats SS;
-    SS.Stats = Shards[I]->stats();
-    SS.WarmupMillis = WarmupMillis[I];
-    SS.PrefixImported = SS.Stats.Session.PrefixImageLoaded;
-    if (SS.PrefixImported)
-      ImportSum += WarmupMillis[I];
-    S.Shards.push_back(std::move(SS));
+    S.Shards.push_back({Shards[I]->stats(), WarmupMillis[I]});
+    if (I > 0)
+      LaterSum += WarmupMillis[I];
   }
-  if (Shards.size() > 1 && Cfg.SharePrefix)
+  if (Shards.size() > 1)
     S.WarmupImportMillisAvg =
-        ImportSum / static_cast<double>(Shards.size() - 1);
+        LaterSum / static_cast<double>(Shards.size() - 1);
   return S;
 }
 
@@ -164,7 +153,6 @@ json::Value ShardedVerifyService::snapshot() const {
   V.set("shards", json::Value::integer(static_cast<int64_t>(Shards.size())));
   V.set("route", json::Value::string(Cfg.Route == RouteBy::Pair ? "pair"
                                                                 : "family"));
-  V.set("share_prefix", json::Value::boolean(Cfg.SharePrefix));
   V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
   V.set("serve_millis", json::Value::number(ServeMillis));
 

@@ -80,8 +80,7 @@ bool semcomm::service::readSnapshotMillis(const json::Value &V, double &Out,
 VerifyService::VerifyService(const Catalog &C,
                              const std::vector<const Family *> &Fams,
                              const ServiceConfig &Cfg,
-                             const CatalogPlan *SharedPlan,
-                             const PrefixImage *Prefix)
+                             const CatalogPlan *SharedPlan)
     : C(C), Fams(Fams), Cfg(Cfg),
       Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
           SolveMode::SharedCatalog) {
@@ -96,7 +95,7 @@ VerifyService::VerifyService(const Catalog &C,
   Sess = std::make_unique<CatalogSession>(C.factory(), *Plan,
                                           Cfg.ConflictBudget, Cfg.Certify,
                                           Cfg.CompactBridges,
-                                          Cfg.CompactMinDead, Prefix);
+                                          Cfg.CompactMinDead);
   Sess->configureClauseGc(true);
   Sess->session().setSelectorRelease(Cfg.ReleaseSelectors);
 }

@@ -117,24 +117,16 @@ struct ServiceStats {
 class VerifyService {
 public:
   /// \p Fams must be a subset of \p C's families and outlive the service;
-  /// the catalog (and its factory) must outlive it too.
+  /// the catalog (and its factory) must outlive it too. A non-null
+  /// \p SharedPlan (ShardedVerifyService's shards) replaces the
+  /// per-service planCatalog pass: it must be the plan for exactly this
+  /// \p C / \p Fams and outlive the service.
   VerifyService(const Catalog &C, const std::vector<const Family *> &Fams,
-                const ServiceConfig &Cfg)
-      : VerifyService(C, Fams, Cfg, nullptr, nullptr) {}
-  /// Shard constructor (ShardedVerifyService): a non-null \p SharedPlan
-  /// replaces the per-service planCatalog pass (it must be the plan for
-  /// exactly this \p C / \p Fams and outlive the service), and a non-null
-  /// \p Prefix makes the warm session *load* the pre-encoded catalog
-  /// prefix instead of re-encoding it.
-  VerifyService(const Catalog &C, const std::vector<const Family *> &Fams,
-                const ServiceConfig &Cfg, const CatalogPlan *SharedPlan,
-                const PrefixImage *Prefix);
+                const ServiceConfig &Cfg,
+                const CatalogPlan *SharedPlan = nullptr);
   VerifyService(const VerifyService &) = delete;
   VerifyService &operator=(const VerifyService &) = delete;
 
-  /// Captures the warm session's catalog-common prefix for sibling shards
-  /// (legal only before the first drain; see SmtSession::exportPrefix).
-  PrefixImage exportPrefix() { return Sess->exportPrefix(); }
   /// The catalog plan this service serves from (shared across shards).
   const CatalogPlan &plan() const { return *Plan; }
 

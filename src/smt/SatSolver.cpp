@@ -625,7 +625,7 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // Tseitin wrapper definition the retirement's own unit propagation
   // forced true) is a fact about a variable nothing mentions: it is
   // compacted off the trail and recycled too. Plain retired selectors stay
-  // permanently false (legacy callers may still hold their atoms), but
+  // permanently false (a surviving cache layer may still name them), but
   // *releasable* selectors — those the caller certifies will never be
   // assumed or re-encoded — follow the owned-var path: their pinned-false
   // unit is deleted from the proof, dropped from the trail, and the index
@@ -712,23 +712,4 @@ bool SatSolver::reasonInvariantHolds() const {
       return false;
   }
   return true;
-}
-
-// --- Prefix image ------------------------------------------------------------
-
-void SatSolver::exportRootState(std::vector<std::vector<int>> &ClausesOut,
-                                std::vector<int> &UnitsOut) const {
-  assert(currentLevel() == 0 && "prefix export away from root level");
-  assert(!Unsatisfiable && "prefix export of an unsatisfiable database");
-  for (const Clause &C : Clauses) {
-    assert(!C.Learned && "prefix export after search started");
-    std::vector<int> Enc;
-    Enc.reserve(C.Lits.size());
-    for (Lit L : C.Lits)
-      Enc.push_back(L.Encoded);
-    ClausesOut.push_back(std::move(Enc));
-  }
-  for (Lit L : Trail)
-    if (Reason[L.var()] == -1)
-      UnitsOut.push_back(L.Encoded);
 }

@@ -238,19 +238,6 @@ public:
   /// the checker can cross-check its mirrored database.
   void logQueryProof(const std::vector<Lit> &Core);
 
-  /// --- Prefix image ----------------------------------------------------
-  ///
-  /// Snapshot of the root-level database for the prefix image (root level
-  /// only, before any search): stored clauses in insertion order and the
-  /// trail's *input* units (reason-free literals) in trail order, as
-  /// encoded ints. Replaying addVar() x numVars(), then addClause() over
-  /// the clauses, then over the units, reconstructs the identical
-  /// root-propagated fixpoint: stored clauses were normalized against the
-  /// root assignment at their original insertion, so none is dropped or
-  /// shortened when re-added before the first unit.
-  void exportRootState(std::vector<std::vector<int>> &ClausesOut,
-                       std::vector<int> &UnitsOut) const;
-
 private:
   enum : uint8_t { Undef = 2 };
 

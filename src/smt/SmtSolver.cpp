@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
 
 using namespace semcomm;
 using detail::IntAtomInfo;
@@ -414,133 +413,6 @@ void SmtSession::enableBridgeCompaction(size_t MinDead) {
   BridgeMinDead = MinDead;
 }
 
-// --- Cross-shard prefix sharing ----------------------------------------------
-
-namespace {
-
-/// Stable total order for re-sorting pointer-keyed maps into the image.
-bool printedBefore(ExprRef A, ExprRef B) {
-  return printAbstract(A) < printAbstract(B);
-}
-
-template <typename MapT>
-std::vector<std::pair<ExprRef, int>> sortedByPrint(const MapT &M) {
-  std::vector<std::pair<ExprRef, int>> Out;
-  Out.reserve(M.size());
-  for (const auto &[E, V] : M) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(V)>, Lit>)
-      Out.push_back({E, V.Encoded});
-    else
-      Out.push_back({E, V});
-  }
-  std::sort(Out.begin(), Out.end(), [](const auto &A, const auto &B) {
-    return printedBefore(A.first, B.first);
-  });
-  return Out;
-}
-
-} // namespace
-
-PrefixImage SmtSession::exportPrefix() {
-  assert(Checks == 0 && "prefix export after checks began");
-  assert(Scopes.size() == 1 && "prefix export after scopes were opened");
-  assert(Sat.numLearnedClauses() == 0 && "prefix export after search");
-  assert(BridgedObjTerms == ObjTerms.size() &&
-         BridgedMapLookups == MapLookups.size() &&
-         BridgedMemAtoms == MemAtoms.size() &&
-         BridgedIntAtoms == IntAtoms.size() &&
-         "prefix export with unemitted bridges");
-
-  PrefixImage Img;
-  Img.NumVars = Sat.numVars();
-  Sat.exportRootState(Img.Clauses, Img.Units);
-
-  Img.Atoms = sortedByPrint(Encoder.atoms());
-  Img.RootDefs = sortedByPrint(Encoder.layerCache(Tseitin::RootLayer));
-  Img.RootOwned = Encoder.ownedVars(Tseitin::RootLayer);
-
-  Img.ObjTerms = ObjTerms;
-  Img.MemAtoms = MemAtoms;
-  for (const auto &[Atom, Info] : IntAtoms)
-    Img.IntAtoms.push_back({Atom, Info.Signature, Info.IsEq, Info.C});
-  Img.BaseAtoms.assign(BaseAtoms.begin(), BaseAtoms.end());
-  std::sort(Img.BaseAtoms.begin(), Img.BaseAtoms.end(), printedBefore);
-  Img.LiveBridges = LiveBridges;
-  return Img;
-}
-
-void SmtSession::importPrefix(const PrefixImage &Img) {
-  assert(Checks == 0 && Sat.numVars() == 0 &&
-         "prefix import must be the session's first operation");
-  assert(Scopes.size() == 1 && "prefix import after scopes were opened");
-
-  // Replay the propositional database through the public entry points, so
-  // a certifying importer's trace covers every stored clause. All clauses
-  // land before the first unit: with the root assignment still empty,
-  // nothing is dropped or shortened, and the units then propagate to the
-  // exporting session's root fixpoint.
-  for (int I = 0; I != Img.NumVars; ++I)
-    Sat.addVar();
-  std::vector<Lit> C;
-  for (const std::vector<int> &Enc : Img.Clauses) {
-    C.clear();
-    for (int E : Enc) {
-      Lit L;
-      L.Encoded = E;
-      C.push_back(L);
-    }
-    Sat.addClause(C);
-  }
-  for (int E : Img.Units) {
-    Lit L;
-    L.Encoded = E;
-    Sat.addClause({L});
-  }
-
-  for (const auto &[Atom, Var] : Img.Atoms)
-    Encoder.importAtom(Atom, Var);
-  for (const auto &[E, Def] : Img.RootDefs) {
-    Lit L;
-    L.Encoded = Def;
-    Encoder.importDefinition(Tseitin::RootLayer, E, L);
-  }
-  for (int V : Img.RootOwned)
-    Encoder.importOwnedVar(Tseitin::RootLayer, V);
-
-  ObjTerms = Img.ObjTerms;
-  for (ExprRef T : ObjTerms) {
-    ObjTermSet.insert(T);
-    if (T->kind() == ExprKind::MapGet)
-      MapLookups.push_back(T);
-  }
-  MemAtoms = Img.MemAtoms;
-  MemAtomSet.insert(MemAtoms.begin(), MemAtoms.end());
-  for (const PrefixImage::IntAtomEntry &A : Img.IntAtoms) {
-    IntAtoms.push_back({A.Atom, {A.Signature, A.IsEq, A.C}});
-    IntAtomSeen.insert(A.Atom);
-  }
-  BaseAtoms.insert(Img.BaseAtoms.begin(), Img.BaseAtoms.end());
-
-  BridgedObjTerms = ObjTerms.size();
-  BridgedMapLookups = MapLookups.size();
-  BridgedMemAtoms = MemAtoms.size();
-  BridgedIntAtoms = IntAtoms.size();
-  LiveBridges = Img.LiveBridges;
-  if (LiveBridges > PeakLiveBridges)
-    PeakLiveBridges = LiveBridges;
-
-  // Every prefix entry is root-owned: permanent under compaction, so the
-  // imported variables are never recycled.
-  if (BridgeCompactionEnabled) {
-    for (ExprRef T : ObjTerms)
-      EntryOwners[T].insert(RootScope);
-    for (ExprRef M : MemAtoms)
-      EntryOwners[M].insert(RootScope);
-    for (const auto &[Atom, Info] : IntAtoms)
-      EntryOwners[Atom].insert(RootScope);
-  }
-}
-
 void SmtSession::assertBase(ExprRef E) {
   ExprRef N = normalize(E);
   AttrScope = RootScope;
@@ -574,13 +446,6 @@ SmtSession::ScopeId SmtSession::openScope(ExprRef Selector, ScopeId Parent,
   return Id;
 }
 
-SmtSession::ScopeId SmtSession::ensureScope(ExprRef Selector, ScopeId Parent) {
-  auto It = ScopeOf.find(Selector);
-  if (It != ScopeOf.end())
-    return It->second;
-  return openScope(Selector, Parent, /*OwnLayer=*/false);
-}
-
 void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   assert(Scope < Scopes.size() && Scopes[Scope].Alive &&
          "asserting into a dead scope");
@@ -607,20 +472,6 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   Encoder.setActiveLayer(Saved);
 }
 
-void SmtSession::assertScoped(ExprRef Selector, ExprRef Body) {
-  assertInScope(ensureScope(Selector, RootScope), Body);
-}
-
-void SmtSession::assertScopedUnder(ExprRef Outer, ExprRef Selector,
-                                   ExprRef Body) {
-  ScopeId Parent = ensureScope(Outer, RootScope);
-  auto It = ScopeOf.find(Selector);
-  ScopeId Scope = It != ScopeOf.end() ? It->second
-                                      : openScope(Selector, Parent,
-                                                  /*OwnLayer=*/false);
-  assertInScope(Scope, Body);
-}
-
 size_t SmtSession::retireScope(ScopeId Scope) {
   assert(Scope != RootScope && "the root scope is permanent");
   assert(Scope < Scopes.size() && Scopes[Scope].Alive &&
@@ -641,8 +492,9 @@ size_t SmtSession::retireScope(ScopeId Scope) {
   // with the subtree (assertions into a scope encode into its layer, and
   // check()-time encodings land in the innermost active scope's layer),
   // and epoch-tagged selector naming guarantees the expression is never
-  // encoded again. Nodes sharing a surviving layer (legacy root-shared
-  // scopes) keep today's permanently-false pin.
+  // encoded again. Nodes whose layer survives the subtree (a retired root
+  // opened without a layer of its own shares its parent's) keep the
+  // permanently-false pin.
   std::set<Tseitin::LayerId> SubtreeLayers;
   for (ScopeId S : Subtree)
     if (Scopes[S].OwnsLayer)
@@ -680,8 +532,8 @@ size_t SmtSession::retireScope(ScopeId Scope) {
 
   // Released selectors whose index actually came free leave the atom map
   // too: a future encode of the same expression (which the epoch naming
-  // rules out, but legacy callers could attempt) must mint a fresh
-  // variable, never alias the recycled index.
+  // rules out, but a caller reusing a selector could attempt) must mint a
+  // fresh variable, never alias the recycled index.
   for (const auto &[SelExpr, V] : ReleasedSelAtoms)
     if (Sat.varIsFree(V))
       Encoder.releaseAtom(SelExpr);
@@ -839,36 +691,6 @@ size_t SmtSession::compactBridges() {
   ++BridgeCompactions;
   assert(Sat.reasonInvariantHolds() && "compaction broke a reason reference");
   return Evicted;
-}
-
-size_t SmtSession::retireScope(ExprRef Selector,
-                               const std::vector<ExprRef> &SubSelectors) {
-  // Sub-selectors registered as tree descendants retire with the subtree;
-  // unregistered ones (legacy callers name nested selectors explicitly)
-  // are falsified and swept alongside it.
-  auto It = ScopeOf.find(Selector);
-  if (It == ScopeOf.end()) {
-    // Never asserted through the tree: fall back to a direct solver-level
-    // retirement over the named selectors.
-    Lit SelLit = Encoder.encode(normalize(Selector));
-    std::vector<Lit> Selectors{SelLit};
-    for (ExprRef S : SubSelectors) {
-      Selectors.push_back(Encoder.encode(normalize(S)));
-      ScopedAtoms.erase(S);
-    }
-    ScopedAtoms.erase(Selector);
-    return Sat.retireScopes(Selectors, {});
-  }
-  for (ExprRef S : SubSelectors) {
-    auto SubIt = ScopeOf.find(S);
-    if (SubIt == ScopeOf.end()) {
-      Sat.retireScopes({Encoder.encode(normalize(S))}, {});
-      ScopedAtoms.erase(S);
-    } else {
-      assert(SubIt->second != It->second && "selector nested under itself");
-    }
-  }
-  return retireScope(It->second);
 }
 
 SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,

@@ -60,7 +60,6 @@
 
 #include "logic/ExprFactory.h"
 #include "proof/ProofChecker.h"
-#include "smt/PrefixImage.h"
 #include "smt/SatSolver.h"
 #include "smt/SessionAudit.h"
 #include "smt/Tseitin.h"
@@ -130,29 +129,11 @@ public:
   /// must open a fresh one. Returns the number of clauses evicted.
   size_t retireScope(ScopeId Scope);
 
-  /// Asserts `Selector -> Body`, auto-registering \p Selector as a root
-  /// child (shared per-pair sessions assert every method's prefix this
-  /// way; the selector shares the root Tseitin layer, preserving whole-
-  /// session encoding reuse for tiers that never retire).
-  void assertScoped(ExprRef Selector, ExprRef Body);
-
-  /// Asserts `Outer -> (Selector -> Body)`, auto-registering \p Outer as
-  /// a root child and \p Selector beneath it.
-  void assertScopedUnder(ExprRef Outer, ExprRef Selector, ExprRef Body);
-
-  /// Retires the scope registered for \p Selector (with its subtree).
-  /// \p SubSelectors not already registered as descendants are falsified
-  /// and swept along with it (legacy callers named nested selectors
-  /// explicitly). Returns the number of clauses evicted.
-  size_t retireScope(ExprRef Selector,
-                     const std::vector<ExprRef> &SubSelectors = {});
-
   /// Decides base ∧ ⋀Assumed under a per-call conflict budget (negative =
   /// unlimited). The \p Assumed formulas hold for this call only; their
   /// Tseitin encodings, bridge clauses, and any learned clauses are
-  /// retained for future calls. \p ActiveScope (a selector previously
-  /// passed to assertScoped) widens the countermodel vocabulary to that
-  /// scope's atoms.
+  /// retained for future calls. \p ActiveScope (the selector of an open
+  /// scope) widens the countermodel vocabulary to that scope's atoms.
   SatResult check(const std::vector<ExprRef> &Assumed,
                   int64_t MaxConflicts = -1, ExprRef ActiveScope = nullptr);
 
@@ -216,27 +197,6 @@ public:
     Sat.resetPeakStats();
     PeakLiveBridges = LiveBridges;
   }
-
-  /// --- Cross-shard prefix sharing --------------------------------------
-  ///
-  /// Captures the session's entire root-level state — propositional
-  /// database, Tseitin caches, theory registries, bridge watermarks — as a
-  /// read-only PrefixImage. Preconditions: no checks run and no scopes
-  /// opened yet (the catalog-common prefix has just been asserted, bridges
-  /// included), and nothing learned. The image holds ExprRefs, so it may
-  /// only be imported into sessions sharing this session's ExprFactory;
-  /// its serialize() text is byte-identical across runs for the same
-  /// asserted-formula sequence.
-  PrefixImage exportPrefix();
-  /// Loads \p Img instead of re-encoding the prefix: replays the
-  /// propositional database through addVar()/addClause() (so a certifying
-  /// importer's trace still covers every stored clause), installs the
-  /// Tseitin caches and theory registries, and sets the bridge watermarks
-  /// so no duplicate bridge is ever emitted. Must be the fresh session's
-  /// first operation, after enableCertification()/enableBridgeCompaction().
-  /// Under compaction every imported registry entry is root-owned: prefix
-  /// atoms are permanent, so their variables are never recycled.
-  void importPrefix(const PrefixImage &Img);
 
   /// --- Certification (proof logging + independent checking) -----------
   ///
@@ -349,9 +309,6 @@ private:
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
   ExprRef eqObj(ExprRef A, ExprRef B);
 
-  /// The registered scope of \p Selector, opening one under \p Parent
-  /// (sharing the parent layer) if none exists.
-  ScopeId ensureScope(ExprRef Selector, ScopeId Parent);
   /// Deepest registered scope among \p ActiveScopes (its layer hosts the
   /// query encodings), or RootScope.
   ScopeId innermostScope(const std::vector<ExprRef> &ActiveScopes) const;

@@ -100,23 +100,6 @@ public:
   /// definition creations, and cache references through it). Not owned.
   void setAuditLog(audit::Log *L) { Audit = L; }
 
-  /// --- Prefix-image hooks (SmtSession::exportPrefix/importPrefix) ------
-  ///
-  /// Read access to one layer's definition cache, for prefix export.
-  const std::map<ExprRef, Lit> &layerCache(LayerId L) const {
-    return Layers[L].Cache;
-  }
-  /// Import-only installers: plant an atom-map entry, a cached definition,
-  /// or an owned-var record into layer \p L without encoding anything.
-  /// The caller (importPrefix) guarantees the variable indices were
-  /// already replayed into the solver, so later encodes and retirements
-  /// see exactly the state the exporting encoder had.
-  void importAtom(ExprRef Atom, int Var) { Atoms.emplace(Atom, Var); }
-  void importDefinition(LayerId L, ExprRef E, Lit Def) {
-    Layers[L].Cache.emplace(E, Def);
-  }
-  void importOwnedVar(LayerId L, int Var) { Layers[L].Owned.push_back(Var); }
-
 private:
   struct Layer {
     std::map<ExprRef, Lit> Cache;

@@ -6,12 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded serving front-end and its sharing mechanism: the
-// pre-encoded catalog prefix image (byte-identical across independent
-// builds, verdict-identical to encode-from-scratch). The load-bearing
-// property: verdicts and the
-// combined verdict log are invariant across thread counts and equal to
-// the single-session VerifyService reference.
+// The sharded serving front-end: every shard serves from the one shared
+// catalog plan and encodes the catalog prefix itself. The load-bearing
+// property: verdicts and the combined verdict log are invariant across
+// thread counts and equal to the single-session VerifyService reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,69 +50,12 @@ std::string keyOf(const ServiceRequest &R) {
          std::string(serviceKindName(R.Kind));
 }
 
-// Two independently built factories, catalogs, and warm sessions must
-// export byte-identical prefix images: the image is a deterministic
-// function of the catalog alone, which is what lets CI pin two separate
-// processes' --dump-prefix outputs with cmp.
-TEST(ShardedServiceTest, PrefixImageByteIdenticalAcrossIndependentBuilds) {
-  std::string First, Second;
-  for (std::string *Out : {&First, &Second}) {
-    ExprFactory F;
-    Catalog C(F);
-    ServiceConfig Cfg;
-    VerifyService Svc(C, families({"Accumulator", "Set"}), Cfg);
-    PrefixImage Img = Svc.exportPrefix();
-    ASSERT_FALSE(Img.empty());
-    EXPECT_GT(Img.NumVars, 0);
-    EXPECT_FALSE(Img.Atoms.empty());
-    *Out = Img.serialize();
-  }
-  ASSERT_FALSE(First.empty());
-  EXPECT_EQ(First, Second);
-}
-
-// A session that *loads* the prefix image serves the same verdicts, in
-// the same order, as the session that encoded the prefix from scratch —
-// over the full request universe, twice (the second pass crosses scope
-// retirement and re-open epochs).
-TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
-  ExprFactory F;
-  Catalog C(F);
-  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
-  ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8;
-
-  VerifyService Scratch(C, Fams, Cfg);
-  PrefixImage Img = Scratch.exportPrefix();
-  ASSERT_FALSE(Img.empty());
-  VerifyService Loaded(C, Fams, Cfg, &Scratch.plan(), &Img);
-  EXPECT_TRUE(Loaded.stats().Session.PrefixImageLoaded);
-  EXPECT_FALSE(Scratch.stats().Session.PrefixImageLoaded);
-
-  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
-  std::string Error;
-  for (int P = 0; P != 2; ++P) {
-    for (const ServiceRequest &R : Pass) {
-      ASSERT_TRUE(Scratch.submit(R, Error)) << Error;
-      ASSERT_TRUE(Loaded.submit(R, Error)) << Error;
-    }
-    std::vector<ServiceVerdict> A = Scratch.drain();
-    std::vector<ServiceVerdict> B = Loaded.drain();
-    ASSERT_EQ(A.size(), B.size());
-    for (size_t I = 0; I != A.size(); ++I) {
-      EXPECT_EQ(keyOf(A[I].Req), keyOf(B[I].Req)) << "at " << I;
-      EXPECT_EQ(A[I].Sound, B[I].Sound) << keyOf(A[I].Req);
-      EXPECT_EQ(A[I].Complete, B[I].Complete) << keyOf(A[I].Req);
-    }
-    ASSERT_TRUE(Loaded.session().solver().reasonInvariantHolds());
-  }
-}
-
 // The sharded front-end at 1 worker thread and at 8 worker threads must
 // produce elementwise-identical verdict logs (the determinism contract),
 // identical per-shard statistics, and verdict values equal to a
 // single-session VerifyService reference — over a randomized stream with
-// randomized drain points.
+// randomized drain points. Every shard serves from the front-end's one
+// plan and asserts the same catalog prefix a standalone service does.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
@@ -131,11 +72,26 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ShardedVerifyService B(C, Fams, Eight);
   VerifyService Ref(C, Fams, One.Base);
 
-  for (unsigned S = 1; S != 4; ++S) {
-    EXPECT_TRUE(A.stats().Shards[S].PrefixImported);
-    EXPECT_TRUE(B.stats().Shards[S].PrefixImported);
-  }
-  EXPECT_FALSE(A.stats().Shards[0].PrefixImported);
+  uint64_t RefPrefixAsserts = Ref.stats().Session.PrefixAsserts;
+  EXPECT_GT(RefPrefixAsserts, 0u);
+  for (ShardedVerifyService *Svc : {&A, &B})
+    for (unsigned S = 0; S != 4; ++S) {
+      VerifyService &Shard = Svc->shard(S);
+      EXPECT_EQ(&Shard.plan(), &Svc->shard(0).plan()) << "shard " << S;
+      EXPECT_EQ(Svc->stats().Shards[S].Stats.Session.PrefixAsserts,
+                RefPrefixAsserts)
+          << "shard " << S;
+      // The same prefix encoding as the standalone service: variables,
+      // stored clauses and bridge instances.
+      EXPECT_EQ(Shard.session().solver().numVars(),
+                Ref.session().solver().numVars())
+          << "shard " << S;
+      EXPECT_EQ(Shard.session().retainedClauses(),
+                Ref.session().retainedClauses())
+          << "shard " << S;
+      EXPECT_EQ(Shard.session().liveBridges(), Ref.session().liveBridges())
+          << "shard " << S;
+    }
 
   std::vector<ServiceRequest> Universe = allRequests(C, Fams);
   std::mt19937 Rng(20110604);
@@ -186,6 +142,8 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
 // The sharded snapshot round-trips through its textual form, restores
 // the combined log and counters, and a front-end whose shard count or
 // routing differs refuses the image with an error naming the field.
+// Snapshots that still carry the retired "share_prefix" config key
+// restore too.
 TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   ExprFactory F;
   Catalog C(F);
@@ -203,6 +161,7 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
     EXPECT_TRUE(V.verified()) << keyOf(V.Req);
 
   json::Value Image = Svc.snapshot();
+  EXPECT_EQ(Image.find("share_prefix"), nullptr);
   std::optional<json::Value> Parsed = json::Value::parse(Image.dump(2));
   ASSERT_TRUE(Parsed.has_value());
 
@@ -222,6 +181,22 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   ASSERT_EQ(More.size(), 1u);
   EXPECT_TRUE(More.front().verified());
 
+  // Older writers set "share_prefix" on the top level; restore ignores
+  // it, and the restored front-end goes on serving.
+  json::Value Legacy = *Parsed;
+  Legacy.set("share_prefix", json::Value::boolean(true));
+  std::optional<json::Value> LegacyParsed =
+      json::Value::parse(Legacy.dump(2));
+  ASSERT_TRUE(LegacyParsed.has_value());
+  ShardedVerifyService FromLegacy(C, Fams, Cfg);
+  ASSERT_TRUE(FromLegacy.restore(*LegacyParsed, Error)) << Error;
+  EXPECT_EQ(FromLegacy.log().size(), Svc.log().size());
+  ASSERT_TRUE(FromLegacy.submit(Pass.back(), Error)) << Error;
+  std::vector<ServiceVerdict> Served = FromLegacy.drain();
+  ASSERT_EQ(Served.size(), 1u);
+  EXPECT_TRUE(Served.front().verified());
+  EXPECT_EQ(FromLegacy.log().size(), Svc.log().size() + 1);
+
   ShardedServiceConfig FewerShards = Cfg;
   FewerShards.Shards = 3;
   ShardedVerifyService Mismatched(C, Fams, FewerShards);
@@ -236,7 +211,7 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
 }
 
 // Certify mode works shard-locally: every shard logs its own DRAT trace
-// (prefix-image replay included), and the folded summary accepts.
+// (its own prefix encoding included), and the folded summary accepts.
 TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   ExprFactory F;
   Catalog C(F);

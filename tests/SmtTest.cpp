@@ -746,36 +746,6 @@ TEST(SmtSessionTest, ScopeTreeSubtreeRetireRecyclesDefinitionVars) {
   EXPECT_EQ(S.check({F.lnot(Z)}), SatResult::Sat);
 }
 
-TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
-  ExprFactory F;
-  SmtSession S(F);
-  ExprRef PairSel = F.var("pair_sel", Sort::Bool);
-  ExprRef MSel = F.var("m_sel", Sort::Bool);
-  ExprRef X = F.var("retire_x", Sort::Bool);
-  ExprRef Y = F.var("retire_y", Sort::Bool);
-
-  S.assertScoped(PairSel, X);
-  S.assertScopedUnder(PairSel, MSel, F.implies(X, Y));
-  // Under both selectors, x holds and x->y holds, so ~y is refuted.
-  ASSERT_EQ(S.check({PairSel, MSel, F.lnot(Y)}, -1, {PairSel, MSel}),
-            SatResult::Unsat);
-
-  size_t Retained = S.retainedClauses();
-  size_t Evicted = S.retireScope(PairSel, {MSel});
-  EXPECT_GT(Evicted, 0u);
-  EXPECT_LT(S.retainedClauses(), Retained);
-  EXPECT_EQ(S.scopeRetirements(), 1);
-  EXPECT_TRUE(S.solver().reasonInvariantHolds());
-
-  // The scope is gone: without its prefix, ~y is satisfiable again.
-  EXPECT_EQ(S.check({F.lnot(Y)}), SatResult::Sat);
-  // A fresh selector re-asserts the same content and verifies again.
-  ExprRef PairSel2 = F.var("pair_sel2", Sort::Bool);
-  S.assertScoped(PairSel2, X);
-  S.assertScoped(PairSel2, F.implies(X, Y));
-  EXPECT_EQ(S.check({PairSel2, F.lnot(Y)}, -1, PairSel2), SatResult::Unsat);
-}
-
 TEST(SmtSessionTest, CompactedIntAtomsReRegisterOnReuse) {
   // Each round's scope is the only owner of the atoms x=1 and x=2, so its
   // retirement compacts both out of the int-atom registry. The next round

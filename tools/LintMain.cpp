@@ -24,6 +24,7 @@
 
 #include "logic/ExprFactory.h"
 #include "spec/Family.h"
+#include "support/CommandLine.h"
 #include "support/Json.h"
 
 #include <cstdio>
@@ -59,20 +60,6 @@ void printUsage(FILE *Out) {
   for (lint::SeededViolation V : lint::allSeededViolations())
     std::fprintf(Out, " %s", lint::seededViolationName(V));
   std::fprintf(Out, "\n");
-}
-
-std::vector<std::string> splitCommas(const std::string &S) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= S.size()) {
-    size_t Comma = S.find(',', Start);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Start)
-      Out.push_back(S.substr(Start, Comma - Start));
-    Start = Comma + 1;
-  }
-  return Out;
 }
 
 void renderFindings(const std::vector<lint::Finding> &Findings, bool Json) {

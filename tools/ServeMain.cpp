@@ -13,8 +13,9 @@
 //   semcommute-serve --requests 10000 --seed 7 --check-verdicts
 //
 // With --threads N (or --shards N) the requests are served by the sharded
-// front-end instead: N warm sessions behind one submit/drain interface,
-// shards 1..N-1 loading shard 0's pre-encoded prefix image:
+// front-end instead: N warm sessions over one shared catalog plan behind
+// one submit/drain interface, each shard encoding the catalog prefix
+// itself:
 //
 //   semcommute-serve --threads 4 --requests 10000 --check-verdicts
 //
@@ -24,9 +25,9 @@
 
 #include "service/ShardedVerifyService.h"
 #include "service/VerifyService.h"
+#include "support/CommandLine.h"
 #include "support/Timing.h"
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -77,11 +78,6 @@ void printUsage(const char *Argv0) {
       "                    --threads); N > 1 also selects sharded mode\n"
       "  --route MODE      request routing: pair (default) hashes\n"
       "                    family+pair, family keeps a family on one shard\n"
-      "  --no-share-prefix every shard re-encodes the catalog prefix\n"
-      "                    instead of loading shard 0's image\n"
-      "  --dump-prefix FILE  write the serialized prefix image to FILE and\n"
-      "                    continue (byte-identical across runs; works in\n"
-      "                    both modes)\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served catalog in-process with\n"
@@ -99,41 +95,6 @@ void printUsage(const char *Argv0) {
       "exit status: 0 on success; 1 on verification failure or a failed\n"
       "check; 2 on usage errors.\n",
       Argv0);
-}
-
-/// Parses \p Val, the value of \p Flag, as a whole-string decimal integer
-/// in [\p Min, \p Max] (semcommute-verify's rule; \p Max guards the
-/// narrower type the value is stored in). Anything else is a usage error
-/// naming the flag and the value (exit status 2).
-long parseIntFlag(const char *Flag, const char *Val, long Min,
-                  long Max = LONG_MAX) {
-  char *End = nullptr;
-  errno = 0;
-  long N = std::strtol(Val, &End, 10);
-  if (End != Val && *End == '\0' && errno != ERANGE && N >= Min && N <= Max)
-    return N;
-  std::string Want = Min > 0 ? "a positive integer" : "an integer";
-  if (Max != LONG_MAX)
-    Want += " no larger than " + std::to_string(Max);
-  std::fprintf(stderr, "%s wants %s, got '%s'\n", Flag, Want.c_str(), Val);
-  std::exit(2);
-}
-
-std::vector<std::string> splitCommas(const std::string &S) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= S.size()) {
-    size_t Comma = S.find(',', Start);
-    if (Comma == std::string::npos) {
-      if (Start < S.size())
-        Out.push_back(S.substr(Start));
-      break;
-    }
-    if (Comma > Start)
-      Out.push_back(S.substr(Start, Comma - Start));
-    Start = Comma + 1;
-  }
-  return Out;
 }
 
 /// One catalog pass worth of requests: every entry x kind of every family.
@@ -206,16 +167,6 @@ struct AnyService {
   bool restore(const json::Value &V, std::string &Error) {
     return Single ? Single->restore(V, Error) : Sharded->restore(V, Error);
   }
-  /// Legal only before any request is served (see SmtSession::exportPrefix);
-  /// the sharded front-end hands back the image it already captured, or
-  /// exports from shard 0 when prefix sharing is off.
-  PrefixImage exportPrefix() {
-    if (Single)
-      return Single->exportPrefix();
-    if (!Sharded->prefixImage().empty())
-      return Sharded->prefixImage();
-    return Sharded->shard(0).exportPrefix();
-  }
 
   ServiceStats stats() const {
     if (Single)
@@ -264,11 +215,10 @@ int main(int argc, char **argv) {
   unsigned Seed = 1;
   long DrainEvery = 64;
   bool CheckVerdicts = false, AssertPlateau = false, Quiet = false;
-  std::string SnapshotPath, ReloadPath, JsonPath, DumpPrefixPath;
+  std::string SnapshotPath, ReloadPath, JsonPath;
   long Threads = 1;
   long ShardCount = -1; // Default: one shard per worker thread.
   RouteBy Route = RouteBy::Pair;
-  bool SharePrefix = true;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -324,10 +274,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "--route must be pair or family\n");
         return 2;
       }
-    } else if (Arg == "--no-share-prefix") {
-      SharePrefix = false;
-    } else if (Arg == "--dump-prefix") {
-      DumpPrefixPath = needValue("--dump-prefix");
     } else if (Arg == "--check-verdicts") {
       CheckVerdicts = true;
     } else if (Arg == "--assert-plateau") {
@@ -369,7 +315,6 @@ int main(int argc, char **argv) {
         static_cast<unsigned>(ShardCount > 0 ? ShardCount : Threads);
     SCfg.Threads = static_cast<unsigned>(Threads);
     SCfg.Route = Route;
-    SCfg.SharePrefix = SharePrefix;
     Svc.Sharded = std::make_unique<ShardedVerifyService>(C, Fams, SCfg);
     if (!Quiet)
       std::printf("sharded: %u shards, %ld threads, route=%s\n",
@@ -377,22 +322,6 @@ int main(int argc, char **argv) {
                   Route == RouteBy::Pair ? "pair" : "family");
   } else {
     Svc.Single = std::make_unique<VerifyService>(C, Fams, Cfg);
-  }
-
-  if (!DumpPrefixPath.empty()) {
-    // Must run before any request is served: the image is the warm
-    // session's pristine catalog-common prefix. Byte-identical across
-    // runs — CI pins two independent processes' dumps with cmp.
-    PrefixImage Img = Svc.exportPrefix();
-    std::ofstream OutFile(DumpPrefixPath, std::ios::binary);
-    if (!OutFile) {
-      std::fprintf(stderr, "cannot write %s\n", DumpPrefixPath.c_str());
-      return 2;
-    }
-    OutFile << Img.serialize();
-    if (!Quiet)
-      std::printf("dumped prefix image (%d vars, %zu clauses) to %s\n",
-                  Img.NumVars, Img.Clauses.size(), DumpPrefixPath.c_str());
   }
 
   if (!ReloadPath.empty()) {
@@ -615,8 +544,8 @@ int main(int argc, char **argv) {
     }
     J.set("pass_stats", std::move(PassArr));
     if (Svc.Sharded) {
-      // The headline sharded numbers: warm-up decomposition (what one
-      // shard costs to re-encode vs to import the prefix image) and the
+      // The headline sharded numbers: warm-up decomposition (the shared
+      // plan, plan + shard 0, and the average later shard) and the
       // per-shard serving accounting.
       ShardedServiceStats SS = Svc.Sharded->stats();
       json::Value Sh = json::Value::object();
@@ -628,8 +557,6 @@ int main(int argc, char **argv) {
                           Svc.Sharded->config().Route == RouteBy::Pair
                               ? "pair"
                               : "family"));
-      Sh.set("share_prefix",
-             json::Value::boolean(Svc.Sharded->config().SharePrefix));
       // Hardware context for the thread-scaling numbers: on a 1-CPU
       // container the req/s ratio across thread counts is pinned at ~1x
       // no matter how well the drain parallelizes.
@@ -640,18 +567,12 @@ int main(int argc, char **argv) {
              json::Value::number(SS.WarmupScratchMillis));
       Sh.set("warmup_import_millis_avg",
              json::Value::number(SS.WarmupImportMillisAvg));
-      Sh.set("warmup_speedup_x",
-             json::Value::number(SS.WarmupImportMillisAvg > 0
-                                     ? SS.WarmupScratchMillis /
-                                           SS.WarmupImportMillisAvg
-                                     : 0));
       json::Value ShardArr = json::Value::array();
       for (const ShardStats &St : SS.Shards) {
         json::Value Row = json::Value::object();
         Row.set("requests", json::Value::integer(
                                 static_cast<int64_t>(St.Stats.Requests)));
         Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
-        Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
         Row.set("plans_built", json::Value::integer(
                                    static_cast<int64_t>(St.Stats.PlansBuilt)));
         Row.set("peak_live_vars",

@@ -15,8 +15,10 @@
 
 #include "DriverCore.h"
 
+#include "support/CommandLine.h"
 #include "support/ThreadPool.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,25 +73,9 @@ void printUsage(const char *Argv0) {
       "  --quiet           print only the summary table\n"
       "  --help            this message\n"
       "\n"
-      "exit status: 0 when every job verifies, 1 otherwise.\n",
+      "exit status: 0 when every job verifies, 1 otherwise; 2 on usage\n"
+      "errors.\n",
       Argv0);
-}
-
-std::vector<std::string> splitCommas(const std::string &S) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= S.size()) {
-    size_t Comma = S.find(',', Start);
-    if (Comma == std::string::npos) {
-      if (Start < S.size())
-        Out.push_back(S.substr(Start));
-      break;
-    }
-    if (Comma > Start)
-      Out.push_back(S.substr(Start, Comma - Start));
-    Start = Comma + 1;
-  }
-  return Out;
 }
 
 } // namespace
@@ -131,18 +117,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--seq-bound") {
-      const char *Val = needValue("--seq-bound");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        // A bound below 1 would make every ArrayList split vacuous and
-        // "verify" the family with zero VCs.
-        std::fprintf(stderr, "--seq-bound wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.SymbolicSeqLenBound = static_cast<int>(N);
+      // A bound below 1 would make every ArrayList split vacuous and
+      // "verify" the family with zero VCs.
+      Opts.SymbolicSeqLenBound = static_cast<int>(
+          parseIntFlag("--seq-bound", needValue("--seq-bound"), 1, INT_MAX));
       SeqBoundSet = true;
     } else if (Arg == "--solve-mode") {
       std::string M = needValue("--solve-mode");
@@ -159,32 +137,16 @@ int main(int argc, char **argv) {
       }
       SolveModeSet = true;
     } else if (Arg == "--gc-budget") {
-      const char *Val = needValue("--gc-budget");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        std::fprintf(stderr, "--gc-budget wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.GcBudget = static_cast<int64_t>(N);
+      Opts.GcBudget = static_cast<int64_t>(
+          parseIntFlag("--gc-budget", needValue("--gc-budget"), 1));
       GcBudgetSet = true;
     } else if (Arg == "--certify") {
       Opts.Certify = true;
     } else if (Arg == "--threads") {
-      const char *Val = needValue("--threads");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        // Threads=0 used to be silently promoted to 1; reject it instead
-        // of guessing what the caller meant.
-        std::fprintf(stderr, "--threads wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.Threads = static_cast<unsigned>(N);
+      // Threads=0 used to be silently promoted to 1; reject it instead of
+      // guessing what the caller meant.
+      Opts.Threads = static_cast<unsigned>(
+          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX));
     } else if (Arg == "--no-commute") {
       Opts.Commutativity = false;
     } else if (Arg == "--no-inverse") {
