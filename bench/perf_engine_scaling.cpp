@@ -17,8 +17,9 @@
 // peak-live-variables series (peak live vs. cumulative variable demand,
 // per bound) showing what index recycling buys.
 //
-// A second sweep varies the clause-GC budget (the --gc-budget knob /
-// SatSolver::setClauseGcLimit) over the catalog-session ArrayList suite so
+// A second sweep varies the clause-GC budget
+// (SymbolicEngine::setClauseGcBudget, i.e. SatSolver::setClauseGcLimit)
+// over the catalog-session ArrayList suite so
 // the default threshold is picked from measured peak-retention/time data
 // instead of MiniSat folklore.
 //

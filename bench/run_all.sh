@@ -501,7 +501,6 @@ if sharded_runs:
         })
     sharded_service_stats = {
         "shards": first.get("shards"),
-        "route": first.get("route"),
         "cpus": first.get("cpus"),
         "plan_millis": first.get("plan_millis"),
         "warmup_scratch_millis": first.get("warmup_scratch_millis"),

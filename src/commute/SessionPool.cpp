@@ -8,6 +8,8 @@
 
 #include "commute/SessionPool.h"
 
+#include "support/Timing.h"
+
 #include <algorithm>
 #include <cassert>
 #include <functional>
@@ -112,13 +114,13 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
   return Ok;
 }
 
-/// Stamps a certifying session's verdict onto one method result.
-void stampCertification(const proof::CertifySummary &S, SymbolicResult &R) {
+} // namespace
+
+void semcomm::stampCertification(const proof::CertifySummary &S,
+                                 SymbolicResult &R) {
   R.ProofClauses = S.PeakClauses;
   R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
 }
-
-} // namespace
 
 const char *semcomm::solveModeName(SolveMode M) {
   return M == SolveMode::OneShot ? "oneshot" : "shared-catalog";
@@ -268,6 +270,7 @@ CatalogSession::PairScope &CatalogSession::ensurePair(FamilyTier &Tier,
 
 bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
                                const MethodPlan &MPlan, SymbolicResult &R) {
+  Stopwatch Timer;
   FamilyTier &Tier = ensureFamily(FamIdx);
   PairScope &PS = ensurePair(Tier, PairKey);
 
@@ -331,6 +334,7 @@ bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
       [this]() -> SmtSession & { return Session; }, R);
   R.DbReductions += dbReductions() - RedBefore;
   R.ReclaimedClauses += reclaimedClauses() - RecBefore;
+  R.Millis += Timer.millis();
   return Ok;
 }
 

@@ -104,7 +104,16 @@ struct SymbolicResult {
   /// method's Unsat verdicts. Engines backfill it after the session's
   /// finishCertification(); false when not certifying.
   bool ProofChecked = false;
+  /// Wall time CatalogSession::discharge spent on this method (zero on the
+  /// one-shot path, whose callers time the whole job).
+  double Millis = 0;
 };
+
+/// Stamps a certifying session's checked trace onto one method result:
+/// the checker's database high-water mark, and whether every one of the
+/// method's own Unsat-query tags was checked and passed (a fatal trace
+/// error voids everything — the trace itself could not be replayed).
+void stampCertification(const proof::CertifySummary &S, SymbolicResult &R);
 
 /// One labeled assumption formula (the label names it in unsat cores).
 struct TaggedAssumption {
@@ -267,7 +276,8 @@ public:
 
   /// Clause-GC configuration applied to the session's solver (benches pin
   /// the no-GC baseline; tests force aggressive reduction). \p FirstLimit
-  /// is the --gc-budget knob; 0 keeps the solver default.
+  /// is the live-learned-clause count at which the first reduction fires;
+  /// 0 keeps the solver default.
   void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
 
   /// Discharges every split of \p Plan under family \p FamIdx (an index
@@ -277,7 +287,8 @@ public:
   /// epoch-named selector. Within a pair, a method's selector is keyed by
   /// its name *and* its prefix: a repeated name with a different prefix
   /// gets a fresh selector instead of being proved against the old one.
-  /// Returns true when the method verifies.
+  /// Stamps R.Millis with the call's wall time. Returns true when the
+  /// method verifies.
   bool discharge(size_t FamIdx, const std::string &PairKey,
                  const MethodPlan &Plan, SymbolicResult &R);
 

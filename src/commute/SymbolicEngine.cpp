@@ -8,7 +8,6 @@
 
 #include "commute/SymbolicEngine.h"
 
-#include "support/Timing.h"
 #include "support/Unreachable.h"
 
 #include <algorithm>
@@ -1184,18 +1183,6 @@ CatalogPlan SymbolicEngine::planCatalog(
 
 namespace {
 
-/// Stamps the session's certification verdict onto every method result:
-/// the database high-water mark, and whether every one of the method's
-/// own Unsat-query tags was checked and passed (a fatal trace error
-/// voids everything — the trace itself could not be replayed).
-void backfillCertification(const proof::CertifySummary &S,
-                           std::vector<SymbolicResult> &Methods) {
-  for (SymbolicResult &R : Methods) {
-    R.ProofClauses = S.PeakClauses;
-    R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
-  }
-}
-
 /// The outcome-level aggregate of one session's summary.
 template <typename Outcome>
 void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
@@ -1244,10 +1231,8 @@ CatalogOutcome SymbolicEngine::runCatalog(
       uint64_t RecBefore = Sess.reclaimedClauses();
       unsigned SelBefore = Sess.numSelectors();
       for (const MethodPlan &MP : PP.Methods) {
-        Stopwatch Timer;
         SymbolicResult R;
         R.Verified = Sess.discharge(FI, PP.Key, MP, R);
-        PO.MethodMillis.push_back(Timer.millis());
         PO.Methods.push_back(std::move(R));
       }
       PO.Checks = Sess.checks() - ChecksBefore;
@@ -1295,7 +1280,8 @@ CatalogOutcome SymbolicEngine::runCatalog(
     for (FamilyOutcome &FO : Out.Families) {
       stampOutcomeCertification(S, FO);
       for (PairOutcome &PO : FO.Pairs) {
-        backfillCertification(S, PO.Methods);
+        for (SymbolicResult &R : PO.Methods)
+          stampCertification(S, R);
         stampOutcomeCertification(S, PO);
       }
     }
@@ -1306,22 +1292,12 @@ CatalogOutcome SymbolicEngine::runCatalog(
 CatalogOutcome
 SymbolicEngine::verifyCatalog(const Catalog &C,
                               const std::vector<const Family *> &Fams) {
-  return verifyStripe(C, Fams, planCatalog(C, Fams), 0, 1);
-}
-
-CatalogOutcome
-SymbolicEngine::verifyStripe(const Catalog &C,
-                             const std::vector<const Family *> &Fams,
-                             const CatalogPlan &CP, unsigned Stripe,
-                             unsigned NumStripes) {
-  assert(CP.Families.size() == Fams.size() && Stripe < NumStripes &&
-         "stripe out of range or plan out of sync with the families");
+  CatalogPlan CP = planCatalog(C, Fams);
   std::vector<std::vector<const ConditionEntry *>> Entries;
   for (const Family *Fam : Fams) {
     Entries.emplace_back();
-    const std::vector<ConditionEntry> &All = C.entries(*Fam);
-    for (size_t I = Stripe; I < All.size(); I += NumStripes)
-      Entries.back().push_back(&All[I]);
+    for (const ConditionEntry &E : C.entries(*Fam))
+      Entries.back().push_back(&E);
   }
   return runCatalog(CP, Entries);
 }

@@ -62,7 +62,6 @@ struct PairOutcome {
   /// Per-method results in enumeration order: before/between/after x
   /// soundness/completeness.
   std::vector<SymbolicResult> Methods;
-  std::vector<double> MethodMillis; ///< Wall time per method.
   uint64_t Checks = 0;              ///< SMT checks the session served.
   int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
   uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
@@ -187,18 +186,6 @@ public:
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
-  /// Verifies stripe \p Stripe of \p NumStripes: entries Stripe,
-  /// Stripe + NumStripes, Stripe + 2 * NumStripes, ... of every family in
-  /// \p Fams, in catalog order, through one CatalogSession over \p CP
-  /// (which must be planCatalog(C, Fams); the stripes of one run share
-  /// it). A family opens only when its first entry is discharged, so a
-  /// stripe holding none of its entries never opens it; its outcome then
-  /// has no pairs. Stripe 0 of 1 is verifyCatalog.
-  CatalogOutcome verifyStripe(const Catalog &C,
-                              const std::vector<const Family *> &Fams,
-                              const CatalogPlan &CP, unsigned Stripe,
-                              unsigned NumStripes);
-
   /// Compiles one testing method to its discharge plan (exposed so tests
   /// can replay plans against differently configured sessions).
   MethodPlan plan(const TestingMethod &M) const;
@@ -217,8 +204,8 @@ public:
                           const std::vector<const Family *> &Fams) const;
 
   /// Clause-GC budget: the live-learned-clause count at which a session's
-  /// first database reduction fires (the driver's --gc-budget knob;
-  /// 0 keeps the solver default).
+  /// first database reduction fires (0 keeps the solver default; the
+  /// clause-GC sweep of bench/perf_engine_scaling and ProofTest set it).
   void setClauseGcBudget(int64_t Budget) { GcBudget = Budget; }
 
   /// Turns on certified verdicts (the driver's --certify knob): every
@@ -242,8 +229,8 @@ public:
 
 private:
   /// Runs \p Entries (one list per family of \p CP, in plan order)
-  /// through one catalog session — the body of verifyStripe and of the
-  /// warm verifyPair.
+  /// through one catalog session — the body of verifyCatalog and of
+  /// verifyPair.
   CatalogOutcome
   runCatalog(const CatalogPlan &CP,
              const std::vector<std::vector<const ConditionEntry *>> &Entries);

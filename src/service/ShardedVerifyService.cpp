@@ -59,9 +59,8 @@ ShardedVerifyService::ShardedVerifyService(
 }
 
 size_t ShardedVerifyService::shardOf(const ServiceRequest &R) const {
-  uint64_t H = fnv1a(R.Family);
-  if (Cfg.Route == RouteBy::Pair)
-    H = fnv1a(R.Op1 + "," + R.Op2, H ^ 0x9e3779b97f4a7c15ull);
+  uint64_t H = fnv1a(R.Op1 + "," + R.Op2,
+                     fnv1a(R.Family) ^ 0x9e3779b97f4a7c15ull);
   return static_cast<size_t>(H % Shards.size());
 }
 
@@ -151,8 +150,7 @@ json::Value ShardedVerifyService::snapshot() const {
   json::Value V = json::Value::object();
   V.set("schema", json::Value::integer(2));
   V.set("shards", json::Value::integer(static_cast<int64_t>(Shards.size())));
-  V.set("route", json::Value::string(Cfg.Route == RouteBy::Pair ? "pair"
-                                                                : "family"));
+  V.set("route", json::Value::string("pair"));
   V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
   V.set("serve_millis", json::Value::number(ServeMillis));
 
@@ -190,12 +188,12 @@ bool ShardedVerifyService::restore(const json::Value &V,
             " but the live service has " + std::to_string(Shards.size());
     return false;
   }
+  // Images written with the family route, which no longer exists, are
+  // refused by name.
   const json::Value *Route = V.find("route");
-  std::string LiveRoute = Cfg.Route == RouteBy::Pair ? "pair" : "family";
-  if (!Route || !Route->isString() || Route->asString() != LiveRoute) {
+  if (!Route || !Route->isString() || Route->asString() != "pair") {
     Error = "snapshot config field 'route' does not match the live "
-            "service's ('" +
-            LiveRoute + "')";
+            "service's ('pair')";
     return false;
   }
 

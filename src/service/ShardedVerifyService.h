@@ -10,9 +10,8 @@
 /// N warm verification sessions behind one submit/drain front-end. Each
 /// shard is a full VerifyService (warm CatalogSession, prefix-batched
 /// drains, compaction) serving the same catalog; requests are routed to
-/// shards by a stable hash of their family (or family+pair — the default,
-/// which balances the four-family catalog), and a drain runs every shard's
-/// batched drain, on a work-stealing ThreadPool when Threads > 1.
+/// shards by a stable hash of their family+pair, and a drain runs every
+/// shard's batched drain, on a work-stealing ThreadPool when Threads > 1.
 ///
 /// What makes N shards cheaper than N processes is the one catalog plan:
 /// planCatalog runs once and every shard serves from the shared read-only
@@ -46,11 +45,11 @@
 namespace semcomm {
 namespace service {
 
-/// How requests map to shards. Family keeps a family's whole traffic on
-/// one shard (maximal prefix locality, but the four-family catalog can
-/// then use at most four shards); Pair hashes family+pair, balancing load
-/// across any shard count — the default.
-enum class RouteBy : uint8_t { Family, Pair };
+/// How requests map to shards: Pair hashes family+pair, balancing load
+/// across any shard count. It is the only rule; the enum and
+/// ShardedServiceConfig::Route remain because the benchmark
+/// (perfbench/src/ServeWorkload.cpp) sets them.
+enum class RouteBy : uint8_t { Pair };
 
 /// Front-end construction knobs. Base carries the per-shard session
 /// configuration (batching, compaction, certify, budgets).
@@ -61,7 +60,7 @@ struct ShardedServiceConfig {
   /// order on the caller's thread. Thread count never changes verdicts,
   /// logs, or per-shard stats — only wall time.
   unsigned Threads = 1;
-  RouteBy Route = RouteBy::Pair;
+  RouteBy Route = RouteBy::Pair; ///< Kept for the benchmark; see RouteBy.
 };
 
 /// Per-shard accounting beyond the shard's own ServiceStats.
@@ -124,9 +123,10 @@ public:
   /// verdict log, and every shard's own snapshot.
   json::Value snapshot() const;
   /// Restores a snapshot() into a freshly constructed front-end. The
-  /// shard count, routing, and every per-shard config must match, and the
-  /// combined log must be exactly the shard logs interleaved in routing
-  /// order. Nothing is installed unless every check passes.
+  /// shard count, the "pair" route, and every per-shard config must
+  /// match, and the combined log must be exactly the shard logs
+  /// interleaved in routing order. Nothing is installed unless every
+  /// check passes.
   bool restore(const json::Value &V, std::string &Error);
 
 private:

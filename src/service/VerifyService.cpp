@@ -136,22 +136,26 @@ const PairPlan &VerifyService::planOf(const ConditionEntry *Entry) {
 }
 
 void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
-                             std::vector<ServiceVerdict> &Out) {
+                             std::vector<ServiceVerdict> &Out,
+                             std::vector<SymbolicResult> *Methods) {
   size_t KindIdx = static_cast<size_t>(RR.Req.Kind);
   ServiceVerdict V;
   V.Req = RR.Req;
   for (size_t Role = 0; Role != 2; ++Role) {
     const MethodPlan &MP = PP.Methods[2 * KindIdx + Role];
     SymbolicResult R;
-    bool Ok = Sess->discharge(RR.FamIdx, PP.Key, MP, R);
+    R.Verified = Sess->discharge(RR.FamIdx, PP.Key, MP, R);
     ++MethodsDischarged;
-    (Role == 0 ? V.Sound : V.Complete) = Ok;
+    (Role == 0 ? V.Sound : V.Complete) = R.Verified;
+    if (Methods)
+      Methods->push_back(std::move(R));
   }
   Out.push_back(V);
   VerdictLog.push_back(std::move(V));
 }
 
-std::vector<ServiceVerdict> VerifyService::drain() {
+std::vector<ServiceVerdict>
+VerifyService::drain(std::vector<SymbolicResult> *Methods) {
   Stopwatch Timer;
   std::vector<ServiceVerdict> Out;
   if (Pending.empty())
@@ -191,7 +195,7 @@ std::vector<ServiceVerdict> VerifyService::drain() {
         ++PairGroups;
         BatchedReuses += G.Reqs.size() - 1;
         for (const ResolvedRequest *RR : G.Reqs)
-          serveOne(*RR, PP, Out);
+          serveOne(*RR, PP, Out, Methods);
         Sess->retirePair(FamIdx, PP.Key);
       }
   } else {
@@ -200,7 +204,7 @@ std::vector<ServiceVerdict> VerifyService::drain() {
     for (const ResolvedRequest &RR : Pending) {
       const PairPlan &PP = planOf(RR.Entry);
       ++PairGroups;
-      serveOne(RR, PP, Out);
+      serveOne(RR, PP, Out, Methods);
       Sess->retirePair(RR.FamIdx, PP.Key);
     }
   }

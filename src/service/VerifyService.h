@@ -37,7 +37,9 @@
 ///    are folded off the trail and recycled. Together they make the
 ///    service loop unbounded: live clauses, live variables, and live
 ///    bridges plateau after the first full catalog pass instead of
-///    growing with the request count.
+///    growing with the request count. A service that serves a single
+///    drain (semcommute-verify's shards) turns compaction off: it would
+///    only add proof steps.
 ///
 ///  * Snapshot / reload: snapshot() serializes the service image (config,
 ///    cumulative statistics, the verdict log) to JSON; restore() loads it
@@ -113,7 +115,10 @@ struct ServiceStats {
 };
 
 /// The warm verification service. Not thread-safe: one service, one
-/// caller (the request loop of tools/ServeMain.cpp).
+/// caller — the request loop of tools/ServeMain.cpp, the
+/// ShardedVerifyService drain task serving this shard, or one of
+/// semcommute-verify's shard tasks (tools/DriverCore.cpp), which builds,
+/// drains and destroys its service on one pool worker.
 class VerifyService {
 public:
   /// \p Fams must be a subset of \p C's families and outlive the service;
@@ -136,8 +141,12 @@ public:
 
   /// Serves every pending request and returns their verdicts in the order
   /// served (grouped under batching, arrival order under FIFO). The
-  /// verdicts are also appended to log().
-  std::vector<ServiceVerdict> drain();
+  /// verdicts are also appended to log(). A non-null \p Methods receives
+  /// two method results per returned verdict, in verdict order:
+  /// soundness, then completeness (what a driver job row needs: VCs,
+  /// conflicts, proof core, proof tags, wall time).
+  std::vector<ServiceVerdict>
+  drain(std::vector<SymbolicResult> *Methods = nullptr);
 
   size_t pending() const { return Pending.size(); }
   const std::vector<ServiceVerdict> &log() const { return VerdictLog; }
@@ -210,9 +219,11 @@ private:
   /// The stored plan of \p Entry's pair, built on its first request.
   const PairPlan &planOf(const ConditionEntry *Entry);
   /// Discharges \p RR's two testing methods out of \p PP against the warm
-  /// pair scope and appends the verdict.
+  /// pair scope and appends the verdict, and to a non-null \p Methods the
+  /// two method results.
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
-                std::vector<ServiceVerdict> &Out);
+                std::vector<ServiceVerdict> &Out,
+                std::vector<SymbolicResult> *Methods);
 
   const Catalog &C;
   std::vector<const Family *> Fams;

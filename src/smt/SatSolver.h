@@ -284,7 +284,7 @@ private:
   /// (lemma locality is per-pair, and family sessions evict pairs anyway),
   /// while larger thresholds simply never fire; on the conflict-heavy
   /// warm-pigeonhole bench, 500 bounds retention without changing any
-  /// answer. Overridable per session via --gc-budget.
+  /// answer. Overridable per session via setClauseGcLimit.
   int64_t ReduceLimit = 500;
   int64_t DbReductions = 0;
   int64_t ReclaimedClauses = 0;

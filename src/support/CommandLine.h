@@ -7,9 +7,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flag-value rules semcommute-verify and semcommute-serve share: an
-/// integer flag takes a whole decimal string inside its range, and a list
-/// flag takes comma-separated names.
+/// The flag-value rules the four CLIs (semcommute-verify, -serve, -lint
+/// and -indexgen) share: an integer flag takes a whole decimal string
+/// inside its range, and a list flag takes comma-separated names.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,6 +15,7 @@
 
 #include "DriverCore.h"
 
+#include "commute/SymbolicEngine.h"
 #include "inverse/InverseSpec.h"
 #include "support/Json.h"
 #include "support/ThreadPool.h"
@@ -168,10 +169,10 @@ TEST(DriverParallel, SubsetRunMatchesItsSlice) {
             Fx.C.entries(accumulatorFamily()).size() * 6 + 1);
 }
 
-TEST(DriverParallel, CertifiedStripesCheckEveryProof) {
-  // Four certifying stripes intern through one factory at once; every
+TEST(DriverParallel, CertifiedShardsCheckEveryProof) {
+  // Four certifying shards intern through one factory at once; every
   // symbolic job must still carry checked proofs, and the certificate
-  // count and verdicts must match the single certified session.
+  // count and verdicts must match the single certified shard.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -181,20 +182,42 @@ TEST(DriverParallel, CertifiedStripesCheckEveryProof) {
   Opts.Threads = 1;
   Report Serial = runFullCatalog(Fx.C, Opts);
   Opts.Threads = 4;
-  Report Striped = runFullCatalog(Fx.C, Opts);
+  Report Sharded = runFullCatalog(Fx.C, Opts);
 
-  EXPECT_EQ(Striped.CatalogSessions.size(), 4u);
-  EXPECT_EQ(Striped.failures(), 0u);
-  EXPECT_TRUE(Serial.sameVerdicts(Striped));
-  uint64_t SerialQueries = 0, StripedQueries = 0;
+  ASSERT_EQ(Sharded.CatalogSessions.size(), 4u);
+  EXPECT_EQ(Sharded.failures(), 0u);
+  EXPECT_TRUE(Serial.sameVerdicts(Sharded));
+  uint64_t SerialQueries = 0, ShardedQueries = 0;
   for (const JobRecord &J : Serial.Results)
     SerialQueries += J.ProofQueries;
-  for (const JobRecord &J : Striped.Results) {
+  for (const JobRecord &J : Sharded.Results) {
     EXPECT_TRUE(J.ProofChecked) << J.key();
-    StripedQueries += J.ProofQueries;
+    ShardedQueries += J.ProofQueries;
   }
   EXPECT_GT(SerialQueries, 0u);
-  EXPECT_EQ(StripedQueries, SerialQueries);
+  EXPECT_EQ(ShardedQueries, SerialQueries);
+
+  // Row S holds exactly entries S, S + 4, ... of every family: its pair
+  // count and its VCs are those entries' own.
+  std::map<std::string, size_t> EntryIdx;
+  std::vector<unsigned> Pairs(4, 0);
+  for (const Family *Fam : allFamilies()) {
+    const std::vector<ConditionEntry> &All = Fx.C.entries(*Fam);
+    for (size_t I = 0; I != All.size(); ++I) {
+      EntryIdx[Fam->Name + "/" + All[I].op1().Name + "/" +
+               All[I].op2().Name] = I;
+      ++Pairs[I % 4];
+    }
+  }
+  std::vector<uint64_t> Vcs(4, 0);
+  for (const JobRecord &J : Sharded.Results)
+    if (J.Category == "commutativity")
+      Vcs[EntryIdx.at(J.Family + "/" + J.Op1 + "/" + J.Op2) % 4] += J.Vcs;
+  for (size_t S = 0; S != 4; ++S) {
+    EXPECT_EQ(Sharded.CatalogSessions[S].Pairs, Pairs[S]) << S;
+    EXPECT_EQ(Sharded.CatalogSessions[S].Methods, 6 * Pairs[S]) << S;
+    EXPECT_EQ(Sharded.CatalogSessions[S].Vcs, Vcs[S]) << S;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,7 +296,7 @@ TEST(DriverEngines, SymbolicMatchesExhaustiveOnFullCatalog) {
   EXPECT_EQ(SymbolicInverses, buildInverseSpecs().size());
   EXPECT_GT(TotalVcs, SymbolicJobs); // ArrayList case splits multiply VCs.
 
-  // Every symbolic (family, op-pair) is served by the catalog stripes
+  // Every symbolic (family, op-pair) is served by the catalog shards
   // (one per thread) with its six methods.
   ASSERT_EQ(R.CatalogSessions.size(), 4u);
   size_t PairEntries = 0, SessionPairs = 0, SessionMethods = 0;
@@ -348,7 +371,7 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
   for (size_t I = 0; I != Catalog.Results.size(); ++I)
     EXPECT_EQ(Catalog.Results[I].Vcs, OneShot.Results[I].Vcs)
         << Catalog.Results[I].key();
-  // One catalog stripe per thread, never more than the family's pairs.
+  // One catalog shard per thread, never more than the family's pairs.
   EXPECT_EQ(Catalog.CatalogSessions.size(),
             std::min<size_t>(Opts.Threads, Fx.C.entries(setFamily()).size()));
   EXPECT_TRUE(OneShot.CatalogSessions.empty());
@@ -372,9 +395,9 @@ TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
   EXPECT_EQ(CatalogRun.failures(), 0u);
   EXPECT_TRUE(OneShot.sameVerdicts(CatalogRun));
 
-  // One family at 4 threads: four stripes of it. Each retires the one
-  // family it served, evicts every pair it opened, and recycles variables;
-  // together they serve every pair exactly once.
+  // One family at 4 threads: four shards of it. Each serves only that
+  // family, evicts every pair it opened, and recycles variables; together
+  // they serve every pair exactly once.
   size_t SetPairs = Fx.C.entries(setFamily()).size();
   ASSERT_EQ(CatalogRun.CatalogSessions.size(), 4u);
   size_t Pairs = 0, Methods = 0;
@@ -382,7 +405,6 @@ TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
     EXPECT_EQ(CS.FamilyNames, "Set");
     EXPECT_EQ(CS.Families, 1u);
     EXPECT_EQ(CS.Methods, 6 * CS.Pairs);
-    EXPECT_EQ(CS.SubtreeRetirements, 1u);
     EXPECT_EQ(CS.PairEvictions, CS.Pairs);
     EXPECT_GT(CS.EvictedClauses, 0u);
     EXPECT_GT(CS.PrefixReuses, 0u);
@@ -408,7 +430,6 @@ void expectSameCatalogStats(const CatalogStats &A, const CatalogStats &B) {
   EXPECT_EQ(A.Conflicts, B.Conflicts);
   EXPECT_EQ(A.PrefixAsserts, B.PrefixAsserts);
   EXPECT_EQ(A.PrefixReuses, B.PrefixReuses);
-  EXPECT_EQ(A.SubtreeRetirements, B.SubtreeRetirements);
   EXPECT_EQ(A.PairEvictions, B.PairEvictions);
   EXPECT_EQ(A.EvictedClauses, B.EvictedClauses);
   EXPECT_EQ(A.RecycledVars, B.RecycledVars);
@@ -416,13 +437,12 @@ void expectSameCatalogStats(const CatalogStats &A, const CatalogStats &B) {
   EXPECT_EQ(A.PeakLiveClauses, B.PeakLiveClauses);
   EXPECT_EQ(A.VarRequests, B.VarRequests);
   EXPECT_EQ(A.PeakRetainedClauses, B.PeakRetainedClauses);
-  EXPECT_EQ(A.Selectors, B.Selectors);
 }
 
 TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   // The acceptance bar of the catalog tier: on the full catalog,
   // shared-catalog verdicts and per-job VC counts are identical at 1, 2,
-  // and 8 threads. At T threads min(T, pairs) stripes split every
+  // and 8 threads. At T threads min(T, pairs) shards split every
   // family's entries round-robin, so the other statistics depend on the
   // thread count — but at a fixed thread count they repeat exactly.
   DriverFixture Fx;
@@ -439,7 +459,8 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   EXPECT_EQ(Serial.failures(), 0u);
   ASSERT_EQ(Serial.CatalogSessions.size(), 1u);
   EXPECT_EQ(Serial.CatalogSessions[0].Families, 4u);
-  EXPECT_EQ(Serial.CatalogSessions[0].SubtreeRetirements, 4u);
+  EXPECT_EQ(Serial.CatalogSessions[0].FamilyNames,
+            "Accumulator,Set,Map,ArrayList");
   EXPECT_GT(Serial.CatalogSessions[0].RecycledVars, 0u);
   EXPECT_EQ(Serial.CatalogSessions[0].PairEvictions,
             Serial.CatalogSessions[0].Pairs);
@@ -454,14 +475,18 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
       EXPECT_EQ(Run.Results[I].Vcs, Serial.Results[I].Vcs)
           << Threads << " " << Run.Results[I].key();
 
-    // min(threads, pairs) stripes serve every catalog entry exactly once,
-    // and each retires exactly the families it served.
+    // min(threads, pairs) shards serve every catalog entry exactly once,
+    // each names exactly the families it served, and each evicts every
+    // pair scope it opened.
     ASSERT_EQ(Run.CatalogSessions.size(),
               std::min<size_t>(Threads, Entries));
     size_t Pairs = 0, Methods = 0;
     for (const CatalogStats &S : Run.CatalogSessions) {
       EXPECT_GT(S.Pairs, 0u) << Threads;
-      EXPECT_EQ(S.SubtreeRetirements, S.Families) << Threads;
+      EXPECT_EQ(std::count(S.FamilyNames.begin(), S.FamilyNames.end(), ',') +
+                    1,
+                S.Families)
+          << Threads;
       EXPECT_EQ(S.PairEvictions, S.Pairs) << Threads;
       Pairs += S.Pairs;
       Methods += S.Methods;
@@ -486,8 +511,8 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   }
 }
 
-TEST(DriverEngines, StripesNeverOutnumberThePairs) {
-  // Accumulator has four pairs: eight threads open four stripes of one
+TEST(DriverEngines, ShardsNeverOutnumberThePairs) {
+  // Accumulator has four pairs: eight threads open four shards of one
   // pair each, none of them empty.
   DriverFixture Fx;
   DriverOptions Opts;
@@ -504,7 +529,43 @@ TEST(DriverEngines, StripesNeverOutnumberThePairs) {
     EXPECT_EQ(S.FamilyNames, "Accumulator");
     EXPECT_EQ(S.Pairs, 1u);
     EXPECT_EQ(S.Methods, 6u);
-    EXPECT_EQ(S.SubtreeRetirements, 1u);
+    EXPECT_EQ(S.Families, 1u);
+    EXPECT_EQ(S.PairEvictions, 1u);
+  }
+}
+
+TEST(DriverEngines, OneShardMatchesTheCatalogReference) {
+  // At one thread the whole catalog runs on one VerifyService shard; its
+  // job rows must equal SymbolicEngine::verifyCatalog, the reference that
+  // perfbench and semcommute-serve --check-verdicts use, method by method.
+  DriverFixture Fx;
+  DriverOptions Opts;
+  Opts.Engine = EngineKind::Symbolic;
+  Opts.SymbolicSeqLenBound = 2;
+  Opts.Inverses = false;
+  Opts.Threads = 1;
+  Report R = runFullCatalog(Fx.C, Opts);
+
+  SymbolicEngine Ref(Fx.F, Opts.SymbolicSeqLenBound,
+                     Opts.SymbolicConflictBudget);
+  CatalogOutcome CO = Ref.verifyCatalog(Fx.C, allFamilies());
+  std::vector<const SymbolicResult *> Methods;
+  for (const FamilyOutcome &FO : CO.Families)
+    for (const PairOutcome &PO : FO.Pairs)
+      for (const SymbolicResult &M : PO.Methods)
+        Methods.push_back(&M);
+  ASSERT_EQ(R.Results.size(), Methods.size());
+  for (size_t I = 0; I != Methods.size(); ++I) {
+    const JobRecord &J = R.Results[I];
+    const SymbolicResult &M = *Methods[I];
+    std::string Core;
+    for (const std::string &L : M.CoreLabels)
+      Core += (Core.empty() ? "" : ";") + L;
+    EXPECT_EQ(J.Verified, M.Verified) << J.key();
+    EXPECT_EQ(J.Vcs, M.NumVcs) << J.key();
+    EXPECT_EQ(J.Conflicts, M.SatConflicts) << J.key();
+    EXPECT_EQ(J.MaxVcConflicts, M.MaxVcConflicts) << J.key();
+    EXPECT_EQ(J.ProofCore, Core) << J.key();
   }
 }
 

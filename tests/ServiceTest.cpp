@@ -254,7 +254,8 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
 
 // A compacting session still certifies: compaction deletes clauses out of
 // the proof trace (Delete/Recycle steps), and the independent checker
-// must accept the full trace including the re-emitted bridge Inputs.
+// must accept the full trace including the re-emitted bridge Inputs. The
+// method results drain() hands out carry the certificate tags it checked.
 TEST(ServiceTest, CompactingSessionCertifies) {
   ExprFactory F;
   Catalog C(F);
@@ -265,13 +266,31 @@ TEST(ServiceTest, CompactingSessionCertifies) {
   Cfg.CompactMinDead = 4;
   VerifyService Svc(C, Fams, Cfg);
 
+  // Pass 0 drains without the method out-parameter and pass 1 with it:
+  // the verdicts must not depend on it, and pass 1 also yields two method
+  // results per verdict, soundness then completeness.
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
+  std::vector<ServiceVerdict> Drained[2];
+  std::vector<SymbolicResult> Methods;
   for (int P = 0; P != 2; ++P) {
     for (const ServiceRequest &R : Pass)
       ASSERT_TRUE(Svc.submit(R, Error)) << Error;
-    for (const ServiceVerdict &V : Svc.drain())
+    Drained[P] = Svc.drain(P == 1 ? &Methods : nullptr);
+    for (const ServiceVerdict &V : Drained[P])
       EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  }
+  ASSERT_EQ(Drained[1].size(), Drained[0].size());
+  ASSERT_EQ(Methods.size(), 2 * Drained[1].size());
+  for (size_t I = 0; I != Drained[1].size(); ++I) {
+    const ServiceVerdict &V = Drained[1][I];
+    EXPECT_EQ(keyOf(V.Req), keyOf(Drained[0][I].Req));
+    EXPECT_EQ(V.Sound, Drained[0][I].Sound) << keyOf(V.Req);
+    EXPECT_EQ(V.Complete, Drained[0][I].Complete) << keyOf(V.Req);
+    EXPECT_EQ(Methods[2 * I].Verified, V.Sound) << keyOf(V.Req);
+    EXPECT_EQ(Methods[2 * I + 1].Verified, V.Complete) << keyOf(V.Req);
+    EXPECT_GT(Methods[2 * I].NumVcs, 0u) << keyOf(V.Req);
+    EXPECT_GT(Methods[2 * I + 1].NumVcs, 0u) << keyOf(V.Req);
   }
 
   ASSERT_TRUE(Svc.certifying());
@@ -280,6 +299,11 @@ TEST(ServiceTest, CompactingSessionCertifies) {
   EXPECT_TRUE(Cert.Ok) << Cert.Error;
   EXPECT_GT(Cert.Queries, 0u);
   EXPECT_EQ(Cert.Queries, Cert.QueriesPassed);
+  // Every method result names certificates the checker passed.
+  for (const SymbolicResult &R : Methods) {
+    EXPECT_FALSE(R.ProofQueryTags.empty());
+    EXPECT_TRUE(Cert.allPassed(R.ProofQueryTags));
+  }
 }
 
 TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {

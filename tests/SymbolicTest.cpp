@@ -157,7 +157,6 @@ TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
       Fx.C.entry(arrayListFamily(), "add_at", "remove_at");
   PairOutcome O = Engine.verifyPair(E);
   ASSERT_EQ(O.Methods.size(), 6u);
-  ASSERT_EQ(O.MethodMillis.size(), 6u);
   EXPECT_EQ(O.failures(), 0u);
   // Family and pair scope, plus one selector literal per method.
   EXPECT_EQ(O.Selectors, 8u);
@@ -165,6 +164,7 @@ TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
   uint64_t Vcs = 0;
   for (const SymbolicResult &R : O.Methods) {
     EXPECT_TRUE(R.Verified);
+    EXPECT_GT(R.Millis, 0.0); // CatalogSession::discharge timed it.
     Vcs += R.NumVcs;
   }
   EXPECT_EQ(O.Checks, Vcs); // Every VC went through the shared session.

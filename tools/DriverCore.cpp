@@ -12,6 +12,7 @@
 #include "commute/SymbolicEngine.h"
 #include "inverse/InverseVerifier.h"
 #include "inverse/SymbolicInverseEngine.h"
+#include "service/VerifyService.h"
 #include "support/ThreadPool.h"
 #include "support/Timing.h"
 
@@ -176,10 +177,9 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
     Out.Note = R.FailureNote;
   } else if (P.Symbolic) {
     assert(Opts.SymbolicMode == SolveMode::OneShot &&
-           "warm symbolic commutativity jobs run in catalog stripes");
+           "warm symbolic commutativity jobs run in catalog shards");
     SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                        Opts.SymbolicConflictBudget, SolveMode::OneShot);
-    Sym.setClauseGcBudget(Opts.GcBudget);
     Sym.setCertify(Opts.Certify);
     TestingMethod M;
     M.Entry = P.Entry;
@@ -199,65 +199,81 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
   Out.Millis = Timer.millis();
 }
 
-/// The warm path's shared, read-only input: the selected families, their
-/// one catalog plan, and per family and catalog entry the entry's six job
-/// indices, in (kind x role) order.
-struct StripeInput {
-  std::vector<const Family *> Fams;
-  CatalogPlan Plan;
-  std::vector<std::vector<std::vector<size_t>>> JobIdx;
-  unsigned NumStripes = 0; ///< 0 when no job runs on the warm path.
-};
+/// Per catalog entry, its six job indices in (kind x role) order.
+using JobsByEntry = std::map<const ConditionEntry *, std::vector<size_t>>;
 
-/// The unit of work of the warm path: one CatalogSession serving stripe
-/// \p Stripe — entries Stripe, Stripe + NumStripes, ... of every family.
-void runStripe(const Catalog &C, const DriverOptions &Opts,
-               const StripeInput &In, unsigned Stripe,
-               std::vector<JobRecord> &Jobs, CatalogStats &Stats) {
+/// The unit of work of the warm path, one shard's whole life on one pool
+/// worker: a VerifyService over the shared plan \p Plan is handed entries
+/// \p Shard, \p Shard + \p NumShards, ... of every family, each with its
+/// three condition kinds, in catalog order, so one prefix-batched drain
+/// discharges every entry's six methods in (kind x role) order against one
+/// pair scope. The shard then checks its own proof trace, fills the
+/// entries' job rows (\p JobsOf) and its stats row, and is destroyed
+/// before the task ends.
+void runShard(const Catalog &C, const DriverOptions &Opts,
+              const std::vector<const Family *> &Fams, const CatalogPlan &Plan,
+              const JobsByEntry &JobsOf, unsigned Shard, unsigned NumShards,
+              std::vector<JobRecord> &Jobs, CatalogStats &Stats) {
   Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, SolveMode::SharedCatalog);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  CatalogOutcome CO =
-      Sym.verifyStripe(C, In.Fams, In.Plan, Stripe, In.NumStripes);
-  assert(CO.Families.size() == In.Fams.size() &&
-         "stripe out of sync with the plan");
+  service::ServiceConfig Cfg;
+  Cfg.CompactBridges = false; // One drain: compaction only adds proof steps.
+  Cfg.Certify = Opts.Certify;
+  Cfg.SeqLenBound = Opts.SymbolicSeqLenBound;
+  Cfg.ConflictBudget = Opts.SymbolicConflictBudget;
+  service::VerifyService Svc(C, Fams, Cfg, &Plan);
 
-  for (size_t FI = 0; FI != In.Fams.size(); ++FI) {
-    const FamilyOutcome &FO = CO.Families[FI];
-    if (FO.Pairs.empty())
-      continue; // The stripe holds none of this family's entries.
-    for (size_t PI = 0; PI != FO.Pairs.size(); ++PI) {
-      const PairOutcome &PO = FO.Pairs[PI];
-      const std::vector<size_t> &Idx =
-          In.JobIdx[FI][Stripe + PI * In.NumStripes];
-      assert(PO.Methods.size() == Idx.size() &&
-             "pair out of sync with enumeration");
-      for (size_t I = 0; I != Idx.size(); ++I) {
-        fillSymbolicRecord(PO.Methods[I], Jobs[Idx[I]]);
-        Jobs[Idx[I]].Millis = PO.MethodMillis[I];
-        Stats.Vcs += PO.Methods[I].NumVcs;
+  std::vector<const std::vector<size_t> *> Served; // Per entry, in order.
+  std::string Error;
+  for (const Family *Fam : Fams) {
+    const std::vector<ConditionEntry> &All = C.entries(*Fam);
+    if (Shard >= All.size())
+      continue; // The shard holds none of this family's entries.
+    for (size_t I = Shard; I < All.size(); I += NumShards) {
+      for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
+                              ConditionKind::After}) {
+        bool Queued = Svc.submit(
+            {Fam->Name, All[I].op1().Name, All[I].op2().Name, K}, Error);
+        assert(Queued && "a catalog entry the service does not serve");
+        (void)Queued;
       }
-      Stats.Methods += static_cast<unsigned>(PO.Methods.size());
+      Served.push_back(&JobsOf.at(&All[I]));
     }
-    Stats.Pairs += static_cast<unsigned>(FO.Pairs.size());
-    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + FO.Family;
+    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + Fam->Name;
     ++Stats.Families;
   }
-  Stats.Checks = CO.Checks;
-  Stats.Conflicts = CO.Conflicts;
-  Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
-  Stats.PrefixReuses = CO.Stats.PrefixReuses;
-  Stats.SubtreeRetirements = CO.Stats.FamiliesRetired;
-  Stats.PairEvictions = CO.Stats.PairsRetired;
-  Stats.EvictedClauses = CO.Stats.EvictedClauses;
-  Stats.RecycledVars = CO.Stats.RecycledVars;
-  Stats.PeakLiveVars = CO.Stats.PeakLiveVars;
-  Stats.PeakLiveClauses = CO.Stats.PeakLiveClauses;
-  Stats.VarRequests = CO.Stats.VarRequests;
-  Stats.PeakRetainedClauses = CO.Stats.PeakRetainedClauses;
-  Stats.Selectors = CO.Selectors;
+
+  std::vector<SymbolicResult> Methods;
+  Svc.drain(&Methods);
+  assert(Methods.size() == 6 * Served.size() &&
+         "drain out of sync with the submitted entries");
+  if (Opts.Certify) {
+    const proof::CertifySummary &Cert = Svc.finishCertification();
+    for (SymbolicResult &R : Methods)
+      stampCertification(Cert, R);
+  }
+  for (size_t P = 0; P != Served.size(); ++P)
+    for (size_t M = 0; M != 6; ++M) {
+      const SymbolicResult &R = Methods[6 * P + M];
+      JobRecord &J = Jobs[(*Served[P])[M]];
+      fillSymbolicRecord(R, J);
+      J.Millis = R.Millis;
+      Stats.Vcs += R.NumVcs;
+    }
+
+  service::ServiceStats SS = Svc.stats();
+  Stats.Pairs = static_cast<unsigned>(Served.size());
+  Stats.Methods = static_cast<unsigned>(Methods.size());
+  Stats.Checks = Svc.session().numChecks();
+  Stats.Conflicts = Svc.session().totalConflicts();
+  Stats.PrefixAsserts = SS.Session.PrefixAsserts;
+  Stats.PrefixReuses = SS.Session.PrefixReuses;
+  Stats.PairEvictions = SS.Session.PairsRetired;
+  Stats.EvictedClauses = SS.Session.EvictedClauses;
+  Stats.RecycledVars = SS.Session.RecycledVars;
+  Stats.PeakLiveVars = SS.Session.PeakLiveVars;
+  Stats.PeakLiveClauses = SS.Session.PeakLiveClauses;
+  Stats.VarRequests = SS.Session.VarRequests;
+  Stats.PeakRetainedClauses = SS.Session.PeakRetainedClauses;
   Stats.Millis = Timer.millis();
 }
 
@@ -304,33 +320,24 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
   }
 
-  // Warm path: the symbolic commutativity jobs run through K = min(threads,
-  // selected pairs) catalog sessions over one shared catalog plan. Stripe
-  // k serves entries k, k + K, k + 2K, ... of every family, so the stripe
-  // layout — and with it every statistic — is a function of the options
-  // alone; at one thread it is the single whole-catalog session.
+  // Warm path: the symbolic commutativity jobs run on K = min(threads,
+  // selected pairs) VerifyService shards over one shared catalog plan.
+  // Shard k serves entries k, k + K, k + 2K, ... of every family, so the
+  // shard layout — and with it every statistic — is a function of the
+  // options alone; at one thread it is a single whole-catalog shard.
   // Enumeration emits each entry's six jobs contiguously in (kind x role)
   // order.
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
   bool Warm = Opts.SymbolicMode == SolveMode::SharedCatalog;
-  std::map<const ConditionEntry *, std::vector<size_t>> JobsOf;
-  for (size_t I = 0; I != Jobs.size(); ++I)
-    if (Prepared[I].Symbolic && !Prepared[I].Inverse)
-      JobsOf[Prepared[I].Entry].push_back(I);
-  StripeInput Stripes;
-  if (Warm && !JobsOf.empty()) {
-    Stripes.Fams = Fams;
-    size_t Pairs = 0;
-    for (const Family *Fam : Fams) {
-      Stripes.JobIdx.emplace_back();
-      for (const ConditionEntry &E : C.entries(*Fam))
-        Stripes.JobIdx.back().push_back(JobsOf[&E]);
-      Pairs += C.entries(*Fam).size();
-    }
-    Stripes.NumStripes =
-        static_cast<unsigned>(std::min<size_t>(Threads, Pairs));
-  }
-  std::vector<CatalogStats> CatSessions(Stripes.NumStripes);
+  JobsByEntry JobsOf;
+  if (Warm)
+    for (size_t I = 0; I != Jobs.size(); ++I)
+      if (Prepared[I].Symbolic && !Prepared[I].Inverse)
+        JobsOf[Prepared[I].Entry].push_back(I);
+  unsigned NumShards =
+      static_cast<unsigned>(std::min<size_t>(Threads, JobsOf.size()));
+  std::vector<CatalogStats> Shards(NumShards);
+  CatalogPlan Plan;
 
   ExhaustiveEngine Engine(Opts.Bounds);
   Stopwatch Wall;
@@ -338,19 +345,20 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     ThreadPool Pool(Threads);
     for (size_t I = 0; I != Jobs.size(); ++I) {
       if (Warm && Prepared[I].Symbolic && !Prepared[I].Inverse)
-        continue; // Runs inside its stripe.
+        continue; // Runs inside its shard.
       Pool.submit([&Engine, &C, &Opts, &Prepared, &Jobs, I] {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
     }
-    // The stripes share one plan; build it while the pool starts on the
+    // The shards share one plan; build it while the pool starts on the
     // jobs above.
-    if (!CatSessions.empty())
-      Stripes.Plan = SymbolicEngine(C.factory(), Opts.SymbolicSeqLenBound)
-                         .planCatalog(C, Fams);
-    for (unsigned S = 0; S != CatSessions.size(); ++S)
-      Pool.submit([&C, &Opts, &Stripes, &Jobs, &CatSessions, S] {
-        runStripe(C, Opts, Stripes, S, Jobs, CatSessions[S]);
+    if (NumShards != 0)
+      Plan = SymbolicEngine(C.factory(), Opts.SymbolicSeqLenBound)
+                 .planCatalog(C, Fams);
+    for (unsigned S = 0; S != NumShards; ++S)
+      Pool.submit([&C, &Opts, &Fams, &Plan, &JobsOf, &Jobs, &Shards, S,
+                   NumShards] {
+        runShard(C, Opts, Fams, Plan, JobsOf, S, NumShards, Jobs, Shards[S]);
       });
     Pool.wait();
   }
@@ -361,7 +369,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   R.Certified = Opts.Certify;
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
-  R.CatalogSessions = std::move(CatSessions);
+  R.CatalogSessions = std::move(Shards);
 
   for (const Family *Fam : Fams) {
     FamilySummary S;
@@ -468,9 +476,6 @@ json::Value Report::toJson() const {
             json::Value::integer(static_cast<int64_t>(S.PrefixAsserts)));
       V.set("prefix_reuses",
             json::Value::integer(static_cast<int64_t>(S.PrefixReuses)));
-      V.set("subtree_retirements",
-            json::Value::integer(
-                static_cast<int64_t>(S.SubtreeRetirements)));
       V.set("pair_evictions",
             json::Value::integer(static_cast<int64_t>(S.PairEvictions)));
       V.set("evicted_clauses",
@@ -486,7 +491,6 @@ json::Value Report::toJson() const {
       V.set("peak_retained_clauses",
             json::Value::integer(
                 static_cast<int64_t>(S.PeakRetainedClauses)));
-      V.set("selectors", json::Value::integer(S.Selectors));
       V.set("ms", json::Value::number(S.Millis));
       CatArr.push(std::move(V));
     }
@@ -604,8 +608,6 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.Conflicts = P["sat_conflicts"].asInt();
       S.PrefixAsserts = static_cast<uint64_t>(P["prefix_asserts"].asInt());
       S.PrefixReuses = static_cast<uint64_t>(P["prefix_reuses"].asInt());
-      S.SubtreeRetirements =
-          static_cast<uint64_t>(P["subtree_retirements"].asInt());
       S.PairEvictions = static_cast<uint64_t>(P["pair_evictions"].asInt());
       S.EvictedClauses =
           static_cast<uint64_t>(P["evicted_clauses"].asInt());
@@ -616,7 +618,6 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
       S.PeakRetainedClauses =
           static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
       S.Millis = P["ms"].asDouble();
       R.CatalogSessions.push_back(std::move(S));
     }
@@ -718,21 +719,18 @@ std::string driver::renderSummary(const Report &R) {
                   static_cast<unsigned long long>(PeakRetained));
     Out += Buf;
     if (!R.CatalogSessions.empty()) {
-      uint64_t Subtrees = 0, Recycled = 0, PeakVars = 0, Demand = 0,
-               PeakCls = 0;
+      uint64_t Recycled = 0, PeakVars = 0, Demand = 0, PeakCls = 0;
       for (const CatalogStats &S : R.CatalogSessions) {
-        Subtrees += S.SubtreeRetirements;
         Recycled += S.RecycledVars;
         PeakVars = std::max(PeakVars, S.PeakLiveVars);
         PeakCls = std::max(PeakCls, S.PeakLiveClauses);
         Demand += S.VarRequests;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "catalog sessions: %zu sessions, %llu family-subtree "
-                    "retirements, %llu vars recycled (peak %llu live of "
-                    "%llu requested), peak %llu live clauses\n",
+                    "catalog sessions: %zu sessions, %llu vars recycled "
+                    "(peak %llu live of %llu requested), peak %llu live "
+                    "clauses\n",
                     R.CatalogSessions.size(),
-                    static_cast<unsigned long long>(Subtrees),
                     static_cast<unsigned long long>(Recycled),
                     static_cast<unsigned long long>(PeakVars),
                     static_cast<unsigned long long>(Demand),

@@ -13,17 +13,19 @@
 /// dispatches the independent verification jobs across a work-stealing
 /// ThreadPool, and aggregates per-family timings plus a JSON report.
 ///
-/// Symbolic commutativity jobs run through warm catalog sessions
-/// (SolveMode::SharedCatalog) over one shared catalog plan: at T threads,
-/// K = min(T, selected pairs) pair stripes, where stripe k serves entries
-/// k, k + K, k + 2K, ... of every family in catalog order — a single
-/// whole-catalog session at one thread. The report gains per-session
-/// statistics. SolveMode::OneShot runs every job as its own cold reference
-/// oracle instead. The job list, the result order and the stripe layout
-/// are fully determined by the options — never by thread scheduling — so
-/// verdicts and per-job VC counts are identical at every thread count, and
-/// every other statistic repeats exactly at a fixed thread count
-/// (DriverTest pins both down).
+/// Symbolic commutativity jobs run warm (SolveMode::SharedCatalog) on
+/// service::VerifyService shards over one shared catalog plan: at T
+/// threads, K = min(T, selected pairs) shards, where shard k serves
+/// entries k, k + K, k + 2K, ... of every family in catalog order — a
+/// single whole-catalog shard at one thread. Each shard is one pool task
+/// from construction to destruction: it drains its entries once, checks
+/// its own proof trace, and fills its job rows and its catalog_stats row.
+/// SolveMode::OneShot runs every job as its own cold reference oracle
+/// instead. The job list, the result order and the shard layout are fully
+/// determined by the options — never by thread scheduling — so verdicts
+/// and per-job VC counts are identical at every thread count, and every
+/// other statistic repeats exactly at a fixed thread count (DriverTest
+/// pins both down).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,14 +70,11 @@ struct DriverOptions {
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
   /// Session strategy for the symbolic engine: shared-catalog (default;
-  /// one warm solver for the whole catalog at one thread, one per pair
-  /// stripe at more threads; selector-tree scopes with subtree retirement
-  /// and variable recycling) or the oneshot reference oracle.
+  /// one warm VerifyService shard for the whole catalog at one thread,
+  /// one per K-th entry of every family at more threads; selector-tree
+  /// scopes with pair retirement and variable recycling) or the oneshot
+  /// reference oracle.
   SolveMode SymbolicMode = SolveMode::SharedCatalog;
-  /// Clause-GC budget: live learned clauses at which a warm session's
-  /// first database reduction fires (--gc-budget; 0 keeps the solver
-  /// default, which bench/perf_engine_scaling's sweep picked from data).
-  int64_t GcBudget = 0;
   /// Certified verdicts (--certify): symbolic sessions log DRAT-style
   /// proof traces, the independent RUP checker replays each trace
   /// in-process when its session closes, and every job row records
@@ -146,13 +145,12 @@ struct FamilySummary {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Reuse, retirement, and recycling statistics of one catalog-level
+/// Reuse, retirement, and recycling statistics of one shard's catalog
 /// session (symbolic commutativity jobs under SolveMode::SharedCatalog;
-/// one row per catalog session — a single row at one thread, one per pair
-/// stripe otherwise).
+/// one row per shard — a single row at one thread).
 struct CatalogStats {
-  /// Comma-joined families this session served (those of which its stripe
-  /// holds at least one entry).
+  /// Comma-joined families this shard served (those of which it holds at
+  /// least one entry).
   std::string FamilyNames;
   unsigned Families = 0;
   unsigned Pairs = 0;
@@ -163,8 +161,6 @@ struct CatalogStats {
   /// Prefix amortization across the catalog + family + pair levels.
   uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
-  /// Whole-family scope subtrees retired in one pass.
-  uint64_t SubtreeRetirements = 0;
   uint64_t PairEvictions = 0; ///< Pair scopes retired.
   uint64_t EvictedClauses = 0;
   /// Variable recycling: indices reclaimed by scope retirements, the
@@ -175,7 +171,6 @@ struct CatalogStats {
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
   uint64_t PeakRetainedClauses = 0;
-  unsigned Selectors = 0; ///< Family + pair + method selectors.
   double Millis = 0;
 };
 
@@ -187,8 +182,8 @@ struct Report {
   Scope Bounds;
   std::vector<FamilySummary> Families;
   std::vector<JobRecord> Results;
-  /// Per-catalog-session stats (symbolic SolveMode::SharedCatalog runs
-  /// only).
+  /// Per-shard catalog-session stats (symbolic SolveMode::SharedCatalog
+  /// runs only).
   std::vector<CatalogStats> CatalogSessions;
   /// Non-empty when the run never started (e.g. unknown family name); a
   /// report with an Error has no results and counts as failed.

@@ -26,9 +26,11 @@
 #include "index/IndexFuzz.h"
 
 #include "logic/ExprFactory.h"
+#include "support/CommandLine.h"
 #include "support/Json.h"
 #include "support/Timing.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -53,11 +55,15 @@ void printUsage(FILE *Out) {
       "  --out FILE       write the serialized index image to FILE\n"
       "  --selfcheck N    fuzz N random environments per condition slot\n"
       "                   against the interpreter (0 disables; default 16)\n"
-      "  --threads N      self-check worker threads (default 1)\n"
-      "  --seed S         self-check RNG seed (default 12441)\n"
+      "  --threads N      self-check worker threads, at least 1 (default 1)\n"
+      "  --seed S         self-check RNG seed, a non-negative integer\n"
+      "                   (default 12441)\n"
       "  --json           print generation statistics as JSON on stdout\n"
       "  --quiet          suppress the human-readable summary\n"
-      "  --help           this text\n");
+      "  --help           this text\n"
+      "\n"
+      "Integer values must be whole decimal strings inside the flag's\n"
+      "range; anything else exits with status 2.\n");
 }
 
 } // namespace
@@ -89,21 +95,18 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--selfcheck") {
-      SelfCheck = static_cast<unsigned>(std::atoi(NextValue("--selfcheck")));
+      SelfCheck = static_cast<unsigned>(
+          parseIntFlag("--selfcheck", NextValue("--selfcheck"), 0, UINT_MAX));
       continue;
     }
     if (Arg == "--threads") {
-      int N = std::atoi(NextValue("--threads"));
-      if (N < 1) {
-        std::fprintf(stderr, "semcommute-indexgen: --threads must be >= 1\n");
-        return 2;
-      }
-      Threads = static_cast<unsigned>(N);
+      Threads = static_cast<unsigned>(
+          parseIntFlag("--threads", NextValue("--threads"), 1, UINT_MAX));
       continue;
     }
     if (Arg == "--seed") {
-      Seed = static_cast<uint64_t>(std::strtoull(NextValue("--seed"),
-                                                 nullptr, 10));
+      Seed = static_cast<uint64_t>(
+          parseIntFlag("--seed", NextValue("--seed"), 0));
       continue;
     }
     if (Arg == "--json") {

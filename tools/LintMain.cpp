@@ -27,6 +27,7 @@
 #include "support/CommandLine.h"
 #include "support/Json.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -49,7 +50,8 @@ void printUsage(FILE *Out) {
       "options:\n"
       "  --families A,B,...    lint only the named families\n"
       "                        (all, Accumulator, Set, Map, ArrayList)\n"
-      "  --seq-bound N         ArrayList case-split bound (default 3)\n"
+      "  --seq-bound N         ArrayList case-split bound, a positive\n"
+      "                        integer (default 3)\n"
       "  --json                emit findings as JSON on stdout\n"
       "  --list-checks         print the diagnostic codes and exit\n"
       "  --seed-violation K    run the seeded-violation fixture K instead\n"
@@ -115,11 +117,9 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--seq-bound") {
-      SeqLenBound = std::atoi(NextValue("--seq-bound"));
-      if (SeqLenBound < 0) {
-        std::fprintf(stderr, "semcommute-lint: --seq-bound must be >= 0\n");
-        return 2;
-      }
+      // A bound below 1 would leave no ArrayList split to audit.
+      SeqLenBound = static_cast<int>(
+          parseIntFlag("--seq-bound", NextValue("--seq-bound"), 1, INT_MAX));
       continue;
     }
     if (Arg == "--json") {

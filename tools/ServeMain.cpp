@@ -75,9 +75,8 @@ void printUsage(const char *Argv0) {
       "  --threads N       drain worker threads; N > 1 selects the sharded\n"
       "                    front-end (default: 1, single warm session)\n"
       "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads); N > 1 also selects sharded mode\n"
-      "  --route MODE      request routing: pair (default) hashes\n"
-      "                    family+pair, family keeps a family on one shard\n"
+      "                    --threads); N > 1 also selects sharded mode;\n"
+      "                    requests route by a hash of family+pair\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served catalog in-process with\n"
@@ -218,7 +217,6 @@ int main(int argc, char **argv) {
   std::string SnapshotPath, ReloadPath, JsonPath;
   long Threads = 1;
   long ShardCount = -1; // Default: one shard per worker thread.
-  RouteBy Route = RouteBy::Pair;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -264,16 +262,6 @@ int main(int argc, char **argv) {
     } else if (Arg == "--shards") {
       ShardCount =
           parseIntFlag("--shards", needValue("--shards"), 1, UINT_MAX);
-    } else if (Arg == "--route") {
-      std::string Mode = needValue("--route");
-      if (Mode == "pair") {
-        Route = RouteBy::Pair;
-      } else if (Mode == "family") {
-        Route = RouteBy::Family;
-      } else {
-        std::fprintf(stderr, "--route must be pair or family\n");
-        return 2;
-      }
     } else if (Arg == "--check-verdicts") {
       CheckVerdicts = true;
     } else if (Arg == "--assert-plateau") {
@@ -314,12 +302,10 @@ int main(int argc, char **argv) {
     SCfg.Shards =
         static_cast<unsigned>(ShardCount > 0 ? ShardCount : Threads);
     SCfg.Threads = static_cast<unsigned>(Threads);
-    SCfg.Route = Route;
     Svc.Sharded = std::make_unique<ShardedVerifyService>(C, Fams, SCfg);
     if (!Quiet)
-      std::printf("sharded: %u shards, %ld threads, route=%s\n",
-                  Svc.Sharded->numShards(), Threads,
-                  Route == RouteBy::Pair ? "pair" : "family");
+      std::printf("sharded: %u shards, %ld threads\n",
+                  Svc.Sharded->numShards(), Threads);
   } else {
     Svc.Single = std::make_unique<VerifyService>(C, Fams, Cfg);
   }
@@ -553,10 +539,6 @@ int main(int argc, char **argv) {
                            static_cast<int64_t>(SS.Shards.size())));
       Sh.set("threads", json::Value::integer(static_cast<int64_t>(
                             Svc.Sharded->config().Threads)));
-      Sh.set("route", json::Value::string(
-                          Svc.Sharded->config().Route == RouteBy::Pair
-                              ? "pair"
-                              : "family"));
       // Hardware context for the thread-scaling numbers: on a 1-CPU
       // container the req/s ratio across thread counts is pinned at ~1x
       // no matter how well the drain parallelizes.

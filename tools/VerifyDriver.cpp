@@ -46,17 +46,13 @@ void printUsage(const char *Argv0) {
       "                    engine (default: 3); requires --engine\n"
       "                    symbolic or both\n"
       "  --solve-mode M    symbolic session strategy: shared-catalog\n"
-      "                    (default; one warm solver for the whole catalog\n"
-      "                    at --threads 1; at --threads N, K = min(N, pairs)\n"
-      "                    pair stripes, stripe k verifying entries k, k+K,\n"
-      "                    k+2K, ... of every family; subtree retirement +\n"
-      "                    variable recycling) or oneshot (a cold session\n"
-      "                    per VC, the reference oracle); requires --engine\n"
-      "                    symbolic or both\n"
-      "  --gc-budget N     live learned clauses at which a warm session's\n"
-      "                    first clause-DB reduction fires (default: the\n"
-      "                    data-picked solver default); requires --engine\n"
-      "                    symbolic or both\n"
+      "                    (default; one warm verification-service shard\n"
+      "                    for the whole catalog at --threads 1; at\n"
+      "                    --threads N, K = min(N, pairs) shards, shard k\n"
+      "                    verifying entries k, k+K, k+2K, ... of every\n"
+      "                    family; pair retirement + variable recycling)\n"
+      "                    or oneshot (a cold session per VC, the reference\n"
+      "                    oracle); requires --engine symbolic or both\n"
       "  --certify         certified verdicts: every symbolic session logs\n"
       "                    a DRAT-style proof trace and the independent RUP\n"
       "                    checker replays it in-process; job rows gain\n"
@@ -84,7 +80,7 @@ int main(int argc, char **argv) {
   DriverOptions Opts;
   Opts.Threads = ThreadPool::hardwareThreads();
   bool ListOnly = false, Quiet = false, FailuresOnly = false;
-  bool SeqBoundSet = false, SolveModeSet = false, GcBudgetSet = false;
+  bool SeqBoundSet = false, SolveModeSet = false;
   std::string JsonPath;
 
   for (int I = 1; I < argc; ++I) {
@@ -136,10 +132,6 @@ int main(int argc, char **argv) {
         return 2;
       }
       SolveModeSet = true;
-    } else if (Arg == "--gc-budget") {
-      Opts.GcBudget = static_cast<int64_t>(
-          parseIntFlag("--gc-budget", needValue("--gc-budget"), 1));
-      GcBudgetSet = true;
     } else if (Arg == "--certify") {
       Opts.Certify = true;
     } else if (Arg == "--threads") {
@@ -175,11 +167,6 @@ int main(int argc, char **argv) {
   }
   if (SolveModeSet && Opts.Engine == EngineKind::Exhaustive) {
     std::fprintf(stderr, "--solve-mode only applies to the symbolic "
-                         "engine; pass --engine symbolic or both\n");
-    return 2;
-  }
-  if (GcBudgetSet && Opts.Engine == EngineKind::Exhaustive) {
-    std::fprintf(stderr, "--gc-budget only applies to the symbolic "
                          "engine; pass --engine symbolic or both\n");
     return 2;
   }
