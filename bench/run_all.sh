@@ -193,15 +193,14 @@ else
   record "driver_certify_stats" 0 missing
 fi
 
-# Service-loop snapshots: three 3-pass full-catalog semcommute-serve runs
-# (prefix-batched, FIFO, and batched-without-compaction) whose request
-# rates and per-pass live peaks join the baseline as service_stats, so
-# serving regressions (a lost batching speedup, a compaction that stops
-# bounding the warm session) are caught like wall-time ones.
+# Service-loop snapshots: two 3-pass full-catalog semcommute-serve runs on
+# the one-shard front-end (the default, serve_batched, and the same
+# without compaction) whose request rates and per-pass live peaks join
+# the baseline as service_stats, so serving regressions (a compaction that
+# stops bounding the warm session) are caught like wall-time ones.
 SERVE_BIN="$BUILD_DIR/semcommute-serve"
 if [ -x "$SERVE_BIN" ]; then
-  for cfg in "serve_batched:" "serve_fifo:--no-batch" \
-             "serve_nocompact:--no-compact"; do
+  for cfg in "serve_batched:" "serve_nocompact:--no-compact"; do
     name=${cfg%%:*}
     extra=${cfg#*:}
     echo "== semcommute-serve ($name)"
@@ -220,7 +219,7 @@ if [ -x "$SERVE_BIN" ]; then
   done
 else
   echo "MISSING semcommute-serve (not built?)"
-  for name in serve_batched serve_fifo serve_nocompact; do
+  for name in serve_batched serve_nocompact; do
     record "$name" 0 missing
   done
   failures=$((failures + 1))
@@ -231,8 +230,8 @@ fi
 # catalog prefix itself) at 1/2/4/8 drain threads. Their aggregate request
 # rates and warm-up decomposition (the shared plan, plan + shard 0, and the
 # average later shard) join the baseline as sharded_service_stats;
-# serve_batched above is the single-session baseline the scaling ratios
-# are taken against.
+# serve_batched above is the one-shard baseline the scaling ratios are
+# taken against.
 if [ -x "$SERVE_BIN" ]; then
   for threads in 1 2 4 8; do
     name="serve_sharded_t$threads"
@@ -420,11 +419,11 @@ if speculation_stats is not None and spec_rows:
         {k: v for k, v in row.items() if k not in ("bench", "metric")}
         for row in spec_rows]
 
-# Verification-service statistics from the three semcommute-serve
-# snapshot runs: request rates with and without prefix batching (and the
-# measured speedup), live peaks with and without bridge compaction, the
-# compaction/release counters, and how many passes the batched run needed
-# before its live peaks plateaued (successive passes within 1.05x).
+# Verification-service statistics from the two one-shard semcommute-serve
+# snapshot runs: the request rate, pair groups and batched reuses, live
+# peaks with and without bridge compaction, the compaction/release
+# counters, and how many passes the compacting run needed before its live
+# peaks plateaued (successive passes within 1.05x).
 def load_serve(name):
     path = os.path.join(results_dir, name + ".json")
     if not os.path.exists(path):
@@ -437,7 +436,6 @@ def load_serve(name):
 
 service_stats = None
 serve_batched = load_serve("serve_batched")
-serve_fifo = load_serve("serve_fifo")
 serve_nocompact = load_serve("serve_nocompact")
 if serve_batched:
     def live_peaks(doc):
@@ -454,17 +452,12 @@ if serve_batched:
             passes_to_plateau = i + 1
             break
     sess = serve_batched.get("session", {})
-    rps = serve_batched.get("requests_per_sec")
-    fifo_rps = serve_fifo.get("requests_per_sec") if serve_fifo else None
     service_stats = {
         "passes": len(passes),
         "requests": sum(p.get("requests", 0) for p in passes),
-        "req_per_sec_batched": rps,
-        "req_per_sec_fifo": fifo_rps,
-        "batching_speedup_x": (round(rps / fifo_rps, 3)
-                               if rps and fifo_rps else None),
-        "pair_groups": serve_batched.get("pair_groups"),
-        "batched_reuses": serve_batched.get("batched_reuses"),
+        "req_per_sec_batched": serve_batched.get("requests_per_sec"),
+        "pair_groups": sess.get("pair_groups"),
+        "batched_reuses": sess.get("batched_reuses"),
         "bridge_compactions": sess.get("bridge_compactions"),
         "released_atom_vars": sess.get("released_atom_vars"),
         "released_selectors": sess.get("released_selectors"),
@@ -477,7 +470,7 @@ if serve_batched:
 # Sharded-service statistics from the serve_sharded_t{1,2,4,8} runs: the
 # warm-up decomposition (the shared plan, plan + shard 0, and the average
 # construction of shards 1..3 over that plan), the aggregate request rate
-# at each thread count with its ratio over the single-session serve_batched
+# at each thread count with its ratio over the one-shard serve_batched
 # baseline. The host CPU count is
 # recorded because the thread-scaling ratios are meaningless without it
 # (a 1-CPU container pins them at ~1x).

@@ -26,8 +26,9 @@
 ///    atoms expand into first/last-occurrence formulas. This bounded
 ///    symbolic mode is the engine's stand-in for Jahob's unbounded sequence
 ///    reasoning; the hint machinery of ProofHints.h carries the paper's
-///    §5.2.1 proof-guidance content (see EXPERIMENTS.md for the exact
-///    correspondence).
+///    §5.2.1 proof-guidance content (README.md's notes on
+///    ProofHints::minimizedFor, under "The incremental symbolic pipeline",
+///    give the exact correspondence).
 ///
 /// A VC that the SMT stack cannot refute within its conflict budget is
 /// reported Unknown — the analogue of the prover timeouts that dominate the

@@ -10,7 +10,7 @@
 
 #include "support/Timing.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -54,8 +54,11 @@ ShardedVerifyService::ShardedVerifyService(
     WarmupMillis[S] = WarmTimer.millis();
   }
 
-  if (Cfg.Threads > 1)
-    Pool = std::make_unique<ThreadPool>(Cfg.Threads);
+  // A pool worker beyond the shard count would never get a drain task,
+  // and with one worker a drain would only hop to it.
+  unsigned Workers = std::min(Cfg.Threads, Cfg.Shards);
+  if (Workers > 1)
+    Pool = std::make_unique<ThreadPool>(Workers);
 }
 
 size_t ShardedVerifyService::shardOf(const ServiceRequest &R) const {
@@ -168,12 +171,17 @@ json::Value ShardedVerifyService::snapshot() const {
 
 bool ShardedVerifyService::restore(const json::Value &V,
                                    std::string &Error) {
-  if (!VerdictLog.empty() || pending() != 0) {
+  if (!VerdictLog.empty() || Drains != 0 || pending() != 0) {
     Error = "restore requires a fresh service (no served or pending "
             "requests)";
     return false;
   }
   const json::Value *Schema = V.find("schema");
+  if (Schema && Schema->isInt() && Schema->asInt() == 1) {
+    Error = "snapshot schema 1 is a single-session image, which no longer "
+            "restores; only sharded images (schema 2) do";
+    return false;
+  }
   if (!Schema || !Schema->isInt() || Schema->asInt() != 2) {
     Error = "unsupported sharded snapshot schema";
     return false;
@@ -203,58 +211,40 @@ bool ShardedVerifyService::restore(const json::Value &V,
       !readSnapshotMillis(V, RServeMillis, Error))
     return false;
 
-  std::vector<ServiceVerdict> Restored;
-  const json::Value *Log = V.find("log");
-  if (!Log || !Log->isArray()) {
-    Error = "snapshot has no verdict log";
-    return false;
-  }
-  // Every shard serves the same families over the same catalog, so
-  // shard 0 can check any row.
-  for (size_t I = 0; I != Log->size(); ++I) {
-    ServiceVerdict SV;
-    if (!Shards.front()->readLogRow(Log->at(I), I, SV, Error))
-      return false;
-    Restored.push_back(std::move(SV));
-  }
-
+  // The shard images (config, family set, counters) come before the log,
+  // so an image of another configuration is refused for that, not for
+  // its first log row.
   const json::Value *ShardSnaps = V.find("shard_snapshots");
   if (!ShardSnaps || !ShardSnaps->isArray() ||
       ShardSnaps->size() != Shards.size()) {
     Error = "snapshot has no per-shard snapshots";
     return false;
   }
-  // Check every shard's image before installing any.
   std::vector<VerifyService::SnapshotImage> Images(Shards.size());
   for (size_t S = 0; S != Shards.size(); ++S)
     if (!Shards[S]->readSnapshot(ShardSnaps->at(S), Images[S], Error)) {
       Error = "shard " + std::to_string(S) + ": " + Error;
       return false;
     }
-  // The combined log interleaves the shard logs: each row must equal the
-  // next unused row of the shard it routes to, and no shard row may be
-  // left over.
-  std::vector<size_t> Next(Shards.size(), 0);
-  for (size_t I = 0; I != Restored.size(); ++I) {
-    size_t S = shardOf(Restored[I].Req);
-    const std::vector<ServiceVerdict> &ShardLog = Images[S].Log;
-    if (Next[S] == ShardLog.size() ||
-        snapshotLogRow(ShardLog[Next[S]]) != snapshotLogRow(Restored[I])) {
-      Error = "snapshot log row " + std::to_string(I) +
-              " does not match the next row of shard " + std::to_string(S) +
-              "'s log";
-      return false;
-    }
-    ++Next[S];
+
+  const json::Value *Log = V.find("log");
+  if (!Log || !Log->isArray()) {
+    Error = "snapshot has no verdict log";
+    return false;
   }
-  for (size_t S = 0; S != Shards.size(); ++S)
-    if (Next[S] != Images[S].Log.size()) {
-      Error = "shard " + std::to_string(S) + ": snapshot log row " +
-              std::to_string(Next[S]) + " is not in the combined log";
+  // Every shard serves the same families over the same catalog, so
+  // shard 0 can check any row; the row's route gives its shard's count.
+  std::vector<ServiceVerdict> Restored;
+  for (size_t I = 0; I != Log->size(); ++I) {
+    ServiceVerdict SV;
+    if (!Shards.front()->readLogRow(Log->at(I), I, SV, Error))
       return false;
-    }
+    ++Images[shardOf(SV.Req)].Requests;
+    Restored.push_back(std::move(SV));
+  }
+
   for (size_t S = 0; S != Shards.size(); ++S)
-    Shards[S]->install(std::move(Images[S]));
+    Shards[S]->install(Images[S]);
   VerdictLog = std::move(Restored);
   Drains = RDrains;
   ServeMillis = RServeMillis;

@@ -7,11 +7,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// N warm verification sessions behind one submit/drain front-end. Each
-/// shard is a full VerifyService (warm CatalogSession, prefix-batched
-/// drains, compaction) serving the same catalog; requests are routed to
-/// shards by a stable hash of their family+pair, and a drain runs every
-/// shard's batched drain, on a work-stealing ThreadPool when Threads > 1.
+/// semcommute-serve's one serving front-end: N warm verification sessions
+/// behind one submit/drain interface. Each shard is a full VerifyService
+/// (warm CatalogSession, prefix-batched drains, compaction) serving the
+/// same catalog; requests are routed to shards by a stable hash of their
+/// family+pair, and a drain runs every shard's drain, on a work-stealing
+/// ThreadPool when both Threads and Shards exceed one. One shard on one
+/// thread is the single warm session: the same verdict log and counters
+/// as a standalone VerifyService fed the same stream.
 ///
 /// What makes N shards cheaper than N processes is the one catalog plan:
 /// planCatalog runs once and every shard serves from the shared read-only
@@ -27,7 +30,10 @@
 /// per-shard verdict groups concatenated in shard-id order, so at a fixed
 /// shard count the combined verdict log is byte-identical across thread
 /// counts (ShardedServiceTest pins 1 vs 8 threads), and verdict *values*
-/// equal the single-session VerifyService reference.
+/// equal the standalone VerifyService reference.
+///
+/// The verdict log is kept once, here: shards keep counters only, and a
+/// restore derives each shard's request count by routing the log.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +58,15 @@ namespace service {
 enum class RouteBy : uint8_t { Pair };
 
 /// Front-end construction knobs. Base carries the per-shard session
-/// configuration (batching, compaction, certify, budgets).
+/// configuration (compaction, certify, budgets). The defaults give the
+/// single warm session: one shard, drained on the caller's thread.
 struct ShardedServiceConfig {
   ServiceConfig Base;
-  unsigned Shards = 4;
-  /// Worker threads for drains; 1 runs shards sequentially in shard-id
-  /// order on the caller's thread. Thread count never changes verdicts,
-  /// logs, or per-shard stats — only wall time.
+  unsigned Shards = 1;
+  /// Worker threads for drains. The pool has min(Threads, Shards)
+  /// workers and exists only when that exceeds one; otherwise shards run
+  /// sequentially in shard-id order on the caller's thread. Thread count
+  /// never changes verdicts, logs, or per-shard stats — only wall time.
   unsigned Threads = 1;
   RouteBy Route = RouteBy::Pair; ///< Kept for the benchmark; see RouteBy.
 };
@@ -97,9 +105,9 @@ public:
   /// rejection cases).
   bool submit(const ServiceRequest &R, std::string &Error);
 
-  /// Drains every shard (parallel when Threads > 1) and returns the
-  /// per-shard verdict groups concatenated in shard-id order. The
-  /// combined verdicts are also appended to log().
+  /// Drains every shard (in parallel when the front-end has a pool) and
+  /// returns the per-shard verdict groups concatenated in shard-id order.
+  /// The combined verdicts are also appended to log().
   std::vector<ServiceVerdict> drain();
 
   size_t pending() const;
@@ -119,14 +127,16 @@ public:
   /// checked independently — per-shard --certify).
   proof::CertifySummary finishCertification();
 
-  /// Serializes the full sharded image: front-end config, the combined
-  /// verdict log, and every shard's own snapshot.
+  /// Serializes the full sharded image (schema 2): front-end counters, the
+  /// combined verdict log, and every shard's own image (config, family
+  /// set, counters; no verdicts).
   json::Value snapshot() const;
-  /// Restores a snapshot() into a freshly constructed front-end. The
-  /// shard count, the "pair" route, and every per-shard config must
-  /// match, and the combined log must be exactly the shard logs
-  /// interleaved in routing order. Nothing is installed unless every
-  /// check passes.
+  /// Restores a snapshot() into a freshly constructed front-end. Schema 1
+  /// (a single-session image) is refused by name. The shard count, the
+  /// "pair" route and every shard image (config, family set, counters)
+  /// are checked before the log rows; each shard's request count is then
+  /// the number of log rows routed to it. Nothing is installed unless
+  /// every check passes.
   bool restore(const json::Value &V, std::string &Error);
 
 private:
@@ -135,7 +145,8 @@ private:
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
   std::vector<std::unique_ptr<VerifyService>> Shards;
-  std::unique_ptr<ThreadPool> Pool; ///< Null when Threads <= 1.
+  /// min(Threads, Shards) workers; null when that is one.
+  std::unique_ptr<ThreadPool> Pool;
   std::vector<double> WarmupMillis;
 
   std::vector<ServiceVerdict> VerdictLog;

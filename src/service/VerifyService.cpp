@@ -150,8 +150,8 @@ void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
     if (Methods)
       Methods->push_back(std::move(R));
   }
-  Out.push_back(V);
-  VerdictLog.push_back(std::move(V));
+  ++Requests;
+  Out.push_back(std::move(V));
 }
 
 std::vector<ServiceVerdict>
@@ -162,52 +162,41 @@ VerifyService::drain(std::vector<SymbolicResult> *Methods) {
     return Out;
   ++Drains;
 
-  if (Cfg.Batch) {
-    // Group pending requests by family, then by pair, both in
-    // first-appearance order: every request of a (family, pair) group is
-    // served against one warm pair scope, and the scope retires when its
-    // group completes.
-    struct Group {
-      const ConditionEntry *Entry;
-      std::vector<const ResolvedRequest *> Reqs;
-    };
-    std::vector<size_t> FamOrder;
-    std::map<size_t, std::vector<Group>> Groups;
-    for (const ResolvedRequest &RR : Pending) {
-      std::vector<Group> &FamGroups = Groups[RR.FamIdx];
-      if (FamGroups.empty())
-        FamOrder.push_back(RR.FamIdx);
-      Group *G = nullptr;
-      for (Group &Cand : FamGroups)
-        if (Cand.Entry == RR.Entry) {
-          G = &Cand;
-          break;
-        }
-      if (!G) {
-        FamGroups.push_back({RR.Entry, {}});
-        G = &FamGroups.back();
+  // Group pending requests by family, then by pair, both in
+  // first-appearance order: every request of a (family, pair) group is
+  // served against one warm pair scope, and the scope retires when its
+  // group completes.
+  struct Group {
+    const ConditionEntry *Entry;
+    std::vector<const ResolvedRequest *> Reqs;
+  };
+  std::vector<size_t> FamOrder;
+  std::map<size_t, std::vector<Group>> Groups;
+  for (const ResolvedRequest &RR : Pending) {
+    std::vector<Group> &FamGroups = Groups[RR.FamIdx];
+    if (FamGroups.empty())
+      FamOrder.push_back(RR.FamIdx);
+    Group *G = nullptr;
+    for (Group &Cand : FamGroups)
+      if (Cand.Entry == RR.Entry) {
+        G = &Cand;
+        break;
       }
-      G->Reqs.push_back(&RR);
+    if (!G) {
+      FamGroups.push_back({RR.Entry, {}});
+      G = &FamGroups.back();
     }
-    for (size_t FamIdx : FamOrder)
-      for (const Group &G : Groups[FamIdx]) {
-        const PairPlan &PP = planOf(G.Entry);
-        ++PairGroups;
-        BatchedReuses += G.Reqs.size() - 1;
-        for (const ResolvedRequest *RR : G.Reqs)
-          serveOne(*RR, PP, Out, Methods);
-        Sess->retirePair(FamIdx, PP.Key);
-      }
-  } else {
-    // FIFO baseline: arrival order, one pair scope per request, retired
-    // immediately — every request pays the full prefix-assertion cost.
-    for (const ResolvedRequest &RR : Pending) {
-      const PairPlan &PP = planOf(RR.Entry);
-      ++PairGroups;
-      serveOne(RR, PP, Out, Methods);
-      Sess->retirePair(RR.FamIdx, PP.Key);
-    }
+    G->Reqs.push_back(&RR);
   }
+  for (size_t FamIdx : FamOrder)
+    for (const Group &G : Groups[FamIdx]) {
+      const PairPlan &PP = planOf(G.Entry);
+      ++PairGroups;
+      BatchedReuses += G.Reqs.size() - 1;
+      for (const ResolvedRequest *RR : G.Reqs)
+        serveOne(*RR, PP, Out, Methods);
+      Sess->retirePair(FamIdx, PP.Key);
+    }
 
   Pending.clear();
   ServeMillis += Timer.millis();
@@ -216,7 +205,7 @@ VerifyService::drain(std::vector<SymbolicResult> *Methods) {
 
 ServiceStats VerifyService::stats() const {
   ServiceStats S;
-  S.Requests = VerdictLog.size();
+  S.Requests = Requests;
   S.Drains = Drains;
   S.PairGroups = PairGroups;
   S.BatchedReuses = BatchedReuses;
@@ -229,7 +218,9 @@ ServiceStats VerifyService::stats() const {
 
 json::Value VerifyService::configJson() const {
   json::Value Config = json::Value::object();
-  Config.set("batch", json::Value::boolean(Cfg.Batch));
+  // Always true since the FIFO discipline was deleted: kept so that
+  // checkSnapshotConfig refuses a FIFO image by name.
+  Config.set("batch", json::Value::boolean(true));
   Config.set("compact_bridges", json::Value::boolean(Cfg.CompactBridges));
   Config.set("release_selectors",
              json::Value::boolean(Cfg.ReleaseSelectors));
@@ -246,10 +237,6 @@ json::Value VerifyService::snapshot() const {
   for (const Family *F : Fams)
     Families.push(json::Value::string(F->Name));
 
-  json::Value Log = json::Value::array();
-  for (const ServiceVerdict &V : VerdictLog)
-    Log.push(snapshotLogRow(V));
-
   json::Value V = json::Value::object();
   V.set("schema", json::Value::integer(1));
   V.set("config", configJson());
@@ -262,7 +249,6 @@ json::Value VerifyService::snapshot() const {
   V.set("methods_discharged",
         json::Value::integer(static_cast<int64_t>(MethodsDischarged)));
   V.set("serve_millis", json::Value::number(ServeMillis));
-  V.set("log", std::move(Log));
   return V;
 }
 
@@ -320,8 +306,9 @@ bool VerifyService::checkSnapshotConfig(const json::Value &V,
     return false;
   }
   // Every key this service's snapshot() writes, with the kind it writes.
-  // Batching shapes the restored counters, and the sequence bound and the
-  // conflict budget shape the verdicts, so those three must also match.
+  // A FIFO image (batch false) counted its pair groups differently, and
+  // the sequence bound and the conflict budget shape the verdicts, so
+  // those three must also match.
   const json::Value LiveConfig = configJson();
   for (const auto &[Key, Live] : LiveConfig.members()) {
     const json::Value *Got = Config->find(Key);
@@ -371,43 +358,17 @@ bool VerifyService::readSnapshot(const json::Value &V, SnapshotImage &Out,
                            Error) ||
       !readSnapshotMillis(V, Out.ServeMillis, Error))
     return false;
-
-  const json::Value *Log = V.find("log");
-  if (!Log || !Log->isArray()) {
-    Error = "snapshot has no verdict log";
-    return false;
-  }
-  Out.Log.clear();
-  for (size_t I = 0; I != Log->size(); ++I) {
-    ServiceVerdict SV;
-    if (!readLogRow(Log->at(I), I, SV, Error))
-      return false;
-    Out.Log.push_back(std::move(SV));
-  }
   Error.clear();
   return true;
 }
 
-void VerifyService::install(SnapshotImage Img) {
-  assert(VerdictLog.empty() && Pending.empty() &&
+void VerifyService::install(const SnapshotImage &Img) {
+  assert(Requests == 0 && Drains == 0 && Pending.empty() &&
          "installing a snapshot into a service that has served");
-  VerdictLog = std::move(Img.Log);
+  Requests = Img.Requests;
   Drains = Img.Drains;
   PairGroups = Img.PairGroups;
   BatchedReuses = Img.BatchedReuses;
   MethodsDischarged = Img.MethodsDischarged;
   ServeMillis = Img.ServeMillis;
-}
-
-bool VerifyService::restore(const json::Value &V, std::string &Error) {
-  if (!VerdictLog.empty() || !Pending.empty()) {
-    Error = "restore requires a fresh service (no served or pending "
-            "requests)";
-    return false;
-  }
-  SnapshotImage Img;
-  if (!readSnapshot(V, Img, Error))
-    return false;
-  install(std::move(Img));
-  return true;
 }

@@ -11,24 +11,23 @@
 /// submit (family, op-pair, condition-kind) requests; drain() serves every
 /// pending request against the warm session and returns the verdicts
 /// (soundness + completeness — the condition kind's two testing methods).
+/// It is the one warm engine: ShardedVerifyService (semcommute-serve's
+/// front-end) runs one per shard, and semcommute-verify's shard tasks
+/// construct it directly.
 ///
 /// Serving discipline:
 ///
 ///  * Plan store: a pair's six-method discharge plan is a pure function of
 ///    the catalog, so the service builds it on the pair's first request
-///    and keeps it for its lifetime (planOf). Both disciplines below serve
-///    from the store; the store is bounded by the served pairs of the
-///    catalog (PlansBuilt in the stats).
+///    and keeps it for its lifetime (planOf). The store is bounded by the
+///    served pairs of the catalog (PlansBuilt in the stats).
 ///
-///  * Prefix batching (the default): pending requests are grouped by
-///    family, then by op-pair, in first-appearance order. A pair's scope
-///    is opened once per group, every request of the group discharged
-///    against the warm pair scope, and the scope retired when the group
-///    completes — so N same-pair requests pay one prefix-assertion and
-///    one retirement instead of N. The FIFO baseline (Batch = false)
-///    serves arrival order, opening and retiring the pair scope per
-///    request; the requests/sec delta between the two is the number the
-///    bench harness reports.
+///  * Prefix batching: pending requests are grouped by family, then by
+///    op-pair, in first-appearance order. A pair's scope is opened once
+///    per group, every request of the group discharged against the warm
+///    pair scope, and the scope retired when the group completes — so N
+///    same-pair requests pay one prefix-assertion and one retirement
+///    instead of N.
 ///
 ///  * Long-horizon compaction: with CompactBridges (the default) the
 ///    session reference-counts theory atoms by the scopes that mention
@@ -41,12 +40,13 @@
 ///    drain (semcommute-verify's shards) turns compaction off: it would
 ///    only add proof steps.
 ///
-///  * Snapshot / reload: snapshot() serializes the service image (config,
-///    cumulative statistics, the verdict log) to JSON; restore() loads it
-///    into a freshly constructed service. The warm solver state itself is
-///    deliberately not serialized (nor is the plan store) — both are
-///    deterministic functions of the catalog, so a reloaded service
-///    re-warms lazily as requests arrive while its counters and log
+///  * Snapshot image: the service keeps counters, not verdicts — the
+///    verdict log is the front-end's. snapshot() serializes the shard image
+///    (config, family set, cumulative counters); readSnapshot() checks one
+///    and install() loads it into a freshly constructed service. The warm
+///    solver state and the plan store are deliberately not serialized —
+///    both are deterministic functions of the catalog, so a reloaded
+///    service re-warms lazily as requests arrive while its counters
 ///    continue from the snapshot.
 ///
 //===----------------------------------------------------------------------===//
@@ -85,7 +85,6 @@ struct ServiceVerdict {
 
 /// Service construction knobs.
 struct ServiceConfig {
-  bool Batch = true;            ///< Prefix-batched drains (vs. FIFO).
   bool CompactBridges = true;   ///< Bridge compaction on the warm session.
   bool ReleaseSelectors = true; ///< Fold retired selectors off the trail.
   bool Certify = false;         ///< DRAT proof logging + RUP checking.
@@ -99,12 +98,11 @@ struct ServiceConfig {
 struct ServiceStats {
   uint64_t Requests = 0; ///< Requests served over the service lifetime.
   uint64_t Drains = 0;
-  /// Pair scopes opened to serve requests. Under batching this counts
-  /// groups; under FIFO it equals Requests — the gap is the work prefix
-  /// batching saved.
+  /// Pair scopes opened to serve requests: one per (family, pair) group of
+  /// a drain.
   uint64_t PairGroups = 0;
   /// Requests served against a pair scope another request of the same
-  /// drain already opened (zero under FIFO).
+  /// drain already opened, so Requests = PairGroups + BatchedReuses.
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
   /// Pair plans built over the service lifetime: one per distinct pair
@@ -115,9 +113,8 @@ struct ServiceStats {
 };
 
 /// The warm verification service. Not thread-safe: one service, one
-/// caller — the request loop of tools/ServeMain.cpp, the
-/// ShardedVerifyService drain task serving this shard, or one of
-/// semcommute-verify's shard tasks (tools/DriverCore.cpp), which builds,
+/// caller — the ShardedVerifyService drain task serving this shard, or one
+/// of semcommute-verify's shard tasks (tools/DriverCore.cpp), which builds,
 /// drains and destroys its service on one pool worker.
 class VerifyService {
 public:
@@ -140,16 +137,15 @@ public:
   bool submit(const ServiceRequest &R, std::string &Error);
 
   /// Serves every pending request and returns their verdicts in the order
-  /// served (grouped under batching, arrival order under FIFO). The
-  /// verdicts are also appended to log(). A non-null \p Methods receives
-  /// two method results per returned verdict, in verdict order:
-  /// soundness, then completeness (what a driver job row needs: VCs,
-  /// conflicts, proof core, proof tags, wall time).
+  /// served: grouped by family, then by pair, both in first-appearance
+  /// order. A non-null \p Methods receives two method results per returned
+  /// verdict, in verdict order: soundness, then completeness (what a
+  /// driver job row needs: VCs, conflicts, proof core, proof tags, wall
+  /// time).
   std::vector<ServiceVerdict>
   drain(std::vector<SymbolicResult> *Methods = nullptr);
 
   size_t pending() const { return Pending.size(); }
-  const std::vector<ServiceVerdict> &log() const { return VerdictLog; }
   const ServiceConfig &config() const { return Cfg; }
   ServiceStats stats() const;
 
@@ -169,16 +165,14 @@ public:
     return Sess->finishCertification();
   }
 
-  /// Serializes the service image: config, cumulative statistics, and the
-  /// verdict log.
+  /// Serializes the shard image: config, family set and cumulative
+  /// counters. It carries no verdicts: the request count is derived from
+  /// the front-end's log when the image is restored.
   json::Value snapshot() const;
-  /// Restores counters and the verdict log from a snapshot() into a fresh
-  /// service: readSnapshot(), then install(). The warm solver re-warms
-  /// lazily.
-  bool restore(const json::Value &V, std::string &Error);
-  /// A snapshot() image readSnapshot() accepted: what restore() installs.
+  /// A snapshot() image readSnapshot() accepted, plus the request count
+  /// the front-end derived for it: what install() loads.
   struct SnapshotImage {
-    std::vector<ServiceVerdict> Log;
+    uint64_t Requests = 0;
     uint64_t Drains = 0;
     uint64_t PairGroups = 0;
     uint64_t BatchedReuses = 0;
@@ -188,13 +182,15 @@ public:
   /// Parses and checks \p V against this service without changing it.
   /// The config block must hold every key snapshot() writes, each of the
   /// type it writes, and its batch, seq_len_bound and conflict_budget must
-  /// equal this service's (batching shapes the counters, the other two
-  /// the verdicts). The family set must match, and every counter and log
-  /// row must be well formed. Errors name the field, and the row.
+  /// equal this service's (batch is always true: images of the deleted
+  /// FIFO discipline are refused by it; the other two shape the verdicts).
+  /// The family set must match, and every counter must be well formed.
+  /// Errors name the field. A "log" key (older writers kept one per shard)
+  /// is ignored; Out.Requests is left for the caller.
   bool readSnapshot(const json::Value &V, SnapshotImage &Out,
                     std::string &Error) const;
   /// Installs an accepted image; the service must not have served yet.
-  void install(SnapshotImage Img);
+  void install(const SnapshotImage &Img);
   /// Reads snapshot log row \p Index into \p Out. The row must be an
   /// object with string family/op1/op2/kind and boolean sound/complete,
   /// naming a family this service serves and a pair its catalog has;
@@ -219,8 +215,8 @@ private:
   /// The stored plan of \p Entry's pair, built on its first request.
   const PairPlan &planOf(const ConditionEntry *Entry);
   /// Discharges \p RR's two testing methods out of \p PP against the warm
-  /// pair scope and appends the verdict, and to a non-null \p Methods the
-  /// two method results.
+  /// pair scope, counts the request and appends the verdict, and to a
+  /// non-null \p Methods the two method results.
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
                 std::vector<ServiceVerdict> &Out,
                 std::vector<SymbolicResult> *Methods);
@@ -240,7 +236,7 @@ private:
   std::map<const ConditionEntry *, PairPlan> Plans;
 
   std::vector<ResolvedRequest> Pending;
-  std::vector<ServiceVerdict> VerdictLog;
+  uint64_t Requests = 0;
   uint64_t Drains = 0;
   uint64_t PairGroups = 0;
   uint64_t BatchedReuses = 0;
@@ -254,8 +250,8 @@ private:
 const char *serviceKindName(ConditionKind K);
 bool parseServiceKind(const std::string &Name, ConditionKind &K);
 
-/// Snapshot helpers shared by both services: one verdict-log row, and the
-/// checked readers of a snapshot's counters (non-negative integers) and
+/// Snapshot helpers shared by the front-end and its shards: one verdict-log
+/// row, and the checked readers of a snapshot's counters (non-negative integers) and
 /// of its serve_millis (a non-negative number). The readers return false
 /// with \p Error naming the field.
 json::Value snapshotLogRow(const ServiceVerdict &V);

@@ -8,9 +8,10 @@
 //
 // The verification service over a warm catalog session: request routing,
 // prefix-batched drains, bridge compaction + selector release keeping the
-// session bounded across passes, snapshot/reload, and — the load-bearing
-// property — verdict equality between a compacting service and a
-// no-compaction reference under randomized request/retire orders.
+// session bounded across passes, snapshot/reload through the one-shard
+// front-end, and — the load-bearing property — verdict equality between a
+// compacting service and a no-compaction reference under randomized
+// request/retire orders.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <random>
 #include <set>
 
@@ -107,8 +107,8 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
 
 // A pair's plan is a pure function of the catalog: the service builds it
 // on the pair's first request and serves every later drain from the
-// store, under both disciplines. Repeated drains plan nothing new and
-// repeat the first drain's verdicts exactly.
+// store. Repeated drains plan nothing new and repeat the first drain's
+// verdicts exactly.
 TEST(ServiceTest, PlansPersistAcrossDrains) {
   ExprFactory F;
   Catalog C(F);
@@ -118,39 +118,36 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
   for (const ServiceRequest &R : Pass)
     Pairs.insert(R.Family + "|" + R.Op1 + "," + R.Op2);
 
-  for (bool Batch : {true, false}) {
-    ServiceConfig Cfg;
-    Cfg.Batch = Batch;
-    Cfg.CompactMinDead = 8; // Compactions between drains, too.
-    VerifyService Svc(C, Fams, Cfg);
-    std::string Error;
-    std::vector<ServiceVerdict> First;
-    for (int D = 0; D != 3; ++D) {
-      for (const ServiceRequest &R : Pass)
-        ASSERT_TRUE(Svc.submit(R, Error)) << Error;
-      std::vector<ServiceVerdict> Got = Svc.drain();
-      EXPECT_EQ(Svc.stats().PlansBuilt, Pairs.size())
-          << "batch=" << Batch << " drain " << D;
-      if (D == 0) {
-        First = Got;
-        continue;
-      }
-      ASSERT_EQ(Got.size(), First.size());
-      for (size_t I = 0; I != Got.size(); ++I) {
-        EXPECT_EQ(keyOf(Got[I].Req), keyOf(First[I].Req));
-        EXPECT_EQ(Got[I].Sound, First[I].Sound) << keyOf(Got[I].Req);
-        EXPECT_EQ(Got[I].Complete, First[I].Complete) << keyOf(Got[I].Req);
-      }
+  ServiceConfig Cfg;
+  Cfg.CompactMinDead = 8; // Compactions between drains, too.
+  VerifyService Svc(C, Fams, Cfg);
+  std::string Error;
+  std::vector<ServiceVerdict> First;
+  for (int D = 0; D != 3; ++D) {
+    for (const ServiceRequest &R : Pass)
+      ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+    std::vector<ServiceVerdict> Got = Svc.drain();
+    EXPECT_EQ(Svc.stats().PlansBuilt, Pairs.size()) << "drain " << D;
+    if (D == 0) {
+      First = Got;
+      continue;
     }
-    ServiceStats S = Svc.stats();
-    EXPECT_EQ(S.PairGroups, (Batch ? 3 * Pairs.size() : 3 * Pass.size()));
-    EXPECT_GT(S.Session.BridgeCompactions, 0u);
+    ASSERT_EQ(Got.size(), First.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_EQ(keyOf(Got[I].Req), keyOf(First[I].Req));
+      EXPECT_EQ(Got[I].Sound, First[I].Sound) << keyOf(Got[I].Req);
+      EXPECT_EQ(Got[I].Complete, First[I].Complete) << keyOf(Got[I].Req);
+    }
   }
+  ServiceStats S = Svc.stats();
+  EXPECT_EQ(S.PairGroups, 3 * Pairs.size());
+  EXPECT_EQ(S.PairGroups + S.BatchedReuses, S.Requests);
+  EXPECT_GT(S.Session.BridgeCompactions, 0u);
 }
 
-// The tentpole property: a compacting, selector-releasing, batched
-// service and a no-compaction FIFO reference reach identical verdicts on
-// a randomized request stream with randomized drain points — and the
+// The tentpole property: a compacting, selector-releasing service and a
+// no-compaction, no-release reference reach identical verdicts on a
+// randomized request stream with randomized drain points — and the
 // compacting session's solver invariants hold after every drain.
 TEST(ServiceTest, FuzzCompactionMatchesReference) {
   ExprFactory F;
@@ -163,7 +160,6 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
   VerifyService Svc(C, Fams, Compacting);
 
   ServiceConfig Reference;
-  Reference.Batch = false;
   Reference.CompactBridges = false;
   Reference.ReleaseSelectors = false;
   VerifyService Ref(C, Fams, Reference);
@@ -185,7 +181,6 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
       ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds())
           << "after drain at request " << R;
       ASSERT_EQ(A.size(), B.size());
-      // Batched order differs from FIFO order; compare as verdict maps.
       std::map<std::string, std::pair<bool, bool>> MA, MB;
       for (const ServiceVerdict &V : A)
         MA[keyOf(V.Req)] = {V.Sound, V.Complete};
@@ -310,21 +305,26 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator"});
-  ServiceConfig Cfg;
+  ShardedServiceConfig Cfg; // One shard on one thread: the single session.
+  ASSERT_EQ(Cfg.Shards, 1u);
 
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedVerifyService Svc(C, Fams, Cfg);
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
   for (const ServiceRequest &R : Pass)
     ASSERT_TRUE(Svc.submit(R, Error)) << Error;
   Svc.drain();
   json::Value Image = Svc.snapshot();
+  // The verdicts are stored once, in the front-end's log; the shard image
+  // keeps counters only.
+  EXPECT_EQ(Image["log"].size(), Pass.size());
+  EXPECT_EQ(Image["shard_snapshots"].at(0).find("log"), nullptr);
 
   // The image round-trips through its textual form.
   std::optional<json::Value> Parsed = json::Value::parse(Image.dump(2));
   ASSERT_TRUE(Parsed.has_value());
 
-  VerifyService Fresh(C, Fams, Cfg);
+  ShardedVerifyService Fresh(C, Fams, Cfg);
   ASSERT_TRUE(Fresh.restore(*Parsed, Error)) << Error;
   ASSERT_EQ(Fresh.log().size(), Svc.log().size());
   for (size_t I = 0; I != Fresh.log().size(); ++I) {
@@ -334,6 +334,15 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   }
   EXPECT_EQ(Fresh.stats().Requests, Svc.stats().Requests);
   EXPECT_EQ(Fresh.stats().Drains, Svc.stats().Drains);
+  // The shard's counters come back, its request count derived from the
+  // log.
+  const ServiceStats Was = Svc.stats().Shards[0].Stats;
+  const ServiceStats Now = Fresh.stats().Shards[0].Stats;
+  EXPECT_EQ(Now.Requests, Was.Requests);
+  EXPECT_EQ(Now.Drains, Was.Drains);
+  EXPECT_EQ(Now.PairGroups, Was.PairGroups);
+  EXPECT_EQ(Now.BatchedReuses, Was.BatchedReuses);
+  EXPECT_EQ(Now.MethodsDischarged, Was.MethodsDischarged);
 
   // The restored service re-warms and keeps serving with the same
   // verdicts the original produced.
@@ -341,46 +350,56 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   std::vector<ServiceVerdict> More = Fresh.drain();
   ASSERT_EQ(More.size(), 1u);
   EXPECT_TRUE(More.front().verified());
+  EXPECT_EQ(Fresh.stats().Shards[0].Stats.Requests, Was.Requests + 1);
 
   // Restoring into a service that has already served is rejected.
   EXPECT_FALSE(Fresh.restore(*Parsed, Error));
   // A mismatched family set is rejected.
-  VerifyService Other(C, families({"Set"}), Cfg);
+  ShardedVerifyService Other(C, families({"Set"}), Cfg);
   EXPECT_FALSE(Other.restore(*Parsed, Error));
   EXPECT_NE(Error.find("family set"), std::string::npos) << Error;
 }
 
-// A snapshot taken under one serving discipline must not restore into a
-// service configured with the other: batched and FIFO logs are ordered
-// differently, so silently accepting the image would corrupt resume
-// semantics. The rejection names the mismatched field.
+// A snapshot taken under the FIFO discipline must not restore: every
+// service now drains batched, and a FIFO image ordered its log and counted
+// its pair groups differently, so silently accepting it would corrupt
+// resume semantics. The image is a live one with its config's batch flag
+// flipped, as a FIFO service wrote it; the rejection names the field.
 TEST(ServiceTest, RestoreRejectsBatchMismatch) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator"});
 
-  ServiceConfig Batched;
-  VerifyService Svc(C, Fams, Batched);
+  ShardedServiceConfig Cfg;
+  ShardedVerifyService Svc(C, Fams, Cfg);
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
   for (const ServiceRequest &R : Pass)
     ASSERT_TRUE(Svc.submit(R, Error)) << Error;
   Svc.drain();
-  json::Value Image = Svc.snapshot();
+  std::string Text = Svc.snapshot().dump();
 
-  ServiceConfig Fifo = Batched;
-  Fifo.Batch = false;
-  VerifyService Other(C, Fams, Fifo);
-  EXPECT_FALSE(Other.restore(Image, Error));
-  EXPECT_NE(Error.find("batch"), std::string::npos) << Error;
+  const std::string Batched = "\"batch\":true";
+  size_t At = Text.find(Batched);
+  ASSERT_NE(At, std::string::npos);
+  Text.replace(At, Batched.size(), "\"batch\":false");
+  std::optional<json::Value> Fifo = json::Value::parse(Text);
+  ASSERT_TRUE(Fifo.has_value());
+
+  ShardedVerifyService Other(C, Fams, Cfg);
+  EXPECT_FALSE(Other.restore(*Fifo, Error));
+  EXPECT_NE(Error.find("snapshot config field 'batch' is false but the live "
+                       "service was built with batch=true"),
+            std::string::npos)
+      << Error;
 }
 
 // Snapshot restore is an input boundary: a malformed log row or counter
-// is rejected with an error naming the row and the field, by the single
-// session and the sharded front-end alike. Each mutant rewrites the first
-// match of a pattern in the compact snapshot text; that match lies in log
-// row 0 (the combined log's, for the sharded front-end), in the top-level
-// counters, or in the config block (shard 0's, for the sharded front-end).
+// is rejected with an error naming the row and the field, by the one-shard
+// front-end and a two-shard one alike. Each mutant rewrites the first
+// match of a pattern in the compact snapshot text; that match lies in row
+// 0 of the combined log, in the top-level counters, or in shard 0's config
+// block.
 TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
   ExprFactory F;
   Catalog C(F);
@@ -388,52 +407,27 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
 
-  ServiceConfig Cfg;
-  VerifyService Single(C, Fams, Cfg);
-  ShardedServiceConfig SCfg;
-  SCfg.Shards = 2;
-  ShardedVerifyService Sharded(C, Fams, SCfg);
+  ShardedServiceConfig OneCfg, TwoCfg;
+  TwoCfg.Shards = 2;
+  ShardedVerifyService One(C, Fams, OneCfg);
+  ShardedVerifyService Two(C, Fams, TwoCfg);
   for (const ServiceRequest &R : Pass) {
-    ASSERT_TRUE(Single.submit(R, Error)) << Error;
-    ASSERT_TRUE(Sharded.submit(R, Error)) << Error;
+    ASSERT_TRUE(One.submit(R, Error)) << Error;
+    ASSERT_TRUE(Two.submit(R, Error)) << Error;
   }
-  Single.drain();
-  Sharded.drain();
-
-  // The sharded log mutants: a flipped verdict in the combined log that
-  // no shard served, and a combined log missing the last row its shard
-  // served (the row text also ends that shard's log, but the combined
-  // log comes first).
-  const json::Value ShardedSnap = Sharded.snapshot();
-  const std::string LastRow = snapshotLogRow(Sharded.log().back()).dump();
-  std::string LeftOver;
-  for (size_t S = 0; S != ShardedSnap["shard_snapshots"].size(); ++S) {
-    const json::Value &Log = ShardedSnap["shard_snapshots"].at(S)["log"];
-    if (Log.size() != 0 && Log.at(Log.size() - 1).dump() == LastRow)
-      LeftOver = "shard " + std::to_string(S) + ": snapshot log row " +
-                 std::to_string(Log.size() - 1) + " is not in the combined log";
-  }
-  ASSERT_FALSE(LeftOver.empty());
+  One.drain();
+  Two.drain();
 
   struct Target {
     const char *Name;
     std::string Snapshot;
-    std::function<bool(const json::Value &, std::string &)> RestoreFresh;
+    ShardedServiceConfig Cfg;
   };
-  const Target Targets[] = {
-      {"single", Single.snapshot().dump(),
-       [&](const json::Value &V, std::string &E) {
-         return VerifyService(C, Fams, Cfg).restore(V, E);
-       }},
-      {"sharded", ShardedSnap.dump(),
-       [&](const json::Value &V, std::string &E) {
-         return ShardedVerifyService(C, Fams, SCfg).restore(V, E);
-       }},
-  };
+  const Target Targets[] = {{"one shard", One.snapshot().dump(), OneCfg},
+                            {"two shards", Two.snapshot().dump(), TwoCfg}};
 
   struct Mutant {
     std::string From, To, WantError;
-    bool ShardedOnly = false;
   };
   const Mutant Mutants[] = {
       {"\"family\":\"Accumulator\",", "",
@@ -462,25 +456,23 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
       {"\"seq_len_bound\":3", "\"seq_len_bound\":4",
        "snapshot config field 'seq_len_bound' is 4 but the live service was "
        "built with seq_len_bound=3"},
-      {"\"sound\":true", "\"sound\":false",
-       "snapshot log row 0 does not match the next row of shard", true},
-      {"," + LastRow + "]", "]", LeftOver, true},
   };
 
   for (const Target &T : Targets) {
+    auto RestoreFresh = [&](const json::Value &V) {
+      return ShardedVerifyService(C, Fams, T.Cfg).restore(V, Error);
+    };
     std::optional<json::Value> Intact = json::Value::parse(T.Snapshot);
     ASSERT_TRUE(Intact.has_value());
-    ASSERT_TRUE(T.RestoreFresh(*Intact, Error)) << T.Name << ": " << Error;
+    ASSERT_TRUE(RestoreFresh(*Intact)) << T.Name << ": " << Error;
     for (const Mutant &M : Mutants) {
-      if (M.ShardedOnly && std::string(T.Name) != "sharded")
-        continue;
       std::string Text = T.Snapshot;
       size_t At = Text.find(M.From);
       ASSERT_NE(At, std::string::npos) << T.Name << ": " << M.From;
       Text.replace(At, M.From.size(), M.To);
       std::optional<json::Value> Mutated = json::Value::parse(Text);
       ASSERT_TRUE(Mutated.has_value()) << T.Name << ": " << M.From;
-      EXPECT_FALSE(T.RestoreFresh(*Mutated, Error))
+      EXPECT_FALSE(RestoreFresh(*Mutated))
           << T.Name << " accepted the mutant " << M.From << " -> " << M.To;
       EXPECT_NE(Error.find(M.WantError), std::string::npos)
           << T.Name << ": " << Error;

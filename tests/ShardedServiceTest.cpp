@@ -6,10 +6,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded serving front-end: every shard serves from the one shared
-// catalog plan and encodes the catalog prefix itself. The load-bearing
-// property: verdicts and the combined verdict log are invariant across
-// thread counts and equal to the single-session VerifyService reference.
+// The sharded serving front-end, semcommute-serve's only one: every shard
+// serves from the one shared catalog plan and encodes the catalog prefix
+// itself. The load-bearing property: verdicts and the combined verdict
+// log are invariant across thread counts and equal to the standalone
+// VerifyService reference, and a one-shard front-end is that reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,12 +51,27 @@ std::string keyOf(const ServiceRequest &R) {
          std::string(serviceKindName(R.Kind));
 }
 
+/// Every CatalogSessionStats field, in declaration order; the size check
+/// makes a new field fail to compile here until it is added.
+std::vector<uint64_t> sessionFields(const CatalogSessionStats &S) {
+  static_assert(sizeof(CatalogSessionStats) == 17 * sizeof(uint64_t),
+                "CatalogSessionStats changed: update sessionFields");
+  return {S.FamiliesOpened,    S.FamiliesRetired,  S.PairsOpened,
+          S.PairsRetired,      S.PrefixAsserts,    S.PrefixReuses,
+          S.EvictedClauses,    S.PeakRetainedClauses,
+          S.RecycledVars,      S.PeakLiveVars,     S.PeakLiveClauses,
+          S.VarRequests,       S.BridgeCompactions, S.ReleasedAtomVars,
+          S.ReleasedSelectors, S.LiveBridges,      S.PeakLiveBridges};
+}
+
 // The sharded front-end at 1 worker thread and at 8 worker threads must
 // produce elementwise-identical verdict logs (the determinism contract),
 // identical per-shard statistics, and verdict values equal to a
-// single-session VerifyService reference — over a randomized stream with
+// standalone VerifyService reference — over a randomized stream with
 // randomized drain points. Every shard serves from the front-end's one
-// plan and asserts the same catalog prefix a standalone service does.
+// plan and asserts the same catalog prefix a standalone service does. A
+// one-shard front-end is the reference itself: the same verdicts in the
+// same order, and the same counters.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
@@ -68,9 +84,14 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ShardedServiceConfig Eight = One;
   Eight.Threads = 8;
 
+  ShardedServiceConfig Single = One;
+  Single.Shards = 1;
+
   ShardedVerifyService A(C, Fams, One);
   ShardedVerifyService B(C, Fams, Eight);
+  ShardedVerifyService S1(C, Fams, Single);
   VerifyService Ref(C, Fams, One.Base);
+  std::vector<ServiceVerdict> RefLog;
 
   uint64_t RefPrefixAsserts = Ref.stats().Session.PrefixAsserts;
   EXPECT_GT(RefPrefixAsserts, 0u);
@@ -104,11 +125,14 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
     EXPECT_EQ(A.shardOf(Req), B.shardOf(Req));
     ASSERT_TRUE(A.submit(Req, Error)) << Error;
     ASSERT_TRUE(B.submit(Req, Error)) << Error;
+    ASSERT_TRUE(S1.submit(Req, Error)) << Error;
     ASSERT_TRUE(Ref.submit(Req, Error)) << Error;
     if (DrainNow(Rng) == 0 || R == 79) {
       std::vector<ServiceVerdict> VA = A.drain();
       std::vector<ServiceVerdict> VB = B.drain();
+      S1.drain();
       std::vector<ServiceVerdict> VR = Ref.drain();
+      RefLog.insert(RefLog.end(), VR.begin(), VR.end());
       ASSERT_EQ(VA.size(), VB.size());
       ASSERT_EQ(VA.size(), VR.size());
       // Thread counts: elementwise-identical order and values.
@@ -134,16 +158,35 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   EXPECT_EQ(SA.Drains, SB.Drains);
   for (size_t S = 0; S != 4; ++S)
     EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
+
+  // The one-shard front-end: its combined log is the reference's drained
+  // verdicts in order, and its shard's counters are the reference's.
+  ASSERT_EQ(S1.log().size(), RefLog.size());
+  for (size_t I = 0; I != RefLog.size(); ++I) {
+    EXPECT_EQ(keyOf(S1.log()[I].Req), keyOf(RefLog[I].Req)) << "row " << I;
+    EXPECT_EQ(S1.log()[I].Sound, RefLog[I].Sound) << "row " << I;
+    EXPECT_EQ(S1.log()[I].Complete, RefLog[I].Complete) << "row " << I;
+  }
+  const ServiceStats Got = S1.stats().Shards[0].Stats;
+  const ServiceStats Want = Ref.stats();
+  EXPECT_EQ(Got.Requests, Want.Requests);
+  EXPECT_EQ(Got.Drains, Want.Drains);
+  EXPECT_EQ(Got.PairGroups, Want.PairGroups);
+  EXPECT_EQ(Got.BatchedReuses, Want.BatchedReuses);
+  EXPECT_EQ(Got.MethodsDischarged, Want.MethodsDischarged);
+  EXPECT_EQ(Got.PlansBuilt, Want.PlansBuilt);
+  EXPECT_EQ(sessionFields(Got.Session), sessionFields(Want.Session));
   // Every shard's solver survives its compacting drains.
   for (size_t S = 0; S != 4; ++S)
     EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
 }
 
 // The sharded snapshot round-trips through its textual form, restores
-// the combined log and counters, and a front-end whose shard count or
-// routing differs refuses the image with an error naming the field.
-// Snapshots that still carry the retired "share_prefix" config key
-// restore too.
+// the combined log and counters, and a front-end whose shard count,
+// routing or family set differs refuses the image with an error naming
+// the field. A schema-1 (single-session) image is refused by name.
+// Snapshots from older writers — the retired "share_prefix" key, or a log
+// copy in every shard image — restore too.
 TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   ExprFactory F;
   Catalog C(F);
@@ -196,6 +239,54 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   ASSERT_EQ(Served.size(), 1u);
   EXPECT_TRUE(Served.front().verified());
   EXPECT_EQ(FromLegacy.log().size(), Svc.log().size() + 1);
+
+  // Older writers kept a second copy of the log in every shard image,
+  // each shard's rows in routing order. Restore ignores it, derives each
+  // shard's request count from the combined log, and goes on serving.
+  json::Value ShardLogs = *Parsed;
+  std::vector<json::Value> Logs(Cfg.Shards, json::Value::array());
+  for (const ServiceVerdict &V : Svc.log())
+    Logs[Svc.shardOf(V.Req)].push(snapshotLogRow(V));
+  json::Value WithLogs = json::Value::array();
+  for (size_t S = 0; S != Cfg.Shards; ++S) {
+    json::Value Shard = (*Parsed)["shard_snapshots"].at(S);
+    Shard.set("log", Logs[S]);
+    WithLogs.push(std::move(Shard));
+  }
+  ShardLogs.set("shard_snapshots", std::move(WithLogs));
+  ShardedVerifyService FromShardLogs(C, Fams, Cfg);
+  ASSERT_TRUE(FromShardLogs.restore(ShardLogs, Error)) << Error;
+  for (size_t S = 0; S != Cfg.Shards; ++S)
+    EXPECT_EQ(FromShardLogs.stats().Shards[S].Stats.Requests,
+              Svc.stats().Shards[S].Stats.Requests)
+        << "shard " << S;
+  ASSERT_TRUE(FromShardLogs.submit(Pass.back(), Error)) << Error;
+  ASSERT_EQ(FromShardLogs.drain().size(), 1u);
+  EXPECT_EQ(FromShardLogs.log().size(), Svc.log().size() + 1);
+
+  // A schema-1 image is what the deleted single-session mode wrote: its
+  // own config, families and counters beside the log, no shards.
+  json::Value SingleSession = (*Parsed)["shard_snapshots"].at(0);
+  SingleSession.set("log", (*Parsed)["log"]);
+  ShardedVerifyService FromSingle(C, Fams, Cfg);
+  EXPECT_FALSE(FromSingle.restore(SingleSession, Error));
+  EXPECT_NE(Error.find("schema 1"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("single-session"), std::string::npos) << Error;
+  EXPECT_TRUE(FromSingle.log().empty());
+
+  // An image served with other families fails on its shard images, before
+  // any log row is read.
+  ShardedVerifyService SetSvc(C, families({"Set"}), Cfg);
+  ASSERT_TRUE(SetSvc.submit({"Set", "add", "add", ConditionKind::Before},
+                            Error))
+      << Error;
+  SetSvc.drain();
+  ShardedVerifyService OtherFamilies(C, Fams, Cfg);
+  EXPECT_FALSE(OtherFamilies.restore(SetSvc.snapshot(), Error));
+  EXPECT_NE(Error.find("snapshot family set does not match"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(Error.find("log row"), std::string::npos) << Error;
 
   ShardedServiceConfig FewerShards = Cfg;
   FewerShards.Shards = 3;

@@ -5,17 +5,17 @@
 // on Linked Data Structures" (PLDI 2011).
 //
 // The warm catalog verification service loop: submits (family, pair,
-// condition-kind) requests against one long-lived CatalogSession, with
-// prefix-batched drains, bridge compaction, and selector release keeping
-// the session bounded across arbitrarily many catalog passes:
+// condition-kind) requests to the sharded front-end, ShardedVerifyService,
+// whose warm sessions share one catalog plan and serve prefix-batched
+// drains, with bridge compaction and selector release keeping every
+// session bounded across arbitrarily many catalog passes. By default it
+// runs one shard on one thread, the single warm session:
 //
 //   semcommute-serve --families all --passes 3 --assert-plateau
 //   semcommute-serve --requests 10000 --seed 7 --check-verdicts
 //
-// With --threads N (or --shards N) the requests are served by the sharded
-// front-end instead: N warm sessions over one shared catalog plan behind
-// one submit/drain interface, each shard encoding the catalog prefix
-// itself:
+// --threads N (or --shards N) serves from N shards, each encoding the
+// catalog prefix itself, with drains fanned out over a pool:
 //
 //   semcommute-serve --threads 4 --requests 10000 --check-verdicts
 //
@@ -24,10 +24,10 @@
 #include "DriverCore.h"
 
 #include "service/ShardedVerifyService.h"
-#include "service/VerifyService.h"
 #include "support/CommandLine.h"
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +48,9 @@ void printUsage(const char *Argv0) {
   std::printf(
       "usage: %s [options]\n"
       "\n"
-      "Serves commutativity verification requests from one warm catalog\n"
-      "session (bridge compaction + selector release keep it bounded).\n"
+      "Serves commutativity verification requests from warm catalog\n"
+      "sessions behind one front-end: one session by default, N with\n"
+      "--shards (bridge compaction + selector release keep each bounded).\n"
       "\n"
       "request stream (pick one):\n"
       "  --passes N        N full catalog passes: every entry x kind of\n"
@@ -66,26 +67,26 @@ void printUsage(const char *Argv0) {
       "                    (default: 64)\n"
       "  --seq-bound N     ArrayList case-split bound (default: 3)\n"
       "  --budget N        per-VC CDCL conflict budget (default: 200000)\n"
-      "  --no-batch        FIFO serving (no prefix batching)\n"
       "  --no-compact      disable bridge compaction\n"
       "  --certify         DRAT proof logging + independent RUP checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
-      "sharded serving (ShardedVerifyService):\n"
-      "  --threads N       drain worker threads; N > 1 selects the sharded\n"
-      "                    front-end (default: 1, single warm session)\n"
+      "sharding (ShardedVerifyService):\n"
+      "  --threads N       drain worker threads (default: 1); a pool of\n"
+      "                    min(N, shards) workers runs when that exceeds 1\n"
       "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads); N > 1 also selects sharded mode;\n"
-      "                    requests route by a hash of family+pair\n"
+      "                    --threads, so one session by default); requests\n"
+      "                    route by a hash of family+pair\n"
       "\n"
       "checks and output:\n"
-      "  --check-verdicts  re-verify the served catalog in-process with\n"
-      "                    --solve-mode shared-catalog and fail on any\n"
-      "                    verdict mismatch\n"
+      "  --check-verdicts  re-verify the served families in-process with\n"
+      "                    SymbolicEngine::verifyCatalog (one catalog\n"
+      "                    session, every pair and family retired, no\n"
+      "                    compaction) and fail on any verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
-      "  --snapshot FILE   write the service image (config, stats, verdict\n"
-      "                    log) to FILE on exit\n"
+      "  --snapshot FILE   write the service image (counters, verdict log,\n"
+      "                    per-shard config and counters) to FILE on exit\n"
       "  --reload FILE     restore a service image before serving\n"
       "  --json FILE       write service statistics to FILE ('-' stdout)\n"
       "  --quiet           print only the final summary line\n"
@@ -126,97 +127,55 @@ PassPeaks peaksOf(const ServiceStats &S, uint64_t Requests, double Millis) {
   return P;
 }
 
-/// Either serving front-end behind the one request loop: a single warm
-/// session or the sharded service. Sharded statistics are aggregated to
-/// the single-session shape (counters and peaks summed across shards —
-/// each shard's peaks plateau individually, so the total footprint
-/// plateaus) so the reporting below is mode-agnostic.
-struct AnyService {
-  std::unique_ptr<VerifyService> Single;
-  std::unique_ptr<ShardedVerifyService> Sharded;
-
-  bool submit(const ServiceRequest &R, std::string &Error) {
-    return Single ? Single->submit(R, Error) : Sharded->submit(R, Error);
+/// The front-end's counters and solver accounting summed over its shards
+/// (each shard's peaks plateau individually, so the total footprint
+/// plateaus). With one shard this is that shard's own stats.
+ServiceStats totals(const ShardedServiceStats &SS) {
+  ServiceStats Sum;
+  Sum.Requests = SS.Requests;
+  Sum.Drains = SS.Drains;
+  Sum.ServeMillis = SS.ServeMillis;
+  for (const ShardStats &Sh : SS.Shards) {
+    Sum.PairGroups += Sh.Stats.PairGroups;
+    Sum.BatchedReuses += Sh.Stats.BatchedReuses;
+    Sum.MethodsDischarged += Sh.Stats.MethodsDischarged;
+    Sum.PlansBuilt += Sh.Stats.PlansBuilt;
+    const CatalogSessionStats &In = Sh.Stats.Session;
+    CatalogSessionStats &Out = Sum.Session;
+    Out.FamiliesOpened += In.FamiliesOpened;
+    Out.FamiliesRetired += In.FamiliesRetired;
+    Out.PairsOpened += In.PairsOpened;
+    Out.PairsRetired += In.PairsRetired;
+    Out.PrefixAsserts += In.PrefixAsserts;
+    Out.PrefixReuses += In.PrefixReuses;
+    Out.EvictedClauses += In.EvictedClauses;
+    Out.PeakRetainedClauses += In.PeakRetainedClauses;
+    Out.RecycledVars += In.RecycledVars;
+    Out.PeakLiveVars += In.PeakLiveVars;
+    Out.PeakLiveClauses += In.PeakLiveClauses;
+    Out.VarRequests += In.VarRequests;
+    Out.BridgeCompactions += In.BridgeCompactions;
+    Out.ReleasedAtomVars += In.ReleasedAtomVars;
+    Out.ReleasedSelectors += In.ReleasedSelectors;
+    Out.LiveBridges += In.LiveBridges;
+    Out.PeakLiveBridges += In.PeakLiveBridges;
   }
-  std::vector<ServiceVerdict> drain() {
-    return Single ? Single->drain() : Sharded->drain();
-  }
-  size_t pending() const {
-    return Single ? Single->pending() : Sharded->pending();
-  }
-  const std::vector<ServiceVerdict> &log() const {
-    return Single ? Single->log() : Sharded->log();
-  }
-  void resetPeakStats() {
-    if (Single)
-      Single->resetPeakStats();
-    else
-      Sharded->resetPeakStats();
-  }
-  bool certifying() const {
-    return Single ? Single->certifying() : Sharded->certifying();
-  }
-  proof::CertifySummary finishCertification() {
-    return Single ? Single->finishCertification()
-                  : Sharded->finishCertification();
-  }
-  json::Value snapshot() const {
-    return Single ? Single->snapshot() : Sharded->snapshot();
-  }
-  bool restore(const json::Value &V, std::string &Error) {
-    return Single ? Single->restore(V, Error) : Sharded->restore(V, Error);
-  }
-
-  ServiceStats stats() const {
-    if (Single)
-      return Single->stats();
-    ShardedServiceStats SS = Sharded->stats();
-    ServiceStats Agg;
-    Agg.Requests = SS.Requests;
-    Agg.Drains = SS.Drains;
-    Agg.ServeMillis = SS.ServeMillis;
-    for (const ShardStats &Sh : SS.Shards) {
-      Agg.PairGroups += Sh.Stats.PairGroups;
-      Agg.BatchedReuses += Sh.Stats.BatchedReuses;
-      Agg.MethodsDischarged += Sh.Stats.MethodsDischarged;
-      Agg.PlansBuilt += Sh.Stats.PlansBuilt;
-      const CatalogSessionStats &In = Sh.Stats.Session;
-      CatalogSessionStats &Out = Agg.Session;
-      Out.FamiliesOpened += In.FamiliesOpened;
-      Out.FamiliesRetired += In.FamiliesRetired;
-      Out.PairsOpened += In.PairsOpened;
-      Out.PairsRetired += In.PairsRetired;
-      Out.PrefixAsserts += In.PrefixAsserts;
-      Out.PrefixReuses += In.PrefixReuses;
-      Out.EvictedClauses += In.EvictedClauses;
-      Out.PeakRetainedClauses += In.PeakRetainedClauses;
-      Out.RecycledVars += In.RecycledVars;
-      Out.PeakLiveVars += In.PeakLiveVars;
-      Out.PeakLiveClauses += In.PeakLiveClauses;
-      Out.VarRequests += In.VarRequests;
-      Out.BridgeCompactions += In.BridgeCompactions;
-      Out.ReleasedAtomVars += In.ReleasedAtomVars;
-      Out.ReleasedSelectors += In.ReleasedSelectors;
-      Out.LiveBridges += In.LiveBridges;
-      Out.PeakLiveBridges += In.PeakLiveBridges;
-    }
-    return Agg;
-  }
-};
+  return Sum;
+}
 
 } // namespace
 
 int main(int argc, char **argv) {
   std::vector<std::string> FamilyNames;
-  ServiceConfig Cfg;
+  ShardedServiceConfig SCfg;
+  ServiceConfig &Cfg = SCfg.Base;
   long Passes = 1;
   long RandomRequests = -1;
   unsigned Seed = 1;
   long DrainEvery = 64;
   bool CheckVerdicts = false, AssertPlateau = false, Quiet = false;
   std::string SnapshotPath, ReloadPath, JsonPath;
-  long Threads = 1;
-  long ShardCount = -1; // Default: one shard per worker thread.
+  unsigned ShardCount = 0; // Default: one shard per worker thread.
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -250,18 +209,16 @@ int main(int argc, char **argv) {
     } else if (Arg == "--budget") {
       Cfg.ConflictBudget =
           parseIntFlag("--budget", needValue("--budget"), LONG_MIN);
-    } else if (Arg == "--no-batch") {
-      Cfg.Batch = false;
     } else if (Arg == "--no-compact") {
       Cfg.CompactBridges = false;
     } else if (Arg == "--certify") {
       Cfg.Certify = true;
     } else if (Arg == "--threads") {
-      Threads =
-          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX);
+      SCfg.Threads = static_cast<unsigned>(
+          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX));
     } else if (Arg == "--shards") {
-      ShardCount =
-          parseIntFlag("--shards", needValue("--shards"), 1, UINT_MAX);
+      ShardCount = static_cast<unsigned>(
+          parseIntFlag("--shards", needValue("--shards"), 1, UINT_MAX));
     } else if (Arg == "--check-verdicts") {
       CheckVerdicts = true;
     } else if (Arg == "--assert-plateau") {
@@ -294,21 +251,11 @@ int main(int argc, char **argv) {
 
   ExprFactory F;
   Catalog C(F);
-  AnyService Svc;
-  bool UseSharded = Threads > 1 || ShardCount > 1;
-  if (UseSharded) {
-    ShardedServiceConfig SCfg;
-    SCfg.Base = Cfg;
-    SCfg.Shards =
-        static_cast<unsigned>(ShardCount > 0 ? ShardCount : Threads);
-    SCfg.Threads = static_cast<unsigned>(Threads);
-    Svc.Sharded = std::make_unique<ShardedVerifyService>(C, Fams, SCfg);
-    if (!Quiet)
-      std::printf("sharded: %u shards, %ld threads\n",
-                  Svc.Sharded->numShards(), Threads);
-  } else {
-    Svc.Single = std::make_unique<VerifyService>(C, Fams, Cfg);
-  }
+  SCfg.Shards = ShardCount ? ShardCount : SCfg.Threads;
+  ShardedVerifyService Svc(C, Fams, SCfg);
+  if (!Quiet && (SCfg.Shards > 1 || SCfg.Threads > 1))
+    std::printf("sharded: %u shards, %u threads\n", SCfg.Shards,
+                SCfg.Threads);
 
   if (!ReloadPath.empty()) {
     std::ifstream In(ReloadPath);
@@ -355,7 +302,7 @@ int main(int argc, char **argv) {
         Svc.drain();
     }
     Svc.drain();
-    PassStats.push_back(peaksOf(Svc.stats(), Submitted, Window.millis()));
+    PassStats.push_back(peaksOf(totals(Svc.stats()), Submitted, Window.millis()));
   } else {
     // Full catalog passes: one drain per pass; per-pass peaks restart so
     // the plateau criterion compares passes, not the cumulative maximum.
@@ -370,7 +317,7 @@ int main(int argc, char **argv) {
         }
       Svc.drain();
       PassStats.push_back(
-          peaksOf(Svc.stats(), PassReqs.size(), PassTimer.millis()));
+          peaksOf(totals(Svc.stats()), PassReqs.size(), PassTimer.millis()));
       if (!Quiet)
         std::printf("pass %ld: %zu requests, %.1f ms, peak live "
                     "vars=%llu clauses=%llu bridges=%llu\n",
@@ -383,7 +330,8 @@ int main(int argc, char **argv) {
   double TotalMillis = Total.millis();
 
   int Exit = 0;
-  ServiceStats S = Svc.stats();
+  ShardedServiceStats SS = Svc.stats();
+  ServiceStats S = totals(SS);
 
   // Every served request must have verified both of its testing methods
   // (the catalog is the paper's: everything verifies).
@@ -440,9 +388,10 @@ int main(int argc, char **argv) {
   }
 
   if (CheckVerdicts) {
-    // Independent reference: the batch driver's shared-catalog engine
-    // over the same families, no compaction. Verdicts must agree on
-    // every (family, pair, kind) the service served.
+    // Independent reference: SymbolicEngine::verifyCatalog over the same
+    // families, in a catalog session of its own that retires every pair
+    // and family and never compacts. Verdicts must agree on every
+    // (family, pair, kind) the service served.
     SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
                        SolveMode::SharedCatalog);
     CatalogOutcome Out = Ref.verifyCatalog(C, Fams);
@@ -470,12 +419,14 @@ int main(int argc, char **argv) {
       }
     }
     if (Mismatches) {
-      std::fprintf(stderr, "%llu verdict mismatches against the batch "
-                           "driver\n",
+      std::fprintf(stderr,
+                   "%llu verdict mismatches against the verifyCatalog "
+                   "reference\n",
                    (unsigned long long)Mismatches);
       Exit = 1;
     } else if (!Quiet) {
-      std::printf("verdicts match the batch driver (%zu requests)\n",
+      std::printf("verdicts match the verifyCatalog reference (%zu "
+                  "requests)\n",
                   Svc.log().size());
     }
   }
@@ -498,6 +449,8 @@ int main(int argc, char **argv) {
     auto SetU = [&Sess](const char *K, uint64_t V) {
       Sess.set(K, json::Value::integer(static_cast<int64_t>(V)));
     };
+    SetU("pair_groups", S.PairGroups);
+    SetU("batched_reuses", S.BatchedReuses);
     SetU("plans_built", S.PlansBuilt);
     SetU("pairs_opened", S.Session.PairsOpened);
     SetU("pairs_retired", S.Session.PairsRetired);
@@ -529,45 +482,42 @@ int main(int argc, char **argv) {
       PassArr.push(std::move(Row));
     }
     J.set("pass_stats", std::move(PassArr));
-    if (Svc.Sharded) {
-      // The headline sharded numbers: warm-up decomposition (the shared
-      // plan, plan + shard 0, and the average later shard) and the
-      // per-shard serving accounting.
-      ShardedServiceStats SS = Svc.Sharded->stats();
-      json::Value Sh = json::Value::object();
-      Sh.set("shards", json::Value::integer(
-                           static_cast<int64_t>(SS.Shards.size())));
-      Sh.set("threads", json::Value::integer(static_cast<int64_t>(
-                            Svc.Sharded->config().Threads)));
-      // Hardware context for the thread-scaling numbers: on a 1-CPU
-      // container the req/s ratio across thread counts is pinned at ~1x
-      // no matter how well the drain parallelizes.
-      Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
-                         std::thread::hardware_concurrency())));
-      Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
-      Sh.set("warmup_scratch_millis",
-             json::Value::number(SS.WarmupScratchMillis));
-      Sh.set("warmup_import_millis_avg",
-             json::Value::number(SS.WarmupImportMillisAvg));
-      json::Value ShardArr = json::Value::array();
-      for (const ShardStats &St : SS.Shards) {
-        json::Value Row = json::Value::object();
-        Row.set("requests", json::Value::integer(
-                                static_cast<int64_t>(St.Stats.Requests)));
-        Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
-        Row.set("plans_built", json::Value::integer(
-                                   static_cast<int64_t>(St.Stats.PlansBuilt)));
-        Row.set("peak_live_vars",
-                json::Value::integer(static_cast<int64_t>(
-                    St.Stats.Session.PeakLiveVars)));
-        Row.set("peak_live_clauses",
-                json::Value::integer(static_cast<int64_t>(
-                    St.Stats.Session.PeakLiveClauses)));
-        ShardArr.push(std::move(Row));
-      }
-      Sh.set("per_shard", std::move(ShardArr));
-      J.set("sharded_service", std::move(Sh));
+    // The front-end's numbers: warm-up decomposition (the shared plan,
+    // plan + shard 0, and the average later shard) and the per-shard
+    // serving accounting.
+    json::Value Sh = json::Value::object();
+    Sh.set("shards",
+           json::Value::integer(static_cast<int64_t>(SS.Shards.size())));
+    // Threads that drain: the pool's min(--threads, shards) workers, or
+    // the caller's one thread when there is no pool.
+    Sh.set("threads", json::Value::integer(static_cast<int64_t>(
+                          std::min(SCfg.Threads, SCfg.Shards))));
+    // Hardware context for the thread-scaling numbers: on a 1-CPU
+    // container the req/s ratio across thread counts is pinned at ~1x no
+    // matter how well the drain parallelizes.
+    Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
+                       std::thread::hardware_concurrency())));
+    Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
+    Sh.set("warmup_scratch_millis",
+           json::Value::number(SS.WarmupScratchMillis));
+    Sh.set("warmup_import_millis_avg",
+           json::Value::number(SS.WarmupImportMillisAvg));
+    json::Value ShardArr = json::Value::array();
+    for (const ShardStats &St : SS.Shards) {
+      json::Value Row = json::Value::object();
+      Row.set("requests", json::Value::integer(
+                              static_cast<int64_t>(St.Stats.Requests)));
+      Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
+      Row.set("plans_built", json::Value::integer(
+                                 static_cast<int64_t>(St.Stats.PlansBuilt)));
+      Row.set("peak_live_vars", json::Value::integer(static_cast<int64_t>(
+                                    St.Stats.Session.PeakLiveVars)));
+      Row.set("peak_live_clauses", json::Value::integer(static_cast<int64_t>(
+                                       St.Stats.Session.PeakLiveClauses)));
+      ShardArr.push(std::move(Row));
     }
+    Sh.set("per_shard", std::move(ShardArr));
+    J.set("sharded_service", std::move(Sh));
     uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
     J.set("wall_millis", json::Value::number(TotalMillis));
     J.set("requests_per_sec",
