@@ -714,29 +714,51 @@ ExprRef SeqScenario::onAtom(ExprRef Atom) {
   }
 }
 
-MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
-                        int SeqLenBound, const HintScript *Hint,
-                        bool CommonOnly = false) {
-  const ConditionEntry &E = *M.Entry;
+/// The Common prefix of every ArrayList method plan: the argument objects
+/// and all element variables any split can mention are non-null. Asserting
+/// it once lets the warm session reuse its encoding across the whole
+/// (length x index x index) split lattice — and, in a catalog session,
+/// across every testing method of the pair.
+std::vector<ExprRef> seqCommon(ExprFactory &F, int SeqLenBound) {
+  std::vector<ExprRef> Common = {
+      F.ne(F.var("v1", Sort::Obj), F.nullConst()),
+      F.ne(F.var("v2", Sort::Obj), F.nullConst())};
+  for (int64_t P = 0; P < SeqLenBound; ++P)
+    Common.push_back(
+        F.ne(F.var("e" + std::to_string(P), Sort::Obj), F.nullConst()));
+  return Common;
+}
+
+/// One testing method an ArrayList lattice walk plans, with the proof-hint
+/// script attached to it (null when none matches).
+struct SeqMethod {
+  TestingMethod M;
+  const HintScript *Hint = nullptr;
+};
+
+/// Plans \p Ms, testing methods of the one ArrayList entry \p E, in a single
+/// walk of the entry's (length x index x index) split lattice. Each split's
+/// symbolic executions, snapshot table, substitution and agreement goal are
+/// built once, and each kind's condition is lowered once; every method then
+/// appends its role's assumption pair, its hint lemmas and the split's
+/// label. A method ends after the first split where its kind's lowered
+/// condition or the agreement goal leaves the bounded fragment; the other
+/// methods walk on.
+std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
+                                      const std::vector<SeqMethod> &Ms,
+                                      int SeqLenBound) {
   const Operation &Op1 = E.op1();
   const Operation &Op2 = E.op2();
 
-  MethodPlan Plan;
-  Plan.Name = M.name();
+  std::vector<MethodPlan> Plans(Ms.size());
+  std::vector<ExprRef> Common = seqCommon(F, SeqLenBound);
+  for (size_t MI = 0; MI != Ms.size(); ++MI) {
+    Plans[MI].Name = Ms[MI].M.name();
+    Plans[MI].Common = Common;
+  }
+  size_t Live = Ms.size(); // Methods whose walk has not ended.
 
   ExprRef V1 = F.var("v1", Sort::Obj), V2 = F.var("v2", Sort::Obj);
-
-  // The shared symbolic-execution prefix of every case split: the argument
-  // objects and all element variables any split can mention are non-null.
-  // Asserting it once lets the warm session reuse its encoding across the
-  // whole (length x index x index) split lattice — and, in a catalog
-  // session, across every testing method of the pair.
-  Plan.Common = {F.ne(V1, F.nullConst()), F.ne(V2, F.nullConst())};
-  for (int64_t P = 0; P < SeqLenBound; ++P)
-    Plan.Common.push_back(
-        F.ne(F.var("e" + std::to_string(P), Sort::Obj), F.nullConst()));
-  if (CommonOnly)
-    return Plan; // Lazy planning only needs the prefix; splits come later.
 
   // Applies an operation at concrete index arguments on a term vector.
   // Returns false if the precondition fails.
@@ -796,11 +818,11 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
       Initial.push_back(F.var("e" + std::to_string(P), Sort::Obj));
 
     // Index argument ranges cover one past an insertion-grown list.
-    int64_t I1Lo = IntArg(Op1) ? 0 : 0, I1Hi = IntArg(Op1) ? N + 1 : 0;
-    int64_t I2Lo = IntArg(Op2) ? 0 : 0, I2Hi = IntArg(Op2) ? N + 1 : 0;
+    int64_t I1Hi = IntArg(Op1) ? N + 1 : 0;
+    int64_t I2Hi = IntArg(Op2) ? N + 1 : 0;
 
-    for (int64_t I1 = I1Lo; I1 <= I1Hi; ++I1) {
-      for (int64_t I2 = I2Lo; I2 <= I2Hi; ++I2) {
+    for (int64_t I1 = 0; I1 <= I1Hi; ++I1) {
+      for (int64_t I2 = 0; I2 <= I2Hi; ++I2) {
         // --- First order (on A). ---
         SymSeq SA = Initial;
         SymValue R1a, R2a;
@@ -860,9 +882,24 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
             Subst["r2"] = RE;
         }
 
-        ExprRef PhiRaw = F.substitute(E.get(M.Kind), Subst);
-        ExprRef Phi = rewriteBool(
-            F, PhiRaw, [&](ExprRef A) { return Ctx.onAtom(A); });
+        // Lowers a condition into this split. The unsupported flag is
+        // cleared first, so afterwards it speaks for that condition alone.
+        auto Lower = [&](ExprRef Cond) {
+          Ctx.SawUnsupportedAtom = false;
+          return rewriteBool(F, F.substitute(Cond, Subst),
+                             [&](ExprRef A) { return Ctx.onAtom(A); });
+        };
+
+        // Each kind a live method asks for is lowered once.
+        ExprRef Phi[3] = {};
+        bool PhiUnsupported[3] = {};
+        for (size_t MI = 0; MI != Ms.size(); ++MI) {
+          size_t K = static_cast<size_t>(Ms[MI].M.Kind);
+          if (Plans[MI].Unsupported || Phi[K])
+            continue;
+          Phi[K] = Lower(E.get(Ms[MI].M.Kind));
+          PhiUnsupported[K] = Ctx.SawUnsupportedAtom;
+        }
 
         // The scan snapshot for op1 in the reverse order: the state
         // after op2 ran first.
@@ -876,6 +913,7 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
         Ctx.Snapshots["retB1"] = &RetB1Snap;
 
         // Agreement goal.
+        Ctx.SawUnsupportedAtom = false;
         std::vector<ExprRef> Agree;
         if (!RevPreOk) {
           Agree.push_back(F.falseExpr());
@@ -912,48 +950,52 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
           }
         }
         ExprRef AgreeAll = F.conj(std::move(Agree));
+        bool AgreeUnsupported = Ctx.SawUnsupportedAtom;
 
-        VcSplit Split;
-        Split.Assumed = roleAssumptions(F, M.Role, Phi, AgreeAll);
-        // Attached proof hints: the script's note/pickWitness lemmas are
-        // valid over every reached scenario (validateScript machine-checks
-        // exactly that), so assuming them can never flip a genuine
-        // countermodel — it only lets the refutation name which hints it
-        // used via their labels in the unsat core. Assuming commands are
-        // case structure, not lemmas, and are not asserted. A hint whose
-        // lowering leaves the bounded fragment is skipped rather than
-        // poisoning the plan.
-        if (Hint)
-          for (const HintCommand &Cmd : Hint->Commands) {
-            if (Cmd.Kind == HintCommandKind::Assuming)
-              continue;
-            bool SavedUnsupported = Ctx.SawUnsupportedAtom;
-            Ctx.SawUnsupportedAtom = false;
-            ExprRef Lowered =
-                rewriteBool(F, F.substitute(Cmd.Formula, Subst),
-                            [&](ExprRef A) { return Ctx.onAtom(A); });
-            bool HintUnsupported = Ctx.SawUnsupportedAtom;
-            Ctx.SawUnsupportedAtom = SavedUnsupported;
-            if (!HintUnsupported)
-              Split.Assumed.push_back({Lowered, Cmd.Label});
+        std::string Label = "n=" + std::to_string(N) +
+                            " i1=" + std::to_string(I1) +
+                            " i2=" + std::to_string(I2);
+        for (size_t MI = 0; MI != Ms.size(); ++MI) {
+          MethodPlan &Plan = Plans[MI];
+          if (Plan.Unsupported)
+            continue;
+          size_t K = static_cast<size_t>(Ms[MI].M.Kind);
+          VcSplit Split;
+          Split.Assumed = roleAssumptions(F, Ms[MI].M.Role, Phi[K], AgreeAll);
+          // Attached proof hints: the script's note/pickWitness lemmas are
+          // valid over every reached scenario (validateScript
+          // machine-checks exactly that), so assuming them can never flip
+          // a genuine countermodel — it only lets the refutation name which
+          // hints it used via their labels in the unsat core. Assuming
+          // commands are case structure, not lemmas, and are not asserted.
+          // A hint whose lowering leaves the bounded fragment is skipped
+          // rather than poisoning the plan.
+          if (const HintScript *Hint = Ms[MI].Hint)
+            for (const HintCommand &Cmd : Hint->Commands) {
+              if (Cmd.Kind == HintCommandKind::Assuming)
+                continue;
+              ExprRef Lowered = Lower(Cmd.Formula);
+              if (!Ctx.SawUnsupportedAtom)
+                Split.Assumed.push_back({Lowered, Cmd.Label});
+            }
+          Split.Label = Label;
+          Plan.Splits.push_back(std::move(Split));
+
+          if (PhiUnsupported[K] || AgreeUnsupported) {
+            // The lowering replaced an atom by a free variable; the
+            // method's plan ends here and it reports unverified.
+            Plan.Unsupported = true;
+            Plan.UnsupportedNote =
+                "unsupported atom shape in bounded lowering";
+            --Live;
           }
-        Split.Label = "n=" + std::to_string(N) +
-                      " i1=" + std::to_string(I1) +
-                      " i2=" + std::to_string(I2);
-        Plan.Splits.push_back(std::move(Split));
-
-        if (Ctx.SawUnsupportedAtom) {
-          // The lowering replaced an atom by a free variable; the plan
-          // ends here and the method reports unverified.
-          Plan.Unsupported = true;
-          Plan.UnsupportedNote =
-              "unsupported atom shape in bounded lowering";
-          return Plan;
         }
+        if (Live == 0)
+          return Plans;
       }
     }
   }
-  return Plan;
+  return Plans;
 }
 
 } // namespace
@@ -1029,6 +1071,16 @@ uint64_t splitsOf(const PairPlan &PP) {
   return N;
 }
 
+/// The proof-hint script of \p M among \p Hints, or null.
+const HintScript *hintFor(const std::vector<HintScript> *Hints,
+                          const TestingMethod &M) {
+  if (Hints)
+    for (const HintScript &S : *Hints)
+      if (S.matches(M))
+        return &S;
+  return nullptr;
+}
+
 } // namespace
 
 MethodPlan SymbolicEngine::plan(const TestingMethod &M) const {
@@ -1039,41 +1091,36 @@ MethodPlan SymbolicEngine::plan(const TestingMethod &M) const {
     return buildSetPlan(F, M);
   case StateKind::Map:
     return buildMapPlan(F, M);
-  case StateKind::Seq: {
-    const HintScript *Hint = nullptr;
-    if (Hints)
-      for (const HintScript &S : *Hints)
-        if (S.matches(M)) {
-          Hint = &S;
-          break;
-        }
-    return buildSeqPlan(F, M, SeqLenBound, Hint);
-  }
+  case StateKind::Seq:
+    return std::move(
+        buildSeqPlans(F, *M.Entry, {{M, hintFor(Hints, M)}}, SeqLenBound)
+            .front());
   }
   semcomm_unreachable("invalid family kind");
 }
 
 std::vector<ExprRef>
 SymbolicEngine::planCommonOnly(const ConditionEntry &E) const {
+  // Only the Seq builder materializes a split lattice worth skipping; its
+  // prefix depends on the bound alone. The single-VC families' plans are
+  // one formula each, and hash-consing dedups their construction against
+  // the later full plan anyway.
+  if (E.Fam->Kind == StateKind::Seq)
+    return seqCommon(F, SeqLenBound);
   // The Common prefix depends only on the entry's operations, never on
   // the testing method's kind or role, so one method stands for all six.
   TestingMethod M;
   M.Entry = &E;
   M.Kind = ConditionKind::Before;
   M.Role = MethodRole::Soundness;
-  // Only the Seq builder materializes a split lattice worth skipping; the
-  // single-VC families' plans are one formula each, and hash-consing
-  // dedups their construction against the later full plan anyway.
-  if (M.family().Kind == StateKind::Seq)
-    return buildSeqPlan(F, M, SeqLenBound, /*Hint=*/nullptr,
-                        /*CommonOnly=*/true)
-        .Common;
   return plan(M).Common;
 }
 
 PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
   PairPlan PP;
   PP.Key = E.pairName();
+  bool Seq = E.Fam->Kind == StateKind::Seq;
+  std::vector<SeqMethod> SeqMethods;
   for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
                           ConditionKind::After})
     for (MethodRole Role : {MethodRole::Soundness, MethodRole::Completeness}) {
@@ -1081,8 +1128,14 @@ PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
       M.Entry = &E;
       M.Kind = K;
       M.Role = Role;
-      PP.Methods.push_back(plan(M));
+      if (Seq)
+        SeqMethods.push_back({M, hintFor(Hints, M)});
+      else
+        PP.Methods.push_back(plan(M));
     }
+  // One walk of the split lattice plans all six ArrayList methods.
+  if (Seq)
+    PP.Methods = buildSeqPlans(F, E, SeqMethods, SeqLenBound);
   return PP;
 }
 

@@ -188,11 +188,17 @@ public:
                                const std::vector<const Family *> &Fams);
 
   /// Compiles one testing method to its discharge plan (exposed so tests
-  /// can replay plans against differently configured sessions).
+  /// can replay plans against differently configured sessions). An
+  /// ArrayList method runs the same lattice walk as planPair with only
+  /// \p M requested, so its plan equals the matching planPair method.
   MethodPlan plan(const TestingMethod &M) const;
 
   /// Compiles one entry's six testing methods to a pair plan, in
-  /// (kind x role) enumeration order.
+  /// (kind x role) enumeration order. An ArrayList pair's six plans come
+  /// from one walk of its (length x index x index) split lattice: each
+  /// split's symbolic executions and agreement goal are built once and
+  /// each condition kind is lowered once, for both of its roles. The
+  /// single-VC families plan each method on its own.
   PairPlan planPair(const ConditionEntry &E) const;
 
   /// Compiles the catalog-level plan for \p Fams: per-family common

@@ -243,6 +243,29 @@ bool ShardedVerifyService::restore(const json::Value &V,
     Restored.push_back(std::move(SV));
   }
 
+  // A shard counts each request it serves once, as a pair group or as a
+  // reuse of one, and discharges its two testing methods: counters that
+  // contradict the requests the log routes to the shard are refused
+  // before any shard installs its image.
+  for (size_t S = 0; S != Shards.size(); ++S) {
+    const VerifyService::SnapshotImage &Img = Images[S];
+    std::string Where = "shard " + std::to_string(S) + ": snapshot ";
+    std::string Routed = "the log routes " + std::to_string(Img.Requests) +
+                         " requests to this shard";
+    if (Img.PairGroups + Img.BatchedReuses != Img.Requests) {
+      Error = Where + "fields 'pair_groups' + 'batched_reuses' are " +
+              std::to_string(Img.PairGroups) + " + " +
+              std::to_string(Img.BatchedReuses) + ", but " + Routed;
+      return false;
+    }
+    if (Img.MethodsDischarged != 2 * Img.Requests) {
+      Error = Where + "field 'methods_discharged' is " +
+              std::to_string(Img.MethodsDischarged) + ", but " + Routed +
+              " (two methods each)";
+      return false;
+    }
+  }
+
   for (size_t S = 0; S != Shards.size(); ++S)
     Shards[S]->install(Images[S]);
   VerdictLog = std::move(Restored);

@@ -135,8 +135,9 @@ public:
   /// (a single-session image) is refused by name. The shard count, the
   /// "pair" route and every shard image (config, family set, counters)
   /// are checked before the log rows; each shard's request count is then
-  /// the number of log rows routed to it. Nothing is installed unless
-  /// every check passes.
+  /// the number of log rows routed to it, and its counters must agree with
+  /// that count (pair_groups + batched_reuses equal it, methods_discharged
+  /// is twice it). Nothing is installed unless every check passes.
   bool restore(const json::Value &V, std::string &Error);
 
 private:

@@ -129,7 +129,9 @@ bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
 const PairPlan &VerifyService::planOf(const ConditionEntry *Entry) {
   auto It = Plans.find(Entry);
   if (It == Plans.end()) {
+    Stopwatch Timer;
     It = Plans.emplace(Entry, Eng.planPair(*Entry)).first;
+    PairPlanMillis += Timer.millis();
     ++PlansBuilt;
   }
   return It->second;
@@ -211,6 +213,7 @@ ServiceStats VerifyService::stats() const {
   S.BatchedReuses = BatchedReuses;
   S.MethodsDischarged = MethodsDischarged;
   S.PlansBuilt = PlansBuilt;
+  S.PairPlanMillis = PairPlanMillis;
   S.ServeMillis = ServeMillis;
   S.Session = Sess->stats();
   return S;

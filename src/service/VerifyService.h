@@ -20,7 +20,8 @@
 ///  * Plan store: a pair's six-method discharge plan is a pure function of
 ///    the catalog, so the service builds it on the pair's first request
 ///    and keeps it for its lifetime (planOf). The store is bounded by the
-///    served pairs of the catalog (PlansBuilt in the stats).
+///    served pairs of the catalog (PlansBuilt in the stats; PairPlanMillis
+///    times the builds).
 ///
 ///  * Prefix batching: pending requests are grouped by family, then by
 ///    op-pair, in first-appearance order. A pair's scope is opened once
@@ -108,6 +109,10 @@ struct ServiceStats {
   /// Pair plans built over the service lifetime: one per distinct pair
   /// served, however many drains repeat it (not carried by snapshots).
   uint64_t PlansBuilt = 0;
+  /// Wall time spent building those plans (SymbolicEngine::planPair
+  /// inside drain(), on the draining thread; not carried by snapshots).
+  /// The catalog plan the shards share is not in it.
+  double PairPlanMillis = 0;
   double ServeMillis = 0; ///< Wall time spent inside drain().
   CatalogSessionStats Session;
 };
@@ -242,6 +247,7 @@ private:
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
   uint64_t PlansBuilt = 0;
+  double PairPlanMillis = 0;
   double ServeMillis = 0;
 };
 

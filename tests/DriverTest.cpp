@@ -681,6 +681,9 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   ASSERT_EQ(Back->CatalogSessions.size(), R.CatalogSessions.size());
   for (size_t I = 0; I != R.CatalogSessions.size(); ++I) {
     expectSameCatalogStats(R.CatalogSessions[I], Back->CatalogSessions[I]);
+    EXPECT_GT(R.CatalogSessions[I].PairPlanMillis, 0.0);
+    EXPECT_EQ(Back->CatalogSessions[I].PairPlanMillis,
+              R.CatalogSessions[I].PairPlanMillis);
     EXPECT_EQ(Back->CatalogSessions[I].Millis, R.CatalogSessions[I].Millis);
   }
   EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));

@@ -123,15 +123,20 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
   VerifyService Svc(C, Fams, Cfg);
   std::string Error;
   std::vector<ServiceVerdict> First;
+  double PlanMillis = 0;
   for (int D = 0; D != 3; ++D) {
     for (const ServiceRequest &R : Pass)
       ASSERT_TRUE(Svc.submit(R, Error)) << Error;
     std::vector<ServiceVerdict> Got = Svc.drain();
     EXPECT_EQ(Svc.stats().PlansBuilt, Pairs.size()) << "drain " << D;
     if (D == 0) {
+      // Only the first drain plans, so only it adds planning time.
+      PlanMillis = Svc.stats().PairPlanMillis;
+      EXPECT_GT(PlanMillis, 0.0);
       First = Got;
       continue;
     }
+    EXPECT_EQ(Svc.stats().PairPlanMillis, PlanMillis) << "drain " << D;
     ASSERT_EQ(Got.size(), First.size());
     for (size_t I = 0; I != Got.size(); ++I) {
       EXPECT_EQ(keyOf(Got[I].Req), keyOf(First[I].Req));
@@ -458,6 +463,31 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
        "built with seq_len_bound=3"},
   };
 
+  // Shard counters that contradict the log: every request a shard serves
+  // is a pair group or a batched reuse, and discharges two methods. Shard
+  // 0's image comes first in the snapshot, so these edit shard 0.
+  const ServiceStats Shard0 = Two.stats().Shards[0].Stats;
+  ASSERT_GT(Shard0.Requests, 0u);
+  const std::string Groups0 =
+      "\"pair_groups\":" + std::to_string(Shard0.PairGroups) +
+      ",\"batched_reuses\":" + std::to_string(Shard0.BatchedReuses);
+  const std::string Methods0 =
+      "\"methods_discharged\":" + std::to_string(Shard0.MethodsDischarged);
+  const std::string Routed0 = "the log routes " +
+                              std::to_string(Shard0.Requests) +
+                              " requests to this shard";
+  const Mutant CounterMutants[] = {
+      {Groups0, "\"pair_groups\":999,\"batched_reuses\":0",
+       "shard 0: snapshot fields 'pair_groups' + 'batched_reuses' are 999 + "
+       "0, but " + Routed0},
+      {Methods0,
+       "\"methods_discharged\":" +
+           std::to_string(Shard0.MethodsDischarged + 1),
+       "shard 0: snapshot field 'methods_discharged' is " +
+           std::to_string(Shard0.MethodsDischarged + 1) + ", but " +
+           Routed0},
+  };
+
   for (const Target &T : Targets) {
     auto RestoreFresh = [&](const json::Value &V) {
       return ShardedVerifyService(C, Fams, T.Cfg).restore(V, Error);
@@ -465,7 +495,11 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
     std::optional<json::Value> Intact = json::Value::parse(T.Snapshot);
     ASSERT_TRUE(Intact.has_value());
     ASSERT_TRUE(RestoreFresh(*Intact)) << T.Name << ": " << Error;
-    for (const Mutant &M : Mutants) {
+    std::vector<Mutant> All(std::begin(Mutants), std::end(Mutants));
+    if (T.Cfg.Shards == 2)
+      All.insert(All.end(), std::begin(CounterMutants),
+                 std::end(CounterMutants));
+    for (const Mutant &M : All) {
       std::string Text = T.Snapshot;
       size_t At = Text.find(M.From);
       ASSERT_NE(At, std::string::npos) << T.Name << ": " << M.From;

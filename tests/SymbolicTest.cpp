@@ -223,3 +223,145 @@ TEST(SymbolicEngineTest, EnginesAgreeOnRandomizedWeakenings) {
     }
   }
 }
+
+// --- Plan pinning ------------------------------------------------------------
+//
+// Pair planning builds every VC the symbolic path discharges. These tests
+// pin its output: a digest over the whole catalog's pair plans, the
+// agreement between plan(M) and planPair, and the per-method early stop of
+// the ArrayList lattice walk.
+
+namespace {
+
+/// Stable 64-bit FNV-1a over \p S, continuing from \p H.
+uint64_t fnv1a(const std::string &S, uint64_t H = 1469598103934665603ull) {
+  for (char Ch : S) {
+    H ^= static_cast<unsigned char>(Ch);
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// A canonical text of \p P: name, Common, the Scoped labels and formulas,
+/// each split's label and assumptions, and the Unsupported flag and note.
+void dumpPlan(const MethodPlan &P, std::string &Out) {
+  Out += "method " + P.Name + "\n";
+  for (ExprRef E : P.Common)
+    Out += "  common " + printAbstract(E) + "\n";
+  for (const TaggedAssumption &A : P.Scoped)
+    Out += "  scoped " + A.Label + ": " + printAbstract(A.E) + "\n";
+  for (const VcSplit &S : P.Splits) {
+    Out += "  split " + S.Label + "\n";
+    for (const TaggedAssumption &A : S.Assumed)
+      Out += "    " + A.Label + ": " + printAbstract(A.E) + "\n";
+  }
+  Out += "  unsupported " + std::to_string(P.Unsupported) + " " +
+         P.UnsupportedNote + "\n";
+}
+
+/// The digest of every pair plan \p Eng builds for the full catalog.
+uint64_t catalogPlanDigest(const SymbolicEngine &Eng, const Catalog &C) {
+  uint64_t H = fnv1a("");
+  for (const Family *Fam : allFamilies())
+    for (const ConditionEntry &E : C.entries(*Fam)) {
+      std::string Dump = "pair " + Fam->Name + " " + E.pairName() + "\n";
+      for (const MethodPlan &MP : Eng.planPair(E).Methods)
+        dumpPlan(MP, Dump);
+      H = fnv1a(Dump, H);
+    }
+  return H;
+}
+
+/// The testing method planPair builds as its \p I-th plan.
+TestingMethod pairMethod(const ConditionEntry &E, size_t I) {
+  TestingMethod M;
+  M.Entry = &E;
+  M.Kind = static_cast<ConditionKind>(I / 2);
+  M.Role = I % 2 == 0 ? MethodRole::Soundness : MethodRole::Completeness;
+  return M;
+}
+
+/// Same formulas (pointer-equal: the factory hash-conses), labels and flags.
+void expectSamePlan(const MethodPlan &A, const MethodPlan &B,
+                    const std::string &Where) {
+  EXPECT_EQ(A.Name, B.Name) << Where;
+  EXPECT_EQ(A.Common, B.Common) << Where;
+  auto SameAssumptions = [&](const std::vector<TaggedAssumption> &X,
+                             const std::vector<TaggedAssumption> &Y) {
+    ASSERT_EQ(X.size(), Y.size()) << Where;
+    for (size_t I = 0; I != X.size(); ++I) {
+      EXPECT_EQ(X[I].E, Y[I].E) << Where << " assumption " << X[I].Label;
+      EXPECT_EQ(X[I].Label, Y[I].Label) << Where;
+    }
+  };
+  SameAssumptions(A.Scoped, B.Scoped);
+  ASSERT_EQ(A.Splits.size(), B.Splits.size()) << Where;
+  for (size_t S = 0; S != A.Splits.size(); ++S) {
+    EXPECT_EQ(A.Splits[S].Label, B.Splits[S].Label) << Where;
+    SameAssumptions(A.Splits[S].Assumed, B.Splits[S].Assumed);
+  }
+  EXPECT_EQ(A.Unsupported, B.Unsupported) << Where;
+  EXPECT_EQ(A.UnsupportedNote, B.UnsupportedNote) << Where;
+}
+
+} // namespace
+
+TEST(PlanPinning, CatalogPlanDigestIsStable) {
+  // Any change to what a plan builder emits moves one of these digests:
+  // the formulas, the labels or the flags of any of the 1020 methods.
+  SymbolicFixture &Fx = fixture();
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+  EXPECT_EQ(catalogPlanDigest(Eng, Fx.C), 0x1773b5e710bd177eull);
+  std::vector<HintScript> Hints = buildArrayListHintScripts(Fx.F);
+  Eng.attachHints(&Hints);
+  EXPECT_EQ(catalogPlanDigest(Eng, Fx.C), 0xbe82fd4ef60f14d9ull);
+}
+
+TEST(PlanPinning, MethodPlansEqualPairPlans) {
+  SymbolicFixture &Fx = fixture();
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+  std::vector<HintScript> Hints = buildArrayListHintScripts(Fx.F);
+  for (bool Hinted : {false, true}) {
+    Eng.attachHints(Hinted ? &Hints : nullptr);
+    for (const Family *Fam : allFamilies())
+      for (const ConditionEntry &E : Fx.C.entries(*Fam)) {
+        PairPlan PP = Eng.planPair(E);
+        ASSERT_EQ(PP.Methods.size(), 6u);
+        for (size_t I = 0; I != 6; ++I)
+          expectSamePlan(Eng.plan(pairMethod(E, I)), PP.Methods[I],
+                         Fam->Name + " " + E.pairName() + " method " +
+                             std::to_string(I) +
+                             (Hinted ? " (hinted)" : ""));
+      }
+  }
+}
+
+TEST(PlanPinning, UnsupportedConditionEndsOnlyItsOwnMethods) {
+  // An equation over three indexOf terms is outside the bounded lowering:
+  // the Between methods stop after their first split, unverified, while
+  // the pair's other methods walk the whole lattice.
+  SymbolicFixture &Fx = fixture();
+  Vocab D(Fx.F);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+  const ConditionEntry &Real =
+      Fx.C.entry(arrayListFamily(), "add_at", "get");
+  ConditionEntry Mutant = Real;
+  Mutant.Between =
+      D.eq(D.add(D.idx(D.S1, D.V1), D.idx(D.S2, D.V2)), D.idx(D.S3, D.V1));
+  PairPlan Want = Eng.planPair(Real);
+  PairPlan Got = Eng.planPair(Mutant);
+  ASSERT_EQ(Got.Methods.size(), 6u);
+  for (size_t I = 0; I != 6; ++I) {
+    const MethodPlan &MP = Got.Methods[I];
+    if (pairMethod(Mutant, I).Kind == ConditionKind::Between) {
+      EXPECT_EQ(MP.Splits.size(), 1u) << MP.Name;
+      EXPECT_TRUE(MP.Unsupported) << MP.Name;
+      EXPECT_EQ(MP.UnsupportedNote,
+                "unsupported atom shape in bounded lowering");
+      expectSamePlan(Eng.plan(pairMethod(Mutant, I)), MP, MP.Name);
+    } else {
+      EXPECT_GT(MP.Splits.size(), 1u) << MP.Name;
+      expectSamePlan(MP, Want.Methods[I], MP.Name);
+    }
+  }
+}

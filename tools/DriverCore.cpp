@@ -274,6 +274,7 @@ void runShard(const Catalog &C, const DriverOptions &Opts,
   Stats.PeakLiveClauses = SS.Session.PeakLiveClauses;
   Stats.VarRequests = SS.Session.VarRequests;
   Stats.PeakRetainedClauses = SS.Session.PeakRetainedClauses;
+  Stats.PairPlanMillis = SS.PairPlanMillis;
   Stats.Millis = Timer.millis();
 }
 
@@ -491,6 +492,7 @@ json::Value Report::toJson() const {
       V.set("peak_retained_clauses",
             json::Value::integer(
                 static_cast<int64_t>(S.PeakRetainedClauses)));
+      V.set("pair_plan_ms", json::Value::number(S.PairPlanMillis));
       V.set("ms", json::Value::number(S.Millis));
       CatArr.push(std::move(V));
     }
@@ -618,6 +620,7 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
       S.PeakRetainedClauses =
           static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
+      S.PairPlanMillis = P["pair_plan_ms"].asDouble();
       S.Millis = P["ms"].asDouble();
       R.CatalogSessions.push_back(std::move(S));
     }
@@ -720,17 +723,19 @@ std::string driver::renderSummary(const Report &R) {
     Out += Buf;
     if (!R.CatalogSessions.empty()) {
       uint64_t Recycled = 0, PeakVars = 0, Demand = 0, PeakCls = 0;
+      double PlanMs = 0;
       for (const CatalogStats &S : R.CatalogSessions) {
+        PlanMs += S.PairPlanMillis;
         Recycled += S.RecycledVars;
         PeakVars = std::max(PeakVars, S.PeakLiveVars);
         PeakCls = std::max(PeakCls, S.PeakLiveClauses);
         Demand += S.VarRequests;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "catalog sessions: %zu sessions, %llu vars recycled "
-                    "(peak %llu live of %llu requested), peak %llu live "
-                    "clauses\n",
-                    R.CatalogSessions.size(),
+                    "catalog sessions: %zu sessions, %.1f ms pair planning, "
+                    "%llu vars recycled (peak %llu live of %llu requested), "
+                    "peak %llu live clauses\n",
+                    R.CatalogSessions.size(), PlanMs,
                     static_cast<unsigned long long>(Recycled),
                     static_cast<unsigned long long>(PeakVars),
                     static_cast<unsigned long long>(Demand),

@@ -171,6 +171,9 @@ struct CatalogStats {
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
   uint64_t PeakRetainedClauses = 0;
+  /// Wall time the shard spent building its pair plans
+  /// (ServiceStats::PairPlanMillis); the shared catalog plan is not in it.
+  double PairPlanMillis = 0;
   double Millis = 0;
 };
 

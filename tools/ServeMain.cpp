@@ -276,6 +276,9 @@ int main(int argc, char **argv) {
                   ReloadPath.c_str());
   }
   size_t RestoredVerdicts = Svc.log().size();
+  // What the restored shard images had counted, so that the summary line
+  // reports this run alone.
+  ServiceStats Restored = totals(Svc.stats());
 
   std::vector<PassPeaks> PassStats;
   Stopwatch Total;
@@ -510,6 +513,8 @@ int main(int argc, char **argv) {
       Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
       Row.set("plans_built", json::Value::integer(
                                  static_cast<int64_t>(St.Stats.PlansBuilt)));
+      Row.set("pair_plan_millis",
+              json::Value::number(St.Stats.PairPlanMillis));
       Row.set("peak_live_vars", json::Value::integer(static_cast<int64_t>(
                                     St.Stats.Session.PeakLiveVars)));
       Row.set("peak_live_clauses", json::Value::integer(static_cast<int64_t>(
@@ -538,6 +543,9 @@ int main(int argc, char **argv) {
     }
   }
 
+  // This run's counts: the request count and the pair groups and reuses
+  // exclude a reloaded image's. Compactions and released selectors are
+  // never restored, so they count this process already.
   uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
   std::printf("served %llu requests in %.1f ms (%.1f req/s): %s; "
               "%llu pair groups, %llu batched reuses, %llu compactions, "
@@ -545,8 +553,8 @@ int main(int argc, char **argv) {
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
-              (unsigned long long)S.PairGroups,
-              (unsigned long long)S.BatchedReuses,
+              (unsigned long long)(S.PairGroups - Restored.PairGroups),
+              (unsigned long long)(S.BatchedReuses - Restored.BatchedReuses),
               (unsigned long long)S.Session.BridgeCompactions,
               (unsigned long long)S.Session.ReleasedSelectors);
   return Exit;
