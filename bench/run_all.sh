@@ -172,7 +172,7 @@ fi
 
 # Certification snapshot: the same one-thread shared-catalog run with
 # --certify, so the baseline records the cost of proof logging + the
-# in-process RUP check relative to the uncertified run directly above
+# in-process proof check relative to the uncertified run directly above
 # (certify_overhead_x) alongside the certificate counts.
 CERTIFY_JSON="$RESULTS_DIR/driver_certify_stats.json"
 if [ -x "$DRIVER_BIN" ]; then

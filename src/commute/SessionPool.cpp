@@ -38,19 +38,6 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
       R.CoreLabels.push_back(L);
   };
 
-  // Proof tag stem: the selector path identifies the method within the
-  // session; the split index disambiguates its checks. Spaces fold to '_'
-  // exactly as SmtSession::setProofTag does, so the tags recorded here
-  // match the Query-step tags in the trace byte for byte.
-  std::string TagStem;
-  for (const std::string &L : SelLabels)
-    TagStem += (TagStem.empty() ? "" : "|") + L;
-  if (TagStem.empty())
-    TagStem = Plan.Name;
-  for (char &C : TagStem)
-    if (C == ' ')
-      C = '_';
-
   bool Ok = true;
   size_t FailedAt = Plan.Splits.size();
   for (size_t SI = 0; SI != Plan.Splits.size(); ++SI) {
@@ -62,12 +49,6 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     for (const TaggedAssumption &A : Split.Assumed) {
       Assumed.push_back(A.E);
       Labels.push_back(A.Label);
-    }
-
-    std::string Tag;
-    if (Session.certifying()) {
-      Tag = TagStem + "#" + std::to_string(SI);
-      Session.setProofTag(Tag);
     }
 
     SatResult Out = Session.check(Assumed, Budget, Sels);
@@ -83,10 +64,10 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     if (Out == SatResult::Unsat) {
       for (size_t I : Session.lastCoreAssumptionIndices())
         AddCoreLabel(Labels[I]);
-      if (!Tag.empty()) {
-        // An Unsat verdict is a claim — record the certificate tag the
-        // checker must later confirm for this method.
-        R.ProofQueryTags.push_back(std::move(Tag));
+      if (Session.certifying()) {
+        // An Unsat verdict is a claim — record the certificate the checker
+        // must later confirm for this method.
+        R.ProofQueryIds.push_back(Session.lastProofQuery());
         ++R.ProofQueries;
       }
       continue;
@@ -119,7 +100,7 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
 void semcomm::stampCertification(const proof::CertifySummary &S,
                                  SymbolicResult &R) {
   R.ProofClauses = S.PeakClauses;
-  R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
+  R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryIds);
 }
 
 const char *semcomm::solveModeName(SolveMode M) {
@@ -131,15 +112,22 @@ bool semcomm::dischargeOneShot(ExprFactory &F, const MethodPlan &Plan,
                                SymbolicResult &R) {
   std::unique_ptr<SmtSession> Session;
   proof::CertifySummary Cert;
+  size_t Unfolded = R.ProofQueryIds.size(); ///< First query of Session.
   // Folds a finished split's session into the method's totals. Its trace
-  // dies with it, so the trace is checked here, split by split.
+  // dies with it, so the trace is checked here, split by split; the fold
+  // appends its queries, so their numbers shift past those already held.
   auto Close = [&] {
     if (!Session)
       return;
     R.DbReductions += static_cast<uint64_t>(Session->dbReductions());
     R.ReclaimedClauses += static_cast<uint64_t>(Session->reclaimedClauses());
-    if (Certify)
+    if (Certify) {
+      auto Offset = static_cast<uint32_t>(Cert.QueryPassed.size());
+      for (size_t I = Unfolded; I != R.ProofQueryIds.size(); ++I)
+        R.ProofQueryIds[I] += Offset;
+      Unfolded = R.ProofQueryIds.size();
       Cert.fold(Session->finishCertification());
+    }
   };
   bool Ok = dischargeSplits(
       Plan, Budget, /*Sels=*/{}, /*SelLabels=*/{}, /*PeakRetained=*/nullptr,

@@ -90,11 +90,11 @@ struct SymbolicResult {
   std::vector<std::string> CoreLabels;
   std::string Countermodel; ///< Diagnostic atoms of a failed proof.
 
-  /// Certification (populated only when the session certifies): the proof
-  /// tags of this method's Unsat verdicts, in discharge order — the keys
-  /// its certificates carry in the session's proof trace.
-  std::vector<std::string> ProofQueryTags;
-  /// Certified query count (== ProofQueryTags.size(); kept separately so
+  /// Certification (populated only when the session certifies): the Query
+  /// numbers of this method's Unsat verdicts, in discharge order — the
+  /// keys its certificates have in the session's CertifySummary.
+  std::vector<uint32_t> ProofQueryIds;
+  /// Certified query count (== ProofQueryIds.size(); kept separately so
   /// the driver's JSON row needs no recount).
   uint64_t ProofQueries = 0;
   /// Checker database high-water mark of the certifying session (a
@@ -111,7 +111,7 @@ struct SymbolicResult {
 
 /// Stamps a certifying session's checked trace onto one method result:
 /// the checker's database high-water mark, and whether every one of the
-/// method's own Unsat-query tags was checked and passed (a fatal trace
+/// method's own Unsat-query numbers was checked and passed (a fatal trace
 /// error voids everything — the trace itself could not be replayed).
 void stampCertification(const proof::CertifySummary &S, SymbolicResult &R);
 

@@ -216,8 +216,8 @@ public:
   void setClauseGcBudget(int64_t Budget) { GcBudget = Budget; }
 
   /// Turns on certified verdicts (the driver's --certify knob): every
-  /// session the engine opens logs a DRAT-style proof trace, the
-  /// independent RUP checker replays it when the session closes, and each
+  /// session the engine opens logs a hinted proof trace, the independent
+  /// checker walks it when the session closes, and each
   /// method's SymbolicResult records whether its Unsat verdicts carried
   /// checked certificates (ProofQueries / ProofClauses / ProofChecked).
   void setCertify(bool C) { Certify = C; }

@@ -124,7 +124,8 @@ public:
 
   bool certifying() const { return Cfg.Base.Certify; }
   /// Folds every shard's certification outcome (each shard's trace is
-  /// checked independently — per-shard --certify).
+  /// checked independently — per-shard --certify); shard k's query
+  /// numbers follow those of shards 0..k-1.
   proof::CertifySummary finishCertification();
 
   /// Serializes the full sharded image (schema 2): front-end counters, the

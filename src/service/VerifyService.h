@@ -88,7 +88,7 @@ struct ServiceVerdict {
 struct ServiceConfig {
   bool CompactBridges = true;   ///< Bridge compaction on the warm session.
   bool ReleaseSelectors = true; ///< Fold retired selectors off the trail.
-  bool Certify = false;         ///< DRAT proof logging + RUP checking.
+  bool Certify = false;         ///< Hinted proof logging + checking.
   int SeqLenBound = 3;          ///< ArrayList case-split bound.
   int64_t ConflictBudget = 200000; ///< Per-VC CDCL conflict budget.
   size_t CompactMinDead = 64; ///< Dead-entry floor for a compaction pass.
@@ -145,8 +145,8 @@ public:
   /// served: grouped by family, then by pair, both in first-appearance
   /// order. A non-null \p Methods receives two method results per returned
   /// verdict, in verdict order: soundness, then completeness (what a
-  /// driver job row needs: VCs, conflicts, proof core, proof tags, wall
-  /// time).
+  /// driver job row needs: VCs, conflicts, proof core, certificate query
+  /// numbers, wall time).
   std::vector<ServiceVerdict>
   drain(std::vector<SymbolicResult> *Methods = nullptr);
 

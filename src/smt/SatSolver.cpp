@@ -13,20 +13,71 @@
 
 using namespace semcomm;
 
-namespace {
-/// The proof trace speaks signed DIMACS ints; Lit::Encoded already is one.
-std::vector<int> proofLits(const std::vector<Lit> &C) {
-  std::vector<int> Out;
-  Out.reserve(C.size());
+const std::vector<int> &SatSolver::proofLits(const std::vector<Lit> &C) {
+  // The proof trace speaks signed DIMACS ints; Lit::Encoded already is one.
+  ProofLits.clear();
   for (Lit L : C)
-    Out.push_back(L.Encoded);
-  return Out;
+    ProofLits.push_back(L.Encoded);
+  return ProofLits;
 }
-} // namespace
 
-void SatSolver::logQueryProof(const std::vector<Lit> &Core) {
-  if (Proof)
-    Proof->addQuery(proofLits(Core), Clauses.size());
+uint32_t SatSolver::logQueryProof(const std::vector<Lit> &Core) {
+  assert(Proof && "logQueryProof without a proof trace");
+  return Proof->addQuery(static_cast<int>(Clauses.size()), proofLits(Core),
+                         CoreChain);
+}
+
+int SatSolver::rootUnitId(int Var) {
+  UnitStack.push_back(Var);
+  while (!UnitStack.empty()) {
+    int V = UnitStack.back();
+    size_t S = static_cast<size_t>(V);
+    if (UnitId[S] != 0) {
+      UnitStack.pop_back();
+      continue;
+    }
+    // A root literal without a unit ID was implied at level 0: its reason's
+    // other literals are root literals assigned earlier, so this recursion
+    // (kept on an explicit stack) bottoms out at the trail's start.
+    assert(Level[S] == 0 && Reason[S] >= 0 && "root literal without a reason");
+    const Clause &R = Clauses[static_cast<size_t>(Reason[S])];
+    bool Ready = true;
+    for (Lit Q : R.Lits)
+      if (Q.var() != V && UnitId[static_cast<size_t>(Q.var())] == 0) {
+        UnitStack.push_back(Q.var());
+        Ready = false;
+      }
+    if (!Ready)
+      continue;
+    UnitHints.clear();
+    for (Lit Q : R.Lits)
+      if (Q.var() != V)
+        UnitHints.push_back(UnitId[static_cast<size_t>(Q.var())]);
+    UnitHints.push_back(R.Id);
+    ProofLits.assign(1, Lit(V, Assign[S] == 1).Encoded);
+    UnitId[S] = Proof->addDerive(ProofLits, UnitHints);
+    UnitStack.pop_back();
+  }
+  return UnitId[static_cast<size_t>(Var)];
+}
+
+void SatSolver::buildChain(std::vector<int> &Out) {
+  Out.clear();
+  for (int V : ChainRoots)
+    Out.push_back(rootUnitId(V));
+  Out.insert(Out.end(), WalkIds.rbegin(), WalkIds.rend());
+}
+
+void SatSolver::logRootConflict(int ConflictIdx) {
+  // Every literal of the conflict clause is false at root: the units of
+  // their negations make the clause itself the conflict.
+  ChainRoots.clear();
+  for (Lit Q : Clauses[static_cast<size_t>(ConflictIdx)].Lits)
+    ChainRoots.push_back(Q.var());
+  WalkIds.assign(1, Clauses[static_cast<size_t>(ConflictIdx)].Id);
+  buildChain(ChainBuf);
+  ProofLits.clear();
+  EmptyId = Proof->addDerive(ProofLits, ChainBuf);
 }
 
 SatSolver::SatSolver() {
@@ -66,6 +117,8 @@ int SatSolver::addVar() {
   Activity.push_back(0.0);
   SavedPhase.push_back(0);
   IsFree.push_back(0);
+  if (Proof)
+    UnitId.push_back(0);
   Watches.resize(Watches.size() + 2);
   if (numLiveVars() > PeakLiveVars)
     PeakLiveVars = numLiveVars();
@@ -101,29 +154,32 @@ void SatSolver::addClause(const std::vector<Lit> &Input) {
   // are exactly the clauses the solver stores (or pins on the trail), so
   // later Delete records match; the normalization itself joins the trust
   // base, as the CNF stream does in standard DRAT checking.
+  int Id = Proof ? Proof->addInput(proofLits(C)) : 0;
   if (C.empty()) {
-    if (Proof)
-      Proof->addInput({});
+    EmptyId = Id;
     Unsatisfiable = true;
     return;
   }
   if (C.size() == 1) {
-    if (Proof)
-      Proof->addInput({C[0].Encoded});
     if (valueOf(C[0]) == 0) {
       Unsatisfiable = true;
       return;
     }
-    if (valueOf(C[0]) == Undef)
+    if (valueOf(C[0]) == Undef) {
       enqueue(C[0], -1);
-    if (propagate() != -1)
+      if (Proof)
+        UnitId[static_cast<size_t>(C[0].var())] = Id;
+    }
+    int ConflictIdx = propagate();
+    if (ConflictIdx != -1) {
+      if (Proof)
+        logRootConflict(ConflictIdx);
       Unsatisfiable = true;
+    }
     return;
   }
-  if (Proof)
-    Proof->addInput(proofLits(C));
 
-  Clauses.push_back({std::move(C), false, 0, 0.0});
+  Clauses.push_back({std::move(C), false, 0, 0.0, Id});
   attach(static_cast<int>(Clauses.size()) - 1);
   if (Clauses.size() > PeakClauses)
     PeakClauses = Clauses.size();
@@ -213,19 +269,35 @@ void SatSolver::analyze(int ConflictIdx, std::vector<Lit> &Learned,
   bool HaveP = false;
   size_t TrailIdx = Trail.size();
   int CI = ConflictIdx;
+  if (Proof) {
+    WalkIds.clear();
+    ChainRoots.clear();
+  }
 
   do {
     assert(CI != -1 && "analysis walked past a decision");
     if (Clauses[CI].Learned)
       bumpClauseActivity(CI); // A lemma useful in analysis is worth keeping.
     const Clause &C = Clauses[CI];
+    if (Proof)
+      WalkIds.push_back(C.Id);
     for (size_t I = (HaveP ? 1 : 0); I != C.Lits.size(); ++I) {
       Lit Q = C.Lits[I];
       if (HaveP && Q == P)
         continue;
       int V = Q.var();
-      if (SeenVar[V] || Level[V] == 0)
+      if (SeenVar[V])
         continue;
+      if (Level[V] == 0) {
+        // Skipped by the resolution, but the chain names its unit. Marking
+        // it seen cannot stop the trail walk below early: root literals
+        // sit beneath every current-level one.
+        if (Proof) {
+          SeenVar[V] = true;
+          ChainRoots.push_back(V);
+        }
+        continue;
+      }
       SeenVar[V] = true;
       bumpActivity(V);
       if (Level[V] == currentLevel())
@@ -308,28 +380,48 @@ void SatSolver::analyzeFinal(Lit Failed) {
   // database) falsifies \p Failed: walk the implication graph backwards
   // from ~Failed; every decision reached is an assumption (assumptions are
   // the only decisions while they are being placed).
+  //
+  // The chain walks the same graph forwards: the unit IDs of the root
+  // literals it touches, the reasons of the implied literals in trail
+  // order, and last the reason of ~Failed, which conflicts with Failed.
   AssumpCore.clear();
   AssumpCore.push_back(Failed);
-  if (currentLevel() == 0)
-    return;
-  std::vector<bool> SeenVar(Assign.size(), false);
-  SeenVar[Failed.var()] = true;
-  for (size_t I = Trail.size(); I > static_cast<size_t>(TrailLim[0]); --I) {
-    int V = Trail[I - 1].var();
-    if (!SeenVar[V])
-      continue;
-    if (Reason[V] == -1) {
-      // A decision reached from the failed assumption is itself an
-      // assumption (possibly Failed's own negation, when the assumption
-      // list is directly contradictory).
-      AssumpCore.push_back(Trail[I - 1]);
-    } else {
-      for (Lit Q : Clauses[Reason[V]].Lits)
-        if (Level[Q.var()] > 0)
-          SeenVar[Q.var()] = true;
-    }
-    SeenVar[V] = false;
+  if (Proof) {
+    WalkIds.clear();
+    ChainRoots.clear();
+    if (Level[Failed.var()] == 0)
+      ChainRoots.push_back(Failed.var());
   }
+  if (currentLevel() > 0) {
+    std::vector<bool> SeenVar(Assign.size(), false);
+    SeenVar[Failed.var()] = true;
+    for (size_t I = Trail.size(); I > static_cast<size_t>(TrailLim[0]); --I) {
+      int V = Trail[I - 1].var();
+      if (!SeenVar[V])
+        continue;
+      if (Reason[V] == -1) {
+        // A decision reached from the failed assumption is itself an
+        // assumption (possibly Failed's own negation, when the assumption
+        // list is directly contradictory).
+        AssumpCore.push_back(Trail[I - 1]);
+      } else {
+        const Clause &R = Clauses[Reason[V]];
+        if (Proof)
+          WalkIds.push_back(R.Id);
+        for (Lit Q : R.Lits) {
+          if (Level[Q.var()] > 0) {
+            SeenVar[Q.var()] = true;
+          } else if (Proof && !SeenVar[Q.var()]) {
+            SeenVar[Q.var()] = true; // Root vars are never walked.
+            ChainRoots.push_back(Q.var());
+          }
+        }
+      }
+      SeenVar[V] = false;
+    }
+  }
+  if (Proof)
+    buildChain(CoreChain);
 }
 
 SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
@@ -342,12 +434,14 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
   }
   AssumpCore.clear();
   backtrack(0);
-  if (Unsatisfiable)
-    return SatResult::Unsat;
-  if (propagate() != -1) {
-    Unsatisfiable = true;
+  if (Unsatisfiable) {
+    if (Proof)
+      CoreChain.assign(1, EmptyId);
     return SatResult::Unsat;
   }
+  int RootConflict = propagate();
+  if (RootConflict != -1)
+    return rootUnsat(RootConflict);
   maybeReduceDb();
 
   int64_t StartConflicts = Conflicts;
@@ -359,10 +453,8 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
     if (ConflictIdx != -1) {
       ++Conflicts;
       ++SinceRestart;
-      if (currentLevel() == 0) {
-        Unsatisfiable = true;
-        return SatResult::Unsat;
-      }
+      if (currentLevel() == 0)
+        return rootUnsat(ConflictIdx);
       if (MaxConflicts >= 0 && Conflicts - StartConflicts > MaxConflicts) {
         backtrack(0);
         return SatResult::Unknown;
@@ -372,15 +464,20 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
       int BackLevel = 0, Glue = 0;
       analyze(ConflictIdx, Learned, BackLevel, Glue);
       backtrack(BackLevel);
-      if (Proof)
-        Proof->addDerive(proofLits(Learned));
+      int Id = 0;
+      if (Proof) {
+        buildChain(ChainBuf);
+        Id = Proof->addDerive(proofLits(Learned), ChainBuf);
+      }
       if (Learned.size() == 1) {
         // Asserting unit: analyze() computed BackLevel 0, so the trail is
         // already at the root and the unit survives every future solve.
         assert(currentLevel() == 0 && "unit learned above the root");
         enqueue(Learned[0], -1);
+        if (Proof)
+          UnitId[static_cast<size_t>(Learned[0].var())] = Id;
       } else {
-        Clauses.push_back({Learned, true, Glue, ClauseActInc});
+        Clauses.push_back({Learned, true, Glue, ClauseActInc, Id});
         ++LearnedClauses;
         ++LearnedAlive;
         if (Clauses.size() > PeakClauses)
@@ -431,6 +528,15 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
     // Saved-phase polarity (negative-first for never-assigned variables).
     enqueue(Lit(V, SavedPhase[V] == 1), -1);
   }
+}
+
+SatResult SatSolver::rootUnsat(int ConflictIdx) {
+  if (Proof) {
+    logRootConflict(ConflictIdx);
+    CoreChain.assign(1, EmptyId);
+  }
+  Unsatisfiable = true;
+  return SatResult::Unsat;
 }
 
 bool SatSolver::modelValue(int Var) const {
@@ -485,8 +591,7 @@ size_t SatSolver::reduceDb() {
     Remove[static_cast<size_t>(Candidates[I])] = true;
   if (Proof)
     for (size_t I = 0; I != Target; ++I)
-      Proof->addDelete(
-          proofLits(Clauses[static_cast<size_t>(Candidates[I])].Lits));
+      Proof->addDelete(Clauses[static_cast<size_t>(Candidates[I])].Id);
   compactClauses(Remove);
 
   LearnedAlive -= static_cast<int64_t>(Target);
@@ -556,13 +661,13 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // their reasons (analyze/analyzeFinal skip level-0 vars), so detaching
   // the root reasons makes every clause a legal deletion candidate. The
   // sweep below may evict exactly those reason clauses, so a certifying
-  // run first dumps every still-implied root literal as a derived unit —
-  // each is RUP at this moment, and the dump cannot repeat across
-  // retirements because the reasons are detached right after.
+  // run first derives the unit of every root literal that has none yet —
+  // in trail order, so each one's antecedent units already exist; a later
+  // chain can then name the unit instead of the evicted reason.
   if (Proof)
     for (Lit L : Trail)
-      if (Reason[L.var()] >= 0)
-        Proof->addDerive({L.Encoded});
+      if (UnitId[static_cast<size_t>(L.var())] == 0)
+        rootUnitId(L.var());
   for (Lit L : Trail)
     Reason[L.var()] = -1;
 
@@ -609,7 +714,7 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
     if (Proof)
       for (size_t I = 0; I != Clauses.size(); ++I)
         if (Remove[I])
-          Proof->addDelete(proofLits(Clauses[I].Lits));
+          Proof->addDelete(Clauses[I].Id);
     compactClauses(Remove);
     LearnedAlive -= LearnedRemoved;
     EvictedClauses += static_cast<int64_t>(Removed);
@@ -637,7 +742,6 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
       Occurs[static_cast<size_t>(L.var())] = true;
   bool TrailDirty = false;
   std::vector<bool> DropFromTrail(Assign.size(), false);
-  std::vector<int> RecycleLog; ///< Recycle records, after the unit deletes.
   for (int V = 1; V <= numVars(); ++V) {
     size_t S = static_cast<size_t>(V);
     if (Occurs[S] || IsFree[S])
@@ -651,8 +755,11 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
       // The pinned fact leaves the formula with its variable: log the unit
       // deletion, or the checker would (rightly) refuse to recycle an
       // index that still carries an axiom.
-      if (Proof)
-        Proof->addDelete({Lit(V, Assign[S] == 1).Encoded});
+      if (Proof) {
+        assert(UnitId[S] != 0 && "root literal without a unit clause");
+        Proof->addDelete(UnitId[S]);
+        UnitId[S] = 0;
+      }
       Assign[S] = Undef;
       Level[S] = 0;
       DropFromTrail[S] = true;
@@ -666,14 +773,9 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
       IsFree[S] = 1;
       ++RecycledVars;
       if (Proof)
-        RecycleLog.push_back(V);
+        Proof->addRecycle(V);
     }
   }
-  // Recycle records go after every unit delete of the batch so the checker
-  // rebuilds its root state once, not per variable.
-  if (Proof)
-    for (int V : RecycleLog)
-      Proof->addRecycle(V);
   if (TrailDirty) {
     // Root level: no decision marks to maintain, and dropping a literal
     // nothing mentions cannot enable or retract any propagation.

@@ -35,6 +35,14 @@
 /// held), which keeps the search near previously satisfying regions across
 /// the near-identical queries of one session.
 ///
+/// With a proof trace attached (setProofTrace) the solver certifies: every
+/// stored clause carries the ID of the Input/Derive step that introduced
+/// it, and each learned clause is logged with the chain of IDs its
+/// first-UIP analysis resolved (LRAT-style hints), so the independent
+/// checker (proof/ProofChecker.h) verifies each step in one linear walk.
+/// Logging only watches the search: it changes nothing the solver learns,
+/// deletes or decides. Without a trace the solver logs nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMCOMM_SMT_SATSOLVER_H
@@ -223,20 +231,30 @@ public:
   /// contains that literal — the invariant reduceDb() must preserve.
   bool reasonInvariantHolds() const;
 
-  /// Attaches a DRAT-style proof trace (proof/ProofTrace.h). Must be set
-  /// before the first addClause() so the trace sees every stored clause;
-  /// the solver does not own the trace. While attached, the solver logs
-  /// every stored input clause, every learned clause (including the
-  /// root-trail literals dumped before a retirement detaches their
-  /// reasons), every deletion — reduceDb, retireScopes, and the unit
-  /// clauses compacted off the trail when a pinned variable is recycled —
-  /// and every recycled variable index.
-  void setProofTrace(proof::ProofTrace *P) { Proof = P; }
+  /// Attaches a hinted proof trace (proof/ProofTrace.h). Must be set
+  /// before the first addVar() so the trace sees every stored clause; the
+  /// solver does not own the trace. While attached, every stored clause
+  /// carries the proof ID of its Input/Derive step (IDs survive
+  /// compaction), and the solver logs every stored input clause; every
+  /// learned clause with its chain (root-literal unit IDs, then the reason
+  /// clauses resolved in trail order, then the conflict clause); the empty
+  /// clause of a root conflict; every deletion — reduceDb, retireScopes,
+  /// and the unit clauses compacted off the trail when a pinned variable
+  /// is recycled — by ID; and every recycled variable index.
+  ///
+  /// A root-implied literal gets a unit clause ID lazily: it is derived
+  /// (its reason plus the unit IDs of the reason's other literals) no
+  /// later than the first chain that needs it, and retireScopes derives
+  /// the rest before it detaches the reasons its sweep may delete.
+  void setProofTrace(proof::ProofTrace *P) {
+    Proof = P;
+    UnitId.assign(Assign.size(), 0);
+  }
   proof::ProofTrace *proofTrace() const { return Proof; }
-  /// Logs one Query step: \p Core is the final unsat core of a verdict the
-  /// caller wants certified; the live stored-clause count is stamped so
-  /// the checker can cross-check its mirrored database.
-  void logQueryProof(const std::vector<Lit> &Core);
+  /// Logs one Query step and returns its number: \p Core must be the core
+  /// of the most recent Unsat answer; the step carries that solve's chain
+  /// and the live stored-clause count the checker cross-checks.
+  uint32_t logQueryProof(const std::vector<Lit> &Core);
 
 private:
   enum : uint8_t { Undef = 2 };
@@ -246,6 +264,7 @@ private:
     bool Learned = false;
     int Glue = 0;       ///< LBD at learning time; <= 2 is GC-protected.
     double Act = 0.0;   ///< Bumped when used in conflict analysis.
+    int Id = 0;         ///< Proof clause ID (0 unless certifying).
   };
 
   struct Watcher {
@@ -296,6 +315,16 @@ private:
   std::vector<uint8_t> IsFree;   ///< Per-var free-list membership.
   bool RecyclingEnabled = true;
   proof::ProofTrace *Proof = nullptr; ///< Not owned; null = no logging.
+  // Proof bookkeeping (touched only while a trace is attached).
+  std::vector<int> UnitId;     ///< Per var: ID of its root unit clause, or 0.
+  int EmptyId = 0;             ///< ID of the logged empty clause, or 0.
+  std::vector<int> CoreChain;  ///< Chain of the most recent Unsat answer.
+  std::vector<int> ProofLits;  ///< Buffer: literals of the step in hand.
+  std::vector<int> ChainBuf;   ///< Buffer: a learned clause's chain.
+  std::vector<int> WalkIds;    ///< Buffer: clauses a walk resolved.
+  std::vector<int> ChainRoots; ///< Buffer: root vars a walk skipped.
+  std::vector<int> UnitHints;  ///< Buffer: a root unit's chain.
+  std::vector<int> UnitStack;  ///< Buffer: root units awaiting their IDs.
   int64_t RecycledVars = 0;
   int64_t ReleasedSelectors = 0;
   int64_t VarRequests = 0;
@@ -324,6 +353,20 @@ private:
   /// reduceDb() and retireScope()).
   void compactClauses(const std::vector<bool> &Remove);
   void analyzeFinal(Lit Failed); ///< Fills AssumpCore from the trail.
+  /// A solve-time root conflict on \p ConflictIdx: the database is Unsat.
+  SatResult rootUnsat(int ConflictIdx);
+
+  /// Proof helpers (call only with a trace attached).
+  const std::vector<int> &proofLits(const std::vector<Lit> &C);
+  /// The ID of the unit clause asserting \p Var's root literal, deriving
+  /// it (and, first, any unit its reason needs) when it has none yet.
+  int rootUnitId(int Var);
+  /// Writes a walk's chain to \p Out: the unit IDs of ChainRoots, then
+  /// WalkIds reversed (a walk visits the trail latest-first, the checker
+  /// needs it in trail order).
+  void buildChain(std::vector<int> &Out);
+  /// Logs the empty clause of a root conflict on clause \p ConflictIdx.
+  void logRootConflict(int ConflictIdx);
   void backtrack(int ToLevel);
   void bumpActivity(int Var);
   void bumpClauseActivity(int ClauseIdx);

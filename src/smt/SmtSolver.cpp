@@ -812,10 +812,13 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
           break;
         }
     std::sort(LastCoreIdx.begin(), LastCoreIdx.end());
-    // One certified verdict: the minimized core under the caller's current
-    // proof tag. Sat/Unknown checks have no certificate — a countermodel
-    // is its own witness, and the engine treats Unknown as a failed proof.
-    Sat.logQueryProof(Core);
+    // One certified verdict: the minimized core, which came from the last
+    // Unsat solve above (a round that ends otherwise keeps the previous
+    // core, and the solver keeps that solve's chain). Sat/Unknown checks
+    // have no certificate — a countermodel is its own witness, and the
+    // engine treats Unknown as a failed proof.
+    if (ProofLog)
+      LastProofQuery = Sat.logQueryProof(Core);
   }
   LastConflicts = Sat.numConflicts() - ConflictsBefore;
   LastDecisions = Sat.numDecisions() - DecisionsBefore;

@@ -200,24 +200,22 @@ public:
 
   /// --- Certification (proof logging + independent checking) -----------
   ///
-  /// Turns on DRAT-style proof logging. Must be called before the first
+  /// Turns on hinted proof logging. Must be called before the first
   /// assertion or check: the trace has to see every stored clause, or the
   /// checker would reject honest deletions. Each Unsat check() logs one
-  /// Query step carrying the current proof tag and the minimized core.
+  /// Query step carrying the minimized core and the chain of the solve
+  /// that produced it.
   void enableCertification();
   bool certifying() const { return ProofLog != nullptr; }
-  /// Tag stamped onto subsequently certified verdicts (the selector path
-  /// of the verification condition being discharged).
-  void setProofTag(const std::string &T) {
-    if (ProofLog)
-      ProofLog->setTag(T);
-  }
+  /// The number of the Query step the last Unsat check() logged (the key
+  /// its certificate has in finishCertification()'s summary).
+  uint32_t lastProofQuery() const { return LastProofQuery; }
   /// Replays the accumulated trace through the independent proof::
   /// ProofChecker and caches the outcome. Idempotent; cheap when
   /// certification was never enabled (returns an unchecked summary).
   const proof::CertifySummary &finishCertification();
   /// The live trace (null unless certifying) — exposed for the rejection
-  /// tests, which mutate serialized copies.
+  /// tests, which check edited copies.
   proof::ProofTrace *proofTrace() { return ProofLog.get(); }
 
   /// Attaches a discipline event log (scope/assert/check/retire plus the
@@ -395,6 +393,7 @@ private:
   std::unique_ptr<proof::ProofTrace> ProofLog; ///< Null unless certifying.
   proof::CertifySummary Cert;
   bool CertFinished = false;
+  uint32_t LastProofQuery = 0;
   audit::Log *Audit = nullptr; ///< Optional discipline event log.
 
   size_t Checks = 0;

@@ -672,6 +672,7 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   Opts.Engine = EngineKind::Symbolic;
   Opts.Families = {"Accumulator", "Set"};
   Opts.Threads = 1;
+  Opts.Certify = true; // So the row carries a proof-check time.
 
   Report R = runFullCatalog(Fx.C, Opts);
   ASSERT_EQ(R.CatalogSessions.size(), 1u);
@@ -684,6 +685,9 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
     EXPECT_GT(R.CatalogSessions[I].PairPlanMillis, 0.0);
     EXPECT_EQ(Back->CatalogSessions[I].PairPlanMillis,
               R.CatalogSessions[I].PairPlanMillis);
+    EXPECT_GT(R.CatalogSessions[I].ProofCheckMillis, 0.0);
+    EXPECT_EQ(Back->CatalogSessions[I].ProofCheckMillis,
+              R.CatalogSessions[I].ProofCheckMillis);
     EXPECT_EQ(Back->CatalogSessions[I].Millis, R.CatalogSessions[I].Millis);
   }
   EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));

@@ -9,11 +9,13 @@
 /// \file
 /// Covers the certification tentpole in three layers:
 ///
-///  * ProofChecker unit tests over hand-built traces (acceptance and the
-///    persistent-root-propagation completeness case);
-///  * rejection tests: corrupted, truncated, and permuted proofs — and a
-///    "mutated solver" that skips one deletion record — must all fail
-///    certification, pinning down that the checker is not a rubber stamp;
+///  * ProofTrace text-form tests (round trip, truncation, out-of-range
+///    integers) and ProofChecker unit tests over hand-built hinted traces;
+///  * rejection tests: corrupted, truncated, and permuted proofs, chains
+///    naming deleted or unlogged clauses or ending without a conflict, a
+///    core missing a literal its chain needs — and a "mutated solver" that
+///    skips one deletion record — must all fail certification, pinning
+///    down that the checker is not a rubber stamp;
 ///  * solver-integrated certification: warm SmtSessions and the symbolic
 ///    engines certify real catalog slices through reduceDb, scope
 ///    retirement, and variable recycling, and the checked verdicts agree
@@ -44,16 +46,33 @@ using namespace semcomm::proof;
 
 namespace {
 
+/// Clauses 1 = {1, 2} and 2 = {-1, 2}; clause 3 = {2} by resolution.
 ProofTrace sampleTrace() {
   ProofTrace T;
   T.addInput({1, 2});
   T.addInput({-1, 2});
-  T.addDerive({2});
-  T.setTag("unit test");
-  T.addQuery({-2}, 2);
-  T.addDelete({1, 2});
+  T.addDerive({2}, {1, 2}); // Assume -2: clause 1 forces 1, clause 2 fails.
+  T.addQuery(2, {-2}, {3});
+  T.addDelete(1);
   T.addRecycle(3);
   return T;
+}
+
+/// Copies \p T step by step through \p Edit, which may rewrite a step in
+/// place (pointing its spans at buffers that outlive the call) or return
+/// false to drop it.
+template <typename EditFn> ProofTrace edited(const ProofTrace &T, EditFn Edit) {
+  ProofTrace Out;
+  for (StepView S : T)
+    if (Edit(S))
+      Out.append(S);
+  return Out;
+}
+
+std::string parseError(const std::string &Text) {
+  std::string Error;
+  EXPECT_FALSE(ProofTrace::parse(Text, &Error).has_value()) << Text;
+  return Error;
 }
 
 } // namespace
@@ -61,19 +80,30 @@ ProofTrace sampleTrace() {
 TEST(ProofTraceTest, SerializeParseRoundtrip) {
   ProofTrace T = sampleTrace();
   std::string Text = T.serialize();
-  std::optional<ProofTrace> P = ProofTrace::parse(Text);
-  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(Text, "p semcommute-proof 6\n"
+                  "i 1 2 0\n"
+                  "i -1 2 0\n"
+                  "l 2 0 1 2 0\n"
+                  "q 2 -2 0 3 0\n"
+                  "d 1 0\n"
+                  "r 3 0\n");
+  std::string Error;
+  std::optional<ProofTrace> P = ProofTrace::parse(Text, &Error);
+  ASSERT_TRUE(P.has_value()) << Error;
   ASSERT_EQ(P->size(), T.size());
-  for (size_t I = 0; I != T.size(); ++I) {
-    EXPECT_EQ(P->steps()[I].Kind, T.steps()[I].Kind) << "step " << I;
-    EXPECT_EQ(P->steps()[I].Lits, T.steps()[I].Lits) << "step " << I;
-    EXPECT_EQ(P->steps()[I].Var, T.steps()[I].Var) << "step " << I;
-    EXPECT_EQ(P->steps()[I].LiveClauses, T.steps()[I].LiveClauses)
-        << "step " << I;
-    EXPECT_EQ(P->steps()[I].Tag, T.steps()[I].Tag) << "step " << I;
+  EXPECT_EQ(P->numQueries(), 1u);
+  EXPECT_EQ(P->numClauses(), 3);
+  ProofTrace::Iterator A = T.begin(), B = P->begin();
+  for (size_t I = 0; I != T.size(); ++I, ++A, ++B) {
+    StepView X = *A, Y = *B;
+    EXPECT_EQ(X.Kind, Y.Kind) << "step " << I;
+    EXPECT_EQ(X.Lits.vec(), Y.Lits.vec()) << "step " << I;
+    EXPECT_EQ(X.Hints.vec(), Y.Hints.vec()) << "step " << I;
+    EXPECT_EQ(X.Id, Y.Id) << "step " << I;
+    EXPECT_EQ(X.Var, Y.Var) << "step " << I;
+    EXPECT_EQ(X.LiveClauses, Y.LiveClauses) << "step " << I;
   }
-  // Tags are one token: the space was folded at setTag time.
-  EXPECT_EQ(T.steps()[3].Tag, "unit_test");
+  EXPECT_EQ(P->serialize(), Text);
 }
 
 TEST(ProofTraceTest, TruncatedTextFailsToParse) {
@@ -82,10 +112,42 @@ TEST(ProofTraceTest, TruncatedTextFailsToParse) {
   // instead of a silently shorter proof.
   size_t LastNl = Text.find_last_of('\n', Text.size() - 2);
   ASSERT_NE(LastNl, std::string::npos);
-  EXPECT_FALSE(ProofTrace::parse(Text.substr(0, LastNl + 1)).has_value());
-  // Garbage prefix and empty text fail too.
+  EXPECT_NE(parseError(Text.substr(0, LastNl + 1)).find("header declares"),
+            std::string::npos);
+  // Cut mid-line, garbage prefix and empty text fail too.
+  EXPECT_NE(parseError(Text.substr(0, Text.size() - 2)).find("line 7"),
+            std::string::npos);
   EXPECT_FALSE(ProofTrace::parse("").has_value());
-  EXPECT_FALSE(ProofTrace::parse("c not a proof\n" + Text).has_value());
+  EXPECT_NE(parseError("c not a proof\n" + Text).find("line 1"),
+            std::string::npos);
+  // A chain without its terminator, and a step kind nobody writes.
+  EXPECT_NE(parseError("p semcommute-proof 1\nl 1 0 2\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(parseError("p semcommute-proof 1\nx 1 0\n").find("step kind"),
+            std::string::npos);
+}
+
+TEST(ProofTraceTest, OutOfRangeIntegersAreRejected) {
+  // Each value is outside its field's range; none may be narrowed into a
+  // plausible one (a literal 1 or -1, variable 0, a huge live count).
+  struct Case {
+    const char *Line;
+    const char *Field;
+  };
+  for (const Case &C : {Case{"i 4294967297 2 0", "field 1 (literal)"},
+                        Case{"i 99999999999999999999 2 0", "field 1 (literal)"},
+                        Case{"r 4294967296 0", "field 1 (variable)"},
+                        Case{"q 99999999999999999999999 1 0 1 0",
+                             "field 1 (count)"},
+                        Case{"l 1 0 4294967296 0", "field 3 (clause ID)"},
+                        Case{"d 0 0", "field 1 (clause ID)"}}) {
+    std::string Error =
+        parseError(std::string("p semcommute-proof 1\n") + C.Line + "\n");
+    EXPECT_NE(Error.find("line 2"), std::string::npos) << C.Line << ": "
+                                                        << Error;
+    EXPECT_NE(Error.find(C.Field), std::string::npos) << C.Line << ": "
+                                                       << Error;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -93,57 +155,49 @@ TEST(ProofTraceTest, TruncatedTextFailsToParse) {
 //===----------------------------------------------------------------------===//
 
 TEST(ProofCheckerTest, AcceptsResolutionDerivation) {
-  ProofTrace T;
-  T.addInput({1, 2});
-  T.addInput({-1, 2});
-  T.addDerive({2}); // RUP: assume -2, both inputs force a conflict on 1.
-  T.setTag("q0");
-  T.addQuery({-2}, 2); // Core -2 conflicts with the derived unit 2.
   ProofChecker C;
-  CheckResult R = C.check(T);
-  EXPECT_TRUE(R.Ok) << R.Error;
+  CheckResult R = C.check(sampleTrace());
+  EXPECT_TRUE(R.Ok) << R.Error << R.QueryError;
+  EXPECT_EQ(R.StepsChecked, 6u);
   EXPECT_EQ(R.QueriesChecked, 1u);
   EXPECT_EQ(R.QueriesPassed, 1u);
-  ASSERT_EQ(R.Queries.size(), 1u);
-  EXPECT_EQ(R.Queries[0].Tag, "q0");
+  EXPECT_EQ(R.QueryPassed, std::vector<bool>{true});
+  EXPECT_EQ(R.PeakClauses, 2u); // The derived unit is not a stored clause.
 }
 
 TEST(ProofCheckerTest, PersistentRootStateReachesLaterQueries) {
-  // The unit consequences of early inputs must persist: the query's core
-  // alone does not conflict without first propagating 1 -> 2 -> 3.
+  // The unit consequences of early inputs reach a later query through its
+  // chain: the core alone does not conflict without 1 -> 2 -> 3.
   ProofTrace T;
   T.addInput({1});
   T.addInput({-1, 2});
   T.addInput({-2, 3});
-  T.setTag("chained");
-  T.addQuery({-3}, 2);
+  T.addQuery(2, {-3}, {1, 2, 3});
   ProofChecker C;
   CheckResult R = C.check(T);
-  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_TRUE(R.Ok) << R.Error << R.QueryError;
   EXPECT_EQ(R.QueriesPassed, 1u);
 }
 
 TEST(ProofCheckerTest, DeletionShrinksStateBeforeLaterSteps) {
-  // After deleting {-1, 2} the derived unit {2} must no longer be RUP —
-  // the checker has to rebuild its root fixpoint, not reuse stale
-  // propagation.
+  // After deleting {-1, 2} the derived unit {2} may no longer name it: a
+  // hint naming a deleted clause fails the trace.
   ProofTrace T;
   T.addInput({1, 2});
   T.addInput({-1, 2});
-  T.addDelete({-1, 2});
-  T.addDerive({2});
+  T.addDelete(2);
+  T.addDerive({2}, {1, 2});
   ProofChecker C;
   CheckResult R = C.check(T);
   EXPECT_FALSE(R.Ok);
-  EXPECT_FALSE(R.Error.empty());
+  EXPECT_NE(R.Error.find("deleted clause 2"), std::string::npos) << R.Error;
 }
 
 TEST(ProofCheckerTest, PruningDeletedClausesKeepsLiveOccurrences) {
-  // Literal 1's occurrence list starts with two deleted clauses, which
-  // propagation prunes. The first query conflicts in the middle of the
-  // list, on {1, 4}. The second needs the clause after that point: only
-  // literal 1's list can reach {1, 5}, which forces 5, and 5 forces both
-  // 6 and -6. A core that conflicts with nothing must still fail.
+  // Deleting clauses 1 and 2 leaves the clauses logged after them live
+  // and reachable: the first query conflicts on {1, 4}; the second needs
+  // {1, 5}, which forces 5, and 5 forces both 6 and -6. A chain whose
+  // first clause is already satisfied must still fail.
   ProofTrace T;
   T.addInput({1, 2});
   T.addInput({1, 3});
@@ -151,21 +205,18 @@ TEST(ProofCheckerTest, PruningDeletedClausesKeepsLiveOccurrences) {
   T.addInput({1, 5});
   T.addInput({-5, 6});
   T.addInput({-5, -6});
-  T.addDelete({1, 2});
-  T.addDelete({1, 3});
-  T.setTag("mid");
-  T.addQuery({-1, -4}, 4);
-  T.setTag("tail");
-  T.addQuery({-1}, 4);
-  T.setTag("none");
-  T.addQuery({-5}, 4);
+  T.addDelete(1);
+  T.addDelete(2);
+  T.addQuery(4, {-1, -4}, {3});
+  T.addQuery(4, {-1}, {4, 5, 6});
+  T.addQuery(4, {-5}, {5, 6});
   ProofChecker C;
   CheckResult R = C.check(T);
   EXPECT_TRUE(R.Error.empty()) << R.Error;
-  ASSERT_EQ(R.Queries.size(), 3u);
-  EXPECT_TRUE(R.Queries[0].Passed) << R.Queries[0].Error;
-  EXPECT_TRUE(R.Queries[1].Passed) << R.Queries[1].Error;
-  EXPECT_FALSE(R.Queries[2].Passed);
+  EXPECT_EQ(R.QueryPassed, (std::vector<bool>{true, true, false}));
+  EXPECT_NE(R.QueryError.find("query 2: hint clause 5 is satisfied"),
+            std::string::npos)
+      << R.QueryError;
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,70 +224,121 @@ TEST(ProofCheckerTest, PruningDeletedClausesKeepsLiveOccurrences) {
 //===----------------------------------------------------------------------===//
 
 TEST(ProofCheckerTest, RejectsNonRupDerivation) {
-  // A "learned" clause nothing entails (a corrupted literal).
+  // A "learned" clause nothing entails (a corrupted literal): its chain's
+  // only clause has two open literals.
   ProofTrace T;
   T.addInput({1, 2});
-  T.addDerive({3});
+  T.addDerive({3}, {1});
   ProofChecker C;
   CheckResult R = C.check(T);
   EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("not unit"), std::string::npos) << R.Error;
 }
 
 TEST(ProofCheckerTest, RejectsDeletionOfUnknownClause) {
-  ProofTrace T;
-  T.addInput({1, 2});
-  T.addDelete({1, 3});
-  ProofChecker C;
-  CheckResult R = C.check(T);
-  EXPECT_FALSE(R.Ok);
+  for (int Twice : {0, 1}) {
+    ProofTrace T;
+    T.addInput({1, 2});
+    T.addDelete(Twice ? 1 : 2); // ID 2 was never logged.
+    if (Twice)
+      T.addDelete(1);
+    ProofChecker C;
+    CheckResult R = C.check(T);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find("does not hold"), std::string::npos) << R.Error;
+  }
 }
 
 TEST(ProofCheckerTest, RejectsRecycleOfLiveVariable) {
   ProofTrace T;
   T.addInput({1, 2});
   T.addRecycle(1); // DIMACS variable 1, still in a live clause.
-  ProofChecker C;
-  CheckResult R = C.check(T);
-  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(ProofChecker().check(T).Ok);
+
+  ProofTrace Unit;
+  Unit.addInput({3});
+  Unit.addRecycle(3); // Still pinned by a unit.
+  EXPECT_FALSE(ProofChecker().check(Unit).Ok);
+
+  // Once its unit is deleted, the variable is dead and may be recycled.
+  ProofTrace Dead;
+  Dead.addInput({3});
+  Dead.addDelete(1);
+  Dead.addRecycle(3);
+  CheckResult R = ProofChecker().check(Dead);
+  EXPECT_TRUE(R.Ok) << R.Error;
 }
 
 TEST(ProofCheckerTest, RejectsQueryWithWrongLiveCount) {
+  ProofTrace T = sampleTrace();
+  ProofTrace Lying = edited(T, [](StepView &S) {
+    if (S.Kind == StepKind::Query)
+      S.LiveClauses = 7; // Solver claims 7 live clauses; checker holds 2.
+    return true;
+  });
+  ProofChecker C;
+  CheckResult R = C.check(Lying);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("live-clause mismatch"), std::string::npos);
+}
+
+TEST(ProofCheckerTest, RejectsHintNamingUnloggedClause) {
+  // A chain may only name clauses logged before its step: neither a
+  // future ID nor the step's own.
+  for (int Hint : {4, 3, 0}) {
+    ProofTrace T;
+    T.addInput({1, 2});
+    T.addInput({-1, 2});
+    T.addDerive({2}, {1, Hint});
+    ProofChecker C;
+    CheckResult R = C.check(T);
+    EXPECT_FALSE(R.Ok) << Hint;
+    EXPECT_NE(R.Error.find("not yet logged"), std::string::npos) << R.Error;
+  }
+}
+
+TEST(ProofCheckerTest, RejectsChainWithoutConflict) {
+  // Every hint is unit, but the walk runs out before any clause conflicts.
   ProofTrace T;
   T.addInput({1, 2});
-  T.addInput({-1, 2});
-  T.addDerive({2});
-  T.addQuery({-2}, 7); // Solver claims 7 live clauses; checker holds 2.
+  T.addInput({-1, 2, 3});
+  T.addDerive({2}, {1, 2});
   ProofChecker C;
   CheckResult R = C.check(T);
   EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("chain ends without a conflict"), std::string::npos)
+      << R.Error;
 }
 
-TEST(ProofCheckerTest, FailedQueryRupIsRecordedPerTag) {
+TEST(ProofCheckerTest, FailedQueryIsRecordedPerQuery) {
   // A core that does not conflict is a per-query failure, not a fatal
-  // trace error: later queries still check.
+  // trace error: later queries still check, and the summary keys each
+  // outcome by its query number.
   ProofTrace T;
   T.addInput({1, 2});
   T.addInput({-1, 2});
-  T.setTag("bogus");
-  T.addQuery({3}, 2); // Nothing constrains 3.
-  T.addDerive({2});
-  T.setTag("good");
-  T.addQuery({-2}, 2);
+  T.addQuery(2, {3}, {1}); // Nothing constrains 3.
+  T.addDerive({2}, {1, 2});
+  T.addQuery(2, {-2}, {3});
   ProofChecker C;
   CheckResult R = C.check(T);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(R.Error.empty()) << R.Error; // No fatal error.
   EXPECT_EQ(R.QueriesChecked, 2u);
   EXPECT_EQ(R.QueriesPassed, 1u);
-  ASSERT_EQ(R.Queries.size(), 2u);
-  EXPECT_FALSE(R.Queries[0].Passed);
-  EXPECT_TRUE(R.Queries[1].Passed);
+  EXPECT_EQ(R.QueryPassed, (std::vector<bool>{false, true}));
+  EXPECT_NE(R.QueryError.find("query 0"), std::string::npos) << R.QueryError;
 
   CertifySummary S;
   S.fold(R);
-  EXPECT_FALSE(S.allPassed({"bogus"}));
-  EXPECT_TRUE(S.allPassed({"good"}));
-  EXPECT_FALSE(S.allPassed({"good", "missing"}));
+  EXPECT_FALSE(S.allPassed({0}));
+  EXPECT_TRUE(S.allPassed({1}));
+  EXPECT_FALSE(S.allPassed({1, 2})); // Query 2 was never checked.
+  // A second fold appends: its query 0 becomes number 2.
+  S.fold(R);
+  EXPECT_EQ(S.QueryPassed.size(), 4u);
+  EXPECT_FALSE(S.allPassed({2}));
+  EXPECT_TRUE(S.allPassed({1, 3}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,22 +347,39 @@ TEST(ProofCheckerTest, FailedQueryRupIsRecordedPerTag) {
 
 namespace {
 
-/// A certifying warm session over a few boolean pigeonhole-ish checks,
-/// returning the finished summary. \p Budget forces clause-GC when small.
-const CertifySummary &runCertifiedSession(SmtSession &S, ExprFactory &F) {
+/// A certifying warm session over two Unsat checks and one Sat check,
+/// returning the finished summary; \p Numbers receives the Unsat checks'
+/// query numbers.
+const CertifySummary &runCertifiedSession(SmtSession &S, ExprFactory &F,
+                                          std::vector<uint32_t> &Numbers) {
   S.enableCertification();
   ExprRef A = F.var("a", Sort::Bool);
   ExprRef B = F.var("b", Sort::Bool);
   ExprRef Cv = F.var("c", Sort::Bool);
   S.assertBase(F.implies(A, B));
   S.assertBase(F.implies(B, Cv));
-  S.setProofTag("q one");
   EXPECT_EQ(S.check({A, F.lnot(Cv)}), SatResult::Unsat);
-  S.setProofTag("q2");
+  Numbers.push_back(S.lastProofQuery());
   EXPECT_EQ(S.check({A}), SatResult::Sat); // Sat checks emit no Query.
-  S.setProofTag("q3");
   EXPECT_EQ(S.check({F.lnot(A), A}), SatResult::Unsat);
+  Numbers.push_back(S.lastProofQuery());
   return S.finishCertification();
+}
+
+/// A certifying session with one retired scope (so the trace holds Delete
+/// steps) and one query before and one after the retirement.
+void runRetiringSession(SmtSession &S, ExprFactory &F) {
+  S.enableCertification();
+  ExprRef X = F.var("x", Sort::Bool);
+  ExprRef Y = F.var("y", Sort::Bool);
+  S.assertBase(F.implies(X, Y));
+  ExprRef Sel = F.var("__sel_scope1", Sort::Bool);
+  SmtSession::ScopeId Scope =
+      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+  S.assertInScope(Scope, F.lnot(Y));
+  EXPECT_EQ(S.check({Sel, X}, /*MaxConflicts=*/-1, {Sel}), SatResult::Unsat);
+  S.retireScope(Scope); // Emits Delete (and possibly Recycle) steps.
+  EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
 }
 
 } // namespace
@@ -268,120 +387,130 @@ const CertifySummary &runCertifiedSession(SmtSession &S, ExprFactory &F) {
 TEST(CertifiedSessionTest, WarmSessionQueriesAllPass) {
   ExprFactory F;
   SmtSession S(F);
-  const CertifySummary &Sum = runCertifiedSession(S, F);
+  std::vector<uint32_t> Numbers;
+  const CertifySummary &Sum = runCertifiedSession(S, F, Numbers);
   EXPECT_TRUE(Sum.Checked);
   EXPECT_TRUE(Sum.Ok) << Sum.Error;
   EXPECT_EQ(Sum.Queries, 2u); // Only the Unsat verdicts certify.
   EXPECT_EQ(Sum.QueriesPassed, 2u);
-  // Tags arrived space-folded, one per Unsat check.
-  EXPECT_TRUE(Sum.allPassed({"q_one", "q3"}));
-  EXPECT_FALSE(Sum.allPassed({"q2"})); // Sat check never logged a query.
+  EXPECT_EQ(Numbers, (std::vector<uint32_t>{0, 1}));
+  EXPECT_TRUE(Sum.allPassed(Numbers));
+  EXPECT_FALSE(Sum.allPassed({2})); // The Sat check never logged a query.
   // Idempotent: a second finish returns the same summary.
   EXPECT_EQ(S.finishCertification().Queries, 2u);
+
+  // The text form carries every hint: the parsed trace checks the same.
+  std::string Error;
+  std::optional<ProofTrace> Back =
+      ProofTrace::parse(S.proofTrace()->serialize(), &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  CheckResult R = ProofChecker().check(*Back);
+  EXPECT_TRUE(R.Ok) << R.Error << R.QueryError;
+  EXPECT_EQ(R.StepsChecked, Sum.Steps);
+}
+
+TEST(CertifiedSessionTest, RootConflictLogsTheEmptyClause) {
+  // All four clauses over {a, b}: the search learns the unit a, whose
+  // propagation conflicts at the root. The empty clause is then derived
+  // from the units of a and of the root-implied b, and every later Query
+  // (empty core) names it.
+  ProofTrace T;
+  SatSolver S;
+  S.setProofTrace(&T);
+  int A = S.addVar(), B = S.addVar();
+  for (bool PA : {true, false})
+    for (bool PB : {true, false})
+      S.addClause({Lit(A, PA), Lit(B, PB)});
+  EXPECT_EQ(S.solve(), SatResult::Unsat);
+  EXPECT_TRUE(S.unsatCore().empty());
+  EXPECT_EQ(S.logQueryProof(S.unsatCore()), 0u);
+  EXPECT_EQ(S.solve({Lit(A, true)}), SatResult::Unsat); // Already Unsat.
+  EXPECT_EQ(S.logQueryProof(S.unsatCore()), 1u);
+  size_t EmptyDerives = 0;
+  for (StepView St : T)
+    EmptyDerives += St.Kind == StepKind::Derive && St.Lits.size() == 0;
+  EXPECT_EQ(EmptyDerives, 1u);
+  CheckResult R = ProofChecker().check(T);
+  EXPECT_TRUE(R.Ok) << R.Error << R.QueryError;
+  EXPECT_EQ(R.QueryPassed, (std::vector<bool>{true, true}));
+
+  // A unit input that propagates into a conflict logs it too.
+  ProofTrace T2;
+  SatSolver S2;
+  S2.setProofTrace(&T2);
+  int X = S2.addVar(), Y = S2.addVar();
+  S2.addClause({Lit(X, false), Lit(Y, true)});
+  S2.addClause({Lit(X, false), Lit(Y, false)});
+  S2.addClause({Lit(X, true)});
+  EXPECT_EQ(S2.solve(), SatResult::Unsat);
+  S2.logQueryProof(S2.unsatCore());
+  CheckResult R2 = ProofChecker().check(T2);
+  EXPECT_TRUE(R2.Ok) << R2.Error << R2.QueryError;
 }
 
 TEST(CertifiedSessionTest, ScopeRetirementKeepsTraceCheckable) {
   // Assert-and-retire under selector scopes: the retirement's deletion
-  // sweep (and the pre-retirement root-trail dump) must leave a trace the
+  // sweep (and the root units derived before it) must leave a trace the
   // independent checker accepts, and queries before AND after the
   // retirement must certify.
   ExprFactory F;
   SmtSession S(F);
-  S.enableCertification();
-  ExprRef X = F.var("x", Sort::Bool);
-  ExprRef Y = F.var("y", Sort::Bool);
-  S.assertBase(F.implies(X, Y));
-
-  ExprRef Sel = F.var("__sel_scope1", Sort::Bool);
-  SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
-  S.assertInScope(Scope, F.lnot(Y));
-  S.setProofTag("scoped");
-  EXPECT_EQ(S.check({Sel, X}, /*MaxConflicts=*/-1, {Sel}), SatResult::Unsat);
-
-  S.retireScope(Scope);
-
-  S.setProofTag("after-retire");
-  EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
-
+  runRetiringSession(S, F);
   const CertifySummary &Sum = S.finishCertification();
   EXPECT_TRUE(Sum.Checked);
   EXPECT_TRUE(Sum.Ok) << Sum.Error;
-  EXPECT_TRUE(Sum.allPassed({"scoped", "after-retire"}));
+  EXPECT_TRUE(Sum.allPassed({0, 1}));
 }
 
 TEST(CertifiedSessionTest, MutatedTraceSkippingOneDeletionFails) {
   // The "lying solver" case: drop a single Delete step from an otherwise
-  // honest trace. The checker must notice — either through the RUP break,
-  // the recycle liveness check, or the Query live-count cross-check.
+  // honest trace. The checker must notice — through the recycle liveness
+  // check or the Query live-count cross-check.
   ExprFactory F;
   SmtSession S(F);
-  S.enableCertification();
-  ExprRef X = F.var("x", Sort::Bool);
-  ExprRef Y = F.var("y", Sort::Bool);
-  S.assertBase(F.implies(X, Y));
-  ExprRef Sel = F.var("__sel_mut", Sort::Bool);
-  SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
-  S.assertInScope(Scope, F.lnot(Y));
-  S.setProofTag("pre");
-  EXPECT_EQ(S.check({Sel, X}, -1, {Sel}), SatResult::Unsat);
-  S.retireScope(Scope); // Emits Delete (and possibly Recycle) steps.
-  S.setProofTag("post");
-  EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
-
+  runRetiringSession(S, F);
   ASSERT_NE(S.proofTrace(), nullptr);
-  // Honest trace passes.
-  {
-    ProofTrace Honest = *S.proofTrace();
-    ProofChecker C;
-    CheckResult R = C.check(Honest);
-    EXPECT_TRUE(R.Ok) << R.Error;
-  }
-  // Mutated trace: erase the first Delete step.
-  ProofTrace Mutated = *S.proofTrace();
-  auto &Steps = Mutated.mutableSteps();
-  auto It = std::find_if(Steps.begin(), Steps.end(), [](const Step &St) {
-    return St.Kind == StepKind::Delete;
+  CheckResult Honest = ProofChecker().check(*S.proofTrace());
+  EXPECT_TRUE(Honest.Ok) << Honest.Error << Honest.QueryError;
+
+  bool Dropped = false;
+  ProofTrace Mutated = edited(*S.proofTrace(), [&](StepView &St) {
+    if (St.Kind != StepKind::Delete || Dropped)
+      return true;
+    Dropped = true;
+    return false;
   });
-  ASSERT_NE(It, Steps.end()) << "retirement emitted no deletions";
-  Steps.erase(It);
-  ProofChecker C;
-  CheckResult R = C.check(Mutated);
+  ASSERT_TRUE(Dropped) << "retirement emitted no deletions";
+  CheckResult R = ProofChecker().check(Mutated);
   EXPECT_FALSE(R.Ok) << "checker accepted a trace with a skipped deletion";
 }
 
 TEST(CertifiedSessionTest, PermutedTraceFails) {
   // Move the first Delete step in front of the whole trace: it now deletes
-  // a clause the checker does not hold yet, so the replay must reject the
+  // a clause the checker does not hold yet, so the walk must reject the
   // reordering. A retired scope guarantees Delete steps exist.
   ExprFactory F;
   SmtSession S(F);
-  S.enableCertification();
-  ExprRef A = F.var("a", Sort::Bool);
-  ExprRef B = F.var("b", Sort::Bool);
-  S.assertBase(F.implies(A, B));
-  ExprRef Sel = F.var("__sel_perm", Sort::Bool);
-  SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
-  S.assertInScope(Scope, F.lnot(B));
-  S.setProofTag("q");
-  EXPECT_EQ(S.check({Sel, A}, -1, {Sel}), SatResult::Unsat);
-  S.retireScope(Scope);
-
+  runRetiringSession(S, F);
   ASSERT_NE(S.proofTrace(), nullptr);
-  ProofTrace Mutated = *S.proofTrace();
-  auto &Steps = Mutated.mutableSteps();
-  auto It = std::find_if(Steps.begin(), Steps.end(), [](const Step &St) {
-    return St.Kind == StepKind::Delete;
-  });
-  ASSERT_NE(It, Steps.end()) << "retirement emitted no deletions";
-  Step Moved = *It;
-  Steps.erase(It);
-  Steps.insert(Steps.begin(), Moved);
-  ProofChecker C;
-  CheckResult R = C.check(Mutated);
+  std::optional<StepView> Moved;
+  for (StepView St : *S.proofTrace())
+    if (St.Kind == StepKind::Delete && !Moved)
+      Moved = St;
+  ASSERT_TRUE(Moved.has_value()) << "retirement emitted no deletions";
+  ProofTrace Mutated;
+  Mutated.append(*Moved);
+  bool Skipped = false;
+  for (StepView St : *S.proofTrace()) {
+    if (St.Kind == StepKind::Delete && !Skipped) {
+      Skipped = true;
+      continue;
+    }
+    Mutated.append(St);
+  }
+  CheckResult R = ProofChecker().check(Mutated);
   EXPECT_FALSE(R.Ok) << "checker accepted a permuted trace";
+  EXPECT_NE(R.Error.find("step 0 (delete)"), std::string::npos) << R.Error;
 }
 
 TEST(CertifiedSessionTest, CorruptedCoreFailsItsQueryOnly) {
@@ -389,32 +518,50 @@ TEST(CertifiedSessionTest, CorruptedCoreFailsItsQueryOnly) {
   // variable): that query must fail while the rest of the trace checks.
   ExprFactory F;
   SmtSession S(F);
-  S.enableCertification();
-  ExprRef A = F.var("a", Sort::Bool);
-  ExprRef B = F.var("b", Sort::Bool);
-  S.assertBase(F.implies(A, B));
-  S.setProofTag("target");
-  EXPECT_EQ(S.check({A, F.lnot(B)}), SatResult::Unsat);
-
-  ProofTrace Mutated = *S.proofTrace();
-  bool Corrupted = false;
+  runRetiringSession(S, F);
   int MaxVar = 0;
-  for (const Step &St : Mutated.steps())
+  for (StepView St : *S.proofTrace())
     for (int L : St.Lits)
       MaxVar = std::max(MaxVar, std::abs(L));
-  for (Step &St : Mutated.mutableSteps())
-    if (St.Kind == StepKind::Query && St.Tag == "target") {
-      St.Lits = {MaxVar + 1}; // Unconstrained fresh variable.
+  std::vector<int> Fresh = {MaxVar + 1};
+  bool Corrupted = false;
+  ProofTrace Mutated = edited(*S.proofTrace(), [&](StepView &St) {
+    if (St.Kind == StepKind::Query && !Corrupted) {
+      St.Lits = Fresh;
       Corrupted = true;
     }
+    return true;
+  });
   ASSERT_TRUE(Corrupted);
-  ProofChecker C;
-  CheckResult R = C.check(Mutated);
+  CheckResult R = ProofChecker().check(Mutated);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(R.Error.empty()) << R.Error; // Query failure, not fatal.
   CertifySummary Sum;
   Sum.fold(R);
-  EXPECT_FALSE(Sum.allPassed({"target"}));
+  EXPECT_FALSE(Sum.allPassed({0}));
+  EXPECT_TRUE(Sum.allPassed({1}));
+}
+
+TEST(CertifiedSessionTest, CoreMissingAChainLiteralFailsItsQueryOnly) {
+  // The chain stays sound, but the core loses a literal the chain needs:
+  // the walk then runs out before its conflict. Only that query fails.
+  ExprFactory F;
+  SmtSession S(F);
+  runRetiringSession(S, F);
+  bool Trimmed = false;
+  ProofTrace Mutated = edited(*S.proofTrace(), [&](StepView &St) {
+    if (St.Kind == StepKind::Query && !Trimmed) {
+      EXPECT_GE(St.Lits.size(), 2u);
+      St.Lits = IntSpan(St.Lits.begin(), St.Lits.size() - 1);
+      Trimmed = true;
+    }
+    return true;
+  });
+  ASSERT_TRUE(Trimmed);
+  CheckResult R = ProofChecker().check(Mutated);
+  EXPECT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_EQ(R.QueryPassed, (std::vector<bool>{false, true}));
+  EXPECT_FALSE(R.QueryError.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -436,7 +583,7 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
   for (const SymbolicResult &R : O.Methods) {
     EXPECT_TRUE(R.Verified);
     EXPECT_TRUE(R.ProofChecked);
-    EXPECT_EQ(R.ProofQueries, R.ProofQueryTags.size());
+    EXPECT_EQ(R.ProofQueries, R.ProofQueryIds.size());
     EXPECT_GT(R.ProofClauses, 0u);
   }
 }
@@ -463,7 +610,7 @@ TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
       for (const SymbolicResult &R : PO.Methods) {
         EXPECT_TRUE(R.ProofChecked)
             << FO.Family << ": a method's certificate failed";
-        EXPECT_EQ(R.ProofQueries, R.ProofQueryTags.size());
+        EXPECT_EQ(R.ProofQueries, R.ProofQueryIds.size());
       }
   }
 }
@@ -506,6 +653,6 @@ TEST(CertifiedEngineTest, InversePathCertifies) {
                                              /*Certify=*/true);
     EXPECT_TRUE(R.Verified) << Spec.OpName;
     EXPECT_TRUE(R.ProofChecked) << Spec.OpName;
-    EXPECT_EQ(R.ProofQueries, R.ProofQueryTags.size());
+    EXPECT_EQ(R.ProofQueries, R.ProofQueryIds.size());
   }
 }

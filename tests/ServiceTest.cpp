@@ -18,10 +18,13 @@
 #include "service/VerifyService.h"
 
 #include "DriverCore.h"
+#include "proof/ProofChecker.h"
 #include "service/ShardedVerifyService.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <random>
 #include <set>
 
@@ -255,7 +258,7 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
 // A compacting session still certifies: compaction deletes clauses out of
 // the proof trace (Delete/Recycle steps), and the independent checker
 // must accept the full trace including the re-emitted bridge Inputs. The
-// method results drain() hands out carry the certificate tags it checked.
+// method results drain() hands out carry the query numbers it checked.
 TEST(ServiceTest, CompactingSessionCertifies) {
   ExprFactory F;
   Catalog C(F);
@@ -301,9 +304,63 @@ TEST(ServiceTest, CompactingSessionCertifies) {
   EXPECT_EQ(Cert.Queries, Cert.QueriesPassed);
   // Every method result names certificates the checker passed.
   for (const SymbolicResult &R : Methods) {
-    EXPECT_FALSE(R.ProofQueryTags.empty());
-    EXPECT_TRUE(Cert.allPassed(R.ProofQueryTags));
+    EXPECT_FALSE(R.ProofQueryIds.empty());
+    EXPECT_TRUE(Cert.allPassed(R.ProofQueryIds));
   }
+}
+
+// One method discharged twice in a session logs two certificates, and each
+// method result must name its own: a failed first certificate fails the
+// first discharge's method alone, whatever its twin's certificate says.
+TEST(ServiceTest, RepeatedDischargeKeepsCertificatesApart) {
+  ExprFactory F;
+  Catalog C(F);
+  ServiceConfig Cfg;
+  Cfg.Certify = true;
+  VerifyService Svc(C, families({"Set"}), Cfg);
+  const ConditionEntry &E = C.entries(setFamily()).front();
+  ServiceRequest Req{"Set", E.op1().Name, E.op2().Name,
+                     ConditionKind::Before};
+  std::string Error;
+  ASSERT_TRUE(Svc.submit(Req, Error)) << Error;
+  ASSERT_TRUE(Svc.submit(Req, Error)) << Error;
+  std::vector<SymbolicResult> Methods;
+  std::vector<ServiceVerdict> Verdicts = Svc.drain(&Methods);
+  ASSERT_EQ(Verdicts.size(), 2u);
+  ASSERT_EQ(Methods.size(), 4u);
+
+  // Replace the first Query's core by a literal nothing constrains.
+  const proof::ProofTrace *Trace = Svc.session().proofTrace();
+  ASSERT_NE(Trace, nullptr);
+  ASSERT_EQ(Trace->numQueries(), 4u);
+  int MaxVar = 0;
+  for (proof::StepView St : *Trace)
+    for (int L : St.Lits)
+      MaxVar = std::max(MaxVar, std::abs(L));
+  std::vector<int> Fresh = {MaxVar + 1};
+  proof::ProofTrace Mutated;
+  bool Corrupted = false;
+  for (proof::StepView St : *Trace) {
+    if (St.Kind == proof::StepKind::Query && !Corrupted) {
+      St.Lits = Fresh;
+      Corrupted = true;
+    }
+    Mutated.append(St);
+  }
+  proof::CheckResult R = proof::ProofChecker().check(Mutated);
+  EXPECT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_EQ(R.QueriesChecked, 4u);
+  EXPECT_EQ(R.QueriesPassed, 3u);
+  proof::CertifySummary Sum;
+  Sum.fold(R);
+  size_t Failed = 0;
+  for (SymbolicResult &M : Methods) {
+    ASSERT_EQ(M.ProofQueryIds.size(), 1u);
+    stampCertification(Sum, M);
+    EXPECT_EQ(M.ProofChecked, M.ProofQueryIds[0] != 0);
+    Failed += !M.ProofChecked;
+  }
+  EXPECT_EQ(Failed, 1u);
 }
 
 TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {

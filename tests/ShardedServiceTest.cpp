@@ -304,7 +304,7 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_TRUE(Rerouted.log().empty());
 }
 
-// Certify mode works shard-locally: every shard logs its own DRAT trace
+// Certify mode works shard-locally: every shard logs its own proof trace
 // (its own prefix encoding included), and the folded summary accepts.
 TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   ExprFactory F;

@@ -247,7 +247,9 @@ void runShard(const Catalog &C, const DriverOptions &Opts,
   assert(Methods.size() == 6 * Served.size() &&
          "drain out of sync with the submitted entries");
   if (Opts.Certify) {
+    Stopwatch CheckTimer;
     const proof::CertifySummary &Cert = Svc.finishCertification();
+    Stats.ProofCheckMillis = CheckTimer.millis();
     for (SymbolicResult &R : Methods)
       stampCertification(Cert, R);
   }
@@ -493,6 +495,7 @@ json::Value Report::toJson() const {
             json::Value::integer(
                 static_cast<int64_t>(S.PeakRetainedClauses)));
       V.set("pair_plan_ms", json::Value::number(S.PairPlanMillis));
+      V.set("proof_check_ms", json::Value::number(S.ProofCheckMillis));
       V.set("ms", json::Value::number(S.Millis));
       CatArr.push(std::move(V));
     }
@@ -621,6 +624,7 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.PeakRetainedClauses =
           static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
       S.PairPlanMillis = P["pair_plan_ms"].asDouble();
+      S.ProofCheckMillis = P["proof_check_ms"].asDouble(); // Absent: 0.
       S.Millis = P["ms"].asDouble();
       R.CatalogSessions.push_back(std::move(S));
     }
@@ -746,6 +750,9 @@ std::string driver::renderSummary(const Report &R) {
   if (R.Certified) {
     size_t CertJobs = 0, CertOk = 0;
     uint64_t CertQueries = 0, CertPeak = 0;
+    double CheckMs = 0;
+    for (const CatalogStats &S : R.CatalogSessions)
+      CheckMs += S.ProofCheckMillis;
     for (const JobRecord &J : R.Results) {
       if (J.Engine != engineKindName(EngineKind::Symbolic))
         continue;
@@ -756,10 +763,11 @@ std::string driver::renderSummary(const Report &R) {
     }
     std::snprintf(Buf, sizeof(Buf),
                   "certified: %zu/%zu symbolic jobs proof-checked, %llu "
-                  "certificates, peak %llu checker clauses\n",
+                  "certificates, peak %llu checker clauses, %.1f ms proof "
+                  "checking\n",
                   CertOk, CertJobs,
                   static_cast<unsigned long long>(CertQueries),
-                  static_cast<unsigned long long>(CertPeak));
+                  static_cast<unsigned long long>(CertPeak), CheckMs);
     Out += Buf;
   }
   std::snprintf(Buf, sizeof(Buf),

@@ -75,8 +75,8 @@ struct DriverOptions {
   /// scopes with pair retirement and variable recycling) or the oneshot
   /// reference oracle.
   SolveMode SymbolicMode = SolveMode::SharedCatalog;
-  /// Certified verdicts (--certify): symbolic sessions log DRAT-style
-  /// proof traces, the independent RUP checker replays each trace
+  /// Certified verdicts (--certify): symbolic sessions log hinted proof
+  /// traces, the independent checker walks each trace
   /// in-process when its session closes, and every job row records
   /// proof_queries / proof_clauses / proof_checked. Symbolic engine only
   /// (the CLI rejects --certify with --engine exhaustive).
@@ -174,6 +174,9 @@ struct CatalogStats {
   /// Wall time the shard spent building its pair plans
   /// (ServiceStats::PairPlanMillis); the shared catalog plan is not in it.
   double PairPlanMillis = 0;
+  /// Wall time the shard's finishCertification() took: the independent
+  /// checker's walk of its trace (0 unless certifying).
+  double ProofCheckMillis = 0;
   double Millis = 0;
 };
 

@@ -68,7 +68,7 @@ void printUsage(const char *Argv0) {
       "  --seq-bound N     ArrayList case-split bound (default: 3)\n"
       "  --budget N        per-VC CDCL conflict budget (default: 200000)\n"
       "  --no-compact      disable bridge compaction\n"
-      "  --certify         DRAT proof logging + independent RUP checking\n"
+      "  --certify         hinted proof logging + independent checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
       "sharding (ShardedVerifyService):\n"

@@ -54,8 +54,8 @@ void printUsage(const char *Argv0) {
       "                    or oneshot (a cold session per VC, the reference\n"
       "                    oracle); requires --engine symbolic or both\n"
       "  --certify         certified verdicts: every symbolic session logs\n"
-      "                    a DRAT-style proof trace and the independent RUP\n"
-      "                    checker replays it in-process; job rows gain\n"
+      "                    a hinted proof trace and the independent checker\n"
+      "                    walks it in-process; job rows gain\n"
       "                    proof_queries/proof_clauses/proof_checked;\n"
       "                    requires --engine symbolic or both\n"
 
