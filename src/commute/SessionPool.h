@@ -147,6 +147,12 @@ struct MethodPlan {
   /// (truncated) splits run.
   bool Unsupported = false;
   std::string UnsupportedNote;
+  /// Expression nodes the method asserts, counted by the plan builder as
+  /// it assembles the plan: per split, the distinct nodes of the VC's
+  /// agreement goal and condition (and attached hint lemmas), summed over
+  /// the splits. A deterministic estimate of the method's discharge cost
+  /// (the sharded service places pair groups by it).
+  uint64_t Nodes = 0;
 };
 
 /// Discharges every split of \p Plan in a fresh session per split (the

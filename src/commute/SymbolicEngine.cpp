@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -19,6 +20,72 @@
 using namespace semcomm;
 
 namespace {
+
+/// Counts distinct expression nodes. Formulas are added one by one, each
+/// counting only the nodes not counted yet, and forget() drops the nodes
+/// added after the first few, so a split's agreement goal is walked once
+/// for all of its conditions. The nodes sit in a linear-probing table of
+/// node addresses, which is emptied, not freed: a plan builder counting
+/// every split stops allocating once the table fits its largest split.
+/// A reused std::unordered_set, which allocates a node per insert, planned
+/// the catalog's 170 pairs ~10% slower (~1 ms, 4-vCPU x86-64 host).
+class DagCounter {
+public:
+  /// Adds the nodes of \p E not counted yet and returns how many.
+  uint64_t add(ExprRef E) {
+    size_t Before = Added.size();
+    Stack.assign(1, E);
+    while (!Stack.empty()) {
+      ExprRef N = Stack.back();
+      Stack.pop_back();
+      ExprRef &Slot = slotOf(N);
+      if (Slot)
+        continue;
+      Slot = N;
+      Added.push_back(N);
+      if (2 * Added.size() > Table.size()) {
+        ++Bits;
+        Table.assign(size_t(1) << Bits, nullptr);
+        for (ExprRef Old : Added)
+          slotOf(Old) = Old;
+      }
+      Stack.insert(Stack.end(), N->operands().begin(), N->operands().end());
+    }
+    return Added.size() - Before;
+  }
+  /// Drops all but the first \p Mark nodes counted, latest first: a node's
+  /// probe run holds only nodes counted before it, so it stays findable.
+  void forget(size_t Mark) {
+    while (Added.size() > Mark) {
+      slotOf(Added.back()) = nullptr;
+      Added.pop_back();
+    }
+  }
+
+private:
+  /// \p N's slot, or the empty slot its probe run ends at.
+  ExprRef &slotOf(ExprRef N) {
+    size_t Slot = static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(N) * 0x9e3779b97f4a7c15ull) >>
+        (64 - Bits));
+    while (Table[Slot] && Table[Slot] != N)
+      Slot = (Slot + 1) & (Table.size() - 1);
+    return Table[Slot];
+  }
+
+  unsigned Bits = 6;
+  std::vector<ExprRef> Table = std::vector<ExprRef>(size_t(1) << Bits);
+  std::vector<ExprRef> Added; ///< The counted nodes, in insertion order.
+  std::vector<ExprRef> Stack;
+};
+
+/// The calling thread's counter, emptied. Pair plans are built on many
+/// threads at once, and a counter kept across plans stops allocating.
+DagCounter &nodeCounter() {
+  thread_local DagCounter Counter;
+  Counter.forget(0);
+  return Counter;
+}
 
 /// The symbolic result of one operation application: exactly one member is
 /// meaningful, discriminated by K.
@@ -101,6 +168,8 @@ void addRoleVc(MethodPlan &P, ExprFactory &F, MethodRole Role, ExprRef Phi,
     P.Scoped.push_back({Agree, "agree"});
   }
   P.Splits.push_back(VcSplit{});
+  DagCounter &Nodes = nodeCounter();
+  P.Nodes = Nodes.add(Agree) + Nodes.add(Phi);
 }
 
 /// The per-split assumption pair of the multi-VC (ArrayList) family.
@@ -757,6 +826,7 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
     Plans[MI].Common = Common;
   }
   size_t Live = Ms.size(); // Methods whose walk has not ended.
+  DagCounter &Nodes = nodeCounter();
 
   ExprRef V1 = F.var("v1", Sort::Obj), V2 = F.var("v2", Sort::Obj);
 
@@ -952,6 +1022,17 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
         ExprRef AgreeAll = F.conj(std::move(Agree));
         bool AgreeUnsupported = Ctx.SawUnsupportedAtom;
 
+        // A method's split asserts the agreement goal and its kind's
+        // condition: the goal's nodes, then each condition's others.
+        Nodes.forget(0);
+        uint64_t AgreeNodes = Nodes.add(AgreeAll);
+        uint64_t PhiNodes[3] = {};
+        for (size_t K = 0; K != 3; ++K)
+          if (Phi[K]) {
+            PhiNodes[K] = Nodes.add(Phi[K]);
+            Nodes.forget(AgreeNodes);
+          }
+
         std::string Label = "n=" + std::to_string(N) +
                             " i1=" + std::to_string(I1) +
                             " i2=" + std::to_string(I2);
@@ -962,6 +1043,7 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
           size_t K = static_cast<size_t>(Ms[MI].M.Kind);
           VcSplit Split;
           Split.Assumed = roleAssumptions(F, Ms[MI].M.Role, Phi[K], AgreeAll);
+          Plan.Nodes += PhiNodes[K] + AgreeNodes;
           // Attached proof hints: the script's note/pickWitness lemmas are
           // valid over every reached scenario (validateScript
           // machine-checks exactly that), so assuming them can never flip
@@ -975,8 +1057,11 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
               if (Cmd.Kind == HintCommandKind::Assuming)
                 continue;
               ExprRef Lowered = Lower(Cmd.Formula);
-              if (!Ctx.SawUnsupportedAtom)
+              if (!Ctx.SawUnsupportedAtom) {
                 Split.Assumed.push_back({Lowered, Cmd.Label});
+                Plan.Nodes += Nodes.add(Lowered);
+                Nodes.forget(AgreeNodes);
+              }
             }
           Split.Label = Label;
           Plan.Splits.push_back(std::move(Split));

@@ -159,12 +159,26 @@ std::vector<std::string> tokens(const std::string &Line) {
 /// The integer fields of the text form, by value range.
 enum class Field { Literal, Id, Var, Count };
 
-/// Reads one line's fields front to back, from token \p Pos on; the first
+/// The variables a text's literal and variable fields name. A checker
+/// sizes its per-variable state by the largest, and every variable of a
+/// real trace occurs in some clause, so parse() refuses a largest variable
+/// above the count of those fields: a tiny text cannot demand gigabytes.
+struct VarTally {
+  uint64_t Fields = 0;
+  long long Max = 0;
+  /// Where Max was first read: its line and "field N (kind)".
+  size_t Line = 0;
+  std::string Where;
+};
+
+/// Reads line \p Line's fields front to back, from token \p Pos on,
+/// counting its literal and variable fields into \p Vars; the first
 /// failure sticks. Field numbers count the line's tokens from 0.
 class LineReader {
 public:
-  LineReader(std::vector<std::string> Toks, size_t Pos)
-      : Toks(std::move(Toks)), Pos(Pos) {}
+  LineReader(std::vector<std::string> Toks, size_t Pos, size_t Line,
+             VarTally &Vars)
+      : Toks(std::move(Toks)), Pos(Pos), Line(Line), Vars(Vars) {}
 
   /// One integer of field \p F, rejecting anything outside its range
   /// (strtoll's ERANGE included) rather than narrowing it.
@@ -196,6 +210,14 @@ public:
       fail(F, "'" + S + "' is not an integer in range");
       return 0;
     }
+    if (F == Field::Literal || F == Field::Var) {
+      ++Vars.Fields;
+      if (std::llabs(V) > Vars.Max) {
+        Vars.Max = std::llabs(V);
+        Vars.Line = Line;
+        Vars.Where = where(F);
+      }
+    }
     ++Pos;
     return static_cast<int>(V);
   }
@@ -220,15 +242,19 @@ public:
   }
 
 private:
-  void fail(Field F, const std::string &Why) {
+  /// "field <Pos> (<kind>)".
+  std::string where(Field F) const {
     static const char *const Names[] = {"literal", "clause ID", "variable",
                                         "count"};
-    Error = "field " + std::to_string(Pos) + " (" +
-            Names[static_cast<int>(F)] + "): " + Why;
+    return "field " + std::to_string(Pos) + " (" +
+           Names[static_cast<int>(F)] + ")";
   }
+  void fail(Field F, const std::string &Why) { Error = where(F) + ": " + Why; }
 
   std::vector<std::string> Toks;
   size_t Pos;
+  size_t Line;
+  VarTally &Vars;
   std::string Error;
 };
 
@@ -245,6 +271,7 @@ std::optional<ProofTrace> ProofTrace::parse(const std::string &Text,
     return std::nullopt;
   };
   std::vector<int> Lits, Hints;
+  VarTally Vars;
   while (Pos < Text.size()) {
     ++LineNo;
     size_t Nl = Text.find('\n', Pos);
@@ -259,7 +286,7 @@ std::optional<ProofTrace> ProofTrace::parse(const std::string &Text,
     if (Header && (Toks.size() < 2 || Kind != "p" ||
                    Toks[1] != "semcommute-proof"))
       return Fail("expected the header 'p semcommute-proof <steps>'");
-    LineReader R(std::move(Toks), Header ? 2 : 1);
+    LineReader R(std::move(Toks), Header ? 2 : 1, LineNo, Vars);
     StepView S;
     if (Header) {
       Declared = R.next(Field::Count);
@@ -300,5 +327,11 @@ std::optional<ProofTrace> ProofTrace::parse(const std::string &Text,
   if (static_cast<size_t>(Declared) != T.size())
     return Fail("header declares " + std::to_string(Declared) +
                 " steps, found " + std::to_string(T.size()));
+  if (static_cast<uint64_t>(Vars.Max) > Vars.Fields) {
+    LineNo = Vars.Line;
+    return Fail(Vars.Where + ": variable " + std::to_string(Vars.Max) +
+                " exceeds the trace's " + std::to_string(Vars.Fields) +
+                " literal and variable fields");
+  }
   return T;
 }

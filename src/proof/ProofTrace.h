@@ -153,8 +153,10 @@ public:
   std::string serialize() const;
   /// Parses the text form. Every integer must lie in its field's range
   /// (literals nonzero within +-INT_MAX, IDs and variables 1..INT_MAX,
-  /// counts 0..INT_MAX); on failure \p Error, when given, names the line
-  /// and the field.
+  /// counts 0..INT_MAX), and no variable may exceed the text's count of
+  /// literal and variable fields (the checker sizes per-variable state by
+  /// the largest); on failure \p Error, when given, names the line and
+  /// the field.
   static std::optional<ProofTrace> parse(const std::string &Text,
                                          std::string *Error = nullptr);
 

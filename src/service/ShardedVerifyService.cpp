@@ -11,20 +11,53 @@
 #include "support/Timing.h"
 
 #include <algorithm>
+#include <numeric>
+#include <thread>
 
 using namespace semcomm;
 using namespace semcomm::service;
 
 namespace {
 
-/// Stable 64-bit FNV-1a — the routing hash must not vary across runs,
-/// platforms, or standard libraries.
-uint64_t fnv1a(const std::string &S, uint64_t H = 1469598103934665603ull) {
-  for (char Ch : S) {
-    H ^= static_cast<unsigned char>(Ch);
-    H *= 1099511628211ull;
+/// The placement's cost model, in expression nodes (MethodPlan::Nodes).
+/// Fitted on 14k pair groups of a serve_stream-like Zipf stream served one
+/// at a time from built plans (Release, 4-CPU x86-64 host, two runs): a
+/// group's serve time is about 0.12 ms + 0.0003 ms per node of its
+/// requests' two methods (r = 0.84-0.88; the request count alone gives
+/// r = 0.80-0.84). The fixed part — opening, prefixing and retiring the
+/// pair scope — is GroupNodes.
+constexpr uint64_t GroupNodes = 400;
+
+/// What one method of a pair with no plan yet costs: its family's mean
+/// MethodPlan::Nodes plus a sixth of the time planPair takes for the
+/// family's pairs, in nodes (a group of all three kinds, as the first
+/// catalog pass has, then pays the plan once).
+uint64_t unplannedMethodNodes(StateKind Kind) {
+  switch (Kind) {
+  case StateKind::Counter:
+    return 20;
+  case StateKind::Set:
+    return 40;
+  case StateKind::Map:
+    return 75;
+  case StateKind::Seq:
+    return 185;
   }
-  return H;
+  return 0;
+}
+
+uint64_t groupCost(const PairGroup &G, StateKind Kind) {
+  uint64_t Cost = GroupNodes;
+  for (const ResolvedRequest *RR : G.Reqs) {
+    if (!*G.Plan) {
+      Cost += 2 * unplannedMethodNodes(Kind);
+      continue;
+    }
+    size_t Sound = 2 * static_cast<size_t>(RR->Req.Kind);
+    const std::vector<MethodPlan> &Ms = (*G.Plan)->Methods;
+    Cost += Ms[Sound].Nodes + Ms[Sound + 1].Nodes;
+  }
+  return Cost;
 }
 
 } // namespace
@@ -33,8 +66,8 @@ ShardedVerifyService::ShardedVerifyService(
     const Catalog &C, const std::vector<const Family *> &Fams,
     const ShardedServiceConfig &Config)
     : C(C), Fams(Fams), Cfg(Config) {
-  if (Cfg.Shards == 0)
-    Cfg.Shards = 1;
+  Cfg.Shards = std::max(Cfg.Shards, 1u);
+  Cfg.Threads = std::max(Cfg.Threads, 1u);
 
   Stopwatch PlanTimer;
   {
@@ -54,55 +87,86 @@ ShardedVerifyService::ShardedVerifyService(
     WarmupMillis[S] = WarmTimer.millis();
   }
 
-  // A pool worker beyond the shard count would never get a drain task,
-  // and with one worker a drain would only hop to it.
-  unsigned Workers = std::min(Cfg.Threads, Cfg.Shards);
-  if (Workers > 1)
+  // The caller drains too, and a worker beyond the shard count would
+  // never get a shard.
+  unsigned Workers = std::min(Cfg.Threads, Cfg.Shards) - 1;
+  if (Workers > 0)
     Pool = std::make_unique<ThreadPool>(Workers);
-}
-
-size_t ShardedVerifyService::shardOf(const ServiceRequest &R) const {
-  uint64_t H = fnv1a(R.Op1 + "," + R.Op2,
-                     fnv1a(R.Family) ^ 0x9e3779b97f4a7c15ull);
-  return static_cast<size_t>(H % Shards.size());
 }
 
 bool ShardedVerifyService::submit(const ServiceRequest &R,
                                   std::string &Error) {
-  return Shards[shardOf(R)]->submit(R, Error);
+  // Every shard serves the same families over the same catalog, so
+  // shard 0 resolves for all of them.
+  ResolvedRequest RR;
+  if (!Shards.front()->resolve(R, RR, Error))
+    return false;
+  Pending.push_back(std::move(RR));
+  Error.clear();
+  return true;
 }
 
-size_t ShardedVerifyService::pending() const {
-  size_t N = 0;
-  for (const auto &S : Shards)
-    N += S->pending();
-  return N;
+std::vector<unsigned>
+ShardedVerifyService::place(const std::vector<PairGroup> &Groups) const {
+  std::vector<uint64_t> Cost(Groups.size());
+  for (size_t G = 0; G != Groups.size(); ++G)
+    Cost[G] = groupCost(Groups[G], Fams[Groups[G].FamIdx]->Kind);
+  // Largest first, the earlier group first among equals; each onto the
+  // least-loaded shard, the lower id among equals.
+  std::vector<size_t> Order(Groups.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&Cost](size_t A, size_t B) { return Cost[A] > Cost[B]; });
+  std::vector<uint64_t> Load(Shards.size(), 0);
+  std::vector<unsigned> ShardOf(Groups.size());
+  for (size_t G : Order) {
+    auto Least = std::min_element(Load.begin(), Load.end());
+    *Least += Cost[G];
+    ShardOf[G] = static_cast<unsigned>(Least - Load.begin());
+  }
+  return ShardOf;
 }
 
 std::vector<ServiceVerdict> ShardedVerifyService::drain() {
+  std::vector<ServiceVerdict> Out(Pending.size());
+  if (Pending.empty())
+    return Out;
   Stopwatch Timer;
-  std::vector<ServiceVerdict> Combined;
-  if (pending() == 0)
-    return Combined;
   ++Drains;
 
-  std::vector<std::vector<ServiceVerdict>> PerShard(Shards.size());
-  if (Pool) {
-    for (size_t S = 0; S != Shards.size(); ++S)
-      Pool->submit([this, &PerShard, S] { PerShard[S] = Shards[S]->drain(); });
-    Pool->wait();
-  } else {
-    for (size_t S = 0; S != Shards.size(); ++S)
-      PerShard[S] = Shards[S]->drain();
-  }
+  // Before the fan-out: every group's plan-store entry exists, so the
+  // shards only ever write the entries of their own groups.
+  std::vector<PairGroup> Groups = groupByPair(Pending, &Plans);
+  std::vector<unsigned> ShardOf = place(Groups);
+  std::vector<std::vector<const PairGroup *>> Placed(Shards.size());
+  for (size_t G = 0; G != Groups.size(); ++G)
+    Placed[ShardOf[G]].push_back(&Groups[G]);
 
-  for (std::vector<ServiceVerdict> &Group : PerShard)
-    for (ServiceVerdict &V : Group) {
-      Combined.push_back(V);
-      VerdictLog.push_back(std::move(V));
-    }
-  ServeMillis += Timer.millis();
-  return Combined;
+  // Thread T drains shards T, T + Threads, ...; the caller is thread 0,
+  // and a pool thread whose shards got no group is not woken.
+  size_t Threads = Pool ? Pool->threadCount() + 1 : 1;
+  std::vector<double> Busy(Shards.size(), 0);
+  auto DrainStripe = [&](size_t T) {
+    for (size_t S = T; S < Shards.size(); S += Threads)
+      Busy[S] = Shards[S]->serve(Placed[S], Out.data());
+  };
+  for (size_t T = 1; T < Threads; ++T)
+    for (size_t S = T; S < Shards.size(); S += Threads)
+      if (!Placed[S].empty()) {
+        Pool->submit([&DrainStripe, T] { DrainStripe(T); });
+        break;
+      }
+  DrainStripe(0);
+  if (Pool)
+    Pool->wait();
+
+  Pending.clear();
+  VerdictLog.insert(VerdictLog.end(), Out.begin(), Out.end());
+  double Wall = Timer.millis();
+  ServeMillis += Wall;
+  DrainWallMillis += Wall;
+  CriticalMillis += *std::max_element(Busy.begin(), Busy.end());
+  return Out;
 }
 
 ShardedServiceStats ShardedVerifyService::stats() const {
@@ -121,7 +185,49 @@ ShardedServiceStats ShardedVerifyService::stats() const {
   if (Shards.size() > 1)
     S.WarmupImportMillisAvg =
         LaterSum / static_cast<double>(Shards.size() - 1);
+  if (DrainWallMillis > 0)
+    S.CriticalPathShare = CriticalMillis / DrainWallMillis;
   return S;
+}
+
+json::Value ShardedVerifyService::statsJson() const {
+  ShardedServiceStats SS = stats();
+  json::Value Sh = json::Value::object();
+  Sh.set("shards",
+         json::Value::integer(static_cast<int64_t>(SS.Shards.size())));
+  // Threads that drain: the caller's and the pool's.
+  Sh.set("threads", json::Value::integer(static_cast<int64_t>(
+                        std::min(Cfg.Threads, Cfg.Shards))));
+  // Hardware context for the thread-scaling numbers: on a 1-CPU
+  // container the req/s ratio across thread counts is pinned at ~1x no
+  // matter how well the drain parallelizes.
+  Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
+                     std::thread::hardware_concurrency())));
+  Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
+  Sh.set("warmup_scratch_millis",
+         json::Value::number(SS.WarmupScratchMillis));
+  Sh.set("warmup_import_millis_avg",
+         json::Value::number(SS.WarmupImportMillisAvg));
+  Sh.set("critical_path_share", json::Value::number(SS.CriticalPathShare));
+  json::Value ShardArr = json::Value::array();
+  for (const ShardStats &St : SS.Shards) {
+    json::Value Row = json::Value::object();
+    Row.set("requests", json::Value::integer(
+                            static_cast<int64_t>(St.Stats.Requests)));
+    Row.set("busy_millis", json::Value::number(St.Stats.ServeMillis));
+    Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
+    Row.set("plans_built", json::Value::integer(
+                               static_cast<int64_t>(St.Stats.PlansBuilt)));
+    Row.set("pair_plan_millis",
+            json::Value::number(St.Stats.PairPlanMillis));
+    Row.set("peak_live_vars", json::Value::integer(static_cast<int64_t>(
+                                  St.Stats.Session.PeakLiveVars)));
+    Row.set("peak_live_clauses", json::Value::integer(static_cast<int64_t>(
+                                     St.Stats.Session.PeakLiveClauses)));
+    ShardArr.push(std::move(Row));
+  }
+  Sh.set("per_shard", std::move(ShardArr));
+  return Sh;
 }
 
 void ShardedVerifyService::resetPeakStats() {
@@ -220,35 +326,39 @@ bool ShardedVerifyService::restore(const json::Value &V,
     return false;
   }
   // Every shard serves the same families over the same catalog, so
-  // shard 0 can check any row; the row's route gives its shard's count.
+  // shard 0 can check any row.
   std::vector<ServiceVerdict> Restored;
   for (size_t I = 0; I != Log->size(); ++I) {
     ServiceVerdict SV;
     if (!Shards.front()->readLogRow(Log->at(I), I, SV, Error))
       return false;
-    ++Images[shardOf(SV.Req)].Requests;
     Restored.push_back(std::move(SV));
   }
 
   // A shard counts each request it serves once, as a pair group or as a
   // reuse of one, and discharges its two testing methods: counters that
-  // contradict the requests the log routes to the shard are refused
-  // before any shard installs its image.
+  // contradict each other or the log are refused before any shard
+  // installs its image.
+  uint64_t Counted = 0;
+  for (VerifyService::SnapshotImage &Img : Images) {
+    Img.Requests = Img.PairGroups + Img.BatchedReuses;
+    Counted += Img.Requests;
+  }
+  if (Counted != Restored.size()) {
+    Error = "snapshot fields 'pair_groups' + 'batched_reuses' of the "
+            "shards count " +
+            std::to_string(Counted) + " requests, but the log has " +
+            std::to_string(Restored.size()) + " rows";
+    return false;
+  }
   for (size_t S = 0; S != Shards.size(); ++S) {
     const VerifyService::SnapshotImage &Img = Images[S];
-    std::string Where = "shard " + std::to_string(S) + ": snapshot ";
-    std::string Routed = "the log routes " + std::to_string(Img.Requests) +
-                         " requests to this shard";
-    if (Img.PairGroups + Img.BatchedReuses != Img.Requests) {
-      Error = Where + "fields 'pair_groups' + 'batched_reuses' are " +
-              std::to_string(Img.PairGroups) + " + " +
-              std::to_string(Img.BatchedReuses) + ", but " + Routed;
-      return false;
-    }
     if (Img.MethodsDischarged != 2 * Img.Requests) {
-      Error = Where + "field 'methods_discharged' is " +
-              std::to_string(Img.MethodsDischarged) + ", but " + Routed +
-              " (two methods each)";
+      Error = "shard " + std::to_string(S) +
+              ": snapshot field 'methods_discharged' is " +
+              std::to_string(Img.MethodsDischarged) +
+              ", but its 'pair_groups' + 'batched_reuses' count " +
+              std::to_string(Img.Requests) + " requests (two methods each)";
       return false;
     }
   }

@@ -9,31 +9,39 @@
 /// \file
 /// semcommute-serve's one serving front-end: N warm verification sessions
 /// behind one submit/drain interface. Each shard is a full VerifyService
-/// (warm CatalogSession, prefix-batched drains, compaction) serving the
-/// same catalog; requests are routed to shards by a stable hash of their
-/// family+pair, and a drain runs every shard's drain, on a work-stealing
-/// ThreadPool when both Threads and Shards exceed one. One shard on one
-/// thread is the single warm session: the same verdict log and counters
-/// as a standalone VerifyService fed the same stream.
+/// (warm CatalogSession, prefix-batched groups, compaction) serving the
+/// same catalog. Requests wait in the front-end; a drain groups them by
+/// family, then by pair (groupByPair, the one-session order) and places
+/// whole pair groups on shards by their estimated cost:
+/// longest-processing-time-first (Graham 1969), each group, largest first,
+/// onto the least-loaded shard. The caller's thread drains shard 0 and a
+/// pool of min(Threads, Shards) - 1 workers drains the rest. One shard on
+/// one thread is the single warm session: the same verdict log and
+/// counters as a standalone VerifyService fed the same stream.
 ///
-/// What makes N shards cheaper than N processes is the one catalog plan:
-/// planCatalog runs once and every shard serves from the shared read-only
-/// plan. Each shard then asserts the catalog-common prefix (seven formulas
-/// on the full catalog) into its own session, exactly as a standalone
-/// VerifyService does — a small fraction of the plan's cost.
+/// What makes N shards cheaper than N processes is sharing what is a pure
+/// function of the catalog: planCatalog runs once and every shard serves
+/// from the one read-only catalog plan, and the front-end owns one pair
+/// plan store the shards build into and serve from, so a pair is planned
+/// once whichever shards serve it. Each shard asserts the catalog-common
+/// prefix (seven formulas on the full catalog) into its own session,
+/// exactly as a standalone VerifyService does — a small fraction of the
+/// plan's cost.
 ///
 /// Shards share no learned clauses: on the catalog every learned clause is
 /// pair-scoped, so there is nothing a sibling shard could reuse.
 ///
-/// Determinism: routing and per-shard serve order are functions of the
-/// request stream alone — never of thread scheduling. drain() returns the
-/// per-shard verdict groups concatenated in shard-id order, so at a fixed
-/// shard count the combined verdict log is byte-identical across thread
-/// counts (ShardedServiceTest pins 1 vs 8 threads), and verdict *values*
-/// equal the standalone VerifyService reference.
+/// Determinism: placement is a function of the request stream and the
+/// plans built so far — never of timing or thread scheduling — so every
+/// shard's counters are identical at any thread count. drain() returns the
+/// verdicts in one-session order (each group's verdicts at the group's
+/// place in groupByPair's order), so the combined verdict log is identical
+/// at every shard count and thread count and equals the standalone
+/// VerifyService's (ShardedServiceTest pins 4 shards at 1 and 8 threads
+/// against it).
 ///
 /// The verdict log is kept once, here: shards keep counters only, and a
-/// restore derives each shard's request count by routing the log.
+/// restore derives each shard's request count from its counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,10 +59,10 @@
 namespace semcomm {
 namespace service {
 
-/// How requests map to shards: Pair hashes family+pair, balancing load
-/// across any shard count. It is the only rule; the enum and
-/// ShardedServiceConfig::Route remain because the benchmark
-/// (perfbench/src/ServeWorkload.cpp) sets them.
+/// How requests map to shards. Pair names the one rule: a drain's whole
+/// (family, pair) groups are placed on shards by cost (see the file
+/// comment). The enum and ShardedServiceConfig::Route remain because the
+/// benchmark (perfbench/src/ServeWorkload.cpp) sets them.
 enum class RouteBy : uint8_t { Pair };
 
 /// Front-end construction knobs. Base carries the per-shard session
@@ -63,10 +71,11 @@ enum class RouteBy : uint8_t { Pair };
 struct ShardedServiceConfig {
   ServiceConfig Base;
   unsigned Shards = 1;
-  /// Worker threads for drains. The pool has min(Threads, Shards)
-  /// workers and exists only when that exceeds one; otherwise shards run
-  /// sequentially in shard-id order on the caller's thread. Thread count
-  /// never changes verdicts, logs, or per-shard stats — only wall time.
+  /// Threads that drain: the caller's plus a pool of
+  /// min(Threads, Shards) - 1 workers (none when that is 0). Thread i of
+  /// those min(Threads, Shards) drains shards i, i + min(Threads, Shards),
+  /// ...; the caller is thread 0. Thread count never changes verdicts,
+  /// logs, or per-shard stats — only wall time.
   unsigned Threads = 1;
   RouteBy Route = RouteBy::Pair; ///< Kept for the benchmark; see RouteBy.
 };
@@ -91,6 +100,11 @@ struct ShardedServiceStats {
   double PlanMillis = 0;
   double WarmupScratchMillis = 0; ///< Plan + shard 0 construction.
   double WarmupImportMillisAvg = 0;
+  /// Over the drains this process served (a restored image's are not in
+  /// it): the sum of each drain's busiest shard serving time divided by
+  /// the sum of the drains' wall times — how much of a drain its critical
+  /// path fills; 0 before the first drain.
+  double CriticalPathShare = 0;
 };
 
 /// The sharded front-end. Not thread-safe at the interface: one caller
@@ -101,22 +115,25 @@ public:
                        const std::vector<const Family *> &Fams,
                        const ShardedServiceConfig &Cfg);
 
-  /// Routes and queues one request (see VerifyService::submit for the
-  /// rejection cases).
+  /// Queues one request (see VerifyService::resolve for the rejection
+  /// cases).
   bool submit(const ServiceRequest &R, std::string &Error);
 
-  /// Drains every shard (in parallel when the front-end has a pool) and
-  /// returns the per-shard verdict groups concatenated in shard-id order.
-  /// The combined verdicts are also appended to log().
+  /// Places the pending requests' pair groups on the shards, drains every
+  /// shard that got one (in parallel when the front-end has a pool) and
+  /// returns the verdicts in one-session order. They are also appended to
+  /// log().
   std::vector<ServiceVerdict> drain();
 
-  size_t pending() const;
+  size_t pending() const { return Pending.size(); }
   const std::vector<ServiceVerdict> &log() const { return VerdictLog; }
   const ShardedServiceConfig &config() const { return Cfg; }
   ShardedServiceStats stats() const;
+  /// semcommute-serve's "sharded_service" report block: shard and thread
+  /// counts, the warm-up decomposition, critical_path_share, and one
+  /// per_shard row per shard (requests, busy_millis, plans, peaks).
+  json::Value statsJson() const;
   unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
-  /// The shard a request routes to (exposed for tests).
-  size_t shardOf(const ServiceRequest &R) const;
   VerifyService &shard(size_t S) { return *Shards[S]; }
 
   /// Pass-boundary hook: restarts every shard's peak counters.
@@ -135,26 +152,34 @@ public:
   /// Restores a snapshot() into a freshly constructed front-end. Schema 1
   /// (a single-session image) is refused by name. The shard count, the
   /// "pair" route and every shard image (config, family set, counters)
-  /// are checked before the log rows; each shard's request count is then
-  /// the number of log rows routed to it, and its counters must agree with
-  /// that count (pair_groups + batched_reuses equal it, methods_discharged
-  /// is twice it). Nothing is installed unless every check passes.
+  /// are checked before the log rows. Each shard's request count is its
+  /// pair_groups + batched_reuses: the counts must sum to the log's rows,
+  /// and each shard's methods_discharged must be twice its count. Nothing
+  /// is installed unless every check passes.
   bool restore(const json::Value &V, std::string &Error);
 
 private:
+  /// Each group's shard: longest-processing-time-first on groupCost.
+  std::vector<unsigned> place(const std::vector<PairGroup> &Groups) const;
+
   const Catalog &C;
   std::vector<const Family *> Fams;
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
+  PlanStore Plans;  ///< Shared pair plans; outlives every shard.
   std::vector<std::unique_ptr<VerifyService>> Shards;
-  /// min(Threads, Shards) workers; null when that is one.
+  /// min(Threads, Shards) - 1 workers; null when that is 0.
   std::unique_ptr<ThreadPool> Pool;
   std::vector<double> WarmupMillis;
 
+  std::vector<ResolvedRequest> Pending;
   std::vector<ServiceVerdict> VerdictLog;
   uint64_t Drains = 0;
   double ServeMillis = 0;
   double PlanMillis = 0;
+  /// This process's drains: summed busiest-shard time and wall time.
+  double CriticalMillis = 0;
+  double DrainWallMillis = 0;
 };
 
 } // namespace service

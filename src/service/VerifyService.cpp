@@ -10,7 +10,9 @@
 
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <cassert>
+#include <unordered_map>
 #include <utility>
 
 using namespace semcomm;
@@ -77,6 +79,44 @@ bool semcomm::service::readSnapshotMillis(const json::Value &V, double &Out,
   return true;
 }
 
+std::vector<PairGroup>
+semcomm::service::groupByPair(const std::vector<ResolvedRequest> &Pending,
+                              PlanStore *Store) {
+  // Families in first-appearance order, each with its groups in
+  // first-appearance order; an entry belongs to one family, so it alone
+  // locates its group.
+  std::vector<size_t> FamOrder;
+  std::vector<std::vector<PairGroup>> ByFam;
+  std::unordered_map<const ConditionEntry *, std::pair<size_t, size_t>> At;
+  for (const ResolvedRequest &RR : Pending) {
+    auto [It, New] = At.try_emplace(RR.Entry);
+    if (New) {
+      size_t Fam = std::find(FamOrder.begin(), FamOrder.end(), RR.FamIdx) -
+                   FamOrder.begin();
+      if (Fam == FamOrder.size()) {
+        FamOrder.push_back(RR.FamIdx);
+        ByFam.emplace_back();
+      }
+      It->second = {Fam, ByFam[Fam].size()};
+      ByFam[Fam].push_back({RR.FamIdx, RR.Entry, {}, 0, nullptr});
+    }
+    ByFam[It->second.first][It->second.second].Reqs.push_back(&RR);
+  }
+
+  std::vector<PairGroup> Groups;
+  Groups.reserve(At.size());
+  size_t Offset = 0;
+  for (std::vector<PairGroup> &Fam : ByFam)
+    for (PairGroup &G : Fam) {
+      G.Offset = Offset;
+      Offset += G.Reqs.size();
+      if (Store)
+        G.Plan = &(*Store)[G.Entry];
+      Groups.push_back(std::move(G));
+    }
+  return Groups;
+}
+
 VerifyService::VerifyService(const Catalog &C,
                              const std::vector<const Family *> &Fams,
                              const ServiceConfig &Cfg,
@@ -126,82 +166,69 @@ bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
   return true;
 }
 
-const PairPlan &VerifyService::planOf(const ConditionEntry *Entry) {
-  auto It = Plans.find(Entry);
-  if (It == Plans.end()) {
-    Stopwatch Timer;
-    It = Plans.emplace(Entry, Eng.planPair(*Entry)).first;
-    PairPlanMillis += Timer.millis();
-    ++PlansBuilt;
-  }
-  return It->second;
-}
-
 void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
-                             std::vector<ServiceVerdict> &Out,
-                             std::vector<SymbolicResult> *Methods) {
+                             ServiceVerdict &Out, SymbolicResult *Methods) {
   size_t KindIdx = static_cast<size_t>(RR.Req.Kind);
-  ServiceVerdict V;
-  V.Req = RR.Req;
+  Out.Req = RR.Req;
   for (size_t Role = 0; Role != 2; ++Role) {
     const MethodPlan &MP = PP.Methods[2 * KindIdx + Role];
     SymbolicResult R;
     R.Verified = Sess->discharge(RR.FamIdx, PP.Key, MP, R);
     ++MethodsDischarged;
-    (Role == 0 ? V.Sound : V.Complete) = R.Verified;
+    (Role == 0 ? Out.Sound : Out.Complete) = R.Verified;
     if (Methods)
-      Methods->push_back(std::move(R));
+      Methods[Role] = std::move(R);
   }
   ++Requests;
-  Out.push_back(std::move(V));
+}
+
+void VerifyService::serveGroup(const PairGroup &G, ServiceVerdict *Out,
+                               SymbolicResult *Methods) {
+  // Without a store the plan lives for this group only.
+  std::optional<PairPlan> Own;
+  std::optional<PairPlan> &Plan = G.Plan ? *G.Plan : Own;
+  if (!Plan) {
+    Stopwatch Timer;
+    Plan = Eng.planPair(*G.Entry);
+    PairPlanMillis += Timer.millis();
+    ++PlansBuilt;
+  }
+  ++PairGroups;
+  BatchedReuses += G.Reqs.size() - 1;
+  for (size_t I = 0; I != G.Reqs.size(); ++I)
+    serveOne(*G.Reqs[I], *Plan, Out[I], Methods ? Methods + 2 * I : nullptr);
+  Sess->retirePair(G.FamIdx, Plan->Key);
+}
+
+double VerifyService::serve(const std::vector<const PairGroup *> &Groups,
+                            ServiceVerdict *Out, SymbolicResult *Methods) {
+  if (Groups.empty())
+    return 0;
+  Stopwatch Timer;
+  ++Drains;
+  for (const PairGroup *G : Groups)
+    serveGroup(*G, Out + G->Offset,
+               Methods ? Methods + 2 * G->Offset : nullptr);
+  double Millis = Timer.millis();
+  ServeMillis += Millis;
+  return Millis;
 }
 
 std::vector<ServiceVerdict>
 VerifyService::drain(std::vector<SymbolicResult> *Methods) {
-  Stopwatch Timer;
-  std::vector<ServiceVerdict> Out;
-  if (Pending.empty())
-    return Out;
-  ++Drains;
-
-  // Group pending requests by family, then by pair, both in
-  // first-appearance order: every request of a (family, pair) group is
-  // served against one warm pair scope, and the scope retires when its
-  // group completes.
-  struct Group {
-    const ConditionEntry *Entry;
-    std::vector<const ResolvedRequest *> Reqs;
-  };
-  std::vector<size_t> FamOrder;
-  std::map<size_t, std::vector<Group>> Groups;
-  for (const ResolvedRequest &RR : Pending) {
-    std::vector<Group> &FamGroups = Groups[RR.FamIdx];
-    if (FamGroups.empty())
-      FamOrder.push_back(RR.FamIdx);
-    Group *G = nullptr;
-    for (Group &Cand : FamGroups)
-      if (Cand.Entry == RR.Entry) {
-        G = &Cand;
-        break;
-      }
-    if (!G) {
-      FamGroups.push_back({RR.Entry, {}});
-      G = &FamGroups.back();
-    }
-    G->Reqs.push_back(&RR);
+  std::vector<ServiceVerdict> Out(Pending.size());
+  std::vector<PairGroup> Groups = groupByPair(Pending, nullptr);
+  std::vector<const PairGroup *> All;
+  for (const PairGroup &G : Groups)
+    All.push_back(&G);
+  SymbolicResult *MethodsOut = nullptr;
+  if (Methods) {
+    size_t Base = Methods->size();
+    Methods->resize(Base + 2 * Out.size());
+    MethodsOut = Methods->data() + Base;
   }
-  for (size_t FamIdx : FamOrder)
-    for (const Group &G : Groups[FamIdx]) {
-      const PairPlan &PP = planOf(G.Entry);
-      ++PairGroups;
-      BatchedReuses += G.Reqs.size() - 1;
-      for (const ResolvedRequest *RR : G.Reqs)
-        serveOne(*RR, PP, Out, Methods);
-      Sess->retirePair(FamIdx, PP.Key);
-    }
-
+  serve(All, Out.data(), MethodsOut);
   Pending.clear();
-  ServeMillis += Timer.millis();
   return Out;
 }
 

@@ -12,23 +12,27 @@
 /// pending request against the warm session and returns the verdicts
 /// (soundness + completeness — the condition kind's two testing methods).
 /// It is the one warm engine: ShardedVerifyService (semcommute-serve's
-/// front-end) runs one per shard, and semcommute-verify's shard tasks
-/// construct it directly.
+/// front-end) runs one per shard and hands each shard its placed pair
+/// groups through serve(), and semcommute-verify's shard tasks construct
+/// it directly.
 ///
 /// Serving discipline:
 ///
-///  * Plan store: a pair's six-method discharge plan is a pure function of
-///    the catalog, so the service builds it on the pair's first request
-///    and keeps it for its lifetime (planOf). The store is bounded by the
-///    served pairs of the catalog (PlansBuilt in the stats; PairPlanMillis
-///    times the builds).
+///  * Pair plans: a pair's six-method discharge plan is a pure function of
+///    the catalog. A group handed a plan-store entry (the sharded
+///    front-end owns one PlanStore for all its shards, as they share the
+///    catalog plan) is planned into the entry if it is empty and served
+///    from it; drain() hands none, so each group's plan is built, served
+///    and dropped once the pair's scope is retired, and a single-drain
+///    service (semcommute-verify's shards) holds one pair's plan at a
+///    time. PlansBuilt counts the builds; PairPlanMillis times them.
 ///
 ///  * Prefix batching: pending requests are grouped by family, then by
-///    op-pair, in first-appearance order. A pair's scope is opened once
-///    per group, every request of the group discharged against the warm
-///    pair scope, and the scope retired when the group completes — so N
-///    same-pair requests pay one prefix-assertion and one retirement
-///    instead of N.
+///    op-pair, in first-appearance order (groupByPair, which the sharded
+///    front-end uses too). A pair's scope is opened once per group, every
+///    request of the group discharged against the warm pair scope, and
+///    the scope retired when the group completes — so N same-pair
+///    requests pay one prefix-assertion and one retirement instead of N.
 ///
 ///  * Long-horizon compaction: with CompactBridges (the default) the
 ///    session reference-counts theory atoms by the scopes that mention
@@ -45,8 +49,8 @@
 ///    verdict log is the front-end's. snapshot() serializes the shard image
 ///    (config, family set, cumulative counters); readSnapshot() checks one
 ///    and install() loads it into a freshly constructed service. The warm
-///    solver state and the plan store are deliberately not serialized —
-///    both are deterministic functions of the catalog, so a reloaded
+///    solver state and pair plans are deliberately not serialized — both
+///    are deterministic functions of the catalog, so a reloaded
 ///    service re-warms lazily as requests arrive while its counters
 ///    continue from the snapshot.
 ///
@@ -61,6 +65,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +89,41 @@ struct ServiceVerdict {
   bool verified() const { return Sound && Complete; }
 };
 
+/// A request that passed the submit() checks: its family's index into the
+/// served families (and the catalog plan) and its catalog entry.
+struct ResolvedRequest {
+  ServiceRequest Req;
+  size_t FamIdx = 0;
+  const ConditionEntry *Entry = nullptr;
+};
+
+/// Pair plans by catalog entry, each built on its pair's first group.
+/// Entries are created single-threaded (groupByPair); during a sharded
+/// drain an entry is written only by the shard serving its group, and
+/// std::map nodes never move, so a group's pointer to its entry stays
+/// valid.
+using PlanStore = std::map<const ConditionEntry *, std::optional<PairPlan>>;
+
+/// The requests of one (family, pair) of a drain, served against one warm
+/// pair scope in submission order.
+struct PairGroup {
+  size_t FamIdx = 0;
+  const ConditionEntry *Entry = nullptr;
+  std::vector<const ResolvedRequest *> Reqs;
+  /// Position of the group's first verdict in the drain's verdicts.
+  size_t Offset = 0;
+  /// The pair's plan-store entry; null without a store.
+  std::optional<PairPlan> *Plan = nullptr;
+};
+
+/// Groups \p Pending by family, then by pair, both in first-appearance
+/// order — the order one warm session serves a drain in, and the order of
+/// its verdicts (each group's Offset follows it). With a \p Store every
+/// group is given its pair's entry, created empty for a pair not yet
+/// planned. The groups point into \p Pending.
+std::vector<PairGroup> groupByPair(const std::vector<ResolvedRequest> &Pending,
+                                   PlanStore *Store);
+
 /// Service construction knobs.
 struct ServiceConfig {
   bool CompactBridges = true;   ///< Bridge compaction on the warm session.
@@ -106,19 +146,20 @@ struct ServiceStats {
   /// drain already opened, so Requests = PairGroups + BatchedReuses.
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
-  /// Pair plans built over the service lifetime: one per distinct pair
-  /// served, however many drains repeat it (not carried by snapshots).
+  /// Pair plans built over the service lifetime (not carried by
+  /// snapshots): one per group served without a plan, or into an empty
+  /// plan-store entry.
   uint64_t PlansBuilt = 0;
   /// Wall time spent building those plans (SymbolicEngine::planPair
-  /// inside drain(), on the draining thread; not carried by snapshots).
+  /// inside serve(), on the serving thread; not carried by snapshots).
   /// The catalog plan the shards share is not in it.
   double PairPlanMillis = 0;
-  double ServeMillis = 0; ///< Wall time spent inside drain().
+  double ServeMillis = 0; ///< Wall time spent inside serve().
   CatalogSessionStats Session;
 };
 
 /// The warm verification service. Not thread-safe: one service, one
-/// caller — the ShardedVerifyService drain task serving this shard, or one
+/// caller — the thread ShardedVerifyService drains this shard on, or one
 /// of semcommute-verify's shard tasks (tools/DriverCore.cpp), which builds,
 /// drains and destroys its service on one pool worker.
 class VerifyService {
@@ -137,18 +178,30 @@ public:
   /// The catalog plan this service serves from (shared across shards).
   const CatalogPlan &plan() const { return *Plan; }
 
-  /// Queues one request. Returns false — with \p Error set — when the
-  /// family is not served or the pair has no catalog entry.
+  /// Looks up \p R's family and catalog entry. Returns false — with
+  /// \p Error set — when the family is not served or the pair has no
+  /// catalog entry.
+  bool resolve(const ServiceRequest &R, ResolvedRequest &Out,
+               std::string &Error) const;
+
+  /// Queues one request (rejected as resolve() rejects it).
   bool submit(const ServiceRequest &R, std::string &Error);
 
   /// Serves every pending request and returns their verdicts in the order
-  /// served: grouped by family, then by pair, both in first-appearance
-  /// order. A non-null \p Methods receives two method results per returned
-  /// verdict, in verdict order: soundness, then completeness (what a
-  /// driver job row needs: VCs, conflicts, proof core, certificate query
-  /// numbers, wall time).
+  /// served: groupByPair's order. A non-null \p Methods receives two
+  /// method results per returned verdict, in verdict order: soundness,
+  /// then completeness (what a driver job row needs: VCs, conflicts, proof
+  /// core, certificate query numbers, wall time).
   std::vector<ServiceVerdict>
   drain(std::vector<SymbolicResult> *Methods = nullptr);
+
+  /// Serves \p Groups in order — a drain's groups, or the share of them a
+  /// front-end placed on this service — writing each group's verdicts to
+  /// \p Out from the group's Offset on (and, with \p Methods, its method
+  /// results from twice its Offset on). Counts a drain when \p Groups is
+  /// non-empty and returns the wall time spent, which ServeMillis adds up.
+  double serve(const std::vector<const PairGroup *> &Groups,
+               ServiceVerdict *Out, SymbolicResult *Methods = nullptr);
 
   size_t pending() const { return Pending.size(); }
   const ServiceConfig &config() const { return Cfg; }
@@ -204,27 +257,19 @@ public:
                   std::string &Error) const;
 
 private:
-  struct ResolvedRequest {
-    ServiceRequest Req;
-    size_t FamIdx = 0;             ///< Index into Fams / the catalog plan.
-    const ConditionEntry *Entry = nullptr;
-  };
-
   /// The config block snapshot() writes, and readSnapshot()'s check of a
   /// snapshot's block against it.
   json::Value configJson() const;
   bool checkSnapshotConfig(const json::Value &V, std::string &Error) const;
-  /// Looks up \p R's family and catalog entry (the submit() checks).
-  bool resolve(const ServiceRequest &R, ResolvedRequest &Out,
-               std::string &Error) const;
-  /// The stored plan of \p Entry's pair, built on its first request.
-  const PairPlan &planOf(const ConditionEntry *Entry);
+  /// Serves one group against one warm pair scope (building the pair's
+  /// plan first when it has none) and retires the scope.
+  void serveGroup(const PairGroup &G, ServiceVerdict *Out,
+                  SymbolicResult *Methods);
   /// Discharges \p RR's two testing methods out of \p PP against the warm
-  /// pair scope, counts the request and appends the verdict, and to a
-  /// non-null \p Methods the two method results.
+  /// pair scope, counts the request and writes its verdict to \p Out and,
+  /// to a non-null \p Methods, its two method results.
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
-                std::vector<ServiceVerdict> &Out,
-                std::vector<SymbolicResult> *Methods);
+                ServiceVerdict &Out, SymbolicResult *Methods);
 
   const Catalog &C;
   std::vector<const Family *> Fams;
@@ -236,9 +281,6 @@ private:
   const CatalogPlan *Plan; ///< Pairs unmaterialized; must outlive Sess.
   std::unique_ptr<CatalogSession> Sess;
   std::map<std::string, size_t> FamIdxByName;
-  /// Every pair plan built so far; entries are never evicted (references
-  /// handed out by planOf stay valid).
-  std::map<const ConditionEntry *, PairPlan> Plans;
 
   std::vector<ResolvedRequest> Pending;
   uint64_t Requests = 0;

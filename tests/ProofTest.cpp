@@ -150,6 +150,57 @@ TEST(ProofTraceTest, OutOfRangeIntegersAreRejected) {
   }
 }
 
+TEST(ProofTraceTest, VariablesBeyondTheTextAreRejected) {
+  // A 34-byte trace naming variable 20M would have the checker size its
+  // per-variable state to 20M entries; a variable index may not exceed
+  // the text's literal and variable fields.
+  const std::string Huge = "p semcommute-proof 1\ni 20000000 0\n";
+  std::string Error = parseError(Huge);
+  EXPECT_NE(Error.find("line 2: field 1 (literal): variable 20000000 "
+                       "exceeds the trace's 1 literal and variable fields"),
+            std::string::npos)
+      << Error;
+  Error = parseError("p semcommute-proof 3\ni 1 2 0\nd 1 0\nr 4 0\n");
+  EXPECT_NE(Error.find("line 4: field 1 (variable): variable 4 exceeds"),
+            std::string::npos)
+      << Error;
+  // At the bound the text parses.
+  EXPECT_TRUE(
+      ProofTrace::parse("p semcommute-proof 2\ni 1 -3 0\nr 3 0\n").has_value());
+}
+
+TEST(ProofTraceTest, CertifiedCatalogTraceRoundTrips) {
+  // A real trace — prefix encoding, compaction, retirement and variable
+  // recycling over a catalog family — stays within the variable bound and
+  // survives its text form unchanged.
+  ExprFactory F;
+  Catalog C(F);
+  SymbolicEngine Eng(F);
+  std::vector<const Family *> Fams = {&setFamily()};
+  CatalogPlan Plan = Eng.planCatalog(C, Fams);
+  CatalogSession Sess(F, Plan, /*Budget=*/200000, /*Certify=*/true,
+                      /*CompactBridges=*/true, /*CompactMinDead=*/8);
+  for (const ConditionEntry &E : C.entries(setFamily())) {
+    PairPlan PP = Eng.planPair(E);
+    for (const MethodPlan &MP : PP.Methods) {
+      SymbolicResult R;
+      EXPECT_TRUE(Sess.discharge(0, PP.Key, MP, R)) << MP.Name;
+    }
+    Sess.retirePair(0, PP.Key);
+  }
+  const ProofTrace *T = Sess.session().proofTrace();
+  ASSERT_NE(T, nullptr);
+  EXPECT_GT(Sess.stats().RecycledVars, 0u);
+  std::string Text = T->serialize();
+  std::string Error;
+  std::optional<ProofTrace> Back = ProofTrace::parse(Text, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  EXPECT_EQ(Back->serialize(), Text);
+  CheckResult R = ProofChecker().check(*Back);
+  EXPECT_TRUE(R.Ok) << R.Error << R.QueryError;
+  EXPECT_EQ(R.QueriesPassed, T->numQueries());
+}
+
 //===----------------------------------------------------------------------===//
 // ProofChecker acceptance
 //===----------------------------------------------------------------------===//

@@ -108,10 +108,12 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
   EXPECT_TRUE(Svc.session().solver().reasonInvariantHolds());
 }
 
-// A pair's plan is a pure function of the catalog: the service builds it
-// on the pair's first request and serves every later drain from the
-// store. Repeated drains plan nothing new and repeat the first drain's
-// verdicts exactly.
+// A pair's plan is a pure function of the catalog: the front-end's plan
+// store (here one shard's) builds it on the pair's first request and
+// serves every later drain from the store. Repeated drains plan nothing
+// new and repeat the first drain's verdicts exactly. A standalone
+// service, which has no store, plans every group afresh and keeps no plan
+// past it, with the same verdicts.
 TEST(ServiceTest, PlansPersistAcrossDrains) {
   ExprFactory F;
   Catalog C(F);
@@ -121,25 +123,37 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
   for (const ServiceRequest &R : Pass)
     Pairs.insert(R.Family + "|" + R.Op1 + "," + R.Op2);
 
-  ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8; // Compactions between drains, too.
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedServiceConfig Cfg;
+  Cfg.Base.CompactMinDead = 8; // Compactions between drains, too.
+  ShardedVerifyService Svc(C, Fams, Cfg);
+  VerifyService Storeless(C, Fams, Cfg.Base);
   std::string Error;
   std::vector<ServiceVerdict> First;
   double PlanMillis = 0;
   for (int D = 0; D != 3; ++D) {
-    for (const ServiceRequest &R : Pass)
+    for (const ServiceRequest &R : Pass) {
       ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+      ASSERT_TRUE(Storeless.submit(R, Error)) << Error;
+    }
     std::vector<ServiceVerdict> Got = Svc.drain();
-    EXPECT_EQ(Svc.stats().PlansBuilt, Pairs.size()) << "drain " << D;
+    std::vector<ServiceVerdict> Fresh = Storeless.drain();
+    const ServiceStats Shard = Svc.stats().Shards[0].Stats;
+    EXPECT_EQ(Shard.PlansBuilt, Pairs.size()) << "drain " << D;
+    EXPECT_EQ(Storeless.stats().PlansBuilt, (D + 1) * Pairs.size())
+        << "drain " << D;
+    ASSERT_EQ(Fresh.size(), Got.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_EQ(keyOf(Fresh[I].Req), keyOf(Got[I].Req));
+      EXPECT_EQ(Fresh[I].verified(), Got[I].verified()) << keyOf(Got[I].Req);
+    }
     if (D == 0) {
       // Only the first drain plans, so only it adds planning time.
-      PlanMillis = Svc.stats().PairPlanMillis;
+      PlanMillis = Shard.PairPlanMillis;
       EXPECT_GT(PlanMillis, 0.0);
       First = Got;
       continue;
     }
-    EXPECT_EQ(Svc.stats().PairPlanMillis, PlanMillis) << "drain " << D;
+    EXPECT_EQ(Shard.PairPlanMillis, PlanMillis) << "drain " << D;
     ASSERT_EQ(Got.size(), First.size());
     for (size_t I = 0; I != Got.size(); ++I) {
       EXPECT_EQ(keyOf(Got[I].Req), keyOf(First[I].Req));
@@ -147,7 +161,7 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
       EXPECT_EQ(Got[I].Complete, First[I].Complete) << keyOf(Got[I].Req);
     }
   }
-  ServiceStats S = Svc.stats();
+  ServiceStats S = Svc.stats().Shards[0].Stats;
   EXPECT_EQ(S.PairGroups, 3 * Pairs.size());
   EXPECT_EQ(S.PairGroups + S.BatchedReuses, S.Requests);
   EXPECT_GT(S.Session.BridgeCompactions, 0u);
@@ -396,8 +410,8 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   }
   EXPECT_EQ(Fresh.stats().Requests, Svc.stats().Requests);
   EXPECT_EQ(Fresh.stats().Drains, Svc.stats().Drains);
-  // The shard's counters come back, its request count derived from the
-  // log.
+  // The shard's counters come back, its request count derived from its
+  // pair groups and batched reuses.
   const ServiceStats Was = Svc.stats().Shards[0].Stats;
   const ServiceStats Now = Fresh.stats().Shards[0].Stats;
   EXPECT_EQ(Now.Requests, Was.Requests);
@@ -520,9 +534,10 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
        "built with seq_len_bound=3"},
   };
 
-  // Shard counters that contradict the log: every request a shard serves
-  // is a pair group or a batched reuse, and discharges two methods. Shard
-  // 0's image comes first in the snapshot, so these edit shard 0.
+  // Shard counters that contradict the log or each other: every request
+  // a shard serves is a pair group or a batched reuse, and discharges two
+  // methods. Shard 0's image comes first in the snapshot, so these edit
+  // shard 0.
   const ServiceStats Shard0 = Two.stats().Shards[0].Stats;
   ASSERT_GT(Shard0.Requests, 0u);
   const std::string Groups0 =
@@ -530,19 +545,19 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
       ",\"batched_reuses\":" + std::to_string(Shard0.BatchedReuses);
   const std::string Methods0 =
       "\"methods_discharged\":" + std::to_string(Shard0.MethodsDischarged);
-  const std::string Routed0 = "the log routes " +
-                              std::to_string(Shard0.Requests) +
-                              " requests to this shard";
+  const uint64_t Others = Pass.size() - Shard0.Requests;
   const Mutant CounterMutants[] = {
       {Groups0, "\"pair_groups\":999,\"batched_reuses\":0",
-       "shard 0: snapshot fields 'pair_groups' + 'batched_reuses' are 999 + "
-       "0, but " + Routed0},
+       "snapshot fields 'pair_groups' + 'batched_reuses' of the shards "
+       "count " + std::to_string(999 + Others) + " requests, but the log "
+       "has " + std::to_string(Pass.size()) + " rows"},
       {Methods0,
        "\"methods_discharged\":" +
            std::to_string(Shard0.MethodsDischarged + 1),
        "shard 0: snapshot field 'methods_discharged' is " +
-           std::to_string(Shard0.MethodsDischarged + 1) + ", but " +
-           Routed0},
+           std::to_string(Shard0.MethodsDischarged + 1) +
+           ", but its 'pair_groups' + 'batched_reuses' count " +
+           std::to_string(Shard0.Requests) + " requests"},
   };
 
   for (const Target &T : Targets) {

@@ -7,10 +7,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The sharded serving front-end, semcommute-serve's only one: every shard
-// serves from the one shared catalog plan and encodes the catalog prefix
-// itself. The load-bearing property: verdicts and the combined verdict
-// log are invariant across thread counts and equal to the standalone
-// VerifyService reference, and a one-shard front-end is that reference.
+// serves from the one shared catalog plan and pair plan store and encodes
+// the catalog prefix itself, and each drain places whole pair groups on
+// shards by plan cost. The load-bearing property: the combined verdict
+// log is the standalone VerifyService reference's, in order, at any
+// thread count, per-shard counters do not depend on the thread count,
+// and a one-shard front-end is that reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -64,14 +67,24 @@ std::vector<uint64_t> sessionFields(const CatalogSessionStats &S) {
           S.ReleasedSelectors, S.LiveBridges,      S.PeakLiveBridges};
 }
 
-// The sharded front-end at 1 worker thread and at 8 worker threads must
-// produce elementwise-identical verdict logs (the determinism contract),
-// identical per-shard statistics, and verdict values equal to a
-// standalone VerifyService reference — over a randomized stream with
-// randomized drain points. Every shard serves from the front-end's one
-// plan and asserts the same catalog prefix a standalone service does. A
-// one-shard front-end is the reference itself: the same verdicts in the
-// same order, and the same counters.
+/// A shard's counters, solver accounting included.
+std::vector<uint64_t> shardFields(const ServiceStats &S) {
+  std::vector<uint64_t> Fields = {S.Requests,      S.Drains,
+                                  S.PairGroups,    S.BatchedReuses,
+                                  S.MethodsDischarged, S.PlansBuilt};
+  for (uint64_t F : sessionFields(S.Session))
+    Fields.push_back(F);
+  return Fields;
+}
+
+// Four shards at 1 thread and at 8 threads must each produce the verdict
+// log of a standalone VerifyService reference, elementwise and in order
+// (the one-session order), and identical per-shard statistics — over a
+// randomized stream with randomized drain points. Every shard serves from
+// the front-end's one plan and asserts the same catalog prefix a
+// standalone service does. A one-shard front-end is the reference itself:
+// the same verdicts in the same order, and the same counters but for
+// plans, which its store builds once per pair.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
@@ -122,7 +135,6 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   std::string Error;
   for (int R = 0; R != 80; ++R) {
     const ServiceRequest &Req = Universe[Pick(Rng)];
-    EXPECT_EQ(A.shardOf(Req), B.shardOf(Req));
     ASSERT_TRUE(A.submit(Req, Error)) << Error;
     ASSERT_TRUE(B.submit(Req, Error)) << Error;
     ASSERT_TRUE(S1.submit(Req, Error)) << Error;
@@ -133,49 +145,54 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
       S1.drain();
       std::vector<ServiceVerdict> VR = Ref.drain();
       RefLog.insert(RefLog.end(), VR.begin(), VR.end());
-      ASSERT_EQ(VA.size(), VB.size());
-      ASSERT_EQ(VA.size(), VR.size());
-      // Thread counts: elementwise-identical order and values.
-      for (size_t I = 0; I != VA.size(); ++I) {
-        ASSERT_EQ(keyOf(VA[I].Req), keyOf(VB[I].Req))
-            << "log order divergence at request " << R;
-        ASSERT_EQ(VA[I].Sound, VB[I].Sound) << keyOf(VA[I].Req);
-        ASSERT_EQ(VA[I].Complete, VB[I].Complete) << keyOf(VA[I].Req);
+      // Both thread counts: the reference's order and values.
+      for (const std::vector<ServiceVerdict> *Got : {&VA, &VB}) {
+        ASSERT_EQ(Got->size(), VR.size());
+        for (size_t I = 0; I != VR.size(); ++I) {
+          ASSERT_EQ(keyOf((*Got)[I].Req), keyOf(VR[I].Req))
+              << "log order divergence at request " << R;
+          ASSERT_EQ((*Got)[I].Sound, VR[I].Sound) << keyOf(VR[I].Req);
+          ASSERT_EQ((*Got)[I].Complete, VR[I].Complete) << keyOf(VR[I].Req);
+        }
       }
-      // Single-session reference: verdict values as maps (sharded group
-      // order differs from the reference's batched order).
-      std::map<std::string, std::pair<bool, bool>> MA, MR;
-      for (const ServiceVerdict &V : VA)
-        MA[keyOf(V.Req)] = {V.Sound, V.Complete};
-      for (const ServiceVerdict &V : VR)
-        MR[keyOf(V.Req)] = {V.Sound, V.Complete};
-      ASSERT_EQ(MA, MR) << "verdict divergence at request " << R;
     }
   }
+  ASSERT_EQ(A.log().size(), RefLog.size());
+  for (size_t I = 0; I != RefLog.size(); ++I)
+    EXPECT_EQ(keyOf(A.log()[I].Req), keyOf(RefLog[I].Req)) << "row " << I;
 
+  // Placement never consults timing: every shard's counters match across
+  // thread counts, and the shared store planned each pair once, as the
+  // one-shard front-end's did.
   ShardedServiceStats SA = A.stats(), SB = B.stats();
   EXPECT_EQ(SA.Requests, SB.Requests);
   EXPECT_EQ(SA.Drains, SB.Drains);
-  for (size_t S = 0; S != 4; ++S)
-    EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
+  uint64_t PlansA = 0;
+  for (size_t S = 0; S != 4; ++S) {
+    EXPECT_EQ(shardFields(SA.Shards[S].Stats), shardFields(SB.Shards[S].Stats))
+        << "shard " << S;
+    PlansA += SA.Shards[S].Stats.PlansBuilt;
+  }
+  const ServiceStats Own = S1.stats().Shards[0].Stats;
+  std::set<std::string> Pairs;
+  for (const ServiceVerdict &V : RefLog)
+    Pairs.insert(V.Req.Family + "|" + V.Req.Op1 + "," + V.Req.Op2);
+  EXPECT_EQ(Own.PlansBuilt, Pairs.size());
+  EXPECT_EQ(PlansA, Own.PlansBuilt);
 
   // The one-shard front-end: its combined log is the reference's drained
-  // verdicts in order, and its shard's counters are the reference's.
+  // verdicts in order, and its shard's counters are the reference's —
+  // but for plans, which the store-less reference builds for every group.
   ASSERT_EQ(S1.log().size(), RefLog.size());
   for (size_t I = 0; I != RefLog.size(); ++I) {
     EXPECT_EQ(keyOf(S1.log()[I].Req), keyOf(RefLog[I].Req)) << "row " << I;
     EXPECT_EQ(S1.log()[I].Sound, RefLog[I].Sound) << "row " << I;
     EXPECT_EQ(S1.log()[I].Complete, RefLog[I].Complete) << "row " << I;
   }
-  const ServiceStats Got = S1.stats().Shards[0].Stats;
-  const ServiceStats Want = Ref.stats();
-  EXPECT_EQ(Got.Requests, Want.Requests);
-  EXPECT_EQ(Got.Drains, Want.Drains);
-  EXPECT_EQ(Got.PairGroups, Want.PairGroups);
-  EXPECT_EQ(Got.BatchedReuses, Want.BatchedReuses);
-  EXPECT_EQ(Got.MethodsDischarged, Want.MethodsDischarged);
-  EXPECT_EQ(Got.PlansBuilt, Want.PlansBuilt);
-  EXPECT_EQ(sessionFields(Got.Session), sessionFields(Want.Session));
+  ServiceStats RefStats = Ref.stats();
+  EXPECT_EQ(RefStats.PlansBuilt, RefStats.PairGroups);
+  RefStats.PlansBuilt = Own.PlansBuilt;
+  EXPECT_EQ(shardFields(Own), shardFields(RefStats));
   // Every shard's solver survives its compacting drains.
   for (size_t S = 0; S != 4; ++S)
     EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
@@ -241,16 +258,17 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_EQ(FromLegacy.log().size(), Svc.log().size() + 1);
 
   // Older writers kept a second copy of the log in every shard image,
-  // each shard's rows in routing order. Restore ignores it, derives each
-  // shard's request count from the combined log, and goes on serving.
+  // each shard's own rows. Restore ignores it, derives each shard's
+  // request count from its counters, and goes on serving.
   json::Value ShardLogs = *Parsed;
-  std::vector<json::Value> Logs(Cfg.Shards, json::Value::array());
-  for (const ServiceVerdict &V : Svc.log())
-    Logs[Svc.shardOf(V.Req)].push(snapshotLogRow(V));
   json::Value WithLogs = json::Value::array();
+  size_t Row = 0;
   for (size_t S = 0; S != Cfg.Shards; ++S) {
+    json::Value Log = json::Value::array();
+    for (uint64_t R = 0; R != Svc.stats().Shards[S].Stats.Requests; ++R)
+      Log.push(snapshotLogRow(Svc.log()[Row++]));
     json::Value Shard = (*Parsed)["shard_snapshots"].at(S);
-    Shard.set("log", Logs[S]);
+    Shard.set("log", std::move(Log));
     WithLogs.push(std::move(Shard));
   }
   ShardLogs.set("shard_snapshots", std::move(WithLogs));
@@ -294,6 +312,30 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_FALSE(Mismatched.restore(*Parsed, Error));
   EXPECT_NE(Error.find("shards"), std::string::npos) << Error;
 
+  // Shard counters that do not sum to the log's rows are refused, naming
+  // the fields, and nothing is installed.
+  json::Value Overcounted = *Parsed;
+  json::Value Shard1 = Overcounted["shard_snapshots"].at(1);
+  int64_t Groups1 = Shard1["pair_groups"].asInt();
+  Shard1.set("pair_groups", json::Value::integer(Groups1 + 1));
+  Shard1.set("methods_discharged",
+             json::Value::integer(Shard1["methods_discharged"].asInt() + 2));
+  json::Value Recounted = json::Value::array();
+  Recounted.push(Overcounted["shard_snapshots"].at(0));
+  Recounted.push(std::move(Shard1));
+  Overcounted.set("shard_snapshots", std::move(Recounted));
+  ShardedVerifyService Miscounted(C, Fams, Cfg);
+  EXPECT_FALSE(Miscounted.restore(Overcounted, Error));
+  EXPECT_NE(Error.find("'pair_groups' + 'batched_reuses' of the shards "
+                       "count " +
+                       std::to_string(Svc.log().size() + 1) +
+                       " requests, but the log has " +
+                       std::to_string(Svc.log().size()) + " rows"),
+            std::string::npos)
+      << Error;
+  EXPECT_TRUE(Miscounted.log().empty());
+  EXPECT_EQ(Miscounted.stats().Shards[1].Stats.Requests, 0u);
+
   // Images taken with the family route, which no longer exists, are
   // refused by name.
   json::Value FamilyRouted = *Parsed;
@@ -302,6 +344,77 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_FALSE(Rerouted.restore(FamilyRouted, Error));
   EXPECT_NE(Error.find("route"), std::string::npos) << Error;
   EXPECT_TRUE(Rerouted.log().empty());
+}
+
+// Placement weighs pair groups by plan cost, not by request count: one
+// ArrayList group (three requests of a pair that costs several Set pairs)
+// among many one-request Set groups gets a shard with the fewest other
+// groups, whether its plan is not built yet (the family default) or built
+// (its node counts). The report names every shard's busy time and the
+// drains' critical path share.
+TEST(ShardedServiceTest, PlacementBalancesByPlanCost) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Set", "ArrayList"});
+  ShardedServiceConfig Cfg;
+  Cfg.Shards = 4;
+  ShardedVerifyService Svc(C, Fams, Cfg);
+
+  const ConditionEntry *Heavy = nullptr;
+  for (const ConditionEntry &E : C.entries(arrayListFamily()))
+    if (E.op1().Name == "add_at" && E.op2().Name == "set_")
+      Heavy = &E;
+  ASSERT_NE(Heavy, nullptr);
+  std::vector<ServiceRequest> Stream;
+  const std::vector<ConditionEntry> &Sets = C.entries(setFamily());
+  for (size_t I = 0; I != 24; ++I)
+    Stream.push_back({"Set", Sets[I].op1().Name, Sets[I].op2().Name,
+                      ConditionKind::Before});
+  for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
+                          ConditionKind::After})
+    Stream.insert(Stream.begin() + 8, {"ArrayList", Heavy->op1().Name,
+                                       Heavy->op2().Name, K});
+
+  std::string Error;
+  std::vector<ServiceStats> Before(4);
+  for (int Drain = 0; Drain != 2; ++Drain) {
+    for (size_t S = 0; S != 4; ++S)
+      Before[S] = Svc.stats().Shards[S].Stats;
+    for (const ServiceRequest &R : Stream)
+      ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+
+    // The heavy group is the drain's only group with batched reuses.
+    std::vector<uint64_t> Groups(4);
+    size_t HeavyShard = 4;
+    for (size_t S = 0; S != 4; ++S) {
+      const ServiceStats Now = Svc.stats().Shards[S].Stats;
+      Groups[S] = Now.PairGroups - Before[S].PairGroups;
+      if (Now.BatchedReuses - Before[S].BatchedReuses == 2)
+        HeavyShard = S;
+    }
+    ASSERT_LT(HeavyShard, 4u) << "drain " << Drain;
+    for (size_t S = 0; S != 4; ++S) {
+      if (S == HeavyShard)
+        continue;
+      EXPECT_LT(Groups[HeavyShard] - 1, Groups[S])
+          << "drain " << Drain << ": shard " << S;
+    }
+  }
+
+  json::Value Report = Svc.statsJson();
+  double Share = Report["critical_path_share"].asDouble();
+  EXPECT_GT(Share, 0.0);
+  EXPECT_LE(Share, 1.0);
+  ASSERT_EQ(Report["per_shard"].size(), 4u);
+  double ServeMillis = Svc.stats().ServeMillis;
+  for (size_t S = 0; S != 4; ++S) {
+    const json::Value *Busy = Report["per_shard"].at(S).find("busy_millis");
+    ASSERT_NE(Busy, nullptr) << "shard " << S;
+    EXPECT_GT(Busy->asDouble(), 0.0) << "shard " << S;
+    EXPECT_LE(Busy->asDouble(), ServeMillis) << "shard " << S;
+  }
 }
 
 // Certify mode works shard-locally: every shard logs its own proof trace

@@ -207,9 +207,11 @@ using JobsByEntry = std::map<const ConditionEntry *, std::vector<size_t>>;
 /// \p Shard, \p Shard + \p NumShards, ... of every family, each with its
 /// three condition kinds, in catalog order, so one prefix-batched drain
 /// discharges every entry's six methods in (kind x role) order against one
-/// pair scope. The shard then checks its own proof trace, fills the
-/// entries' job rows (\p JobsOf) and its stats row, and is destroyed
-/// before the task ends.
+/// pair scope. The service keeps no pair plans: each entry's plan is built
+/// for its group and dropped once the pair's scope retires, so the shard
+/// holds one pair plan at a time. The shard then checks its own proof
+/// trace, fills the entries' job rows (\p JobsOf) and its stats row, and
+/// is destroyed before the task ends.
 void runShard(const Catalog &C, const DriverOptions &Opts,
               const std::vector<const Family *> &Fams, const CatalogPlan &Plan,
               const JobsByEntry &JobsOf, unsigned Shard, unsigned NumShards,

@@ -6,16 +6,18 @@
 //
 // The warm catalog verification service loop: submits (family, pair,
 // condition-kind) requests to the sharded front-end, ShardedVerifyService,
-// whose warm sessions share one catalog plan and serve prefix-batched
-// drains, with bridge compaction and selector release keeping every
-// session bounded across arbitrarily many catalog passes. By default it
-// runs one shard on one thread, the single warm session:
+// whose warm sessions share one catalog plan and one pair plan store and
+// serve prefix-batched pair groups, with bridge compaction and selector
+// release keeping every session bounded across arbitrarily many catalog
+// passes. By default it runs one shard on one thread, the single warm
+// session:
 //
 //   semcommute-serve --families all --passes 3 --assert-plateau
 //   semcommute-serve --requests 10000 --seed 7 --check-verdicts
 //
 // --threads N (or --shards N) serves from N shards, each encoding the
-// catalog prefix itself, with drains fanned out over a pool:
+// catalog prefix itself; each drain places its pair groups on the shards
+// by plan cost and drains them on the caller's thread plus a pool:
 //
 //   semcommute-serve --threads 4 --requests 10000 --check-verdicts
 //
@@ -27,7 +29,6 @@
 #include "support/CommandLine.h"
 #include "support/Timing.h"
 
-#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +37,6 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace semcomm;
@@ -72,11 +72,12 @@ void printUsage(const char *Argv0) {
       "                    of every Unsat verdict the service produces\n"
       "\n"
       "sharding (ShardedVerifyService):\n"
-      "  --threads N       drain worker threads (default: 1); a pool of\n"
-      "                    min(N, shards) workers runs when that exceeds 1\n"
+      "  --threads N       threads that drain (default: 1): the caller's\n"
+      "                    plus a pool of min(N, shards) - 1 workers\n"
       "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads, so one session by default); requests\n"
-      "                    route by a hash of family+pair\n"
+      "                    --threads, so one session by default); each\n"
+      "                    drain places whole pair groups on shards by\n"
+      "                    plan cost, largest first onto the least loaded\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served families in-process with\n"
@@ -333,8 +334,7 @@ int main(int argc, char **argv) {
   double TotalMillis = Total.millis();
 
   int Exit = 0;
-  ShardedServiceStats SS = Svc.stats();
-  ServiceStats S = totals(SS);
+  ServiceStats S = totals(Svc.stats());
 
   // Every served request must have verified both of its testing methods
   // (the catalog is the paper's: everything verifies).
@@ -485,44 +485,9 @@ int main(int argc, char **argv) {
       PassArr.push(std::move(Row));
     }
     J.set("pass_stats", std::move(PassArr));
-    // The front-end's numbers: warm-up decomposition (the shared plan,
-    // plan + shard 0, and the average later shard) and the per-shard
-    // serving accounting.
-    json::Value Sh = json::Value::object();
-    Sh.set("shards",
-           json::Value::integer(static_cast<int64_t>(SS.Shards.size())));
-    // Threads that drain: the pool's min(--threads, shards) workers, or
-    // the caller's one thread when there is no pool.
-    Sh.set("threads", json::Value::integer(static_cast<int64_t>(
-                          std::min(SCfg.Threads, SCfg.Shards))));
-    // Hardware context for the thread-scaling numbers: on a 1-CPU
-    // container the req/s ratio across thread counts is pinned at ~1x no
-    // matter how well the drain parallelizes.
-    Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
-                       std::thread::hardware_concurrency())));
-    Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
-    Sh.set("warmup_scratch_millis",
-           json::Value::number(SS.WarmupScratchMillis));
-    Sh.set("warmup_import_millis_avg",
-           json::Value::number(SS.WarmupImportMillisAvg));
-    json::Value ShardArr = json::Value::array();
-    for (const ShardStats &St : SS.Shards) {
-      json::Value Row = json::Value::object();
-      Row.set("requests", json::Value::integer(
-                              static_cast<int64_t>(St.Stats.Requests)));
-      Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
-      Row.set("plans_built", json::Value::integer(
-                                 static_cast<int64_t>(St.Stats.PlansBuilt)));
-      Row.set("pair_plan_millis",
-              json::Value::number(St.Stats.PairPlanMillis));
-      Row.set("peak_live_vars", json::Value::integer(static_cast<int64_t>(
-                                    St.Stats.Session.PeakLiveVars)));
-      Row.set("peak_live_clauses", json::Value::integer(static_cast<int64_t>(
-                                       St.Stats.Session.PeakLiveClauses)));
-      ShardArr.push(std::move(Row));
-    }
-    Sh.set("per_shard", std::move(ShardArr));
-    J.set("sharded_service", std::move(Sh));
+    // The front-end's numbers: warm-up decomposition, critical path and
+    // the per-shard serving accounting.
+    J.set("sharded_service", Svc.statsJson());
     uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
     J.set("wall_millis", json::Value::number(TotalMillis));
     J.set("requests_per_sec",
