@@ -40,16 +40,14 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
 
   bool Ok = true;
   size_t FailedAt = Plan.Splits.size();
+  std::vector<ExprRef> Assumed = Sels;
   for (size_t SI = 0; SI != Plan.Splits.size(); ++SI) {
     const VcSplit &Split = Plan.Splits[SI];
     SmtSession &Session = SessionForSplit();
 
-    std::vector<ExprRef> Assumed = Sels;
-    std::vector<std::string> Labels = SelLabels;
-    for (const TaggedAssumption &A : Split.Assumed) {
+    Assumed.resize(Sels.size());
+    for (const TaggedAssumption &A : Split.Assumed)
       Assumed.push_back(A.E);
-      Labels.push_back(A.Label);
-    }
 
     SatResult Out = Session.check(Assumed, Budget, Sels);
     R.SatConflicts += Session.conflicts();
@@ -62,8 +60,10 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     }
 
     if (Out == SatResult::Unsat) {
+      // Assumed is the selectors, then the split's assumptions.
       for (size_t I : Session.lastCoreAssumptionIndices())
-        AddCoreLabel(Labels[I]);
+        AddCoreLabel(I < Sels.size() ? SelLabels[I]
+                                     : Split.Assumed[I - Sels.size()].Label);
       if (Session.certifying()) {
         // An Unsat verdict is a claim — record the certificate the checker
         // must later confirm for this method.

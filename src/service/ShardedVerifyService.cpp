@@ -220,6 +220,7 @@ json::Value ShardedVerifyService::statsJson() const {
                                static_cast<int64_t>(St.Stats.PlansBuilt)));
     Row.set("pair_plan_millis",
             json::Value::number(St.Stats.PairPlanMillis));
+    Row.set("retire_millis", json::Value::number(St.Stats.RetireMillis));
     Row.set("peak_live_vars", json::Value::integer(static_cast<int64_t>(
                                   St.Stats.Session.PeakLiveVars)));
     Row.set("peak_live_clauses", json::Value::integer(static_cast<int64_t>(

@@ -197,7 +197,9 @@ void VerifyService::serveGroup(const PairGroup &G, ServiceVerdict *Out,
   BatchedReuses += G.Reqs.size() - 1;
   for (size_t I = 0; I != G.Reqs.size(); ++I)
     serveOne(*G.Reqs[I], *Plan, Out[I], Methods ? Methods + 2 * I : nullptr);
+  Stopwatch Retire;
   Sess->retirePair(G.FamIdx, Plan->Key);
+  RetireMillis += Retire.millis();
 }
 
 double VerifyService::serve(const std::vector<const PairGroup *> &Groups,
@@ -241,6 +243,7 @@ ServiceStats VerifyService::stats() const {
   S.MethodsDischarged = MethodsDischarged;
   S.PlansBuilt = PlansBuilt;
   S.PairPlanMillis = PairPlanMillis;
+  S.RetireMillis = RetireMillis;
   S.ServeMillis = ServeMillis;
   S.Session = Sess->stats();
   return S;

@@ -154,6 +154,9 @@ struct ServiceStats {
   /// inside serve(), on the serving thread; not carried by snapshots).
   /// The catalog plan the shards share is not in it.
   double PairPlanMillis = 0;
+  /// Wall time spent retiring pair scopes, bridge compaction included,
+  /// timed once per group inside serve() (not carried by snapshots).
+  double RetireMillis = 0;
   double ServeMillis = 0; ///< Wall time spent inside serve().
   CatalogSessionStats Session;
 };
@@ -290,6 +293,7 @@ private:
   uint64_t MethodsDischarged = 0;
   uint64_t PlansBuilt = 0;
   double PairPlanMillis = 0;
+  double RetireMillis = 0;
   double ServeMillis = 0;
 };
 

@@ -107,11 +107,15 @@ ExprRef SmtSession::canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B) {
     Bound = -Bound;
   }
 
-  std::string Name = std::string(IsEq ? "ieq" : "ile") + "[" +
-                     Diff.signature() + "]" + std::to_string(Bound);
+  std::string Signature = Diff.signature();
+  std::string Name = std::string(IsEq ? "ieq" : "ile") + "[" + Signature +
+                     "]" + std::to_string(Bound);
   ExprRef Atom = F.var(Name, Sort::Bool);
-  if (IntAtomSeen.insert(Atom).second)
-    IntAtoms.push_back({Atom, {Diff.signature(), IsEq, Bound}});
+  if (IntAtomSeen.insert(Atom).second) {
+    auto [It, _] = IntAtomInfos.try_emplace(
+        Atom, IntAtomInfo{std::move(Signature), IsEq, Bound});
+    IntAtoms.push_back(*It);
+  }
   return Atom;
 }
 
@@ -236,10 +240,18 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
     return;
   }
   // Canonical integer atoms are minted during normalization (before this
-  // walk), so here they are leaves of the registry's own making.
-  if (BridgeCompactionEnabled && IntAtomSeen.count(E)) {
-    recordOwner(E);
-    return;
+  // walk), so here they are leaves of the registry's own making. Only a
+  // compacting session can have dropped one from the registry since; a
+  // memoized normalization then hands it back without re-minting it, so
+  // it re-registers here and emitNewBridges() re-emits its lattice.
+  if (BridgeCompactionEnabled && E->kind() == ExprKind::Var) {
+    auto Info = IntAtomInfos.find(E);
+    if (Info != IntAtomInfos.end()) {
+      if (IntAtomSeen.insert(E).second)
+        IntAtoms.push_back(*Info);
+      recordOwner(E);
+      return;
+    }
   }
   for (ExprRef Op : E->operands())
     collectTheoryAtoms(Op);
@@ -353,8 +365,8 @@ void SmtSession::ingest(ExprRef Normalized) {
   emitNewBridges();
 }
 
-void SmtSession::collectBoolAtoms(ExprRef E, std::set<ExprRef> &Out,
-                                  std::set<ExprRef> &Visited) {
+void SmtSession::collectBoolAtoms(ExprRef E, std::unordered_set<ExprRef> &Out,
+                                  std::unordered_set<ExprRef> &Visited) {
   if (!Visited.insert(E).second)
     return;
   switch (E->kind()) {
@@ -417,7 +429,7 @@ void SmtSession::assertBase(ExprRef E) {
   ExprRef N = normalize(E);
   AttrScope = RootScope;
   ingest(N);
-  std::set<ExprRef> Visited;
+  std::unordered_set<ExprRef> Visited;
   collectBoolAtoms(N, BaseAtoms, Visited);
   Tseitin::LayerId Saved = Encoder.activeLayer();
   Encoder.setActiveLayer(Tseitin::RootLayer);
@@ -455,20 +467,19 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   }
   if (Audit)
     Audit->assertInScope(printAbstract(Scopes[Scope].Selector));
-  // Wrap the normalized Body in the selector path, innermost first (the
-  // same formula as normalizing the wrapped Body, but the epoch-named
-  // wrappers stay out of the normalize memo).
-  ExprRef NBody = normalize(Body);
-  ExprRef N = NBody;
-  for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
-    N = F.implies(normalize(Scopes[S].Selector), N);
+  ExprRef N = normalize(Body);
   AttrScope = Scope;
   ingest(N);
-  std::set<ExprRef> Visited;
-  collectBoolAtoms(NBody, ScopedAtoms[Scopes[Scope].Selector], Visited);
+  ScopedBodies[Scopes[Scope].Selector].push_back(N);
+  // The selector path, outermost first. Selectors are boolean variables,
+  // which normalize() returns unchanged.
+  std::vector<ExprRef> Path;
+  for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
+    Path.push_back(Scopes[S].Selector);
+  std::reverse(Path.begin(), Path.end());
   Tseitin::LayerId Saved = Encoder.activeLayer();
   Encoder.setActiveLayer(Scopes[Scope].Layer);
-  Encoder.assertTrue(N);
+  Encoder.assertGuarded(Path, N);
   Encoder.setActiveLayer(Saved);
 }
 
@@ -574,7 +585,7 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     if (Node.OwnsLayer)
       Encoder.dropLayer(Node.Layer);
     ScopeOf.erase(Node.Selector);
-    ScopedAtoms.erase(Node.Selector);
+    ScopedBodies.erase(Node.Selector);
     Node.Alive = false;
     Node.Children.clear();
   }
@@ -654,8 +665,8 @@ size_t SmtSession::compactBridges() {
                        return Dead(P.first);
                      }),
                  IntAtoms.end());
-  ObjTermSet = std::set<ExprRef>(ObjTerms.begin(), ObjTerms.end());
-  MemAtomSet = std::set<ExprRef>(MemAtoms.begin(), MemAtoms.end());
+  ObjTermSet = std::unordered_set<ExprRef>(ObjTerms.begin(), ObjTerms.end());
+  MemAtomSet = std::unordered_set<ExprRef>(MemAtoms.begin(), MemAtoms.end());
   IntAtomSeen.clear();
   for (const auto &P : IntAtoms)
     IntAtomSeen.insert(P.first);
@@ -676,9 +687,9 @@ size_t SmtSession::compactBridges() {
           emitCongruence(P, Q);
       }
 
-  // A memoized result may name a dead int atom; a hit would then skip the
-  // re-registration (and the bridges) a fresh normalization performs.
-  NormalizeMemo.clear();
+  // NormalizeMemo survives: a memoized result that names a filtered int
+  // atom re-registers it in collectTheoryAtoms, as a fresh normalization
+  // would have in canonicalIntAtom.
   for (ExprRef E : DeadEntries)
     EntryOwners.erase(E);
   DeadEntries.clear();
@@ -754,9 +765,10 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
       Names.push_back(printAbstract(Sel));
     Audit->check(std::move(Names));
   }
+  std::vector<ExprRef> Normalized;
   std::vector<Lit> Assumptions;
+  Normalized.reserve(Assumed.size());
   Assumptions.reserve(Assumed.size());
-  std::set<ExprRef> QueryAtoms, Visited;
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   ScopeId Host = innermostScope(ActiveScopes);
   Encoder.setActiveLayer(Scopes[Host].Layer);
@@ -764,7 +776,7 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);
-    collectBoolAtoms(N, QueryAtoms, Visited);
+    Normalized.push_back(N);
     Assumptions.push_back(Encoder.encode(N));
   }
   Encoder.setActiveLayer(SavedLayer);
@@ -828,25 +840,25 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
     // Report only over this check's vocabulary (base + active scopes +
     // current query): a warm session's atom map also holds every earlier
     // query's and every other scope's atoms, which would drown the
-    // countermodel in unrelated diagnostics.
-    std::vector<const std::set<ExprRef> *> ActiveAtomSets;
+    // countermodel in unrelated diagnostics. Only a Sat check reads the
+    // vocabulary, so only a Sat check collects it.
+    std::unordered_set<ExprRef> Vocabulary(BaseAtoms), Visited;
+    for (ExprRef N : Normalized)
+      collectBoolAtoms(N, Vocabulary, Visited);
     for (ExprRef ActiveScope : ActiveScopes) {
-      auto It = ScopedAtoms.find(ActiveScope);
-      if (It != ScopedAtoms.end())
-        ActiveAtomSets.push_back(&It->second);
+      auto It = ScopedBodies.find(ActiveScope);
+      if (It != ScopedBodies.end())
+        for (ExprRef Body : It->second)
+          collectBoolAtoms(Body, Vocabulary, Visited);
     }
-    auto InScope = [&ActiveAtomSets](ExprRef Atom) {
-      for (const std::set<ExprRef> *S : ActiveAtomSets)
-        if (S->count(Atom))
-          return true;
-      return false;
-    };
-    for (const auto &[Atom, V] : Encoder.atoms())
-      if (Sat.modelValue(V) &&
-          (BaseAtoms.count(Atom) || QueryAtoms.count(Atom) || InScope(Atom)))
+    for (ExprRef Atom : Vocabulary) {
+      auto It = Encoder.atoms().find(Atom);
+      if (It != Encoder.atoms().end() && Sat.modelValue(It->second))
         LastModel.push_back(printAbstract(Atom));
-    // Encoder.atoms() iterates in pointer order, which varies when several
-    // threads share the interning factory; sort so diagnostics are stable.
+    }
+    // The vocabulary iterates in hash (pointer) order, which varies when
+    // several threads share the interning factory; sort so diagnostics
+    // are stable.
     std::sort(LastModel.begin(), LastModel.end());
   }
   return R;

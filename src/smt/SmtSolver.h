@@ -70,6 +70,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace semcomm {
@@ -114,10 +115,12 @@ public:
 
   /// Asserts `sel_1 -> (sel_2 -> ... -> Body)` over \p Scope's selector
   /// path permanently, attributing \p Body's atoms to the scope and its
-  /// encoding to the scope's layer. A check() run with the scope's
-  /// selector among its ActiveScopes reports countermodels over base +
-  /// scope + query atoms — other scopes' atoms stay out of the
-  /// diagnostics.
+  /// encoding to the scope's layer. The guard is emitted as clauses
+  /// (Tseitin::assertGuarded): no formula is built for the path, so the
+  /// epoch-named selectors leave nothing behind in the factory. A check()
+  /// run with the scope's selector among its ActiveScopes reports
+  /// countermodels over base + scope + query atoms — other scopes' atoms
+  /// stay out of the diagnostics.
   void assertInScope(ScopeId Scope, ExprRef Body);
 
   /// Permanently retires \p Scope and its entire subtree in one solver
@@ -294,14 +297,13 @@ private:
   /// in canonical operand order with object ITEs lowered, integer atoms
   /// canonicalized to `sum <=/= c`, connectives rebuilt over normalized
   /// operands. Results of composite formulas (the connectives and the
-  /// Eq/Lt/Le atoms) are memoized in NormalizeMemo; leaves return
-  /// themselves unrecorded. The memo is sound only while every canonical
-  /// int atom inside a recorded result is still in the int-atom registry:
-  /// canonicalIntAtom registers an atom on its first normalization, and a
-  /// memo hit skips that call. compactBridges() filters the registry, so
-  /// it clears the memo too. assertInScope() wraps the normalized body in
-  /// the selector path after normalization, so epoch-named selector
-  /// wrappers never enter the memo.
+  /// Eq/Lt/Le atoms) are memoized in NormalizeMemo for the session's
+  /// lifetime; leaves return themselves unrecorded. canonicalIntAtom
+  /// registers an atom on its first normalization, and a memo hit skips
+  /// that call, so a hit may name a canonical int atom compactBridges()
+  /// filtered out of the registry: collectTheoryAtoms() re-registers any
+  /// such atom from IntAtomInfos, bridges included. Selector paths never
+  /// reach the memo: assertInScope() emits them as guard clauses.
   ExprRef normalize(ExprRef E);
   ExprRef normalizeAtom(ExprRef E);
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
@@ -331,42 +333,53 @@ private:
   ScopeId layerOwnerScope(ScopeId S) const;
   /// Collects the boolean atoms (non-propositional leaves) of a normalized
   /// formula — the vocabulary a countermodel should be reported over.
-  /// \p Visited memoizes over the hash-consed DAG (connective nodes are
-  /// not in \p Out, so Out alone cannot stop re-traversal).
-  static void collectBoolAtoms(ExprRef E, std::set<ExprRef> &Out,
-                               std::set<ExprRef> &Visited);
+  /// Only a Sat check needs it: assertBase() collects the base atoms
+  /// once, and check() collects the query's and the active scopes' atoms
+  /// after its solve comes back Sat. \p Visited memoizes over the
+  /// hash-consed DAG (connective nodes are not in \p Out, so Out alone
+  /// cannot stop re-traversal).
+  static void collectBoolAtoms(ExprRef E, std::unordered_set<ExprRef> &Out,
+                               std::unordered_set<ExprRef> &Visited);
 
   ExprFactory &F;
   SatSolver Sat;
   Tseitin Encoder;
 
   // Theory atom registries. Vectors preserve discovery order (the bridge
-  // emission order must not depend on pointer values); sets dedup.
+  // emission order must not depend on pointer values); the hashed sets
+  // only dedup and are never iterated.
   std::vector<ExprRef> ObjTerms;
-  std::set<ExprRef> ObjTermSet;
+  std::unordered_set<ExprRef> ObjTermSet;
   std::vector<ExprRef> MapLookups;
   std::vector<ExprRef> MemAtoms;
-  std::set<ExprRef> MemAtomSet;
+  std::unordered_set<ExprRef> MemAtomSet;
   std::vector<std::pair<ExprRef, detail::IntAtomInfo>> IntAtoms;
-  std::set<ExprRef> IntAtomSeen;
+  std::unordered_set<ExprRef> IntAtomSeen;
+  /// Every canonical int atom the session ever minted, with its
+  /// signature, kind and bound. Never filtered: compaction drops an atom
+  /// from IntAtoms/IntAtomSeen only, and this is where collectTheoryAtoms
+  /// finds it again when a memoized normalization brings it back.
+  std::unordered_map<ExprRef, detail::IntAtomInfo> IntAtomInfos;
 
   /// normalize() results of composite formulas, keyed by the hash-consed
-  /// input; cleared whenever compaction filters IntAtoms (see normalize).
-  /// Only looked up, never iterated, so pointer keys cannot leak into
-  /// any order the session exposes.
+  /// input. Only looked up, never iterated, so pointer keys cannot leak
+  /// into any order the session exposes.
   std::unordered_map<ExprRef, ExprRef> NormalizeMemo;
 
   /// Atoms of the base formulas: a failing check's countermodel is
   /// reported over base + active-scope + current-query atoms only, not
   /// over every atom the warm session has accumulated from earlier,
   /// unrelated queries or other selector scopes.
-  std::set<ExprRef> BaseAtoms;
-  std::map<ExprRef, std::set<ExprRef>> ScopedAtoms; ///< Keyed by selector.
+  std::unordered_set<ExprRef> BaseAtoms;
+  /// The normalized bodies asserted into each live scope, keyed by
+  /// selector: a Sat check reports over the atoms of its active scopes'
+  /// bodies too.
+  std::unordered_map<ExprRef, std::vector<ExprRef>> ScopedBodies;
 
   /// The selector tree (node 0 is the root). Nodes are never erased, only
   /// marked dead, so ScopeIds stay stable for the session's lifetime.
   std::vector<ScopeNode> Scopes;
-  std::map<ExprRef, ScopeId> ScopeOf; ///< Live selectors only.
+  std::unordered_map<ExprRef, ScopeId> ScopeOf; ///< Live selectors only.
 
   // High-water marks of the atoms already covered by emitted bridges.
   size_t BridgedObjTerms = 0;
@@ -380,11 +393,13 @@ private:
   size_t BridgeMinDead = 64;
   /// Scope the current assert/check attributes theory atoms to.
   ScopeId AttrScope = RootScope;
-  std::map<ExprRef, std::set<ScopeId>> EntryOwners;
-  std::map<ScopeId, std::vector<ExprRef>> ScopeEntries;
+  /// Owner sets and their reverse index. Looked up and erased, never
+  /// iterated in an order that reaches the solver.
+  std::unordered_map<ExprRef, std::set<ScopeId>> EntryOwners;
+  std::unordered_map<ScopeId, std::vector<ExprRef>> ScopeEntries;
   /// Registry entries whose every owner died (cleared at compaction; an
   /// entry re-mentioned by a live scope is revived out of this set).
-  std::set<ExprRef> DeadEntries;
+  std::unordered_set<ExprRef> DeadEntries;
   int64_t BridgeCompactions = 0;
   int64_t ReleasedAtomVars = 0;
   int64_t LiveBridges = 0;

@@ -17,7 +17,7 @@ using namespace semcomm;
 Tseitin::LayerId Tseitin::pushLayer(LayerId Parent) {
   assert(Parent < Layers.size() && Layers[Parent].Alive &&
          "pushLayer under a dead parent");
-  Layers.push_back({{}, {}, Parent, true});
+  Layers.push_back({{}, {}, {}, Parent, true});
   LayerId Id = static_cast<LayerId>(Layers.size()) - 1;
   if (Audit)
     Audit->pushLayer(Id, Parent);
@@ -34,7 +34,8 @@ void Tseitin::dropLayer(LayerId L) {
   assert(L != Active && "dropping the active layer");
   if (Audit)
     Audit->dropLayer(L);
-  Layers[L].Cache.clear();
+  Layers[L].Cache = {};
+  Layers[L].Guarded = {};
   Layers[L].Owned.clear();
   Layers[L].Owned.shrink_to_fit();
   Layers[L].Alive = false;
@@ -76,22 +77,28 @@ Lit Tseitin::atomLit(ExprRef Atom) {
   return Lit(V, true);
 }
 
-const Lit *Tseitin::lookup(ExprRef E) const {
+template <typename FindFn>
+const Lit *Tseitin::findOnChain(FindFn Find) const {
   // Walk the ancestor chain only: a sibling layer's definitions may be
   // evicted with that sibling, so referencing them would dangle.
   LayerId L = Active;
   while (true) {
-    const Layer &Lay = Layers[L];
-    auto It = Lay.Cache.find(E);
-    if (It != Lay.Cache.end()) {
+    if (const Lit *Hit = Find(Layers[L])) {
       if (Audit)
         Audit->reference(L, Active);
-      return &It->second;
+      return Hit;
     }
     if (L == RootLayer)
       return nullptr;
-    L = Lay.Parent;
+    L = Layers[L].Parent;
   }
+}
+
+const Lit *Tseitin::lookup(ExprRef E) const {
+  return findOnChain([E](const Layer &Lay) -> const Lit * {
+    auto It = Lay.Cache.find(E);
+    return It == Lay.Cache.end() ? nullptr : &It->second;
+  });
 }
 
 Lit Tseitin::encode(ExprRef E) {
@@ -175,4 +182,50 @@ Lit Tseitin::encode(ExprRef E) {
 
   Layers[Active].Cache.emplace(E, Result);
   return Result;
+}
+
+void Tseitin::assertGuarded(const std::vector<ExprRef> &Guards,
+                            ExprRef Body) {
+  assert(!Guards.empty() && "a guarded assertion needs a guard");
+  // `g -> true` folds to true at every level of the chain.
+  if (Body->isTrue()) {
+    assertTrue(Body);
+    return;
+  }
+  GuardKey Key{Guards.back(), Body};
+  const Lit *Cached = findOnChain([&Key](const Layer &Lay) -> const Lit * {
+    for (const auto &[K, L] : Lay.Guarded)
+      if (K == Key)
+        return &L;
+    return nullptr;
+  });
+  if (Cached) {
+    Solver.addClause({*Cached});
+    return;
+  }
+  // encode() of the chain visits each implication's guard before its
+  // consequent, so every guard is encoded, outermost first, before the
+  // body; the definitions then follow innermost first.
+  std::vector<Lit> G;
+  G.reserve(Guards.size());
+  for (ExprRef Guard : Guards)
+    G.push_back(encode(Guard));
+  // `g -> false` folds to `!g`: the innermost guard's negation is the
+  // consequent of the level above it.
+  size_t Levels = Guards.size();
+  Lit Inner;
+  if (Body->isFalse())
+    Inner = G[--Levels].negated();
+  else
+    Inner = encode(Body);
+  while (Levels != 0) {
+    Lit A = G[--Levels];
+    Lit D = freshDefinition();
+    Solver.addClause({D.negated(), A.negated(), Inner});
+    Solver.addClause({D, A});
+    Solver.addClause({D, Inner.negated()});
+    Inner = D;
+  }
+  Layers[Active].Guarded.push_back({Key, Inner});
+  Solver.addClause({Inner});
 }

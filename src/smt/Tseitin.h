@@ -36,6 +36,8 @@
 #include "smt/SessionAudit.h"
 
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace semcomm {
@@ -48,7 +50,7 @@ public:
   static constexpr LayerId RootLayer = 0;
 
   explicit Tseitin(SatSolver &Solver) : Solver(Solver) {
-    Layers.push_back({{}, {}, RootLayer, true});
+    Layers.push_back({{}, {}, {}, RootLayer, true});
   }
 
   /// Opens a new cache layer under \p Parent and returns its id. The layer
@@ -74,6 +76,17 @@ public:
 
   /// Asserts \p E at the top level.
   void assertTrue(ExprRef E) { Solver.addClause({encode(E)}); }
+
+  /// Asserts `Guards[0] -> (Guards[1] -> ... -> Body)` at the top level
+  /// without building that chain: the definitions, clauses and cache
+  /// events are those assertTrue() of the chain's formula produces, in the
+  /// same order, the factory's folds included (`g -> true` is true and
+  /// `g -> false` is `!g`). Each guard is an atom and \p Guards is a
+  /// selector path: its innermost guard names the whole path, so asserting
+  /// the same body under the same innermost guard again, from the layer
+  /// that cached it or a descendant, is a cache hit, as the chain's
+  /// formula would be.
+  void assertGuarded(const std::vector<ExprRef> &Guards, ExprRef Body);
 
   /// The global variable of theory atom \p Atom (a boolean leaf: no
   /// connective, no constant), allocated on first use. Touches no layer
@@ -101,14 +114,27 @@ public:
   void setAuditLog(audit::Log *L) { Audit = L; }
 
 private:
+  /// A guarded assertion's cache key: (innermost guard, body).
+  using GuardKey = std::pair<ExprRef, ExprRef>;
+
   struct Layer {
-    std::map<ExprRef, Lit> Cache;
+    /// Only looked up, never iterated, so hashing by pointer cannot leak
+    /// into any order the encoder exposes.
+    std::unordered_map<ExprRef, Lit> Cache;
+    /// The outermost literal of each guarded assertion made under this
+    /// layer: what the chain's formula would have cached. A scope asserts
+    /// a handful of bodies, so a scan beats a hash table here, and keeps
+    /// the layer record (which outlives a dropped layer) small.
+    std::vector<std::pair<GuardKey, Lit>> Guarded;
     std::vector<int> Owned; ///< Definition vars created under this layer.
     LayerId Parent;
     bool Alive;
   };
 
   Lit freshDefinition();
+  /// Walks the active layer's ancestor chain until \p Find returns an
+  /// entry of a layer's cache, and logs the reference that hit makes.
+  template <typename FindFn> const Lit *findOnChain(FindFn Find) const;
   const Lit *lookup(ExprRef E) const;
   static bool isAtom(ExprRef E);
 

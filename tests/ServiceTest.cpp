@@ -269,6 +269,37 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   EXPECT_GT(S.Session.ReleasedAtomVars, 0u);
 }
 
+// Live solver state plateaus (above), and so must the shared expression
+// factory, up to what a warm loop cannot avoid: every pass opens fresh
+// epoch-named selectors, one per pair group and one per discharged
+// method. Nothing else a steady pass asserts or checks may intern a new
+// node; selector-path wrapper formulas once added ~3 more per selector.
+TEST(ServiceTest, FactoryGrowsOnlyBySelectorsInASteadyPass) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams =
+      families({"Accumulator", "Set", "Map", "ArrayList"});
+  ShardedVerifyService Svc(C, Fams, ShardedServiceConfig{});
+  ASSERT_EQ(Svc.numShards(), 1u);
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+  size_t NodesBefore = 0;
+  ServiceStats Before;
+  for (int P = 0; P != 3; ++P) {
+    NodesBefore = F.numNodes();
+    Before = Svc.stats().Shards[0].Stats;
+    for (const ServiceRequest &R : Pass)
+      ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  }
+  ServiceStats After = Svc.stats().Shards[0].Stats;
+  uint64_t Selectors = (After.PairGroups - Before.PairGroups) +
+                       (After.MethodsDischarged - Before.MethodsDischarged);
+  EXPECT_EQ(Selectors, 170u + 2 * Pass.size());
+  EXPECT_LE(F.numNodes() - NodesBefore, Selectors);
+}
+
 // A compacting session still certifies: compaction deletes clauses out of
 // the proof trace (Delete/Recycle steps), and the independent checker
 // must accept the full trace including the re-emitted bridge Inputs. The

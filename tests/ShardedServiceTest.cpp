@@ -410,10 +410,19 @@ TEST(ShardedServiceTest, PlacementBalancesByPlanCost) {
   ASSERT_EQ(Report["per_shard"].size(), 4u);
   double ServeMillis = Svc.stats().ServeMillis;
   for (size_t S = 0; S != 4; ++S) {
-    const json::Value *Busy = Report["per_shard"].at(S).find("busy_millis");
+    const json::Value &Row = Report["per_shard"].at(S);
+    const json::Value *Busy = Row.find("busy_millis");
     ASSERT_NE(Busy, nullptr) << "shard " << S;
     EXPECT_GT(Busy->asDouble(), 0.0) << "shard " << S;
     EXPECT_LE(Busy->asDouble(), ServeMillis) << "shard " << S;
+    // Planning and retirement are stages of the shard's serving time.
+    const json::Value *Plan = Row.find("pair_plan_millis");
+    const json::Value *Retire = Row.find("retire_millis");
+    ASSERT_NE(Plan, nullptr) << "shard " << S;
+    ASSERT_NE(Retire, nullptr) << "shard " << S;
+    EXPECT_GT(Retire->asDouble(), 0.0) << "shard " << S;
+    EXPECT_LE(Plan->asDouble() + Retire->asDouble(), Busy->asDouble())
+        << "shard " << S;
   }
 }
 

@@ -10,11 +10,13 @@
 #include "smt/SmtSolver.h"
 #include "smt/Tseitin.h"
 #include "logic/Evaluator.h"
+#include "logic/Printer.h"
 #include "spec/AbstractState.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <tuple>
 
 using namespace semcomm;
 
@@ -749,10 +751,10 @@ TEST(SmtSessionTest, ScopeTreeSubtreeRetireRecyclesDefinitionVars) {
 TEST(SmtSessionTest, CompactedIntAtomsReRegisterOnReuse) {
   // Each round's scope is the only owner of the atoms x=1 and x=2, so its
   // retirement compacts both out of the int-atom registry. The next round
-  // normalizes the same formulas again: they must re-register their atoms,
-  // or the exclusivity bridge between x=1 and x=2 is never re-emitted and
-  // the check turns Sat. A normalize memo that outlived the compaction
-  // would skip exactly that re-registration.
+  // asserts and checks the same formulas again, which the normalize memo
+  // answers without minting the atoms: they must re-register anyway, or
+  // the exclusivity bridge between x=1 and x=2 is never re-emitted and the
+  // check turns Sat.
   ExprFactory F;
   SmtSession S(F);
   S.enableBridgeCompaction(1);
@@ -855,6 +857,77 @@ TEST(SmtSessionTest, CompactionKeepsCongruenceOverDeadKeys) {
             SatResult::Unsat);
 }
 
+TEST(SmtSessionTest, MemoizedIntAtomsReRegisterAfterCompaction) {
+  // The normalize memo outlives bridge compaction. Scope A alone owns the
+  // atoms x <= 0 and x = 1, so retiring it compacts both out of the
+  // int-atom registry and releases their variables. Scope B's check then
+  // normalizes both formulas from the memo, which does not mint the atoms
+  // again: collectTheoryAtoms must re-register them, or the lattice
+  // bridge x = 1 -> !(x <= 0) is never re-emitted and the check turns Sat.
+  ExprFactory F;
+  SmtSession S(F);
+  S.enableBridgeCompaction(1);
+  ExprRef X = F.var("memo_x", Sort::Int);
+  ExprRef Le0 = F.le(X, F.intConst(0)), Eq1 = F.eq(X, F.intConst(1));
+  ExprRef SelA = F.var("memo_a", Sort::Bool);
+  ExprRef SelB = F.var("memo_b", Sort::Bool);
+  SmtSession::ScopeId A =
+      S.openScope(SelA, SmtSession::RootScope, /*OwnLayer=*/true);
+  S.assertInScope(A, Le0);
+  ASSERT_EQ(S.check({SelA, Eq1}, -1, SelA), SatResult::Unsat);
+  S.retireScope(A);
+  ASSERT_EQ(S.bridgeCompactions(), 1);
+  EXPECT_EQ(S.releasedAtomVars(), 2);
+  EXPECT_EQ(S.liveBridges(), 0);
+
+  S.openScope(SelB, SmtSession::RootScope, /*OwnLayer=*/true);
+  EXPECT_EQ(S.check({SelB, Eq1, Le0}, -1, SelB), SatResult::Unsat);
+  EXPECT_EQ(S.liveBridges(), 1);
+  EXPECT_TRUE(S.solver().reasonInvariantHolds());
+}
+
+TEST(SmtSessionTest, CountermodelVocabularyUnderNestedScopes) {
+  // A Sat check reports the true atoms of the base, of its active scopes'
+  // bodies and of its own assumptions, sorted by printed form, and
+  // nothing else: not a sibling scope's atoms nor an earlier query's,
+  // even when the model makes them true.
+  ExprFactory F;
+  auto B = [&F](const char *Name) { return F.var(Name, Sort::Bool); };
+  ExprRef Fam = B("voc_fam"), Pair = B("voc_pair"), M = B("voc_m"),
+          Sib = B("voc_sib");
+  SmtSession S(F);
+  S.assertBase(B("voc_base"));
+  SmtSession::ScopeId FamS =
+      S.openScope(Fam, SmtSession::RootScope, /*OwnLayer=*/true);
+  SmtSession::ScopeId PairS = S.openScope(Pair, FamS, /*OwnLayer=*/true);
+  SmtSession::ScopeId MS = S.openScope(M, PairS, /*OwnLayer=*/false);
+  SmtSession::ScopeId SibS = S.openScope(Sib, FamS, /*OwnLayer=*/true);
+  S.assertInScope(FamS, F.conj({B("voc_f"), F.lnot(B("voc_f_off"))}));
+  S.assertInScope(PairS, B("voc_p"));
+  S.assertInScope(MS, F.disj({B("voc_m1"), F.falseExpr()}));
+  S.assertInScope(MS, F.trueExpr());
+  S.assertInScope(SibS, F.conj({B("voc_s"), B("voc_early")}));
+
+  ASSERT_EQ(S.check({Fam, Sib, B("voc_early")}, -1, {Fam, Sib}),
+            SatResult::Sat);
+  EXPECT_EQ(S.modelAtoms(),
+            (std::vector<std::string>{"voc_base", "voc_early", "voc_f",
+                                      "voc_fam", "voc_s", "voc_sib"}));
+
+  ASSERT_EQ(S.check({Fam, Pair, M, Sib, B("voc_q")}, -1, {Fam, Pair, M}),
+            SatResult::Sat);
+  EXPECT_EQ(S.modelAtoms(),
+            (std::vector<std::string>{"voc_base", "voc_f", "voc_fam", "voc_m",
+                                      "voc_m1", "voc_p", "voc_pair", "voc_q",
+                                      "voc_sib"}));
+
+  // A retired scope's bodies leave the vocabulary with it.
+  S.retireScope(PairS);
+  ASSERT_EQ(S.check({Fam, B("voc_q")}, -1, {Fam, Pair}), SatResult::Sat);
+  EXPECT_EQ(S.modelAtoms(), (std::vector<std::string>{"voc_base", "voc_f",
+                                                      "voc_fam", "voc_q"}));
+}
+
 // --- Core-minimizing restarts -------------------------------------------------
 
 TEST(SatSolverCoreMinimization, SolveOfCoreReachesSmallerFixpoint) {
@@ -947,6 +1020,83 @@ TEST(TseitinTest, UnsatisfiableFormula) {
   Tseitin T(S);
   T.assertTrue(F.conj({F.iff(A, F.lnot(A))}));
   EXPECT_EQ(S.solve(), SatResult::Unsat);
+}
+
+// --- Guarded assertions -------------------------------------------------------
+
+namespace {
+
+/// An encoder over a proof-logging solver, with the discipline log a lint
+/// replay attaches.
+struct GuardRig {
+  SatSolver Sat;
+  proof::ProofTrace Trace;
+  audit::Log Log;
+  Tseitin Enc{Sat};
+  GuardRig() {
+    Sat.setProofTrace(&Trace);
+    Enc.setAuditLog(&Log);
+  }
+};
+
+/// The Define/Reference events of \p L: (kind, layer, active layer).
+std::vector<std::tuple<int, unsigned, unsigned>>
+layerEvents(const audit::Log &L) {
+  std::vector<std::tuple<int, unsigned, unsigned>> Out;
+  for (const audit::Event &E : L.Events)
+    if (E.Kind == audit::EventKind::Define ||
+        E.Kind == audit::EventKind::Reference)
+      Out.emplace_back(static_cast<int>(E.Kind), E.Layer, E.ActiveLayer);
+  return Out;
+}
+
+} // namespace
+
+TEST(TseitinTest, GuardedAssertionMatchesTheImplicationChain) {
+  // assertGuarded(path, body) must add exactly what asserting the formula
+  // `s1 -> (s2 -> ... -> body)` adds: the same definitions, clauses and
+  // cache events in the same order, so the certified trace serializes
+  // byte for byte alike. Covered: one- and three-level paths, the bodies
+  // the factory folds (true, false) and a composite one, and the same
+  // body asserted twice under one path (a cache hit on the chain).
+  ExprFactory F;
+  ExprRef S1 = F.var("g_s1", Sort::Bool), S2 = F.var("g_s2", Sort::Bool),
+          S3 = F.var("g_s3", Sort::Bool);
+  ExprRef X = F.var("g_x", Sort::Bool), Y = F.var("g_y", Sort::Bool);
+  auto Chain = [&F](const std::vector<ExprRef> &Path, ExprRef Body) {
+    for (auto It = Path.rbegin(); It != Path.rend(); ++It)
+      Body = F.implies(*It, Body);
+    return Body;
+  };
+  for (ExprRef Body : {F.trueExpr(), F.falseExpr(), F.disj({X, F.lnot(Y)})}) {
+    // A family-like layer asserting under one guard, then a nested layer
+    // asserting under three: the outer guards are found in the ancestor.
+    auto Scenario = [&](GuardRig &R, const auto &Assert) {
+      R.Enc.setActiveLayer(R.Enc.pushLayer(Tseitin::RootLayer));
+      Assert(R, std::vector<ExprRef>{S1}, Body);
+      R.Enc.setActiveLayer(R.Enc.pushLayer(R.Enc.activeLayer()));
+      Assert(R, std::vector<ExprRef>{S1, S2, S3}, Body);
+      Assert(R, std::vector<ExprRef>{S1, S2, S3}, Body);
+      Assert(R, std::vector<ExprRef>{S1}, Body);
+    };
+    GuardRig Ref, New;
+    Scenario(Ref, [&](GuardRig &R, const std::vector<ExprRef> &Path,
+                      ExprRef B) { R.Enc.assertTrue(Chain(Path, B)); });
+    Scenario(New, [](GuardRig &R, const std::vector<ExprRef> &Path,
+                     ExprRef B) { R.Enc.assertGuarded(Path, B); });
+    std::string What = printAbstract(Body);
+    EXPECT_EQ(New.Trace.serialize(), Ref.Trace.serialize()) << What;
+    EXPECT_EQ(New.Sat.numVars(), Ref.Sat.numVars()) << What;
+    EXPECT_EQ(layerEvents(New.Log), layerEvents(Ref.Log)) << What;
+    // And the guard means what it says.
+    SatResult Under = New.Sat.solve({New.Enc.atomLit(S1),
+                                     New.Enc.atomLit(S2),
+                                     New.Enc.atomLit(S3)});
+    EXPECT_EQ(Under, Body->isFalse() ? SatResult::Unsat : SatResult::Sat)
+        << What;
+    EXPECT_EQ(New.Sat.solve({New.Enc.atomLit(S1).negated()}), SatResult::Sat)
+        << What;
+  }
 }
 
 // --- SmtSolver -----------------------------------------------------------------

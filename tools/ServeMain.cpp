@@ -141,6 +141,7 @@ ServiceStats totals(const ShardedServiceStats &SS) {
     Sum.BatchedReuses += Sh.Stats.BatchedReuses;
     Sum.MethodsDischarged += Sh.Stats.MethodsDischarged;
     Sum.PlansBuilt += Sh.Stats.PlansBuilt;
+    Sum.RetireMillis += Sh.Stats.RetireMillis;
     const CatalogSessionStats &In = Sh.Stats.Session;
     CatalogSessionStats &Out = Sum.Session;
     Out.FamiliesOpened += In.FamiliesOpened;
@@ -162,6 +163,14 @@ ServiceStats totals(const ShardedServiceStats &SS) {
     Out.PeakLiveBridges += In.PeakLiveBridges;
   }
   return Sum;
+}
+
+/// The shards' serving time summed (each shard's busy_millis).
+double shardBusyMillis(const ShardedServiceStats &SS) {
+  double Busy = 0;
+  for (const ShardStats &Sh : SS.Shards)
+    Busy += Sh.Stats.ServeMillis;
+  return Busy;
 }
 
 } // namespace
@@ -280,6 +289,7 @@ int main(int argc, char **argv) {
   // What the restored shard images had counted, so that the summary line
   // reports this run alone.
   ServiceStats Restored = totals(Svc.stats());
+  double RestoredBusy = shardBusyMillis(Svc.stats());
 
   std::vector<PassPeaks> PassStats;
   Stopwatch Total;
@@ -489,6 +499,11 @@ int main(int argc, char **argv) {
     // the per-shard serving accounting.
     J.set("sharded_service", Svc.statsJson());
     uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
+    // Expression nodes interned over the process lifetime: selectors
+    // are epoch-named, so a warm loop grows the shared factory by at
+    // least one node per selector it opens.
+    J.set("factory_nodes", json::Value::integer(static_cast<int64_t>(
+                               F.numNodes())));
     J.set("wall_millis", json::Value::number(TotalMillis));
     J.set("requests_per_sec",
           json::Value::number(TotalMillis > 0
@@ -509,18 +524,21 @@ int main(int argc, char **argv) {
   }
 
   // This run's counts: the request count and the pair groups and reuses
-  // exclude a reloaded image's. Compactions and released selectors are
-  // never restored, so they count this process already.
+  // exclude a reloaded image's. Compactions, released selectors and
+  // retirement time are never restored, so they count this process
+  // already; the shards' busy time is restored, so it is a delta too.
   uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
   std::printf("served %llu requests in %.1f ms (%.1f req/s): %s; "
               "%llu pair groups, %llu batched reuses, %llu compactions, "
-              "%llu selectors released\n",
+              "%llu selectors released; retire %.1f ms of %.1f ms shard "
+              "busy\n",
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
               (unsigned long long)(S.PairGroups - Restored.PairGroups),
               (unsigned long long)(S.BatchedReuses - Restored.BatchedReuses),
               (unsigned long long)S.Session.BridgeCompactions,
-              (unsigned long long)S.Session.ReleasedSelectors);
+              (unsigned long long)S.Session.ReleasedSelectors,
+              S.RetireMillis, shardBusyMillis(Svc.stats()) - RestoredBusy);
   return Exit;
 }
