@@ -29,10 +29,11 @@
 /// Tseitin definitions, bridge clauses, and learned clauses are all
 /// retained across the queries of one verification family. Bridges are
 /// emitted incrementally: a new theory atom only generates the bridge
-/// instances that mention it. All bookkeeping is insertion-ordered, so a
-/// session's behavior is a function of the asserted formula sequence alone
-/// — never of pointer values — which keeps multi-threaded driver runs
-/// verdict-deterministic.
+/// instances that mention it. The theory registries and bridge emission
+/// follow insertion order, and no hashed map or set is iterated in an
+/// order that reaches the solver or a report, so a session's behavior is
+/// a function of the asserted formula sequence alone — never of pointer
+/// values — which keeps multi-threaded driver runs verdict-deterministic.
 ///
 /// Scoped assertions live on a selector *tree* (catalog → family → pair →
 /// method paths): each scope is guarded by a boolean selector, asserting
