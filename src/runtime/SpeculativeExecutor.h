@@ -38,8 +38,10 @@
 ///    transaction loses executed work to a wound, grown by one after a
 ///    ceiling's worth of wound-free commits). Where every pair of
 ///    transactions conflicts the window settles near one, which ends the
-///    abort storm; the executor still runs well below serial speed there
-///    (about a fifth of replaySerial on perfbench's txn_high).
+///    abort storm. Nothing polls: a blocked transaction parks on the
+///    transaction it waits for, whose commit or rollback re-queues it, and
+///    a worker with nothing runnable sleeps until there is more runnable
+///    work than awake workers to take it.
 ///  * Replay — a seeded scheduler serializes every step under one mutex,
 ///    so the schedule (and therefore the final state, commit order, and
 ///    deterministic stats) is a pure function of the seed, invariant
@@ -59,6 +61,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
@@ -139,8 +142,10 @@ struct ExecutorStats {
   /// merely waits (degenerates to pessimistic serialization when the
   /// gatekeeper is off).
   uint64_t Stalls = 0;
-  /// Admission retries spent waiting (for an older transaction to finish
-  /// or a wounded younger one to clear its effects).
+  /// Times a transaction waited (for an older transaction to finish or a
+  /// wounded younger one to clear its effects). Parallel mode counts parks:
+  /// the transaction sleeps until its blocker commits or rolls back.
+  /// Replay mode counts scheduler draws of a blocked transaction.
   uint64_t WaitRounds = 0;
   uint64_t OpsUndone = 0;
   uint64_t PreSkips = 0; ///< Ops skipped because the precondition failed.
@@ -224,8 +229,7 @@ private:
     Executed,
     PreSkipped,
     Waited,
-    SelfAborted,
-    Wounded, ///< Rolled back executed work because an older txn wounded it.
+    RolledBack, ///< Wounded or injected abort; the script restarts.
     Finished,
   };
 
@@ -235,6 +239,11 @@ private:
   void runParallel();
   void runReplay();
   void parallelWorkerLoop();
+  // Parallel-mode scheduling; each of these runs under ReadyMutex.
+  bool park(TxnCtx &T, WorkerCtx &W);
+  void releaseWaiters(TxnCtx &T);
+  void wakeSleepers();
+  void wakeOne();
   void shrinkWindow();
   void refillWindow();
   WorkerCtx &acquireWorker();
@@ -260,6 +269,8 @@ private:
   /// Pre-resolved (op1, op2) handles, row-major over the family's
   /// operation indices; shared read-only by every worker's checker.
   std::vector<IndexedChecker::PairHandle> PairTable;
+  /// Operation name -> family operation index, for resolving scripts.
+  std::unordered_map<std::string, uint32_t> OpIndexByName;
   std::vector<std::unique_ptr<WorkerCtx>> Workers;
   std::mutex FreeWorkersMutex;
   std::vector<WorkerCtx *> FreeWorkers;
@@ -270,14 +281,16 @@ private:
   /// Next unstarted transaction (under ReadyMutex in Parallel mode, under
   /// SchedMutex in Replay mode).
   uint32_t NextTxn = 0;
-  /// Admitted-but-unfinished count; Parallel workers exit when it drains.
-  /// Written under ReadyMutex, read lock-free by the worker loop.
-  std::atomic<uint32_t> InFlight{0};
   // Parallel-mode scheduler state (all accessed under ReadyMutex): the
-  // runnable transactions — workers pull from the front and rotate
-  // waiters to the back — and the adaptive admission window.
+  // runnable transactions, which workers pull from the front; the
+  // admitted-but-unfinished count, whose draining ends the run; the
+  // workers asleep for want of work and the count holding a transaction;
+  // and the adaptive admission window.
   std::mutex ReadyMutex;
   std::deque<uint32_t> ReadyQueue;
+  uint32_t InFlight = 0;
+  std::vector<WorkerCtx *> Sleepers;
+  uint32_t Holding = 0;
   uint32_t Window = 1;
   uint32_t WindowCeiling = 1;
   uint32_t CleanCommits = 0; ///< Commits since the last growth or wound.

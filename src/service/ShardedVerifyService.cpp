@@ -20,13 +20,27 @@ using namespace semcomm::service;
 namespace {
 
 /// The placement's cost model, in expression nodes (MethodPlan::Nodes).
-/// Fitted on 14k pair groups of a serve_stream-like Zipf stream served one
-/// at a time from built plans (Release, 4-CPU x86-64 host, two runs): a
-/// group's serve time is about 0.12 ms + 0.0003 ms per node of its
-/// requests' two methods (r = 0.84-0.88; the request count alone gives
-/// r = 0.80-0.84). The fixed part — opening, prefixing and retiring the
-/// pair scope — is GroupNodes.
+/// Fitted on 158k pair groups with built plans, timed one by one in three
+/// 1500-window serve_stream-like Zipf streams (seeds 3, 7 and 11; 4 shards
+/// on 4 threads; Release, 4-vCPU x86-64 host): a group's serve time is
+/// about 0.060 ms + 0.00043 ms per node of the two methods of each
+/// condition kind's first request + 0.000056 ms per node of a request
+/// repeating a kind already served in the group (r = 0.83): a repeat
+/// re-discharges methods the pair scope has just encoded and solved, so
+/// it is priced at an eighth of its nodes. Pricing repeats at full cost
+/// fits worse (r = 0.78) and overprices multi-request groups, and LPT
+/// hands each drain's costliest group to shard 0 first, which then ran
+/// short of work. The fixed part — opening, prefixing and retiring the
+/// pair scope — is GroupNodes. It stays above the per-group fit's 140:
+/// a shard's busy time per drain, which placement balances, grows with
+/// its group count faster than its groups' own times do (fitted per
+/// shard and drain, the fixed part is 270 nodes, r = 0.57), and at 400
+/// shard 0, which holds the fewest and largest groups, keeps pace with
+/// the others (traced serve_stream at seed 3: shard 0 busy at 0.97-1.16
+/// of shards 1-3's mean over ten runs, median 1.02, against 0.85-1.01,
+/// median 0.90, over twelve runs at 140).
 constexpr uint64_t GroupNodes = 400;
+constexpr uint64_t RepeatDivisor = 8;
 
 /// What one method of a pair with no plan yet costs: its family's mean
 /// MethodPlan::Nodes plus a sixth of the time planPair takes for the
@@ -48,14 +62,16 @@ uint64_t unplannedMethodNodes(StateKind Kind) {
 
 uint64_t groupCost(const PairGroup &G, StateKind Kind) {
   uint64_t Cost = GroupNodes;
+  unsigned KindsSeen = 0;
   for (const ResolvedRequest *RR : G.Reqs) {
-    if (!*G.Plan) {
-      Cost += 2 * unplannedMethodNodes(Kind);
-      continue;
+    size_t K = static_cast<size_t>(RR->Req.Kind);
+    uint64_t Nodes = 2 * unplannedMethodNodes(Kind);
+    if (*G.Plan) {
+      const std::vector<MethodPlan> &Ms = (*G.Plan)->Methods;
+      Nodes = Ms[2 * K].Nodes + Ms[2 * K + 1].Nodes;
     }
-    size_t Sound = 2 * static_cast<size_t>(RR->Req.Kind);
-    const std::vector<MethodPlan> &Ms = (*G.Plan)->Methods;
-    Cost += Ms[Sound].Nodes + Ms[Sound + 1].Nodes;
+    Cost += KindsSeen & (1u << K) ? Nodes / RepeatDivisor : Nodes;
+    KindsSeen |= 1u << K;
   }
   return Cost;
 }

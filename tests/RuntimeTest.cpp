@@ -462,17 +462,19 @@ struct MatrixCase {
   MatrixLoad Load;
   RollbackPolicy Policy;
   unsigned AbortEvery;
+  unsigned AdmitWindow; ///< 0 = the default ceiling (2 per worker).
 };
 
 std::vector<MatrixCase> matrixCases() {
   std::vector<MatrixCase> Cases;
-  for (MatrixLoad Load :
-       {MatrixLoad::MapHighContention, MatrixLoad::MapLowContention,
-        MatrixLoad::ArrayListPreFail})
-    for (RollbackPolicy Policy :
-         {RollbackPolicy::Inverses, RollbackPolicy::Snapshot})
-      for (unsigned AbortEvery : {0u, 7u})
-        Cases.push_back({Load, Policy, AbortEvery});
+  for (unsigned AdmitWindow : {0u, 32u})
+    for (MatrixLoad Load :
+         {MatrixLoad::MapHighContention, MatrixLoad::MapLowContention,
+          MatrixLoad::ArrayListPreFail})
+      for (RollbackPolicy Policy :
+           {RollbackPolicy::Inverses, RollbackPolicy::Snapshot})
+        for (unsigned AbortEvery : {0u, 7u})
+          Cases.push_back({Load, Policy, AbortEvery, AdmitWindow});
   return Cases;
 }
 
@@ -484,6 +486,8 @@ std::string matrixCaseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
                          : "ArrayListPreFail";
   Name += C.Policy == RollbackPolicy::Inverses ? "_Inverses" : "_Snapshot";
   Name += "_AbortEvery" + std::to_string(C.AbortEvery);
+  if (C.AdmitWindow != 0)
+    Name += "_Window" + std::to_string(C.AdmitWindow);
   return Name;
 }
 
@@ -499,7 +503,9 @@ TEST_P(SpeculativeExecutorParallelTest, CommitsEveryTxnOnceSerializably) {
   // unstarted transactions) and every shard equals the serial replay of
   // the observed commit order. Each run is a few hundred microseconds to
   // a few milliseconds, long enough for the pool's workers to overlap on
-  // most hosts.
+  // most hosts. A window of 32 keeps most of the 48 transactions in
+  // flight: long chains of parked waiters then meet wounds and injected
+  // aborts, and a wounded transaction may be parked when it is doomed.
   const MatrixCase &Case = GetParam();
   RuntimeFixture &Fx = fixture();
   bool IsList = Case.Load == MatrixLoad::ArrayListPreFail;
@@ -523,6 +529,7 @@ TEST_P(SpeculativeExecutorParallelTest, CommitsEveryTxnOnceSerializably) {
     Cfg.Mode = SchedulerMode::Parallel;
     Cfg.Policy = Case.Policy;
     Cfg.AbortEvery = Case.AbortEvery;
+    Cfg.AdmitWindow = Case.AdmitWindow;
     SpeculativeExecutor Ex(Fx.F, Fx.C, Factory, Cfg, sharedIndex());
     ExecutorStats S = Ex.run(Txns);
     ASSERT_TRUE(S.Completed);
@@ -571,6 +578,78 @@ TEST(SpeculativeExecutorTest, WindowCeilingOfOneRunsTxnsInArrivalOrder) {
     EXPECT_EQ(S.Stalls, 0u);
     EXPECT_EQ(S.WaitRounds, 0u);
     EXPECT_EQ(Ex.shard(0).mapGet(Value::obj(1)), Value::obj(2147));
+  }
+}
+
+TEST(SpeculativeExecutorTest, ParallelWaitersParkInsteadOfPolling) {
+  // Every transaction first overwrites key 1 with its own value, so every
+  // pair conflicts, then overwrites a key of its own for a long tail. Eight
+  // workers share a window of eight, so most in-flight transactions are
+  // blocked behind a running one for its whole tail. A blocked
+  // transaction parks on its blocker, and only that blocker's commit or
+  // rollback (or a wound, which never leaves a doomed transaction parked)
+  // puts it back in the queue. So every park ends with one of those
+  // events: a commit or a rollback of executed work re-queues at most the
+  // other seven in-flight transactions, and a wound re-queues its victim
+  // at most once before the victim rolls back. A poller instead retries
+  // a blocked transaction each time a worker pulls it, however long its
+  // blocker runs, and exceeds that bound many times over.
+  RuntimeFixture &Fx = fixture();
+  constexpr unsigned Window = 8;
+  std::vector<Transaction> Txns;
+  for (int T = 0; T != 256; ++T) {
+    Transaction Txn;
+    Txn.push_back({"put", {Value::obj(1), Value::obj(100 + T)}, 0});
+    for (int I = 1; I != 512; ++I)
+      Txn.push_back({"put", {Value::obj(1000 + T), Value::obj(I)}, 0});
+    Txns.push_back(std::move(Txn));
+  }
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    SCOPED_TRACE("repetition " + std::to_string(Rep));
+    ExecutorConfig Cfg;
+    Cfg.Threads = 8;
+    Cfg.Mode = SchedulerMode::Parallel;
+    Cfg.AdmitWindow = Window;
+    SpeculativeExecutor Ex(Fx.F, Fx.C, factoryFor("HashTable"), Cfg,
+                           sharedIndex());
+    ExecutorStats S = Ex.run(Txns);
+    ASSERT_TRUE(S.Completed);
+    ASSERT_EQ(S.Commits, Txns.size());
+    std::vector<uint32_t> Order = Ex.commitOrder();
+    std::sort(Order.begin(), Order.end());
+    ASSERT_EQ(Order, arrivalOrder(Txns.size()));
+    expectShardsMatchSerialReplay(Ex, factoryFor("HashTable"), Txns);
+    uint64_t Releases =
+        (Window - 1) * (S.Commits + S.aborts()) + S.aborts() + S.Stalls;
+    EXPECT_LE(S.WaitRounds, Releases)
+        << S.Wounds << " wounds, " << S.Stalls << " stalls";
+  }
+}
+
+TEST(SpeculativeExecutorTest, ReplayStatsArePinned) {
+  // Replay mode is the reference scheduler: a change to how Parallel mode
+  // schedules or waits must not move a single step of it. So every
+  // deterministic counter and the commit order of this run are pinned,
+  // at 1 and at 8 threads.
+  RuntimeFixture &Fx = fixture();
+  std::vector<Transaction> Txns = mixedMapWorkload(
+      /*NumTxns=*/24, /*OpsPerTxn=*/16, /*NumKeys=*/48, /*Shards=*/2,
+      /*Seed=*/5);
+  std::vector<uint32_t> Order = arrivalOrder(Txns.size());
+  std::swap(Order[5], Order[6]);
+  for (unsigned Threads : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ExecutorConfig Cfg = replayCfg(Threads, /*Shards=*/2, /*Seed=*/17);
+    Cfg.AbortEvery = 9;
+    SpeculativeExecutor Ex(Fx.F, Fx.C, factoryFor("HashTable"), Cfg,
+                           sharedIndex());
+    ExecutorStats S = Ex.run(Txns);
+    EXPECT_TRUE(S.Completed);
+    EXPECT_EQ(deterministicStats(S),
+              std::vector<uint64_t>({1001, 8378, 7641, 74, 46, 0, 5549, 466,
+                                     0, 0, 24, 7977, 0}));
+    EXPECT_EQ(Ex.commitOrder(), Order);
+    expectShardsMatchSerialReplay(Ex, factoryFor("HashTable"), Txns);
   }
 }
 
