@@ -10,7 +10,7 @@
 //
 // The symbolic section compares the two discharge strategies — the
 // one-shot session-per-VC oracle and the shared catalog session
-// (selector-tree scopes, pair and family subtrees retired when done,
+// (selector-tree scopes, pair subtrees retired when done,
 // Tseitin variables recycled) — and emits machine-readable BENCH_JSON
 // lines that bench/run_all.sh collects into BENCH_semcommute.json,
 // including the catalog-over-oneshot speedup, the eviction counters, and a
@@ -105,10 +105,10 @@ SymbolicRun runCatalogSuite(ExprFactory &F, const Catalog &C, int Bound,
         Out.Failures += !R.Verified;
         ++Out.Methods;
       }
-  Out.Conflicts = CO.Conflicts;
+  Out.Conflicts = CO.Stats.Conflicts;
   Out.RetainedClauses = CO.Stats.PeakRetainedClauses;
-  Out.DbReductions = CO.DbReductions;
-  Out.ReclaimedClauses = CO.ReclaimedClauses;
+  Out.DbReductions = CO.Stats.DbReductions;
+  Out.ReclaimedClauses = CO.Stats.ReclaimedClauses;
   Out.Seconds = W.seconds();
   if (StatsOut)
     *StatsOut = CO.Stats;

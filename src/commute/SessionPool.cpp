@@ -136,7 +136,6 @@ bool semcomm::dischargeOneShot(ExprFactory &F, const MethodPlan &Plan,
         Session = std::make_unique<SmtSession>(F);
         if (Certify)
           Session->enableCertification();
-        Session->solver().setClauseGc(true);
         if (GcBudget > 0)
           Session->solver().setClauseGcLimit(GcBudget);
         for (ExprRef C : Plan.Common)
@@ -162,7 +161,7 @@ bool semcomm::dischargeAlone(ExprFactory &F, const MethodPlan &Plan,
   CatalogPlan CP;
   CP.Families.push_back({Family, {}});
   CatalogSession Sess(F, CP, Budget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
+  Sess.configureClauseGc(GcBudget);
   bool Ok = Sess.discharge(0, Pair, Plan, R);
   if (Certify)
     stampCertification(Sess.finishCertification(), R);
@@ -177,7 +176,7 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
                                int64_t Budget, bool Certify,
                                bool CompactBridges, size_t CompactMinDead)
     : F(F), Plan(Plan), Budget(Budget), Session(F),
-      Tiers(Plan.Families.size()), FamilyEpochs(Plan.Families.size(), 0) {
+      Tiers(Plan.Families.size()) {
   // Certification must switch on before the first assertion reaches the
   // solver — the proof's Input steps have to cover the whole database.
   if (Certify)
@@ -189,12 +188,11 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   for (ExprRef C : Plan.CatalogCommon)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);
-      ++CatStats.PrefixAsserts;
+      ++Stats.PrefixAsserts;
     }
 }
 
-void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
-  Session.solver().setClauseGc(Enabled);
+void CatalogSession::configureClauseGc(int64_t FirstLimit) {
   if (FirstLimit > 0)
     Session.solver().setClauseGcLimit(FirstLimit);
 }
@@ -202,40 +200,32 @@ void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
 CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
   assert(FamIdx < Tiers.size() && "family index outside the catalog plan");
   FamilyTier &Tier = Tiers[FamIdx];
-  if (Tier.Alive)
+  if (Tier.Sel)
     return Tier;
   const FamilyPlan &FP = Plan.Families[FamIdx];
-  // A retired family re-opens under a fresh epoch: its old selector (and
-  // its old pairs' selectors, which embed the epoch tag) are permanently
-  // false.
-  unsigned Epoch = FamilyEpochs[FamIdx]++;
-  Tier.Tag = FP.FamilyName;
-  if (Epoch > 0)
-    Tier.Tag += "@e" + std::to_string(Epoch);
-  Tier.Sel = F.var("__fam_" + Tier.Tag, Sort::Bool);
+  Tier.Sel = F.var("__fam_" + FP.FamilyName, Sort::Bool);
   Tier.Scope =
       Session.openScope(Tier.Sel, SmtSession::RootScope, /*OwnLayer=*/true);
   ++SelectorCount;
-  ++CatStats.FamiliesOpened;
-  Tier.Stats = FamilyTierStats{};
+  ++Stats.FamiliesOpened;
   // Family-common prefix: formulas already catalog base are reuses; the
   // remainder is asserted once under the family selector.
   for (ExprRef C : FP.FamilyCommon) {
     if (CatalogBase.count(C)) {
-      ++Tier.Stats.PrefixReuses;
+      ++Stats.PrefixReuses;
       continue;
     }
     if (Tier.FamilyBase.insert(C).second) {
       Session.assertInScope(Tier.Scope, C);
-      ++Tier.Stats.PrefixAsserts;
+      ++Stats.PrefixAsserts;
     }
   }
-  Tier.Alive = true;
   return Tier;
 }
 
-CatalogSession::PairScope &CatalogSession::ensurePair(FamilyTier &Tier,
+CatalogSession::PairScope &CatalogSession::ensurePair(size_t FamIdx,
                                                       const std::string &Key) {
+  FamilyTier &Tier = Tiers[FamIdx];
   auto It = Tier.LivePairs.find(Key);
   if (It != Tier.LivePairs.end())
     return It->second;
@@ -243,7 +233,8 @@ CatalogSession::PairScope &CatalogSession::ensurePair(FamilyTier &Tier,
   // is permanently false, so reusing it would vacuously "verify"
   // everything discharged under it.
   unsigned Epoch = Tier.PairEpochs[Key]++;
-  std::string SelName = "__pair_" + Tier.Tag + ":" + Key;
+  std::string SelName =
+      "__pair_" + Plan.Families[FamIdx].FamilyName + ":" + Key;
   if (Epoch > 0)
     SelName += "#" + std::to_string(Epoch);
   PairScope &PS = Tier.LivePairs[Key];
@@ -252,7 +243,7 @@ CatalogSession::PairScope &CatalogSession::ensurePair(FamilyTier &Tier,
   // retire — and their indices recycle — with the scope.
   PS.Scope = Session.openScope(PS.Sel, Tier.Scope, /*OwnLayer=*/true);
   ++SelectorCount;
-  ++Tier.Stats.PairsOpened;
+  ++Stats.PairsOpened;
   return PS;
 }
 
@@ -260,21 +251,22 @@ bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
                                const MethodPlan &MPlan, SymbolicResult &R) {
   Stopwatch Timer;
   FamilyTier &Tier = ensureFamily(FamIdx);
-  PairScope &PS = ensurePair(Tier, PairKey);
+  PairScope &PS = ensurePair(FamIdx, PairKey);
+  const std::string &FamName = Plan.Families[FamIdx].FamilyName;
 
   // Pair-common prefix: formulas already in an outer base (catalog- or
   // family-common) are reuses; the remainder is asserted once under the
   // pair selector.
   for (ExprRef C : MPlan.Common) {
     if (CatalogBase.count(C) || Tier.FamilyBase.count(C)) {
-      ++Tier.Stats.PrefixReuses;
+      ++Stats.PrefixReuses;
       continue;
     }
     if (PS.AssertedCommon.insert(C).second) {
       Session.assertInScope(PS.Scope, C);
-      ++Tier.Stats.PrefixAsserts;
+      ++Stats.PrefixAsserts;
     } else {
-      ++Tier.Stats.PrefixReuses;
+      ++Stats.PrefixReuses;
     }
   }
 
@@ -295,7 +287,7 @@ bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
       MSel = E.Sel;
   if (!MSel) {
     std::string SelName =
-        "__sel_" + MPlan.Name + "@" + Tier.Tag + ":" + PairKey;
+        "__sel_" + MPlan.Name + "@" + FamName + ":" + PairKey;
     unsigned Epoch = Tier.PairEpochs[PairKey] - 1;
     if (Epoch > 0)
       SelName += "#e" + std::to_string(Epoch);
@@ -311,82 +303,39 @@ bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
   }
 
   std::vector<ExprRef> Sels = {Tier.Sel, PS.Sel, MSel};
-  std::vector<std::string> SelLabels = {
-      "fam:" + Plan.Families[FamIdx].FamilyName, "pair:" + PairKey,
-      "sel:" + MPlan.Name};
+  std::vector<std::string> SelLabels = {"fam:" + FamName, "pair:" + PairKey,
+                                        "sel:" + MPlan.Name};
 
-  uint64_t RedBefore = dbReductions();
-  uint64_t RecBefore = reclaimedClauses();
+  int64_t RedBefore = Session.dbReductions();
+  int64_t RecBefore = Session.reclaimedClauses();
   bool Ok = dischargeSplits(
-      MPlan, Budget, Sels, SelLabels, &Tier.Stats.PeakRetainedClauses,
+      MPlan, Budget, Sels, SelLabels, &Stats.PeakRetainedClauses,
       [this]() -> SmtSession & { return Session; }, R);
-  R.DbReductions += dbReductions() - RedBefore;
-  R.ReclaimedClauses += reclaimedClauses() - RecBefore;
+  R.DbReductions += static_cast<uint64_t>(Session.dbReductions() - RedBefore);
+  R.ReclaimedClauses +=
+      static_cast<uint64_t>(Session.reclaimedClauses() - RecBefore);
   R.Millis += Timer.millis();
   return Ok;
 }
 
 size_t CatalogSession::retirePair(size_t FamIdx, const std::string &PairKey) {
   FamilyTier &Tier = Tiers[FamIdx];
-  if (!Tier.Alive)
-    return 0;
   auto It = Tier.LivePairs.find(PairKey);
   if (It == Tier.LivePairs.end())
     return 0;
   size_t Evicted = Session.retireScope(It->second.Scope);
   Tier.LivePairs.erase(It);
-  ++Tier.Stats.PairsRetired;
-  Tier.Stats.EvictedClauses += Evicted;
+  ++Stats.PairsRetired;
+  Stats.EvictedClauses += Evicted;
   return Evicted;
-}
-
-size_t CatalogSession::retireFamily(size_t FamIdx) {
-  FamilyTier &Tier = Tiers[FamIdx];
-  if (!Tier.Alive)
-    return 0;
-  size_t Evicted = Session.retireScope(Tier.Scope);
-  Tier.Stats.EvictedClauses += Evicted;
-  ++CatStats.FamiliesRetired;
-  // Fold the tier's counters into the retired accumulator so stats()
-  // keeps counting it after the bookkeeping is dropped.
-  RetiredTierAccum.PairsOpened += Tier.Stats.PairsOpened;
-  RetiredTierAccum.PairsRetired += Tier.Stats.PairsRetired;
-  RetiredTierAccum.EvictedClauses += Tier.Stats.EvictedClauses;
-  RetiredTierAccum.PeakRetainedClauses = std::max(
-      RetiredTierAccum.PeakRetainedClauses, Tier.Stats.PeakRetainedClauses);
-  RetiredTierAccum.PrefixAsserts += Tier.Stats.PrefixAsserts;
-  RetiredTierAccum.PrefixReuses += Tier.Stats.PrefixReuses;
-  Tier.LivePairs.clear();
-  Tier.PairEpochs.clear();
-  Tier.FamilyBase.clear();
-  Tier.Alive = false;
-  return Evicted;
-}
-
-const FamilyTierStats &CatalogSession::familyStats(size_t FamIdx) const {
-  return Tiers[FamIdx].Stats;
 }
 
 CatalogSessionStats CatalogSession::stats() const {
-  CatalogSessionStats S = CatStats;
-  FamilyTierStats Agg = RetiredTierAccum;
-  for (const FamilyTier &Tier : Tiers) {
-    if (!Tier.Alive)
-      continue;
-    Agg.PairsOpened += Tier.Stats.PairsOpened;
-    Agg.PairsRetired += Tier.Stats.PairsRetired;
-    Agg.EvictedClauses += Tier.Stats.EvictedClauses;
-    Agg.PeakRetainedClauses =
-        std::max(Agg.PeakRetainedClauses, Tier.Stats.PeakRetainedClauses);
-    Agg.PrefixAsserts += Tier.Stats.PrefixAsserts;
-    Agg.PrefixReuses += Tier.Stats.PrefixReuses;
-  }
-  S.PairsOpened = Agg.PairsOpened;
-  S.PairsRetired = Agg.PairsRetired;
-  S.PrefixAsserts += Agg.PrefixAsserts;
-  S.PrefixReuses += Agg.PrefixReuses;
-  S.EvictedClauses += Agg.EvictedClauses;
-  S.PeakRetainedClauses = Agg.PeakRetainedClauses;
+  CatalogSessionStats S = Stats;
+  S.Checks = Session.numChecks();
+  S.Conflicts = Session.totalConflicts();
+  S.DbReductions = static_cast<uint64_t>(Session.dbReductions());
+  S.ReclaimedClauses = static_cast<uint64_t>(Session.reclaimedClauses());
   S.RecycledVars = static_cast<uint64_t>(Session.recycledVars());
   S.PeakLiveVars = static_cast<uint64_t>(Session.peakLiveVars());
   S.PeakLiveClauses = static_cast<uint64_t>(Session.peakClauses());

@@ -28,9 +28,9 @@
 ///  * SharedCatalog (default): one warm CatalogSession. Scopes form a
 ///    selector tree — catalog-common prefix at the root, family scopes
 ///    beneath, pair scopes beneath those, method scopes innermost — and
-///    finished pairs and families are retired as subtrees, so the clause
-///    database and the variable array stay bounded by the live pair while
-///    Tseitin definitions, bridges and learned clauses are shared.
+///    each finished pair is retired as a subtree, so the clause database
+///    and the variable array stay bounded by the live pair while Tseitin
+///    definitions, bridges and learned clauses are shared.
 ///  * OneShot: a fresh session per split, sharing nothing. Kept as the
 ///    cold reference oracle the warm path is cross-checked against.
 ///
@@ -60,8 +60,8 @@ enum class SolveMode : uint8_t {
   /// A fresh solver session per VC: cold start every split, nothing shared.
   /// The reference oracle for the warm path.
   OneShot,
-  /// One warm CatalogSession: selector-tree scopes with subtree retirement
-  /// and variable recycling (see CatalogSession). The default.
+  /// One warm CatalogSession: selector-tree scopes with pair-subtree
+  /// retirement and variable recycling (see CatalogSession). The default.
   SharedCatalog,
 };
 
@@ -188,21 +188,6 @@ struct FamilyPlan {
   std::vector<ExprRef> FamilyCommon;
 };
 
-/// Statistics of one family scope of a catalog session.
-struct FamilyTierStats {
-  uint64_t PairsOpened = 0;    ///< Pair scopes allocated.
-  uint64_t PairsRetired = 0;   ///< Pair scopes evicted (retirePair calls).
-  uint64_t EvictedClauses = 0; ///< Clauses eviction removed from the DB.
-  /// High-water mark of retained clauses across every check — the number
-  /// scoped eviction is meant to bound (without it, the DB grows with the
-  /// family; with it, with the live pair).
-  uint64_t PeakRetainedClauses = 0;
-  /// Common-prefix assertions actually issued vs. skipped because the
-  /// formula was already in an outer base or the pair scope.
-  uint64_t PrefixAsserts = 0;
-  uint64_t PrefixReuses = 0;
-};
-
 /// The whole-catalog discharge plan a CatalogSession runs. Families carry
 /// their common prefix; the catalog-common prefix is the subset of
 /// well-formedness formulas every entry either asserts itself or provably
@@ -213,19 +198,32 @@ struct CatalogPlan {
   std::vector<FamilyPlan> Families;
 };
 
-/// Lifetime statistics of one catalog-level session. Per-family counters
-/// (prefix asserts/reuses, evictions, peak retention) aggregate the
-/// family tiers, live and retired; the variable numbers come from the
-/// solver's recycling accounting.
+/// The counters of one catalog session: the session's only statistics
+/// record, which CatalogSession::stats() returns. The session counts its
+/// scopes, prefix assertions and evictions into it as it goes; stats()
+/// adds the solver's totals and its variable, clause and bridge
+/// accounting. Every layer above reads these numbers from here: the
+/// service's ServiceStats, the driver's catalog_stats rows and
+/// SymbolicEngine::verifyCatalog's CatalogOutcome.
 struct CatalogSessionStats {
+  /// Solver totals: SMT checks served, CDCL conflicts, clause-DB
+  /// reductions and the clauses they reclaimed.
+  uint64_t Checks = 0;
+  int64_t Conflicts = 0;
+  uint64_t DbReductions = 0;
+  uint64_t ReclaimedClauses = 0;
+  /// Family scopes opened; each stays open to the end of the session.
   uint64_t FamiliesOpened = 0;
-  /// Family-subtree retirements (retireFamily calls on a live scope).
-  uint64_t FamiliesRetired = 0;
   uint64_t PairsOpened = 0;
   uint64_t PairsRetired = 0;
-  uint64_t PrefixAsserts = 0; ///< Catalog + family + pair level.
+  /// Common-prefix assertions issued at the catalog, family and pair
+  /// level, and those skipped because the formula was already in an outer
+  /// base or the pair scope.
+  uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
-  uint64_t EvictedClauses = 0;
+  uint64_t EvictedClauses = 0; ///< Clauses pair retirements removed.
+  /// High-water mark of retained clauses across every check: the number
+  /// pair eviction bounds (by the live pair, not by the family).
   uint64_t PeakRetainedClauses = 0;
   /// Variable recycling: indices reclaimed by scope retirements, the
   /// live-variable and clause high-water marks, and the cumulative
@@ -250,15 +248,17 @@ struct CatalogSessionStats {
 /// A warm solver session shared by every family of the catalog
 /// (SolveMode::SharedCatalog). The catalog-common prefix is session base;
 /// each family's remaining common prefix lives under a per-family
-/// selector; pair scopes nest under their family's, method scopes under
-/// their pair's. retirePair()/retireFamily() retire whole subtrees, and
-/// the solver recycles the retired scopes' definition variables, so the
-/// session's memory is bounded by the live pair — not by catalog size —
-/// while the atom table and bridge lattice are derived once for all
-/// families. Pair scopes own a Tseitin cache layer (their formulas'
-/// definition variables retire and recycle with them); method scopes share
-/// their pair's layer, since they only ever retire together with it. Not
-/// thread-safe: one CatalogSession lives on one worker.
+/// selector, whose scope opens on the family's first discharge and stays
+/// open to the end of the session; pair scopes nest under their family's,
+/// method scopes under their pair's. retirePair() retires a pair's whole
+/// subtree, and the solver recycles the retired scopes' definition
+/// variables, so the session's memory is bounded by the live pair (plus
+/// the few family-common formulas) — not by catalog size — while the atom
+/// table and bridge lattice are derived once for all families. Pair scopes
+/// own a Tseitin cache layer (their formulas' definition variables retire
+/// and recycle with them); method scopes share their pair's layer, since
+/// they only ever retire together with it. Not thread-safe: one
+/// CatalogSession lives on one worker.
 class CatalogSession {
 public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
@@ -280,21 +280,20 @@ public:
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
 
-  /// Clause-GC configuration applied to the session's solver (benches pin
-  /// the no-GC baseline; tests force aggressive reduction). \p FirstLimit
-  /// is the live-learned-clause count at which the first reduction fires;
-  /// 0 keeps the solver default.
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
+  /// Sets the live-learned-clause count at which the solver's first
+  /// clause-DB reduction fires (benches sweep it; tests force aggressive
+  /// reduction); 0 keeps the solver default.
+  void configureClauseGc(int64_t FirstLimit);
 
   /// Discharges every split of \p Plan under family \p FamIdx (an index
   /// into the catalog plan's Families) and pair \p PairKey. Opens the
   /// family scope — asserting its remaining common prefix — on first use;
-  /// a retired family or pair transparently re-opens under a fresh
-  /// epoch-named selector. Within a pair, a method's selector is keyed by
-  /// its name *and* its prefix: a repeated name with a different prefix
-  /// gets a fresh selector instead of being proved against the old one.
-  /// Stamps R.Millis with the call's wall time. Returns true when the
-  /// method verifies.
+  /// a retired pair transparently re-opens under a fresh epoch-named
+  /// selector. Within a pair, a method's selector is keyed by its name
+  /// *and* its prefix: a repeated name with a different prefix gets a
+  /// fresh selector instead of being proved against the old one. Stamps
+  /// R.Millis with the call's wall time. Returns true when the method
+  /// verifies.
   bool discharge(size_t FamIdx, const std::string &PairKey,
                  const MethodPlan &Plan, SymbolicResult &R);
 
@@ -303,26 +302,10 @@ public:
   /// key has no live scope).
   size_t retirePair(size_t FamIdx, const std::string &PairKey);
 
-  /// Retires family \p FamIdx's whole scope subtree — the family
-  /// selector, every still-live pair under it, and their method scopes —
-  /// in one solver pass. Returns the clauses evicted.
-  size_t retireFamily(size_t FamIdx);
-
-  /// Per-family tier statistics (reset when a retired family re-opens).
-  const FamilyTierStats &familyStats(size_t FamIdx) const;
-  /// Catalog-level statistics snapshot (aggregates live + retired tiers
-  /// and the solver's variable accounting).
+  /// The session's counters, with the solver's totals and variable,
+  /// clause and bridge accounting filled in.
   CatalogSessionStats stats() const;
 
-  /// Lifetime statistics.
-  uint64_t checks() const { return Session.numChecks(); }
-  int64_t conflicts() const { return Session.totalConflicts(); }
-  uint64_t dbReductions() const {
-    return static_cast<uint64_t>(Session.dbReductions());
-  }
-  uint64_t reclaimedClauses() const {
-    return static_cast<uint64_t>(Session.reclaimedClauses());
-  }
   uint64_t retainedClauses() const { return Session.retainedClauses(); }
   unsigned numSelectors() const { return SelectorCount; }
 
@@ -359,24 +342,18 @@ private:
     std::map<std::string, std::vector<MethodSelector>> Methods;
   };
 
-  /// The live scope of one family.
+  /// The scope of one family; Sel stays null until the family opens.
   struct FamilyTier {
-    bool Alive = false;
     SmtSession::ScopeId Scope = SmtSession::RootScope;
     ExprRef Sel = nullptr;
-    /// Names the tier's selectors: the family name, plus "@e<N>" for a
-    /// re-opened family (selector names must be unique for the session's
-    /// lifetime, retired selectors included).
-    std::string Tag;
     std::set<ExprRef> FamilyBase; ///< Formulas under the family selector.
     std::map<std::string, PairScope> LivePairs;
     /// Fresh-name counters for re-opened (previously retired) pair scopes.
     std::map<std::string, unsigned> PairEpochs;
-    FamilyTierStats Stats;
   };
 
   FamilyTier &ensureFamily(size_t FamIdx);
-  PairScope &ensurePair(FamilyTier &Tier, const std::string &PairKey);
+  PairScope &ensurePair(size_t FamIdx, const std::string &PairKey);
 
   ExprFactory &F;
   const CatalogPlan &Plan;
@@ -384,10 +361,9 @@ private:
   SmtSession Session;
   std::set<ExprRef> CatalogBase; ///< CatalogCommon membership (dedup only).
   std::vector<FamilyTier> Tiers; ///< Parallel to Plan.Families.
-  std::vector<unsigned> FamilyEpochs;
   unsigned SelectorCount = 0;
-  CatalogSessionStats CatStats;     ///< Catalog-level counters.
-  FamilyTierStats RetiredTierAccum; ///< Folded stats of retired tiers.
+  /// The counters the session keeps itself; stats() adds the solver's.
+  CatalogSessionStats Stats;
 };
 
 } // namespace semcomm

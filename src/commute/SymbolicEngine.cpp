@@ -1319,19 +1319,6 @@ CatalogPlan SymbolicEngine::planCatalog(
   return CP;
 }
 
-namespace {
-
-/// The outcome-level aggregate of one session's summary.
-template <typename Outcome>
-void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
-  O.Certified = S.Checked && S.Ok;
-  O.ProofSteps = S.Steps;
-  O.ProofQueries = S.Queries;
-  O.ProofClauses = S.PeakClauses;
-}
-
-} // namespace
-
 SymbolicResult SymbolicEngine::verify(const TestingMethod &M) {
   SymbolicResult R;
   R.Verified = dischargeAlone(F, plan(M), Mode, M.family().Name,
@@ -1345,17 +1332,11 @@ CatalogOutcome SymbolicEngine::runCatalog(
     const std::vector<std::vector<const ConditionEntry *>> &Entries) {
   CatalogOutcome Out;
   CatalogSession Sess(F, CP, ConflictBudget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
+  Sess.configureClauseGc(GcBudget);
 
   for (size_t FI = 0; FI != CP.Families.size(); ++FI) {
     FamilyOutcome FO;
     FO.Family = CP.Families[FI].FamilyName;
-    uint64_t FamChecksBefore = Sess.checks();
-    int64_t FamConflictsBefore = Sess.conflicts();
-    uint64_t FamRedBefore = Sess.dbReductions();
-    uint64_t FamRecBefore = Sess.reclaimedClauses();
-    unsigned FamSelBefore = Sess.numSelectors();
-
     for (const ConditionEntry *E : Entries[FI]) {
       PairPlan PP = planPair(*E);
       uint64_t PairSplits = splitsOf(PP);
@@ -1363,22 +1344,11 @@ CatalogOutcome SymbolicEngine::runCatalog(
       FO.PeakMaterializedSplits =
           std::max(FO.PeakMaterializedSplits, PairSplits);
       PairOutcome PO;
-      uint64_t ChecksBefore = Sess.checks();
-      int64_t ConflictsBefore = Sess.conflicts();
-      uint64_t RedBefore = Sess.dbReductions();
-      uint64_t RecBefore = Sess.reclaimedClauses();
-      unsigned SelBefore = Sess.numSelectors();
       for (const MethodPlan &MP : PP.Methods) {
         SymbolicResult R;
         R.Verified = Sess.discharge(FI, PP.Key, MP, R);
         PO.Methods.push_back(std::move(R));
       }
-      PO.Checks = Sess.checks() - ChecksBefore;
-      PO.Conflicts = Sess.conflicts() - ConflictsBefore;
-      PO.RetainedClauses = Sess.retainedClauses();
-      PO.DbReductions = Sess.dbReductions() - RedBefore;
-      PO.ReclaimedClauses = Sess.reclaimedClauses() - RecBefore;
-      PO.Selectors = Sess.numSelectors() - SelBefore;
       // The pair's VCs are done: evict its scope so the clause database
       // is bounded by the live pair (its plan dies with this iteration for
       // the same reason).
@@ -1386,43 +1356,19 @@ CatalogOutcome SymbolicEngine::runCatalog(
       FO.PairKeys.push_back(PP.Key);
       FO.Pairs.push_back(std::move(PO));
     }
-
-    FO.Stats = Sess.familyStats(FI);
-    FO.Checks = Sess.checks() - FamChecksBefore;
-    FO.Conflicts = Sess.conflicts() - FamConflictsBefore;
-    FO.RetainedClauses = Sess.retainedClauses();
-    FO.DbReductions = Sess.dbReductions() - FamRedBefore;
-    FO.ReclaimedClauses = Sess.reclaimedClauses() - FamRecBefore;
-    FO.Selectors = Sess.numSelectors() - FamSelBefore;
-    // The family's pairs are all retired; retire its whole scope subtree
-    // so the next family starts from the catalog-common base alone.
-    Sess.retireFamily(FI);
-    Out.TotalSplits += FO.TotalSplits;
-    Out.PeakMaterializedSplits =
-        std::max(Out.PeakMaterializedSplits, FO.PeakMaterializedSplits);
     Out.Families.push_back(std::move(FO));
   }
 
   Out.Stats = Sess.stats();
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
   if (Certify) {
     // One trace covers the entire catalog session — every family, pair,
     // and method verdict certifies against the same certificate stream.
     const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    for (FamilyOutcome &FO : Out.Families) {
-      stampOutcomeCertification(S, FO);
-      for (PairOutcome &PO : FO.Pairs) {
+    Out.Certified = S.Checked && S.Ok;
+    for (FamilyOutcome &FO : Out.Families)
+      for (PairOutcome &PO : FO.Pairs)
         for (SymbolicResult &R : PO.Methods)
           stampCertification(S, R);
-        stampOutcomeCertification(S, PO);
-      }
-    }
   }
   return Out;
 }

@@ -37,9 +37,9 @@
 /// Discharge strategy: each testing method is compiled to a MethodPlan
 /// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
 /// and discharged through a CatalogSession (see SessionPool.h) — one warm
-/// solver whose selector-tree scopes are retired as pairs and families
-/// finish. SolveMode::OneShot (a cold session per split) remains as the
-/// reference oracle the warm path is cross-checked against.
+/// solver whose pair scopes are retired as pairs finish. SolveMode::OneShot
+/// (a cold session per split) remains as the reference oracle the warm
+/// path is cross-checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,27 +56,11 @@
 
 namespace semcomm {
 
-/// Outcome of verifying all six testing methods of one pair, plus the
-/// session-level reuse statistics (deltas over the shared session when the
-/// pair ran inside a catalog session).
+/// Outcome of verifying all six testing methods of one pair.
 struct PairOutcome {
   /// Per-method results in enumeration order: before/between/after x
   /// soundness/completeness.
   std::vector<SymbolicResult> Methods;
-  uint64_t Checks = 0;              ///< SMT checks the session served.
-  int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
-  uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;        ///< Clause-GC runs.
-  uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
-  unsigned Selectors = 0;           ///< Selector literals registered.
-
-  /// Certification aggregates (zero unless the engine certifies): the
-  /// checker's verdict over the session trace, its step/query counts, and
-  /// its database high-water mark.
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
 
   unsigned failures() const {
     unsigned N = 0;
@@ -87,33 +71,17 @@ struct PairOutcome {
 };
 
 /// Outcome of verifying every op-pair of one family inside a catalog
-/// session, plus the family tier's statistics.
+/// session.
 struct FamilyOutcome {
   std::string Family;
   std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
-  std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys; per-pair
-                                     ///< stats are deltas over the shared
-                                     ///< session.
-  FamilyTierStats Stats;             ///< Eviction / prefix-reuse counters.
-  uint64_t Checks = 0;               ///< SMT checks the family served.
-  int64_t Conflicts = 0;             ///< CDCL conflicts across the family.
-  uint64_t RetainedClauses = 0;      ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Family + pair + method selectors registered.
+  std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys.
   /// Lazy-planning accounting: VC splits materialized over the whole run
   /// vs. the largest number alive at once (one pair's worth — plans are
   /// built just before discharge and dropped after retirePair, so plan
   /// memory does not grow with family size).
   uint64_t TotalSplits = 0;
   uint64_t PeakMaterializedSplits = 0;
-
-  /// Certification aggregates over the session's trace (zero unless the
-  /// engine certifies).
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
 
   unsigned failures() const {
     unsigned N = 0;
@@ -124,27 +92,14 @@ struct FamilyOutcome {
 };
 
 /// Outcome of verifying several families through a single CatalogSession:
-/// per-family outcomes, plus the catalog-session statistics — prefix
-/// amortization, subtree retirements, variable recycling, and the
-/// peak-liveness bounds.
+/// per-family outcomes, the session's statistics record, and whether the
+/// independent checker accepted the session's whole proof trace (false
+/// unless the engine certifies; each method's own certificates are in its
+/// SymbolicResult).
 struct CatalogOutcome {
   std::vector<FamilyOutcome> Families; ///< Requested-family order.
   CatalogSessionStats Stats;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  uint64_t RetainedClauses = 0; ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Family + pair + method selectors.
-  uint64_t TotalSplits = 0;
-  uint64_t PeakMaterializedSplits = 0;
-
-  /// Certification aggregates over the one catalog-session trace (zero
-  /// unless the engine certifies).
   bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
 
   unsigned failures() const {
     unsigned N = 0;
@@ -171,9 +126,8 @@ public:
 
   /// Verifies all six testing methods of \p E through one catalog session
   /// holding just this pair (one warm solver for the six methods). Method
-  /// order is deterministic, so results and statistics are a function of
-  /// the options alone. Like verifyCatalog, this is the warm path whatever
-  /// the mode.
+  /// order is deterministic, so results are a function of the options
+  /// alone. Like verifyCatalog, this is the warm path whatever the mode.
   PairOutcome verifyPair(const ConditionEntry &E);
 
   /// Verifies every op-pair of every family in \p Fams through one
@@ -181,9 +135,12 @@ public:
   /// family opens a selector scope beneath it, each pair's plan is
   /// materialized lazily just before its discharge, and the pair's scope
   /// is retired (evicted) — and its plan dropped — when its six methods
-  /// are done; a finished family's whole scope subtree is retired in one
-  /// pass. Family, pair, and method order are deterministic. The mode is
-  /// not consulted: this is the warm path.
+  /// are done. Family, pair, and method order are deterministic. The mode
+  /// is not consulted: this is the warm path. It is the reference the
+  /// services' compaction, prefix batching, cost placement and sharding
+  /// are checked against: it shares their session code and planner, and
+  /// on one shard it serves the same discharge sequence, so its method
+  /// rows and session record equal the one-shard driver's.
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 

@@ -136,7 +136,6 @@ VerifyService::VerifyService(const Catalog &C,
                                           Cfg.ConflictBudget, Cfg.Certify,
                                           Cfg.CompactBridges,
                                           Cfg.CompactMinDead);
-  Sess->configureClauseGc(true);
   Sess->session().setSelectorRelease(Cfg.ReleaseSelectors);
 }
 

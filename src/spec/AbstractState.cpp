@@ -16,6 +16,21 @@
 
 using namespace semcomm;
 
+namespace {
+
+/// The first of the key-sorted map entries \p Entries whose key is not
+/// below \p K: where \p K's entry is, or would be inserted.
+template <typename EntryVec>
+auto lowerBoundKey(EntryVec &Entries, const Value &K) {
+  return std::lower_bound(
+      Entries.begin(), Entries.end(), K,
+      [](const std::pair<Value, Value> &E, const Value &Key) {
+        return E.first < Key;
+      });
+}
+
+} // namespace
+
 AbstractState AbstractState::makeCounter(int64_t Initial) {
   AbstractState S(StateKind::Counter);
   S.CounterVal = Initial;
@@ -35,18 +50,14 @@ bool AbstractState::contains(const Value &V) const {
 
 Value AbstractState::mapGet(const Value &K) const {
   assert(Kind == StateKind::Map && "mapGet() on a non-map state");
-  for (const auto &Entry : Entries)
-    if (Entry.first == K)
-      return Entry.second;
-  return Value::null();
+  auto It = lowerBoundKey(Entries, K);
+  return It != Entries.end() && It->first == K ? It->second : Value::null();
 }
 
 bool AbstractState::mapHasKey(const Value &K) const {
   assert(Kind == StateKind::Map && "mapHasKey() on a non-map state");
-  for (const auto &Entry : Entries)
-    if (Entry.first == K)
-      return true;
-  return false;
+  auto It = lowerBoundKey(Entries, K);
+  return It != Entries.end() && It->first == K;
 }
 
 int64_t AbstractState::seqLen() const {
@@ -115,26 +126,24 @@ bool AbstractState::setErase(const Value &V) {
 
 Value AbstractState::mapPut(const Value &K, const Value &V) {
   assert(Kind == StateKind::Map && "mapPut() on a non-map state");
-  for (auto &Entry : Entries)
-    if (Entry.first == K) {
-      Value Old = Entry.second;
-      Entry.second = V;
-      return Old;
-    }
-  Entries.emplace_back(K, V);
-  std::sort(Entries.begin(), Entries.end());
+  auto It = lowerBoundKey(Entries, K);
+  if (It != Entries.end() && It->first == K) {
+    Value Old = It->second;
+    It->second = V;
+    return Old;
+  }
+  Entries.emplace(It, K, V);
   return Value::null();
 }
 
 Value AbstractState::mapErase(const Value &K) {
   assert(Kind == StateKind::Map && "mapErase() on a non-map state");
-  for (auto It = Entries.begin(); It != Entries.end(); ++It)
-    if (It->first == K) {
-      Value Old = It->second;
-      Entries.erase(It);
-      return Old;
-    }
-  return Value::null();
+  auto It = lowerBoundKey(Entries, K);
+  if (It == Entries.end() || It->first != K)
+    return Value::null();
+  Value Old = It->second;
+  Entries.erase(It);
+  return Old;
 }
 
 void AbstractState::seqInsert(int64_t I, const Value &V) {

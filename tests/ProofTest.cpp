@@ -628,42 +628,41 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
                      SolveMode::SharedCatalog);
   Eng.setCertify(true);
   PairOutcome O = Eng.verifyPair(E);
-  EXPECT_TRUE(O.Certified);
-  EXPECT_GT(O.ProofQueries, 0u);
-  EXPECT_GT(O.ProofSteps, 0u);
   for (const SymbolicResult &R : O.Methods) {
     EXPECT_TRUE(R.Verified);
     EXPECT_TRUE(R.ProofChecked);
+    EXPECT_GT(R.ProofQueries, 0u);
     EXPECT_EQ(R.ProofQueries, R.ProofQueryIds.size());
     EXPECT_GT(R.ProofClauses, 0u);
   }
 }
 
 TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
-  // Two families through one certifying catalog session: family and pair
-  // subtree retirements, variable recycling, and (with a tiny GC budget)
-  // clause-DB reductions all land in one trace that must check out.
+  // Two families through one certifying catalog session: pair subtree
+  // retirements and variable recycling land in one trace that must check
+  // out. The tiny GC budget asks for clause-DB reductions, but these two
+  // families at bound 2 learn too few clauses to trigger one.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                      SolveMode::SharedCatalog);
   Eng.setCertify(true);
-  Eng.setClauseGcBudget(50); // Aggressive reduction exercises Delete steps.
+  Eng.setClauseGcBudget(50);
   std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily()};
   CatalogOutcome O = Eng.verifyCatalog(C, Fams);
   EXPECT_EQ(O.failures(), 0u);
   EXPECT_TRUE(O.Certified);
-  EXPECT_GT(O.ProofQueries, 0u);
   EXPECT_GT(O.Stats.RecycledVars, 0u); // Recycle steps were in the trace.
-  for (const FamilyOutcome &FO : O.Families) {
-    EXPECT_TRUE(FO.Certified);
+  uint64_t Queries = 0;
+  for (const FamilyOutcome &FO : O.Families)
     for (const PairOutcome &PO : FO.Pairs)
       for (const SymbolicResult &R : PO.Methods) {
         EXPECT_TRUE(R.ProofChecked)
             << FO.Family << ": a method's certificate failed";
         EXPECT_EQ(R.ProofQueries, R.ProofQueryIds.size());
+        Queries += R.ProofQueries;
       }
-  }
+  EXPECT_GT(Queries, 0u);
 }
 
 TEST(CertifiedEngineTest, CertifyAgreesWithUncertifiedVerdicts) {

@@ -251,7 +251,7 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R2));
   // The family selector, then pair selector + method selector per pair.
   EXPECT_EQ(Sess.numSelectors(), 5u);
-  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 2u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 2u);
 
   // The core names the pair scope, the method selector, and the split.
   auto Has = [&R1](const char *L) {
@@ -264,7 +264,7 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   uint64_t Retained = Sess.retainedClauses();
   EXPECT_GT(Sess.retirePair(0, "p1"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.familyStats(0).PairsRetired, 1u);
+  EXPECT_EQ(Sess.stats().PairsRetired, 1u);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
   // p2 still verifies after p1's eviction; p1 re-opens under a fresh
@@ -272,7 +272,7 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   SymbolicResult R3, R4;
   EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R3));
   EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R4));
-  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 3u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
 }
 
 TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
@@ -288,10 +288,10 @@ TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
   M.Splits.push_back(VcSplit{{{Fx.F.lnot(X), "not-x"}}, ""});
   SymbolicResult R1, R2;
   EXPECT_TRUE(Sess.discharge(0, "p1", M, R1));
-  EXPECT_EQ(Sess.familyStats(0).PrefixAsserts, 1u); // Opening the family.
+  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u); // Opening the family.
   EXPECT_TRUE(Sess.discharge(0, "p2", M, R2));
-  EXPECT_EQ(Sess.familyStats(0).PrefixAsserts, 1u);
-  EXPECT_EQ(Sess.familyStats(0).PrefixReuses, 2u);
+  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
+  EXPECT_EQ(Sess.stats().PrefixReuses, 2u);
 }
 
 TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
@@ -303,7 +303,7 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   const Family &Fam = mapFamily();
-  FamilyOutcome Evicting = Eng.verifyCatalog(Fx.C, {&Fam}).Families.front();
+  CatalogOutcome Evicting = Eng.verifyCatalog(Fx.C, {&Fam});
 
   CatalogPlan CP = Eng.planCatalog(Fx.C, {&Fam});
   CatalogSession NoEvict(Fx.F, CP, /*Budget=*/200000);
@@ -317,11 +317,11 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
 
   EXPECT_GT(Evicting.Stats.EvictedClauses, 0u);
   EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.familyStats(0).PeakRetainedClauses);
+            NoEvict.stats().PeakRetainedClauses);
   // Not proportional to family size: the evicting peak stays well under
   // half of the accumulate-everything peak on the 49-pair Map family.
   EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.familyStats(0).PeakRetainedClauses / 2);
+            NoEvict.stats().PeakRetainedClauses / 2);
 }
 
 /// Eviction-soundness fuzz: random pair discharge / retire / re-verify
@@ -352,7 +352,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
     }
     CatalogPlan CP = Planner.planCatalog(Fx.C, {Fam});
     CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
-    Sess.configureClauseGc(true, /*FirstLimit=*/64);
+    Sess.configureClauseGc(/*FirstLimit=*/64);
 
     // Random operation sequence over the picked pairs: discharge a random
     // method of a random pair (re-verification after retirement included),
@@ -396,9 +396,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FamilyEvictionFuzzTest,
 
 TEST(CatalogSessionTest, FamilyScopesIsolateAndSubtreeRetire) {
   // Two families with contradictory family-common prefixes coexist under
-  // their family selectors; retiring one family's subtree (family scope,
-  // pair scopes, method scopes, one solver pass) leaves the other
-  // family's proofs intact and recycles the retired scopes' variables.
+  // their family selectors; retiring a pair's subtree in one family (pair
+  // scope and method scopes, one solver pass) leaves the other family's
+  // proofs intact and recycles the retired scopes' variables.
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("cat_x", Sort::Bool);
   ExprRef W = Fx.F.var("cat_w", Sort::Bool);
@@ -440,25 +440,27 @@ TEST(CatalogSessionTest, FamilyScopesIsolateAndSubtreeRetire) {
 
   uint64_t Retained = Sess.retainedClauses();
   int64_t RecycledBefore = Sess.session().recycledVars();
-  EXPECT_GT(Sess.retireFamily(0), 0u);
+  EXPECT_GT(Sess.retirePair(0, "p"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.stats().FamiliesRetired, 1u);
+  EXPECT_EQ(Sess.stats().PairsRetired, 1u);
   EXPECT_GT(Sess.session().recycledVars(), RecycledBefore);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
-  // demoB still verifies after demoA's subtree retirement; demoA
-  // re-opens under a fresh epoch and verifies again.
+  // demoB still verifies after demoA's pair retired; demoA's pair re-opens
+  // under a fresh selector in the family scope, which stayed open, and
+  // verifies again.
   SymbolicResult R3, R4;
   EXPECT_TRUE(Sess.discharge(1, "p", Neg, R3));
   EXPECT_TRUE(Sess.discharge(0, "p", Pos, R4));
-  EXPECT_EQ(Sess.stats().FamiliesOpened, 3u);
+  EXPECT_EQ(Sess.stats().FamiliesOpened, 2u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
 }
 
 TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
   // Sharing one session across the catalog is a pure performance choice:
   // every verdict equals the one a session shared by the pair alone
   // reaches (verifyPair), family by family, pair by pair, method by
-  // method; every pair and every family subtree is retired; and the
+  // method; every family scope opens once, every pair is retired; and the
   // session recycles variables.
   PoolFixture &Fx = fixture();
   SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
@@ -466,16 +468,17 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
 
   CatalogOutcome CO = CatEng.verifyCatalog(Fx.C, allFamilies());
   ASSERT_EQ(CO.Families.size(), allFamilies().size());
-  EXPECT_EQ(CO.Stats.FamiliesRetired, allFamilies().size());
+  EXPECT_EQ(CO.Stats.FamiliesOpened, allFamilies().size());
   EXPECT_GT(CO.Stats.RecycledVars, 0u);
   EXPECT_LT(CO.Stats.PeakLiveVars, CO.Stats.VarRequests);
 
+  uint64_t Pairs = 0;
   for (size_t FI = 0; FI != allFamilies().size(); ++FI) {
     const Family *Fam = allFamilies()[FI];
     const FamilyOutcome &FO = CO.Families[FI];
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
     ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
-    EXPECT_EQ(FO.Stats.PairsRetired, Entries.size());
+    Pairs += Entries.size();
     for (size_t I = 0; I != Entries.size(); ++I) {
       EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
       PairOutcome Want = Pair.verifyPair(Entries[I]);
@@ -487,6 +490,8 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
       }
     }
   }
+  EXPECT_EQ(CO.Stats.PairsOpened, Pairs);
+  EXPECT_EQ(CO.Stats.PairsRetired, Pairs);
 }
 
 TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
@@ -527,7 +532,6 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
         }
         Sess.retirePair(FI, PP.Key);
       }
-      Sess.retireFamily(FI);
     }
     return Failures;
   };

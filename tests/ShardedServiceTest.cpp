@@ -57,11 +57,12 @@ std::string keyOf(const ServiceRequest &R) {
 /// Every CatalogSessionStats field, in declaration order; the size check
 /// makes a new field fail to compile here until it is added.
 std::vector<uint64_t> sessionFields(const CatalogSessionStats &S) {
-  static_assert(sizeof(CatalogSessionStats) == 17 * sizeof(uint64_t),
+  static_assert(sizeof(CatalogSessionStats) == 20 * sizeof(uint64_t),
                 "CatalogSessionStats changed: update sessionFields");
-  return {S.FamiliesOpened,    S.FamiliesRetired,  S.PairsOpened,
-          S.PairsRetired,      S.PrefixAsserts,    S.PrefixReuses,
-          S.EvictedClauses,    S.PeakRetainedClauses,
+  return {S.Checks,            static_cast<uint64_t>(S.Conflicts),
+          S.DbReductions,      S.ReclaimedClauses, S.FamiliesOpened,
+          S.PairsOpened,       S.PairsRetired,     S.PrefixAsserts,
+          S.PrefixReuses,      S.EvictedClauses,   S.PeakRetainedClauses,
           S.RecycledVars,      S.PeakLiveVars,     S.PeakLiveClauses,
           S.VarRequests,       S.BridgeCompactions, S.ReleasedAtomVars,
           S.ReleasedSelectors, S.LiveBridges,      S.PeakLiveBridges};

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 using namespace semcomm;
 
 TEST(AbstractStateTest, SetSemantics) {
@@ -42,6 +45,46 @@ TEST(AbstractStateTest, MapSemantics) {
   EXPECT_EQ(M.size(), 1);
   EXPECT_EQ(M.mapErase(Value::obj(1)), Value::obj(8));
   EXPECT_TRUE(M.mapErase(Value::obj(1)).isNull());
+}
+
+TEST(AbstractStateTest, MapAgreesWithStdMap) {
+  // Random put / erase / get / hasKey steps over a key range wide enough
+  // that the map holds hundreds of entries, with object and integer keys
+  // interleaved in the key order, against a std::map oracle.
+  std::mt19937 Rng(2011);
+  AbstractState M = AbstractState::makeMap();
+  std::map<Value, Value> Oracle;
+  for (int Step = 0; Step != 4000; ++Step) {
+    int64_t N = static_cast<int64_t>(Rng() % 1000);
+    Value K = Rng() % 2 ? Value::obj(N) : Value::integer(N);
+    auto It = Oracle.find(K);
+    Value Want = It == Oracle.end() ? Value::null() : It->second;
+    switch (Rng() % 4) {
+    case 0: {
+      Value V = Value::obj(static_cast<int64_t>(Rng() % 64));
+      EXPECT_EQ(M.mapPut(K, V), Want) << "step " << Step;
+      Oracle[K] = V;
+      break;
+    }
+    case 1:
+      EXPECT_EQ(M.mapErase(K), Want) << "step " << Step;
+      Oracle.erase(K);
+      break;
+    case 2:
+      EXPECT_EQ(M.mapGet(K), Want) << "step " << Step;
+      break;
+    default:
+      EXPECT_EQ(M.mapHasKey(K), It != Oracle.end()) << "step " << Step;
+      break;
+    }
+    ASSERT_EQ(M.size(), static_cast<int64_t>(Oracle.size()));
+  }
+  EXPECT_GT(Oracle.size(), 100u);
+  // The final state is the oracle's, built in key order.
+  AbstractState FromOracle = AbstractState::makeMap();
+  for (const auto &[K, V] : Oracle)
+    FromOracle.mapPut(K, V);
+  EXPECT_EQ(M, FromOracle);
 }
 
 TEST(AbstractStateTest, SeqSemantics) {

@@ -158,16 +158,13 @@ TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
   PairOutcome O = Engine.verifyPair(E);
   ASSERT_EQ(O.Methods.size(), 6u);
   EXPECT_EQ(O.failures(), 0u);
-  // Family and pair scope, plus one selector literal per method.
-  EXPECT_EQ(O.Selectors, 8u);
-  EXPECT_GT(O.RetainedClauses, 0u);
-  uint64_t Vcs = 0;
   for (const SymbolicResult &R : O.Methods) {
     EXPECT_TRUE(R.Verified);
     EXPECT_GT(R.Millis, 0.0); // CatalogSession::discharge timed it.
-    Vcs += R.NumVcs;
+    // Every method's VCs went through the warm session: a one-shot
+    // discharge retains no clauses.
+    EXPECT_GT(R.RetainedClauses, 0u);
   }
-  EXPECT_EQ(O.Checks, Vcs); // Every VC went through the shared session.
 }
 
 TEST(SymbolicEngineTest, ProofCoresNameSelectorAndSplitLiterals) {

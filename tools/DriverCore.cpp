@@ -265,19 +265,9 @@ void runShard(const Catalog &C, const DriverOptions &Opts,
     }
 
   service::ServiceStats SS = Svc.stats();
+  static_cast<CatalogSessionStats &>(Stats) = SS.Session;
   Stats.Pairs = static_cast<unsigned>(Served.size());
   Stats.Methods = static_cast<unsigned>(Methods.size());
-  Stats.Checks = Svc.session().numChecks();
-  Stats.Conflicts = Svc.session().totalConflicts();
-  Stats.PrefixAsserts = SS.Session.PrefixAsserts;
-  Stats.PrefixReuses = SS.Session.PrefixReuses;
-  Stats.PairEvictions = SS.Session.PairsRetired;
-  Stats.EvictedClauses = SS.Session.EvictedClauses;
-  Stats.RecycledVars = SS.Session.RecycledVars;
-  Stats.PeakLiveVars = SS.Session.PeakLiveVars;
-  Stats.PeakLiveClauses = SS.Session.PeakLiveClauses;
-  Stats.VarRequests = SS.Session.VarRequests;
-  Stats.PeakRetainedClauses = SS.Session.PeakRetainedClauses;
   Stats.PairPlanMillis = SS.PairPlanMillis;
   Stats.Millis = Timer.millis();
 }
@@ -482,7 +472,7 @@ json::Value Report::toJson() const {
       V.set("prefix_reuses",
             json::Value::integer(static_cast<int64_t>(S.PrefixReuses)));
       V.set("pair_evictions",
-            json::Value::integer(static_cast<int64_t>(S.PairEvictions)));
+            json::Value::integer(static_cast<int64_t>(S.PairsRetired)));
       V.set("evicted_clauses",
             json::Value::integer(static_cast<int64_t>(S.EvictedClauses)));
       V.set("recycled_vars",
@@ -545,137 +535,6 @@ json::Value Report::toJson() const {
   }
   Root.set("results", std::move(ResArr));
   return Root;
-}
-
-std::optional<Report> Report::fromJson(const json::Value &V) {
-  if (!V.isObject())
-    return std::nullopt;
-  const json::Value &Tool = V["tool"];
-  if (!Tool.isString() || Tool.asString() != "semcommute-verify")
-    return std::nullopt;
-
-  Report R;
-  if (!V["threads"].isNumber() || !V["wall_ms"].isNumber())
-    return std::nullopt;
-  R.Threads = static_cast<unsigned>(V["threads"].asInt());
-  R.WallMillis = V["wall_ms"].asDouble();
-  if (const json::Value *C = V.find("certify"))
-    R.Certified = C->isBool() && C->asBool();
-  if (const json::Value *E = V.find("error"))
-    R.Error = E->asString();
-
-  const json::Value &S = V["scope"];
-  if (!S.isObject())
-    return std::nullopt;
-  R.Bounds.SetUniverse = static_cast<int>(S["set_universe"].asInt());
-  R.Bounds.MapKeys = static_cast<int>(S["map_keys"].asInt());
-  R.Bounds.MapVals = static_cast<int>(S["map_vals"].asInt());
-  R.Bounds.SeqVals = static_cast<int>(S["seq_vals"].asInt());
-  R.Bounds.MaxSeqLen = static_cast<int>(S["max_seq_len"].asInt());
-  R.Bounds.CounterRange = static_cast<int>(S["counter_range"].asInt());
-
-  const json::Value &FamArr = V["families"];
-  if (!FamArr.isArray())
-    return std::nullopt;
-  for (size_t I = 0; I != FamArr.size(); ++I) {
-    const json::Value &F = FamArr.at(I);
-    FamilySummary Sum;
-    Sum.Family = F["family"].asString();
-    Sum.Jobs = static_cast<unsigned>(F["jobs"].asInt());
-    Sum.Failures = static_cast<unsigned>(F["failures"].asInt());
-    Sum.PaperConditions =
-        static_cast<unsigned>(F["paper_conditions"].asInt());
-    Sum.JobMillis = F["job_ms"].asDouble();
-    Sum.Scenarios = static_cast<uint64_t>(F["scenarios"].asInt());
-    if (const json::Value *V2 = F.find("vcs"))
-      Sum.Vcs = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("sat_conflicts"))
-      Sum.Conflicts = V2->asInt();
-    if (const json::Value *V2 = F.find("retained_clauses"))
-      Sum.RetainedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("db_reductions"))
-      Sum.DbReductions = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("reclaimed_clauses"))
-      Sum.ReclaimedClauses = static_cast<uint64_t>(V2->asInt());
-    R.Families.push_back(std::move(Sum));
-  }
-
-  if (const json::Value *CatArr = V.find("catalog_stats")) {
-    if (!CatArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != CatArr->size(); ++I) {
-      const json::Value &P = CatArr->at(I);
-      CatalogStats S;
-      S.FamilyNames = P["family_names"].asString();
-      S.Families = static_cast<unsigned>(P["families"].asInt());
-      S.Pairs = static_cast<unsigned>(P["pairs"].asInt());
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.PrefixAsserts = static_cast<uint64_t>(P["prefix_asserts"].asInt());
-      S.PrefixReuses = static_cast<uint64_t>(P["prefix_reuses"].asInt());
-      S.PairEvictions = static_cast<uint64_t>(P["pair_evictions"].asInt());
-      S.EvictedClauses =
-          static_cast<uint64_t>(P["evicted_clauses"].asInt());
-      S.RecycledVars = static_cast<uint64_t>(P["recycled_vars"].asInt());
-      S.PeakLiveVars = static_cast<uint64_t>(P["peak_live_vars"].asInt());
-      S.PeakLiveClauses =
-          static_cast<uint64_t>(P["peak_live_clauses"].asInt());
-      S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
-      S.PeakRetainedClauses =
-          static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      S.PairPlanMillis = P["pair_plan_ms"].asDouble();
-      S.ProofCheckMillis = P["proof_check_ms"].asDouble(); // Absent: 0.
-      S.Millis = P["ms"].asDouble();
-      R.CatalogSessions.push_back(std::move(S));
-    }
-  }
-
-  const json::Value &ResArr = V["results"];
-  if (!ResArr.isArray())
-    return std::nullopt;
-  for (size_t I = 0; I != ResArr.size(); ++I) {
-    const json::Value &Res = ResArr.at(I);
-    JobRecord J;
-    J.Family = Res["family"].asString();
-    J.Category = Res["category"].asString();
-    if (const json::Value *Eng = Res.find("engine"))
-      J.Engine = Eng->asString();
-    else
-      J.Engine = engineKindName(EngineKind::Exhaustive);
-    J.Op1 = Res["op1"].asString();
-    J.Op2 = Res["op2"].asString();
-    J.Kind = Res["kind"].asString();
-    J.Role = Res["role"].asString();
-    J.Verified = Res["verified"].isBool() && Res["verified"].asBool();
-    J.Scenarios = static_cast<uint64_t>(Res["scenarios"].asInt());
-    J.Millis = Res["ms"].asDouble();
-    if (const json::Value *V2 = Res.find("vcs"))
-      J.Vcs = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("sat_conflicts"))
-      J.Conflicts = V2->asInt();
-    if (const json::Value *V2 = Res.find("max_vc_conflicts"))
-      J.MaxVcConflicts = V2->asInt();
-    if (const json::Value *V2 = Res.find("retained_clauses"))
-      J.RetainedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("db_reductions"))
-      J.DbReductions = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("reclaimed_clauses"))
-      J.ReclaimedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *Core = Res.find("proof_core"))
-      J.ProofCore = Core->asString();
-    if (const json::Value *V2 = Res.find("proof_queries"))
-      J.ProofQueries = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("proof_clauses"))
-      J.ProofClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("proof_checked"))
-      J.ProofChecked = V2->isBool() && V2->asBool();
-    if (const json::Value *Note = Res.find("note"))
-      J.Note = Note->asString();
-    R.Results.push_back(std::move(J));
-  }
-  return R;
 }
 
 //===----------------------------------------------------------------------===//

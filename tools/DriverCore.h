@@ -37,7 +37,6 @@
 #include "support/Json.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,10 +144,11 @@ struct FamilySummary {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Reuse, retirement, and recycling statistics of one shard's catalog
-/// session (symbolic commutativity jobs under SolveMode::SharedCatalog;
-/// one row per shard — a single row at one thread).
-struct CatalogStats {
+/// One shard's catalog_stats row (symbolic commutativity jobs under
+/// SolveMode::SharedCatalog; one row per shard — a single row at one
+/// thread): the shard session's own record, plus what the driver measures
+/// around it.
+struct CatalogStats : CatalogSessionStats {
   /// Comma-joined families this shard served (those of which it holds at
   /// least one entry).
   std::string FamilyNames;
@@ -156,21 +156,6 @@ struct CatalogStats {
   unsigned Pairs = 0;
   unsigned Methods = 0;
   uint64_t Vcs = 0;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  /// Prefix amortization across the catalog + family + pair levels.
-  uint64_t PrefixAsserts = 0;
-  uint64_t PrefixReuses = 0;
-  uint64_t PairEvictions = 0; ///< Pair scopes retired.
-  uint64_t EvictedClauses = 0;
-  /// Variable recycling: indices reclaimed by scope retirements, the
-  /// live-variable and clause high-water marks, and the cumulative
-  /// variable demand (the allocation a no-recycling run would need).
-  uint64_t RecycledVars = 0;
-  uint64_t PeakLiveVars = 0;
-  uint64_t PeakLiveClauses = 0;
-  uint64_t VarRequests = 0;
-  uint64_t PeakRetainedClauses = 0;
   /// Wall time the shard spent building its pair plans
   /// (ServiceStats::PairPlanMillis); the shared catalog plan is not in it.
   double PairPlanMillis = 0;
@@ -180,7 +165,9 @@ struct CatalogStats {
   double Millis = 0;
 };
 
-/// Everything a run produces; serializes to/from the JSON report.
+/// Everything a run produces; serializes to the JSON report. Nothing reads
+/// a report back: consumers parse the JSON themselves, or take the Report
+/// in process.
 struct Report {
   unsigned Threads = 1;
   double WallMillis = 0;
@@ -198,7 +185,6 @@ struct Report {
   unsigned failures() const;
 
   json::Value toJson() const;
-  static std::optional<Report> fromJson(const json::Value &V);
 
   /// True when \p O ran the same job list and reached the same verdicts
   /// and scenario counts (both are functions of the options alone; only

@@ -82,8 +82,8 @@ void printUsage(const char *Argv0) {
       "checks and output:\n"
       "  --check-verdicts  re-verify the served families in-process with\n"
       "                    SymbolicEngine::verifyCatalog (one catalog\n"
-      "                    session, every pair and family retired, no\n"
-      "                    compaction) and fail on any verdict mismatch\n"
+      "                    session, every pair retired, no compaction)\n"
+      "                    and fail on any verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
       "  --snapshot FILE   write the service image (counters, verdict log,\n"
@@ -128,9 +128,9 @@ PassPeaks peaksOf(const ServiceStats &S, uint64_t Requests, double Millis) {
   return P;
 }
 
-/// The front-end's counters and solver accounting summed over its shards
-/// (each shard's peaks plateau individually, so the total footprint
-/// plateaus). With one shard this is that shard's own stats.
+/// The front-end's counters and the session counters the report prints,
+/// summed over its shards (each shard's peaks plateau individually, so the
+/// total footprint plateaus). With one shard these are that shard's own.
 ServiceStats totals(const ShardedServiceStats &SS) {
   ServiceStats Sum;
   Sum.Requests = SS.Requests;
@@ -144,8 +144,6 @@ ServiceStats totals(const ShardedServiceStats &SS) {
     Sum.RetireMillis += Sh.Stats.RetireMillis;
     const CatalogSessionStats &In = Sh.Stats.Session;
     CatalogSessionStats &Out = Sum.Session;
-    Out.FamiliesOpened += In.FamiliesOpened;
-    Out.FamiliesRetired += In.FamiliesRetired;
     Out.PairsOpened += In.PairsOpened;
     Out.PairsRetired += In.PairsRetired;
     Out.PrefixAsserts += In.PrefixAsserts;
