@@ -21,6 +21,10 @@
 //   inverses/indexed+storm  forced-abort injection, inverse rollback
 //   snapshot/indexed+storm  forced-abort injection, snapshot baseline
 //
+// Every cell checks what it timed, outside the stopwatch: each shard's
+// final state must equal replaySerial over the run's commit order. A cell
+// that did not complete or is not serializable fails the bench (exit 1).
+//
 // Emits BENCH_JSON speculation_grid rows plus one speculation_summary
 // line; bench/run_all.sh folds them into BENCH_semcommute.json as the
 // schema-7 speculation_stats section.
@@ -28,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/SpeculativeExecutor.h"
+#include "support/CommandLine.h"
 #include "support/Timing.h"
 
 #include <algorithm>
@@ -89,6 +94,8 @@ struct RunResult {
   double WallMs = 0;
   double OpsPerSec = 0;
   ExecutorStats Stats;
+  /// Every shard's final state equals replaySerial over commitOrder().
+  bool Serializable = true;
 };
 
 RunResult runOne(ExprFactory &F, const Catalog &Cat,
@@ -102,6 +109,11 @@ RunResult runOne(ExprFactory &F, const Catalog &Cat,
   R.Stats = Ex.run(Txns);
   R.WallMs = W.seconds() * 1e3;
   R.OpsPerSec = TotalOps / std::max(W.seconds(), 1e-9);
+  std::vector<std::unique_ptr<ConcreteStructure>> Ref =
+      SpeculativeExecutor::replaySerial(Factory, Cfg.Shards, Txns,
+                                        Ex.commitOrder());
+  for (unsigned S = 0; S != Ex.numShards(); ++S)
+    R.Serializable &= Ex.shard(S).abstraction() == Ref[S]->abstraction();
   return R;
 }
 
@@ -131,10 +143,11 @@ void reportRow(const Contention &C, const ExecutorConfig &Cfg,
       S.SampledGkQueries ? double(S.SampledGkConstantHits) / S.SampledGkQueries
                          : 0.0;
   std::printf("  %-8s t=%-2u %-4s %-9s %-11s %9.1f ms %12.0f ops/s"
-              "  abort %.3f  gk %.0f ns/q  undone %llu\n",
+              "  abort %.3f  gk %.0f ns/q  undone %llu%s\n",
               modeName(Cfg.Mode), Cfg.Threads, C.Name, policyName(Cfg.Policy),
               pathName(Cfg.CheckerPath), R.WallMs, R.OpsPerSec, AbortRate,
-              GkNsPerQuery, (unsigned long long)S.OpsUndone);
+              GkNsPerQuery, (unsigned long long)S.OpsUndone,
+              R.Serializable ? "" : "  NOT SERIALIZABLE");
   std::printf(
       "BENCH_JSON {\"bench\":\"perf_speculation\","
       "\"metric\":\"speculation_grid\",\"mode\":\"%s\",\"threads\":%u,"
@@ -146,7 +159,8 @@ void reportRow(const Contention &C, const ExecutorConfig &Cfg,
       "\"abort_rate\":%.4f,\"undone_ops\":%llu,\"snapshots\":%llu,"
       "\"gk_checks\":%llu,\"gk_pass_rate\":%.4f,\"gk_ns_per_query\":%.1f,"
       "\"checker_program_runs\":%llu,\"checker_fallbacks\":%llu,"
-      "\"sampled_const_hit_rate\":%.4f,\"completed\":%s}\n",
+      "\"sampled_const_hit_rate\":%.4f,\"completed\":%s,"
+      "\"serializable\":%s}\n",
       modeName(Cfg.Mode), Cfg.Threads, Cfg.Shards, C.Name, C.Keys,
       policyName(Cfg.Policy), pathName(Cfg.CheckerPath), Cfg.AbortEvery,
       NumTxns,
@@ -158,7 +172,7 @@ void reportRow(const Contention &C, const ExecutorConfig &Cfg,
       (unsigned long long)S.GatekeeperChecks, GkPassRate, GkNsPerQuery,
       (unsigned long long)S.CheckerProgramRuns,
       (unsigned long long)S.CheckerFallbacks, ConstHitRate,
-      S.Completed ? "true" : "false");
+      S.Completed ? "true" : "false", R.Serializable ? "true" : "false");
 }
 
 } // namespace
@@ -171,9 +185,10 @@ int main(int argc, char **argv) {
     if (!std::strcmp(argv[I], "--smoke"))
       Smoke = true;
     else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc)
-      MaxThreads = std::max(1, std::atoi(argv[++I]));
+      MaxThreads =
+          static_cast<unsigned>(parseIntFlag("--threads", argv[++I], 1, 256));
     else if (!std::strcmp(argv[I], "--ops") && I + 1 < argc)
-      OpsOverride = std::strtoull(argv[++I], nullptr, 10);
+      OpsOverride = static_cast<uint64_t>(parseIntFlag("--ops", argv[++I], 1));
     else {
       std::fprintf(stderr, "usage: %s [--smoke] [--threads N] [--ops N]\n",
                    argv[0]);
@@ -232,7 +247,11 @@ int main(int argc, char **argv) {
   double IdxOps1Low = 0, IdxOpsMaxLow = 0;
   double ConstHitRate = 0;
   uint64_t StormUndoneInverses = 0, StormUndoneSnapshot = 0;
-  bool AllCompleted = true;
+  bool AllCompleted = true, AllSerializable = true;
+  auto Tally = [&](const RunResult &R) {
+    AllCompleted &= R.Stats.Completed;
+    AllSerializable &= R.Serializable;
+  };
 
   // Gatekeeper isolation: Replay mode interleaves transaction steps in
   // the scheduler itself — a bounded window of live transactions keeps
@@ -265,7 +284,7 @@ int main(int argc, char **argv) {
       Cfg.StatsSamplePeriod = 64;
       RunResult R = runOne(F, Cat, Factory, Idx, Cfg, Txns, N);
       reportRow(*C, Cfg, N, Txns.size(), R);
-      AllCompleted &= R.Stats.Completed;
+      Tally(R);
       double GkNs = R.Stats.GatekeeperChecks
                         ? double(R.Stats.GatekeeperNanos) /
                               R.Stats.GatekeeperChecks
@@ -311,7 +330,7 @@ int main(int argc, char **argv) {
       ExecutorConfig Cfg = Base;
       RunResult Prod = runOne(F, Cat, Factory, Idx, Cfg, TxnsIdx, NIdx);
       reportRow(*C, Cfg, NIdx, TxnsIdx.size(), Prod);
-      AllCompleted &= Prod.Stats.Completed;
+      Tally(Prod);
       if (T == 1)
         (IsHigh ? IdxOps1High : IdxOps1Low) = Prod.OpsPerSec;
       if (T == ThreadLevels.back())
@@ -323,7 +342,7 @@ int main(int argc, char **argv) {
       Cfg.CheckerPath = IndexedChecker::Path::Interpreted;
       RunResult Interp = runOne(F, Cat, Factory, Idx, Cfg, TxnsInterp, NInterp);
       reportRow(*C, Cfg, NInterp, TxnsInterp.size(), Interp);
-      AllCompleted &= Interp.Stats.Completed;
+      Tally(Interp);
 
       // Abort storms: forced injection, both rollback policies.
       for (RollbackPolicy Policy :
@@ -334,7 +353,7 @@ int main(int argc, char **argv) {
         Cfg.MaxInjectedAbortsPerTxn = 2;
         RunResult Storm = runOne(F, Cat, Factory, Idx, Cfg, TxnsIdx, NIdx);
         reportRow(*C, Cfg, NIdx, TxnsIdx.size(), Storm);
-        AllCompleted &= Storm.Stats.Completed;
+        Tally(Storm);
         if (IsHigh && T == ThreadLevels.back()) {
           if (Policy == RollbackPolicy::Inverses)
             StormUndoneInverses = Storm.Stats.OpsUndone;
@@ -365,11 +384,12 @@ int main(int argc, char **argv) {
       "\"ops_per_sec_1t_high\":%.0f,\"ops_per_sec_max_high\":%.0f,"
       "\"sampled_const_hit_rate\":%.4f,"
       "\"storm_undone_inverses\":%llu,\"storm_undone_snapshot\":%llu,"
-      "\"all_completed\":%s}\n",
+      "\"all_completed\":%s,\"all_serializable\":%s}\n",
       ThreadLevels.back(), ThreadLevels.size(), GkWindow, RatioHigh, RatioLow,
       GkNsIdxHigh, GkNsInterpHigh, ScaleLow, ScaleHigh, IdxOps1Low,
       IdxOpsMaxLow, IdxOps1High, IdxOpsMaxHigh, ConstHitRate,
       (unsigned long long)StormUndoneInverses,
-      (unsigned long long)StormUndoneSnapshot, AllCompleted ? "true" : "false");
-  return AllCompleted ? 0 : 1;
+      (unsigned long long)StormUndoneSnapshot, AllCompleted ? "true" : "false",
+      AllSerializable ? "true" : "false");
+  return AllCompleted && AllSerializable ? 0 : 1;
 }

@@ -10,6 +10,8 @@
 
 #include "support/Unreachable.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 
@@ -57,7 +59,21 @@ void HashTable::clear() {
 }
 
 size_t HashTable::bucketOf(const Value &K, size_t NumBuckets) const {
-  return std::hash<Value>()(K) % NumBuckets;
+  // Fibonacci hashing: the top log2(NumBuckets) bits of the hash times
+  // 2^64 / phi, which every bit of the hash moves.
+  uint64_t H = std::hash<Value>()(K) * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(H >> (64 - __builtin_ctzll(NumBuckets)));
+}
+
+size_t HashTable::longestChain() const {
+  size_t Longest = 0;
+  for (Node *Bucket : Table) {
+    size_t Length = 0;
+    for (Node *N = Bucket; N; N = N->Next)
+      ++Length;
+    Longest = std::max(Longest, Length);
+  }
+  return Longest;
 }
 
 void HashTable::rehash(size_t NewBuckets) {

@@ -34,6 +34,9 @@ public:
 
   /// Current bucket count; exposed so tests can observe rehashing.
   size_t capacity() const { return Table.size(); }
+  /// Node count of the longest chain; exposed so tests can observe how
+  /// evenly the buckets are filled.
+  size_t longestChain() const;
 
   // ConcreteStructure.
   std::string name() const override { return "HashTable"; }
@@ -57,6 +60,12 @@ private:
     Node *Next;
   };
 
+  /// The bucket of \p K in a table of \p NumBuckets (a power of two)
+  /// buckets, taken from the top bits of a multiplicatively mixed hash.
+  /// The hash's low bits alone would not do: an executor shard holds only
+  /// keys whose hash agrees in the low bits SpeculativeExecutor::shardOf
+  /// routes by, so a bucket taken from those bits would leave all but one
+  /// bucket in Shards unreachable and the chains Shards times as long.
   size_t bucketOf(const Value &K, size_t NumBuckets) const;
   void rehash(size_t NewBuckets);
   void clear();

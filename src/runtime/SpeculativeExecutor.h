@@ -197,7 +197,11 @@ public:
   const ConcreteStructure &shard(unsigned S) const;
 
   /// Key-hash shard routing used by workload builders: deterministic and
-  /// stable across runs.
+  /// stable across runs. The route is hashCode() modulo the shard count,
+  /// so at a power-of-two count it is the hash's low bits, and every key
+  /// of one shard agrees in them. A structure sharded by this route must
+  /// not index by the same bits: HashTable and HashSet take their buckets
+  /// from a mixed hash for that reason.
   static unsigned shardOf(const Value &Key, unsigned NumShards) {
     return NumShards < 2
                ? 0

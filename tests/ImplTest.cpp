@@ -12,6 +12,7 @@
 #include "impl/HashSet.h"
 #include "impl/HashTable.h"
 #include "impl/ListSet.h"
+#include "runtime/SpeculativeExecutor.h"
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,28 @@ TEST(HashTableTest, ManyKeysWithResize) {
   EXPECT_EQ(T.size(), 100);
   for (int I = 1; I <= 100; ++I)
     EXPECT_EQ(T.get(Value::obj(I)), Value::obj(1000 + I));
+}
+
+TEST(HashBucketTest, KeysOfOneExecutorShardSpreadOverTheBuckets) {
+  // An executor shard holds only keys whose hashes agree in the low bits
+  // SpeculativeExecutor::shardOf routes by. A bucket index taken from the
+  // same low bits would reach 1 bucket in Shards: 512 keys of one of 32
+  // shards in 1024 buckets would form 32 chains of 16 nodes.
+  for (unsigned Shards : {4u, 32u}) {
+    HashTable Map;
+    HashSet Set;
+    for (int64_t Id = 1; Set.size() != 512; ++Id) {
+      Value Key = Value::obj(Id);
+      if (SpeculativeExecutor::shardOf(Key, Shards) != 0)
+        continue;
+      Map.put(Key, Value::obj(Id));
+      Set.add(Key);
+    }
+    EXPECT_LE(Map.longestChain(), 8u) << Shards << " shards";
+    EXPECT_LE(Set.longestChain(), 8u) << Shards << " shards";
+    EXPECT_TRUE(Map.repOk());
+    EXPECT_TRUE(Set.repOk());
+  }
 }
 
 TEST(AssociationListTest, ShadowingFreeRebinding) {

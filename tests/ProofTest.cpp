@@ -639,20 +639,23 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
 
 TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
   // Two families through one certifying catalog session: pair subtree
-  // retirements and variable recycling land in one trace that must check
-  // out. The tiny GC budget asks for clause-DB reductions, but these two
-  // families at bound 2 learn too few clauses to trigger one.
+  // retirements, variable recycling and clause-DB reductions land in one
+  // trace that must check out. A budget of 5 learned clauses is small
+  // enough that these two families at bound 2 trigger reductions.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                      SolveMode::SharedCatalog);
   Eng.setCertify(true);
-  Eng.setClauseGcBudget(50);
+  Eng.setClauseGcBudget(5);
   std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily()};
   CatalogOutcome O = Eng.verifyCatalog(C, Fams);
   EXPECT_EQ(O.failures(), 0u);
   EXPECT_TRUE(O.Certified);
   EXPECT_GT(O.Stats.RecycledVars, 0u); // Recycle steps were in the trace.
+  // Clause-GC Delete steps were in the trace.
+  EXPECT_GT(O.Stats.DbReductions, 0u);
+  EXPECT_GT(O.Stats.ReclaimedClauses, 0u);
   uint64_t Queries = 0;
   for (const FamilyOutcome &FO : O.Families)
     for (const PairOutcome &PO : FO.Pairs)
