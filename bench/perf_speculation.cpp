@@ -185,8 +185,8 @@ int main(int argc, char **argv) {
     if (!std::strcmp(argv[I], "--smoke"))
       Smoke = true;
     else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc)
-      MaxThreads =
-          static_cast<unsigned>(parseIntFlag("--threads", argv[++I], 1, 256));
+      MaxThreads = static_cast<unsigned>(
+          parseIntFlag("--threads", argv[++I], 1, MaxThreadCount));
     else if (!std::strcmp(argv[I], "--ops") && I + 1 < argc)
       OpsOverride = static_cast<uint64_t>(parseIntFlag("--ops", argv[++I], 1));
     else {

@@ -193,35 +193,28 @@ else
   record "driver_certify_stats" 0 missing
 fi
 
-# Service-loop snapshots: two 3-pass full-catalog semcommute-serve runs on
-# the one-shard front-end (the default, serve_batched, and the same
-# without compaction) whose request rates and per-pass live peaks join
-# the baseline as service_stats, so serving regressions (a compaction that
-# stops bounding the warm session) are caught like wall-time ones.
+# Service-loop snapshot: a 3-pass full-catalog semcommute-serve run on the
+# one-shard front-end (serve_batched) whose request rate and per-pass live
+# peaks join the baseline as service_stats, so serving regressions (a
+# warm session that stops plateauing) are caught like wall-time ones.
 SERVE_BIN="$BUILD_DIR/semcommute-serve"
 if [ -x "$SERVE_BIN" ]; then
-  for cfg in "serve_batched:" "serve_nocompact:--no-compact"; do
-    name=${cfg%%:*}
-    extra=${cfg#*:}
-    echo "== semcommute-serve ($name)"
-    start=$(now)
-    # shellcheck disable=SC2086 # $extra is zero or one flag
-    if "$SERVE_BIN" --families all --passes 3 $extra \
-         --json "$RESULTS_DIR/$name.json" --quiet \
-         > "$RESULTS_DIR/$name.txt" 2>&1
-    then status=ok; else
-      status=failed
-      echo "FAILED  semcommute-serve $name (see $RESULTS_DIR/$name.txt)"
-      failures=$((failures + 1))
-    fi
-    end=$(now)
-    record "$name" "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
-  done
+  name=serve_batched
+  echo "== semcommute-serve ($name)"
+  start=$(now)
+  if "$SERVE_BIN" --families all --passes 3 \
+       --json "$RESULTS_DIR/$name.json" --quiet \
+       > "$RESULTS_DIR/$name.txt" 2>&1
+  then status=ok; else
+    status=failed
+    echo "FAILED  semcommute-serve $name (see $RESULTS_DIR/$name.txt)"
+    failures=$((failures + 1))
+  fi
+  end=$(now)
+  record "$name" "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
 else
   echo "MISSING semcommute-serve (not built?)"
-  for name in serve_batched serve_nocompact; do
-    record "$name" 0 missing
-  done
+  record serve_batched 0 missing
   failures=$((failures + 1))
 fi
 
@@ -419,11 +412,10 @@ if speculation_stats is not None and spec_rows:
         {k: v for k, v in row.items() if k not in ("bench", "metric")}
         for row in spec_rows]
 
-# Verification-service statistics from the two one-shard semcommute-serve
-# snapshot runs: the request rate, pair groups and batched reuses, live
-# peaks with and without bridge compaction, the compaction/release
-# counters, and how many passes the compacting run needed before its live
-# peaks plateaued (successive passes within 1.05x).
+# Verification-service statistics from the one-shard semcommute-serve
+# snapshot run: the request rate, pair groups and batched reuses, live
+# peaks, released selectors, and how many passes the run needed before its
+# live peaks plateaued (successive passes within 1.05x).
 def load_serve(name):
     path = os.path.join(results_dir, name + ".json")
     if not os.path.exists(path):
@@ -436,7 +428,6 @@ def load_serve(name):
 
 service_stats = None
 serve_batched = load_serve("serve_batched")
-serve_nocompact = load_serve("serve_nocompact")
 if serve_batched:
     def live_peaks(doc):
         sess = doc.get("session", {})
@@ -458,12 +449,8 @@ if serve_batched:
         "req_per_sec_batched": serve_batched.get("requests_per_sec"),
         "pair_groups": sess.get("pair_groups"),
         "batched_reuses": sess.get("batched_reuses"),
-        "bridge_compactions": sess.get("bridge_compactions"),
-        "released_atom_vars": sess.get("released_atom_vars"),
         "released_selectors": sess.get("released_selectors"),
-        "peaks_compacting": live_peaks(serve_batched),
-        "peaks_no_compaction": (live_peaks(serve_nocompact)
-                                if serve_nocompact else None),
+        "peaks": live_peaks(serve_batched),
         "passes_to_plateau": passes_to_plateau,
     }
 

@@ -173,18 +173,13 @@ bool semcomm::dischargeAlone(ExprFactory &F, const MethodPlan &Plan,
 //===----------------------------------------------------------------------===//
 
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
-                               int64_t Budget, bool Certify,
-                               bool CompactBridges, size_t CompactMinDead)
+                               int64_t Budget, bool Certify)
     : F(F), Plan(Plan), Budget(Budget), Session(F),
       Tiers(Plan.Families.size()) {
   // Certification must switch on before the first assertion reaches the
   // solver — the proof's Input steps have to cover the whole database.
   if (Certify)
     Session.enableCertification();
-  // Bridge compaction likewise: owner attribution has to see every
-  // assertion from the first one.
-  if (CompactBridges)
-    Session.enableBridgeCompaction(CompactMinDead);
   for (ExprRef C : Plan.CatalogCommon)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);
@@ -340,8 +335,6 @@ CatalogSessionStats CatalogSession::stats() const {
   S.PeakLiveVars = static_cast<uint64_t>(Session.peakLiveVars());
   S.PeakLiveClauses = static_cast<uint64_t>(Session.peakClauses());
   S.VarRequests = static_cast<uint64_t>(Session.varRequests());
-  S.BridgeCompactions = static_cast<uint64_t>(Session.bridgeCompactions());
-  S.ReleasedAtomVars = static_cast<uint64_t>(Session.releasedAtomVars());
   S.ReleasedSelectors = static_cast<uint64_t>(Session.releasedSelectors());
   S.LiveBridges = static_cast<uint64_t>(Session.liveBridges());
   S.PeakLiveBridges = static_cast<uint64_t>(Session.peakLiveBridges());

@@ -232,14 +232,13 @@ struct CatalogSessionStats {
   uint64_t PeakLiveVars = 0;
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
-  /// Bridge-compaction accounting (all zero unless the session was built
-  /// with CompactBridges): compaction passes run, theory-atom variables
-  /// released back to the recycler, retired-scope selector variables
-  /// released (epoch-interned selectors fold instead of pinning the trail
-  /// forever), and the live/peak bridge-instance counts the compactor
-  /// bounds.
+  /// Always 0: no session compacts its bridge lattice. Kept because the
+  /// perfbench serve workload still reports it.
   uint64_t BridgeCompactions = 0;
-  uint64_t ReleasedAtomVars = 0;
+  /// Retired-scope selector variables released (epoch-interned selectors
+  /// fold instead of pinning the trail forever), and the live/peak
+  /// bridge-instance counts. The theory registries only grow, so the live
+  /// count plateaus once every catalog pair has been served.
   uint64_t ReleasedSelectors = 0;
   uint64_t LiveBridges = 0;
   uint64_t PeakLiveBridges = 0;
@@ -264,19 +263,12 @@ public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
   /// must outlive the session (pair plans are materialized by the caller
   /// just before discharge). \p Certify turns on proof logging before any
-  /// assertion reaches the solver.
-  /// \p CompactBridges turns on the session's bridge compactor (theory
-  /// atoms are reference-counted by live scope; once every owner retires,
-  /// the bridge clauses over them are compacted out and their variables
-  /// recycled) — the long-horizon mode the verification service runs in.
-  /// \p CompactMinDead is the dead-entry threshold below which a
-  /// retirement never triggers a compaction pass. Sessions sharing one
-  /// plan (the sharded service's shards) each assert the catalog-common
-  /// prefix themselves: on the full catalog that is seven formulas, a
-  /// small fraction of the planCatalog pass the plan comes from.
+  /// assertion reaches the solver. Sessions sharing one plan (the sharded
+  /// service's shards) each assert the catalog-common prefix themselves:
+  /// on the full catalog that is seven formulas, a small fraction of the
+  /// planCatalog pass the plan comes from.
   CatalogSession(ExprFactory &F, const CatalogPlan &Plan, int64_t Budget,
-                 bool Certify = false, bool CompactBridges = false,
-                 size_t CompactMinDead = 64);
+                 bool Certify = false);
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
 

@@ -137,8 +137,8 @@ public:
   /// is retired (evicted) — and its plan dropped — when its six methods
   /// are done. Family, pair, and method order are deterministic. The mode
   /// is not consulted: this is the warm path. It is the reference the
-  /// services' compaction, prefix batching, cost placement and sharding
-  /// are checked against: it shares their session code and planner, and
+  /// services' prefix batching, cost placement and sharding are checked
+  /// against: it shares their session code and planner, and
   /// on one shard it serves the same discharge sequence, so its method
   /// rows and session record equal the one-shard driver's.
   CatalogOutcome verifyCatalog(const Catalog &C,

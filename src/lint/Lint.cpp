@@ -466,10 +466,11 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
   // replay of the catalog-session script through a real (audited,
   // non-solving) SmtSession: catalog-common at the root, one layer-owning
   // scope per family, one per pair, method scopes sharing their pair's
-  // layer, every split encoded under its selector path, and pair/family
-  // subtrees retired exactly as the production CatalogSession retires
-  // them. The analyzer drains the event stream per pair so the log never
-  // holds more than one pair's encoder traffic.
+  // layer, every split encoded under its selector path, each pair subtree
+  // retired after its methods and every family scope left open to the end
+  // of the session, exactly as the production CatalogSession does. The
+  // analyzer drains the event stream per pair so the log never holds more
+  // than one pair's encoder traffic.
   audit::Log Log;
   AuditAnalyzer Analyzer;
   SmtSession Session(F);
@@ -522,9 +523,8 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
       Session.retireScope(PairScope);
       Analyzer.drain(Log);
     }
-    Session.retireScope(FamScope);
-    Analyzer.drain(Log);
   }
+  Analyzer.drain(Log);
   R.AuditEvents = Analyzer.eventsSeen();
   Append(Analyzer.takeFindings());
   return R;

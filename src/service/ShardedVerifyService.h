@@ -9,7 +9,7 @@
 /// \file
 /// semcommute-serve's one serving front-end: N warm verification sessions
 /// behind one submit/drain interface. Each shard is a full VerifyService
-/// (warm CatalogSession, prefix-batched groups, compaction) serving the
+/// (warm CatalogSession, prefix-batched groups, pair retirement) serving the
 /// same catalog. Requests wait in the front-end; a drain groups them by
 /// family, then by pair (groupByPair, the one-session order) and places
 /// whole pair groups on shards by their estimated cost:
@@ -66,7 +66,7 @@ namespace service {
 enum class RouteBy : uint8_t { Pair };
 
 /// Front-end construction knobs. Base carries the per-shard session
-/// configuration (compaction, certify, budgets). The defaults give the
+/// configuration (certify, budgets). The defaults give the
 /// single warm session: one shard, drained on the caller's thread.
 struct ShardedServiceConfig {
   ServiceConfig Base;

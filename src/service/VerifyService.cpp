@@ -133,10 +133,7 @@ VerifyService::VerifyService(const Catalog &C,
   for (size_t I = 0; I != Fams.size(); ++I)
     FamIdxByName.emplace(Fams[I]->Name, I);
   Sess = std::make_unique<CatalogSession>(C.factory(), *Plan,
-                                          Cfg.ConflictBudget, Cfg.Certify,
-                                          Cfg.CompactBridges,
-                                          Cfg.CompactMinDead);
-  Sess->session().setSelectorRelease(Cfg.ReleaseSelectors);
+                                          Cfg.ConflictBudget, Cfg.Certify);
 }
 
 bool VerifyService::resolve(const ServiceRequest &R, ResolvedRequest &Out,
@@ -253,14 +250,9 @@ json::Value VerifyService::configJson() const {
   // Always true since the FIFO discipline was deleted: kept so that
   // checkSnapshotConfig refuses a FIFO image by name.
   Config.set("batch", json::Value::boolean(true));
-  Config.set("compact_bridges", json::Value::boolean(Cfg.CompactBridges));
-  Config.set("release_selectors",
-             json::Value::boolean(Cfg.ReleaseSelectors));
   Config.set("certify", json::Value::boolean(Cfg.Certify));
   Config.set("seq_len_bound", json::Value::integer(Cfg.SeqLenBound));
   Config.set("conflict_budget", json::Value::integer(Cfg.ConflictBudget));
-  Config.set("compact_min_dead",
-             json::Value::integer(static_cast<int64_t>(Cfg.CompactMinDead)));
   return Config;
 }
 
@@ -337,10 +329,12 @@ bool VerifyService::checkSnapshotConfig(const json::Value &V,
             (Config ? "not an object" : "missing");
     return false;
   }
-  // Every key this service's snapshot() writes, with the kind it writes.
-  // A FIFO image (batch false) counted its pair groups differently, and
-  // the sequence bound and the conflict budget shape the verdicts, so
-  // those three must also match.
+  // Every key this service's snapshot() writes, with the kind it writes;
+  // other keys are ignored, so older images that still carry
+  // compact_bridges, compact_min_dead or release_selectors restore. A
+  // FIFO image (batch false) counted its pair groups differently, and the
+  // sequence bound and the conflict budget shape the verdicts, so those
+  // three must also match.
   const json::Value LiveConfig = configJson();
   for (const auto &[Key, Live] : LiveConfig.members()) {
     const json::Value *Got = Config->find(Key);

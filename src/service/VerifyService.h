@@ -34,16 +34,14 @@
 ///    the scope retired when the group completes — so N same-pair
 ///    requests pay one prefix-assertion and one retirement instead of N.
 ///
-///  * Long-horizon compaction: with CompactBridges (the default) the
-///    session reference-counts theory atoms by the scopes that mention
-///    them and compacts dead bridges out of the clause database; with
-///    ReleaseSelectors retired scopes' epoch-interned selector variables
-///    are folded off the trail and recycled. Together they make the
-///    service loop unbounded: live clauses, live variables, and live
-///    bridges plateau after the first full catalog pass instead of
-///    growing with the request count. A service that serves a single
-///    drain (semcommute-verify's shards) turns compaction off: it would
-///    only add proof steps.
+///  * Long-horizon boundedness: pair retirement evicts a group's clauses
+///    and recycles its definition variables, and selector release folds
+///    retired scopes' epoch-interned selector variables off the trail and
+///    recycles them. Theory atoms and their bridges stay for the session's
+///    life, but every atom comes from the catalog's finite, hash-consed
+///    vocabulary. So live clauses, live variables and live bridges
+///    plateau after the first full catalog pass instead of growing with
+///    the request count.
 ///
 ///  * Snapshot image: the service keeps counters, not verdicts — the
 ///    verdict log is the front-end's. snapshot() serializes the shard image
@@ -126,12 +124,9 @@ std::vector<PairGroup> groupByPair(const std::vector<ResolvedRequest> &Pending,
 
 /// Service construction knobs.
 struct ServiceConfig {
-  bool CompactBridges = true;   ///< Bridge compaction on the warm session.
-  bool ReleaseSelectors = true; ///< Fold retired selectors off the trail.
-  bool Certify = false;         ///< Hinted proof logging + checking.
-  int SeqLenBound = 3;          ///< ArrayList case-split bound.
+  bool Certify = false;            ///< Hinted proof logging + checking.
+  int SeqLenBound = 3;             ///< ArrayList case-split bound.
   int64_t ConflictBudget = 200000; ///< Per-VC CDCL conflict budget.
-  size_t CompactMinDead = 64; ///< Dead-entry floor for a compaction pass.
 };
 
 /// Cumulative service statistics plus a snapshot of the warm session's
@@ -154,8 +149,8 @@ struct ServiceStats {
   /// inside serve(), on the serving thread; not carried by snapshots).
   /// The catalog plan the shards share is not in it.
   double PairPlanMillis = 0;
-  /// Wall time spent retiring pair scopes, bridge compaction included,
-  /// timed once per group inside serve() (not carried by snapshots).
+  /// Wall time spent retiring pair scopes, timed once per group inside
+  /// serve() (not carried by snapshots).
   double RetireMillis = 0;
   double ServeMillis = 0; ///< Wall time spent inside serve().
   CatalogSessionStats Session;
@@ -211,7 +206,8 @@ public:
   ServiceStats stats() const;
 
   /// The warm session's solver, exposed so callers can assert invariants
-  /// (reasonInvariantHolds) after compacting drains.
+  /// (reasonInvariantHolds) after retiring drains, and test references
+  /// can switch selector release off.
   SmtSession &session() { return Sess->session(); }
 
   /// Restarts the per-pass peak counters (live vars / clauses / bridges)

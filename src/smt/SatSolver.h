@@ -178,10 +178,9 @@ public:
   /// occurrence), its pinned-false unit is compacted off the trail and its
   /// index joins the free list — the caller's guarantee is that the
   /// selector will never be assumed or re-encoded again (epoch-tagged
-  /// selector names make every reopened scope a fresh atom). This is the
-  /// trail-compaction half of bridge/selector compaction: without it a
-  /// warm session's trail grows by one pinned literal per retired scope
-  /// forever.
+  /// selector names make every reopened scope a fresh atom). This is
+  /// selector release: without it a warm session's trail grows by one
+  /// pinned literal per retired scope forever.
   size_t retireScopes(const std::vector<Lit> &Selectors,
                       const std::vector<int> &ScopeVars,
                       const std::vector<Lit> &ReleasableSelectors);

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <set>
 
 using namespace semcomm;
 using detail::IntAtomInfo;
@@ -111,11 +113,8 @@ ExprRef SmtSession::canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B) {
   std::string Name = std::string(IsEq ? "ieq" : "ile") + "[" + Signature +
                      "]" + std::to_string(Bound);
   ExprRef Atom = F.var(Name, Sort::Bool);
-  if (IntAtomSeen.insert(Atom).second) {
-    auto [It, _] = IntAtomInfos.try_emplace(
-        Atom, IntAtomInfo{std::move(Signature), IsEq, Bound});
-    IntAtoms.push_back(*It);
-  }
+  if (IntAtomSeen.insert(Atom).second)
+    IntAtoms.push_back({Atom, IntAtomInfo{std::move(Signature), IsEq, Bound}});
   return Atom;
 }
 
@@ -210,17 +209,6 @@ ExprRef SmtSession::normalize(ExprRef E) {
 
 // --- Incremental bridge generation -------------------------------------------
 
-void SmtSession::recordOwner(ExprRef E) {
-  if (!BridgeCompactionEnabled)
-    return;
-  auto &Owners = EntryOwners[E];
-  // RootScope ownership is permanent, so the reverse index (walked only
-  // at retirement) never carries it.
-  if (Owners.insert(AttrScope).second && AttrScope != RootScope)
-    ScopeEntries[AttrScope].push_back(E);
-  DeadEntries.erase(E);
-}
-
 void SmtSession::collectTheoryAtoms(ExprRef E) {
   if (E->kind() == ExprKind::Eq && E->operand(0)->sort() == Sort::Obj) {
     for (ExprRef T : {E->operand(0), E->operand(1)}) {
@@ -229,30 +217,16 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
         if (T->kind() == ExprKind::MapGet)
           MapLookups.push_back(T);
       }
-      recordOwner(T);
     }
     return;
   }
   if (E->kind() == ExprKind::SetContains) {
     if (MemAtomSet.insert(E).second)
       MemAtoms.push_back(E);
-    recordOwner(E);
     return;
   }
-  // Canonical integer atoms are minted during normalization (before this
-  // walk), so here they are leaves of the registry's own making. Only a
-  // compacting session can have dropped one from the registry since; a
-  // memoized normalization then hands it back without re-minting it, so
-  // it re-registers here and emitNewBridges() re-emits its lattice.
-  if (BridgeCompactionEnabled && E->kind() == ExprKind::Var) {
-    auto Info = IntAtomInfos.find(E);
-    if (Info != IntAtomInfos.end()) {
-      if (IntAtomSeen.insert(E).second)
-        IntAtoms.push_back(*Info);
-      recordOwner(E);
-      return;
-    }
-  }
+  // Canonical integer atoms were registered when normalization minted
+  // them, so only object equalities and memberships are collected here.
   for (ExprRef Op : E->operands())
     collectTheoryAtoms(Op);
 }
@@ -417,17 +391,8 @@ const proof::CertifySummary &SmtSession::finishCertification() {
   return Cert;
 }
 
-void SmtSession::enableBridgeCompaction(size_t MinDead) {
-  assert(Checks == 0 && Sat.numVars() == 0 &&
-         "bridge compaction must be enabled before the first assertion");
-  assert(!BridgeCompactionEnabled && "bridge compaction enabled twice");
-  BridgeCompactionEnabled = true;
-  BridgeMinDead = MinDead;
-}
-
 void SmtSession::assertBase(ExprRef E) {
   ExprRef N = normalize(E);
-  AttrScope = RootScope;
   ingest(N);
   std::unordered_set<ExprRef> Visited;
   collectBoolAtoms(N, BaseAtoms, Visited);
@@ -468,7 +433,6 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   if (Audit)
     Audit->assertInScope(printAbstract(Scopes[Scope].Selector));
   ExprRef N = normalize(Body);
-  AttrScope = Scope;
   ingest(N);
   ScopedBodies[Scopes[Scope].Selector].push_back(N);
   // The selector path, outermost first. Selectors are boolean variables,
@@ -549,33 +513,6 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     if (Sat.varIsFree(V))
       Encoder.releaseAtom(SelExpr);
 
-  // Ownership accounting: the subtree's scopes stop owning their registry
-  // entries. Entries of a node whose cache layer survives the subtree
-  // transfer to the layer's owning scope instead of dying — their cache
-  // entries live in that layer, so releasing the atoms any earlier would
-  // leave the layer's cache naming a recycled variable.
-  if (BridgeCompactionEnabled)
-    for (ScopeId S : Subtree) {
-      auto SE = ScopeEntries.find(S);
-      if (SE == ScopeEntries.end())
-        continue;
-      bool Survives = !SubtreeLayers.count(Scopes[S].Layer);
-      ScopeId Owner = Survives ? layerOwnerScope(S) : RootScope;
-      for (ExprRef E : SE->second) {
-        auto Own = EntryOwners.find(E);
-        if (Own == EntryOwners.end())
-          continue;
-        Own->second.erase(S);
-        if (Survives) {
-          if (Own->second.insert(Owner).second && Owner != RootScope)
-            ScopeEntries[Owner].push_back(E);
-        } else if (Own->second.empty()) {
-          DeadEntries.insert(E);
-        }
-      }
-      ScopeEntries.erase(S);
-    }
-
   // Drop the subtree's bookkeeping: layers (leaves before parents, so a
   // parent layer never dies while a child still names it), selector maps,
   // and the tree nodes themselves.
@@ -592,115 +529,6 @@ size_t SmtSession::retireScope(ScopeId Scope) {
   std::vector<ScopeId> &Siblings = Scopes[Scopes[Scope].Parent].Children;
   Siblings.erase(std::remove(Siblings.begin(), Siblings.end(), Scope),
                  Siblings.end());
-
-  // Compact once enough of the theory universe died. The ratio term
-  // (dead at least comparable to what survives) amortizes the compaction's
-  // whole-database retirement pass against the reclaimed universe; the
-  // absolute BridgeMinDead term is a backstop for large universes where
-  // the ratio alone would let bridge clauses over dead atoms pile up for
-  // a long time before half the universe retires.
-  if (BridgeCompactionEnabled && !DeadEntries.empty()) {
-    size_t Total = ObjTerms.size() + MemAtoms.size() + IntAtoms.size();
-    size_t Live = Total - DeadEntries.size();
-    if (DeadEntries.size() >= BridgeMinDead ||
-        DeadEntries.size() * 2 >= Live)
-      Evicted += compactBridges();
-  }
-  return Evicted;
-}
-
-SmtSession::ScopeId SmtSession::layerOwnerScope(ScopeId S) const {
-  if (Scopes[S].Layer == Tseitin::RootLayer)
-    return RootScope;
-  for (ScopeId Cur = S; Cur != RootScope; Cur = Scopes[Cur].Parent)
-    if (Scopes[Cur].OwnsLayer && Scopes[Cur].Layer == Scopes[S].Layer)
-      return Cur;
-  return RootScope;
-}
-
-size_t SmtSession::compactBridges() {
-  if (!BridgeCompactionEnabled || DeadEntries.empty())
-    return 0;
-
-  // Candidate variables: the atom vars of dead boolean entries — membership
-  // atoms, canonical integer atoms, and equality atoms one of whose operand
-  // terms died (a live scope mentioning eq(a,b) registers *both* operands,
-  // so a one-sided death proves only bridge clauses still name the atom;
-  // any straggler is caught by retireScopes' occurrence check below).
-  auto Dead = [this](ExprRef E) { return DeadEntries.count(E) != 0; };
-  auto EqOverDead = [&](ExprRef Atom) {
-    return Atom->kind() == ExprKind::Eq &&
-           Atom->operand(0)->sort() == Sort::Obj &&
-           (Dead(Atom->operand(0)) || Dead(Atom->operand(1)));
-  };
-  std::vector<int> Vars;
-  std::vector<std::pair<ExprRef, int>> DeadAtoms;
-  for (const auto &[Atom, V] : Encoder.atoms())
-    if (Dead(Atom) || EqOverDead(Atom)) {
-      DeadAtoms.push_back({Atom, V});
-      Vars.push_back(V);
-    }
-
-  // One retirement pass evicts every clause naming a candidate and
-  // recycles the dead indices — pinned derived units are compacted off
-  // the trail with Delete/Recycle proof steps, so --certify still checks.
-  // Every other bridge clause stays in place.
-  size_t Evicted = Sat.retireScopes({}, Vars, {});
-  for (const auto &[Atom, V] : DeadAtoms)
-    if (Sat.varIsFree(V)) {
-      Encoder.releaseAtom(Atom);
-      ++ReleasedAtomVars;
-    }
-
-  // Filter the registries to the survivors (discovery order preserved).
-  ObjTerms.erase(std::remove_if(ObjTerms.begin(), ObjTerms.end(), Dead),
-                 ObjTerms.end());
-  MapLookups.erase(std::remove_if(MapLookups.begin(), MapLookups.end(), Dead),
-                   MapLookups.end());
-  MemAtoms.erase(std::remove_if(MemAtoms.begin(), MemAtoms.end(), Dead),
-                 MemAtoms.end());
-  IntAtoms.erase(std::remove_if(
-                     IntAtoms.begin(), IntAtoms.end(),
-                     [&](const std::pair<ExprRef, detail::IntAtomInfo> &P) {
-                       return Dead(P.first);
-                     }),
-                 IntAtoms.end());
-  ObjTermSet = std::unordered_set<ExprRef>(ObjTerms.begin(), ObjTerms.end());
-  MemAtomSet = std::unordered_set<ExprRef>(MemAtoms.begin(), MemAtoms.end());
-  IntAtomSeen.clear();
-  for (const auto &P : IntAtoms)
-    IntAtomSeen.insert(P.first);
-
-  // The surviving lattice is what a fresh session would build over the
-  // live universe: a surviving instance was emitted when its newest entry
-  // arrived and names no dead atom, and every instance over a dead entry
-  // names a dead atom. The one exception is a congruence instance whose
-  // two lookups (membership atoms) live on while a key (element) term
-  // died: its side-condition equality was a candidate, so its clauses
-  // left with it. Re-emit exactly those, over a fresh equality atom.
-  for (const std::vector<ExprRef> *Reg : {&MapLookups, &MemAtoms})
-    for (size_t J = 0; J < Reg->size(); ++J)
-      for (size_t I = 0; I != J; ++I) {
-        ExprRef P = (*Reg)[I], Q = (*Reg)[J];
-        if (P->operand(0) == Q->operand(0) &&
-            (Dead(P->operand(1)) || Dead(Q->operand(1))))
-          emitCongruence(P, Q);
-      }
-
-  // NormalizeMemo survives: a memoized result that names a filtered int
-  // atom re-registers it in collectTheoryAtoms, as a fresh normalization
-  // would have in canonicalIntAtom.
-  for (ExprRef E : DeadEntries)
-    EntryOwners.erase(E);
-  DeadEntries.clear();
-  BridgedObjTerms = ObjTerms.size();
-  BridgedMapLookups = MapLookups.size();
-  BridgedMemAtoms = MemAtoms.size();
-  BridgedIntAtoms = IntAtoms.size();
-  LiveBridges = countBridges();
-
-  ++BridgeCompactions;
-  assert(Sat.reasonInvariantHolds() && "compaction broke a reason reference");
   return Evicted;
 }
 
@@ -746,7 +574,6 @@ void SmtSession::encodeForAudit(const std::vector<ExprRef> &Assumed,
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   ScopeId Host = innermostScope(ActiveScopes);
   Encoder.setActiveLayer(Scopes[Host].Layer);
-  AttrScope = Host;
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);
@@ -772,7 +599,6 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   ScopeId Host = innermostScope(ActiveScopes);
   Encoder.setActiveLayer(Scopes[Host].Layer);
-  AttrScope = Host;
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);

@@ -66,9 +66,7 @@
 #include "smt/Tseitin.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -153,44 +151,22 @@ public:
   void encodeForAudit(const std::vector<ExprRef> &Assumed,
                       const std::vector<ExprRef> &ActiveScopes);
 
-  /// --- Bridge compaction (the warm-service unbounded-loop fix) ---------
+  /// --- Selector release and lattice statistics -------------------------
   ///
-  /// Reference-counts every theory-registry entry by the scopes whose
-  /// assertions or checks mention it (root-attributed entries are
-  /// permanent). retireScope() then drops the dead subtree's ownership;
-  /// entries attributed to a scope whose cache layer survives the subtree
-  /// transfer to the layer's owning scope instead, so an atom is only
-  /// ever released once no live cache layer can name its variable. Once
-  /// at least max(MinDead, live/2) entries are dead, compactBridges() runs
-  /// automatically. Must be called before the first assertion (owner
-  /// attribution has to see every assertion).
-  void enableBridgeCompaction(size_t MinDead = 64);
-  bool bridgeCompactionEnabled() const { return BridgeCompactionEnabled; }
-  /// Compacts the bridge lattice now (no-op unless enabled and entries
-  /// have died): one retireScopes() pass evicts every clause naming a
-  /// dead atom and recycles the dead variables (Delete/Recycle proof
-  /// steps included, so --certify still checks), and the registries are
-  /// filtered to the survivors. Every surviving bridge clause stays in
-  /// place, so the lattice left is the one a fresh session would build
-  /// over the live universe; only congruence instances whose key or
-  /// element term died while both lookups survived are re-emitted.
-  /// Returns clauses evicted.
-  size_t compactBridges();
   /// Disables the release of retired subtree selectors (reference runs
-  /// for the compaction fuzz; eviction itself is unaffected). Selector
-  /// release folds each retired scope's pinned-false selector off the
-  /// trail and recycles its variable whenever the scope's cache layer
+  /// for the selector-release fuzz; eviction itself is unaffected).
+  /// Selector release folds each retired scope's pinned-false selector off
+  /// the trail and recycles its variable whenever the scope's cache layer
   /// dies with the retired subtree — the guarantee that no surviving
   /// clause or cache entry names it. Epoch-tagged selector naming keeps
   /// a released selector expression from ever being encoded again.
   void setSelectorRelease(bool Enabled) { SelectorRelease = Enabled; }
-  bool selectorReleaseEnabled() const { return SelectorRelease; }
-  /// Compaction statistics: compactions run, atom variables released to
-  /// the recycler, retired selector variables released off the trail,
-  /// bridge instances over the live registries (a transitivity triple
-  /// counts three, every other instance one), and their high-water mark.
-  int64_t bridgeCompactions() const { return BridgeCompactions; }
-  int64_t releasedAtomVars() const { return ReleasedAtomVars; }
+  /// Retired selector variables released off the trail, bridge instances
+  /// over the theory registries (a transitivity triple counts three, every
+  /// other instance one), and their high-water mark. The registries only
+  /// grow: every theory atom a warm catalog session can meet comes from
+  /// the catalog's finite, hash-consed vocabulary, so the lattice plateaus
+  /// once each pair has been served.
   int64_t releasedSelectors() const { return Sat.numReleasedSelectors(); }
   int64_t liveBridges() const { return LiveBridges; }
   int64_t peakLiveBridges() const { return PeakLiveBridges; }
@@ -300,11 +276,9 @@ private:
   /// operands. Results of composite formulas (the connectives and the
   /// Eq/Lt/Le atoms) are memoized in NormalizeMemo for the session's
   /// lifetime; leaves return themselves unrecorded. canonicalIntAtom
-  /// registers an atom on its first normalization, and a memo hit skips
-  /// that call, so a hit may name a canonical int atom compactBridges()
-  /// filtered out of the registry: collectTheoryAtoms() re-registers any
-  /// such atom from IntAtomInfos, bridges included. Selector paths never
-  /// reach the memo: assertInScope() emits them as guard clauses.
+  /// registers an atom on its first normalization, so a memo hit only
+  /// ever names registered atoms. Selector paths never reach the memo:
+  /// assertInScope() emits them as guard clauses.
   ExprRef normalize(ExprRef E);
   ExprRef normalizeAtom(ExprRef E);
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
@@ -323,15 +297,8 @@ private:
   /// membership atoms over one set.
   void emitCongruence(ExprRef P, ExprRef Q);
   /// Bridge instances over the current registries: the LiveBridges value,
-  /// recomputed whenever the registries grow or are compacted.
+  /// recomputed whenever the registries grow.
   int64_t countBridges() const;
-  /// Attributes registry entry \p E to the current AttrScope (bridge
-  /// compaction only; every mention re-attributes, so a dead entry a new
-  /// scope mentions is revived before compaction can touch it).
-  void recordOwner(ExprRef E);
-  /// The scope owning \p S's cache layer: \p S itself or the nearest
-  /// ancestor that pushed the layer (RootScope for the root layer).
-  ScopeId layerOwnerScope(ScopeId S) const;
   /// Collects the boolean atoms (non-propositional leaves) of a normalized
   /// formula — the vocabulary a countermodel should be reported over.
   /// Only a Sat check needs it: assertBase() collects the base atoms
@@ -356,11 +323,6 @@ private:
   std::unordered_set<ExprRef> MemAtomSet;
   std::vector<std::pair<ExprRef, detail::IntAtomInfo>> IntAtoms;
   std::unordered_set<ExprRef> IntAtomSeen;
-  /// Every canonical int atom the session ever minted, with its
-  /// signature, kind and bound. Never filtered: compaction drops an atom
-  /// from IntAtoms/IntAtomSeen only, and this is where collectTheoryAtoms
-  /// finds it again when a memoized normalization brings it back.
-  std::unordered_map<ExprRef, detail::IntAtomInfo> IntAtomInfos;
 
   /// normalize() results of composite formulas, keyed by the hash-consed
   /// input. Only looked up, never iterated, so pointer keys cannot leak
@@ -388,21 +350,7 @@ private:
   size_t BridgedMemAtoms = 0;
   size_t BridgedIntAtoms = 0;
 
-  // Bridge-compaction state (inert unless enableBridgeCompaction ran).
-  bool BridgeCompactionEnabled = false;
   bool SelectorRelease = true;
-  size_t BridgeMinDead = 64;
-  /// Scope the current assert/check attributes theory atoms to.
-  ScopeId AttrScope = RootScope;
-  /// Owner sets and their reverse index. Looked up and erased, never
-  /// iterated in an order that reaches the solver.
-  std::unordered_map<ExprRef, std::set<ScopeId>> EntryOwners;
-  std::unordered_map<ScopeId, std::vector<ExprRef>> ScopeEntries;
-  /// Registry entries whose every owner died (cleared at compaction; an
-  /// entry re-mentioned by a live scope is revived out of this set).
-  std::unordered_set<ExprRef> DeadEntries;
-  int64_t BridgeCompactions = 0;
-  int64_t ReleasedAtomVars = 0;
   int64_t LiveBridges = 0;
   int64_t PeakLiveBridges = 0;
 

@@ -70,8 +70,8 @@ Lit Tseitin::atomLit(ExprRef Atom) {
   if (It != Atoms.end())
     return Lit(It->second, true);
   // Atom vars are global (bridges reference them across scopes), so they
-  // are never layer-owned; they leave the table only through an explicit
-  // releaseAtom() once the SMT layer proves every referencing scope died.
+  // are never layer-owned; only a released selector leaves the table,
+  // through an explicit releaseAtom().
   int V = Solver.addVar();
   Atoms.emplace(Atom, V);
   return Lit(V, true);

@@ -23,8 +23,8 @@
 /// variable indices — the session-level invariant behind
 /// SatSolver::retireScopes(). Atom variables stay global (one table for
 /// the whole solver): they are shared with the theory bridges and keep
-/// their index until the SMT layer's bridge compaction proves every scope
-/// that mentioned them dead and releases them explicitly.
+/// their index for the session's life. Only a released selector atom
+/// leaves the table (releaseAtom()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,11 +102,11 @@ public:
   /// solver (its index recycled or about to be): atom vars are global
   /// precisely because bridges and scoped encodings may reference them, so
   /// the caller must guarantee no live clause and no live cache layer
-  /// still names the variable. The SMT layer's bridge compaction and
-  /// selector release provide that guarantee (dead-owner accounting plus
-  /// epoch-tagged selector names); with the entry gone, a future encode of
-  /// the same expression allocates a fresh variable instead of aliasing
-  /// the recycled index.
+  /// still names the variable. The SMT layer's selector release provides
+  /// that guarantee (the selector's cache layer dies with its subtree, and
+  /// epoch-tagged selector names are never encoded again); with the entry
+  /// gone, a future encode of the same expression allocates a fresh
+  /// variable instead of aliasing the recycled index.
   bool releaseAtom(ExprRef Atom) { return Atoms.erase(Atom) != 0; }
 
   /// Attaches a discipline event log (lint replays record layer pushes,

@@ -25,6 +25,12 @@
 
 namespace semcomm {
 
+/// The largest value a --threads or --shards flag accepts. Each thread is
+/// an OS thread and each shard a warm solver session, started without a
+/// further cap, so a typo like `--threads 100000` must fail as a usage
+/// error rather than ask the system for that many.
+constexpr long MaxThreadCount = 256;
+
 /// Parses \p Val, the value of \p Flag, as a whole-string decimal integer
 /// in [\p Min, \p Max]; \p Max guards the narrower type the value is
 /// stored in. Anything else — trailing text, a value `long` cannot hold,

@@ -170,16 +170,15 @@ TEST(ProofTraceTest, VariablesBeyondTheTextAreRejected) {
 }
 
 TEST(ProofTraceTest, CertifiedCatalogTraceRoundTrips) {
-  // A real trace — prefix encoding, compaction, retirement and variable
-  // recycling over a catalog family — stays within the variable bound and
-  // survives its text form unchanged.
+  // A real trace — prefix encoding, retirement, selector release and
+  // variable recycling over a catalog family — stays within the variable
+  // bound and survives its text form unchanged.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F);
   std::vector<const Family *> Fams = {&setFamily()};
   CatalogPlan Plan = Eng.planCatalog(C, Fams);
-  CatalogSession Sess(F, Plan, /*Budget=*/200000, /*Certify=*/true,
-                      /*CompactBridges=*/true, /*CompactMinDead=*/8);
+  CatalogSession Sess(F, Plan, /*Budget=*/200000, /*Certify=*/true);
   for (const ConditionEntry &E : C.entries(setFamily())) {
     PairPlan PP = Eng.planPair(E);
     for (const MethodPlan &MP : PP.Methods) {

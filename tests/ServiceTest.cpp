@@ -7,11 +7,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The verification service over a warm catalog session: request routing,
-// prefix-batched drains, bridge compaction + selector release keeping the
-// session bounded across passes, snapshot/reload through the one-shard
-// front-end, and — the load-bearing property — verdict equality between a
-// compacting service and a no-compaction reference under randomized
-// request/retire orders.
+// prefix-batched drains, pair retirement + selector release keeping the
+// session bounded across passes, an atom universe that is complete after
+// one catalog pass, snapshot/reload through the one-shard front-end, and
+// — the load-bearing property — verdict equality between a
+// selector-releasing service and a non-releasing reference under
+// randomized request/retire orders.
 //
 //===----------------------------------------------------------------------===//
 
@@ -124,7 +125,6 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
     Pairs.insert(R.Family + "|" + R.Op1 + "," + R.Op2);
 
   ShardedServiceConfig Cfg;
-  Cfg.Base.CompactMinDead = 8; // Compactions between drains, too.
   ShardedVerifyService Svc(C, Fams, Cfg);
   VerifyService Storeless(C, Fams, Cfg.Base);
   std::string Error;
@@ -164,27 +164,21 @@ TEST(ServiceTest, PlansPersistAcrossDrains) {
   ServiceStats S = Svc.stats().Shards[0].Stats;
   EXPECT_EQ(S.PairGroups, 3 * Pairs.size());
   EXPECT_EQ(S.PairGroups + S.BatchedReuses, S.Requests);
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
 }
 
-// The tentpole property: a compacting, selector-releasing service and a
-// no-compaction, no-release reference reach identical verdicts on a
+// The tentpole property: a selector-releasing service and a reference
+// whose retired selectors stay pinned false reach identical verdicts on a
 // randomized request stream with randomized drain points — and the
-// compacting session's solver invariants hold after every drain.
-TEST(ServiceTest, FuzzCompactionMatchesReference) {
+// releasing session's solver invariants hold after every drain.
+TEST(ServiceTest, FuzzSelectorReleaseMatchesReference) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams =
       families({"Accumulator", "Set", "Map", "ArrayList"});
 
-  ServiceConfig Compacting;
-  Compacting.CompactMinDead = 8; // Force frequent compaction passes.
-  VerifyService Svc(C, Fams, Compacting);
-
-  ServiceConfig Reference;
-  Reference.CompactBridges = false;
-  Reference.ReleaseSelectors = false;
-  VerifyService Ref(C, Fams, Reference);
+  VerifyService Svc(C, Fams, ServiceConfig{});
+  VerifyService Ref(C, Fams, ServiceConfig{});
+  Ref.session().setSelectorRelease(false);
 
   std::vector<ServiceRequest> Universe = allRequests(C, Fams);
   std::mt19937 Rng(20110604);
@@ -201,6 +195,8 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
       std::vector<ServiceVerdict> A = Svc.drain();
       std::vector<ServiceVerdict> B = Ref.drain();
       ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds())
+          << "after drain at request " << R;
+      ASSERT_TRUE(Ref.session().solver().reasonInvariantHolds())
           << "after drain at request " << R;
       ASSERT_EQ(A.size(), B.size());
       std::map<std::string, std::pair<bool, bool>> MA, MB;
@@ -219,24 +215,21 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
     EXPECT_TRUE(KV.second.first && KV.second.second)
         << KV.first << " failed verification";
   }
-  // The stream retires enough scopes to exercise both growth killers.
-  ServiceStats S = Svc.stats();
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
-  EXPECT_GT(S.Session.ReleasedSelectors, 0u);
+  // The stream retires enough scopes to release selectors, and only the
+  // releasing session releases any.
+  EXPECT_GT(Svc.stats().Session.ReleasedSelectors, 0u);
+  EXPECT_EQ(Ref.stats().Session.ReleasedSelectors, 0u);
 }
 
-// Three full catalog passes through one warm compacting session: the
-// per-pass live-vars / live-clauses / live-bridges peaks must plateau
-// (pass 3 within 5% of pass 2), while a no-compaction session's trail
-// and atom universe would keep growing.
+// Three full catalog passes through one warm session: the per-pass
+// live-vars / live-clauses / live-bridges peaks must plateau (pass 3
+// within 5% of pass 2).
 TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
 
-  ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8;
-  VerifyService Svc(C, Fams, Cfg);
+  VerifyService Svc(C, Fams, ServiceConfig{});
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
 
   struct Peaks {
@@ -263,10 +256,40 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   EXPECT_LE(static_cast<double>(PassPeaks[2].Bridges),
             1.05 * static_cast<double>(PassPeaks[1].Bridges));
 
-  ServiceStats S = Svc.stats();
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
-  EXPECT_GT(S.Session.ReleasedSelectors, 0u);
-  EXPECT_GT(S.Session.ReleasedAtomVars, 0u);
+  EXPECT_GT(Svc.stats().Session.ReleasedSelectors, 0u);
+}
+
+// Every theory atom a warm session can meet comes from the catalog's
+// finite, hash-consed vocabulary, and the registries only grow. So one
+// full catalog pass registers the whole atom universe: random drains
+// after it add no bridge, and the live and peak bridge counts stay at
+// their values after the pass.
+TEST(ServiceTest, AtomUniverseIsCompleteAfterOnePass) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams =
+      families({"Accumulator", "Set", "Map", "ArrayList"});
+  VerifyService Svc(C, Fams, ServiceConfig{});
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+  for (const ServiceRequest &R : Pass)
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+  for (const ServiceVerdict &V : Svc.drain())
+    EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  const int64_t Live = Svc.session().liveBridges();
+  const uint64_t Peak = Svc.stats().Session.PeakLiveBridges;
+  EXPECT_GT(Live, 0);
+
+  std::mt19937 Rng(33);
+  std::uniform_int_distribution<size_t> Pick(0, Pass.size() - 1);
+  for (int D = 0; D != 20; ++D) {
+    for (int R = 0; R != 32; ++R)
+      ASSERT_TRUE(Svc.submit(Pass[Pick(Rng)], Error)) << Error;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req) << " in drain " << D;
+    EXPECT_EQ(Svc.session().liveBridges(), Live) << "drain " << D;
+    EXPECT_EQ(Svc.stats().Session.PeakLiveBridges, Peak) << "drain " << D;
+  }
 }
 
 // Live solver state plateaus (above), and so must the shared expression
@@ -300,18 +323,17 @@ TEST(ServiceTest, FactoryGrowsOnlyBySelectorsInASteadyPass) {
   EXPECT_LE(F.numNodes() - NodesBefore, Selectors);
 }
 
-// A compacting session still certifies: compaction deletes clauses out of
-// the proof trace (Delete/Recycle steps), and the independent checker
-// must accept the full trace including the re-emitted bridge Inputs. The
+// A warm session still certifies across passes: pair retirement and
+// selector release delete clauses out of the proof trace (Delete/Recycle
+// steps), and the independent checker must accept the full trace. The
 // method results drain() hands out carry the query numbers it checked.
-TEST(ServiceTest, CompactingSessionCertifies) {
+TEST(ServiceTest, WarmSessionCertifies) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator"});
 
   ServiceConfig Cfg;
   Cfg.Certify = true;
-  Cfg.CompactMinDead = 4;
   VerifyService Svc(C, Fams, Cfg);
 
   // Pass 0 drains without the method out-parameter and pass 1 with it:
@@ -555,8 +577,8 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
        "snapshot config field 'certify' is missing"},
       {"\"batch\":true", "\"batch\":\"no\"",
        "snapshot config field 'batch' is not a boolean"},
-      {"\"compact_min_dead\":64", "\"compact_min_dead\":6.4",
-       "snapshot config field 'compact_min_dead' is not an integer"},
+      {"\"conflict_budget\":200000", "\"conflict_budget\":200000.5",
+       "snapshot config field 'conflict_budget' is not an integer"},
       {"\"conflict_budget\":200000", "\"conflict_budget\":1",
        "snapshot config field 'conflict_budget' is 1 but the live service "
        "was built with conflict_budget=200000"},
@@ -598,6 +620,23 @@ TEST(ServiceTest, RestoreRejectsMalformedSnapshots) {
     std::optional<json::Value> Intact = json::Value::parse(T.Snapshot);
     ASSERT_TRUE(Intact.has_value());
     ASSERT_TRUE(RestoreFresh(*Intact)) << T.Name << ": " << Error;
+    // Older images carry three more config keys; restore ignores them.
+    std::string Old = T.Snapshot;
+    const std::string Config = "\"config\":{";
+    const std::string OldKeys = "\"compact_bridges\":true,"
+                                "\"compact_min_dead\":64,"
+                                "\"release_selectors\":true,";
+    size_t Blocks = 0;
+    for (size_t At = Old.find(Config); At != std::string::npos;
+         At = Old.find(Config, At + Config.size() + OldKeys.size())) {
+      Old.insert(At + Config.size(), OldKeys);
+      ++Blocks;
+    }
+    EXPECT_EQ(Blocks, T.Cfg.Shards) << T.Name;
+    std::optional<json::Value> OldImage = json::Value::parse(Old);
+    ASSERT_TRUE(OldImage.has_value()) << T.Name;
+    EXPECT_TRUE(RestoreFresh(*OldImage)) << T.Name << " (older image): "
+                                         << Error;
     std::vector<Mutant> All(std::begin(Mutants), std::end(Mutants));
     if (T.Cfg.Shards == 2)
       All.insert(All.end(), std::begin(CounterMutants),

@@ -57,15 +57,15 @@ std::string keyOf(const ServiceRequest &R) {
 /// Every CatalogSessionStats field, in declaration order; the size check
 /// makes a new field fail to compile here until it is added.
 std::vector<uint64_t> sessionFields(const CatalogSessionStats &S) {
-  static_assert(sizeof(CatalogSessionStats) == 20 * sizeof(uint64_t),
+  static_assert(sizeof(CatalogSessionStats) == 19 * sizeof(uint64_t),
                 "CatalogSessionStats changed: update sessionFields");
-  return {S.Checks,            static_cast<uint64_t>(S.Conflicts),
-          S.DbReductions,      S.ReclaimedClauses, S.FamiliesOpened,
-          S.PairsOpened,       S.PairsRetired,     S.PrefixAsserts,
-          S.PrefixReuses,      S.EvictedClauses,   S.PeakRetainedClauses,
-          S.RecycledVars,      S.PeakLiveVars,     S.PeakLiveClauses,
-          S.VarRequests,       S.BridgeCompactions, S.ReleasedAtomVars,
-          S.ReleasedSelectors, S.LiveBridges,      S.PeakLiveBridges};
+  return {S.Checks,           static_cast<uint64_t>(S.Conflicts),
+          S.DbReductions,     S.ReclaimedClauses,  S.FamiliesOpened,
+          S.PairsOpened,      S.PairsRetired,      S.PrefixAsserts,
+          S.PrefixReuses,     S.EvictedClauses,    S.PeakRetainedClauses,
+          S.RecycledVars,     S.PeakLiveVars,      S.PeakLiveClauses,
+          S.VarRequests,      S.BridgeCompactions, S.ReleasedSelectors,
+          S.LiveBridges,      S.PeakLiveBridges};
 }
 
 /// A shard's counters, solver accounting included.
@@ -92,7 +92,6 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
 
   ShardedServiceConfig One;
-  One.Base.CompactMinDead = 8;
   One.Shards = 4;
   One.Threads = 1;
   ShardedServiceConfig Eight = One;
@@ -194,7 +193,7 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   EXPECT_EQ(RefStats.PlansBuilt, RefStats.PairGroups);
   RefStats.PlansBuilt = Own.PlansBuilt;
   EXPECT_EQ(shardFields(Own), shardFields(RefStats));
-  // Every shard's solver survives its compacting drains.
+  // Every shard's solver survives its retiring drains.
   for (size_t S = 0; S != 4; ++S)
     EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
 }
@@ -436,7 +435,6 @@ TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
 
   ShardedServiceConfig Cfg;
   Cfg.Base.Certify = true;
-  Cfg.Base.CompactMinDead = 4;
   Cfg.Shards = 2;
   ShardedVerifyService Svc(C, Fams, Cfg);
   ASSERT_TRUE(Svc.certifying());

@@ -218,7 +218,6 @@ void runShard(const Catalog &C, const DriverOptions &Opts,
               std::vector<JobRecord> &Jobs, CatalogStats &Stats) {
   Stopwatch Timer;
   service::ServiceConfig Cfg;
-  Cfg.CompactBridges = false; // One drain: compaction only adds proof steps.
   Cfg.Certify = Opts.Certify;
   Cfg.SeqLenBound = Opts.SymbolicSeqLenBound;
   Cfg.ConflictBudget = Opts.SymbolicConflictBudget;

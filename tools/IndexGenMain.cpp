@@ -55,7 +55,7 @@ void printUsage(FILE *Out) {
       "  --out FILE       write the serialized index image to FILE\n"
       "  --selfcheck N    fuzz N random environments per condition slot\n"
       "                   against the interpreter (0 disables; default 16)\n"
-      "  --threads N      self-check worker threads, at least 1 (default 1)\n"
+      "  --threads N      self-check worker threads, 1..256 (default 1)\n"
       "  --seed S         self-check RNG seed, a non-negative integer\n"
       "                   (default 12441)\n"
       "  --json           print generation statistics as JSON on stdout\n"
@@ -100,8 +100,8 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--threads") {
-      Threads = static_cast<unsigned>(
-          parseIntFlag("--threads", NextValue("--threads"), 1, UINT_MAX));
+      Threads = static_cast<unsigned>(parseIntFlag(
+          "--threads", NextValue("--threads"), 1, MaxThreadCount));
       continue;
     }
     if (Arg == "--seed") {

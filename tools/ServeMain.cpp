@@ -7,7 +7,7 @@
 // The warm catalog verification service loop: submits (family, pair,
 // condition-kind) requests to the sharded front-end, ShardedVerifyService,
 // whose warm sessions share one catalog plan and one pair plan store and
-// serve prefix-batched pair groups, with bridge compaction and selector
+// serve prefix-batched pair groups, with pair retirement and selector
 // release keeping every session bounded across arbitrarily many catalog
 // passes. By default it runs one shard on one thread, the single warm
 // session:
@@ -50,7 +50,7 @@ void printUsage(const char *Argv0) {
       "\n"
       "Serves commutativity verification requests from warm catalog\n"
       "sessions behind one front-end: one session by default, N with\n"
-      "--shards (bridge compaction + selector release keep each bounded).\n"
+      "--shards (pair retirement + selector release keep each bounded).\n"
       "\n"
       "request stream (pick one):\n"
       "  --passes N        N full catalog passes: every entry x kind of\n"
@@ -67,22 +67,23 @@ void printUsage(const char *Argv0) {
       "                    (default: 64)\n"
       "  --seq-bound N     ArrayList case-split bound (default: 3)\n"
       "  --budget N        per-VC CDCL conflict budget (default: 200000)\n"
-      "  --no-compact      disable bridge compaction\n"
       "  --certify         hinted proof logging + independent checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
       "sharding (ShardedVerifyService):\n"
-      "  --threads N       threads that drain (default: 1): the caller's\n"
-      "                    plus a pool of min(N, shards) - 1 workers\n"
-      "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads, so one session by default); each\n"
-      "                    drain places whole pair groups on shards by\n"
-      "                    plan cost, largest first onto the least loaded\n"
+      "  --threads N       threads that drain, 1..256 (default: 1): the\n"
+      "                    caller's plus a pool of min(N, shards) - 1\n"
+      "                    workers\n"
+      "  --shards N        warm sessions behind the front-end, 1..256\n"
+      "                    (default: --threads, so one session by\n"
+      "                    default); each drain places whole pair groups\n"
+      "                    on shards by plan cost, largest first onto the\n"
+      "                    least loaded\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served families in-process with\n"
       "                    SymbolicEngine::verifyCatalog (one catalog\n"
-      "                    session, every pair retired, no compaction)\n"
+      "                    session, every pair retired)\n"
       "                    and fail on any verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
@@ -154,8 +155,6 @@ ServiceStats totals(const ShardedServiceStats &SS) {
     Out.PeakLiveVars += In.PeakLiveVars;
     Out.PeakLiveClauses += In.PeakLiveClauses;
     Out.VarRequests += In.VarRequests;
-    Out.BridgeCompactions += In.BridgeCompactions;
-    Out.ReleasedAtomVars += In.ReleasedAtomVars;
     Out.ReleasedSelectors += In.ReleasedSelectors;
     Out.LiveBridges += In.LiveBridges;
     Out.PeakLiveBridges += In.PeakLiveBridges;
@@ -217,16 +216,14 @@ int main(int argc, char **argv) {
     } else if (Arg == "--budget") {
       Cfg.ConflictBudget =
           parseIntFlag("--budget", needValue("--budget"), LONG_MIN);
-    } else if (Arg == "--no-compact") {
-      Cfg.CompactBridges = false;
     } else if (Arg == "--certify") {
       Cfg.Certify = true;
     } else if (Arg == "--threads") {
-      SCfg.Threads = static_cast<unsigned>(
-          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX));
+      SCfg.Threads = static_cast<unsigned>(parseIntFlag(
+          "--threads", needValue("--threads"), 1, MaxThreadCount));
     } else if (Arg == "--shards") {
-      ShardCount = static_cast<unsigned>(
-          parseIntFlag("--shards", needValue("--shards"), 1, UINT_MAX));
+      ShardCount = static_cast<unsigned>(parseIntFlag(
+          "--shards", needValue("--shards"), 1, MaxThreadCount));
     } else if (Arg == "--check-verdicts") {
       CheckVerdicts = true;
     } else if (Arg == "--assert-plateau") {
@@ -400,9 +397,8 @@ int main(int argc, char **argv) {
 
   if (CheckVerdicts) {
     // Independent reference: SymbolicEngine::verifyCatalog over the same
-    // families, in a catalog session of its own that retires every pair
-    // and family and never compacts. Verdicts must agree on every
-    // (family, pair, kind) the service served.
+    // families, in a catalog session of its own that retires every pair.
+    // Verdicts must agree on every (family, pair, kind) the service served.
     SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
                        SolveMode::SharedCatalog);
     CatalogOutcome Out = Ref.verifyCatalog(C, Fams);
@@ -472,8 +468,6 @@ int main(int argc, char **argv) {
     SetU("peak_live_vars", S.Session.PeakLiveVars);
     SetU("peak_live_clauses", S.Session.PeakLiveClauses);
     SetU("var_requests", S.Session.VarRequests);
-    SetU("bridge_compactions", S.Session.BridgeCompactions);
-    SetU("released_atom_vars", S.Session.ReleasedAtomVars);
     SetU("released_selectors", S.Session.ReleasedSelectors);
     SetU("live_bridges", S.Session.LiveBridges);
     SetU("peak_live_bridges", S.Session.PeakLiveBridges);
@@ -522,20 +516,18 @@ int main(int argc, char **argv) {
   }
 
   // This run's counts: the request count and the pair groups and reuses
-  // exclude a reloaded image's. Compactions, released selectors and
-  // retirement time are never restored, so they count this process
-  // already; the shards' busy time is restored, so it is a delta too.
+  // exclude a reloaded image's. Released selectors and retirement time
+  // are never restored, so they count this process already; the shards'
+  // busy time is restored, so it is a delta too.
   uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
   std::printf("served %llu requests in %.1f ms (%.1f req/s): %s; "
-              "%llu pair groups, %llu batched reuses, %llu compactions, "
-              "%llu selectors released; retire %.1f ms of %.1f ms shard "
-              "busy\n",
+              "%llu pair groups, %llu batched reuses, %llu selectors "
+              "released; retire %.1f ms of %.1f ms shard busy\n",
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
               (unsigned long long)(S.PairGroups - Restored.PairGroups),
               (unsigned long long)(S.BatchedReuses - Restored.BatchedReuses),
-              (unsigned long long)S.Session.BridgeCompactions,
               (unsigned long long)S.Session.ReleasedSelectors,
               S.RetireMillis, shardBusyMillis(Svc.stats()) - RestoredBusy);
   return Exit;

@@ -59,8 +59,8 @@ void printUsage(const char *Argv0) {
       "                    proof_queries/proof_clauses/proof_checked;\n"
       "                    requires --engine symbolic or both\n"
 
-      "  --threads N       worker threads (default: hardware concurrency;\n"
-      "                    must be positive)\n"
+      "  --threads N       worker threads, 1..256 (default: hardware\n"
+      "                    concurrency)\n"
       "  --no-commute      skip the commutativity-condition catalog\n"
       "  --no-inverse      skip the inverse catalog (Table 5.10)\n"
       "  --list            print the job list without verifying\n"
@@ -137,8 +137,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--threads") {
       // Threads=0 used to be silently promoted to 1; reject it instead of
       // guessing what the caller meant.
-      Opts.Threads = static_cast<unsigned>(
-          parseIntFlag("--threads", needValue("--threads"), 1, UINT_MAX));
+      Opts.Threads = static_cast<unsigned>(parseIntFlag(
+          "--threads", needValue("--threads"), 1, MaxThreadCount));
     } else if (Arg == "--no-commute") {
       Opts.Commutativity = false;
     } else if (Arg == "--no-inverse") {
