@@ -93,6 +93,47 @@ void runWarmPigeonhole(benchmark::State &State, bool GcEnabled) {
 
 } // namespace
 
+/// Retirement cost against database size: a solver holding \p N live
+/// clauses over 100 unrelated variables (each clause satisfied by the
+/// all-false assignment that default phases pick, and watched on its two
+/// negative literals, so no solve propagates through it) opens a gated
+/// scope of 50 clauses over 16 fresh variables, solves under its selector
+/// and retires it, recycling the scope's variables and releasing its
+/// selector, as a warm service retires a pair scope. Each iteration does
+/// the same work at every \p N; only a retirement that visits clauses
+/// outside the scope grows with it.
+static void BM_RetireSmallScope(benchmark::State &State) {
+  const int Unrelated = 100, ScopeVars = 16, ScopeClauses = 50;
+  auto N = static_cast<size_t>(State.range(0));
+  SatSolver S;
+  for (int V = 0; V < Unrelated; ++V)
+    S.addVar();
+  size_t Added = 0;
+  for (int A = 1; A <= Unrelated && Added < N; ++A)
+    for (int B = A + 1; B <= Unrelated && Added < N; ++B)
+      for (int C = 1; C <= Unrelated && Added < N; ++C)
+        if (C != A && C != B) {
+          S.addClause({Lit(A, false), Lit(B, false), Lit(C, true)});
+          ++Added;
+        }
+  std::vector<int> Vars(ScopeVars);
+  for (auto _ : State) {
+    Lit Sel(S.addVar(), true);
+    for (int &V : Vars)
+      V = S.addVar();
+    for (int I = 0; I < ScopeClauses; ++I) {
+      int X = Vars[static_cast<size_t>(I % ScopeVars)];
+      int Y = Vars[static_cast<size_t>((I + 1 + I / ScopeVars) % ScopeVars)];
+      S.addClause({Sel.negated(), Lit(X, false), Lit(Y, (I & 1) != 0)});
+    }
+    benchmark::DoNotOptimize(S.solve({Sel}));
+    S.retireScopes({}, Vars, {Sel});
+  }
+  State.counters["live_clauses"] =
+      benchmark::Counter(static_cast<double>(S.numClauses()));
+}
+BENCHMARK(BM_RetireSmallScope)->Arg(1000)->Arg(10000)->Arg(100000);
+
 /// Long-lived solver without clause GC: the packrat baseline.
 static void BM_WarmPigeonholeNoGc(benchmark::State &State) {
   runWarmPigeonhole(State, /*GcEnabled=*/false);

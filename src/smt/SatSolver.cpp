@@ -23,7 +23,7 @@ const std::vector<int> &SatSolver::proofLits(const std::vector<Lit> &C) {
 
 uint32_t SatSolver::logQueryProof(const std::vector<Lit> &Core) {
   assert(Proof && "logQueryProof without a proof trace");
-  return Proof->addQuery(static_cast<int>(Clauses.size()), proofLits(Core),
+  return Proof->addQuery(static_cast<int>(numClauses()), proofLits(Core),
                          CoreChain);
 }
 
@@ -88,6 +88,9 @@ SatSolver::SatSolver() {
   Activity.push_back(0.0);
   SavedPhase.push_back(0);
   IsFree.push_back(0);
+  Occurs.emplace_back();
+  OccCount.push_back(0);
+  VarMark.push_back(0);
   Watches.resize(2);
 }
 
@@ -117,6 +120,9 @@ int SatSolver::addVar() {
   Activity.push_back(0.0);
   SavedPhase.push_back(0);
   IsFree.push_back(0);
+  Occurs.emplace_back();
+  OccCount.push_back(0);
+  VarMark.push_back(0);
   if (Proof)
     UnitId.push_back(0);
   Watches.resize(Watches.size() + 2);
@@ -132,12 +138,49 @@ void SatSolver::attach(int ClauseIdx) {
   Watches[watchIndex(C.Lits[1].negated())].push_back({ClauseIdx});
 }
 
+int SatSolver::storeClause(const std::vector<Lit> &Lits, bool Learned,
+                           int Glue, double Act, int Id) {
+  int CI;
+  if (FreeSlots.empty()) {
+    CI = static_cast<int>(Clauses.size());
+    Clauses.emplace_back();
+  } else {
+    CI = FreeSlots.back();
+    FreeSlots.pop_back();
+  }
+  Clause &C = Clauses[static_cast<size_t>(CI)];
+  C.Lits.assign(Lits.begin(), Lits.end());
+  C.Learned = Learned;
+  C.Glue = Glue;
+  C.Act = Act;
+  C.Id = Id;
+  for (Lit L : C.Lits) {
+    size_t V = static_cast<size_t>(L.var());
+    std::vector<Occurrence> &Os = Occurs[V];
+    // Drop stale entries once they may outnumber the live ones, so a
+    // list stays within about twice its count however often it churns.
+    if (Os.size() >= 2 * static_cast<size_t>(OccCount[V]) + 8)
+      Os.erase(std::remove_if(Os.begin(), Os.end(),
+                              [this](Occurrence O) {
+                                return Clauses[O.Slot].Gen != O.Gen;
+                              }),
+               Os.end());
+    Os.push_back({static_cast<uint32_t>(CI), !L.positive(), C.Gen});
+    ++OccCount[V];
+  }
+  attach(CI);
+  if (numClauses() > PeakClauses)
+    PeakClauses = numClauses();
+  return CI;
+}
+
 void SatSolver::addClause(const std::vector<Lit> &Input) {
   if (Unsatisfiable)
     return;
 
   // Normalize: drop duplicate literals and satisfied-at-root clauses.
-  std::vector<Lit> C;
+  std::vector<Lit> &C = AddBuf;
+  C.clear();
   for (Lit L : Input) {
     if (valueOf(L) == 1 && Level[L.var()] == 0)
       return; // Already true at root level.
@@ -179,10 +222,7 @@ void SatSolver::addClause(const std::vector<Lit> &Input) {
     return;
   }
 
-  Clauses.push_back({std::move(C), false, 0, 0.0, Id});
-  attach(static_cast<int>(Clauses.size()) - 1);
-  if (Clauses.size() > PeakClauses)
-    PeakClauses = Clauses.size();
+  storeClause(C, false, 0, 0.0, Id);
 }
 
 void SatSolver::enqueue(Lit L, int ReasonIdx) {
@@ -447,6 +487,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
   int64_t StartConflicts = Conflicts;
   int64_t RestartLimit = 64;
   int64_t SinceRestart = 0;
+  std::vector<Lit> Learned;
 
   while (true) {
     int ConflictIdx = propagate();
@@ -460,7 +501,6 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
         return SatResult::Unknown;
       }
 
-      std::vector<Lit> Learned;
       int BackLevel = 0, Glue = 0;
       analyze(ConflictIdx, Learned, BackLevel, Glue);
       backtrack(BackLevel);
@@ -477,13 +517,9 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
         if (Proof)
           UnitId[static_cast<size_t>(Learned[0].var())] = Id;
       } else {
-        Clauses.push_back({Learned, true, Glue, ClauseActInc, Id});
+        int CI = storeClause(Learned, true, Glue, ClauseActInc, Id);
         ++LearnedClauses;
         ++LearnedAlive;
-        if (Clauses.size() > PeakClauses)
-          PeakClauses = Clauses.size();
-        int CI = static_cast<int>(Clauses.size()) - 1;
-        attach(CI);
         enqueue(Learned[0], CI);
       }
       ActivityInc *= 1.05;
@@ -496,7 +532,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
       RestartLimit = RestartLimit + RestartLimit / 2;
       backtrack(0);
       // Restarts are the in-search root points where the learned database
-      // can be safely compacted.
+      // can be safely reduced.
       maybeReduceDb();
       continue;
     }
@@ -554,11 +590,8 @@ void SatSolver::maybeReduceDb() {
 }
 
 size_t SatSolver::reduceDb() {
-  // Root level only: at the root the database is fully propagated, so every
-  // clause is either root-satisfied or has at least two non-false literals —
-  // which is exactly what rebuilding the watch lists below relies on.
   assert(currentLevel() == 0 && "reduceDb is a root-level operation");
-  if (Unsatisfiable || Clauses.empty())
+  if (Unsatisfiable || numClauses() == 0)
     return 0;
 
   // Clauses currently serving as the reason of an implied literal must
@@ -568,7 +601,8 @@ size_t SatSolver::reduceDb() {
     if (Reason[L.var()] >= 0)
       IsReason[static_cast<size_t>(Reason[L.var()])] = true;
 
-  // Deletion candidates: learned, not a reason, not binary, not low-glue.
+  // Deletion candidates: learned, not a reason, not binary, not low-glue
+  // (a free slot has no literals, so it is never one).
   std::vector<int> Candidates;
   for (size_t I = 0; I != Clauses.size(); ++I) {
     const Clause &C = Clauses[I];
@@ -580,69 +614,111 @@ size_t SatSolver::reduceDb() {
     return 0;
 
   // Drop the least active half (stable sort: equal activities drop the
-  // older clause first; fully deterministic).
+  // lower slot first; fully deterministic).
   std::stable_sort(Candidates.begin(), Candidates.end(),
                    [this](int A, int B) {
                      return Clauses[static_cast<size_t>(A)].Act <
                             Clauses[static_cast<size_t>(B)].Act;
                    });
-  std::vector<bool> Remove(Clauses.size(), false);
-  for (size_t I = 0; I != Target; ++I)
-    Remove[static_cast<size_t>(Candidates[I])] = true;
-  if (Proof)
-    for (size_t I = 0; I != Target; ++I)
-      Proof->addDelete(Clauses[static_cast<size_t>(Candidates[I])].Id);
-  compactClauses(Remove);
+  for (size_t I = 0; I != Target; ++I) {
+    Clauses[static_cast<size_t>(Candidates[I])].Doomed = true;
+    Victims.push_back(Candidates[I]);
+  }
+  deleteVictims();
 
-  LearnedAlive -= static_cast<int64_t>(Target);
   ReclaimedClauses += static_cast<int64_t>(Target);
   ++DbReductions;
   assert(reasonInvariantHolds() && "reduceDb broke a reason reference");
   return Target;
 }
 
-void SatSolver::compactClauses(const std::vector<bool> &Remove) {
-  // Compact the clause vector, remembering where survivors moved.
-  std::vector<int> NewIdx(Clauses.size(), -1);
-  size_t Out = 0;
-  for (size_t I = 0; I != Clauses.size(); ++I) {
-    if (Remove[I])
+void SatSolver::deleteVictims() {
+  for (int CI : Victims) {
+    Clause &C = Clauses[static_cast<size_t>(CI)];
+    assert(C.Doomed && C.Lits.size() >= 2 && "deleting an unmarked slot");
+    // Each clause sits in the watch lists of its first two literals;
+    // queue each such list once, however many victims it holds.
+    for (size_t K = 0; K != 2; ++K) {
+      size_t W = watchIndex(C.Lits[K].negated());
+      uint8_t Bit = (W & 1) ? DirtyNegWatch : DirtyPosWatch;
+      uint8_t &M = VarMark[W / 2];
+      if (!(M & Bit)) {
+        M |= Bit;
+        DirtyWatches.push_back(W);
+      }
+    }
+    if (Proof)
+      Proof->addDelete(C.Id);
+    for (Lit L : C.Lits) {
+      size_t V = static_cast<size_t>(L.var());
+      if (--OccCount[V] != 0)
+        continue;
+      // Every entry left names a dead clause: clear the list, and queue
+      // the var for the next retirement's dead-var reset.
+      Occurs[V].clear();
+      if (!(VarMark[V] & ZeroPending)) {
+        VarMark[V] |= ZeroPending;
+        ZeroVars.push_back(static_cast<int>(V));
+      }
+    }
+    LearnedAlive -= C.Learned;
+    C.Lits.clear(); // The next clause stored here reuses the buffer.
+    C.Doomed = false;
+    ++C.Gen; // Stales every occurrence entry of the slot.
+    FreeSlots.push_back(CI);
+  }
+  // No slot is reused before the lists are filtered, so the watchers to
+  // drop are exactly those naming a slot without literals; a var no live
+  // clause mentions any more (a retired scope's, typically) has only such
+  // watchers.
+  for (size_t W : DirtyWatches) {
+    VarMark[W / 2] &= static_cast<uint8_t>(
+        ~((W & 1) ? DirtyNegWatch : DirtyPosWatch));
+    std::vector<Watcher> &Ws = Watches[W];
+    if (OccCount[W / 2] == 0) {
+      Ws.clear();
       continue;
-    NewIdx[I] = static_cast<int>(Out);
-    if (Out != I)
-      Clauses[Out] = std::move(Clauses[I]);
-    ++Out;
+    }
+    Ws.erase(std::remove_if(Ws.begin(), Ws.end(),
+                            [this](Watcher X) {
+                              return Clauses[static_cast<size_t>(X.ClauseIdx)]
+                                  .Lits.empty();
+                            }),
+             Ws.end());
   }
-  Clauses.resize(Out);
+  DirtyWatches.clear();
+  Victims.clear();
+}
 
-  // Remap the reasons of implied root literals (callers either protect
-  // reason clauses from removal or detach the reasons first).
-  for (Lit L : Trail) {
-    int &R = Reason[L.var()];
-    if (R >= 0) {
-      assert(NewIdx[static_cast<size_t>(R)] >= 0 && "reason clause dropped");
-      R = NewIdx[static_cast<size_t>(R)];
+void SatSolver::collectVictims(int Var) {
+  size_t V = static_cast<size_t>(Var);
+  if (VarMark[V] & MarkWalked)
+    return;
+  VarMark[V] |= MarkWalked;
+  WalkedVars.push_back(Var);
+  // The witnesses: an owned var takes every clause, a selector or scope
+  // var every learned one, and a var fixed at root every clause in which
+  // its literal is true.
+  bool Owned = VarMark[V] & MarkOwned, InScope = VarMark[V] & MarkScope;
+  uint8_t Value = Assign[V];
+  std::vector<Occurrence> &Os = Occurs[V];
+  RetireVisits += static_cast<int64_t>(Os.size());
+  size_t Keep = 0;
+  for (size_t I = 0; I != Os.size(); ++I) {
+    Occurrence O = Os[I];
+    Clause &C = Clauses[O.Slot];
+    if (C.Gen != O.Gen)
+      continue; // The slot was freed since: a stale entry.
+    Os[Keep++] = O;
+    if (C.Doomed)
+      continue;
+    bool RootSat = Value != Undef && Value == (O.Negative ? 0 : 1);
+    if (Owned || RootSat || (C.Learned && InScope)) {
+      C.Doomed = true;
+      Victims.push_back(static_cast<int>(O.Slot));
     }
   }
-
-  // Rebuild every watch list. Watches must sit on non-false literals (or a
-  // root-true one when the clause is root-satisfied with a single non-false
-  // literal) so unit propagation stays complete.
-  for (std::vector<Watcher> &W : Watches)
-    W.clear();
-  for (size_t I = 0; I != Clauses.size(); ++I) {
-    Clause &C = Clauses[I];
-    size_t Pos = 0;
-    for (size_t K = 0; K != C.Lits.size() && Pos < 2; ++K)
-      if (valueOf(C.Lits[K]) != 0)
-        std::swap(C.Lits[Pos++], C.Lits[K]);
-    if (Pos < 2) {
-      // Root-satisfied clause with one non-false literal: that literal is
-      // true and already sits in slot 0, so any second watch is inert.
-      assert(valueOf(C.Lits[0]) == 1 && "unsatisfied clause became unit");
-    }
-    attach(static_cast<int>(I));
-  }
+  Os.resize(Keep);
 }
 
 size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
@@ -650,75 +726,63 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
                                const std::vector<Lit> &ReleasableSelectors) {
   backtrack(0);
   ++ScopeRetirements;
-  for (Lit Selector : Selectors)
-    addClause({Selector.negated()});
-  for (Lit Selector : ReleasableSelectors)
-    addClause({Selector.negated()});
+  std::vector<Lit> Unit(1);
+  for (Lit Selector : Selectors) {
+    Unit[0] = Selector.negated();
+    addClause(Unit);
+  }
+  for (Lit Selector : ReleasableSelectors) {
+    Unit[0] = Selector.negated();
+    addClause(Unit);
+  }
   if (Unsatisfiable)
-    return 0; // Trivially Unsat database: nothing left worth sweeping.
+    return 0; // Trivially Unsat database: nothing left worth evicting.
 
-  // Level-0 literals are permanently true and conflict analysis never walks
+  // Root literals are permanently true and conflict analysis never walks
   // their reasons (analyze/analyzeFinal skip level-0 vars), so detaching
   // the root reasons makes every clause a legal deletion candidate. The
-  // sweep below may evict exactly those reason clauses, so a certifying
-  // run first derives the unit of every root literal that has none yet —
-  // in trail order, so each one's antecedent units already exist; a later
-  // chain can then name the unit instead of the evicted reason.
+  // retirement may evict exactly those reason clauses, so a certifying run
+  // first derives the unit of every root literal that has none yet — in
+  // trail order, so each one's antecedent units already exist; a later
+  // chain can then name the unit instead of the evicted reason. Literals
+  // below RetiredTrail were handled by an earlier retirement.
+  assert(RetiredTrail <= Trail.size() && "root trail shrank unseen");
   if (Proof)
-    for (Lit L : Trail)
-      if (UnitId[static_cast<size_t>(L.var())] == 0)
-        rootUnitId(L.var());
-  for (Lit L : Trail)
-    Reason[L.var()] = -1;
+    for (size_t I = RetiredTrail; I != Trail.size(); ++I)
+      if (UnitId[static_cast<size_t>(Trail[I].var())] == 0)
+        rootUnitId(Trail[I].var());
+  for (size_t I = RetiredTrail; I != Trail.size(); ++I)
+    Reason[Trail[I].var()] = -1;
 
-  // InScope: selector and scope vars, whose learned clauses are dropped.
-  // Owned: scope vars only — the caller's scope-private set, whose
+  // MarkScope: selector and scope vars, whose learned clauses are dropped.
+  // MarkOwned: scope vars only — the caller's scope-private set, whose
   // *problem* clauses (Tseitin definitions of the retired subtree's
   // formulas) are dropped too. Sound by the privacy contract: every clause
   // mentioning an owned var belongs to an assertion of the retired
   // subtree, and those assertions are vacuous once their selectors are
   // false at root.
-  std::vector<bool> InScope(Assign.size(), false);
-  std::vector<bool> Owned(Assign.size(), false);
-  std::vector<bool> Releasable(Assign.size(), false);
   for (Lit Selector : Selectors)
-    InScope[static_cast<size_t>(Selector.var())] = true;
-  for (Lit Selector : ReleasableSelectors) {
-    InScope[static_cast<size_t>(Selector.var())] = true;
-    Releasable[static_cast<size_t>(Selector.var())] = true;
-  }
-  for (int V : ScopeVars) {
-    InScope[static_cast<size_t>(V)] = true;
-    Owned[static_cast<size_t>(V)] = true;
-  }
+    VarMark[static_cast<size_t>(Selector.var())] |= MarkScope;
+  for (Lit Selector : ReleasableSelectors)
+    VarMark[static_cast<size_t>(Selector.var())] |= MarkScope | MarkReleasable;
+  for (int V : ScopeVars)
+    VarMark[static_cast<size_t>(V)] |= MarkScope | MarkOwned;
 
-  std::vector<bool> Remove(Clauses.size(), false);
-  size_t Removed = 0;
-  int64_t LearnedRemoved = 0;
-  for (size_t I = 0; I != Clauses.size(); ++I) {
-    const Clause &C = Clauses[I];
-    bool RootSat = false, MentionsScope = false, MentionsOwned = false;
-    for (Lit L : C.Lits) {
-      if (valueOf(L) == 1)
-        RootSat = true;
-      MentionsScope = MentionsScope || InScope[static_cast<size_t>(L.var())];
-      MentionsOwned = MentionsOwned || Owned[static_cast<size_t>(L.var())];
-    }
-    if (RootSat || MentionsOwned || (C.Learned && MentionsScope)) {
-      Remove[I] = true;
-      ++Removed;
-      LearnedRemoved += C.Learned;
-    }
-  }
-  if (Removed != 0) {
-    if (Proof)
-      for (size_t I = 0; I != Clauses.size(); ++I)
-        if (Remove[I])
-          Proof->addDelete(Clauses[I].Id);
-    compactClauses(Remove);
-    LearnedAlive -= LearnedRemoved;
-    EvictedClauses += static_cast<int64_t>(Removed);
-  }
+  // Every victim mentions one of these vars: a root-satisfied clause
+  // holds a literal fixed since the previous retirement (which evicted
+  // every root-satisfied clause of its time, and no clause is stored with
+  // a root-fixed literal), and the other rules name the var outright.
+  for (size_t I = RetiredTrail; I != Trail.size(); ++I)
+    collectVictims(Trail[I].var());
+  for (Lit Selector : Selectors)
+    collectVictims(Selector.var());
+  for (Lit Selector : ReleasableSelectors)
+    collectVictims(Selector.var());
+  for (int V : ScopeVars)
+    collectVictims(V);
+  size_t Removed = Victims.size();
+  deleteVictims();
+  EvictedClauses += static_cast<int64_t>(Removed);
 
   // Reset the search state of dead variables (a var with no occurrence
   // left cannot influence any answer, and keeping its bumped activity
@@ -729,29 +793,61 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // silently alias two meanings. An owned var pinned at root (typically a
   // Tseitin wrapper definition the retirement's own unit propagation
   // forced true) is a fact about a variable nothing mentions: it is
-  // compacted off the trail and recycled too. Plain retired selectors stay
+  // dropped from the trail and recycled too. Plain retired selectors stay
   // permanently false (a surviving cache layer may still name them), but
   // *releasable* selectors — those the caller certifies will never be
   // assumed or re-encoded — follow the owned-var path: their pinned-false
   // unit is deleted from the proof, dropped from the trail, and the index
   // recycled, so a long-lived session's trail stops growing with its
   // retirement history.
-  std::vector<bool> Occurs(Assign.size(), false);
-  for (const Clause &C : Clauses)
-    for (Lit L : C.Lits)
-      Occurs[static_cast<size_t>(L.var())] = true;
-  bool TrailDirty = false;
-  std::vector<bool> DropFromTrail(Assign.size(), false);
-  for (int V = 1; V <= numVars(); ++V) {
+  //
+  // A var can only have gained a reset since the previous retirement by
+  // losing its last occurrence (ZeroVars); scope vars and releasable
+  // selectors may have had none to lose.
+  auto Queue = [this](int V) {
+    if (!(VarMark[static_cast<size_t>(V)] & ZeroPending)) {
+      VarMark[static_cast<size_t>(V)] |= ZeroPending;
+      ZeroVars.push_back(V);
+    }
+  };
+  for (int V : ScopeVars)
+    Queue(V);
+  for (Lit Selector : ReleasableSelectors)
+    Queue(Selector.var());
+  // Dead vars that do not recycle only get their search state reset, in
+  // any order; the recyclable ones are marked, and the span between the
+  // lowest and the highest is scanned, so the free list gets its indices
+  // in ascending order, as from a scan of every var (and without a sort,
+  // whose mispredicted compares cost more than the short scan).
+  int Lo = numVars() + 1, Hi = 0;
+  for (int V : ZeroVars) {
     size_t S = static_cast<size_t>(V);
-    if (Occurs[S] || IsFree[S])
+    uint8_t M = VarMark[S];
+    VarMark[S] = M & static_cast<uint8_t>(~ZeroPending);
+    if (OccCount[S] != 0 || IsFree[S])
       continue;
-    bool Recyclable = RecyclingEnabled && (Owned[S] || Releasable[S]);
-    if (Recyclable && Releasable[S])
+    if (RecyclingEnabled && (M & (MarkOwned | MarkReleasable))) {
+      VarMark[S] |= MarkRecycle;
+      Lo = std::min(Lo, V);
+      Hi = std::max(Hi, V);
+      continue;
+    }
+    if (Assign[S] != Undef)
+      continue; // A pinned fact that must keep holding (e.g. ~selector).
+    Activity[S] = 0.0;
+    SavedPhase[S] = 0;
+    Reason[S] = -1;
+  }
+  ZeroVars.clear();
+  bool TrailDirty = false;
+  for (int V = Lo; V <= Hi; ++V) {
+    size_t S = static_cast<size_t>(V);
+    if (!(VarMark[S] & MarkRecycle))
+      continue;
+    VarMark[S] &= static_cast<uint8_t>(~MarkRecycle);
+    if (VarMark[S] & MarkReleasable)
       ++ReleasedSelectors;
     if (Assign[S] != Undef) {
-      if (!Recyclable)
-        continue; // A pinned fact that must keep holding (e.g. ~selector).
       // The pinned fact leaves the formula with its variable: log the unit
       // deletion, or the checker would (rightly) refuse to recycle an
       // index that still carries an axiom.
@@ -762,30 +858,33 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
       }
       Assign[S] = Undef;
       Level[S] = 0;
-      DropFromTrail[S] = true;
       TrailDirty = true;
     }
     Activity[S] = 0.0;
     SavedPhase[S] = 0;
     Reason[S] = -1;
-    if (Recyclable) {
-      FreeVars.push_back(V);
-      IsFree[S] = 1;
-      ++RecycledVars;
-      if (Proof)
-        Proof->addRecycle(V);
-    }
+    FreeVars.push_back(V);
+    IsFree[S] = 1;
+    ++RecycledVars;
+    if (Proof)
+      Proof->addRecycle(V);
   }
   if (TrailDirty) {
     // Root level: no decision marks to maintain, and dropping a literal
-    // nothing mentions cannot enable or retract any propagation.
+    // nothing mentions cannot enable or retract any propagation. The
+    // dropped literals are exactly the root entries now unassigned.
     size_t OutT = 0;
     for (Lit L : Trail)
-      if (!DropFromTrail[static_cast<size_t>(L.var())])
+      if (Assign[L.var()] != Undef)
         Trail[OutT++] = L;
     Trail.resize(OutT);
     PropHead = OutT;
   }
+  RetiredTrail = Trail.size();
+  // Every var this retirement marked was walked; keep only ZeroPending.
+  for (int V : WalkedVars)
+    VarMark[static_cast<size_t>(V)] &= ZeroPending;
+  WalkedVars.clear();
   assert(reasonInvariantHolds() && "retireScopes broke a reason reference");
   return Removed;
 }
@@ -796,7 +895,7 @@ bool SatSolver::varStateIsClean(int Var) const {
     return false;
   return Assign[S] == Undef && Activity[S] == 0.0 && SavedPhase[S] == 0 &&
          Reason[S] == -1 && Watches[2 * S].empty() &&
-         Watches[2 * S + 1].empty();
+         Watches[2 * S + 1].empty() && OccCount[S] == 0 && Occurs[S].empty();
 }
 
 bool SatSolver::reasonInvariantHolds() const {
@@ -810,7 +909,83 @@ bool SatSolver::reasonInvariantHolds() const {
     bool Found = false;
     for (Lit Q : C.Lits)
       Found = Found || Q == L;
-    if (!Found)
+    if (!Found) // A free slot has no literals, so it fails here too.
+      return false;
+  }
+  return true;
+}
+
+bool SatSolver::watchInvariantHolds() const {
+  // Watchers: each names a live clause through one of its first two
+  // literals, and each live clause has exactly one watcher per such list.
+  std::vector<int> First(Clauses.size(), 0), Second(Clauses.size(), 0);
+  for (size_t W = 0; W != Watches.size(); ++W)
+    for (Watcher X : Watches[W]) {
+      if (X.ClauseIdx < 0 || static_cast<size_t>(X.ClauseIdx) >= Clauses.size())
+        return false;
+      size_t CI = static_cast<size_t>(X.ClauseIdx);
+      const Clause &C = Clauses[CI];
+      if (C.Lits.size() < 2)
+        return false; // A free slot is watched.
+      if (W == watchIndex(C.Lits[0].negated()))
+        ++First[CI];
+      else if (W == watchIndex(C.Lits[1].negated()))
+        ++Second[CI];
+      else
+        return false;
+    }
+  size_t Live = 0;
+  for (size_t CI = 0; CI != Clauses.size(); ++CI) {
+    if (Clauses[CI].Lits.empty())
+      continue;
+    ++Live;
+    if (First[CI] != 1 || Second[CI] != 1 || Clauses[CI].Doomed)
+      return false;
+  }
+  // Free slots: exactly the empty ones, each listed once.
+  std::vector<bool> Listed(Clauses.size(), false);
+  for (int CI : FreeSlots) {
+    if (CI < 0 || static_cast<size_t>(CI) >= Clauses.size() ||
+        Listed[static_cast<size_t>(CI)] ||
+        !Clauses[static_cast<size_t>(CI)].Lits.empty())
+      return false;
+    Listed[static_cast<size_t>(CI)] = true;
+  }
+  if (Live != numClauses() || Live + FreeSlots.size() != Clauses.size())
+    return false;
+  // Reasons name live clauses (reasonInvariantHolds checks the literal).
+  for (Lit L : Trail) {
+    int R = Reason[L.var()];
+    if (R >= 0 && (static_cast<size_t>(R) >= Clauses.size() ||
+                   Clauses[static_cast<size_t>(R)].Lits.empty()))
+      return false;
+  }
+  // Occurrences: each var's count and valid entries name exactly the live
+  // clauses that mention it, each once.
+  std::vector<int> Want(Assign.size(), 0);
+  for (const Clause &C : Clauses)
+    for (Lit L : C.Lits)
+      ++Want[static_cast<size_t>(L.var())];
+  std::vector<size_t> SeenBy(Clauses.size(), 0);
+  for (size_t V = 1; V < Assign.size(); ++V) {
+    if (OccCount[V] != Want[V])
+      return false;
+    int Valid = 0;
+    for (Occurrence O : Occurs[V]) {
+      if (O.Slot >= Clauses.size())
+        return false;
+      const Clause &C = Clauses[O.Slot];
+      if (C.Gen != O.Gen)
+        continue;
+      if (SeenBy[O.Slot] == V)
+        return false; // Listed twice.
+      SeenBy[O.Slot] = V;
+      Lit Want(static_cast<int>(V), !O.Negative);
+      if (std::find(C.Lits.begin(), C.Lits.end(), Want) == C.Lits.end())
+        return false; // The clause lacks the var, or has the other sign.
+      ++Valid;
+    }
+    if (Valid != Want[V])
       return false;
   }
   return true;

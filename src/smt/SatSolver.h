@@ -35,6 +35,16 @@
 /// held), which keeps the search near previously satisfying regions across
 /// the near-identical queries of one session.
 ///
+/// Clauses live in stable slots: a deleted clause's slot joins a free list
+/// that the next stored clause takes, so no deletion moves a survivor, and
+/// each variable keeps the list and count of the live clauses that mention
+/// it. One deletion primitive serves reduceDb() and retireScopes(): it
+/// drops the clause's two watchers, logs its Delete, frees its slot and
+/// decrements its variables' counts. A retirement therefore finds its
+/// victims through the occurrence lists of the variables it names and of
+/// the variables fixed at root since the previous retirement, and costs
+/// time in proportion to the retired scope, not to the database.
+///
 /// With a proof trace attached (setProofTrace) the solver certifies: every
 /// stored clause carries the ID of the Input/Derive step that introduced
 /// it, and each learned clause is logged with the chain of IDs its
@@ -120,9 +130,9 @@ public:
   int64_t numConflicts() const { return Conflicts; }
   int64_t numDecisions() const { return Decisions; }
   int numVars() const { return static_cast<int>(Assign.size()) - 1; }
-  /// Retained clauses (problem + learned); unit clauses live on the trail
-  /// and are not counted.
-  size_t numClauses() const { return Clauses.size(); }
+  /// Live stored clauses (problem + learned): occupied slots, free ones
+  /// excluded. Unit clauses live on the trail and are not counted.
+  size_t numClauses() const { return Clauses.size() - FreeSlots.size(); }
   int64_t numLearnedClauses() const { return LearnedClauses; }
 
   /// Clause-database reduction. GC runs automatically during solve() once
@@ -133,7 +143,7 @@ public:
   /// First reduction fires at \p FirstLimit live learned clauses; each
   /// reduction raises the threshold by 50%. Values below 1 keep the
   /// current threshold (a zero limit would otherwise pin the threshold at
-  /// zero and run a full compaction at every restart).
+  /// zero and run a reduction at every restart).
   void setClauseGcLimit(int64_t FirstLimit) {
     if (FirstLimit > 0)
       ReduceLimit = FirstLimit;
@@ -141,15 +151,17 @@ public:
   /// Reduces the learned database now (root level only, i.e. between
   /// solve() calls or from the solver's own restart points). Returns the
   /// number of clauses reclaimed. Reason, binary, and glue-protected
-  /// clauses always survive.
+  /// clauses always survive. Ranking the candidates walks every slot; each
+  /// victim then goes through the shared deletion primitive, and no
+  /// survivor moves or is re-watched.
   size_t reduceDb();
   int64_t numDbReductions() const { return DbReductions; }
   int64_t numReclaimedClauses() const { return ReclaimedClauses; }
 
-  /// Permanently retires a selector *subtree* in one pass (root level
-  /// only): every literal in \p Selectors — an interior selector node
-  /// together with all the selectors nested under it — is asserted false
-  /// as a unit clause, then one sweep evicts
+  /// Permanently retires a selector *subtree* (root level only): every
+  /// literal in \p Selectors — an interior selector node together with
+  /// all the selectors nested under it — is asserted false as a unit
+  /// clause, then the retirement evicts
   ///
   ///  * every clause satisfied at root level (with the selectors now
   ///    false at root this covers all the subtree's selector-guarded
@@ -162,20 +174,29 @@ public:
   ///    encoding mentions it (SmtSession derives the set from its
   ///    scope-layered Tseitin bookkeeping).
   ///
+  /// It finds them without a sweep: a stored clause never holds a literal
+  /// fixed at root when it is stored, so a clause can only become
+  /// root-satisfied through a variable fixed since the previous
+  /// retirement, which evicted every root-satisfied clause of its time.
+  /// The retirement walks the occurrence lists of those variables, of the
+  /// selectors and of the scope vars (numRetireVisits() counts the
+  /// entries), and deletes what it finds through the deletion primitive.
+  ///
   /// Scope vars that end up with no occurrence and no assignment are
   /// *recycled*: their activity/phase state is reset and their indices
   /// join a free list that addVar() drains, so the variable count is
-  /// bounded by the live scope. Dead non-scope vars only get their
-  /// activity/phase reset (their indices may still be referenced by the
-  /// caller's atom maps). Returns the number of clauses evicted.
+  /// bounded by the live scope. Other vars whose last occurrence went
+  /// since the previous retirement only get their activity/phase reset
+  /// (their indices may still be referenced by the caller's atom maps).
+  /// Returns the number of clauses evicted.
   size_t retireScopes(const std::vector<Lit> &Selectors,
                       const std::vector<int> &ScopeVars) {
     return retireScopes(Selectors, ScopeVars, {});
   }
   /// Extended retirement for the long-lived service loop: selectors in
-  /// \p ReleasableSelectors are falsified and swept exactly like
+  /// \p ReleasableSelectors are falsified and evicted exactly like
   /// \p Selectors, but when such a selector ends up dead (no clause
-  /// occurrence), its pinned-false unit is compacted off the trail and its
+  /// occurrence), its pinned-false unit is dropped from the trail and its
   /// index joins the free list — the caller's guarantee is that the
   /// selector will never be assumed or re-encoded again (epoch-tagged
   /// selector names make every reopened scope a fresh atom). This is
@@ -193,8 +214,11 @@ public:
   void setVarRecycling(bool Enabled) { RecyclingEnabled = Enabled; }
   int64_t numScopeRetirements() const { return ScopeRetirements; }
   int64_t numEvictedClauses() const { return EvictedClauses; }
+  /// Occurrence-list entries the retirements have examined, stale ones
+  /// included: the retirement cost, counted rather than timed.
+  int64_t numRetireVisits() const { return RetireVisits; }
   int64_t numRecycledVars() const { return RecycledVars; }
-  /// Retired selectors whose pinned-false units were compacted off the
+  /// Retired selectors whose pinned-false units were dropped from the
   /// trail and whose indices were recycled (subset of numRecycledVars).
   int64_t numReleasedSelectors() const { return ReleasedSelectors; }
   /// True when \p Var currently sits on the recycler's free list. The SMT
@@ -207,7 +231,8 @@ public:
   /// Variable accounting for the catalog-session statistics: slots
   /// currently backing a live (non-free-listed) variable, the high-water
   /// mark of that number, cumulative addVar() calls (what the allocation
-  /// would be without recycling), and the clause-count high-water mark.
+  /// would be without recycling), and the high-water mark of
+  /// numClauses() (live clauses, not allocated slots).
   int numLiveVars() const {
     return numVars() - static_cast<int>(FreeVars.size());
   }
@@ -220,31 +245,39 @@ public:
   /// instead of being masked by the first pass's warm-up peak.
   void resetPeakStats() {
     PeakLiveVars = numLiveVars();
-    PeakClauses = Clauses.size();
+    PeakClauses = numClauses();
   }
   /// Debug check for tests: \p Var is unassigned with zero activity,
-  /// default phase, no reason, and empty watch lists — the state every
-  /// recycled index must present on reuse.
+  /// default phase, no reason, empty watch lists and no occurrence — the
+  /// state every recycled index must present on reuse.
   bool varStateIsClean(int Var) const;
   /// Debug check: every implied literal's reason clause still exists and
   /// contains that literal — the invariant reduceDb() must preserve.
   bool reasonInvariantHolds() const;
+  /// Debug check of the slot store: each live clause sits in exactly the
+  /// watch lists of its first two literals, once each; no free slot is
+  /// watched, named as a reason or counted live; and each variable's
+  /// occurrence count and valid list entries name exactly the live
+  /// clauses that mention it.
+  bool watchInvariantHolds() const;
 
   /// Attaches a hinted proof trace (proof/ProofTrace.h). Must be set
   /// before the first addVar() so the trace sees every stored clause; the
   /// solver does not own the trace. While attached, every stored clause
-  /// carries the proof ID of its Input/Derive step (IDs survive
-  /// compaction), and the solver logs every stored input clause; every
+  /// carries the proof ID of its Input/Derive step (the ID names the
+  /// clause, not its slot, which a later clause may reuse), and the solver
+  /// logs every stored input clause; every
   /// learned clause with its chain (root-literal unit IDs, then the reason
   /// clauses resolved in trail order, then the conflict clause); the empty
   /// clause of a root conflict; every deletion — reduceDb, retireScopes,
-  /// and the unit clauses compacted off the trail when a pinned variable
+  /// and the unit clauses dropped from the trail when a pinned variable
   /// is recycled — by ID; and every recycled variable index.
   ///
   /// A root-implied literal gets a unit clause ID lazily: it is derived
   /// (its reason plus the unit IDs of the reason's other literals) no
   /// later than the first chain that needs it, and retireScopes derives
-  /// the rest before it detaches the reasons its sweep may delete.
+  /// the units of the literals fixed since the previous retirement before
+  /// it detaches the reasons it may delete.
   void setProofTrace(proof::ProofTrace *P) {
     Proof = P;
     UnitId.assign(Assign.size(), 0);
@@ -259,15 +292,40 @@ private:
   enum : uint8_t { Undef = 2 };
 
   struct Clause {
-    std::vector<Lit> Lits;
+    std::vector<Lit> Lits; ///< Empty while the slot is free.
     bool Learned = false;
-    int Glue = 0;       ///< LBD at learning time; <= 2 is GC-protected.
-    double Act = 0.0;   ///< Bumped when used in conflict analysis.
-    int Id = 0;         ///< Proof clause ID (0 unless certifying).
+    bool Doomed = false; ///< Chosen by the deletion in progress.
+    int Glue = 0;        ///< LBD at learning time; <= 2 is GC-protected.
+    double Act = 0.0;    ///< Bumped when used in conflict analysis.
+    int Id = 0;          ///< Proof clause ID (0 unless certifying).
+    uint32_t Gen = 0;    ///< Bumped when the slot is freed.
   };
 
   struct Watcher {
     int ClauseIdx;
+  };
+
+  /// An occurrence-list entry: the slot and the sign the list's var has
+  /// in the clause, valid while the slot's generation still equals the one
+  /// the entry recorded.
+  struct Occurrence {
+    uint32_t Slot : 31;
+    uint32_t Negative : 1;
+    uint32_t Gen;
+  };
+
+  /// Per-var flag bits (VarMark). The first four and MarkRecycle live for
+  /// one retirement, the watch bits for one deletion; ZeroPending lasts
+  /// until the retirement that processes the var.
+  enum : uint8_t {
+    MarkScope = 1,      ///< A selector or scope var of this retirement.
+    MarkOwned = 2,      ///< A scope var: its problem clauses go too.
+    MarkReleasable = 4, ///< A releasable selector.
+    MarkWalked = 8,     ///< Occurrence list already walked.
+    ZeroPending = 16,   ///< Lost its last occurrence; queued in ZeroVars.
+    DirtyPosWatch = 32, ///< Watch list of the positive literal has victims.
+    DirtyNegWatch = 64, ///< Watch list of the negative literal has victims.
+    MarkRecycle = 128,  ///< Dead and recyclable: joins the free list.
   };
 
   // Assignment trail.
@@ -278,8 +336,26 @@ private:
   std::vector<int> TrailLim;    ///< Trail indices where levels start.
   size_t PropHead = 0;
 
-  std::vector<Clause> Clauses;
+  std::vector<Clause> Clauses;  ///< Stable slots; free ones are empty.
+  std::vector<Lit> AddBuf;      ///< addClause()'s normalized clause.
+  std::vector<int> FreeSlots;   ///< Free slot indices, LIFO.
   std::vector<std::vector<Watcher>> Watches; ///< Indexed by literal code.
+  /// Per var: the slots of the clauses mentioning it. Entries of freed
+  /// slots go stale and are pruned lazily (on append and when walked), and
+  /// the list is cleared when the var's count reaches zero.
+  std::vector<std::vector<Occurrence>> Occurs;
+  std::vector<int> OccCount;    ///< Per var: live clauses mentioning it.
+  std::vector<uint8_t> VarMark; ///< Per var: the Mark*/ZeroPending bits.
+  /// Vars whose count reached zero since the last retirement: the dead
+  /// vars whose search state the next retirement resets.
+  std::vector<int> ZeroVars;
+  /// Trail prefix that a retirement has already processed (reasons
+  /// detached, units derived, occurrence lists walked).
+  size_t RetiredTrail = 0;
+  // Buffers of the deletion primitive and the retirement.
+  std::vector<int> Victims;
+  std::vector<size_t> DirtyWatches;
+  std::vector<int> WalkedVars;
   std::vector<double> Activity;
   std::vector<uint8_t> SavedPhase; ///< Last assigned value per var.
   std::vector<int64_t> GlueStamp;  ///< Per-level scratch for LBD counting.
@@ -308,6 +384,7 @@ private:
   int64_t ReclaimedClauses = 0;
   int64_t ScopeRetirements = 0;
   int64_t EvictedClauses = 0;
+  int64_t RetireVisits = 0;
 
   // Variable recycling (fed by retireScopes, drained by addVar).
   std::vector<int> FreeVars;     ///< Recycled indices, LIFO.
@@ -347,10 +424,22 @@ private:
   /// count has passed it. Root level only (callers are solve() entry and
   /// the restart point).
   void maybeReduceDb();
-  /// Drops the clauses marked in \p Remove, remaps the surviving reasons,
-  /// and rebuilds every watch list (root level only; shared tail of
-  /// reduceDb() and retireScope()).
-  void compactClauses(const std::vector<bool> &Remove);
+  /// Stores a copy of a clause of two or more literals in a free slot
+  /// (whose literal buffer it reuses) or a new one, indexes its
+  /// occurrences and watches its first two literals.
+  int storeClause(const std::vector<Lit> &Lits, bool Learned, int Glue,
+                  double Act, int Id);
+  /// The deletion primitive (root level; no victim may be a reason): for
+  /// each clause in Victims, all marked Doomed, it detaches the two
+  /// watchers, logs the Delete, decrements its variables' counts and frees
+  /// the slot. Watch lists are filtered once each, however many victims
+  /// they hold.
+  void deleteVictims();
+  /// Walks \p Var's occurrence list once per retirement, dropping stale
+  /// entries and dooming each clause that \p Var alone puts under an
+  /// eviction rule: every rule a clause meets has a witness var among the
+  /// walked ones, so no clause needs its other literals read.
+  void collectVictims(int Var);
   void analyzeFinal(Lit Failed); ///< Fills AssumpCore from the trail.
   /// A solve-time root conflict on \p ConflictIdx: the database is Unsat.
   SatResult rootUnsat(int ConflictIdx);

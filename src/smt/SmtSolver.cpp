@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <set>
 
 using namespace semcomm;
 using detail::IntAtomInfo;
@@ -227,6 +226,10 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
   }
   // Canonical integer atoms were registered when normalization minted
   // them, so only object equalities and memberships are collected here.
+  // The registries only grow: a formula walked before has nothing left to
+  // register.
+  if (E->operands().empty() || !TheoryWalked.insert(E).second)
+    return;
   for (ExprRef Op : E->operands())
     collectTheoryAtoms(Op);
 }
@@ -408,16 +411,24 @@ SmtSession::ScopeId SmtSession::openScope(ExprRef Selector, ScopeId Parent,
          "opening a scope under a dead parent");
   assert(ScopeOf.find(Selector) == ScopeOf.end() &&
          "selector already guards a live scope");
+  assert(Selector->kind() == ExprKind::Var && Selector->sort() == Sort::Bool &&
+         "a selector is a boolean variable");
   ScopeNode Node;
   Node.Selector = Selector;
   Node.Parent = Parent;
   Node.OwnsLayer = OwnLayer;
   Node.Layer = OwnLayer ? Encoder.pushLayer(Scopes[Parent].Layer)
                         : Scopes[Parent].Layer;
+  // Encoded under the scope's own layer, where its assertions and checks
+  // find it again, so retireScope() plants no cache entry anywhere.
+  Tseitin::LayerId Saved = Encoder.activeLayer();
+  Encoder.setActiveLayer(Node.Layer);
+  Lit SelLit = Encoder.encode(Selector);
+  Encoder.setActiveLayer(Saved);
   ScopeId Id = Scopes.size();
   Scopes.push_back(std::move(Node));
   Scopes[Parent].Children.push_back(Id);
-  ScopeOf[Selector] = Id;
+  ScopeOf[Selector] = {Id, SelLit};
   if (Audit)
     Audit->openScope(printAbstract(Selector));
   return Id;
@@ -453,47 +464,35 @@ size_t SmtSession::retireScope(ScopeId Scope) {
          "retiring a dead scope");
 
   // Collect the subtree: selectors to falsify, owned layers to evict.
-  std::vector<ScopeId> Subtree, Stack{Scope};
-  while (!Stack.empty()) {
-    ScopeId S = Stack.back();
-    Stack.pop_back();
-    Subtree.push_back(S);
-    for (ScopeId C : Scopes[S].Children)
-      Stack.push_back(C);
-  }
-  // Layers owned within the subtree. A subtree node whose cache layer is
-  // among them can have its selector *released* rather than pinned false
-  // forever: every clause and every cache entry naming the selector dies
-  // with the subtree (assertions into a scope encode into its layer, and
+  // A subtree node whose cache layer dies with the subtree — a layer of
+  // its own, or one it shares with a subtree ancestor that owns it — can
+  // have its selector *released* rather than pinned false forever: every
+  // clause and every cache entry naming the selector dies with the
+  // subtree (assertions into a scope encode into its layer, and
   // check()-time encodings land in the innermost active scope's layer),
   // and epoch-tagged selector naming guarantees the expression is never
   // encoded again. Nodes whose layer survives the subtree (a retired root
   // opened without a layer of its own shares its parent's) keep the
   // permanently-false pin.
-  std::set<Tseitin::LayerId> SubtreeLayers;
-  for (ScopeId S : Subtree)
-    if (Scopes[S].OwnsLayer)
-      SubtreeLayers.insert(Scopes[S].Layer);
-
-  std::vector<Lit> Selectors, Releasable;
-  std::vector<std::pair<ExprRef, int>> ReleasedSelAtoms;
-  std::vector<int> ScopeVars;
-  Tseitin::LayerId SavedLayer = Encoder.activeLayer();
-  for (ScopeId S : Subtree) {
-    ScopeNode &Node = Scopes[S];
-    // Encode under the node's own layer: the selector atom is already
-    // cached on that layer's ancestor chain, so the lookup cannot plant
-    // a fresh cache entry in an unrelated live layer — which would
-    // dangle once a released selector's variable is recycled.
-    Encoder.setActiveLayer(Node.Layer);
-    ExprRef SelExpr = normalize(Node.Selector);
-    Lit SelLit = Encoder.encode(SelExpr);
-    if (SelectorRelease && SubtreeLayers.count(Node.Layer)) {
-      Releasable.push_back(SelLit);
-      ReleasedSelAtoms.push_back({SelExpr, SelLit.var()});
-    } else {
-      Selectors.push_back(SelLit);
-    }
+  std::vector<ScopeId> &Subtree = RetireBufs.Subtree;
+  std::vector<std::pair<ScopeId, bool>> &Stack = RetireBufs.Stack;
+  std::vector<Lit> &Selectors = RetireBufs.Selectors,
+                   &Releasable = RetireBufs.Releasable;
+  std::vector<int> &ScopeVars = RetireBufs.ScopeVars;
+  Subtree.clear();
+  Selectors.clear();
+  Releasable.clear();
+  ScopeVars.clear();
+  Stack.assign(1, {Scope, Scopes[Scope].OwnsLayer});
+  while (!Stack.empty()) {
+    auto [S, LayerDies] = Stack.back();
+    Stack.pop_back();
+    Subtree.push_back(S);
+    const ScopeNode &Node = Scopes[S];
+    for (ScopeId C : Node.Children)
+      Stack.push_back({C, Scopes[C].OwnsLayer || LayerDies});
+    (SelectorRelease && LayerDies ? Releasable : Selectors)
+        .push_back(ScopeOf.find(Node.Selector)->second.SelLit);
     if (Node.OwnsLayer) {
       const std::vector<int> &Owned = Encoder.ownedVars(Node.Layer);
       ScopeVars.insert(ScopeVars.end(), Owned.begin(), Owned.end());
@@ -501,30 +500,28 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     if (Audit)
       Audit->retire(printAbstract(Node.Selector));
   }
-  Encoder.setActiveLayer(SavedLayer);
 
   size_t Evicted = Sat.retireScopes(Selectors, ScopeVars, Releasable);
 
-  // Released selectors whose index actually came free leave the atom map
-  // too: a future encode of the same expression (which the epoch naming
-  // rules out, but a caller reusing a selector could attempt) must mint a
-  // fresh variable, never alias the recycled index.
-  for (const auto &[SelExpr, V] : ReleasedSelAtoms)
-    if (Sat.varIsFree(V))
-      Encoder.releaseAtom(SelExpr);
-
   // Drop the subtree's bookkeeping: layers (leaves before parents, so a
   // parent layer never dies while a child still names it), selector maps,
-  // and the tree nodes themselves.
+  // and the tree nodes themselves. A released selector whose index came
+  // free leaves the atom map too: a future encode of the same expression
+  // (which the epoch naming rules out, but a caller reusing a selector
+  // could attempt) must mint a fresh variable, never alias the recycled
+  // index.
   Encoder.setActiveLayer(Tseitin::RootLayer);
   for (auto It = Subtree.rbegin(); It != Subtree.rend(); ++It) {
     ScopeNode &Node = Scopes[*It];
+    auto Live = ScopeOf.find(Node.Selector);
+    if (Sat.varIsFree(Live->second.SelLit.var()))
+      Encoder.releaseAtom(Node.Selector);
+    ScopeOf.erase(Live);
     if (Node.OwnsLayer)
       Encoder.dropLayer(Node.Layer);
-    ScopeOf.erase(Node.Selector);
     ScopedBodies.erase(Node.Selector);
     Node.Alive = false;
-    Node.Children.clear();
+    Node.Children = {}; // The dead node stays; its child list need not.
   }
   std::vector<ScopeId> &Siblings = Scopes[Scopes[Scope].Parent].Children;
   Siblings.erase(std::remove(Siblings.begin(), Siblings.end(), Scope),
@@ -552,11 +549,11 @@ SmtSession::ScopeId SmtSession::innermostScope(
     if (It == ScopeOf.end())
       continue;
     size_t Depth = 0;
-    for (ScopeId S = It->second; S != RootScope; S = Scopes[S].Parent)
+    for (ScopeId S = It->second.Id; S != RootScope; S = Scopes[S].Parent)
       ++Depth;
     if (Depth > BestDepth) {
       BestDepth = Depth;
-      Best = It->second;
+      Best = It->second.Id;
     }
   }
   return Best;

@@ -102,8 +102,10 @@ public:
   /// subsequent check().
   void assertBase(ExprRef E);
 
-  /// Opens a scope guarded by \p Selector under \p Parent and returns its
-  /// id. When \p OwnLayer is set the scope owns a Tseitin cache layer:
+  /// Opens a scope guarded by \p Selector (a boolean variable) under
+  /// \p Parent and returns its id. The selector is encoded here, under the
+  /// scope's layer, and the scope keeps its literal for retireScope().
+  /// When \p OwnLayer is set the scope owns a Tseitin cache layer:
   /// definition variables created while asserting or checking in the
   /// scope are private to its subtree and are evicted and *recycled* when
   /// the scope retires (the family/catalog tiers give each pair and
@@ -289,7 +291,11 @@ private:
   ScopeId innermostScope(const std::vector<ExprRef> &ActiveScopes) const;
 
   /// Registers the theory atoms of a normalized formula and asserts the
-  /// bridge instances that mention at least one newly seen atom.
+  /// bridge instances that mention at least one newly seen atom. The
+  /// registries only grow, so a composite formula walked once (as a whole
+  /// or as a shared subformula) is never walked again: its atoms are
+  /// registered for the session's life, and the clause stream is the one
+  /// a full walk would give.
   void ingest(ExprRef Normalized);
   void collectTheoryAtoms(ExprRef E);
   void emitNewBridges();
@@ -323,6 +329,9 @@ private:
   std::unordered_set<ExprRef> MemAtomSet;
   std::vector<std::pair<ExprRef, detail::IntAtomInfo>> IntAtoms;
   std::unordered_set<ExprRef> IntAtomSeen;
+  /// Composite formulas collectTheoryAtoms() has walked. Only looked up,
+  /// never iterated.
+  std::unordered_set<ExprRef> TheoryWalked;
 
   /// normalize() results of composite formulas, keyed by the hash-consed
   /// input. Only looked up, never iterated, so pointer keys cannot leak
@@ -342,7 +351,21 @@ private:
   /// The selector tree (node 0 is the root). Nodes are never erased, only
   /// marked dead, so ScopeIds stay stable for the session's lifetime.
   std::vector<ScopeNode> Scopes;
-  std::unordered_map<ExprRef, ScopeId> ScopeOf; ///< Live selectors only.
+  /// A live scope: its node, and its selector's literal, encoded by
+  /// openScope() for retireScope(). Kept here rather than in the node,
+  /// which outlives the scope.
+  struct LiveScope {
+    ScopeId Id;
+    Lit SelLit;
+  };
+  std::unordered_map<ExprRef, LiveScope> ScopeOf; ///< Live selectors only.
+  /// retireScope()'s working lists, kept so a retirement allocates none.
+  struct {
+    std::vector<ScopeId> Subtree;
+    std::vector<std::pair<ScopeId, bool>> Stack;
+    std::vector<Lit> Selectors, Releasable;
+    std::vector<int> ScopeVars;
+  } RetireBufs;
 
   // High-water marks of the atoms already covered by emitted bridges.
   size_t BridgedObjTerms = 0;

@@ -35,7 +35,6 @@
 #include "smt/SatSolver.h"
 #include "smt/SessionAudit.h"
 
-#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -95,7 +94,8 @@ public:
   Lit atomLit(ExprRef Atom);
 
   /// The atom map: every non-propositional boolean leaf and its variable.
-  const std::map<ExprRef, int> &atoms() const { return Atoms; }
+  /// Only looked up, never iterated (pointer keys hash in no stable order).
+  const std::unordered_map<ExprRef, int> &atoms() const { return Atoms; }
 
   /// Erases \p Atom's global atom-map entry and returns true when one was
   /// present. Only legal after the variable has been retired through the
@@ -141,7 +141,7 @@ private:
   SatSolver &Solver;
   std::vector<Layer> Layers;
   LayerId Active = RootLayer;
-  std::map<ExprRef, int> Atoms;
+  std::unordered_map<ExprRef, int> Atoms;
   audit::Log *Audit = nullptr; ///< Optional discipline event log.
 };
 

@@ -681,8 +681,8 @@ void expectCatalogRow(const json::Value &Row, const CatalogStats &S) {
                 "checks", "sat_conflicts", "prefix_asserts", "prefix_reuses",
                 "pair_evictions", "evicted_clauses", "recycled_vars",
                 "peak_live_vars", "peak_live_clauses", "var_requests",
-                "peak_retained_clauses", "pair_plan_ms", "proof_check_ms",
-                "ms"}));
+                "peak_retained_clauses", "pair_plan_ms", "retire_ms",
+                "proof_check_ms", "ms"}));
   auto U = [](uint64_t N) { return static_cast<int64_t>(N); };
   EXPECT_EQ(Row["family_names"].asString(), S.FamilyNames);
   EXPECT_EQ(Row["families"].asInt(), S.Families);
@@ -701,6 +701,7 @@ void expectCatalogRow(const json::Value &Row, const CatalogStats &S) {
   EXPECT_EQ(Row["var_requests"].asInt(), U(S.VarRequests));
   EXPECT_EQ(Row["peak_retained_clauses"].asInt(), U(S.PeakRetainedClauses));
   EXPECT_EQ(Row["pair_plan_ms"].asDouble(), S.PairPlanMillis);
+  EXPECT_EQ(Row["retire_ms"].asDouble(), S.RetireMillis);
   EXPECT_EQ(Row["proof_check_ms"].asDouble(), S.ProofCheckMillis);
   EXPECT_EQ(Row["ms"].asDouble(), S.Millis);
 }
@@ -788,6 +789,7 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   const CatalogStats &S = R.CatalogSessions[0];
   EXPECT_EQ(S.FamilyNames, "Accumulator,Set");
   EXPECT_GT(S.PairPlanMillis, 0.0);
+  EXPECT_GT(S.RetireMillis, 0.0);
   EXPECT_GT(S.ProofCheckMillis, 0.0);
   EXPECT_EQ(S.PairsRetired, S.Pairs);
   json::Value Doc = R.toJson();

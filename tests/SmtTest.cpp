@@ -530,6 +530,259 @@ TEST(SatSolverScopeRetire, SubtreeRetiresInOnePass) {
   EXPECT_EQ(S.solve(), SatResult::Sat);
 }
 
+TEST(SatSolverScopeRetire, EvictsClausesSatisfiedByUnitsSinceTheLastOne) {
+  // A clause stored before a variable is fixed at root becomes
+  // root-satisfied when that variable's literal is true; the next
+  // retirement evicts it, though it mentions no retired variable.
+  SatSolver S;
+  int A = S.addVar(), B = S.addVar(), C = S.addVar(), D = S.addVar();
+  S.addClause({Lit(A, true), Lit(B, true), Lit(C, true)});
+  S.addClause({Lit(A, false), Lit(B, true), Lit(D, true)});
+  Lit First(S.addVar(), true), Second(S.addVar(), true);
+  S.retireScopes({}, {}, {First}); // Nothing fixed yet: nothing to evict.
+  EXPECT_EQ(S.numClauses(), 2u);
+  S.addClause({Lit(A, true)}); // Satisfies the first clause at root.
+  EXPECT_EQ(S.retireScopes({}, {}, {Second}), 1u);
+  EXPECT_EQ(S.numClauses(), 1u);
+  EXPECT_TRUE(S.watchInvariantHolds());
+  // The surviving clause now reads (B | D) at root and still constrains.
+  EXPECT_EQ(S.solve({Lit(B, false), Lit(D, false)}), SatResult::Unsat);
+  EXPECT_EQ(S.solve({Lit(B, false)}), SatResult::Sat);
+}
+
+TEST(SatSolverScopeRetire, CostIsIndependentOfUnrelatedClauses) {
+  // A retirement finds its victims through the occurrence lists of the
+  // variables it names and of those fixed at root since the previous one,
+  // so what it examines follows the retired scope: 200 small gated scopes
+  // retire beside 10k live clauses over unrelated variables, and each
+  // examines at most twice the occurrences of its own variables. A sweep
+  // of the database would examine all 10k clauses every time.
+  SatSolver S;
+  const int Unrelated = 100;
+  for (int V = 0; V < Unrelated; ++V)
+    S.addVar();
+  // (~a | ~b | c): satisfied by the all-false default phases, so no solve
+  // learns anything or fixes an unrelated variable at root.
+  size_t Added = 0;
+  for (int A = 1; A <= Unrelated && Added < 10000; ++A)
+    for (int B = A + 1; B <= Unrelated && Added < 10000; ++B)
+      for (int C = 1; C <= Unrelated && Added < 10000; ++C)
+        if (C != A && C != B) {
+          S.addClause({Lit(A, false), Lit(B, false), Lit(C, true)});
+          ++Added;
+        }
+  ASSERT_EQ(S.numClauses(), 10000u);
+
+  std::vector<int> Vars(8);
+  for (int Scope = 0; Scope < 200; ++Scope) {
+    Lit Sel(S.addVar(), true);
+    for (int &V : Vars)
+      V = S.addVar();
+    // A chain gated by the selector: three occurrences per clause.
+    int64_t Occurrences = 0;
+    for (size_t I = 0; I + 1 < Vars.size(); ++I) {
+      S.addClause({Sel.negated(), Lit(Vars[I], false), Lit(Vars[I + 1], true)});
+      Occurrences += 3;
+    }
+    ASSERT_EQ(S.solve({Sel, Lit(Vars[0], true)}), SatResult::Sat) << Scope;
+    ASSERT_TRUE(S.modelValue(Vars.back())) << Scope;
+
+    int64_t Before = S.numRetireVisits();
+    EXPECT_EQ(S.retireScopes({}, Vars, {Sel}), Vars.size() - 1) << Scope;
+    EXPECT_LE(S.numRetireVisits() - Before, 2 * Occurrences) << Scope;
+  }
+  // The unrelated database is intact, the scopes are gone, and their
+  // variables and selectors recycled.
+  EXPECT_EQ(S.numClauses(), 10000u);
+  EXPECT_EQ(S.numEvictedClauses(), 200 * 7);
+  EXPECT_EQ(S.numReleasedSelectors(), 200);
+  EXPECT_EQ(S.numVars(), Unrelated + 9);
+  EXPECT_EQ(S.solve(), SatResult::Sat);
+  EXPECT_TRUE(S.watchInvariantHolds());
+  EXPECT_TRUE(S.reasonInvariantHolds());
+}
+
+/// Deletion fuzz: a solver with a proof trace attached and clause GC
+/// forced (limit 5, plus explicit reduceDb() calls) against a reference
+/// with neither GC nor recycling that never retires. Random steps add
+/// base clauses (units included) and selector-gated scope clauses, open
+/// scopes (some of them gated pigeonholes, whose refutations learn
+/// clauses for the GC to reclaim), retire them (plain or releasable
+/// selectors, the scope's variables recycled), solve under assumptions
+/// and reduce the learned database. Every answer must match the
+/// reference's, a Sat model must satisfy every live input clause, the
+/// slot store's invariants must hold after every step, both deletion
+/// paths must run, and the finished trace must pass the checker,
+/// including its live-clause count at every query.
+class SatDeletionFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatDeletionFuzzTest, ReduceAndRetireAgreeWithReference) {
+  std::mt19937 Rng(GetParam());
+  // Both deletion paths must actually run under the proof.
+  int64_t Reclaimed = 0, Evicted = 0;
+  for (int Iter = 0; Iter < 8; ++Iter) {
+    proof::ProofTrace Trace;
+    SatSolver Sub, Ref;
+    Sub.setProofTrace(&Trace);
+    Sub.setClauseGcLimit(5);
+    Ref.setClauseGc(false);
+    Ref.setVarRecycling(false);
+    const int NBase = 5 + static_cast<int>(Rng() % 4);
+    for (int V = 0; V < NBase; ++V) {
+      Sub.addVar();
+      Ref.addVar();
+    }
+    auto BaseLit = [&]() {
+      return Lit(1 + static_cast<int>(Rng() % NBase), (Rng() & 1) != 0);
+    };
+    struct Scope {
+      Lit SubSel, RefSel;
+      std::vector<int> SubVars, RefVars;
+      std::vector<std::vector<Lit>> SubClauses; ///< In Sub's indices.
+      bool Releasable = false;
+    };
+    std::vector<Scope> Open;
+    std::vector<std::vector<Lit>> BaseClauses;
+    auto Satisfied = [&](const std::vector<Lit> &C) {
+      for (Lit L : C)
+        if (Sub.modelValue(L.var()) == L.positive())
+          return true;
+      return false;
+    };
+
+    for (int Step = 0; Step < 150; ++Step) {
+      unsigned Op = Rng() % 10;
+      if (Op == 0 || Open.empty()) {
+        Scope Sc;
+        Sc.SubSel = Lit(Sub.addVar(), true);
+        Sc.RefSel = Lit(Ref.addVar(), true);
+        // One scope in four is a gated pigeonhole (5 pigeons, 4 holes):
+        // Unsat under its selector, after enough conflicts to learn the
+        // long, high-glue clauses that reduceDb() reclaims.
+        bool Pigeonhole = Rng() % 4 == 0;
+        int Owned = Pigeonhole ? 20 : 2 + static_cast<int>(Rng() % 3);
+        for (int I = 0; I < Owned; ++I) {
+          Sc.SubVars.push_back(Sub.addVar());
+          Sc.RefVars.push_back(Ref.addVar());
+        }
+        Sc.Releasable = (Rng() & 1) != 0;
+        auto Gated = [&](const std::vector<std::pair<size_t, bool>> &Body) {
+          std::vector<Lit> SubC{Sc.SubSel.negated()},
+              RefC{Sc.RefSel.negated()};
+          for (auto [K, Pos] : Body) {
+            SubC.push_back(Lit(Sc.SubVars[K], Pos));
+            RefC.push_back(Lit(Sc.RefVars[K], Pos));
+          }
+          Sub.addClause(SubC);
+          Ref.addClause(RefC);
+          Sc.SubClauses.push_back(SubC);
+        };
+        if (Pigeonhole) {
+          for (size_t P = 0; P != 5; ++P)
+            Gated({{4 * P, true},
+                   {4 * P + 1, true},
+                   {4 * P + 2, true},
+                   {4 * P + 3, true}});
+          for (size_t H = 0; H != 4; ++H)
+            for (size_t P = 0; P != 5; ++P)
+              for (size_t Q = P + 1; Q != 5; ++Q)
+                Gated({{4 * P + H, false}, {4 * Q + H, false}});
+        }
+        Open.push_back(std::move(Sc));
+      } else if (Op <= 3) {
+        // A gated clause: the selector's negation, at least one of the
+        // scope's own variables, and owned or base literals.
+        Scope &Sc = Open[Rng() % Open.size()];
+        std::vector<Lit> SubC{Sc.SubSel.negated()}, RefC{Sc.RefSel.negated()};
+        int Len = 1 + static_cast<int>(Rng() % 3);
+        for (int I = 0; I < Len; ++I) {
+          bool Pos = (Rng() & 1) != 0;
+          if (I == 0 || (Rng() & 1) != 0) {
+            size_t K = Rng() % Sc.SubVars.size();
+            SubC.push_back(Lit(Sc.SubVars[K], Pos));
+            RefC.push_back(Lit(Sc.RefVars[K], Pos));
+          } else {
+            Lit L = BaseLit();
+            SubC.push_back(L);
+            RefC.push_back(L);
+          }
+        }
+        Sub.addClause(SubC);
+        Ref.addClause(RefC);
+        Sc.SubClauses.push_back(SubC);
+      } else if (Op == 4) {
+        // Rarely a base clause; a unit fixes a variable at root, which
+        // the next retirement must account for.
+        std::vector<Lit> C;
+        int Len = 1 + static_cast<int>(Rng() % 3);
+        for (int I = 0; I < Len; ++I)
+          C.push_back(BaseLit());
+        Sub.addClause(C);
+        Ref.addClause(C);
+        BaseClauses.push_back(C);
+      } else if (Op <= 7) {
+        std::vector<Lit> SubA, RefA;
+        for (const Scope &Sc : Open)
+          if ((Rng() & 1) != 0) {
+            SubA.push_back(Sc.SubSel);
+            RefA.push_back(Sc.RefSel);
+          }
+        for (int I = static_cast<int>(Rng() % 3); I > 0; --I) {
+          Lit L = BaseLit();
+          SubA.push_back(L);
+          RefA.push_back(L);
+        }
+        SatResult Got = Sub.solve(SubA);
+        ASSERT_EQ(Got, Ref.solve(RefA))
+            << "seed=" << GetParam() << " iter=" << Iter << " step=" << Step;
+        if (Got == SatResult::Unsat) {
+          Sub.logQueryProof(Sub.unsatCore());
+        } else {
+          for (const std::vector<Lit> &C : BaseClauses)
+            ASSERT_TRUE(Satisfied(C)) << "model violates a base clause";
+          for (const Scope &Sc : Open) {
+            if (!Sub.modelValue(Sc.SubSel.var()))
+              continue;
+            for (const std::vector<Lit> &C : Sc.SubClauses)
+              ASSERT_TRUE(Satisfied(C)) << "model violates a scope clause";
+          }
+        }
+      } else if (Op == 8) {
+        Sub.reduceDb();
+      } else {
+        // Retire one or two scopes in one call; a retired selector is
+        // never assumed again. The reference keeps the scope's clauses,
+        // which its selector, left free, makes vacuous.
+        std::vector<Lit> Plain, Releasable;
+        std::vector<int> Vars;
+        for (int N = (Open.size() > 1 && (Rng() & 1) != 0) ? 2 : 1; N > 0;
+             --N) {
+          size_t K = Rng() % Open.size();
+          Scope &Sc = Open[K];
+          (Sc.Releasable ? Releasable : Plain).push_back(Sc.SubSel);
+          Vars.insert(Vars.end(), Sc.SubVars.begin(), Sc.SubVars.end());
+          Open.erase(Open.begin() + static_cast<std::ptrdiff_t>(K));
+        }
+        Sub.retireScopes(Plain, Vars, Releasable);
+      }
+      ASSERT_TRUE(Sub.reasonInvariantHolds()) << "step " << Step;
+      ASSERT_TRUE(Sub.watchInvariantHolds()) << "step " << Step;
+      ASSERT_TRUE(Ref.watchInvariantHolds()) << "step " << Step;
+    }
+    proof::CheckResult R = proof::ProofChecker().check(Trace);
+    ASSERT_TRUE(R.Ok) << "seed=" << GetParam() << " iter=" << Iter << ": "
+                      << R.Error << R.QueryError;
+    EXPECT_EQ(R.QueriesPassed, R.QueriesChecked);
+    Reclaimed += Sub.numReclaimedClauses();
+    Evicted += Sub.numEvictedClauses();
+  }
+  EXPECT_GT(Reclaimed, 0);
+  EXPECT_GT(Evicted, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SatDeletionFuzzTest,
+                         ::testing::Values(17, 101, 2718, 31337));
+
 TEST(SatSolverVarRecycling, RecycledIndicesResetActivityPhaseAndWatches) {
   SatSolver S;
   Lit Sel(S.addVar(), true);

@@ -268,6 +268,7 @@ void runShard(const Catalog &C, const DriverOptions &Opts,
   Stats.Pairs = static_cast<unsigned>(Served.size());
   Stats.Methods = static_cast<unsigned>(Methods.size());
   Stats.PairPlanMillis = SS.PairPlanMillis;
+  Stats.RetireMillis = SS.RetireMillis;
   Stats.Millis = Timer.millis();
 }
 
@@ -486,6 +487,7 @@ json::Value Report::toJson() const {
             json::Value::integer(
                 static_cast<int64_t>(S.PeakRetainedClauses)));
       V.set("pair_plan_ms", json::Value::number(S.PairPlanMillis));
+      V.set("retire_ms", json::Value::number(S.RetireMillis));
       V.set("proof_check_ms", json::Value::number(S.ProofCheckMillis));
       V.set("ms", json::Value::number(S.Millis));
       CatArr.push(std::move(V));
@@ -587,9 +589,10 @@ std::string driver::renderSummary(const Report &R) {
     Out += Buf;
     if (!R.CatalogSessions.empty()) {
       uint64_t Recycled = 0, PeakVars = 0, Demand = 0, PeakCls = 0;
-      double PlanMs = 0;
+      double PlanMs = 0, RetireMs = 0;
       for (const CatalogStats &S : R.CatalogSessions) {
         PlanMs += S.PairPlanMillis;
+        RetireMs += S.RetireMillis;
         Recycled += S.RecycledVars;
         PeakVars = std::max(PeakVars, S.PeakLiveVars);
         PeakCls = std::max(PeakCls, S.PeakLiveClauses);
@@ -597,9 +600,9 @@ std::string driver::renderSummary(const Report &R) {
       }
       std::snprintf(Buf, sizeof(Buf),
                     "catalog sessions: %zu sessions, %.1f ms pair planning, "
-                    "%llu vars recycled (peak %llu live of %llu requested), "
-                    "peak %llu live clauses\n",
-                    R.CatalogSessions.size(), PlanMs,
+                    "%.1f ms pair retirement, %llu vars recycled (peak %llu "
+                    "live of %llu requested), peak %llu live clauses\n",
+                    R.CatalogSessions.size(), PlanMs, RetireMs,
                     static_cast<unsigned long long>(Recycled),
                     static_cast<unsigned long long>(PeakVars),
                     static_cast<unsigned long long>(Demand),

@@ -159,6 +159,9 @@ struct CatalogStats : CatalogSessionStats {
   /// Wall time the shard spent building its pair plans
   /// (ServiceStats::PairPlanMillis); the shared catalog plan is not in it.
   double PairPlanMillis = 0;
+  /// Wall time the shard spent retiring its pair scopes
+  /// (ServiceStats::RetireMillis).
+  double RetireMillis = 0;
   /// Wall time the shard's finishCertification() took: the independent
   /// checker's walk of its trace (0 unless certifying).
   double ProofCheckMillis = 0;
