@@ -8,13 +8,12 @@
 
 #include "commute/SymbolicEngine.h"
 
+#include "support/SmallVector.h"
 #include "support/Unreachable.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <set>
 
 using namespace semcomm;
@@ -87,6 +86,25 @@ DagCounter &nodeCounter() {
   return Counter;
 }
 
+// The plan builders' working lists (update chains, leaf and delta lists,
+// conjunct and case lists, sequences) are SmallVectors: each holds a few
+// entries, so on the stack they cost no heap work, and a warm pass
+// allocates little beyond the plans it returns.
+
+/// A size change of \p Change that happens when \p Cond holds.
+struct Delta {
+  ExprRef Cond;
+  int Change;
+};
+using DeltaVec = SmallVector<Delta, 4>;
+
+/// One case of an object term: it is \p Term when \p Cond holds.
+struct Leaf {
+  ExprRef Cond;
+  ExprRef Term;
+};
+using LeafVec = SmallVector<Leaf, 4>;
+
 /// The symbolic result of one operation application: exactly one member is
 /// meaningful, discriminated by K.
 struct SymValue {
@@ -96,40 +114,39 @@ struct SymValue {
 
   ExprRef Formula = nullptr;                          ///< BoolFormula.
   ExprRef Term = nullptr;   ///< ObjTerm / IdxTerm marker / IntTerm.
-  std::vector<std::pair<ExprRef, ExprRef>> Leaves;    ///< ObjLeaves.
+  LeafVec Leaves;                                     ///< ObjLeaves.
   int64_t IntVal = 0;                                 ///< IntConst.
-  std::vector<std::pair<ExprRef, int>> Deltas;        ///< SizeSnapshot.
+  DeltaVec Deltas;                                    ///< SizeSnapshot.
 };
 
 /// Enumerate all boolean assignments of the conditions in \p Deltas and
 /// keep those where the two delta sums agree; used for size()-result and
 /// size-field equality goals (at most a handful of conditions occur).
-ExprRef sizeAgreement(ExprFactory &F,
-                      const std::vector<std::pair<ExprRef, int>> &A,
-                      const std::vector<std::pair<ExprRef, int>> &B) {
-  std::vector<std::pair<ExprRef, int>> All = A;
-  All.insert(All.end(), B.begin(), B.end());
+ExprRef sizeAgreement(ExprFactory &F, const DeltaVec &A, const DeltaVec &B) {
+  SmallVector<Delta, 8> All;
+  All.append(A.begin(), A.end());
+  All.append(B.begin(), B.end());
   size_t NA = A.size();
-  std::vector<ExprRef> Cases;
+  SmallVector<ExprRef, 16> Cases;
   for (unsigned Mask = 0; Mask < (1u << All.size()); ++Mask) {
     int64_t SumA = 0, SumB = 0;
-    std::vector<ExprRef> Conj;
+    SmallVector<ExprRef, 8> Conj;
     for (size_t I = 0; I != All.size(); ++I) {
       bool On = Mask & (1u << I);
-      Conj.push_back(On ? All[I].first : F.lnot(All[I].first));
+      Conj.push_back(On ? All[I].Cond : F.lnot(All[I].Cond));
       if (On)
-        (I < NA ? SumA : SumB) += All[I].second;
+        (I < NA ? SumA : SumB) += All[I].Change;
     }
     if (SumA == SumB)
-      Cases.push_back(F.conj(std::move(Conj)));
+      Cases.push_back(F.conj(Conj));
   }
-  return F.disj(std::move(Cases));
+  return F.disj(Cases);
 }
 
 /// Generic bottom-up rewrite of a condition formula, delegating every
 /// state-query / comparison atom to \p OnAtom.
-ExprRef rewriteBool(ExprFactory &F, ExprRef E,
-                    const std::function<ExprRef(ExprRef)> &OnAtom) {
+template <typename OnAtomFn>
+ExprRef rewriteBool(ExprFactory &F, ExprRef E, const OnAtomFn &OnAtom) {
   switch (E->kind()) {
   case ExprKind::ConstBool:
     return E;
@@ -137,11 +154,10 @@ ExprRef rewriteBool(ExprFactory &F, ExprRef E,
     return F.lnot(rewriteBool(F, E->operand(0), OnAtom));
   case ExprKind::And:
   case ExprKind::Or: {
-    std::vector<ExprRef> Ops;
+    SmallVector<ExprRef, 8> Ops;
     for (ExprRef Op : E->operands())
       Ops.push_back(rewriteBool(F, Op, OnAtom));
-    return E->kind() == ExprKind::And ? F.conj(std::move(Ops))
-                                      : F.disj(std::move(Ops));
+    return E->kind() == ExprKind::And ? F.conj(Ops) : F.disj(Ops);
   }
   case ExprKind::Implies:
     return F.implies(rewriteBool(F, E->operand(0), OnAtom),
@@ -160,6 +176,7 @@ ExprRef rewriteBool(ExprFactory &F, ExprRef E,
 /// the lone split carries no extra assumptions.
 void addRoleVc(MethodPlan &P, ExprFactory &F, MethodRole Role, ExprRef Phi,
                ExprRef Agree) {
+  P.Scoped.reserve(2);
   if (Role == MethodRole::Soundness) {
     P.Scoped.push_back({Phi, "phi"});
     P.Scoped.push_back({F.lnot(Agree), "not-agree"});
@@ -184,6 +201,36 @@ std::vector<TaggedAssumption> roleAssumptions(ExprFactory &F,
 // ===========================================================================
 // Accumulator
 // ===========================================================================
+
+/// Rewrites \p X, an integer atom, replacing each counter-value query Q by
+/// StateTerm(Q).
+template <typename StateTermFn>
+ExprRef unfoldCounters(ExprFactory &F, ExprRef X,
+                       const StateTermFn &StateTerm) {
+  if (X->kind() == ExprKind::CounterValue)
+    return StateTerm(X);
+  if (X->numOperands() == 0)
+    return X;
+  SmallVector<ExprRef, 4> Ops;
+  for (ExprRef Op : X->operands())
+    Ops.push_back(unfoldCounters(F, Op, StateTerm));
+  switch (X->kind()) {
+  case ExprKind::Eq:
+    return F.eq(Ops[0], Ops[1]);
+  case ExprKind::Lt:
+    return F.lt(Ops[0], Ops[1]);
+  case ExprKind::Le:
+    return F.le(Ops[0], Ops[1]);
+  case ExprKind::Add:
+    return F.add(Ops[0], Ops[1]);
+  case ExprKind::Sub:
+    return F.sub(Ops[0], Ops[1]);
+  case ExprKind::Neg:
+    return F.neg(Ops[0]);
+  default:
+    return X;
+  }
+}
 
 MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
   const ConditionEntry &E = *M.Entry;
@@ -215,53 +262,29 @@ MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
   ExprRef R2b = Apply(E.op2(), A2, SB);
   ExprRef R1b = Apply(E.op1(), A1, SB);
 
-  // Unfold the condition: counter queries map to the matching state term.
-  auto OnAtom = [&](ExprRef Atom) -> ExprRef {
-    std::map<std::string, ExprRef> Subst;
-    if (E.op1().RecordsReturn && R1a)
-      Subst["r1"] = R1a;
-    if (E.op2().RecordsReturn && R2a)
-      Subst["r2"] = R2a;
-    ExprRef A = F.substitute(Atom, Subst);
-    // Replace counter-value queries textually by their terms.
-    std::function<ExprRef(ExprRef)> Go = [&](ExprRef X) -> ExprRef {
-      if (X->kind() == ExprKind::CounterValue) {
-        const std::string &N = X->operand(0)->name();
-        return N == "s1" ? S1 : (N == "s2" ? S2 : S3);
-      }
-      if (X->numOperands() == 0)
-        return X;
-      std::vector<ExprRef> Ops;
-      for (ExprRef Op : X->operands())
-        Ops.push_back(Go(Op));
-      switch (X->kind()) {
-      case ExprKind::Eq:
-        return F.eq(Ops[0], Ops[1]);
-      case ExprKind::Lt:
-        return F.lt(Ops[0], Ops[1]);
-      case ExprKind::Le:
-        return F.le(Ops[0], Ops[1]);
-      case ExprKind::Add:
-        return F.add(Ops[0], Ops[1]);
-      case ExprKind::Sub:
-        return F.sub(Ops[0], Ops[1]);
-      case ExprKind::Neg:
-        return F.neg(Ops[0]);
-      default:
-        return X;
-      }
-    };
-    return Go(A);
+  // Unfold the condition: the recorded returns become their terms and
+  // counter queries the matching state term.
+  SmallVector<Binding, 2> Subst;
+  if (E.op1().RecordsReturn && R1a)
+    Subst.push_back({F.var("r1", R1a->sort()), R1a});
+  if (E.op2().RecordsReturn && R2a)
+    Subst.push_back({F.var("r2", R2a->sort()), R2a});
+  auto StateTerm = [&](ExprRef Query) {
+    const std::string &N = Query->operand(0)->name();
+    return N == "s1" ? S1 : (N == "s2" ? S2 : S3);
+  };
+  auto OnAtom = [&](ExprRef Atom) {
+    return unfoldCounters(F, F.substitute(Atom, Subst), StateTerm);
   };
   ExprRef Phi = rewriteBool(F, E.get(M.Kind), OnAtom);
 
-  std::vector<ExprRef> Agree;
+  SmallVector<ExprRef, 4> Agree;
   if (E.op1().RecordsReturn && R1a)
     Agree.push_back(F.eq(R1a, R1b));
   if (E.op2().RecordsReturn && R2a)
     Agree.push_back(F.eq(R2a, R2b));
   Agree.push_back(F.eq(SA, SB));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
+  ExprRef AgreeAll = F.conj(Agree);
 
   MethodPlan P;
   P.Name = M.name();
@@ -275,8 +298,12 @@ MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
 
 /// A symbolic set: the uninterpreted initial set S0 plus an update chain.
 struct SymSet {
-  std::vector<std::pair<bool, ExprRef>> Updates; ///< (isInsert, element).
-  std::vector<std::pair<ExprRef, int>> Deltas;   ///< size changes.
+  struct Update {
+    bool IsInsert;
+    ExprRef Elem;
+  };
+  SmallVector<Update, 4> Updates;
+  DeltaVec Deltas; ///< size changes.
 };
 
 ExprRef setMem(ExprFactory &F, ExprRef S0, const SymSet &S, ExprRef X) {
@@ -353,7 +380,7 @@ MethodPlan buildSetPlan(ExprFactory &F, const TestingMethod &M) {
     return sizeAgreement(F, A.Deltas, B.Deltas);
   };
 
-  std::vector<ExprRef> Agree;
+  SmallVector<ExprRef, 4> Agree;
   if (E.op1().RecordsReturn)
     Agree.push_back(RetEq(R1a, R1b));
   if (E.op2().RecordsReturn)
@@ -362,7 +389,7 @@ MethodPlan buildSetPlan(ExprFactory &F, const TestingMethod &M) {
   // membership is affected by either order.
   for (ExprRef X : {V1, V2})
     Agree.push_back(F.iff(setMem(F, S0, SA, X), setMem(F, S0, SB, X)));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
+  ExprRef AgreeAll = F.conj(Agree);
 
   MethodPlan P;
   P.Name = M.name();
@@ -382,11 +409,9 @@ struct SymMap {
     ExprRef Key;
     ExprRef Val; ///< Null for removals.
   };
-  std::vector<Update> Updates;
-  std::vector<std::pair<ExprRef, int>> Deltas;
+  SmallVector<Update, 4> Updates;
+  DeltaVec Deltas;
 };
-
-using LeafVec = std::vector<std::pair<ExprRef, ExprRef>>;
 
 LeafVec mapGetLeaves(ExprFactory &F, ExprRef M0, const SymMap &S, ExprRef K) {
   LeafVec Leaves = {{F.trueExpr(), F.mapGet(M0, K)}};
@@ -395,7 +420,7 @@ LeafVec mapGetLeaves(ExprFactory &F, ExprRef M0, const SymMap &S, ExprRef K) {
     Next.push_back({F.eq(K, U.Key), U.IsPut ? U.Val : F.nullConst()});
     for (auto &[C, T] : Leaves)
       Next.push_back({F.conj({F.ne(K, U.Key), C}), T});
-    Leaves = std::move(Next);
+    Leaves = Next;
   }
   return Leaves;
 }
@@ -409,26 +434,27 @@ ExprRef mapHasKey(ExprFactory &F, ExprRef M0, const SymMap &S, ExprRef K) {
 }
 
 ExprRef leavesEqual(ExprFactory &F, const LeafVec &A, const LeafVec &B) {
-  std::vector<ExprRef> Cases;
+  SmallVector<ExprRef, 16> Cases;
   for (const auto &[CA, TA] : A)
     for (const auto &[CB, TB] : B)
       Cases.push_back(F.conj({CA, CB, F.eq(TA, TB)}));
-  return F.disj(std::move(Cases));
+  return F.disj(Cases);
 }
 
 MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
   const ConditionEntry &E = *M.Entry;
   ExprRef M0 = F.var("M0", Sort::State);
 
-  auto Args = [&](const Operation &Op, int Pos) -> std::vector<ExprRef> {
-    std::vector<ExprRef> Out;
+  using ArgVec = SmallVector<ExprRef, 2>;
+  auto Args = [&](const Operation &Op, int Pos) {
+    ArgVec Out;
     for (const std::string &Base : Op.ArgBaseNames)
       Out.push_back(F.var(Base + std::to_string(Pos), Sort::Obj));
     return Out;
   };
-  std::vector<ExprRef> A1 = Args(E.op1(), 1), A2 = Args(E.op2(), 2);
+  ArgVec A1 = Args(E.op1(), 1), A2 = Args(E.op2(), 2);
 
-  auto Apply = [&](const Operation &Op, const std::vector<ExprRef> &A,
+  auto Apply = [&](const Operation &Op, const ArgVec &A,
                    SymMap &S) -> SymValue {
     SymValue R;
     if (Op.CallName == "put") {
@@ -512,26 +538,23 @@ MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
     }
   };
 
-  std::vector<ExprRef> Agree;
+  SmallVector<ExprRef, 4> Agree;
   if (E.op1().RecordsReturn)
     Agree.push_back(RetEq(R1a, R1b));
   if (E.op2().RecordsReturn)
     Agree.push_back(RetEq(R2a, R2b));
   // Key extensionality at the touched keys is exact.
-  std::vector<ExprRef> Keys;
-  if (!A1.empty())
-    Keys.push_back(A1[0]);
-  if (!A2.empty())
-    Keys.push_back(A2[0]);
-  for (ExprRef K : Keys)
-    Agree.push_back(leavesEqual(F, mapGetLeaves(F, M0, SA, K),
-                                mapGetLeaves(F, M0, SB, K)));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
+  for (const ArgVec *A : {&A1, &A2})
+    if (!A->empty())
+      Agree.push_back(leavesEqual(F, mapGetLeaves(F, M0, SA, (*A)[0]),
+                                  mapGetLeaves(F, M0, SB, (*A)[0])));
+  ExprRef AgreeAll = F.conj(Agree);
 
   MethodPlan P;
   P.Name = M.name();
-  for (const std::vector<ExprRef> *V : {&A1, &A2})
-    for (ExprRef T : *V)
+  P.Common.reserve(A1.size() + A2.size());
+  for (const ArgVec *A : {&A1, &A2})
+    for (ExprRef T : *A)
       P.Common.push_back(F.ne(T, F.nullConst()));
   addRoleVc(P, F, M.Role, Phi, AgreeAll);
   return P;
@@ -543,21 +566,20 @@ MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
 
 /// One symbolic sequence: a vector of object terms (length is concrete in
 /// bounded mode; the elements are not).
-using SymSeq = std::vector<ExprRef>;
+using SymSeq = SmallVector<ExprRef, 8>;
 
 /// Formula: "the first (or last) index of V in Snap is exactly J".
 ExprRef idxIs(ExprFactory &F, const SymSeq &Snap, ExprRef V, int64_t J,
               bool Last) {
   int64_t N = static_cast<int64_t>(Snap.size());
+  SmallVector<ExprRef, 8> C;
   if (J == -1) {
-    std::vector<ExprRef> C;
     for (ExprRef T : Snap)
       C.push_back(F.ne(T, V));
-    return F.conj(std::move(C));
+    return F.conj(C);
   }
   if (J < 0 || J >= N)
     return F.falseExpr();
-  std::vector<ExprRef> C;
   if (!Last)
     for (int64_t P = 0; P < J; ++P)
       C.push_back(F.ne(Snap[P], V));
@@ -565,14 +587,36 @@ ExprRef idxIs(ExprFactory &F, const SymSeq &Snap, ExprRef V, int64_t J,
     for (int64_t P = J + 1; P < N; ++P)
       C.push_back(F.ne(Snap[P], V));
   C.push_back(F.eq(Snap[static_cast<size_t>(J)], V));
-  return F.conj(std::move(C));
+  return F.conj(C);
 }
 
-/// The per-scenario context of the bounded ArrayList verification.
+/// An integer term with the sign it enters a comparison with.
+struct SignedTerm {
+  ExprRef T;
+  int Sign;
+};
+using SignedTerms = SmallVector<SignedTerm, 4>;
+
+/// The bounded lowering context of one ArrayList pair: the current
+/// split's sequence snapshots, by the state-variable names the conditions
+/// use, and the sentinel variables, interned on first use and kept for
+/// the pair.
 struct SeqScenario {
-  ExprFactory &F;
-  std::map<std::string, const SymSeq *> Snapshots; ///< s1/s2/s3/ret markers.
-  bool SawUnsupportedAtom = false;
+  explicit SeqScenario(ExprFactory &F) : F(F) {}
+
+  /// Names the snapshots of a split: s1/s2/s3 (idx markers refer to the
+  /// sequence value *at the time the operation ran*) and the reverse
+  /// order's scan snapshot of op2 (retB2). op1's (retB1) is set later,
+  /// once the conditions are lowered.
+  void setSnapshots(const SymSeq *S1, const SymSeq *S2, const SymSeq *S3,
+                    const SymSeq *RetB2) {
+    Snapshots[0].Seq = S1;
+    Snapshots[1].Seq = S2;
+    Snapshots[2].Seq = S3;
+    Snapshots[3].Seq = nullptr;
+    Snapshots[4].Seq = RetB2;
+  }
+  void setRetB1(const SymSeq *RetB1) { Snapshots[3].Seq = RetB1; }
 
   /// Lowers an integer comparison possibly involving indexOf terms.
   ExprRef lowerIntCmp(ExprKind K, ExprRef A, ExprRef B);
@@ -582,6 +626,45 @@ struct SeqScenario {
   ExprRef lowerObj(ExprRef T);
   /// Evaluates an integer expression with no indexOf terms to a constant.
   bool constInt(ExprRef T, int64_t &Out);
+
+  ExprFactory &F;
+  bool SawUnsupportedAtom = false;
+
+private:
+  struct Snapshot {
+    const char *Name;
+    const SymSeq *Seq;
+  };
+
+  /// The snapshot the State variable \p S names, or null.
+  const SymSeq *snapshot(ExprRef S) const {
+    for (const Snapshot &Snap : Snapshots)
+      if (Snap.Seq && S->name() == Snap.Name)
+        return Snap.Seq;
+    return nullptr;
+  }
+  /// The object an out-of-range read yields; it equals nothing.
+  ExprRef undef() {
+    if (!Undef)
+      Undef = F.var("__undef", Sort::Obj);
+    return Undef;
+  }
+  /// Marks the lowering unsupported and returns the free atom that stands
+  /// for the shape it could not lower.
+  ExprRef unsupported() {
+    SawUnsupportedAtom = true;
+    if (!UnknownAtom)
+      UnknownAtom = F.var("__unknown_atom", Sort::Bool);
+    return UnknownAtom;
+  }
+
+  Snapshot Snapshots[5] = {{"s1", nullptr},
+                           {"s2", nullptr},
+                           {"s3", nullptr},
+                           {"retB1", nullptr},
+                           {"retB2", nullptr}};
+  ExprRef Undef = nullptr;
+  ExprRef UnknownAtom = nullptr;
 };
 
 bool SeqScenario::constInt(ExprRef T, int64_t &Out) {
@@ -612,10 +695,10 @@ bool SeqScenario::constInt(ExprRef T, int64_t &Out) {
   }
   case ExprKind::SeqLen:
   case ExprKind::StateSize: {
-    auto It = Snapshots.find(T->operand(0)->name());
-    if (It == Snapshots.end())
+    const SymSeq *Snap = snapshot(T->operand(0));
+    if (!Snap)
       return false;
-    Out = static_cast<int64_t>(It->second->size());
+    Out = static_cast<int64_t>(Snap->size());
     return true;
   }
   default:
@@ -625,22 +708,21 @@ bool SeqScenario::constInt(ExprRef T, int64_t &Out) {
 
 ExprRef SeqScenario::lowerObj(ExprRef T) {
   if (T->kind() == ExprKind::SeqAt) {
-    auto It = Snapshots.find(T->operand(0)->name());
-    assert(It != Snapshots.end() && "unknown sequence snapshot");
+    const SymSeq *Snap = snapshot(T->operand(0));
+    assert(Snap && "unknown sequence snapshot");
     int64_t I;
     if (!constInt(T->operand(1), I))
-      return F.var("__undef", Sort::Obj);
-    if (I < 0 || I >= static_cast<int64_t>(It->second->size()))
-      return F.var("__undef", Sort::Obj);
-    return (*It->second)[static_cast<size_t>(I)];
+      return undef();
+    if (I < 0 || I >= static_cast<int64_t>(Snap->size()))
+      return undef();
+    return (*Snap)[static_cast<size_t>(I)];
   }
   return T;
 }
 
 /// Splits an integer side into (indexOf terms with sign, constant rest).
-static void splitIdx(ExprRef T, int Sign,
-                     std::vector<std::pair<ExprRef, int>> &Idx,
-                     std::vector<std::pair<ExprRef, int>> &Opaque) {
+static void splitIdx(ExprRef T, int Sign, SignedTerms &Idx,
+                     SignedTerms &Opaque) {
   switch (T->kind()) {
   case ExprKind::Add:
     splitIdx(T->operand(0), Sign, Idx, Opaque);
@@ -664,24 +746,22 @@ static void splitIdx(ExprRef T, int Sign,
 }
 
 ExprRef SeqScenario::lowerIntCmp(ExprKind K, ExprRef A, ExprRef B) {
-  std::vector<std::pair<ExprRef, int>> Idx, Opaque;
+  SignedTerms Idx, Opaque;
   splitIdx(A, 1, Idx, Opaque);
   splitIdx(B, -1, Idx, Opaque);
 
   int64_t Const = 0;
   for (auto &[T, Sign] : Opaque) {
     int64_t V;
-    if (!constInt(T, V)) {
-      SawUnsupportedAtom = true;
-      return F.var("__unknown_atom", Sort::Bool);
-    }
+    if (!constInt(T, V))
+      return unsupported();
     Const += Sign * V;
   }
 
   auto Resolve = [&](ExprRef T) -> std::pair<const SymSeq *, bool> {
-    auto It = Snapshots.find(T->operand(0)->name());
-    assert(It != Snapshots.end() && "unknown sequence snapshot");
-    return {It->second, T->kind() == ExprKind::SeqLastIndexOf};
+    const SymSeq *Snap = snapshot(T->operand(0));
+    assert(Snap && "unknown sequence snapshot");
+    return {Snap, T->kind() == ExprKind::SeqLastIndexOf};
   };
 
   if (Idx.empty()) {
@@ -700,10 +780,10 @@ ExprRef SeqScenario::lowerIntCmp(ExprKind K, ExprRef A, ExprRef B) {
 
   if (Idx.size() == 1) {
     // sign*idx + Const  K  0.
-    auto [Snap, Last] = Resolve(Idx[0].first);
-    ExprRef V = lowerObj(Idx[0].first->operand(1));
-    int Sign = Idx[0].second;
-    std::vector<ExprRef> Cases;
+    auto [Snap, Last] = Resolve(Idx[0].T);
+    ExprRef V = lowerObj(Idx[0].T->operand(1));
+    int Sign = Idx[0].Sign;
+    SmallVector<ExprRef, 8> Cases;
     int64_t N = static_cast<int64_t>(Snap->size());
     for (int64_t J = -1; J < N; ++J) {
       int64_t Lhs = Sign * J + Const;
@@ -713,17 +793,17 @@ ExprRef SeqScenario::lowerIntCmp(ExprKind K, ExprRef A, ExprRef B) {
       if (Holds)
         Cases.push_back(idxIs(F, *Snap, V, J, Last));
     }
-    return F.disj(std::move(Cases));
+    return F.disj(Cases);
   }
 
-  if (Idx.size() == 2 && K == ExprKind::Eq && Idx[0].second * Idx[1].second < 0) {
+  if (Idx.size() == 2 && K == ExprKind::Eq && Idx[0].Sign * Idx[1].Sign < 0) {
     // idxA - idxB + Const = 0.
-    auto [SnapA, LastA] = Resolve(Idx[0].first);
-    auto [SnapB, LastB] = Resolve(Idx[1].first);
-    ExprRef VA = lowerObj(Idx[0].first->operand(1));
-    ExprRef VB = lowerObj(Idx[1].first->operand(1));
-    int SignA = Idx[0].second;
-    std::vector<ExprRef> Cases;
+    auto [SnapA, LastA] = Resolve(Idx[0].T);
+    auto [SnapB, LastB] = Resolve(Idx[1].T);
+    ExprRef VA = lowerObj(Idx[0].T->operand(1));
+    ExprRef VB = lowerObj(Idx[1].T->operand(1));
+    int SignA = Idx[0].Sign;
+    SmallVector<ExprRef, 8> Cases;
     int64_t NA = static_cast<int64_t>(SnapA->size());
     int64_t NB = static_cast<int64_t>(SnapB->size());
     for (int64_t JA = -1; JA < NA; ++JA)
@@ -733,11 +813,10 @@ ExprRef SeqScenario::lowerIntCmp(ExprKind K, ExprRef A, ExprRef B) {
         Cases.push_back(F.conj({idxIs(F, *SnapA, VA, JA, LastA),
                                 idxIs(F, *SnapB, VB, JB, LastB)}));
       }
-    return F.disj(std::move(Cases));
+    return F.disj(Cases);
   }
 
-  SawUnsupportedAtom = true;
-  return F.var("__unknown_atom", Sort::Bool);
+  return unsupported();
 }
 
 ExprRef SeqScenario::onAtom(ExprRef Atom) {
@@ -764,23 +843,29 @@ ExprRef SeqScenario::onAtom(ExprRef Atom) {
     // proof-hint lemma uses) expand pointwise; symbolic bounds are outside
     // the fragment.
     int64_t Lo, Hi;
-    if (!constInt(Atom->operand(0), Lo) || !constInt(Atom->operand(1), Hi)) {
-      SawUnsupportedAtom = true;
-      return F.var("__unknown_atom", Sort::Bool);
-    }
-    std::vector<ExprRef> Parts;
+    if (!constInt(Atom->operand(0), Lo) || !constInt(Atom->operand(1), Hi))
+      return unsupported();
+    ExprRef Bound = F.var(Atom->name(), Sort::Int);
+    SmallVector<ExprRef, 8> Parts;
     for (int64_t J = Lo; J <= Hi; ++J) {
-      ExprRef Body = F.substitute(Atom->operand(2),
-                                  {{Atom->name(), F.intConst(J)}});
+      ExprRef Body = F.substitute(Atom->operand(2), {{Bound, F.intConst(J)}});
       Parts.push_back(
           rewriteBool(F, Body, [this](ExprRef A) { return onAtom(A); }));
     }
-    return Atom->kind() == ExprKind::Forall ? F.conj(std::move(Parts))
-                                            : F.disj(std::move(Parts));
+    return Atom->kind() == ExprKind::Forall ? F.conj(Parts) : F.disj(Parts);
   }
   default:
     return Atom;
   }
+}
+
+/// The element variables e0, e1, ...: a split's initial list of length N
+/// is their first N.
+SymSeq seqElements(ExprFactory &F, int SeqLenBound) {
+  SymSeq Elems;
+  for (int64_t P = 0; P < SeqLenBound; ++P)
+    Elems.push_back(F.var("e" + std::to_string(P), Sort::Obj));
+  return Elems;
 }
 
 /// The Common prefix of every ArrayList method plan: the argument objects
@@ -788,13 +873,13 @@ ExprRef SeqScenario::onAtom(ExprRef Atom) {
 /// it once lets the warm session reuse its encoding across the whole
 /// (length x index x index) split lattice — and, in a catalog session,
 /// across every testing method of the pair.
-std::vector<ExprRef> seqCommon(ExprFactory &F, int SeqLenBound) {
-  std::vector<ExprRef> Common = {
-      F.ne(F.var("v1", Sort::Obj), F.nullConst()),
-      F.ne(F.var("v2", Sort::Obj), F.nullConst())};
-  for (int64_t P = 0; P < SeqLenBound; ++P)
-    Common.push_back(
-        F.ne(F.var("e" + std::to_string(P), Sort::Obj), F.nullConst()));
+std::vector<ExprRef> seqCommon(ExprFactory &F, const SymSeq &Elems) {
+  std::vector<ExprRef> Common;
+  Common.reserve(2 + Elems.size());
+  Common.push_back(F.ne(F.var("v1", Sort::Obj), F.nullConst()));
+  Common.push_back(F.ne(F.var("v2", Sort::Obj), F.nullConst()));
+  for (ExprRef Elem : Elems)
+    Common.push_back(F.ne(Elem, F.nullConst()));
   return Common;
 }
 
@@ -820,7 +905,8 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
   const Operation &Op2 = E.op2();
 
   std::vector<MethodPlan> Plans(Ms.size());
-  std::vector<ExprRef> Common = seqCommon(F, SeqLenBound);
+  SymSeq Elems = seqElements(F, SeqLenBound);
+  std::vector<ExprRef> Common = seqCommon(F, Elems);
   for (size_t MI = 0; MI != Ms.size(); ++MI) {
     Plans[MI].Name = Ms[MI].M.name();
     Plans[MI].Common = Common;
@@ -829,6 +915,7 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
   DagCounter &Nodes = nodeCounter();
 
   ExprRef V1 = F.var("v1", Sort::Obj), V2 = F.var("v2", Sort::Obj);
+  SeqScenario Ctx(F);
 
   // Applies an operation at concrete index arguments on a term vector.
   // Returns false if the precondition fails.
@@ -884,8 +971,7 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
 
   for (int64_t N = 0; N <= SeqLenBound; ++N) {
     SymSeq Initial;
-    for (int64_t P = 0; P < N; ++P)
-      Initial.push_back(F.var("e" + std::to_string(P), Sort::Obj));
+    Initial.append(Elems.begin(), Elems.begin() + N);
 
     // Index argument ranges cover one past an insertion-grown list.
     int64_t I1Hi = IntArg(Op1) ? N + 1 : 0;
@@ -909,23 +995,15 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
         bool RevPreOk = Apply(Op2, I2, V2, SB, R2b) &&
                         Apply(Op1, I1, V1, SB, R1b);
 
-        // Scenario context with named snapshots (idx markers refer to the
-        // sequence value *at the time the operation ran*).
-        SeqScenario Ctx{F, {}, false};
-        Ctx.Snapshots["s1"] = &Initial;
-        Ctx.Snapshots["s2"] = &Snap2;
-        Ctx.Snapshots["s3"] = &Snap3;
-        SymSeq SnapA = SA, SnapB = SB;
-        Ctx.Snapshots["finalA"] = &SnapA;
-        Ctx.Snapshots["finalB"] = &SnapB;
-        Ctx.Snapshots["retB2"] = &Initial; // op2 in reverse order sees s1.
+        // op2 in reverse order sees s1.
+        Ctx.setSnapshots(&Initial, &Snap2, &Snap3, /*RetB2=*/&Initial);
 
         // Substitute the integer arguments and the recorded returns.
-        std::map<std::string, ExprRef> Subst;
+        SmallVector<Binding, 4> Subst;
         if (IntArg(Op1))
-          Subst["i1"] = F.intConst(I1);
+          Subst.push_back({F.var("i1", Sort::Int), F.intConst(I1)});
         if (IntArg(Op2))
-          Subst["i2"] = F.intConst(I2);
+          Subst.push_back({F.var("i2", Sort::Int), F.intConst(I2)});
         auto RetExpr = [&](const Operation &Op, const SymValue &Ret,
                            const char *SnapName,
                            ExprRef ScanArg) -> ExprRef {
@@ -945,11 +1023,11 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
         };
         if (Op1.RecordsReturn) {
           if (ExprRef RE = RetExpr(Op1, R1a, "s1", V1))
-            Subst["r1"] = RE;
+            Subst.push_back({F.var("r1", RE->sort()), RE});
         }
         if (Op2.RecordsReturn) {
           if (ExprRef RE = RetExpr(Op2, R2a, "s2", V2))
-            Subst["r2"] = RE;
+            Subst.push_back({F.var("r2", RE->sort()), RE});
         }
 
         // Lowers a condition into this split. The unsupported flag is
@@ -976,15 +1054,13 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
         SymSeq RetB1Snap = Initial;
         if (RevPreOk) {
           SymValue Dummy;
-          SymSeq Tmp = Initial;
-          Apply(Op2, I2, V2, Tmp, Dummy);
-          RetB1Snap = Tmp;
+          Apply(Op2, I2, V2, RetB1Snap, Dummy);
         }
-        Ctx.Snapshots["retB1"] = &RetB1Snap;
+        Ctx.setRetB1(&RetB1Snap);
 
         // Agreement goal.
         Ctx.SawUnsupportedAtom = false;
-        std::vector<ExprRef> Agree;
+        SmallVector<ExprRef, 8> Agree;
         if (!RevPreOk) {
           Agree.push_back(F.falseExpr());
         } else {
@@ -1012,14 +1088,14 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
           if (Op2.RecordsReturn && R2a.K != SymValue::Kind::None)
             Agree.push_back(
                 RetsEq(Op2, R2a, "s2", R2b, "retB2", V2));
-          if (SnapA.size() != SnapB.size()) {
+          if (SA.size() != SB.size()) {
             Agree.push_back(F.falseExpr());
           } else {
-            for (size_t P = 0; P != SnapA.size(); ++P)
-              Agree.push_back(F.eq(SnapA[P], SnapB[P]));
+            for (size_t P = 0; P != SA.size(); ++P)
+              Agree.push_back(F.eq(SA[P], SB[P]));
           }
         }
-        ExprRef AgreeAll = F.conj(std::move(Agree));
+        ExprRef AgreeAll = F.conj(Agree);
         bool AgreeUnsupported = Ctx.SawUnsupportedAtom;
 
         // A method's split asserts the agreement goal and its kind's
@@ -1191,7 +1267,7 @@ SymbolicEngine::planCommonOnly(const ConditionEntry &E) const {
   // one formula each, and hash-consing dedups their construction against
   // the later full plan anyway.
   if (E.Fam->Kind == StateKind::Seq)
-    return seqCommon(F, SeqLenBound);
+    return seqCommon(F, seqElements(F, SeqLenBound));
   // The Common prefix depends only on the entry's operations, never on
   // the testing method's kind or role, so one method stands for all six.
   TestingMethod M;
@@ -1206,6 +1282,10 @@ PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
   PP.Key = E.pairName();
   bool Seq = E.Fam->Kind == StateKind::Seq;
   std::vector<SeqMethod> SeqMethods;
+  if (Seq)
+    SeqMethods.reserve(6);
+  else
+    PP.Methods.reserve(6);
   for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
                           ConditionKind::After})
     for (MethodRole Role : {MethodRole::Soundness, MethodRole::Completeness}) {

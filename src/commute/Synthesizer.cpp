@@ -168,9 +168,9 @@ SynthesisResult semcomm::synthesizeCondition(
       ExprRef Atom = Atoms[KeptIdx[I]];
       Literals.push_back(Valuation[I] ? Atom : F.lnot(Atom));
     }
-    Cubes.push_back(F.conj(std::move(Literals)));
+    Cubes.push_back(F.conj(Literals));
   }
-  Result.Condition = simplify(F, F.disj(std::move(Cubes)));
+  Result.Condition = simplify(F, F.disj(Cubes));
   return Result;
 }
 

@@ -176,8 +176,7 @@ MethodPlan seqInversePlan(ExprFactory &F, const InverseSpec &Spec,
         std::vector<ExprRef> Eqs;
         for (size_t PIdx = 0; PIdx != S.size(); ++PIdx)
           Eqs.push_back(F.eq(S[PIdx], Initial[PIdx]));
-        Split.Assumed.push_back({F.lnot(F.conj(std::move(Eqs))),
-                                 "not-identity"});
+        Split.Assumed.push_back({F.lnot(F.conj(Eqs)), "not-identity"});
       }
       P.Splits.push_back(std::move(Split));
     }

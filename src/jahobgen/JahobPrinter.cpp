@@ -32,14 +32,16 @@ static const char *javaType(Sort S) {
 /// (r1a, r2a).
 static std::string methodCondition(ExprRef Phi, const ConditionEntry &E,
                                    ExprFactory &F) {
-  std::map<std::string, ExprRef> Subst;
-  Subst["s1"] = F.var("sa", Sort::State);
-  Subst["s2"] = F.var("sa", Sort::State);
-  Subst["s3"] = F.var("sa", Sort::State);
+  ExprRef Sa = F.var("sa", Sort::State);
+  std::vector<Binding> Subst;
+  for (const char *State : {"s1", "s2", "s3"})
+    Subst.push_back({F.var(State, Sort::State), Sa});
   if (E.op1().RecordsReturn)
-    Subst["r1"] = F.var("r1a", E.op1().ReturnSort);
+    Subst.push_back({F.var("r1", E.op1().ReturnSort),
+                     F.var("r1a", E.op1().ReturnSort)});
   if (E.op2().RecordsReturn)
-    Subst["r2"] = F.var("r2a", E.op2().ReturnSort);
+    Subst.push_back({F.var("r2", E.op2().ReturnSort),
+                     F.var("r2a", E.op2().ReturnSort)});
   return printAbstract(F.substitute(Phi, Subst));
 }
 

@@ -84,11 +84,11 @@ struct Vocab {
   ExprRef sub(ExprRef A, ExprRef B) const { return F.sub(A, B); }
 
   ExprRef lnot(ExprRef A) const { return F.lnot(A); }
-  ExprRef conj(std::vector<ExprRef> Ops) const {
-    return F.conj(std::move(Ops));
+  ExprRef conj(std::initializer_list<ExprRef> Ops) const {
+    return F.conj(Ops);
   }
-  ExprRef disj(std::vector<ExprRef> Ops) const {
-    return F.disj(std::move(Ops));
+  ExprRef disj(std::initializer_list<ExprRef> Ops) const {
+    return F.disj(Ops);
   }
 };
 

@@ -8,10 +8,12 @@
 
 #include "logic/ExprFactory.h"
 
+#include "support/SmallVector.h"
 #include "support/Unreachable.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 using namespace semcomm;
 
@@ -36,20 +38,31 @@ inline size_t hashCombine(size_t Seed, size_t V) {
   return mix(Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2)));
 }
 
+/// The name every node of a nameless kind is interned with. A function
+/// static, so a factory built during static initialization can use it.
+const std::string &noName() {
+  static const std::string Empty;
+  return Empty;
+}
+
+bool isNamed(ExprKind K) {
+  return K == ExprKind::Var || K == ExprKind::Forall || K == ExprKind::Exists;
+}
+
 size_t hashKey(ExprKind K, Sort S, int64_t Payload, const std::string &Name,
-               const std::vector<const Expr *> &Ops) {
+               ArrayRef<ExprRef> Ops) {
   size_t H = hashCombine(static_cast<size_t>(K) * 0x100 + 1,
                          static_cast<size_t>(S));
   H = hashCombine(H, static_cast<size_t>(Payload));
-  H = hashCombine(H, std::hash<std::string>{}(Name));
+  if (isNamed(K))
+    H = hashCombine(H, std::hash<std::string>{}(Name));
   for (const Expr *Op : Ops)
     H = hashCombine(H, reinterpret_cast<size_t>(Op));
   return H;
 }
 
 bool keyEquals(const Expr *N, ExprKind K, Sort S, int64_t Payload,
-               const std::string &Name,
-               const std::vector<const Expr *> &Ops) {
+               const std::string &Name, ArrayRef<ExprRef> Ops) {
   if (N->kind() != K || N->sort() != S || N->numOperands() != Ops.size())
     return false;
   if (!std::equal(Ops.begin(), Ops.end(), N->operands().begin()))
@@ -73,8 +86,8 @@ bool keyEquals(const Expr *N, ExprKind K, Sort S, int64_t Payload,
 } // namespace
 
 ExprFactory::ExprFactory() {
-  CachedTrue = make(ExprKind::ConstBool, Sort::Bool, 1, "", {});
-  CachedFalse = make(ExprKind::ConstBool, Sort::Bool, 0, "", {});
+  CachedTrue = make(ExprKind::ConstBool, Sort::Bool, 1, noName(), {});
+  CachedFalse = make(ExprKind::ConstBool, Sort::Bool, 0, noName(), {});
 }
 
 ExprFactory::Table &ExprFactory::growTable(Shard &Sh) {
@@ -97,8 +110,13 @@ ExprFactory::Table &ExprFactory::growTable(Shard &Sh) {
   return *Sh.Tables.back();
 }
 
+ExprRef ExprFactory::makeOp(ExprKind K, Sort S,
+                            std::initializer_list<ExprRef> Ops) {
+  return make(K, S, 0, noName(), ArrayRef<ExprRef>(Ops.begin(), Ops.size()));
+}
+
 ExprRef ExprFactory::make(ExprKind K, Sort S, int64_t Payload,
-                          std::string Name, std::vector<const Expr *> Ops) {
+                          const std::string &Name, ArrayRef<ExprRef> Ops) {
   size_t H = hashKey(K, S, Payload, Name, Ops);
   Shard &Sh = Shards[H & (NumShards - 1)];
   // Probes \p T from the key's home slot: returns the node, or null with
@@ -126,7 +144,8 @@ ExprRef ExprFactory::make(ExprKind K, Sort S, int64_t Payload,
   if (const Expr *Hit = Probe(*T, Idx))
     return Hit;
 
-  Sh.Arena.emplace_back(Expr(K, S, Payload, std::move(Name), std::move(Ops),
+  Sh.Arena.emplace_back(Expr(K, S, Payload, Name,
+                             std::vector<const Expr *>(Ops.begin(), Ops.end()),
                              H));
   const Expr *Node = &Sh.Arena.back();
   T->Slots[Idx].store(Node, std::memory_order_release);
@@ -150,11 +169,11 @@ size_t ExprFactory::numNodes() const {
 ExprRef ExprFactory::boolConst(bool B) { return B ? CachedTrue : CachedFalse; }
 
 ExprRef ExprFactory::intConst(int64_t N) {
-  return make(ExprKind::ConstInt, Sort::Int, N, "", {});
+  return make(ExprKind::ConstInt, Sort::Int, N, noName(), {});
 }
 
 ExprRef ExprFactory::nullConst() {
-  return make(ExprKind::ConstNull, Sort::Obj, 0, "", {});
+  return make(ExprKind::ConstNull, Sort::Obj, 0, noName(), {});
 }
 
 ExprRef ExprFactory::var(const std::string &Name, Sort S) {
@@ -170,7 +189,7 @@ ExprRef ExprFactory::add(ExprRef A, ExprRef B) {
     return A;
   if (A->kind() == ExprKind::ConstInt && A->intValue() == 0)
     return B;
-  return make(ExprKind::Add, Sort::Int, 0, "", {A, B});
+  return makeOp(ExprKind::Add, Sort::Int, {A, B});
 }
 
 ExprRef ExprFactory::sub(ExprRef A, ExprRef B) {
@@ -179,14 +198,14 @@ ExprRef ExprFactory::sub(ExprRef A, ExprRef B) {
     return intConst(A->intValue() - B->intValue());
   if (B->kind() == ExprKind::ConstInt && B->intValue() == 0)
     return A;
-  return make(ExprKind::Sub, Sort::Int, 0, "", {A, B});
+  return makeOp(ExprKind::Sub, Sort::Int, {A, B});
 }
 
 ExprRef ExprFactory::neg(ExprRef A) {
   assert(A->sort() == Sort::Int && "neg wants an int");
   if (A->kind() == ExprKind::ConstInt)
     return intConst(-A->intValue());
-  return make(ExprKind::Neg, Sort::Int, 0, "", {A});
+  return makeOp(ExprKind::Neg, Sort::Int, {A});
 }
 
 ExprRef ExprFactory::eq(ExprRef A, ExprRef B) {
@@ -197,21 +216,21 @@ ExprRef ExprFactory::eq(ExprRef A, ExprRef B) {
     return boolConst(A->boolValue() == B->boolValue());
   if (A->kind() == ExprKind::ConstNull && B->kind() == ExprKind::ConstNull)
     return trueExpr();
-  return make(ExprKind::Eq, Sort::Bool, 0, "", {A, B});
+  return makeOp(ExprKind::Eq, Sort::Bool, {A, B});
 }
 
 ExprRef ExprFactory::lt(ExprRef A, ExprRef B) {
   assert(A->sort() == Sort::Int && B->sort() == Sort::Int && "lt wants ints");
   if (A->kind() == ExprKind::ConstInt && B->kind() == ExprKind::ConstInt)
     return boolConst(A->intValue() < B->intValue());
-  return make(ExprKind::Lt, Sort::Bool, 0, "", {A, B});
+  return makeOp(ExprKind::Lt, Sort::Bool, {A, B});
 }
 
 ExprRef ExprFactory::le(ExprRef A, ExprRef B) {
   assert(A->sort() == Sort::Int && B->sort() == Sort::Int && "le wants ints");
   if (A->kind() == ExprKind::ConstInt && B->kind() == ExprKind::ConstInt)
     return boolConst(A->intValue() <= B->intValue());
-  return make(ExprKind::Le, Sort::Bool, 0, "", {A, B});
+  return makeOp(ExprKind::Le, Sort::Bool, {A, B});
 }
 
 ExprRef ExprFactory::lnot(ExprRef A) {
@@ -222,11 +241,11 @@ ExprRef ExprFactory::lnot(ExprRef A) {
     return trueExpr();
   if (A->kind() == ExprKind::Not)
     return A->operand(0);
-  return make(ExprKind::Not, Sort::Bool, 0, "", {A});
+  return makeOp(ExprKind::Not, Sort::Bool, {A});
 }
 
-ExprRef ExprFactory::conj(std::vector<ExprRef> Ops) {
-  std::vector<ExprRef> Flat;
+ExprRef ExprFactory::conj(ArrayRef<ExprRef> Ops) {
+  SmallVector<ExprRef, 16> Flat;
   for (ExprRef Op : Ops) {
     assert(Op->sort() == Sort::Bool && "conjunct must be boolean");
     if (Op->isTrue())
@@ -234,7 +253,8 @@ ExprRef ExprFactory::conj(std::vector<ExprRef> Ops) {
     if (Op->isFalse())
       return falseExpr();
     if (Op->kind() == ExprKind::And) {
-      Flat.insert(Flat.end(), Op->operands().begin(), Op->operands().end());
+      Flat.append(Op->operands().data(),
+                  Op->operands().data() + Op->numOperands());
       continue;
     }
     Flat.push_back(Op);
@@ -242,12 +262,12 @@ ExprRef ExprFactory::conj(std::vector<ExprRef> Ops) {
   if (Flat.empty())
     return trueExpr();
   if (Flat.size() == 1)
-    return Flat.front();
-  return make(ExprKind::And, Sort::Bool, 0, "", std::move(Flat));
+    return Flat[0];
+  return make(ExprKind::And, Sort::Bool, 0, noName(), Flat);
 }
 
-ExprRef ExprFactory::disj(std::vector<ExprRef> Ops) {
-  std::vector<ExprRef> Flat;
+ExprRef ExprFactory::disj(ArrayRef<ExprRef> Ops) {
+  SmallVector<ExprRef, 16> Flat;
   for (ExprRef Op : Ops) {
     assert(Op->sort() == Sort::Bool && "disjunct must be boolean");
     if (Op->isFalse())
@@ -255,7 +275,8 @@ ExprRef ExprFactory::disj(std::vector<ExprRef> Ops) {
     if (Op->isTrue())
       return trueExpr();
     if (Op->kind() == ExprKind::Or) {
-      Flat.insert(Flat.end(), Op->operands().begin(), Op->operands().end());
+      Flat.append(Op->operands().data(),
+                  Op->operands().data() + Op->numOperands());
       continue;
     }
     Flat.push_back(Op);
@@ -263,8 +284,8 @@ ExprRef ExprFactory::disj(std::vector<ExprRef> Ops) {
   if (Flat.empty())
     return falseExpr();
   if (Flat.size() == 1)
-    return Flat.front();
-  return make(ExprKind::Or, Sort::Bool, 0, "", std::move(Flat));
+    return Flat[0];
+  return make(ExprKind::Or, Sort::Bool, 0, noName(), Flat);
 }
 
 ExprRef ExprFactory::implies(ExprRef A, ExprRef B) {
@@ -275,7 +296,7 @@ ExprRef ExprFactory::implies(ExprRef A, ExprRef B) {
     return trueExpr();
   if (B->isFalse())
     return lnot(A);
-  return make(ExprKind::Implies, Sort::Bool, 0, "", {A, B});
+  return makeOp(ExprKind::Implies, Sort::Bool, {A, B});
 }
 
 ExprRef ExprFactory::iff(ExprRef A, ExprRef B) {
@@ -288,7 +309,7 @@ ExprRef ExprFactory::iff(ExprRef A, ExprRef B) {
     return lnot(B);
   if (B->isFalse())
     return lnot(A);
-  return make(ExprKind::Iff, Sort::Bool, 0, "", {A, B});
+  return makeOp(ExprKind::Iff, Sort::Bool, {A, B});
 }
 
 ExprRef ExprFactory::ite(ExprRef C, ExprRef T, ExprRef E) {
@@ -297,204 +318,258 @@ ExprRef ExprFactory::ite(ExprRef C, ExprRef T, ExprRef E) {
     return T;
   if (C->isFalse())
     return E;
-  return make(ExprKind::Ite, T->sort(), 0, "", {C, T, E});
+  return makeOp(ExprKind::Ite, T->sort(), {C, T, E});
 }
 
 ExprRef ExprFactory::setContains(ExprRef S, ExprRef V) {
   assert(S->sort() == Sort::State && V->sort() == Sort::Obj);
-  return make(ExprKind::SetContains, Sort::Bool, 0, "", {S, V});
+  return makeOp(ExprKind::SetContains, Sort::Bool, {S, V});
 }
 
 ExprRef ExprFactory::mapGet(ExprRef S, ExprRef K) {
   assert(S->sort() == Sort::State && K->sort() == Sort::Obj);
-  return make(ExprKind::MapGet, Sort::Obj, 0, "", {S, K});
+  return makeOp(ExprKind::MapGet, Sort::Obj, {S, K});
 }
 
 ExprRef ExprFactory::mapHasKey(ExprRef S, ExprRef K) {
   assert(S->sort() == Sort::State && K->sort() == Sort::Obj);
-  return make(ExprKind::MapHasKey, Sort::Bool, 0, "", {S, K});
+  return makeOp(ExprKind::MapHasKey, Sort::Bool, {S, K});
 }
 
 ExprRef ExprFactory::seqAt(ExprRef S, ExprRef I) {
   assert(S->sort() == Sort::State && I->sort() == Sort::Int);
-  return make(ExprKind::SeqAt, Sort::Obj, 0, "", {S, I});
+  return makeOp(ExprKind::SeqAt, Sort::Obj, {S, I});
 }
 
 ExprRef ExprFactory::seqLen(ExprRef S) {
   assert(S->sort() == Sort::State);
-  return make(ExprKind::SeqLen, Sort::Int, 0, "", {S});
+  return makeOp(ExprKind::SeqLen, Sort::Int, {S});
 }
 
 ExprRef ExprFactory::seqIndexOf(ExprRef S, ExprRef V) {
   assert(S->sort() == Sort::State && V->sort() == Sort::Obj);
-  return make(ExprKind::SeqIndexOf, Sort::Int, 0, "", {S, V});
+  return makeOp(ExprKind::SeqIndexOf, Sort::Int, {S, V});
 }
 
 ExprRef ExprFactory::seqLastIndexOf(ExprRef S, ExprRef V) {
   assert(S->sort() == Sort::State && V->sort() == Sort::Obj);
-  return make(ExprKind::SeqLastIndexOf, Sort::Int, 0, "", {S, V});
+  return makeOp(ExprKind::SeqLastIndexOf, Sort::Int, {S, V});
 }
 
 ExprRef ExprFactory::stateSize(ExprRef S) {
   assert(S->sort() == Sort::State);
-  return make(ExprKind::StateSize, Sort::Int, 0, "", {S});
+  return makeOp(ExprKind::StateSize, Sort::Int, {S});
 }
 
 ExprRef ExprFactory::counterValue(ExprRef S) {
   assert(S->sort() == Sort::State);
-  return make(ExprKind::CounterValue, Sort::Int, 0, "", {S});
+  return makeOp(ExprKind::CounterValue, Sort::Int, {S});
 }
 
 ExprRef ExprFactory::forallInt(const std::string &BoundVar, ExprRef Lo,
                                ExprRef Hi, ExprRef Body) {
   assert(Lo->sort() == Sort::Int && Hi->sort() == Sort::Int &&
          Body->sort() == Sort::Bool);
-  return make(ExprKind::Forall, Sort::Bool, 0, BoundVar, {Lo, Hi, Body});
+  const ExprRef Ops[] = {Lo, Hi, Body};
+  return make(ExprKind::Forall, Sort::Bool, 0, BoundVar, Ops);
 }
 
 ExprRef ExprFactory::existsInt(const std::string &BoundVar, ExprRef Lo,
                                ExprRef Hi, ExprRef Body) {
   assert(Lo->sort() == Sort::Int && Hi->sort() == Sort::Int &&
          Body->sort() == Sort::Bool);
-  return make(ExprKind::Exists, Sort::Bool, 0, BoundVar, {Lo, Hi, Body});
+  const ExprRef Ops[] = {Lo, Hi, Body};
+  return make(ExprKind::Exists, Sort::Bool, 0, BoundVar, Ops);
 }
 
 //===----------------------------------------------------------------------===//
 // Substitution (memoized over the DAG)
 //===----------------------------------------------------------------------===//
 
-ExprRef ExprFactory::substitute(ExprRef E,
-                                const std::map<std::string, ExprRef> &Subst) {
-  SubstMemo Memo;
-  return substituteImpl(E, Subst, Memo);
-}
+namespace {
 
-ExprRef ExprFactory::substituteImpl(ExprRef E,
-                                    const std::map<std::string, ExprRef> &Subst,
-                                    SubstMemo &Memo) {
+/// substitute's memo: node to result, by linear probing on the node's
+/// address. The first InlineSlots slots live in the object, on the
+/// substituting call's stack; past half of them the table moves to the
+/// heap, doubling each time.
+class SubstMemo {
+public:
+  SubstMemo() = default;
+  SubstMemo(const SubstMemo &) = delete;
+  SubstMemo &operator=(const SubstMemo &) = delete;
+
+  /// \p Key's result, or null.
+  ExprRef find(ExprRef Key) const { return slotOf(Key).Value; }
+
+  void insert(ExprRef Key, ExprRef Value) {
+    Slot &S = slotOf(Key);
+    assert(!S.Key && "substitution memoized twice");
+    S = {Key, Value};
+    if (2 * ++Count > Mask + 1)
+      grow();
+  }
+
+private:
+  struct Slot {
+    ExprRef Key = nullptr;
+    ExprRef Value = nullptr;
+  };
+  static constexpr unsigned InlineBits = 5;
+
+  /// \p Key's slot, or the empty slot its probe run ends at.
+  Slot &slotOf(ExprRef Key) const {
+    auto I = static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(Key) * 0x9e3779b97f4a7c15ull) >>
+        (64 - Bits));
+    while (Slots[I].Key && Slots[I].Key != Key)
+      I = (I + 1) & Mask;
+    return Slots[I];
+  }
+
+  void grow() {
+    Slot *Old = Slots;
+    size_t OldSize = Mask + 1;
+    ++Bits;
+    std::unique_ptr<Slot[]> New(new Slot[size_t(1) << Bits]);
+    Slots = New.get();
+    Mask = (size_t(1) << Bits) - 1;
+    for (size_t I = 0; I != OldSize; ++I)
+      if (Old[I].Key)
+        slotOf(Old[I].Key) = Old[I];
+    Heap = std::move(New);
+  }
+
+  Slot Inline[size_t(1) << InlineBits];
+  std::unique_ptr<Slot[]> Heap;
+  Slot *Slots = Inline;
+  unsigned Bits = InlineBits;
+  size_t Mask = (size_t(1) << InlineBits) - 1;
+  size_t Count = 0;
+};
+
+/// One substitution pass: the bindings in force and the memo of the
+/// results under them. A quantifier that shadows a binding substitutes its
+/// body with a pass of its own, since the outer memo holds results under
+/// bindings the body does not see.
+class Substituter {
+public:
+  Substituter(ExprFactory &F, ArrayRef<Binding> Subst) : F(F), Subst(Subst) {}
+
+  ExprRef run(ExprRef E);
+
+private:
+  ExprRef rebuild(ExprRef E, ArrayRef<ExprRef> Ops);
+  ExprRef quantifier(ExprRef E);
+
+  ExprFactory &F;
+  ArrayRef<Binding> Subst;
+  SubstMemo Memo;
+};
+
+ExprRef Substituter::run(ExprRef E) {
   switch (E->kind()) {
   case ExprKind::ConstBool:
   case ExprKind::ConstInt:
   case ExprKind::ConstNull:
     return E;
-  case ExprKind::Var: {
-    auto It = Subst.find(E->name());
-    if (It == Subst.end())
-      return E;
-    assert(It->second->sort() == E->sort() &&
-           "substitution changes the sort of a variable");
-    return It->second;
-  }
+  case ExprKind::Var:
+    for (const Binding &B : Subst)
+      if (B.Var == E) {
+        assert(B.Value->sort() == E->sort() &&
+               "substitution changes the sort of a variable");
+        return B.Value;
+      }
+    return E;
   default:
     break;
   }
 
-  auto Hit = Memo.find(E);
-  if (Hit != Memo.end())
-    return Hit->second;
+  if (ExprRef Hit = Memo.find(E))
+    return Hit;
 
   ExprRef Result;
   if (E->kind() == ExprKind::Forall || E->kind() == ExprKind::Exists) {
-    // The bound variable shadows any outer binding of the same name. When a
-    // binding is actually dropped, the body sees a different substitution,
-    // so it gets its own memo table.
-    ExprRef Lo = substituteImpl(E->operand(0), Subst, Memo);
-    ExprRef Hi = substituteImpl(E->operand(1), Subst, Memo);
-    ExprRef Body;
-    if (Subst.count(E->name())) {
-      std::map<std::string, ExprRef> Inner = Subst;
-      Inner.erase(E->name());
-      SubstMemo BodyMemo;
-      Body = substituteImpl(E->operand(2), Inner, BodyMemo);
-    } else {
-      Body = substituteImpl(E->operand(2), Subst, Memo);
+    Result = quantifier(E);
+  } else {
+    SmallVector<ExprRef, 8> NewOps;
+    bool Changed = false;
+    for (ExprRef Op : E->operands()) {
+      ExprRef NewOp = run(Op);
+      Changed |= (NewOp != Op);
+      NewOps.push_back(NewOp);
     }
-    Result = E->kind() == ExprKind::Forall ? forallInt(E->name(), Lo, Hi, Body)
-                                           : existsInt(E->name(), Lo, Hi, Body);
-    Memo.emplace(E, Result);
-    return Result;
+    Result = Changed ? rebuild(E, NewOps) : E;
   }
+  Memo.insert(E, Result);
+  return Result;
+}
 
-  std::vector<ExprRef> NewOps;
-  NewOps.reserve(E->numOperands());
-  bool Changed = false;
-  for (ExprRef Op : E->operands()) {
-    ExprRef NewOp = substituteImpl(Op, Subst, Memo);
-    Changed |= (NewOp != Op);
-    NewOps.push_back(NewOp);
-  }
-  if (!Changed) {
-    Memo.emplace(E, E);
-    return E;
-  }
+ExprRef Substituter::quantifier(ExprRef E) {
+  ExprRef Lo = run(E->operand(0));
+  ExprRef Hi = run(E->operand(1));
+  // The bound variable shadows every binding of its name.
+  SmallVector<Binding, 4> Inner;
+  for (const Binding &B : Subst)
+    if (B.Var->name() != E->name())
+      Inner.push_back(B);
+  ExprRef Body = Inner.size() == Subst.size()
+                     ? run(E->operand(2))
+                     : Substituter(F, Inner).run(E->operand(2));
+  return E->kind() == ExprKind::Forall ? F.forallInt(E->name(), Lo, Hi, Body)
+                                       : F.existsInt(E->name(), Lo, Hi, Body);
+}
 
+ExprRef Substituter::rebuild(ExprRef E, ArrayRef<ExprRef> Ops) {
   switch (E->kind()) {
   case ExprKind::Add:
-    Result = add(NewOps[0], NewOps[1]);
-    break;
+    return F.add(Ops[0], Ops[1]);
   case ExprKind::Sub:
-    Result = sub(NewOps[0], NewOps[1]);
-    break;
+    return F.sub(Ops[0], Ops[1]);
   case ExprKind::Neg:
-    Result = neg(NewOps[0]);
-    break;
+    return F.neg(Ops[0]);
   case ExprKind::Eq:
-    Result = eq(NewOps[0], NewOps[1]);
-    break;
+    return F.eq(Ops[0], Ops[1]);
   case ExprKind::Lt:
-    Result = lt(NewOps[0], NewOps[1]);
-    break;
+    return F.lt(Ops[0], Ops[1]);
   case ExprKind::Le:
-    Result = le(NewOps[0], NewOps[1]);
-    break;
+    return F.le(Ops[0], Ops[1]);
   case ExprKind::Not:
-    Result = lnot(NewOps[0]);
-    break;
+    return F.lnot(Ops[0]);
   case ExprKind::And:
-    Result = conj(std::move(NewOps));
-    break;
+    return F.conj(Ops);
   case ExprKind::Or:
-    Result = disj(std::move(NewOps));
-    break;
+    return F.disj(Ops);
   case ExprKind::Implies:
-    Result = implies(NewOps[0], NewOps[1]);
-    break;
+    return F.implies(Ops[0], Ops[1]);
   case ExprKind::Iff:
-    Result = iff(NewOps[0], NewOps[1]);
-    break;
+    return F.iff(Ops[0], Ops[1]);
   case ExprKind::Ite:
-    Result = ite(NewOps[0], NewOps[1], NewOps[2]);
-    break;
+    return F.ite(Ops[0], Ops[1], Ops[2]);
   case ExprKind::SetContains:
-    Result = setContains(NewOps[0], NewOps[1]);
-    break;
+    return F.setContains(Ops[0], Ops[1]);
   case ExprKind::MapGet:
-    Result = mapGet(NewOps[0], NewOps[1]);
-    break;
+    return F.mapGet(Ops[0], Ops[1]);
   case ExprKind::MapHasKey:
-    Result = mapHasKey(NewOps[0], NewOps[1]);
-    break;
+    return F.mapHasKey(Ops[0], Ops[1]);
   case ExprKind::SeqAt:
-    Result = seqAt(NewOps[0], NewOps[1]);
-    break;
+    return F.seqAt(Ops[0], Ops[1]);
   case ExprKind::SeqLen:
-    Result = seqLen(NewOps[0]);
-    break;
+    return F.seqLen(Ops[0]);
   case ExprKind::SeqIndexOf:
-    Result = seqIndexOf(NewOps[0], NewOps[1]);
-    break;
+    return F.seqIndexOf(Ops[0], Ops[1]);
   case ExprKind::SeqLastIndexOf:
-    Result = seqLastIndexOf(NewOps[0], NewOps[1]);
-    break;
+    return F.seqLastIndexOf(Ops[0], Ops[1]);
   case ExprKind::StateSize:
-    Result = stateSize(NewOps[0]);
-    break;
+    return F.stateSize(Ops[0]);
   case ExprKind::CounterValue:
-    Result = counterValue(NewOps[0]);
-    break;
+    return F.counterValue(Ops[0]);
   default:
     semcomm_unreachable("unhandled expression kind in substitute");
   }
-  Memo.emplace(E, Result);
-  return Result;
+}
+
+} // namespace
+
+ExprRef ExprFactory::substitute(ExprRef E, ArrayRef<Binding> Subst) {
+  return Substituter(*this, Subst).run(E);
 }

@@ -25,23 +25,38 @@
 /// reader that misses in a stale table falls through to the locked path,
 /// so the worst case is a slow path, never a duplicate node.
 ///
+/// A hit does no heap work. The smart constructors hand their operands to
+/// the interner as a pointer and a count into stack storage, the key is
+/// hashed and compared in place (only variables and quantifiers hash their
+/// name), and a node's own name string and operand vector are built only
+/// on a miss, under the shard lock. Planning a pair on a warm factory, where
+/// almost every node it builds exists already, therefore allocates little
+/// beyond the plan it returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMCOMM_LOGIC_EXPRFACTORY_H
 #define SEMCOMM_LOGIC_EXPRFACTORY_H
 
 #include "logic/Expr.h"
+#include "support/ArrayRef.h"
 
 #include <atomic>
 #include <deque>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
+
+/// One binding of a substitution: every free occurrence of the variable
+/// node Var becomes Value, a term of Var's sort.
+struct Binding {
+  ExprRef Var;
+  ExprRef Value;
+};
 
 /// Creates and uniques expressions. All ExprRefs obtained from a factory are
 /// valid for the factory's lifetime; structural equality is pointer equality.
@@ -74,10 +89,18 @@ public:
   ExprRef gt(ExprRef A, ExprRef B) { return lt(B, A); }
   ExprRef ge(ExprRef A, ExprRef B) { return le(B, A); }
 
-  // Connectives (n-ary conj/disj flatten and apply unit laws).
+  // Connectives. The n-ary conj/disj apply unit laws and flatten nested
+  // And/Or operands into a buffer that lives on the stack until it
+  // outgrows 16 operands, so a hit allocates nothing.
   ExprRef lnot(ExprRef A);
-  ExprRef conj(std::vector<ExprRef> Ops);
-  ExprRef disj(std::vector<ExprRef> Ops);
+  ExprRef conj(ArrayRef<ExprRef> Ops);
+  ExprRef disj(ArrayRef<ExprRef> Ops);
+  ExprRef conj(std::initializer_list<ExprRef> Ops) {
+    return conj(ArrayRef<ExprRef>(Ops.begin(), Ops.size()));
+  }
+  ExprRef disj(std::initializer_list<ExprRef> Ops) {
+    return disj(ArrayRef<ExprRef>(Ops.begin(), Ops.size()));
+  }
   ExprRef conj2(ExprRef A, ExprRef B) { return conj({A, B}); }
   ExprRef disj2(ExprRef A, ExprRef B) { return disj({A, B}); }
   ExprRef implies(ExprRef A, ExprRef B);
@@ -101,11 +124,19 @@ public:
   ExprRef existsInt(const std::string &BoundVar, ExprRef Lo, ExprRef Hi,
                     ExprRef Body);
 
-  /// Capture-free substitution of variables by expressions, memoized over
-  /// the expression DAG (hash-consing shares subterms, so the naive
-  /// recursion would revisit them exponentially often).
-  ExprRef substitute(ExprRef E,
-                     const std::map<std::string, ExprRef> &Subst);
+  /// Capture-free substitution of variables by expressions: each Var of
+  /// \p Subst (listed at most once) becomes its Value; a quantifier shadows
+  /// the bindings of its bound name in its body; values are not
+  /// substituted again. Memoized over the expression DAG (hash-consing
+  /// shares subterms, so the naive recursion would revisit them
+  /// exponentially often) in an open-addressing table whose first slots,
+  /// like the buffer operands are rebuilt in, sit on the stack: a small
+  /// formula substitutes without heap work, and a large one grows the
+  /// table once per doubling, never once per entry.
+  ExprRef substitute(ExprRef E, ArrayRef<Binding> Subst);
+  ExprRef substitute(ExprRef E, std::initializer_list<Binding> Subst) {
+    return substitute(E, ArrayRef<Binding>(Subst.begin(), Subst.size()));
+  }
 
   /// Number of distinct nodes allocated (diagnostics / tests).
   size_t numNodes() const;
@@ -139,14 +170,15 @@ private:
 
   static constexpr size_t NumShards = 16; ///< Power of two.
 
-  ExprRef make(ExprKind K, Sort S, int64_t Payload, std::string Name,
-               std::vector<const Expr *> Ops);
+  /// Interns the node (K, S, Payload, Name, Ops). Payload matters for
+  /// constants and Name for variables and quantifiers only. \p Ops is read
+  /// in place; the node's copies of Name and Ops are made only when it is
+  /// new.
+  ExprRef make(ExprKind K, Sort S, int64_t Payload, const std::string &Name,
+               ArrayRef<ExprRef> Ops);
+  /// make() for the nameless, payload-free operator kinds.
+  ExprRef makeOp(ExprKind K, Sort S, std::initializer_list<ExprRef> Ops);
   static Table &growTable(Shard &Sh);
-
-  using SubstMemo = std::unordered_map<ExprRef, ExprRef>;
-  ExprRef substituteImpl(ExprRef E,
-                         const std::map<std::string, ExprRef> &Subst,
-                         SubstMemo &Memo);
 
   Shard Shards[NumShards];
   ExprRef CachedTrue = nullptr;

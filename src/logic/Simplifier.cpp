@@ -31,7 +31,7 @@ static ExprRef simplifyNary(ExprFactory &F, ExprRef E, bool IsAnd) {
       return IsAnd ? F.falseExpr() : F.trueExpr();
   }
 
-  return IsAnd ? F.conj(std::move(Unique)) : F.disj(std::move(Unique));
+  return IsAnd ? F.conj(Unique) : F.disj(Unique);
 }
 
 ExprRef semcomm::simplify(ExprFactory &F, ExprRef E) {
@@ -98,5 +98,5 @@ ExprRef semcomm::dropS1Disjuncts(ExprFactory &F, ExprRef Between) {
     if (!States.count("s1"))
       Kept.push_back(Clause);
   }
-  return F.disj(std::move(Kept)); // Empty disjunction folds to false.
+  return F.disj(Kept); // Empty disjunction folds to false.
 }

@@ -70,7 +70,7 @@ semcomm::buildLattice(ExprFactory &F, const Catalog &C,
 
     LatticePoint P;
     P.NumClauses = static_cast<unsigned>(Kept.size());
-    P.Condition = F.disj(std::move(Kept));
+    P.Condition = F.disj(Kept);
     P.Sound = Engine
                   .verifyCondition(Fam, Op1, Op2, ConditionKind::Between,
                                    MethodRole::Soundness, P.Condition)

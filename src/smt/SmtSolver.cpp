@@ -183,8 +183,7 @@ ExprRef SmtSession::normalize(ExprRef E) {
     std::vector<ExprRef> Ops;
     for (ExprRef Op : E->operands())
       Ops.push_back(normalize(Op));
-    N = E->kind() == ExprKind::And ? F.conj(std::move(Ops))
-                                   : F.disj(std::move(Ops));
+    N = E->kind() == ExprKind::And ? F.conj(Ops) : F.disj(Ops);
     break;
   }
   case ExprKind::Implies:

@@ -728,6 +728,7 @@ TEST(DriverReport, JsonRoundTrips) {
   EXPECT_EQ(Doc["tool"].asString(), "semcommute-verify");
   EXPECT_EQ(Doc["threads"].asInt(), R.Threads);
   EXPECT_EQ(Doc["wall_ms"].asDouble(), R.WallMillis);
+  EXPECT_EQ(Doc["catalog_plan_ms"].asDouble(), R.CatalogPlanMillis);
   EXPECT_EQ(Doc.find("certify"), nullptr);
   EXPECT_EQ(Doc.find("error"), nullptr);
   EXPECT_EQ(Doc["scope"]["set_universe"].asInt(), R.Bounds.SetUniverse);
@@ -792,7 +793,10 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   EXPECT_GT(S.RetireMillis, 0.0);
   EXPECT_GT(S.ProofCheckMillis, 0.0);
   EXPECT_EQ(S.PairsRetired, S.Pairs);
+  // The shared catalog plan is timed once, outside every shard's row.
+  EXPECT_GT(R.CatalogPlanMillis, 0.0);
   json::Value Doc = R.toJson();
+  EXPECT_EQ(Doc["catalog_plan_ms"].asDouble(), R.CatalogPlanMillis);
   EXPECT_TRUE(Doc["certify"].asBool());
   ASSERT_EQ(Doc["catalog_stats"].size(), 1u);
   expectCatalogRow(Doc["catalog_stats"].at(0), S);

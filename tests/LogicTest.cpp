@@ -93,17 +93,128 @@ TEST(FactoryTest, NaryFlattening) {
   EXPECT_EQ(Nested->numOperands(), 3u);
 }
 
+TEST(FactoryTest, WideConnectivesFlattenPastTheInlineBuffer) {
+  // 100 operands, more than conj/disj and substitute keep on the stack:
+  // nested And/Or operands splice in place and unit operands drop out.
+  ExprFactory F;
+  constexpr int Wide = 100;
+  std::vector<ExprRef> Atoms;
+  for (int I = 0; I < Wide; ++I)
+    Atoms.push_back(F.lt(F.var("x" + std::to_string(I), Sort::Int),
+                         F.intConst(I)));
+  auto ExpectOperands = [&](ExprRef E, ExprKind K) {
+    ASSERT_EQ(E->kind(), K);
+    ASSERT_EQ(E->numOperands(), unsigned(Wide));
+    for (int I = 0; I < Wide; ++I)
+      EXPECT_EQ(E->operand(I), Atoms[I]) << "operand " << I;
+  };
+  // Operands 10..19 and 60..89 arrive as nested connectives of the same
+  // kind, with a unit between every two operands.
+  for (bool IsAnd : {true, false}) {
+    ExprRef Unit = IsAnd ? F.trueExpr() : F.falseExpr();
+    auto Join = [&](std::vector<ExprRef> Ops) {
+      return IsAnd ? F.conj(Ops) : F.disj(Ops);
+    };
+    std::vector<ExprRef> Ops;
+    for (int I = 0; I < Wide;) {
+      int Group = I == 10 ? 10 : I == 60 ? 30 : 1;
+      Ops.push_back(Group == 1 ? Atoms[I]
+                               : Join(std::vector<ExprRef>(
+                                     Atoms.begin() + I,
+                                     Atoms.begin() + I + Group)));
+      Ops.push_back(Unit);
+      I += Group;
+    }
+    ExprRef Flat = Join(Ops);
+    ExpectOperands(Flat, IsAnd ? ExprKind::And : ExprKind::Or);
+    // Interning the flat list directly finds the same node.
+    EXPECT_EQ(Join(Atoms), Flat);
+    // The absorbing constant wins however wide the list.
+    Ops.push_back(IsAnd ? F.falseExpr() : F.trueExpr());
+    EXPECT_EQ(Join(Ops), IsAnd ? F.falseExpr() : F.trueExpr());
+  }
+
+  // Substituting into every operand rebuilds all 100 and memoizes past
+  // the table's inline slots.
+  std::vector<ExprRef> Shifted;
+  std::vector<Binding> Subst;
+  for (int I = 0; I < Wide; ++I) {
+    ExprRef X = F.var("x" + std::to_string(I), Sort::Int);
+    ExprRef Y = F.var("y" + std::to_string(I), Sort::Int);
+    Subst.push_back({X, Y});
+    Shifted.push_back(F.lt(Y, F.intConst(I)));
+  }
+  ExprRef Sub = F.substitute(F.disj(Atoms), Subst);
+  ASSERT_EQ(Sub->kind(), ExprKind::Or);
+  ASSERT_EQ(Sub->numOperands(), unsigned(Wide));
+  for (int I = 0; I < Wide; ++I)
+    EXPECT_EQ(Sub->operand(I), Shifted[I]) << "operand " << I;
+}
+
 TEST(FactoryTest, SubstitutionShadowsBoundVariables) {
   ExprFactory F;
-  ExprRef J = F.var("j", Sort::Int);
-  ExprRef Body = F.eq(J, F.var("i1", Sort::Int));
+  ExprRef J = F.var("j", Sort::Int), I1 = F.var("i1", Sort::Int);
+  ExprRef Body = F.eq(J, I1);
   ExprRef Q = F.forallInt("j", F.intConst(0), F.intConst(3), Body);
-  ExprRef Sub =
-      F.substitute(Q, {{"j", F.intConst(9)}, {"i1", F.intConst(1)}});
+  ExprRef Sub = F.substitute(Q, {{J, F.intConst(9)}, {I1, F.intConst(1)}});
   // The bound j must not be replaced; i1 must be.
   ExprRef Expected = F.forallInt("j", F.intConst(0), F.intConst(3),
                                  F.eq(J, F.intConst(1)));
   EXPECT_EQ(Sub, Expected);
+}
+
+TEST(FactoryTest, SubstitutionRespectsNestedRebinding) {
+  ExprFactory F;
+  ExprRef J = F.var("j", Sort::Int), K = F.var("k", Sort::Int),
+          I1 = F.var("i1", Sort::Int);
+  ExprRef Nine = F.intConst(9), One = F.intConst(1), Three = F.intConst(3);
+
+  // forall j in [0, i1]. j = i1 && forall j in [j, 3]. j < i1: both
+  // quantifiers bind j, so no j anywhere is free; i1 is.
+  ExprRef Inner = F.forallInt("j", J, Three, F.lt(J, I1));
+  ExprRef Outer = F.forallInt("j", F.intConst(0), I1,
+                              F.conj({F.eq(J, I1), Inner}));
+  EXPECT_EQ(F.substitute(Outer, {{J, Nine}, {I1, One}}),
+            F.forallInt("j", F.intConst(0), One,
+                        F.conj({F.eq(J, One),
+                                F.forallInt("j", J, Three, F.lt(J, One))})));
+
+  // forall k in [j, 3]. forall j in [j, k]. j < k: the inner bounds sit
+  // in the outer scope, where j is free; the inner body does not.
+  ExprRef Mixed = F.forallInt(
+      "k", J, Three, F.forallInt("j", J, K, F.lt(J, K)));
+  EXPECT_EQ(F.substitute(Mixed, {{J, Nine}}),
+            F.forallInt("k", Nine, Three,
+                        F.forallInt("j", Nine, K, F.lt(J, K))));
+}
+
+TEST(FactoryTest, ShadowingQuantifierDoesNotReuseTheOuterMemo) {
+  // The first conjunct is the quantifier's body, so by the time the
+  // quantifier is reached the memo maps that node to j := 5. Under the
+  // quantifier j is bound and the body must come back unchanged.
+  ExprFactory F;
+  ExprRef J = F.var("j", Sort::Int), I1 = F.var("i1", Sort::Int);
+  ExprRef Body = F.lt(J, I1);
+  ExprRef E = F.conj(
+      {Body, F.forallInt("j", F.intConst(0), F.intConst(3), Body)});
+  EXPECT_EQ(F.substitute(E, {{J, F.intConst(5)}}),
+            F.conj({F.lt(F.intConst(5), I1),
+                    F.forallInt("j", F.intConst(0), F.intConst(3), Body)}));
+}
+
+TEST(FactoryTest, SubstitutedValuesAreNotSubstitutedAgain) {
+  // x := y + 1 and y := x swap the two variables' roles: each value is
+  // taken as written, never rewritten by the other binding.
+  ExprFactory F;
+  ExprRef X = F.var("x", Sort::Int), Y = F.var("y", Sort::Int);
+  ExprRef YPlusOne = F.add(Y, F.intConst(1));
+  EXPECT_EQ(F.substitute(F.add(X, Y), {{X, YPlusOne}, {Y, X}}),
+            F.add(YPlusOne, X));
+  // Nor when a value is the very variable it replaces, inside a
+  // connective that gets rebuilt.
+  ExprRef B = F.var("b", Sort::Bool), C = F.var("c", Sort::Bool);
+  EXPECT_EQ(F.substitute(F.conj({B, F.lnot(C)}), {{B, C}, {C, B}}),
+            F.conj({C, F.lnot(B)}));
 }
 
 TEST(FactoryTest, ConcurrentInterningGivesOneIdentityPerStructure) {
@@ -183,7 +294,7 @@ TEST(FactoryTest, SubstituteIsLinearOnSharedDags) {
   ExprRef Cur = X;
   for (int I = 0; I < 40; ++I)
     Cur = F.add(Cur, Cur);
-  ExprRef Sub = F.substitute(Cur, {{"x", F.var("y", Sort::Int)}});
+  ExprRef Sub = F.substitute(Cur, {{X, F.var("y", Sort::Int)}});
   ExprRef Expected = F.var("y", Sort::Int);
   for (int I = 0; I < 40; ++I)
     Expected = F.add(Expected, Expected);

@@ -21,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace semcomm;
 
 namespace {
@@ -200,7 +203,7 @@ TEST(SymbolicEngineTest, EnginesAgreeOnRandomizedWeakenings) {
       std::vector<ExprRef> Dropped(Clauses.begin() + 1, Clauses.end());
       ConditionEntry Mutant = E;
       Mutant.Before = Mutant.Between = Mutant.After =
-          Fx.F.disj(std::move(Dropped));
+          Fx.F.disj(Dropped);
       for (MethodRole Role :
            {MethodRole::Soundness, MethodRole::Completeness}) {
         TestingMethod M;
@@ -307,6 +310,61 @@ TEST(PlanPinning, CatalogPlanDigestIsStable) {
   // Any change to what a plan builder emits moves one of these digests:
   // the formulas, the labels or the flags of any of the 1020 methods.
   SymbolicFixture &Fx = fixture();
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+  EXPECT_EQ(catalogPlanDigest(Eng, Fx.C), 0x1773b5e710bd177eull);
+  std::vector<HintScript> Hints = buildArrayListHintScripts(Fx.F);
+  Eng.attachHints(&Hints);
+  EXPECT_EQ(catalogPlanDigest(Eng, Fx.C), 0xbe82fd4ef60f14d9ull);
+}
+
+TEST(PlanPinning, ConcurrentWarmPlansMatchSerial) {
+  // On a warm factory pair planning finds every node it interns. Four
+  // threads planning the whole catalog at once through the shared factory
+  // must build exactly the single-thread plans and add no node.
+  SymbolicFixture &Fx = fixture();
+  std::vector<const ConditionEntry *> Entries;
+  for (const Family *Fam : allFamilies())
+    for (const ConditionEntry &E : Fx.C.entries(*Fam))
+      Entries.push_back(&E);
+  std::vector<PairPlan> Serial;
+  {
+    SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+    for (const ConditionEntry *E : Entries)
+      Serial.push_back(Eng.planPair(*E));
+  }
+  size_t Nodes = Fx.F.numNodes();
+
+  constexpr int NumThreads = 4;
+  std::vector<std::vector<PairPlan>> Plans(NumThreads);
+  std::atomic<int> Ready{0};
+  {
+    std::vector<std::thread> Threads;
+    for (int T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&Fx, &Entries, &Plans, &Ready, T] {
+        SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
+        Ready.fetch_add(1);
+        while (Ready.load() != NumThreads)
+          std::this_thread::yield();
+        for (const ConditionEntry *E : Entries)
+          Plans[T].push_back(Eng.planPair(*E));
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  EXPECT_EQ(Fx.F.numNodes(), Nodes);
+  for (int T = 0; T < NumThreads; ++T) {
+    ASSERT_EQ(Plans[T].size(), Serial.size());
+    for (size_t I = 0; I != Serial.size(); ++I) {
+      const PairPlan &Got = Plans[T][I], &Want = Serial[I];
+      EXPECT_EQ(Got.Key, Want.Key);
+      ASSERT_EQ(Got.Methods.size(), Want.Methods.size());
+      for (size_t M = 0; M != Want.Methods.size(); ++M)
+        expectSamePlan(Got.Methods[M], Want.Methods[M],
+                       "thread " + std::to_string(T) + " " + Want.Key +
+                           " method " + std::to_string(M));
+    }
+  }
+
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/3);
   EXPECT_EQ(catalogPlanDigest(Eng, Fx.C), 0x1773b5e710bd177eull);
   std::vector<HintScript> Hints = buildArrayListHintScripts(Fx.F);

@@ -333,6 +333,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
       static_cast<unsigned>(std::min<size_t>(Threads, JobsOf.size()));
   std::vector<CatalogStats> Shards(NumShards);
   CatalogPlan Plan;
+  double CatalogPlanMillis = 0;
 
   ExhaustiveEngine Engine(Opts.Bounds);
   Stopwatch Wall;
@@ -347,9 +348,12 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
     // The shards share one plan; build it while the pool starts on the
     // jobs above.
-    if (NumShards != 0)
+    if (NumShards != 0) {
+      Stopwatch PlanTimer;
       Plan = SymbolicEngine(C.factory(), Opts.SymbolicSeqLenBound)
                  .planCatalog(C, Fams);
+      CatalogPlanMillis = PlanTimer.millis();
+    }
     for (unsigned S = 0; S != NumShards; ++S)
       Pool.submit([&C, &Opts, &Fams, &Plan, &JobsOf, &Jobs, &Shards, S,
                    NumShards] {
@@ -365,6 +369,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
   R.CatalogSessions = std::move(Shards);
+  R.CatalogPlanMillis = CatalogPlanMillis;
 
   for (const Family *Fam : Fams) {
     FamilySummary S;
@@ -420,6 +425,7 @@ json::Value Report::toJson() const {
   Root.set("tool", json::Value::string("semcommute-verify"));
   Root.set("threads", json::Value::integer(Threads));
   Root.set("wall_ms", json::Value::number(WallMillis));
+  Root.set("catalog_plan_ms", json::Value::number(CatalogPlanMillis));
   if (Certified)
     Root.set("certify", json::Value::boolean(true));
   if (!Error.empty())
@@ -599,10 +605,12 @@ std::string driver::renderSummary(const Report &R) {
         Demand += S.VarRequests;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "catalog sessions: %zu sessions, %.1f ms pair planning, "
-                    "%.1f ms pair retirement, %llu vars recycled (peak %llu "
-                    "live of %llu requested), peak %llu live clauses\n",
-                    R.CatalogSessions.size(), PlanMs, RetireMs,
+                    "catalog sessions: %zu sessions, %.1f ms catalog plan, "
+                    "%.1f ms pair planning, %.1f ms pair retirement, %llu "
+                    "vars recycled (peak %llu live of %llu requested), peak "
+                    "%llu live clauses\n",
+                    R.CatalogSessions.size(), R.CatalogPlanMillis, PlanMs,
+                    RetireMs,
                     static_cast<unsigned long long>(Recycled),
                     static_cast<unsigned long long>(PeakVars),
                     static_cast<unsigned long long>(Demand),

@@ -181,6 +181,9 @@ struct Report {
   /// Per-shard catalog-session stats (symbolic SolveMode::SharedCatalog
   /// runs only).
   std::vector<CatalogStats> CatalogSessions;
+  /// Wall time of the one planCatalog call the shards share, made on the
+  /// calling thread before any shard starts (0 when no shard ran).
+  double CatalogPlanMillis = 0;
   /// Non-empty when the run never started (e.g. unknown family name); a
   /// report with an Error has no results and counts as failed.
   std::string Error;
